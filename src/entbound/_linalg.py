@@ -28,11 +28,6 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def pauli_string_matrix(indices) -> np.ndarray:
-    """Dense matrix of sigma_{i_1} x ... x sigma_{i_n} for indices in 0..3."""
-    return kron_all(SIGMA[int(i)] for i in indices)
-
-
 def hamming_weights(n: int) -> np.ndarray:
     """Bit counts of 0 .. 2^n - 1."""
     idx = np.arange(2**n, dtype=np.uint64)
@@ -93,10 +88,6 @@ def apply_product_to_vector(vec: np.ndarray, ops, n: int) -> np.ndarray:
     for k, op in enumerate(ops):
         t = np.moveaxis(np.tensordot(op, np.moveaxis(t, k, 0), axes=(1, 0)), 0, k)
     return t.reshape(vec.shape)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
 
 
 def projector(vec: np.ndarray) -> np.ndarray:

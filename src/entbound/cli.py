@@ -3,15 +3,13 @@
 Every subcommand prints machine-readable JSON on stdout (a human-readable
 table with ``--pretty``) and exits 0; usage and schema problems exit 2,
 computation failures exit 1. Output is byte-identical across runs with the
-same flags and seeds. ``ENTBOUND_THREADS`` caps worker parallelism (the
-current implementation is single-threaded, which always respects the cap).
+same flags and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 
@@ -81,26 +79,24 @@ def _emit(obj, args) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _parse_triple(text: str) -> CorrelationTriple:
+def _parse_numbers(flag: str, text: str, count: int | None = 3, cast=float) -> list:
+    """The comma-separated numbers given to ``flag``; malformed text is a schema error."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise SchemaError(f"--c wants three comma-separated numbers, got {text!r}")
+    if count is not None and len(parts) != count:
+        raise SchemaError(f"{flag} wants {count} comma-separated numbers, got {text!r}")
     try:
-        return CorrelationTriple.from_sequence([float(p) for p in parts])
+        return [cast(p) for p in parts]
     except ValueError as exc:
-        raise SchemaError(f"--c: {exc}") from exc
+        raise SchemaError(f"{flag}: {exc}") from exc
 
 
-def _parse_sigma(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SchemaError(f"--sigma wants three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+def _parse_triple(text: str) -> CorrelationTriple:
+    return CorrelationTriple.from_sequence(_parse_numbers("--c", text))
 
 
 def _parse_level(args, n: int) -> SeparabilityLevel:
     if getattr(args, "partition", None):
-        parts = [int(p) for p in args.partition.split(",")]
+        parts = _parse_numbers("--partition", args.partition, None, int)
         level = SeparabilityLevel(partition=tuple(parts))
     elif getattr(args, "level_m", None):
         level = SeparabilityLevel(m=args.level_m)
@@ -116,7 +112,10 @@ def _state_from_args(args):
     else:
         if not args.family or args.n is None:
             raise SchemaError("give --family and --n, or --state-file")
-        params = json.loads(args.params) if args.params else {}
+        try:
+            params = json.loads(args.params) if args.params else {}
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"--params is not valid JSON ({exc})") from exc
         family = StateFamily.from_json_dict({"family": args.family, "params": params})
         n = args.n
     return build_state(family, n), family, n
@@ -124,7 +123,7 @@ def _state_from_args(args):
 
 def _rotation_from_args(args, n: int):
     if getattr(args, "angles", None):
-        parts = [float(x) for x in args.angles.split(",")]
+        parts = _parse_numbers("--angles", args.angles, None)
         if len(parts) == 3:
             return LocalRotation.from_shared(parts)
         if len(parts) == 3 * n:
@@ -181,7 +180,7 @@ def _cmd_bound(args) -> None:
     else:
         if args.c is None or args.n is None:
             raise SchemaError("give --n and --c, or --file")
-        sigma = _parse_sigma(args.sigma) if args.sigma else (0.0, 0.0, 0.0)
+        sigma = _parse_numbers("--sigma", args.sigma) if args.sigma else (0.0, 0.0, 0.0)
         est = TripleEstimate(_parse_triple(args.c), sigma, n=args.n)
         n = args.n
     level = _parse_level(args, n)
@@ -421,14 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ENTBOUND_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"ENTBOUND_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,6 +5,8 @@ into correlation estimates with standard errors, and propagates those errors
 through the bound formulas: first-order delta method on the active branch,
 with a parametric bootstrap fallback near the non-smooth points (the zero
 threshold, sign kinks, odd-n branch switches, and the diverging endpoints).
+This module only samples, decides when to bootstrap and propagates errors;
+every formula and derivative it evaluates is a kernel in ``measures``.
 
 Correlation-data files are JSON ``{"n": 4, "c": [..], "sigma": [..]}`` or CSV
 with header ``n,c1,c2,c3,s1,s2,s3``.
@@ -25,8 +27,11 @@ from .measures import (
     DistanceKind,
     EntanglementReport,
     SeparabilityLevel,
+    _bound_values,
+    _odd_branches,
+    _odd_trace_gradient,
+    _overlap_values,
     excess_derivative,
-    genuine_from_overlap,
     lower_bound_from_triple,
     octahedron_excess,
     overlap_derivative,
@@ -91,8 +96,8 @@ class TripleEstimate:
 
     def __post_init__(self):
         sigma = tuple(float(s) for s in self.sigma)
-        if len(sigma) != 3 or any(s < 0 for s in sigma):
-            raise ParameterError(f"sigma needs 3 nonnegative entries, got {self.sigma}")
+        if len(sigma) != 3 or any(not math.isfinite(s) or s < 0 for s in sigma):
+            raise ParameterError(f"sigma needs 3 finite nonnegative entries, got {self.sigma}")
         object.__setattr__(self, "sigma", sigma)
 
     def to_json_dict(self) -> dict:
@@ -165,79 +170,7 @@ def counts_to_triple(records) -> TripleEstimate:
     return TripleEstimate(CorrelationTriple(*cs), tuple(sigmas), n=records[0].n)
 
 
-# -- vectorised bound formulas for the bootstrap --------------------------------
-
-def _excess_values_vec(h: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    h = np.clip(h, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is DistanceKind.RELATIVE_ENTROPY:
-            lo = np.where(h < 1, (1 - h) * np.log2(np.maximum(1 - h, 1e-300)), 0.0)
-            return 0.5 * (lo + (1 + h) * np.log2(1 + h))
-        if kind is DistanceKind.TRACE:
-            return 0.5 * h
-        if kind is DistanceKind.INFIDELITY:
-            return 0.5 * (1 - np.sqrt(np.clip(1 - h * h, 0.0, None)))
-        return 2 - np.sqrt(np.clip(1 - h, 0.0, None)) - np.sqrt(1 + h)
-
-
-def _odd_trace_values_vec(c: np.ndarray) -> np.ndarray:
-    mags = np.abs(c)
-    h = 0.5 * (mags.sum(axis=1) - 1)
-    face = np.all(h[:, None] <= 1.5 * mags, axis=1)
-    edge_vals = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h[:, None] - mags) ** 2)
-    vals = np.where(face, h / math.sqrt(3), edge_vals.min(axis=1))
-    return np.where(h > 0, vals, 0.0)
-
-
-def _bound_values_vec(
-    c: np.ndarray, n: int, level: SeparabilityLevel, kind: DistanceKind
-) -> np.ndarray:
-    if level.is_trivial(n):
-        return np.zeros(c.shape[0])
-    if n % 2:
-        return _odd_trace_values_vec(c)
-    h = 0.5 * (np.abs(c).sum(axis=1) - 1)
-    return np.where(h > 0, _excess_values_vec(h, kind), 0.0)
-
-
-def _overlap_values_vec(p: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    p = np.clip(p, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is DistanceKind.RELATIVE_ENTROPY:
-            t1 = np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-            t2 = np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0)
-            vals = 1 + t1 + t2
-        elif kind is DistanceKind.TRACE:
-            vals = p - 0.5
-        elif kind is DistanceKind.INFIDELITY:
-            vals = 0.5 - np.sqrt(np.clip(p * (1 - p), 0.0, None))
-        else:
-            vals = 2 - math.sqrt(2) * (np.sqrt(np.clip(1 - p, 0.0, None)) + np.sqrt(p))
-    return np.where(p > 0.5, vals, 0.0)
-
-
-# -- delta method ----------------------------------------------------------------
-
-def _odd_trace_gradient(c: CorrelationTriple) -> np.ndarray:
-    """Gradient of the odd-n trace formula on its active branch."""
-    mags = np.abs(c.as_array())
-    signs = np.where(c.as_array() >= 0, 1.0, -1.0)
-    h = octahedron_excess(c)
-    if np.all(h <= 1.5 * mags):
-        return signs / (2 * math.sqrt(3))
-    vals = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h - mags) ** 2)
-    k = int(np.argmin(vals))
-    u = mags[k]
-    v = 2 * h - u
-    s = math.sqrt(u * u + v * v / 2)
-    grad = np.zeros(3)
-    for j in range(3):
-        if j == k:
-            grad[j] = signs[j] * u / (2 * s)
-        else:
-            grad[j] = signs[j] * v / (4 * s)
-    return grad
-
+# -- error propagation ------------------------------------------------------------
 
 def _needs_bootstrap_triple(est: TripleEstimate, n: int) -> bool:
     c = est.c.as_array()
@@ -251,13 +184,11 @@ def _needs_bootstrap_triple(est: TripleEstimate, n: int) -> bool:
     if np.any(np.abs(c) <= 2 * sig):
         return True
     if n % 2:
-        mags = np.abs(c)
-        for j in range(3):
-            if abs(h - 1.5 * mags[j]) <= 2 * (sigma_h + 1.5 * sig[j]):
-                return True
-        vals = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h - mags) ** 2)
-        order = np.sort(vals)
-        if not np.all(h <= 1.5 * mags) and order[1] - order[0] <= 2 * sigma_h:
+        _, mags, face, edge = _odd_branches(c)
+        if np.any(np.abs(h - 1.5 * mags) <= 2 * (sigma_h + 1.5 * sig)):
+            return True
+        order = np.sort(edge)
+        if not face and order[1] - order[0] <= 2 * sigma_h:
             return True
     return False
 
@@ -287,7 +218,7 @@ def bound_with_uncertainty(
         samples = rng.normal(est.c.as_array(), sig, size=(bootstrap_samples, 3))
         clipped = np.mean((samples < -1) | (samples > 1))
         samples = np.clip(samples, -1.0, 1.0)
-        values = _bound_values_vec(samples, n, level, kind)
+        values = _bound_values(samples, n, level, kind)
         unc = float(np.std(values, ddof=1))
         meta = {
             "method": "bootstrap",
@@ -303,7 +234,7 @@ def bound_with_uncertainty(
     elif n % 2 == 0:
         unc = excess_derivative(h, kind) * 0.5 * math.sqrt(float(np.sum(sig**2)))
     else:
-        grad = _odd_trace_gradient(est.c)
+        grad = _odd_trace_gradient(est.c.as_array())
         unc = math.sqrt(float(np.sum((grad * sig) ** 2)))
     return EntanglementReport(base.value, kind, level, "lower_bound", unc, {"method": "delta"})
 
@@ -323,16 +254,16 @@ def genuine_bound_with_uncertainty(
     """
     if not 0 <= p_max <= 1:
         raise ParameterError(f"p_max must lie in [0, 1], got {p_max}")
-    if sigma < 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     level = SeparabilityLevel.genuine()
-    value = 0.0 if p_max <= 0.5 else genuine_from_overlap(p_max, kind)
+    value = float(_overlap_values(p_max, kind))
 
     near_kink = abs(p_max - 0.5) <= 2 * sigma or p_max >= 1 - 2 * sigma
     if sigma > 0 and near_kink:
         rng = np.random.default_rng(seed)
         samples = np.clip(rng.normal(p_max, sigma, size=bootstrap_samples), 0.0, 1.0)
-        values = _overlap_values_vec(samples, kind)
+        values = _overlap_values(samples, kind)
         unc = float(np.std(values, ddof=1))
         meta = {"method": "bootstrap", "seed": seed, "samples": bootstrap_samples}
         return EntanglementReport(value, kind, level, "lower_bound", unc, meta)

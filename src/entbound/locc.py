@@ -141,12 +141,17 @@ class GHZDiagonalState:
             entries = spec["p"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f'GHZ spectrum needs integer "n" and mapping "p": {exc}')
+        if not isinstance(entries, dict):
+            raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
         p = np.zeros((2 ** (n - 1), 2))
         for key, value in entries.items():
             idx = GHZBasisIndex.from_key(str(key))
             if idx.n != n:
                 raise SchemaError(f"key {key!r} has length {idx.n}, expected n={n}")
-            p[idx.i, 0 if idx.sign > 0 else 1] = float(value)
+            try:
+                p[idx.i, 0 if idx.sign > 0 else 1] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f'GHZ spectrum field "p" entry {key!r}: {exc}') from exc
         return cls(n, p)
 
     @classmethod

@@ -6,6 +6,12 @@ Bures, squared Hellinger), the closed forms for triple-correlation states
 the genuine-entanglement closed form for GHZ-diagonal states, separability
 classification, and closest-separable-state constructions.
 
+This module is the only home of the closed forms. Each is written once as a
+private kernel that takes scalars or arrays (``_excess_values``,
+``_overlap_values``, ``_odd_trace_values`` and the ``_bound_values``
+dispatch); the public functions validate their input and call a kernel, and
+the bootstrap in ``estimate`` calls the same kernels on sample arrays.
+
 Logarithms are base 2 throughout, with 0*log(0) = 0.
 """
 
@@ -93,10 +99,6 @@ class SeparabilityLevel:
             object.__setattr__(self, "partition", parts)
 
     @classmethod
-    def global_level(cls, n: int) -> "SeparabilityLevel":
-        return cls(m=n)
-
-    @classmethod
     def genuine(cls) -> "SeparabilityLevel":
         return cls(m=2)
 
@@ -157,7 +159,9 @@ class EntanglementReport:
         return out
 
 
-# -- scalar closed forms -------------------------------------------------------
+# -- closed forms ---------------------------------------------------------------
+# Just above a threshold some formulas round to about -1e-16, which a report
+# would reject as negative, so the kernels clamp at zero.
 
 def _xlog2(x: float) -> float:
     return 0.0 if x <= 0 else x * math.log2(x)
@@ -172,6 +176,69 @@ def octahedron_excess(c: CorrelationTriple) -> float:
     return 0.5 * (c.abs_sum - 1.0)
 
 
+def _excess_values(h, kind: DistanceKind) -> np.ndarray:
+    """Even-n entanglement as a function of the excess h; 0 where h <= 0."""
+    x = np.clip(h, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is DistanceKind.RELATIVE_ENTROPY:
+            lo = np.where(x < 1, (1 - x) * np.log2(np.maximum(1 - x, 1e-300)), 0.0)
+            vals = 0.5 * (lo + (1 + x) * np.log2(1 + x))
+        elif kind is DistanceKind.TRACE:
+            vals = 0.5 * x
+        elif kind is DistanceKind.INFIDELITY:
+            vals = 0.5 * (1 - np.sqrt(np.clip(1 - x * x, 0.0, None)))
+        else:  # squared Bures and squared Hellinger coincide here
+            vals = 2 - np.sqrt(np.clip(1 - x, 0.0, None)) - np.sqrt(1 + x)
+    return np.where(h > 0, np.maximum(vals, 0.0), 0.0)
+
+
+def _overlap_values(p, kind: DistanceKind) -> np.ndarray:
+    """Genuine entanglement as a function of the largest GHZ overlap; 0 where p <= 1/2."""
+    p = np.clip(p, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is DistanceKind.RELATIVE_ENTROPY:
+            t1 = np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
+            t2 = np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0)
+            vals = 1 + t1 + t2
+        elif kind is DistanceKind.TRACE:
+            vals = p - 0.5
+        elif kind is DistanceKind.INFIDELITY:
+            vals = 0.5 - np.sqrt(np.clip(p * (1 - p), 0.0, None))
+        else:
+            vals = 2 - math.sqrt(2) * (np.sqrt(np.clip(1 - p, 0.0, None)) + np.sqrt(p))
+    return np.where(p > 0.5, np.maximum(vals, 0.0), 0.0)
+
+
+def _odd_branches(c):
+    """Odd-n trace-formula geometry of triples (..., 3): (h, |c|, on-face test, edge values).
+
+    The projection lands on the face when h <= 1.5 |c_j| for every j; off the
+    face the formula is the smallest of the per-axis edge values.
+    """
+    mags = np.abs(c)
+    h = 0.5 * (mags.sum(axis=-1) - 1)
+    face = np.all(h[..., None] <= 1.5 * mags, axis=-1)
+    edge = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h[..., None] - mags) ** 2)
+    return h, mags, face, edge
+
+
+def _odd_trace_values(c) -> np.ndarray:
+    """The three-branch odd-n trace formula for triples of shape (..., 3); 0 where h <= 0."""
+    h, _, face, edge = _odd_branches(np.asarray(c, dtype=float))
+    vals = np.where(face, h / math.sqrt(3), edge.min(axis=-1))
+    return np.where(h > 0, vals, 0.0)
+
+
+def _bound_values(c, n: int, level: SeparabilityLevel, kind: DistanceKind) -> np.ndarray:
+    """Triple-correlation entanglement of triples (..., 3); odd n means trace distance."""
+    c = np.asarray(c, dtype=float)
+    if level.is_trivial(n):
+        return np.zeros(c.shape[:-1])
+    if n % 2:
+        return _odd_trace_values(c)
+    return _excess_values(0.5 * (np.abs(c).sum(axis=-1) - 1), kind)
+
+
 def entanglement_from_excess(h: float, kind: DistanceKind) -> float:
     """Even-n entanglement of a triple-correlation state as a function of the excess.
 
@@ -181,15 +248,7 @@ def entanglement_from_excess(h: float, kind: DistanceKind) -> float:
         raise ParameterError(f"the closed form needs h > 0, got {h}")
     if h > 1 + 1e-12:
         raise ParameterError(f"h cannot exceed 1, got {h}")
-    h = min(h, 1.0)
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        return 0.5 * (_xlog2(1 - h) + _xlog2(1 + h))
-    if kind is DistanceKind.TRACE:
-        return 0.5 * h
-    if kind is DistanceKind.INFIDELITY:
-        return 0.5 * (1 - math.sqrt(1 - h * h))
-    # squared Bures and squared Hellinger coincide here
-    return 2 - math.sqrt(1 - h) - math.sqrt(1 + h)
+    return float(_excess_values(h, kind))
 
 
 def excess_derivative(h: float, kind: DistanceKind) -> float:
@@ -214,14 +273,7 @@ def genuine_from_overlap(p_max: float, kind: DistanceKind) -> float:
         raise ParameterError(f"the closed form needs p_max > 1/2, got {p_max}")
     if p_max > 1 + 1e-12:
         raise ParameterError(f"p_max cannot exceed 1, got {p_max}")
-    p = min(p_max, 1.0)
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        return 1 + _xlog2(p) + _xlog2(1 - p)
-    if kind is DistanceKind.TRACE:
-        return p - 0.5
-    if kind is DistanceKind.INFIDELITY:
-        return 0.5 - math.sqrt(p * (1 - p))
-    return 2 - math.sqrt(2) * (math.sqrt(1 - p) + math.sqrt(p))
+    return float(_overlap_values(p_max, kind))
 
 
 def overlap_derivative(p_max: float, kind: DistanceKind) -> float:
@@ -236,6 +288,21 @@ def overlap_derivative(p_max: float, kind: DistanceKind) -> float:
     if kind is DistanceKind.INFIDELITY:
         return (2 * p - 1) / (2 * math.sqrt(p * (1 - p)))
     return (1 / math.sqrt(1 - p) - 1 / math.sqrt(p)) / math.sqrt(2)
+
+
+def _odd_trace_gradient(c) -> np.ndarray:
+    """Gradient of the odd-n trace formula on the active branch of a triple array (3,)."""
+    h, mags, face, edge = _odd_branches(c)
+    signs = np.where(c >= 0, 1.0, -1.0)
+    if face:
+        return signs / (2 * math.sqrt(3))
+    k = int(np.argmin(edge))
+    u = mags[k]
+    v = 2 * h - u
+    s = math.sqrt(u * u + v * v / 2)
+    grad = signs * v / (4 * s)
+    grad[k] = signs[k] * u / (2 * s)
+    return grad
 
 
 # -- separability classification and closest states ---------------------------
@@ -305,25 +372,13 @@ def closest_separable_odd_trace(state: M3NState) -> M3NState:
         s = signs * np.clip(face, 0.0, 1.0)
         return M3NState(state.n, CorrelationTriple(*s))
     # edge case: drop the axis with the smallest projected distance
-    reduced = total - mags  # sum over j != i of |c_j|
-    f = np.sqrt(mags**2 + (1 - reduced) ** 2 / 2)
-    k = int(np.argmin(f))
+    k = int(np.argmin(_odd_branches(c)[3]))
     s = np.zeros(3)
     for i in range(3):
         if i != k:
             s[i] = signs[i] * (1 - (total - mags[k] - mags[i]) + mags[i]) / 2
     s = np.clip(np.abs(s), 0.0, 1.0) * np.where(s >= 0, 1.0, -1.0)
     return M3NState(state.n, CorrelationTriple(*s))
-
-
-def _odd_trace_value(c: CorrelationTriple) -> float:
-    """The three-branch odd-n trace formula on a triple with positive excess."""
-    h = octahedron_excess(c)
-    mags = np.abs(c.as_array())
-    if np.all(h <= 1.5 * mags):
-        return h / math.sqrt(3)
-    vals = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h - mags) ** 2)
-    return float(np.min(vals))
 
 
 def entanglement_m3n(
@@ -341,13 +396,7 @@ def entanglement_m3n(
             f"odd n has no common closest separable state; only trace distance is "
             f"exact, got {kind.value}"
         )
-    h = octahedron_excess(state.c)
-    if level.is_trivial(state.n) or h <= 0:
-        value = 0.0
-    elif state.n % 2 == 0:
-        value = entanglement_from_excess(h, kind)
-    else:
-        value = _odd_trace_value(state.c)
+    value = float(_bound_values(state.c.as_array(), state.n, level, kind))
     return EntanglementReport(value, kind, level, "exact")
 
 
@@ -356,30 +405,14 @@ def lower_bound_from_triple(
     n: int,
     level: SeparabilityLevel,
     kind: DistanceKind,
-    *,
-    validate_region: bool = True,
 ) -> EntanglementReport:
     """Accessible lower bound for any state with the given correlation triple.
 
     Same value as the exact formula on the matching triple-correlation state,
-    reported with kind "lower_bound". ``validate_region=False`` skips the
-    physical-region check so statistically perturbed triples (bootstrap
-    resamples) can be evaluated.
+    reported with kind "lower_bound".
     """
-    if validate_region:
-        report = entanglement_m3n(M3NState(n, c), level, kind)
-        return EntanglementReport(report.value, kind, level, "lower_bound")
-    level.check_for(n)
-    if n % 2 and kind is not DistanceKind.TRACE:
-        raise UnsupportedDistanceError("odd n supports only the trace distance")
-    h = octahedron_excess(c)
-    if level.is_trivial(n) or h <= 0:
-        value = 0.0
-    elif n % 2 == 0:
-        value = entanglement_from_excess(h, kind)
-    else:
-        value = _odd_trace_value(c)
-    return EntanglementReport(value, kind, level, "lower_bound")
+    report = entanglement_m3n(M3NState(n, c), level, kind)
+    return EntanglementReport(report.value, kind, level, "lower_bound")
 
 
 def genuine_ghz_diag(state: GHZDiagonalState, kind: DistanceKind) -> EntanglementReport:

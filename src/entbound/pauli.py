@@ -274,9 +274,6 @@ class LocalRotation:
             )
         return self.angles
 
-    def orthogonals(self, n: int) -> list[np.ndarray]:
-        return [so3_from_angles(a) for a in self.triples_for(n)]
-
     def unitaries(self, n: int) -> list[np.ndarray]:
         return [su2_from_angles(a) for a in self.triples_for(n)]
 

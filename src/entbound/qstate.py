@@ -188,9 +188,6 @@ _FAMILY_PARAMS = {
     "white_noise_mix": {"inner", "q"},
 }
 
-#: families whose dense matrix is invariant under any qubit permutation
-PERMUTATION_INVARIANT_FAMILIES = frozenset({"ghz", "w", "dicke", "smolin", "wei", "m3n"})
-
 
 @dataclass(frozen=True)
 class StateFamily:
@@ -261,7 +258,10 @@ class StateFamily:
             tag = spec["family"]
         except KeyError:
             raise SchemaError('state spec is missing the "family" field')
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, Mapping):
+            raise SchemaError(f'state spec field "params" must be a JSON object, got {params!r}')
+        params = dict(params)
         if tag == "m3n" and "c" in params:
             params["c"] = CorrelationTriple.from_sequence(params["c"])
         if tag == "white_noise_mix" and "inner" in params:
@@ -471,7 +471,6 @@ __all__ = [
     "M3NState",
     "SpectralLine",
     "StateFamily",
-    "PERMUTATION_INVARIANT_FAMILIES",
     "build_state",
     "load_state_spec",
     "m3n_density",
