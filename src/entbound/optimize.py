@@ -21,6 +21,7 @@ from .locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
 from .pauli import (
     CorrelationTensor,
     LocalRotation,
+    contract_modes,
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
@@ -66,49 +67,12 @@ def _shared_grid(density: int) -> np.ndarray:
     return np.vstack([[0.0, 0.0, 0.0], grid])
 
 
-def _so3_batch(angles: np.ndarray) -> np.ndarray:
-    """Rotation matrices for a batch of (theta, psi, phi) rows, shape (G, 3, 3)."""
-    theta, psi, phi = angles[:, 0], angles[:, 1], angles[:, 2]
-    ct, st = np.cos(theta), np.sin(theta)
-    cps, sps = np.cos(psi), np.sin(psi)
-    cph, sph = np.cos(phi), np.sin(phi)
-    o = np.empty((angles.shape[0], 3, 3))
-    # the unitary factors as Rz(phi) Rx(theta) Rz(psi); this is its adjoint
-    o[:, 0, 0] = cph * cps - sph * ct * sps
-    o[:, 0, 1] = -cph * sps - sph * ct * cps
-    o[:, 0, 2] = sph * st
-    o[:, 1, 0] = sph * cps + cph * ct * sps
-    o[:, 1, 1] = -sph * sps + cph * ct * cps
-    o[:, 1, 2] = -cph * st
-    o[:, 2, 0] = st * sps
-    o[:, 2, 1] = st * cps
-    o[:, 2, 2] = ct
-    return o
-
-
-def _contract_shared_rows(bloch: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Contract every mode with the same per-batch 3-vector; rows is (G, 3)."""
-    cur = np.tensordot(rows, bloch.reshape(3, -1), axes=(1, 0))  # (G, 3^(n-1))
-    for _ in range(n - 1):
-        cur = cur.reshape(rows.shape[0], 3, -1)
-        cur = np.einsum("gj,gjr->gr", rows, cur)
-    return cur.reshape(-1)
-
-
 def _shared_objective_batch(bloch: np.ndarray, angles: np.ndarray, n: int) -> np.ndarray:
-    os = _so3_batch(angles)
-    total = np.zeros(angles.shape[0])
-    for i in range(3):
-        total += np.abs(_contract_shared_rows(bloch, os[:, i, :], n))
-    return total
-
-
-def _contract_leaving_mode(bloch: np.ndarray, rows: list, skip: int) -> np.ndarray:
-    """Contract all modes except ``skip`` with the given 3-vectors; returns (3,)."""
-    cur = np.moveaxis(bloch, skip, -1)
-    for r in rows:
-        cur = np.tensordot(r, cur, axes=(0, 0))
-    return cur
+    """|c~1|+|c~2|+|c~3| with one (theta, psi, phi) row on every qubit, shape (G,)."""
+    os = np.swapaxes(so3_from_angles(angles), 0, 1)  # (3, G, 3): row i of each O
+    rows = np.broadcast_to(os[:, :, None, :], os.shape[:2] + (n, 3))
+    values = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(3, -1)
+    return np.abs(values).sum(axis=0)
 
 
 def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -130,39 +94,29 @@ def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, float]:
     return best_o, best_val
 
 
-def _random_rotations(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    out = []
-    for _ in range(count):
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        out.append(q)
-    return out
+def _random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((count, 3, 3)))
+    q[np.linalg.det(q) < 0, :, 0] *= -1
+    return q
 
 
 def _per_qubit_ascent(
     bloch: np.ndarray, starts: list, tol: float, max_sweeps: int
-) -> tuple[list, float]:
+) -> tuple[np.ndarray, float]:
+    """Coordinate ascent over qubits on (n, 3, 3) rotation stacks."""
     n = bloch.ndim
     best_os, best_val = None, -np.inf
     for os_init in starts:
-        os = [o.copy() for o in os_init]
+        os = os_init.copy()
         val = -np.inf
         for _ in range(max_sweeps):
             for k in range(n):
-                rows_rest = [
-                    [os[m][i] for m in range(n) if m != k] for i in range(3)
-                ]
-                b = np.stack([
-                    _contract_leaving_mode(bloch, rows_rest[i], k) for i in range(3)
-                ])
-                os[k], _ = _best_rotation_for_matrix(b)
-            new_val = float(
-                sum(
-                    abs(_contract_leaving_mode(bloch, [os[m][i] for m in range(1, n)], 0) @ os[0][i])
-                    for i in range(3)
-                )
-            )
+                # b[i, j]: row i of every other qubit's rotation, unit row e_j on qubit k
+                rows = np.broadcast_to(np.swapaxes(os, 0, 1)[:, None], (3, 3, n, 3)).copy()
+                rows[:, :, k] = np.eye(3)
+                b = contract_modes(bloch, rows.reshape(9, n, 3))
+                os[k], _ = _best_rotation_for_matrix(b.reshape(3, 3))
+            new_val = float(np.abs(contract_modes(bloch, np.swapaxes(os, 0, 1))).sum())
             if new_val <= val + tol:
                 val = max(val, new_val)
                 break
@@ -184,17 +138,20 @@ def optimise_triple(
     """
     opts = opts or OptimisationOptions()
     n = tensor.n
-    bloch = tensor.bloch()
+    bloch = tensor.bloch
     rng = np.random.default_rng(opts.seed)
 
     if opts.mode == "shared":
-        if opts.check_symmetry and n <= 4 and not tensor.is_symmetric():
+        if opts.check_symmetry and not tensor.is_symmetric():
             raise ParameterError(
                 "shared-angle optimisation expects a permutation-symmetric tensor; "
                 "use per_qubit mode or disable check_symmetry"
             )
         grid = _shared_grid(opts.grid_density)
-        values = _shared_objective_batch(bloch, grid, n)
+        # three slices keep the (3G, 3^(n-1)) intermediate near (G, 3^(n-1))
+        values = np.concatenate(
+            [_shared_objective_batch(bloch, part, n) for part in np.array_split(grid, 3)]
+        )
         order = np.argsort(values)[::-1]
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]
 
@@ -218,7 +175,7 @@ def optimise_triple(
         canonical = so3_to_angles(so3_from_angles(best_angles))
         rotation = LocalRotation.from_shared(canonical)
     else:
-        starts = [[np.eye(3)] * n]
+        starts = [np.tile(np.eye(3), (n, 1, 1))]
         for _ in range(opts.restarts - 1):
             starts.append(_random_rotations(rng, n))
         best_os, _ = _per_qubit_ascent(

@@ -1,4 +1,12 @@
-"""Pauli correlation functions, correlation tensors, and local rotations.
+"""Pauli correlations and the one rotation layer.
+
+Local unitaries U_1 x ... x U_n act on a state's correlation tensor only
+through its bloch block T[i_1 .. i_n] (every i_k in 1..3), turning mode k by
+the SO(3) image O_k of U_k. This module holds that block
+(:class:`CorrelationTensor`), the one angle -> SO(3) map
+(:func:`so3_from_angles`, batched over leading axes) with its inverse, and
+the one mode contraction (:func:`contract_modes`) behind
+:func:`rotated_triple` and the optimisers in :mod:`entbound.optimize`.
 
 The correlation-data exchange format used throughout the package is a JSON
 object ``{"n": 4, "c": [c1, c2, c3], "sigma": [s1, s2, s3]}`` where ``sigma``
@@ -8,17 +16,14 @@ is optional (see :mod:`entbound.estimate` for the reader).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._linalg import SIGMA, SIGMA_STACK, apply_one_qubit
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .qstate import CorrelationTriple, DenseState
-
-#: largest qubit count for which the full 4^n tensor is materialised eagerly
-EAGER_TENSOR_CAP = 8
 
 _IMAG_TOL = 1e-10
 _TWO_PI = 2 * math.pi
@@ -53,70 +58,42 @@ def correlation_triple(state: DenseState) -> CorrelationTriple:
     )
 
 
-def _contract_full_tensor(state: DenseState, paulis: np.ndarray) -> np.ndarray:
-    """Contract rho with a (m, 2, 2) Pauli stack on every qubit -> (m,)*n."""
+def _contract_bloch(state: DenseState) -> np.ndarray:
+    """Contract rho with sigma_1..sigma_3 on every qubit -> the (3,)*n block."""
     n = state.n
     cur = state.rho.reshape((2,) * (2 * n))
     for k in range(n):
         remaining = n - k
-        cur = np.tensordot(cur, paulis, axes=([0, remaining], [2, 1]))
+        cur = np.tensordot(cur, SIGMA_STACK[1:], axes=([0, remaining], [2, 1]))
     imag = float(np.max(np.abs(cur.imag))) if np.iscomplexobj(cur) else 0.0
     if imag > 1e-12:
         raise ParameterError(f"imaginary residue {imag:.3e} in the correlation tensor")
-    return np.ascontiguousarray(cur.real)
+    bloch = np.ascontiguousarray(cur.real)
+    bloch.flags.writeable = False
+    return bloch
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
-    """All Pauli correlations T[i_1 .. i_n] = Tr(rho sigma_{i_1} x ... x sigma_{i_n}).
+    """The bloch block T[i_1 .. i_n] = Tr(rho sigma_{i_1} x ... x sigma_{i_n}), i_k in 1..3.
 
-    Eager tensors hold the full (4,)*n array; lazy ones (n above the cap)
-    evaluate entries on demand and memoise them. Entry evaluation is
-    idempotent, so concurrent fills are safe.
+    ``bloch`` has shape (3,)*n, axis k indexing qubit k and position j the
+    Pauli sigma_{j+1}. Local rotations mix only these indices, so entries with
+    an identity factor are left to :func:`expectation`.
     """
 
     n: int
-    full: np.ndarray | None = None
-    _entries: dict = field(default_factory=dict)
-    _state: DenseState | None = None
-    _bloch: np.ndarray | None = None
-
-    @property
-    def eager(self) -> bool:
-        return self.full is not None
-
-    def entry(self, idx: Sequence[int]) -> float:
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != self.n:
-            raise ParameterError(f"index length {len(idx)} does not match n={self.n}")
-        if self.full is not None:
-            return float(self.full[idx])
-        if idx not in self._entries:
-            self._entries[idx] = expectation(self._state, idx)
-        return self._entries[idx]
-
-    def bloch(self) -> np.ndarray:
-        """The (3,)*n block with indices restricted to 1..3 (what rotations mix)."""
-        if self._bloch is None:
-            if self.full is not None:
-                self._bloch = np.ascontiguousarray(self.full[(slice(1, 4),) * self.n])
-            else:
-                self._bloch = _contract_full_tensor(self._state, SIGMA_STACK[1:])
-        return self._bloch
+    bloch: np.ndarray
 
     def diagonal_triple(self) -> CorrelationTriple:
-        return CorrelationTriple(*(self.entry((j,) * self.n) for j in (1, 2, 3)))
+        return CorrelationTriple(*(float(self.bloch[(j,) * self.n]) for j in range(3)))
 
     def is_symmetric(self, atol: float = 1e-10) -> bool:
-        """True when every transposition of tensor modes leaves it unchanged.
+        """True when every transposition of tensor modes leaves the block unchanged.
 
-        Adjacent-transposition checks suffice to generate the full symmetric
-        group; uses the bloch block plus the mixed identity blocks.
+        Adjacent transpositions generate the full symmetric group.
         """
-        if self.full is not None:
-            t = self.full
-        else:
-            t = self.bloch()
+        t = self.bloch
         for k in range(self.n - 1):
             axes = list(range(self.n))
             axes[k], axes[k + 1] = axes[k + 1], axes[k]
@@ -125,27 +102,9 @@ class CorrelationTensor:
         return True
 
 
-def correlation_tensor(
-    state: DenseState, *, mode: str = "auto", eager_cap: int = EAGER_TENSOR_CAP
-) -> CorrelationTensor:
-    """Full correlation tensor; eager below the cap, per-entry lazy above.
-
-    ``mode`` is "auto", "eager" or "lazy"; eager above the cap raises.
-    """
-    if mode not in ("auto", "eager", "lazy"):
-        raise ParameterError(f"unknown tensor mode {mode!r}")
-    eager = (mode == "eager") or (mode == "auto" and state.n <= eager_cap)
-    if eager:
-        if state.n > eager_cap:
-            raise CapacityError(
-                f"eager tensor needs 4^{state.n} entries; cap is n={eager_cap}"
-            )
-        full = _contract_full_tensor(state, SIGMA_STACK)
-        zeros = (0,) * state.n
-        if abs(full[zeros] - 1) > 1e-10:
-            raise ParameterError(f"trace entry is {full[zeros]}, expected 1")
-        return CorrelationTensor(state.n, full=full)
-    return CorrelationTensor(state.n, _state=state)
+def correlation_tensor(state: DenseState) -> CorrelationTensor:
+    """The bloch block of a dense state's correlation tensor."""
+    return CorrelationTensor(state.n, _contract_bloch(state))
 
 
 # -- local rotations ----------------------------------------------------------
@@ -162,19 +121,29 @@ def su2_from_angles(angles: Sequence[float]) -> np.ndarray:
     )
 
 
-def so3_from_angles(angles: Sequence[float]) -> np.ndarray:
+def so3_from_angles(angles) -> np.ndarray:
     """Image of the (theta, psi, phi) unitary under the adjoint map.
 
     Returns the orthogonal O with U (n.sigma) U^dag = (O n).sigma, so that
     rotating a state by U^{xn} turns the correlation tensor modes by O.
+    Angles of shape (..., 3) give matrices of shape (..., 3, 3).
     """
-    u = su2_from_angles(angles)
-    o = np.empty((3, 3))
-    for j in range(3):
-        v = u @ SIGMA[j + 1] @ u.conj().T
-        o[0, j] = v[0, 1].real
-        o[1, j] = v[1, 0].imag
-        o[2, j] = v[0, 0].real
+    a = np.asarray(angles, dtype=float)
+    theta, psi, phi = a[..., 0], a[..., 1], a[..., 2]
+    ct, st = np.cos(theta), np.sin(theta)
+    cps, sps = np.cos(psi), np.sin(psi)
+    cph, sph = np.cos(phi), np.sin(phi)
+    o = np.empty(a.shape[:-1] + (3, 3))
+    # the unitary factors as Rz(phi) Rx(theta) Rz(psi); this is its adjoint
+    o[..., 0, 0] = cph * cps - sph * ct * sps
+    o[..., 0, 1] = -cph * sps - sph * ct * cps
+    o[..., 0, 2] = sph * st
+    o[..., 1, 0] = sph * cps + cph * ct * sps
+    o[..., 1, 1] = -sph * sps + cph * ct * cps
+    o[..., 1, 2] = -cph * st
+    o[..., 2, 0] = st * sps
+    o[..., 2, 1] = st * cps
+    o[..., 2, 2] = ct
     return o
 
 
@@ -278,30 +247,34 @@ class LocalRotation:
         return [su2_from_angles(a) for a in self.triples_for(n)]
 
 
-def _contract_rows(bloch: np.ndarray, rows: Sequence[np.ndarray]) -> float:
-    """Contract every mode of the (3,)*n tensor with one 3-vector per qubit."""
-    cur = bloch
-    for r in rows:
-        cur = np.tensordot(r, cur, axes=(0, 0))
-    return float(cur)
+def contract_modes(bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Contract mode k of the (3,)*n tensor with rows[b, k] for every k -> (B,).
+
+    ``rows`` has shape (B, n, 3); entry b is the multilinear form
+    sum over i_1..i_n of bloch[i_1..i_n] rows[b, 0, i_1] ... rows[b, n-1, i_n].
+    """
+    count = rows.shape[0]
+    cur = rows[:, 0, :] @ bloch.reshape(3, -1)  # (B, 3^(n-1))
+    for k in range(1, bloch.ndim):
+        cur = np.einsum("bj,bjr->br", rows[:, k, :], cur.reshape(count, 3, -1))
+    return cur.reshape(count)
 
 
 def rotated_triple(tensor: CorrelationTensor, rot: LocalRotation) -> CorrelationTriple:
     """Diagonal entries of the rotated tensor, (T~_{1..1}, T~_{2..2}, T~_{3..3}).
 
-    Computed by mode-k contraction, O(n 3^n) instead of a dense conjugation.
+    Row i of every qubit's SO(3) matrix contracts that qubit's mode, O(n 3^n)
+    instead of a dense conjugation.
     """
-    os = [so3_from_angles(a) for a in rot.triples_for(tensor.n)]
-    bloch = tensor.bloch()
-    values = [_contract_rows(bloch, [o[i] for o in os]) for i in range(3)]
-    clipped = [min(1.0, max(-1.0, v)) for v in values]
-    return CorrelationTriple(*clipped)
+    os = so3_from_angles(rot.triples_for(tensor.n))  # (n, 3, 3)
+    values = contract_modes(tensor.bloch, np.swapaxes(os, 0, 1))
+    return CorrelationTriple(*(min(1.0, max(-1.0, float(v))) for v in values))
 
 
 __all__ = [
-    "EAGER_TENSOR_CAP",
     "CorrelationTensor",
     "LocalRotation",
+    "contract_modes",
     "correlation_tensor",
     "correlation_triple",
     "expectation",

@@ -279,10 +279,14 @@ def load_state_spec(path) -> tuple[StateFamily, int]:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(spec, dict):
+        raise SchemaError(f"{path}: a state file must hold a JSON object")
     if "n" not in spec:
         raise SchemaError(f'{path}: missing the "n" field')
-    family = StateFamily.from_json_dict(spec)
-    return family, int(spec["n"])
+    n = spec["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SchemaError(f'{path}: field "n" must be an integer, got {n!r}')
+    return StateFamily.from_json_dict(spec), n
 
 
 # -- family builders ----------------------------------------------------------

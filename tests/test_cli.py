@@ -84,3 +84,20 @@ def test_bound_just_outside_the_octahedron_is_zero(capsys):
     rc, out, _ = _run(argv, capsys)
     assert rc == 0
     assert '"value":0.0' in out
+
+
+def test_shared_optimise_rejects_asymmetric_state(capsys):
+    # the linear cluster state has no permutation symmetry at any n
+    argv = ["optimise", "--family", "cluster_linear", "--n", "6"]
+    _assert_input_error(argv, capsys, "permutation-symmetric")
+
+
+@pytest.mark.parametrize(
+    "spec", ['["n"]', '{"n": "x", "family": "ghz"}', '{"n": 3.5, "family": "ghz"}',
+             '{"n": true, "family": "ghz"}']
+)
+def test_state_rejects_malformed_state_file(spec, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(spec)
+    fragment = "JSON object" if spec.startswith("[") else '"n"'
+    _assert_input_error(["state", "--state-file", str(path)], capsys, fragment)

@@ -14,7 +14,7 @@ from entbound.locc import (
     m3nfy,
     singlet_overlap_check,
 )
-from entbound.pauli import correlation_tensor, correlation_triple
+from entbound.pauli import correlation_tensor, correlation_triple, expectation
 from entbound.qstate import (
     CorrelationTriple,
     DenseState,
@@ -71,7 +71,8 @@ def test_channel_kills_off_family_tensor_entries(rng):
     for idx in np.ndindex(4, 4, 4):
         if len(set(idx)) == 1:
             continue
-        assert abs(tensor.entry(idx)) < 1e-10, idx
+        entry = expectation(twirled, idx) if 0 in idx else tensor.bloch[tuple(i - 1 for i in idx)]
+        assert abs(entry) < 1e-10, idx
 
 
 def test_random_two_qubit_becomes_bell_diagonal(rng):

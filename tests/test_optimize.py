@@ -35,7 +35,7 @@ def test_bell_matches_singular_values(rng):
     assert obj == pytest.approx(3.0, abs=1e-8)
     mixed = random_density(2, rng)
     tensor = correlation_tensor(mixed)
-    block = np.array([[tensor.entry((i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)])
+    block = tensor.bloch
     want = np.linalg.svd(block, compute_uv=False).sum()
     _, _, obj = optimise_triple(tensor, OptimisationOptions(mode="per_qubit", restarts=8))
     assert obj == pytest.approx(want, abs=1e-8)
@@ -96,10 +96,14 @@ def test_determinism():
 
 
 def test_shared_mode_rejects_asymmetric_tensor():
+    for n in (4, 6):
+        with pytest.raises(ParameterError):
+            optimise_triple(
+                correlation_tensor(build_state(StateFamily.cluster_linear(), n)),
+                OptimisationOptions(mode="shared"),
+            )
     state = build_state(StateFamily.cluster_linear(), 4)
     tensor = correlation_tensor(state)
-    with pytest.raises(ParameterError):
-        optimise_triple(tensor, OptimisationOptions(mode="shared"))
     # explicit opt-out allowed
     _, _, obj = optimise_triple(
         tensor, OptimisationOptions(mode="shared", check_symmetry=False, restarts=4, grid_density=6)

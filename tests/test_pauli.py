@@ -3,10 +3,11 @@ import pytest
 
 from conftest import random_density
 from entbound._linalg import apply_product_unitary, kron_all
-from entbound.errors import CapacityError, ParameterError
+from entbound.errors import ParameterError
 from entbound.pauli import (
     CorrelationTensor,
     LocalRotation,
+    contract_modes,
     correlation_tensor,
     correlation_triple,
     expectation,
@@ -26,6 +27,13 @@ SIG = {0: np.eye(2, dtype=complex), 1: SX, 2: SY, 3: SZ}
 def brute_expectation(state, string):
     op = kron_all([SIG[i] for i in string])
     return float(np.real(np.trace(state.rho @ op)))
+
+
+def tensor_entry(state, tensor, idx):
+    """Entries with an identity factor from expectation, the others from the bloch block."""
+    if 0 in idx:
+        return expectation(state, idx)
+    return tensor.bloch[tuple(i - 1 for i in idx)]
 
 
 def test_expectation_z_on_ground_state():
@@ -77,35 +85,37 @@ def test_correlation_tensor_bell():
     expected = {(0, 0): 1.0, (1, 1): 1.0, (2, 2): -1.0, (3, 3): 1.0}
     for idx in np.ndindex(4, 4):
         want = expected.get(idx, 0.0)
-        assert tensor.entry(idx) == pytest.approx(want, abs=1e-12)
+        assert tensor_entry(bell, tensor, idx) == pytest.approx(want, abs=1e-12)
 
 
 def test_correlation_tensor_ghz3_entries():
     ghz = build_state(StateFamily.ghz(), 3)
     tensor = correlation_tensor(ghz)
-    assert tensor.entry((1, 1, 1)) == pytest.approx(1.0)
+    assert tensor.bloch[0, 0, 0] == pytest.approx(1.0)
     for idx in [(3, 3, 0), (3, 0, 3), (0, 3, 3)]:
-        assert tensor.entry(idx) == pytest.approx(1.0)
-    assert tensor.entry((3, 3, 3)) == pytest.approx(0.0, abs=1e-13)
-    assert tensor.entry((0, 0, 0)) == pytest.approx(1.0)
+        assert expectation(ghz, idx) == pytest.approx(1.0)
+    assert tensor.bloch[2, 2, 2] == pytest.approx(0.0, abs=1e-13)
+    assert expectation(ghz, (0, 0, 0)) == pytest.approx(1.0)
 
 
 def test_correlation_tensor_mixed_only_trace_entry():
     mixed = DenseState(2, np.eye(4, dtype=complex) / 4)
     tensor = correlation_tensor(mixed)
     nonzero = {
-        idx for idx in np.ndindex(4, 4) if abs(tensor.entry(idx)) > 1e-12
+        idx for idx in np.ndindex(4, 4) if abs(tensor_entry(mixed, tensor, idx)) > 1e-12
     }
     assert nonzero == {(0, 0)}
 
 
 def test_correlation_tensor_matches_brute(rng):
-    state = random_density(2, rng)
-    tensor = correlation_tensor(state)
-    for idx in np.ndindex(4, 4):
-        assert tensor.entry(idx) == pytest.approx(
-            brute_expectation(state, idx), abs=1e-12
-        )
+    for n in (2, 3):
+        state = random_density(n, rng)
+        tensor = correlation_tensor(state)
+        assert tensor.bloch.shape == (3,) * n
+        for idx in np.ndindex((4,) * n):
+            assert tensor_entry(state, tensor, idx) == pytest.approx(
+                brute_expectation(state, idx), abs=1e-12
+            )
 
 
 def test_correlation_tensor_symmetry_for_symmetric_states():
@@ -113,17 +123,6 @@ def test_correlation_tensor_symmetry_for_symmetric_states():
         assert correlation_tensor(build_state(family, n)).is_symmetric()
     cluster = correlation_tensor(build_state(StateFamily.cluster_linear(), 4))
     assert not cluster.is_symmetric()
-
-
-def test_lazy_tensor_mode(rng):
-    state = random_density(3, rng)
-    lazy = correlation_tensor(state, mode="lazy")
-    assert not lazy.eager
-    assert lazy.entry((1, 2, 3)) == pytest.approx(brute_expectation(state, (1, 2, 3)), abs=1e-12)
-    # memoised second read
-    assert lazy.entry((1, 2, 3)) == lazy.entry((1, 2, 3))
-    with pytest.raises(CapacityError):
-        correlation_tensor(state, mode="eager", eager_cap=2)
 
 
 def test_so3_identity_and_x_pi():
@@ -150,6 +149,13 @@ def test_so3_matches_adjoint_action(rng):
             target = u @ s @ u.conj().T
             rebuilt = sum(o[k, j] * m for k, m in enumerate((SX, SY, SZ)))
             assert np.allclose(target, rebuilt, atol=1e-12)
+    # a (G, 3) batch gives the per-row matrices exactly, also with more leading axes
+    batch = rng.uniform([0, 0, 0], [np.pi, 2 * np.pi, 2 * np.pi], size=(12, 3))
+    stacked = so3_from_angles(batch)
+    assert stacked.shape == (12, 3, 3)
+    for angles, o in zip(batch, stacked):
+        assert np.array_equal(so3_from_angles(angles), o)
+    assert np.array_equal(so3_from_angles(batch.reshape(3, 4, 3)), stacked.reshape(3, 4, 3, 3))
 
 
 def test_so3_roundtrip_through_angles(rng):
@@ -186,7 +192,7 @@ def test_rotated_triple_ghz3_published_angles():
 
 
 def test_rotated_triple_matches_dense_conjugation(rng):
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         state = random_density(n, rng)
         tensor = correlation_tensor(state)
         angles = [rng.uniform([0, 0, 0], [np.pi, 2 * np.pi, 2 * np.pi]) for _ in range(n)]
@@ -195,6 +201,24 @@ def test_rotated_triple_matches_dense_conjugation(rng):
         rotated = apply_product_unitary(np.array(state.rho), rot.unitaries(n), n)
         dense = correlation_triple(DenseState(n, rotated)).as_array()
         assert np.allclose(fast, dense, atol=1e-10)
+
+
+def test_contract_modes_matches_einsum(rng):
+    letters = "abcd"
+    for n in (1, 2, 3, 4):
+        bloch = rng.standard_normal((3,) * n)
+        spec = f"{letters[:n]},{','.join('z' + c for c in letters[:n])}->z"
+        batches = [rng.standard_normal((count, n, 3)) for count in (1, 2, 5, 9)]
+        for k in range(n):
+            # the per-qubit block: unit rows e_j on the open mode k
+            rows = rng.standard_normal((3, 3, n, 3))
+            rows[:, :, k] = np.eye(3)
+            batches.append(rows.reshape(9, n, 3))
+        for rows in batches:
+            want = np.einsum(spec, bloch, *(rows[:, m] for m in range(n)))
+            got = contract_modes(bloch, rows)
+            assert got.shape == (rows.shape[0],)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_rotated_triple_bounded(rng):
