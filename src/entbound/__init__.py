@@ -36,11 +36,9 @@ from .pauli import (
 from .locc import (
     GHZBasisIndex,
     GHZDiagonalState,
-    apply_m3nfication_channel,
     ghz_basis_vector,
     ghz_diagonalise,
     m3nfy,
-    singlet_overlap_check,
 )
 from .measures import (
     DistanceKind,
@@ -72,10 +70,6 @@ from .estimate import (
 )
 from .oracle import (
     OracleConfig,
-    apply_lambda_pq,
-    apply_omega,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
-    check_translation_invariance,
-    corner_triple,
 )

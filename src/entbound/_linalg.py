@@ -97,14 +97,14 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def hermitian_sqrt(mat: np.ndarray, clip: float = 1e-9) -> np.ndarray:
+def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     """Matrix square root of a Hermitian PSD matrix via eigendecomposition.
 
-    Eigenvalues in (-clip, 0) are clamped to 0; anything more negative is a
+    Eigenvalues in (-1e-9, 0) are clamped to 0; anything more negative is a
     caller bug and raises.
     """
     w, v = np.linalg.eigh(mat)
-    if w.min() < -clip:
+    if w.min() < -1e-9:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

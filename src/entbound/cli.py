@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints machine-readable JSON on stdout (a human-readable
-table with ``--pretty``) and exits 0; usage and schema problems exit 2,
-computation failures exit 1. Output is byte-identical across runs with the
-same flags and seeds.
+table with ``--pretty``) and exits 0. Input problems exit 2 with nothing on
+stdout: usage and schema errors, malformed parameters, unphysical states or
+spectra, and sizes above a dense cap. Other computation failures exit 1.
+Output is byte-identical across runs with the same flags and seeds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import EntboundError, ParameterError, SchemaError
+from .errors import (
+    CapacityError,
+    EntboundError,
+    ParameterError,
+    SchemaError,
+    StateValidityError,
+)
 from .estimate import (
     TripleEstimate,
     bound_with_uncertainty,
@@ -24,7 +31,7 @@ from .estimate import (
     ingest_correlation_file,
     simulate_measurements,
 )
-from .locc import GHZDiagonalState, ghz_diagonalise, m3nfy
+from .locc import GHZDiagonalState
 from .measures import (
     DistanceKind,
     SeparabilityLevel,
@@ -244,7 +251,7 @@ def _cmd_oracle(args) -> None:
     if args.spectrum_file:
         spec = GHZDiagonalState.from_file(args.spectrum_file)
         report = genuine_ghz_diag(spec, kind)
-        oracle_value = brute_min_biseparable_ghz(spec, kind, cfg)
+        oracle_value = brute_min_biseparable_ghz(spec, kind)
         out = oracle_report(report.value, oracle_value, cfg)
     else:
         if args.c is None or args.n is None:
@@ -427,7 +434,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (SchemaError, ParameterError) as exc:
+    except (SchemaError, ParameterError, StateValidityError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EntboundError as exc:

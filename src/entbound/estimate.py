@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import apply_product_unitary
-from .errors import CapacityError, ParameterError, SchemaError
+from .errors import ParameterError, SchemaError
 from .measures import (
     DistanceKind,
     EntanglementReport,
@@ -37,7 +37,7 @@ from .measures import (
     overlap_derivative,
 )
 from .pauli import LocalRotation
-from .qstate import DEFAULT_DENSE_CAP, CorrelationTriple, DenseState
+from .qstate import CorrelationTriple, DenseState
 
 #: basis changes mapping the eigenbasis of sigma_j to the computational basis
 _BASIS_CHANGE = {
@@ -46,7 +46,8 @@ _BASIS_CHANGE = {
     3: np.eye(2, dtype=complex),
 }
 
-_DEFAULT_BOOTSTRAP = 10_000
+#: parametric bootstrap draws behind every bootstrapped error bar
+_BOOTSTRAP_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class MeasurementRecord:
     axis: int
     shots: int
     counts: dict
-    rotation: LocalRotation | None = None
 
     def __post_init__(self):
         if self.axis not in (1, 2, 3):
@@ -112,16 +112,12 @@ def simulate_measurements(
     rot: LocalRotation | None,
     shots: int,
     seed: int,
-    *,
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> tuple[MeasurementRecord, MeasurementRecord, MeasurementRecord]:
     """Sample the three-setting protocol from the Born distribution.
 
     Setting j measures the rotated Pauli on every qubit; outcomes are
     deterministic for a fixed seed.
     """
-    if state.n > dense_cap:
-        raise CapacityError(f"n={state.n} exceeds the dense cap {dense_cap}")
     if shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
     n = state.n
@@ -139,7 +135,7 @@ def simulate_measurements(
             bits = format(idx, f"0{n}b")
             key = "".join("+" if b == "0" else "-" for b in bits)
             counts[key] = int(drawn[idx])
-        records.append(MeasurementRecord(n, axis, shots, counts, rotation=rot))
+        records.append(MeasurementRecord(n, axis, shots, counts))
     return tuple(records)
 
 
@@ -200,7 +196,6 @@ def bound_with_uncertainty(
     kind: DistanceKind,
     *,
     seed: int = 0,
-    bootstrap_samples: int = _DEFAULT_BOOTSTRAP,
 ) -> EntanglementReport:
     """Lower bound from a measured triple with a propagated standard error.
 
@@ -215,7 +210,7 @@ def bound_with_uncertainty(
 
     if _needs_bootstrap_triple(est, n):
         rng = np.random.default_rng(seed)
-        samples = rng.normal(est.c.as_array(), sig, size=(bootstrap_samples, 3))
+        samples = rng.normal(est.c.as_array(), sig, size=(_BOOTSTRAP_SAMPLES, 3))
         clipped = np.mean((samples < -1) | (samples > 1))
         samples = np.clip(samples, -1.0, 1.0)
         values = _bound_values(samples, n, level, kind)
@@ -223,7 +218,7 @@ def bound_with_uncertainty(
         meta = {
             "method": "bootstrap",
             "seed": seed,
-            "samples": bootstrap_samples,
+            "samples": _BOOTSTRAP_SAMPLES,
             "clipped_fraction": float(clipped),
         }
         return EntanglementReport(base.value, kind, level, "lower_bound", unc, meta)
@@ -245,7 +240,6 @@ def genuine_bound_with_uncertainty(
     kind: DistanceKind,
     *,
     seed: int = 0,
-    bootstrap_samples: int = _DEFAULT_BOOTSTRAP,
 ) -> EntanglementReport:
     """Genuine-entanglement lower bound from a measured GHZ overlap.
 
@@ -262,10 +256,10 @@ def genuine_bound_with_uncertainty(
     near_kink = abs(p_max - 0.5) <= 2 * sigma or p_max >= 1 - 2 * sigma
     if sigma > 0 and near_kink:
         rng = np.random.default_rng(seed)
-        samples = np.clip(rng.normal(p_max, sigma, size=bootstrap_samples), 0.0, 1.0)
+        samples = np.clip(rng.normal(p_max, sigma, size=_BOOTSTRAP_SAMPLES), 0.0, 1.0)
         values = _overlap_values(samples, kind)
         unc = float(np.std(values, ddof=1))
-        meta = {"method": "bootstrap", "seed": seed, "samples": bootstrap_samples}
+        meta = {"method": "bootstrap", "seed": seed, "samples": _BOOTSTRAP_SAMPLES}
         return EntanglementReport(value, kind, level, "lower_bound", unc, meta)
 
     if sigma == 0 or p_max <= 0.5:

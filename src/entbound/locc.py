@@ -1,9 +1,9 @@
 """LOCC reductions onto the two reference families.
 
-Triple extraction with its explicit twirl channel (any state to the
-triple-correlation family) and GHZ-diagonalisation (dephasing in the GHZ
-basis). GHZ spectra serialise as ``{"n": 3, "p": {"000+": 0.97, ...}}``;
-absent keys mean zero.
+Triple extraction (any state to the triple-correlation family) and
+GHZ-diagonalisation (dephasing in the GHZ basis). GHZ spectra serialise as
+``{"n": 3, "p": {"000+": 0.97, ...}}``; absent keys mean zero, and entries
+rounded so that they sum to within 1e-5 of 1 are renormalised on reading.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA, conjugate_one_qubit
-from .errors import CapacityError, ParameterError, SchemaError, StateValidityError
+from .errors import ParameterError, SchemaError, StateValidityError
 from .pauli import correlation_triple
-from .qstate import DEFAULT_DENSE_CAP, DenseState, M3NState, build_state, StateFamily
+from .qstate import DenseState, M3NState
 
 _SUM_TOL = 1e-12
+#: spectra read from files may carry rounded entries; sums this close to 1 are renormalised
+_ROUNDED_SUM_TOL = 1e-5
 _NEG_TOL = -1e-12
 
 
@@ -89,6 +90,8 @@ class GHZDiagonalState:
             raise ParameterError(
                 f"spectrum shape {p.shape} does not match (2^{self.n - 1}, 2)"
             )
+        if not np.all(np.isfinite(p)):
+            raise StateValidityError("spectrum entries must be finite")
         if p.min() < _NEG_TOL:
             raise StateValidityError(f"negative eigenvalue {p.min():.3e}")
         total = float(p.sum())
@@ -152,6 +155,9 @@ class GHZDiagonalState:
                 p[idx.i, 0 if idx.sign > 0 else 1] = float(value)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f'GHZ spectrum field "p" entry {key!r}: {exc}') from exc
+        total = float(p.sum())
+        if _SUM_TOL < abs(total - 1) <= _ROUNDED_SUM_TOL:
+            p /= total
         return cls(n, p)
 
     @classmethod
@@ -167,32 +173,6 @@ class GHZDiagonalState:
 def m3nfy(state: DenseState) -> M3NState:
     """Triple-correlation image of a state: same n, triple from three traces."""
     return M3NState(state.n, correlation_triple(state))
-
-
-def _twirl_unitaries(n: int):
-    """The 2(n-1) pairwise sigma_x then sigma_y conjugations, as (pauli, qubit) pairs."""
-    for j in (1, 2):
-        for k in range(n - 1):
-            yield j, k
-
-
-def apply_m3nfication_channel(
-    state: DenseState, *, dense_cap: int = DEFAULT_DENSE_CAP
-) -> DenseState:
-    """The explicit twirl onto the triple-correlation family.
-
-    Runs the 2(n-1)-step convex iteration rho -> (rho + U rho U^dag)/2 with
-    U = sigma_a x sigma_a on adjacent qubit pairs (a = x then y), which equals
-    the full 2^(2(n-1))-term mixture of products of those unitaries.
-    """
-    if state.n > dense_cap:
-        raise CapacityError(f"n={state.n} exceeds the dense cap {dense_cap}")
-    rho = np.array(state.rho)
-    for j, k in _twirl_unitaries(state.n):
-        conj = conjugate_one_qubit(rho, SIGMA[j], k, state.n)
-        conj = conjugate_one_qubit(conj, SIGMA[j], k + 1, state.n)
-        rho = 0.5 * (rho + conj)
-    return DenseState(state.n, rho)
 
 
 def ghz_diagonalise(state: DenseState) -> GHZDiagonalState:
@@ -216,23 +196,10 @@ def ghz_diagonalise(state: DenseState) -> GHZDiagonalState:
     return GHZDiagonalState(n, p)
 
 
-def singlet_overlap_check() -> float:
-    """Overlap of the four-qubit singlet with the GHZ vector (|0011>+|1100>)/sqrt(2).
-
-    Equals 2/3, above the 1/2 threshold, so the singlet's genuine
-    entanglement is certified by a single overlap measurement.
-    """
-    singlet = build_state(StateFamily.singlet4(), 4)
-    beta = ghz_basis_vector(GHZBasisIndex(4, 0b0011, +1), 4)
-    return float(np.real(beta.conj() @ singlet.rho @ beta))
-
-
 __all__ = [
     "GHZBasisIndex",
     "GHZDiagonalState",
-    "apply_m3nfication_channel",
     "ghz_basis_vector",
     "ghz_diagonalise",
     "m3nfy",
-    "singlet_overlap_check",
 ]

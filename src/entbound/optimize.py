@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._linalg import apply_product_to_vector, apply_product_unitary
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
 from .pauli import (
     CorrelationTensor,
@@ -27,9 +27,18 @@ from .pauli import (
     so3_to_angles,
     su2_from_angles,
 )
-from .qstate import DEFAULT_DENSE_CAP, CorrelationTriple, DenseState
+from .qstate import CorrelationTriple, DenseState
 
 _TWO_PI = 2 * math.pi
+
+#: convergence tolerance of the per-qubit ascent and of every Nelder-Mead refinement
+_REFINE_TOL = 1e-8
+#: sweep cap of the per-qubit ascent
+_MAX_SWEEPS = 500
+#: Nelder-Mead settings shared by the triple and overlap refinements
+_NELDER_MEAD = {"xatol": _REFINE_TOL, "fatol": _REFINE_TOL, "maxiter": 10 * _MAX_SWEEPS}
+#: GHZ basis indices whose rotation angles the overlap search refines
+_OVERLAP_CANDIDATES = 4
 
 #: sign classes for the per-qubit closed-form update; -s duplicates s under |.|
 _SIGN_CLASSES = np.array(
@@ -44,11 +53,8 @@ class OptimisationOptions:
     mode: str = "shared"
     restarts: int = 32
     grid_density: int = 12
-    refine_tolerance: float = 1e-8
-    max_iterations: int = 500
     seed: int = 0
     check_symmetry: bool = True
-    overlap_candidates: int = 4
 
     def __post_init__(self):
         if self.mode not in ("shared", "per_qubit"):
@@ -100,16 +106,14 @@ def _random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
     return q
 
 
-def _per_qubit_ascent(
-    bloch: np.ndarray, starts: list, tol: float, max_sweeps: int
-) -> tuple[np.ndarray, float]:
+def _per_qubit_ascent(bloch: np.ndarray, starts: list) -> tuple[np.ndarray, float]:
     """Coordinate ascent over qubits on (n, 3, 3) rotation stacks."""
     n = bloch.ndim
     best_os, best_val = None, -np.inf
     for os_init in starts:
         os = os_init.copy()
         val = -np.inf
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             for k in range(n):
                 # b[i, j]: row i of every other qubit's rotation, unit row e_j on qubit k
                 rows = np.broadcast_to(np.swapaxes(os, 0, 1)[:, None], (3, 3, n, 3)).copy()
@@ -117,7 +121,7 @@ def _per_qubit_ascent(
                 b = contract_modes(bloch, rows.reshape(9, n, 3))
                 os[k], _ = _best_rotation_for_matrix(b.reshape(3, 3))
             new_val = float(np.abs(contract_modes(bloch, np.swapaxes(os, 0, 1))).sum())
-            if new_val <= val + tol:
+            if new_val <= val + _REFINE_TOL:
                 val = max(val, new_val)
                 break
             val = new_val
@@ -160,16 +164,7 @@ def optimise_triple(
 
         best_angles, best_val = grid[0], values[0]
         for start in starts:
-            res = minimize(
-                neg,
-                start,
-                method="Nelder-Mead",
-                options={
-                    "xatol": opts.refine_tolerance,
-                    "fatol": opts.refine_tolerance,
-                    "maxiter": opts.max_iterations * 10,
-                },
-            )
+            res = minimize(neg, start, method="Nelder-Mead", options=_NELDER_MEAD)
             if -res.fun > best_val + 1e-15:
                 best_angles, best_val = res.x, -res.fun
         canonical = so3_to_angles(so3_from_angles(best_angles))
@@ -178,9 +173,7 @@ def optimise_triple(
         starts = [np.tile(np.eye(3), (n, 1, 1))]
         for _ in range(opts.restarts - 1):
             starts.append(_random_rotations(rng, n))
-        best_os, _ = _per_qubit_ascent(
-            bloch, starts, opts.refine_tolerance, opts.max_iterations
-        )
+        best_os, _ = _per_qubit_ascent(bloch, starts)
         rotation = LocalRotation.from_per_qubit([so3_to_angles(o) for o in best_os])
 
     triple = rotated_triple(tensor, rotation)
@@ -211,10 +204,7 @@ def _overlap_objective(state: DenseState, beta: np.ndarray, angles: np.ndarray, 
 
 
 def optimise_ghz_overlap(
-    state: DenseState,
-    opts: OptimisationOptions | None = None,
-    *,
-    dense_cap: int = DEFAULT_DENSE_CAP,
+    state: DenseState, opts: OptimisationOptions | None = None
 ) -> tuple[LocalRotation, GHZBasisIndex, float]:
     """Maximise the overlap with a GHZ basis vector over local rotations.
 
@@ -223,8 +213,6 @@ def optimise_ghz_overlap(
     below the unrotated maximum overlap.
     """
     opts = opts or OptimisationOptions()
-    if state.n > dense_cap:
-        raise CapacityError(f"n={state.n} exceeds the dense cap {dense_cap}")
     n = state.n
     shared = opts.mode == "shared"
     rng = np.random.default_rng(opts.seed)
@@ -245,7 +233,7 @@ def optimise_ghz_overlap(
         if pos not in seen or len(picked) < opts.restarts // 4:
             picked.append((val, g, pos))
             seen.add(pos)
-        if len(picked) >= max(1, opts.overlap_candidates):
+        if len(picked) >= _OVERLAP_CANDIDATES:
             break
 
     base = ghz_diagonalise(state)
@@ -263,16 +251,7 @@ def optimise_ghz_overlap(
             starts = [np.zeros(3 * n), np.tile(grid[g], n)]
             starts += [rng.uniform(0, math.pi, size=3 * n) for _ in range(opts.restarts // 4)]
         for start in starts:
-            res = minimize(
-                neg,
-                start,
-                method="Nelder-Mead",
-                options={
-                    "xatol": opts.refine_tolerance,
-                    "fatol": opts.refine_tolerance,
-                    "maxiter": opts.max_iterations * 10,
-                },
-            )
+            res = minimize(neg, start, method="Nelder-Mead", options=_NELDER_MEAD)
             val = -res.fun
             if val > best[2] + 1e-13:
                 if shared:

@@ -88,7 +88,7 @@ class CorrelationTensor:
     def diagonal_triple(self) -> CorrelationTriple:
         return CorrelationTriple(*(float(self.bloch[(j,) * self.n]) for j in range(3)))
 
-    def is_symmetric(self, atol: float = 1e-10) -> bool:
+    def is_symmetric(self) -> bool:
         """True when every transposition of tensor modes leaves the block unchanged.
 
         Adjacent transpositions generate the full symmetric group.
@@ -97,7 +97,7 @@ class CorrelationTensor:
         for k in range(self.n - 1):
             axes = list(range(self.n))
             axes[k], axes[k + 1] = axes[k + 1], axes[k]
-            if not np.allclose(t, np.transpose(t, axes), atol=atol):
+            if not np.allclose(t, np.transpose(t, axes), atol=1e-10):
                 return False
         return True
 

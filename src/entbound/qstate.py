@@ -10,16 +10,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import hamming_weights, pauli_power, projector
+from ._linalg import pauli_power, projector
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError
 
-#: Largest qubit count for which dense 2^n x 2^n matrices are built by default.
-DEFAULT_DENSE_CAP = 12
+#: Largest qubit count for which a dense 2^n x 2^n matrix is built from a state
+#: description (``build_state``, ``m3n_density``). Functions that receive a
+#: ``DenseState`` do not check it: its matrix already exists.
+DENSE_CAP = 12
 
 #: Dimension above which the eager PSD eigenvalue check is skipped (it would
 #: cost O(dim^3)); hermiticity and trace are always verified.
@@ -31,9 +34,9 @@ _EIGENVALUE_FLOOR = -1e-9
 _TRIPLE_TOL = 1e-12
 
 
-def _check_cap(n: int, dense_cap: int) -> None:
-    if n > dense_cap:
-        raise CapacityError(f"n={n} exceeds the dense cap {dense_cap}")
+def _check_cap(n: int) -> None:
+    if n > DENSE_CAP:
+        raise CapacityError(f"n={n} exceeds the dense cap {DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,24 @@ _FAMILY_PARAMS = {
     "m3n": {"c"},
     "white_noise_mix": {"inner", "q"},
 }
+# family tag -> parameter names without a default
+_REQUIRED_PARAMS = {"wei": {"x"}, "m3n": {"c"}, "white_noise_mix": {"inner", "q"}}
+
+
+def _check_param(name: str, value) -> None:
+    """Type of one family parameter: integers, real numbers, a triple or a family."""
+    if name in ("k", "rows", "cols"):
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        kind = "an integer"
+    elif name in ("x", "q"):
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        kind = "a real number"
+    elif name == "c":
+        ok, kind = isinstance(value, CorrelationTriple), "a correlation triple"
+    else:
+        ok, kind = isinstance(value, StateFamily), "a state family"
+    if not ok:
+        raise ParameterError(f"family parameter {name!r} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -197,13 +218,18 @@ class StateFamily:
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag not in _FAMILY_PARAMS:
+        if not isinstance(self.tag, str) or self.tag not in _FAMILY_PARAMS:
             raise ParameterError(
                 f"unknown family {self.tag!r}; known: {sorted(_FAMILY_PARAMS)}"
             )
         unknown = set(self.params) - _FAMILY_PARAMS[self.tag]
         if unknown:
             raise ParameterError(f"family {self.tag!r} got unknown params {sorted(unknown)}")
+        missing = _REQUIRED_PARAMS.get(self.tag, set()) - set(self.params)
+        if missing:
+            raise ParameterError(f"family {self.tag!r} needs params {sorted(missing)}")
+        for name, value in self.params.items():
+            _check_param(name, value)
         object.__setattr__(self, "params", dict(self.params))
 
     # -- convenience constructors -------------------------------------------
@@ -254,6 +280,8 @@ class StateFamily:
     @classmethod
     def from_json_dict(cls, spec: Mapping) -> "StateFamily":
         """Parse the {"family": ..., "params": {...}} part of a state file."""
+        if not isinstance(spec, Mapping):
+            raise SchemaError(f"a state spec must be a JSON object, got {spec!r}")
         try:
             tag = spec["family"]
         except KeyError:
@@ -262,10 +290,13 @@ class StateFamily:
         if not isinstance(params, Mapping):
             raise SchemaError(f'state spec field "params" must be a JSON object, got {params!r}')
         params = dict(params)
-        if tag == "m3n" and "c" in params:
-            params["c"] = CorrelationTriple.from_sequence(params["c"])
         if tag == "white_noise_mix" and "inner" in params:
             params["inner"] = cls.from_json_dict(params["inner"])
+        try:
+            if tag == "m3n" and "c" in params:
+                params["c"] = CorrelationTriple.from_sequence(params["c"])
+        except (ParameterError, TypeError, ValueError) as exc:
+            raise SchemaError(f"family parameter 'c': {exc}") from exc
         try:
             return cls(tag, params)
         except ParameterError as exc:
@@ -361,9 +392,9 @@ def _wei_density(n: int, x: float) -> np.ndarray:
     return rho
 
 
-def build_state(family: StateFamily, n: int, *, dense_cap: int = DEFAULT_DENSE_CAP) -> DenseState:
+def build_state(family: StateFamily, n: int) -> DenseState:
     """Dense density matrix of a named family; pure families come out rank 1."""
-    _check_cap(n, dense_cap)
+    _check_cap(n)
     tag, params = family.tag, family.params
     if tag == "ghz":
         if n < 2:
@@ -374,7 +405,7 @@ def build_state(family: StateFamily, n: int, *, dense_cap: int = DEFAULT_DENSE_C
             raise ParameterError("W needs n >= 2")
         return DenseState.from_vector(_w_vector(n))
     if tag == "dicke":
-        k = int(params.get("k", n // 2))
+        k = params.get("k", n // 2)
         if not 0 <= k <= n:
             raise ParameterError(f"Dicke excitation k={k} outside 0..{n}")
         return DenseState.from_vector(_dicke_vector(n, k))
@@ -384,8 +415,8 @@ def build_state(family: StateFamily, n: int, *, dense_cap: int = DEFAULT_DENSE_C
         edges = [(k, k + 1) for k in range(n - 1)]
         return DenseState.from_vector(_graph_state_vector(n, edges))
     if tag == "cluster_rect":
-        rows = int(params.get("rows", 2))
-        cols = int(params.get("cols", n // rows if rows else 0))
+        rows = params.get("rows", 2)
+        cols = params.get("cols", n // rows if rows else 0)
         if rows < 2 or cols < 2 or rows * cols != n:
             raise ParameterError(
                 f"rectangular cluster needs rows, cols >= 2 with rows*cols = n, "
@@ -393,32 +424,32 @@ def build_state(family: StateFamily, n: int, *, dense_cap: int = DEFAULT_DENSE_C
             )
         return DenseState.from_vector(_graph_state_vector(n, _rect_edges(rows, cols)))
     if tag == "wei":
-        return DenseState(n, _wei_density(n, float(params["x"])))
+        return DenseState(n, _wei_density(n, params["x"]))
     if tag == "smolin":
         if n % 2 or n < 4:
             raise ParameterError(f"the generalised Smolin state needs even n >= 4, got n={n}")
         s = float((-1) ** (n // 2))
-        return m3n_density(M3NState(n, CorrelationTriple(s, s, s)), dense_cap=dense_cap)
+        return m3n_density(M3NState(n, CorrelationTriple(s, s, s)))
     if tag == "singlet4":
         if n != 4:
             raise ParameterError(f"the four-qubit singlet exists only at n=4, got n={n}")
         return DenseState.from_vector(_singlet4_vector())
     if tag == "m3n":
-        return m3n_density(M3NState(n, params["c"]), dense_cap=dense_cap)
+        return m3n_density(M3NState(n, params["c"]))
     if tag == "white_noise_mix":
-        q = float(params["q"])
+        q = params["q"]
         if not 0 <= q <= 1:
             raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
-        inner = build_state(params["inner"], n, dense_cap=dense_cap)
+        inner = build_state(params["inner"], n)
         dim = 2**n
         rho = q * inner.rho + (1 - q) * np.eye(dim) / dim
         return DenseState(n, rho)
     raise ParameterError(f"unknown family {tag!r}")
 
 
-def m3n_density(state: M3NState, *, dense_cap: int = DEFAULT_DENSE_CAP) -> DenseState:
+def m3n_density(state: M3NState) -> DenseState:
     """Dense matrix (1/2^n)(I + sum_j c_j sigma_j^{xn}) of a valid triple."""
-    _check_cap(state.n, dense_cap)
+    _check_cap(state.n)
     n = state.n
     dim = 2**n
     rho = np.eye(dim, dtype=complex)
@@ -469,7 +500,7 @@ def permutation_conjugate(state: DenseState, perm: Sequence[int]) -> DenseState:
 
 
 __all__ = [
-    "DEFAULT_DENSE_CAP",
+    "DENSE_CAP",
     "CorrelationTriple",
     "DenseState",
     "M3NState",

@@ -1,4 +1,7 @@
-"""Input errors reach the CLI as exit code 2 with nothing on stdout."""
+"""The CLI contract: input errors exit 2 with nothing on stdout; every subcommand
+exits 0 with one line of strict JSON, byte-identical across runs."""
+
+import json
 
 import pytest
 
@@ -101,3 +104,87 @@ def test_state_rejects_malformed_state_file(spec, tmp_path, capsys):
     path.write_text(spec)
     fragment = "JSON object" if spec.startswith("[") else '"n"'
     _assert_input_error(["state", "--state-file", str(path)], capsys, fragment)
+
+
+FAMILY_PARAM_ERRORS = {
+    "m3n-no-c": ("m3n", "{}", "needs params ['c']"),
+    "wei-no-x": ("wei", "{}", "needs params ['x']"),
+    "mix-no-inner": ("white_noise_mix", '{"q": 0.5}', "needs params ['inner']"),
+    "mix-q-string": ("white_noise_mix", '{"inner": {"family": "ghz"}, "q": "x"}',
+                     "'q' must be a real number"),
+    "mix-inner-string": ("white_noise_mix", '{"inner": "ghz", "q": 0.5}', "must be a JSON object"),
+    "wei-x-null": ("wei", '{"x": null}', "'x' must be a real number"),
+    "dicke-k-string": ("dicke", '{"k": "a"}', "'k' must be an integer"),
+    "dicke-k-float": ("dicke", '{"k": 1.5}', "'k' must be an integer"),
+    "dicke-k-bool": ("dicke", '{"k": true}', "'k' must be an integer"),
+    "rect-rows-string": ("cluster_rect", '{"rows": "a"}', "'rows' must be an integer"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, params, fragment", FAMILY_PARAM_ERRORS.values(), ids=FAMILY_PARAM_ERRORS.keys()
+)
+def test_state_rejects_malformed_family_params(family, params, fragment, capsys):
+    argv = ["state", "--family", family, "--n", "4", "--params", params]
+    _assert_input_error(argv, capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["state", "--family", "ghz", "--n", "13"], "dense cap"),
+        (["oracle", "--n", "6", "--c=0.5,0.1,0.1"], "capped at n=5"),
+        (["bound", "--n", "4", "--c=0.9,0.9,-0.9"], "tetrahedron"),
+    ],
+    ids=["state-n13", "oracle-n6", "bound-outside-tetrahedron"],
+)
+def test_unphysical_or_oversized_input_exits_2(argv, fragment, capsys):
+    _assert_input_error(argv, capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "spectrum, fragment",
+    [('{"n": 2, "p": {"00+": 0.9, "00-": 0.1, "01+": 0.1}}', "sum to 1.1"),
+     ('{"n": 2, "p": {"00+": NaN, "01-": 0.5}}', "finite")],
+    ids=["sum-1.1", "nan-entry"],
+)
+def test_unphysical_spectrum_exits_2(spectrum, fragment, tmp_path, capsys):
+    path = tmp_path / "spectrum.json"
+    path.write_text(spectrum)
+    _assert_input_error(["genuine", "--spectrum-file", str(path)], capsys, fragment)
+
+
+def test_rounded_spectrum_is_renormalised(tmp_path, capsys):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"n": 2, "p": {"00+": 0.9, "00-": 0.033333, "01+": 0.033333, "01-": 0.033333}}')
+    rc, out, _ = _run(["genuine", "--spectrum-file", str(path), "--full-precision"], capsys)
+    assert rc == 0
+    assert json.loads(out)["p_max"] == pytest.approx(0.9 / 0.999999, rel=1e-15)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+CONTRACT_CASES = [
+    ["state", "--family", "ghz", "--n", "3"],
+    ["triple", "--family", "w", "--n", "3", "--angles", "0.1,0.2,0.3"],
+    ["bound", "--n", "4", "--c=0.9,0.9,0.9", "--sigma", "0.01,0.02,0.01"],
+    ["genuine", "--pmax", "0.55", "--sigma-p", "0.05"],
+    ["optimise", "--family", "ghz", "--n", "3", "--restarts", "2", "--grid", "4"],
+    ["oracle", "--n", "3", "--c=0.5,-0.5,0.5", "--resolution", "16"],
+    ["reproduce", "table-iv-b"],
+    ["simulate", "--family", "ghz", "--n", "3", "--shots", "200", "--seed", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_CASES, ids=lambda argv: argv[0])
+def test_cli_contract(argv, capsys):
+    runs = [_run(argv, capsys) for _ in range(2)]
+    for rc, out, err in runs:
+        assert rc == 0, err
+        assert out.endswith("\n") and out.count("\n") == 1
+    assert runs[0][1] == runs[1][1]
+    parsed = json.loads(runs[0][1], parse_constant=_reject_constant)
+    if argv[0] == "oracle":
+        assert parsed["config"] == {"grid_resolution": 16, "refine_rounds": 3, "tolerance": 1e-06}

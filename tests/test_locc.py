@@ -8,11 +8,9 @@ from entbound.errors import ParameterError, SchemaError, StateValidityError
 from entbound.locc import (
     GHZBasisIndex,
     GHZDiagonalState,
-    apply_m3nfication_channel,
     ghz_basis_vector,
     ghz_diagonalise,
     m3nfy,
-    singlet_overlap_check,
 )
 from entbound.pauli import correlation_tensor, correlation_triple, expectation
 from entbound.qstate import (
@@ -23,6 +21,7 @@ from entbound.qstate import (
     build_state,
     m3n_density,
 )
+from proof_channels import apply_m3nfication_channel, singlet_overlap_check
 
 
 def test_m3nfy_ghz4():

@@ -218,7 +218,7 @@ def test_closest_even_vertex_to_face_centroid():
 
 
 def test_closest_even_preserves_corner_coordinates(rng):
-    from entbound.oracle import _corner_weights
+    from proof_channels import _corner_weights
 
     for _ in range(20):
         state = random_m3n_outside_octahedron(4, rng)
@@ -376,7 +376,7 @@ def test_classical_distance_examples(rng):
 def test_classical_distance_on_corner_spectra():
     # distance between the corner state and its face shadow reduces to the
     # classical distance between their spectra, which equals the closed form
-    from entbound.oracle import corner_triple
+    from proof_channels import corner_triple
 
     h = 0.37
     for n in (2, 4):

@@ -135,7 +135,7 @@ def test_overlap_dicke_published_value():
 
 def test_overlap_singlet_without_rotation():
     state = build_state(StateFamily.singlet4(), 4)
-    rot, idx, p = optimise_ghz_overlap(state, OptimisationOptions(overlap_candidates=2))
+    rot, idx, p = optimise_ghz_overlap(state, OptimisationOptions())
     assert p >= 2 / 3 - 1e-9
     base = ghz_diagonalise(state)
     assert p >= base.p_max - 1e-12
@@ -145,6 +145,6 @@ def test_overlap_never_below_unrotated(rng):
     state = random_density(3, rng)
     base = ghz_diagonalise(state).p_max
     _, _, p = optimise_ghz_overlap(
-        state, OptimisationOptions(restarts=4, grid_density=6, overlap_candidates=2)
+        state, OptimisationOptions(restarts=4, grid_density=6)
     )
     assert p >= base - 1e-12

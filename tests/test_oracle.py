@@ -26,14 +26,11 @@ from entbound.oracle import (
     OracleConfig,
     _batch_distance,
     _batch_m3n,
-    apply_lambda_pq,
-    apply_omega,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
-    check_translation_invariance,
-    corner_triple,
 )
 from entbound.qstate import CorrelationTriple, DenseState, M3NState, m3n_density
+from proof_channels import apply_lambda_pq, apply_omega, check_translation_invariance, corner_triple
 
 FAST = OracleConfig(grid_resolution=16, refine_rounds=4)
 

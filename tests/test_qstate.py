@@ -108,8 +108,6 @@ def test_family_parameter_errors():
         StateFamily("unknown_family")
     with pytest.raises(CapacityError):
         build_state(StateFamily.ghz(), 13)
-    with pytest.raises(CapacityError):
-        build_state(StateFamily.ghz(), 9, dense_cap=8)
 
 
 def test_dense_state_invariants_rejected():
