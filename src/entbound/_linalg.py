@@ -37,26 +37,41 @@ def hamming_weights(n: int) -> np.ndarray:
     return w
 
 
-def pauli_power(j: int, n: int) -> np.ndarray:
-    """Dense sigma_j^{tensor n} built directly from its sparsity pattern.
+def pauli_power_entries(j: int, n: int) -> np.ndarray:
+    """The 2^n nonzero entries of sigma_j^{xn} (j in 1..3), one per column i.
 
-    sigma_3^{xn} is diagonal with (-1)^{weight}, sigma_1^{xn} is the bit-flip
-    antidiagonal, and sigma_2^{xn} = i^n (-1)^{weight} on the antidiagonal.
+    sigma_3^{xn} holds (-1)^{weight(i)} at (i, i); sigma_1^{xn} holds 1 and
+    sigma_2^{xn} holds i^n (-1)^{weight(i)} at the bit flip (2^n - 1 - i, i).
     """
+    if j == 1:
+        return np.ones(2**n, dtype=complex)
+    if j == 2:
+        return (1j) ** n * (-1.0) ** hamming_weights(n)
+    if j == 3:
+        return ((-1.0) ** hamming_weights(n)).astype(complex)
+    raise ValueError(f"pauli index out of range: {j}")
+
+
+def pauli_power(j: int, n: int) -> np.ndarray:
+    """Dense sigma_j^{xn} (j in 1..3) built from its nonzero entries."""
     dim = 2**n
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    if j == 0:
-        out[idx, idx] = 1.0
-    elif j == 3:
-        out[idx, idx] = (-1.0) ** hamming_weights(n)
-    elif j == 1:
-        out[dim - 1 - idx, idx] = 1.0
-    elif j == 2:
-        out[dim - 1 - idx, idx] = (1j) ** n * (-1.0) ** hamming_weights(n)
-    else:
-        raise ValueError(f"pauli index out of range: {j}")
+    rows = idx if j == 3 else dim - 1 - idx
+    out[rows, idx] = pauli_power_entries(j, n)
     return out
+
+
+def contract_qubit_pairs(rho: np.ndarray, mats, n: int) -> np.ndarray:
+    """Contract each qubit's (row, column) axis pair of rho with one tensor.
+
+    ``mats[k]`` has shape (d, 2, 2); the result has shape (d,)*n with entry
+    sum over rows r and columns c of rho[r, c] prod_k mats[k][i_k, r_k, c_k].
+    """
+    cur = rho.reshape((2,) * (2 * n))
+    for k, m in enumerate(mats):
+        cur = np.tensordot(cur, m, axes=([0, n - k], [1, 2]))
+    return cur
 
 
 def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:

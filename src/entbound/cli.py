@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from importlib import resources
 
@@ -159,7 +160,8 @@ def _cmd_state(args) -> None:
         "family": family.tag,
         "n": n,
         "c": list(triple.as_array()),
-        "purity": float(np.real(np.trace(state.rho @ state.rho))),
+        # sum of |rho_ij|^2, which is tr rho^2 for Hermitian rho
+        "purity": float(np.vdot(state.rho, state.rho).real),
     }
     if args.dense:
         out["rho"] = state.export_row_major()
@@ -426,10 +428,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: flags taking a comma-separated number list, which may start with a minus sign
+_NUMBER_LIST_FLAGS = ("--c", "--sigma", "--angles")
+
+
+def _attach_number_lists(argv) -> list:
+    """Rewrite "--c -0.3,0.2,0.1" as "--c=-0.3,0.2,0.1".
+
+    argparse reads a value that starts with "-" and is not a single negative
+    number as an option, so a negative-led list needs the "=" form.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMBER_LIST_FLAGS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_number_lists(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import apply_product_unitary
+from ._linalg import contract_qubit_pairs
 from .errors import ParameterError, SchemaError
 from .measures import (
     DistanceKind,
@@ -81,7 +81,7 @@ class MeasurementRecord:
     def products(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcome products (+/-1) and their counts, aligned arrays."""
         keys = sorted(self.counts)
-        prods = np.array([np.prod([1 if ch == "+" else -1 for ch in k]) for k in keys], dtype=float)
+        prods = np.array([-1.0 if k.count("-") % 2 else 1.0 for k in keys])
         cnts = np.array([self.counts[k] for k in keys], dtype=float)
         return prods, cnts
 
@@ -107,6 +107,16 @@ class TripleEstimate:
         return out
 
 
+def _born_diagonal(rho: np.ndarray, ws, n: int) -> np.ndarray:
+    """diag(W rho W^dag) for W = ws[0] x ... x ws[n-1], in the binary basis order.
+
+    Each qubit's (row, column) axis pair of rho is contracted with
+    m[i, j, l] = w[i, j] conj(w[i, l]): O(4^n) work and no rotated matrix.
+    """
+    born = [w[:, :, None] * w.conj()[:, None, :] for w in ws]
+    return np.real(contract_qubit_pairs(rho, born, n)).reshape(-1)
+
+
 def simulate_measurements(
     state: DenseState,
     rot: LocalRotation | None,
@@ -116,7 +126,8 @@ def simulate_measurements(
     """Sample the three-setting protocol from the Born distribution.
 
     Setting j measures the rotated Pauli on every qubit; outcomes are
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. The outcome probabilities come from
+    :func:`_born_diagonal`, which builds no rotated matrix.
     """
     if shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
@@ -126,7 +137,7 @@ def simulate_measurements(
     records = []
     for axis in (1, 2, 3):
         ws = [_BASIS_CHANGE[axis] @ u for u in us]
-        probs = np.real(np.diagonal(apply_product_unitary(np.array(state.rho), ws, n)))
+        probs = _born_diagonal(state.rho, ws, n)
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
         drawn = rng.multinomial(shots, probs)

@@ -140,10 +140,12 @@ class GHZDiagonalState:
     @classmethod
     def from_json_dict(cls, spec: dict) -> "GHZDiagonalState":
         try:
-            n = int(spec["n"])
+            n = spec["n"]
             entries = spec["p"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f'GHZ spectrum needs integer "n" and mapping "p": {exc}')
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise SchemaError(f'GHZ spectrum field "n" must be an integer >= 2, got {n!r}')
         if not isinstance(entries, dict):
             raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
         p = np.zeros((2 ** (n - 1), 2))

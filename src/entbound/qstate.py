@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import pauli_power, projector
+from ._linalg import pauli_power_entries, projector
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError
 
 #: Largest qubit count for which a dense 2^n x 2^n matrix is built from a state
@@ -24,8 +24,10 @@ from .errors import CapacityError, ParameterError, SchemaError, StateValidityErr
 #: ``DenseState`` do not check it: its matrix already exists.
 DENSE_CAP = 12
 
-#: Dimension above which the eager PSD eigenvalue check is skipped (it would
-#: cost O(dim^3)); hermiticity and trace are always verified.
+#: Dimension above which the PSD check is skipped (it costs O(dim^3));
+#: hermiticity and trace are always verified. Up to it, every matrix is
+#: screened by a Cholesky factorisation and only a failed screen runs the
+#: eigenvalue test.
 _PSD_CHECK_MAX_DIM = 1024
 
 _HERMITICITY_TOL = 1e-12
@@ -72,6 +74,22 @@ class CorrelationTriple:
         return cls(float(c[0]), float(c[1]), float(c[2]))
 
 
+def _clears_psd_screen(rho: np.ndarray) -> bool:
+    """True when rho + (|floor|/2) I has a finite Cholesky factor.
+
+    Then the smallest eigenvalue of rho lies above floor/2, to within about
+    1e-13 of rounding, so the eigenvalue test would pass; a failed screen
+    decides nothing and the caller runs that test.
+    """
+    shifted = rho.copy()
+    shifted[np.diag_indices_from(shifted)] -= _EIGENVALUE_FLOOR / 2
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
 @dataclass(frozen=True)
 class DenseState:
     """An N-qubit density matrix, validated on construction.
@@ -96,7 +114,7 @@ class DenseState:
         tr = np.trace(rho)
         if abs(tr - 1) > _TRACE_TOL:
             raise StateValidityError(f"trace is {tr}, expected 1")
-        if dim <= _PSD_CHECK_MAX_DIM:
+        if dim <= _PSD_CHECK_MAX_DIM and not _clears_psd_screen(rho):
             lo = float(np.linalg.eigvalsh(rho)[0])
             if lo < _EIGENVALUE_FLOOR:
                 raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
@@ -448,15 +466,25 @@ def build_state(family: StateFamily, n: int) -> DenseState:
 
 
 def m3n_density(state: M3NState) -> DenseState:
-    """Dense matrix (1/2^n)(I + sum_j c_j sigma_j^{xn}) of a valid triple."""
+    """Dense matrix (1/2^n)(I + sum_j c_j sigma_j^{xn}) of a valid triple.
+
+    Only the diagonal (I and sigma_3^{xn}) and the anti-diagonal (sigma_1^{xn}
+    and sigma_2^{xn}) are nonzero; they are summed as vectors and written in.
+    """
     _check_cap(state.n)
     n = state.n
     dim = 2**n
-    rho = np.eye(dim, dtype=complex)
+    diag = np.ones(dim, dtype=complex)
+    anti = np.zeros(dim, dtype=complex)
     for j, cj in enumerate(state.c, start=1):
         if cj != 0:
-            rho += cj * pauli_power(j, n)
-    return DenseState(n, rho / dim)
+            line = diag if j == 3 else anti
+            line += cj * pauli_power_entries(j, n)
+    idx = np.arange(dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[idx, idx] = diag / dim
+    rho[dim - 1 - idx, idx] = anti / dim
+    return DenseState(n, rho)
 
 
 def m3n_spectrum(state: M3NState) -> list[SpectralLine]:

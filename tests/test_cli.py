@@ -188,3 +188,45 @@ def test_cli_contract(argv, capsys):
     parsed = json.loads(runs[0][1], parse_constant=_reject_constant)
     if argv[0] == "oracle":
         assert parsed["config"] == {"grid_resolution": 16, "refine_rounds": 3, "tolerance": 1e-06}
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    ['{"n": 0, "p": {}}', '{"n": 1, "p": {"0+": 1}}', '{"n": 1.7, "p": {"0+": 1}}',
+     '{"n": "3", "p": {"000+": 1}}', '{"n": true, "p": {"0+": 1}}'],
+    ids=["zero", "one", "float", "string", "bool"],
+)
+def test_spectrum_n_must_be_an_integer_of_at_least_2(spectrum, tmp_path, capsys):
+    path = tmp_path / "spectrum.json"
+    path.write_text(spectrum)
+    _assert_input_error(["genuine", "--spectrum-file", str(path)], capsys, "integer >= 2")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["bound", "--n", "4"], "--c", "-0.3,0.2,0.1"),
+        (["bound", "--n", "4", "--c=0.9,0.9,0.9"], "--sigma", "-0.0,0.02,0.01"),
+        (["triple", "--family", "w", "--n", "3"], "--angles", "-0.0,0.1,0.2"),
+        (["simulate", "--family", "ghz", "--n", "3", "--shots", "50"], "--angles", "-0.0,0.1,0.2"),
+        (["oracle", "--n", "3", "--resolution", "8"], "--c", "-0.5,0.5,0.5"),
+    ],
+    ids=["bound-c", "bound-sigma", "triple-angles", "simulate-angles", "oracle-c"],
+)
+def test_number_list_may_follow_its_flag_with_a_leading_minus(argv, flag, value, capsys):
+    spaced = _run(argv + [flag, value], capsys)
+    joined = _run(argv + [f"{flag}={value}"], capsys)
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["bound", "--n", "4", "--c", "0.5,0.5,0.5", "--sigma", "-0.1,0,0"], "nonnegative"),
+        (["triple", "--family", "w", "--n", "3", "--angles", "-0.1,0,0"], "theta must lie"),
+    ],
+    ids=["negative-sigma", "negative-theta"],
+)
+def test_negative_led_list_is_validated_as_a_value(argv, fragment, capsys):
+    _assert_input_error(argv, capsys, fragment)

@@ -1,0 +1,141 @@
+"""The dense-state kernels that read only what a measurement needs, checked
+against the dense constructions they replace."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_density, random_m3n_inside_tetra
+from entbound._linalg import SIGMA_STACK, apply_product_unitary, pauli_power
+from entbound.cli import main
+from entbound.errors import StateValidityError
+from entbound.estimate import _BASIS_CHANGE, _born_diagonal
+from entbound.pauli import correlation_tensor, correlation_triple, expectation, su2_from_angles
+from entbound.qstate import (
+    CorrelationTriple,
+    DenseState,
+    M3NState,
+    StateFamily,
+    _clears_psd_screen,
+    build_state,
+    m3n_density,
+)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fast_triple_matches_dense_expectation(n, rng):
+    for rank in (None, 1, 2):
+        state = random_density(n, rng, rank=rank)
+        fast = correlation_triple(state)
+        for j, value in zip((1, 2, 3), fast):
+            assert abs(value - expectation(state, (j,) * n)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fast_triple_has_no_negative_zero(n):
+    # an anti-diagonal of signed zeros sums to -0.0
+    dim = 2**n
+    idx = np.arange(dim)
+    rho = np.eye(dim, dtype=complex) / dim
+    rho[idx, dim - 1 - idx] = complex(-0.0, 0.0)
+    for value in correlation_triple(DenseState(n, rho)):
+        assert value == 0
+        assert math.copysign(1.0, value) == 1.0
+
+
+def _bloch_reference(state):
+    """The bloch block as the loop over tensordot with SIGMA_STACK[1:] computed it."""
+    n = state.n
+    cur = state.rho.reshape((2,) * (2 * n))
+    for k in range(n):
+        cur = np.tensordot(cur, SIGMA_STACK[1:], axes=([0, n - k], [2, 1]))
+    return cur.real
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bloch_block_bit_identical_to_tensordot_loop(n, rng):
+    state = random_density(n, rng)
+    assert np.array_equal(correlation_tensor(state).bloch, _bloch_reference(state))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_born_diagonal_matches_dense_rotation(n, rng):
+    state = random_density(n, rng)
+    us = [su2_from_angles(rng.uniform(0, math.pi, 3)) for _ in range(n)]
+    for axis in (1, 2, 3):
+        ws = [_BASIS_CHANGE[axis] @ u for u in us]
+        dense = np.real(np.diagonal(apply_product_unitary(np.array(state.rho), ws, n)))
+        assert np.max(np.abs(_born_diagonal(state.rho, ws, n) - dense)) <= 1e-15
+
+
+def _with_smallest_eigenvalue(lo, n=4, seed=7):
+    """A Hermitian unit-trace matrix whose smallest eigenvalue is ``lo``."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rest = rng.uniform(0.5, 1.5, dim - 1)
+    spectrum = np.concatenate([[lo], rest * (1 - lo) / rest.sum()])
+    rho = (q * spectrum) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("lo", [-4e-10, -6e-10, -9.9e-10])
+def test_psd_check_accepts_eigenvalues_above_the_floor(lo):
+    rho = _with_smallest_eigenvalue(lo)
+    assert abs(np.linalg.eigvalsh(rho)[0] - lo) < 1e-13
+    assert _clears_psd_screen(rho) == (lo > -5e-10)
+    DenseState(4, rho)
+
+
+@pytest.mark.parametrize("lo, text", [(-1.01e-9, "-1.010e-09"), (-0.1, "-1.000e-01")])
+def test_psd_check_rejects_eigenvalues_below_the_floor(lo, text):
+    rho = _with_smallest_eigenvalue(lo)
+    assert not _clears_psd_screen(rho)
+    with pytest.raises(StateValidityError, match=f"^smallest eigenvalue {text} below -1e-09$"):
+        DenseState(4, rho)
+
+
+def test_psd_screen_passes_non_finite_matrices_to_the_eigenvalue_test():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = rho[2, 1] = np.nan
+    assert not _clears_psd_screen(rho)
+
+
+def _pauli_power_sum(state):
+    """The matrix as I + sum_j c_j sigma_j^{xn} over 2^n, summed densely."""
+    dim = 2**state.n
+    rho = np.eye(dim, dtype=complex)
+    for j, cj in enumerate(state.c, start=1):
+        if cj != 0:
+            rho += cj * pauli_power(j, state.n)
+    return rho / dim
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_m3n_density_bit_identical_to_pauli_power_sum(n, rng):
+    states = [random_m3n_inside_tetra(n, rng)]
+    if n % 2:
+        states.append(M3NState(n, CorrelationTriple(0.3, 0.0, -0.2)))
+        states.append(M3NState(n, CorrelationTriple(0.0, -0.5, 0.0)))
+    for state in states:
+        assert m3n_density(state).rho.tobytes() == _pauli_power_sum(state).tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, params, n",
+    [
+        (StateFamily.ghz(), "{}", 5),
+        (StateFamily.wei(0.3), '{"x": 0.3}', 5),
+        (StateFamily.m3n((0.2, -0.4, 0.1)), '{"c": [0.2, -0.4, 0.1]}', 3),
+        (StateFamily.white_noise_mix(StateFamily.w(), 0.6),
+         '{"inner": {"family": "w"}, "q": 0.6}', 6),
+    ],
+)
+def test_state_purity_is_trace_of_square(family, params, n, capsys):
+    argv = ["state", "--family", family.tag, "--n", str(n), "--params", params, "--full-precision"]
+    assert main(argv) == 0
+    purity = json.loads(capsys.readouterr().out)["purity"]
+    rho = build_state(family, n).rho
+    assert abs(purity - np.trace(rho @ rho).real) <= 1e-15
