@@ -28,6 +28,8 @@ _SUPPORT_TOL = 1e-9
 _TOLERANCE = 1e-6
 #: random feasible starts, besides the analytic one, of the GHZ-diagonal descent
 _RESTARTS = 6
+#: matrix entries per batch of grid states: 1 MB per complex128 work array
+_BATCH_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,14 @@ class OracleConfig:
 
 # -- batched distances over m3n grids -------------------------------------------
 
-def _batch_m3n(triples: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrices of many triples at once, shape (G, 2^n, 2^n)."""
+def _batch_m3n(triples: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrices of many triples at once, shape (G, 2^n, 2^n), in ``out`` if given."""
     dim = 2**n
     paulis = np.stack([pauli_power(j, n) for j in (1, 2, 3)])
-    out = np.einsum("gj,jab->gab", triples, paulis)
+    out = np.einsum("gj,jab->gab", triples, paulis, out=out)
     out += np.eye(dim)[None, :, :]
-    return out / dim
+    out /= dim
+    return out
 
 
 def _xlog2_vec(x: np.ndarray) -> np.ndarray:
@@ -60,17 +63,25 @@ def _xlog2_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_distance(rho: np.ndarray, batch: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Distances from one state to a stack of states; matches matrix_distance."""
+def _batch_distance(
+    rho: np.ndarray, batch: np.ndarray, kind: DistanceKind, work=None
+) -> np.ndarray:
+    """Distances from one state to a stack of states; matches matrix_distance.
+
+    ``work`` is a pair of arrays shaped like ``batch`` that receive the batched
+    intermediates (allocated when not given); ``batch`` itself is left as is.
+    """
+    w1, w2 = work if work is not None else (np.empty_like(batch), np.empty_like(batch))
     if kind is DistanceKind.TRACE:
-        w = np.linalg.eigvalsh(batch - rho[None])
+        w = np.linalg.eigvalsh(np.subtract(batch, rho[None], out=w1))
         return 0.5 * np.sum(np.abs(w), axis=1)
     if kind is DistanceKind.RELATIVE_ENTROPY:
         wa = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         ent_a = float(np.sum(_xlog2_vec(wa)))
         wb, vb = np.linalg.eigh(batch)
         wb = np.clip(wb, 0.0, None)
-        overlaps = np.clip(np.real(np.einsum("gji,jk,gki->gi", vb.conj(), rho, vb)), 0.0, None)
+        overlaps = np.einsum("gji,jk,gki->gi", np.conjugate(vb, out=w1), rho, vb)
+        overlaps = np.clip(np.real(overlaps), 0.0, None)
         null = wb <= _EIG_ZERO
         leak = np.sum(np.where(null, overlaps, 0.0), axis=1)
         logs = np.where(null, 0.0, np.log2(np.where(null, 1.0, wb)))
@@ -82,16 +93,34 @@ def _batch_distance(rho: np.ndarray, batch: np.ndarray, kind: DistanceKind) -> n
         sa = hermitian_sqrt(rho)
         wb, vb = np.linalg.eigh(batch)
         wb = np.sqrt(np.clip(wb, 0.0, None))
-        sqrtb = np.einsum("gik,gk,gjk->gij", vb, wb, vb.conj())
+        sqrtb = np.einsum("gik,gk,gjk->gij", vb, wb, np.conjugate(vb, out=w1), out=w2)
         affinity = np.real(np.einsum("ij,gji->g", sa, sqrtb))
         return np.maximum(2.0 * (1.0 - affinity), 0.0)
     sa = hermitian_sqrt(rho)
-    m = sa[None] @ batch @ sa[None]
+    m = np.matmul(np.matmul(sa[None], batch, out=w1), sa[None], out=w2)
     w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     root_f = np.minimum(np.sum(np.sqrt(w), axis=1), 1.0)
     if kind is DistanceKind.INFIDELITY:
         return np.maximum(1.0 - root_f**2, 0.0)
     return np.maximum(2.0 * (1.0 - root_f), 0.0)
+
+
+def _grid_distances(rho: np.ndarray, pts: np.ndarray, n: int, kind: DistanceKind,
+                    work: np.ndarray) -> np.ndarray:
+    """Distances from rho to the m3n states of the triples ``pts``, batch by batch.
+
+    ``work`` has shape (3, B, 2^n, 2^n): the batch and its two intermediates,
+    B matrices at a time, reused by every batch and face. Each matrix is solved
+    on its own, so the batching leaves every value unchanged; it keeps the
+    working set at a few MB whatever the grid size.
+    """
+    step = work.shape[1]
+    vals = []
+    for i in range(0, pts.shape[0], step):
+        g = min(step, pts.shape[0] - i)
+        batch = _batch_m3n(pts[i:i + g], n, out=work[0, :g])
+        vals.append(_batch_distance(rho, batch, kind, work=(work[1, :g], work[2, :g])))
+    return np.concatenate(vals)
 
 
 def _face_points(signs, center, halfwidth, resolution) -> np.ndarray:
@@ -126,6 +155,7 @@ def brute_min_over_octahedron(
     if octahedron_excess(state.c) <= 0:
         return 0.0
     rho = np.array(m3n_density(state).rho)
+    work = np.empty((3, max(1, _BATCH_ENTRIES // rho.size)) + rho.shape, dtype=complex)
 
     best_val = math.inf
     best_face, best_bary = None, None
@@ -134,7 +164,7 @@ def brute_min_over_octahedron(
     ]
     for signs in all_signs:
         pts, bary = _face_points(signs, (0.5, 0.5), 0.5, cfg.grid_resolution)
-        vals = _batch_distance(rho, _batch_m3n(pts, state.n), kind)
+        vals = _grid_distances(rho, pts, state.n, kind, work)
         g = int(np.argmin(vals))
         if vals[g] < best_val:
             best_val = float(vals[g])
@@ -146,7 +176,7 @@ def brute_min_over_octahedron(
         pts, bary = _face_points(best_face, best_bary, halfwidth, cfg.grid_resolution)
         if pts.shape[0] == 0:
             break
-        vals = _batch_distance(rho, _batch_m3n(pts, state.n), kind)
+        vals = _grid_distances(rho, pts, state.n, kind, work)
         g = int(np.argmin(vals))
         if vals[g] < best_val:
             best_val = float(vals[g])
