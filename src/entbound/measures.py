@@ -471,34 +471,41 @@ def matrix_distance(a: DenseState, b: DenseState, kind: DistanceKind) -> float:
     return max(2.0 * (1.0 - root_f), 0.0)
 
 
-def classical_distance(p, q, kind: DistanceKind) -> float:
+def classical_distance(p, q, kind: DistanceKind):
     """The classical counterpart of each distance on probability vectors.
 
-    Matches matrix_distance on commuting density matrices.
+    ``p`` has shape (m,) and ``q`` shape (..., m); the result has q's leading
+    shape, a float for one vector. Matches matrix_distance on commuting
+    density matrices, including its null-space test for relative entropy
+    (entries of q at most 1e-12 count as zero eigenvalues).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ParameterError(f"need two equal-length vectors, got {p.shape} and {q.shape}")
+    if p.ndim != 1 or q.ndim < 1 or q.shape[-1] != p.size:
+        raise ParameterError(f"need vectors of equal length, got {p.shape} and {q.shape}")
     for name, v in (("p", p), ("q", q)):
         if v.min() < -1e-12:
             raise ParameterError(f"{name} has a negative entry {v.min():.3e}")
-        if abs(v.sum() - 1) > 1e-9:
-            raise ParameterError(f"{name} sums to {v.sum()}, expected 1")
+        total = v.sum(axis=-1)
+        if np.any(np.abs(total - 1) > 1e-9):
+            raise ParameterError(f"{name} sums to {total}, expected 1")
     p = np.clip(p, 0.0, None)
     q = np.clip(q, 0.0, None)
     if kind is DistanceKind.TRACE:
-        return 0.5 * float(np.sum(np.abs(p - q)))
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        support = p > 0
-        if np.any(q[support] <= 0):
-            return math.inf
-        return max(float(np.sum(p[support] * np.log2(p[support] / q[support]))), 0.0)
-    root_f = float(np.sum(np.sqrt(p * q)))
-    if kind is DistanceKind.INFIDELITY:
-        return max(1.0 - root_f * root_f, 0.0)
-    # squared Bures and squared Hellinger coincide classically
-    return max(2.0 * (1.0 - root_f), 0.0)
+        vals = 0.5 * np.sum(np.abs(p - q), axis=-1)
+    elif kind is DistanceKind.RELATIVE_ENTROPY:
+        null = q <= _EIG_ZERO
+        live = (p > 0) & ~null
+        ratio = np.where(live, p, 1.0) / np.where(live, q, 1.0)
+        vals = np.maximum(np.sum(p * np.log2(ratio), axis=-1), 0.0)
+        vals = np.where(np.sum(p * null, axis=-1) > _SUPPORT_TOL, math.inf, vals)
+    else:
+        root_f = np.sum(np.sqrt(p * q), axis=-1)
+        if kind is DistanceKind.INFIDELITY:
+            vals = np.maximum(1.0 - root_f * root_f, 0.0)
+        else:  # squared Bures and squared Hellinger coincide classically
+            vals = np.maximum(2.0 * (1.0 - root_f), 0.0)
+    return float(vals) if q.ndim == 1 else vals
 
 
 __all__ = [

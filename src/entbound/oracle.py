@@ -1,8 +1,12 @@
 """Brute-force verification of the closed formulas.
 
-The octahedron oracle minimises a matrix distance over a refined grid of
-separable triples; the GHZ-diagonal oracle minimises a classical distance
-over capped-simplex spectra. Neither touches the closed forms it checks.
+The octahedron oracle minimises a distance over a refined grid of separable
+triples: classical distances between GHZ-basis spectra where the target is
+diagonal in that basis (even n), matrix distances with an eigensolve per
+grid point otherwise. The GHZ-diagonal oracle minimises a classical distance
+over capped-simplex spectra, accepting the KKT point when a Frank-Wolfe
+duality gap certifies it and running projected descent otherwise. Neither
+touches the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from scipy.optimize import linprog
 
 from ._linalg import hermitian_sqrt, pauli_power
 from .errors import CapacityError, ParameterError
-from .locc import GHZDiagonalState
-from .measures import DistanceKind, octahedron_excess
+from .locc import GHZBasisIndex, GHZDiagonalState, ghz_basis_vector
+from .measures import DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState, m3n_density
 
 _ORACLE_DENSE_CAP = 5
@@ -30,6 +34,12 @@ _TOLERANCE = 1e-6
 _RESTARTS = 6
 #: matrix entries per batch of grid states: 1 MB per complex128 work array
 _BATCH_ENTRIES = 2**16
+#: largest off-diagonal or imaginary entry that still counts as GHZ-diagonal
+_DIAGONAL_TOL = 1e-12
+#: Frank-Wolfe gap below which the analytic GHZ-diagonal candidate is accepted
+_GAP_TOL = 1e-12
+#: sign patterns of the eight octahedron faces
+_FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
 
 
 @dataclass(frozen=True)
@@ -140,14 +150,58 @@ def _face_points(signs, center, halfwidth, resolution) -> np.ndarray:
     return np.stack([uu, vv, ww], axis=1) @ verts, np.stack([uu, vv], axis=1)
 
 
+def _ghz_basis(n: int) -> np.ndarray:
+    """The GHZ basis vectors as columns, in the order of GHZDiagonalState.flat()."""
+    return np.stack(
+        [ghz_basis_vector(GHZBasisIndex(n, i, s), n) for i in range(2 ** (n - 1)) for s in (1, -1)],
+        axis=1,
+    )
+
+
+def _ghz_spectra(rho: np.ndarray, n: int):
+    """Spectra (p, d) of rho and of sigma_j^{xn} in the GHZ basis, or None.
+
+    ``p`` has shape (2^n,) and ``d`` shape (3, 2^n), so that the triple x has
+    the spectrum (1 + x . d) / 2^n. None when any of the four matrices has an
+    off-diagonal or imaginary entry above 1e-12 there, as at odd n, where
+    sigma_3^{xn} swaps the two GHZ vectors of each pair.
+    """
+    basis = _ghz_basis(n)
+    mats = np.stack([rho] + [pauli_power(j, n) for j in (1, 2, 3)])
+    conj = basis.conj().T @ mats @ basis
+    diag = np.diagonal(conj, axis1=1, axis2=2)
+    off = conj - diag[:, :, None] * np.eye(rho.shape[0])
+    if max(np.abs(off).max(), np.abs(diag.imag).max()) > _DIAGONAL_TOL:
+        return None
+    return diag[0].real, diag[1:].real
+
+
+def _refine_face(distances, signs, bary, val: float, cfg: OracleConfig) -> float:
+    """Shrink the grid on one face around (bary, val) by a factor 4 per round."""
+    halfwidth = 0.5
+    for _ in range(cfg.refine_rounds):
+        halfwidth /= 4.0
+        pts, grid = _face_points(signs, bary, halfwidth, cfg.grid_resolution)
+        if pts.shape[0] == 0:
+            break
+        vals = distances(pts)
+        g = int(np.argmin(vals))
+        if vals[g] < val:
+            val, bary = float(vals[g]), grid[g]
+    return val
+
+
 def brute_min_over_octahedron(
     state: M3NState, kind: DistanceKind, cfg: OracleConfig | None = None
 ) -> float:
     """Minimum distance from a triple-correlation state to the octahedron.
 
-    Evaluates matrix distances on a barycentric grid over all eight faces and
-    shrinks the grid around the incumbent by a factor 4 per refinement round.
-    Separable inputs return 0 (the state itself is feasible).
+    Evaluates distances on a barycentric grid over all eight faces, then
+    shrinks the grid by a factor 4 per refinement round. When the state is
+    diagonal in the GHZ basis (even n) the distances are classical distances
+    between spectra, and every face is refined around its own coarse minimum;
+    otherwise they are matrix distances, and only the incumbent's face is
+    refined. Separable inputs return 0 (the state itself is feasible).
     """
     cfg = cfg or OracleConfig()
     if state.n > _ORACLE_DENSE_CAP:
@@ -155,33 +209,27 @@ def brute_min_over_octahedron(
     if octahedron_excess(state.c) <= 0:
         return 0.0
     rho = np.array(m3n_density(state).rho)
-    work = np.empty((3, max(1, _BATCH_ENTRIES // rho.size)) + rho.shape, dtype=complex)
+    spectra = _ghz_spectra(rho, state.n)
+    if spectra is not None:
+        p, d = spectra
 
-    best_val = math.inf
-    best_face, best_bary = None, None
-    all_signs = [
-        (s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
-    ]
-    for signs in all_signs:
+        def distances(pts):
+            return classical_distance(p, (1.0 + pts @ d) / rho.shape[0], kind)
+    else:
+        work = np.empty((3, max(1, _BATCH_ENTRIES // rho.size)) + rho.shape, dtype=complex)
+
+        def distances(pts):
+            return _grid_distances(rho, pts, state.n, kind, work)
+
+    minima = []
+    for signs in _FACES:
         pts, bary = _face_points(signs, (0.5, 0.5), 0.5, cfg.grid_resolution)
-        vals = _grid_distances(rho, pts, state.n, kind, work)
+        vals = distances(pts)
         g = int(np.argmin(vals))
-        if vals[g] < best_val:
-            best_val = float(vals[g])
-            best_face, best_bary = signs, bary[g]
-
-    halfwidth = 0.5
-    for _ in range(cfg.refine_rounds):
-        halfwidth /= 4.0
-        pts, bary = _face_points(best_face, best_bary, halfwidth, cfg.grid_resolution)
-        if pts.shape[0] == 0:
-            break
-        vals = _grid_distances(rho, pts, state.n, kind, work)
-        g = int(np.argmin(vals))
-        if vals[g] < best_val:
-            best_val = float(vals[g])
-            best_bary = bary[g]
-    return best_val
+        minima.append((float(vals[g]), signs, bary[g]))
+    if spectra is None:  # an eigensolve per grid point: refine the incumbent's face only
+        minima = [min(minima, key=lambda m: m[0])]
+    return min(_refine_face(distances, signs, bary, val, cfg) for val, signs, bary in minima)
 
 
 # -- GHZ-diagonal oracle ---------------------------------------------------------
@@ -214,7 +262,12 @@ def _analytic_candidate(p: np.ndarray) -> np.ndarray:
 
 
 def _trace_min_lp(p: np.ndarray) -> float:
-    """Exact min of the classical trace distance over the capped simplex."""
+    """Min of the classical trace distance over the capped simplex, by linear program.
+
+    Returns the distance of the LP's point after projection onto the capped
+    simplex: the solver's objective may sit below the minimum by its
+    feasibility tolerance (about 1e-8 just above p_max = 1/2).
+    """
     m = p.size
     c = np.concatenate([np.zeros(m), 0.5 * np.ones(m)])
     eye = np.eye(m)
@@ -225,10 +278,20 @@ def _trace_min_lp(p: np.ndarray) -> float:
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"trace LP failed: {res.message}")
-    return float(res.fun)
+    return classical_distance(p, _project_capped_simplex(res.x[:m]), DistanceKind.TRACE)
 
 
-def _projected_descent(p: np.ndarray, q0: np.ndarray, grad, objective, max_iter=4000) -> float:
+def _fw_gap(q: np.ndarray, g: np.ndarray) -> float:
+    """Frank-Wolfe duality gap at q with gradient g over the capped simplex.
+
+    The gap max_v <g, q - v> bounds f(q) - min f for convex f. The linear
+    minimiser v puts 1/2 on the two smallest gradient entries.
+    """
+    return float(g @ q - 0.5 * np.sum(np.partition(g, 1)[:2]))
+
+
+def _projected_descent(p: np.ndarray, q0: np.ndarray, grad, objective, max_iter=4000):
+    """Projected gradient descent from q0; returns (objective value, point)."""
     q = np.array(q0)
     val = objective(q)
     step = 0.5
@@ -246,23 +309,16 @@ def _projected_descent(p: np.ndarray, q0: np.ndarray, grad, objective, max_iter=
             s *= 0.5
         if not improved:
             break
-    return val
+    return val, q
 
 
-def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> float:
-    """Minimum classical distance from a GHZ spectrum to the biseparable set.
+def _surrogate(p: np.ndarray, kind: DistanceKind):
+    """(objective, gradient) in q of the convex function a smooth distance minimises.
 
-    The biseparable GHZ-diagonal spectra are exactly those with every entry
-    at most 1/2. Trace distance is solved exactly as a linear program; the
-    smooth distances run projected descent with restarts from the clamped
-    analytic candidate and random feasible points.
+    Relative entropy is minimised directly; infidelity, squared Bures and
+    squared Hellinger all decrease with the affinity sum sqrt(p q), so they
+    minimise its negative.
     """
-    p = state.flat()
-    if p.max() <= 0.5 + 1e-15:
-        return 0.0
-    if kind is DistanceKind.TRACE:
-        return _trace_min_lp(p)
-
     support = p > 0
     floor = 1e-14
 
@@ -278,7 +334,6 @@ def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> fl
             g[support] = -p[support] / (qs * math.log(2))
             return g
     else:
-        # infidelity / Bures / Hellinger all minimise through the affinity
         def objective(q):
             return -float(np.sum(np.sqrt(p[support] * np.maximum(q[support], 0.0))))
 
@@ -287,19 +342,36 @@ def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> fl
             qs = np.maximum(q[support], floor)
             g[support] = -0.5 * np.sqrt(p[support] / qs)
             return g
+    return objective, grad
 
-    rng = np.random.default_rng(0)
-    starts = [_analytic_candidate(p)]
-    for _ in range(_RESTARTS):
-        starts.append(_project_capped_simplex(rng.dirichlet(np.ones(p.size))))
-    best = min(_projected_descent(p, q0, grad, objective) for q0 in starts)
 
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        return max(best, 0.0)
-    root_f = min(-best, 1.0)
-    if kind is DistanceKind.INFIDELITY:
-        return max(1.0 - root_f**2, 0.0)
-    return max(2.0 * (1.0 - root_f), 0.0)
+def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> float:
+    """Minimum classical distance from a GHZ spectrum to the biseparable set.
+
+    The biseparable GHZ-diagonal spectra are exactly those with every entry
+    at most 1/2. Trace distance is solved exactly as a linear program. The
+    smooth distances are minimised through relative entropy or the affinity,
+    both convex in q: the analytic KKT candidate min(1/2, t p) is accepted
+    when its Frank-Wolfe gap, computed from p, the gradient and the feasible
+    set alone, is at most 1e-12; otherwise projected descent with restarts
+    from the candidate and random feasible points finds the minimiser.
+    """
+    p = state.flat()
+    if p.max() <= 0.5 + 1e-15:
+        return 0.0
+    if kind is DistanceKind.TRACE:
+        return _trace_min_lp(p)
+
+    objective, grad = _surrogate(p, kind)
+    q = _analytic_candidate(p)
+    if _fw_gap(q, grad(q)) > _GAP_TOL:
+        rng = np.random.default_rng(0)
+        starts = [q]
+        for _ in range(_RESTARTS):
+            starts.append(_project_capped_simplex(rng.dirichlet(np.ones(p.size))))
+        runs = [_projected_descent(p, q0, grad, objective) for q0 in starts]
+        q = min(runs, key=lambda run: run[0])[1]
+    return classical_distance(p, q, kind)
 
 
 def oracle_report(formula_value: float, oracle_value: float, cfg: OracleConfig) -> dict:

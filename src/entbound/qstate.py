@@ -108,7 +108,10 @@ class DenseState:
         dim = 2**self.n
         if rho.shape != (dim, dim):
             raise ParameterError(f"matrix shape {rho.shape} does not match n={self.n}")
-        herm = np.max(np.abs(rho - rho.conj().T))
+        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+            herm = np.max(np.abs(rho - rho.conj().T))
+        if not np.isfinite(herm):  # any NaN or inf entry makes the residue non-finite
+            raise StateValidityError("matrix entries must be finite")
         if herm > _HERMITICITY_TOL:
             raise StateValidityError(f"matrix is not Hermitian: residue {herm:.3e}")
         tr = np.trace(rho)

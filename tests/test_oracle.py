@@ -15,6 +15,7 @@ from entbound.measures import (
     ALL_DISTANCES,
     DistanceKind,
     SeparabilityLevel,
+    classical_distance,
     entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
@@ -22,10 +23,18 @@ from entbound.measures import (
     matrix_distance,
     octahedron_excess,
 )
+from entbound import oracle
 from entbound.oracle import (
     OracleConfig,
+    _analytic_candidate,
     _batch_distance,
     _batch_m3n,
+    _face_points,
+    _fw_gap,
+    _ghz_spectra,
+    _grid_distances,
+    _project_capped_simplex,
+    _surrogate,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
 )
@@ -70,7 +79,7 @@ def test_octahedron_oracle_inside_zero():
 def test_octahedron_oracle_capacity():
     with pytest.raises(CapacityError):
         brute_min_over_octahedron(
-            M3NState(6, CorrelationTriple(1, 1, 1)), DistanceKind.TRACE, FAST
+            M3NState(6, CorrelationTriple(1, -1, 1)), DistanceKind.TRACE, FAST
         )
 
 
@@ -192,12 +201,128 @@ def test_translation_invariance_h0_zero_distance():
     assert check_translation_invariance(0.0, [(0.2, 0.3)], DistanceKind.TRACE, 4) < 1e-12
 
 
+# -- classical spectra on the even-n grid, certified GHZ-diagonal minimum --------
+
+SMOOTH = [k for k in ALL_DISTANCES if k is not DistanceKind.TRACE]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(oracle, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ALL_DISTANCES)
+def test_spectral_grid_matches_matrix_grid(kind, rng):
+    for n in (2, 4):
+        rho = np.array(m3n_density(random_m3n_outside_octahedron(n, rng)).rho)
+        p, d = _ghz_spectra(rho, n)
+        work = np.empty((3, 64) + rho.shape, dtype=complex)
+        for signs in ((1, 1, 1), (-1, 1, -1), (1, -1, 1)):
+            pts, _ = _face_points(signs, (0.5, 0.5), 0.5, 10)
+            q = (1.0 + pts @ d) / 2**n
+            spectral = classical_distance(p, q, kind)
+            matrix = _grid_distances(rho, pts, n, kind, work)
+            full = np.all(q > 1e-6, axis=1)
+            assert np.allclose(spectral[full], matrix[full], rtol=0.0, atol=1e-12), (n, signs)
+            # at rank-deficient grid states the matrix path takes square roots of
+            # eigenvalues that are rounding noise around 0, about 1e-8 each
+            atol = 1e-12 if kind in (DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY) else 1e-7
+            assert np.allclose(spectral, matrix, rtol=0.0, atol=atol), (n, signs)
+
+
+def test_ghz_spectra_only_where_diagonal():
+    for n in (3, 5):
+        rho = np.array(m3n_density(M3NState(n, CorrelationTriple(0.5, -0.4, 0.3))).rho)
+        assert _ghz_spectra(rho, n) is None
+
+
+def test_octahedron_oracle_falls_back_when_not_diagonal(monkeypatch):
+    state = M3NState(4, CorrelationTriple(0.7, 0.5, 0.3))
+    formula = entanglement_from_excess(octahedron_excess(state.c), DistanceKind.INFIDELITY)
+    calls = _count_calls(monkeypatch, "_grid_distances")
+    spectral = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
+    assert not calls
+    # in the computational basis the anti-diagonal of rho fails the check
+    monkeypatch.setattr(oracle, "_ghz_basis", lambda n: np.eye(2**n, dtype=complex))
+    matrix = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
+    assert calls
+    assert abs(matrix - formula) < 5e-4 and abs(spectral - formula) < 5e-4
+
+
+def _test_spectra(rng):
+    for n in (2, 3, 4, 5):
+        yield random_ghz_spectrum(n, rng)
+        flat = np.zeros(2**n)
+        top, rest = rng.choice(2**n, size=2, replace=False)
+        flat[top] = 1.0
+        yield GHZDiagonalState(n, flat.reshape(-1, 2))  # one entry
+        flat[top], flat[rest] = 0.8, 0.2
+        yield GHZDiagonalState(n, flat.reshape(-1, 2))  # sparse
+        yield random_ghz_spectrum(n, rng, p_max_range=(0.5 + 1e-9, 0.5 + 1e-6))
+
+
+@pytest.mark.parametrize("kind", SMOOTH)
+def test_gap_certifies_analytic_candidate(kind, rng):
+    for spec in _test_spectra(rng):
+        p = spec.flat()
+        q = _analytic_candidate(p)
+        assert q.min() >= 0 and q.max() <= 0.5 and abs(q.sum() - 1) < 1e-12
+        assert _fw_gap(q, _surrogate(p, kind)[1](q)) <= 1e-12, (spec.n, spec.p_max)
+
+
+def test_perturbed_candidate_takes_descent(monkeypatch, rng):
+    kind = DistanceKind.SQUARED_HELLINGER
+    spec = random_ghz_spectrum(2, rng, p_max_range=(0.7, 0.8))
+    p = spec.flat()
+    q = _analytic_candidate(p)
+    shift = np.zeros_like(q)
+    shift[np.argsort(q)[:2]] = (0.05, -0.05)
+    bad = _project_capped_simplex(q + shift)
+    assert _fw_gap(bad, _surrogate(p, kind)[1](bad)) > 1e-6
+
+    calls = _count_calls(monkeypatch, "_projected_descent")
+    certified = brute_min_biseparable_ghz(spec, kind)
+    assert not calls
+    monkeypatch.setattr(oracle, "_analytic_candidate", lambda p: bad)
+    descended = brute_min_biseparable_ghz(spec, kind)
+    assert len(calls) == 1 + oracle._RESTARTS
+    formula = genuine_from_overlap(spec.p_max, kind)
+    assert abs(descended - formula) < 1e-6
+    assert certified == pytest.approx(formula, abs=1e-14)
+
+
+def test_oracles_never_below_closed_form(rng):
+    for n in (2, 3, 4, 5):
+        for kind in ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,):
+            state = random_m3n_outside_octahedron(n, rng)
+            formula = entanglement_m3n(state, SeparabilityLevel(m=n), kind).value
+            assert brute_min_over_octahedron(state, kind, FAST) >= formula - 1e-12
+    for spec in _test_spectra(rng):
+        for kind in ALL_DISTANCES:
+            formula = genuine_ghz_diag(spec, kind).value
+            assert brute_min_biseparable_ghz(spec, kind) >= formula - 1e-12
+
+
+def test_octahedron_oracle_squared_bures_across_an_edge():
+    # the coarse minimum lies on the c3 = 0 edge of faces (-,+,+) and (-,+,-), and
+    # the minimiser 3e-4 inside (-,+,-): refining (-,+,+) alone ends 1.1e-4 off
+    state = M3NState(4, CorrelationTriple(-0.511822, 0.935388, -0.447535))
+    kind = DistanceKind.SQUARED_BURES
+    formula = entanglement_from_excess(octahedron_excess(state.c), kind)
+    oracle_value = brute_min_over_octahedron(state, kind, OracleConfig(40, 3))
+    assert abs(oracle_value - formula) < 1e-5
+
+
 # -- full-separable-set cross-checks at n = 2 via the PPT characterisation -------
 
-cvxpy = pytest.importorskip("cvxpy")
-
-
-def _ppt_trace_distance(rho: np.ndarray) -> float:
+def _ppt_trace_distance(cvxpy, rho: np.ndarray) -> float:
     """Min trace distance to the two-qubit separable (= PPT) set, by SDP."""
     sigma = cvxpy.Variable((4, 4), hermitian=True)
     constraints = [
@@ -212,18 +337,20 @@ def _ppt_trace_distance(rho: np.ndarray) -> float:
 
 
 def test_formula_matches_full_separable_set_two_qubits(rng):
+    cvxpy = pytest.importorskip("cvxpy")
     # at n=2 the biseparable set is PPT-characterised, so the closed form can
     # be checked against the genuinely unrestricted minimisation
     for _ in range(4):
         state = random_m3n_outside_octahedron(2, rng, min_excess=0.05)
-        sdp = _ppt_trace_distance(np.array(m3n_density(state).rho))
+        sdp = _ppt_trace_distance(cvxpy, np.array(m3n_density(state).rho))
         formula = entanglement_from_excess(octahedron_excess(state.c), DistanceKind.TRACE)
         assert sdp == pytest.approx(formula, abs=2e-5)
 
 
 def test_twirl_never_increases_entanglement_two_qubits(rng):
+    cvxpy = pytest.importorskip("cvxpy")
     for _ in range(6):
         state = random_density(2, rng)
-        before = _ppt_trace_distance(np.array(state.rho))
-        after = _ppt_trace_distance(np.array(m3n_density(m3nfy(state)).rho))
+        before = _ppt_trace_distance(cvxpy, np.array(state.rho))
+        after = _ppt_trace_distance(cvxpy, np.array(m3n_density(m3nfy(state)).rho))
         assert after <= before + 2e-5

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ def test_dense_state_invariants_rejected():
     neg = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(StateValidityError):
         DenseState(2, neg)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_dense_state_rejects_non_finite_entries(entry):
+    rho = np.diag([0.25, 0.5, 0.25, 0.0]).astype(complex)
+    for pos in ((0, 0), (3, 0)):
+        bad = rho.copy()
+        bad[pos] = entry
+        with pytest.raises(StateValidityError, match="finite"):
+            DenseState(2, bad)
 
 
 def test_m3n_density_bell():
