@@ -83,28 +83,6 @@ def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.n
     return t.reshape(mat.shape)
 
 
-def conjugate_one_qubit(rho: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """U rho U^dagger for a single-qubit unitary ``op`` on ``qubit``."""
-    left = apply_one_qubit(rho, op, qubit, n)
-    return apply_one_qubit(left.conj().T, op, qubit, n).conj().T
-
-
-def apply_product_unitary(rho: np.ndarray, ops, n: int) -> np.ndarray:
-    """(U_1 x ... x U_n) rho (.)^dagger with one 2x2 unitary per qubit."""
-    out = rho
-    for k, op in enumerate(ops):
-        out = conjugate_one_qubit(out, op, k, n)
-    return out
-
-
-def apply_product_to_vector(vec: np.ndarray, ops, n: int) -> np.ndarray:
-    """(U_1 x ... x U_n) |vec> with one 2x2 matrix per qubit."""
-    t = vec.reshape((2,) * n)
-    for k, op in enumerate(ops):
-        t = np.moveaxis(np.tensordot(op, np.moveaxis(t, k, 0), axes=(1, 0)), 0, k)
-    return t.reshape(vec.shape)
-
-
 def projector(vec: np.ndarray) -> np.ndarray:
     """Rank-1 projector |vec><vec| of a (not necessarily normalised) vector."""
     v = np.asarray(vec, dtype=complex)

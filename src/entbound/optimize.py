@@ -2,9 +2,17 @@
 
 Two objectives: the rotated-correlation sum |c~1|+|c~2|+|c~3| feeding the
 global/partial lower bound, and the largest GHZ-basis overlap feeding the
-genuine bound. Both objectives are non-smooth and multimodal, so the search
-is derivative-free: a coarse angle grid (shared mode) or closed-form
-coordinate ascent over qubits (per-qubit mode), refined with Nelder-Mead.
+genuine bound. Both are non-smooth and multimodal, so every search runs from
+several starts.
+
+- Per-qubit mode, either objective: closed-form coordinate ascent. With
+  every other qubit fixed, the objective is linear in one qubit's SO(3)
+  matrix (per sign class, for the correlation sum), so each step takes the
+  proper polar factor of a 3x3 matrix.
+- Shared mode, either objective: a coarse angle grid, then Nelder-Mead from
+  the best grid points. The correlation sum is a degree-n polynomial in the
+  rows of the shared SO(3) matrix; the overlap reads rho against two product
+  vectors. Neither builds a rotated state.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from ._linalg import apply_product_to_vector, apply_product_unitary
+from ._linalg import SIGMA_STACK, contract_qubit_pairs
 from .errors import ParameterError
-from .locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
+from .locc import GHZBasisIndex, ghz_diagonalise
 from .pauli import (
     CorrelationTensor,
     LocalRotation,
@@ -31,9 +39,12 @@ from .qstate import CorrelationTriple, DenseState
 
 _TWO_PI = 2 * math.pi
 
-#: convergence tolerance of the per-qubit ascent and of every Nelder-Mead refinement
+#: convergence tolerance of the per-qubit triple ascent and of every Nelder-Mead refinement
 _REFINE_TOL = 1e-8
-#: sweep cap of the per-qubit ascent
+#: sweep gain at which the per-qubit overlap ascent stops; 1e-8 left it up to
+#: 2.4e-10 below Nelder-Mead, this ends it within about 1e-12
+_OVERLAP_ASCENT_TOL = 1e-12
+#: sweep cap of both per-qubit ascents
 _MAX_SWEEPS = 500
 #: Nelder-Mead settings shared by the triple and overlap refinements
 _NELDER_MEAD = {"xatol": _REFINE_TOL, "fatol": _REFINE_TOL, "maxiter": 10 * _MAX_SWEEPS}
@@ -73,27 +84,60 @@ def _shared_grid(density: int) -> np.ndarray:
     return np.vstack([[0.0, 0.0, 0.0], grid])
 
 
-def _shared_objective_batch(bloch: np.ndarray, angles: np.ndarray, n: int) -> np.ndarray:
-    """|c~1|+|c~2|+|c~3| with one (theta, psi, phi) row on every qubit, shape (G,)."""
-    os = np.swapaxes(so3_from_angles(angles), 0, 1)  # (3, G, 3): row i of each O
-    rows = np.broadcast_to(os[:, :, None, :], os.shape[:2] + (n, 3))
-    values = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(3, -1)
-    return np.abs(values).sum(axis=0)
+# -- correlation-sum objective ----------------------------------------------------
+
+def _shared_polynomial(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T(o, ..., o) = sum_alpha c_alpha o_1^a1 o_2^a2 o_3^a3 as (c, exponents).
+
+    c_alpha sums the bloch entries whose indices hold a1 ones, a2 twos and a3
+    threes; there are C(n+2, 2) of them. No symmetry of the tensor is assumed.
+    Returns c of shape (K,) and the exponents of shape (3, K).
+    """
+    n = bloch.ndim
+    digits = np.arange(bloch.size)
+    ones = np.zeros(bloch.size, dtype=np.intp)
+    twos = np.zeros(bloch.size, dtype=np.intp)
+    for _ in range(n):
+        ones += digits % 3 == 1
+        twos += digits % 3 == 2
+        digits //= 3
+    coef = np.bincount(ones * (n + 1) + twos, weights=bloch.ravel(), minlength=(n + 1) ** 2)
+    a2, a3 = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    keep = a2 + a3 <= n
+    return coef[keep], np.stack([n - a2 - a3, a2, a3])[:, keep]
+
+
+def _shared_objective(poly: tuple[np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
+    """|c~1|+|c~2|+|c~3| with one (theta, psi, phi) triple on every qubit.
+
+    c~_i is the polynomial at row i of the shared SO(3) matrix. Angles of
+    shape (..., 3) give values of shape (...).
+    """
+    coef, exps = poly
+    rows = so3_from_angles(angles)  # rows[..., i, :] is row i of O
+    powers = rows[..., None] ** np.arange(exps.max() + 1)
+    terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
+    return np.abs(terms @ coef).sum(axis=-1)
+
+
+def _polar_rotation(m: np.ndarray) -> np.ndarray:
+    """The O in SO(3) maximising Tr(O m): the proper polar factor of m^T."""
+    u, _, vt = np.linalg.svd(m)
+    o = (u @ vt).T
+    if np.linalg.det(o) < 0:
+        o = (u @ np.diag([1.0, 1.0, -1.0]) @ vt).T
+    return o
 
 
 def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, float]:
     """argmax over O in SO(3) of sum_i |sum_j O_ij b_ij|, in closed form.
 
     For each sign class the signed objective is a linear functional of O,
-    maximised by a sign-corrected polar factor from the SVD.
+    maximised by a sign-corrected polar factor.
     """
     best_o, best_val = None, -np.inf
     for s in _SIGN_CLASSES:
-        m = b.T * s[None, :]  # (B^T diag(s)), objective = Tr(O m)
-        u, _, vt = np.linalg.svd(m)
-        o = (u @ vt).T
-        if np.linalg.det(o) < 0:
-            o = (u @ np.diag([1.0, 1.0, -1.0]) @ vt).T
+        o = _polar_rotation(b.T * s[None, :])  # objective = Tr(O B^T diag(s))
         val = float(np.sum(np.abs(np.einsum("ij,ij->i", o, b))))
         if val > best_val:
             best_o, best_val = o, val
@@ -151,16 +195,14 @@ def optimise_triple(
                 "shared-angle optimisation expects a permutation-symmetric tensor; "
                 "use per_qubit mode or disable check_symmetry"
             )
+        poly = _shared_polynomial(bloch)
         grid = _shared_grid(opts.grid_density)
-        # three slices keep the (3G, 3^(n-1)) intermediate near (G, 3^(n-1))
-        values = np.concatenate(
-            [_shared_objective_batch(bloch, part, n) for part in np.array_split(grid, 3)]
-        )
+        values = _shared_objective(poly, grid)
         order = np.argsort(values)[::-1]
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]
 
         def neg(angles):
-            return -_shared_objective_batch(bloch, np.asarray(angles)[None, :], n)[0]
+            return -_shared_objective(poly, angles)
 
         best_angles, best_val = grid[0], values[0]
         for start in starts:
@@ -186,21 +228,91 @@ def optimise_triple(
     return rotation, triple, objective
 
 
-# -- GHZ-overlap optimisation ---------------------------------------------------
+# -- GHZ-overlap objective --------------------------------------------------------
+#
+# A GHZ basis vector is beta = (|x> + s|~x>)/sqrt(2), ~x the complement of the
+# bit pattern x. Rotating the state by U = U_1 x ... x U_n gives the overlap
+# <beta|U rho U^dag|beta> = <v|rho|v> with v = U^dag beta = (a + s b)/sqrt(2),
+# a = (x)_k U_k^dag|x_k> and b = (x)_k U_k^dag|~x_k>: two product vectors.
 
-def _overlap(state: DenseState, beta: np.ndarray, unitaries) -> float:
-    """<beta| U rho U^dag |beta> computed as <U^dag beta| rho |U^dag beta>."""
-    back = apply_product_to_vector(beta, [u.conj().T for u in unitaries], state.n)
-    return float(np.real(back.conj() @ state.rho @ back))
+def _ghz_bits(idx: GHZBasisIndex) -> np.ndarray:
+    """Bit x_k of the index on each qubit, qubit 0 leftmost."""
+    return (idx.i >> np.arange(idx.n - 1, -1, -1)) & 1
 
 
-def _overlap_objective(state: DenseState, beta: np.ndarray, angles: np.ndarray, shared: bool) -> float:
-    n = state.n
-    if shared:
-        us = [su2_from_angles(angles)] * n
-    else:
-        us = [su2_from_angles(a) for a in angles.reshape(n, 3)]
-    return _overlap(state, beta, us)
+def _product_vector(factors) -> np.ndarray:
+    """Kronecker product of 2-vectors, qubit 0 leftmost."""
+    out = np.ones(1, dtype=complex)
+    for f in factors:
+        out = (out[:, None] * f[None, :]).ravel()
+    return out
+
+
+def _rotated_beta(bits: np.ndarray, sign: int, unitaries) -> np.ndarray:
+    """U^dag beta for beta = (|x> + sign |~x>)/sqrt(2); U^dag|y> is row y of conj(U)."""
+    a = _product_vector([u[x].conj() for u, x in zip(unitaries, bits)])
+    b = _product_vector([u[1 - x].conj() for u, x in zip(unitaries, bits)])
+    return (a + sign * b) / math.sqrt(2)
+
+
+def _overlap(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries) -> float:
+    """<beta| U rho U^dag |beta> for the product unitary U = U_1 x ... x U_n."""
+    v = _rotated_beta(bits, sign, unitaries)
+    return float(np.real(np.vdot(v, rho @ v)))
+
+
+def _overlap_step(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries, k: int):
+    """The best U_k with every other qubit fixed, and the overlap it reaches.
+
+    With w = (x)_{j != k} U_j^dag beta, the overlap is
+    c + sum_lm O_k[l, m] G[l, m], G[l, m] = 1/2 Re <w|sigma_l x R_m|w>,
+    R_m = Tr_k[sigma_m rho]: linear in O_k, so the polar factor of G is exact.
+    """
+    n = len(bits)
+    fixed = list(unitaries)
+    fixed[k] = np.eye(2)
+    w = _rotated_beta(bits, sign, fixed).reshape(2**k, 2, -1)
+    # column (b, d) of basis: w's qubit-k component b placed on qubit k = d
+    basis = np.zeros((2**k, 2, w.shape[2], 2, 2), dtype=complex)
+    for d in (0, 1):
+        basis[:, d, :, :, d] = np.swapaxes(w, 1, 2)
+    basis = basis.reshape(2**n, 4)
+    # gram[a, c, b, d] = sum conj(w_a) rho[(c, .), (d, .)] w_b
+    gram = (basis.conj().T @ (rho @ basis)).reshape(2, 2, 2, 2)
+    paulis = SIGMA_STACK[1:]
+    g = 0.5 * np.einsum("lab,mdc,acbd->lm", paulis, paulis, gram).real
+    const = 0.5 * np.einsum("acac->", gram).real
+    o = _polar_rotation(g.T)
+    angles = so3_to_angles(o)
+    return angles, const + float(np.sum(o * g))
+
+
+def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndarray):
+    """Coordinate ascent over qubits from per-qubit angles of shape (n, 3)."""
+    angles = [tuple(a) for a in start]
+    unitaries = [su2_from_angles(a) for a in angles]
+    val = _overlap(rho, bits, sign, unitaries)
+    for _ in range(_MAX_SWEEPS):
+        for k in range(len(bits)):
+            angles[k], new_val = _overlap_step(rho, bits, sign, unitaries, k)
+            unitaries[k] = su2_from_angles(angles[k])
+        if new_val <= val + _OVERLAP_ASCENT_TOL:
+            break
+        val = new_val
+    return angles, _overlap(rho, bits, sign, unitaries)
+
+
+def _screen_overlaps(rho: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """GHZ-basis overlaps of u^{xn} rho u^{dag xn}, flat in ghz_diagonalise's order.
+
+    Reads only the diagonal and the anti-diagonal of the rotated state.
+    """
+    diag = contract_qubit_pairs(rho, [u[:, :, None] * u.conj()[:, None, :]] * n, n)
+    anti = contract_qubit_pairs(rho, [u[:, :, None] * u[::-1].conj()[:, None, :]] * n, n)
+    half = 2 ** (n - 1)
+    diag, anti = diag.real.reshape(-1), anti.real.reshape(-1)[:half]
+    mean = 0.5 * (diag[:half] + diag[::-1][:half])
+    return np.stack([mean + anti, mean - anti], axis=1).reshape(-1)
 
 
 def optimise_ghz_overlap(
@@ -208,12 +320,14 @@ def optimise_ghz_overlap(
 ) -> tuple[LocalRotation, GHZBasisIndex, float]:
     """Maximise the overlap with a GHZ basis vector over local rotations.
 
-    Scans all 2^n basis indices at the identity rotation, then refines the
-    rotation angles for the best few candidate indices. The result is never
-    below the unrotated maximum overlap.
+    Scans all 2^n basis indices against a shared-angle grid, then refines the
+    rotation for the best few candidate indices: Nelder-Mead on one shared
+    angle triple in shared mode, closed-form coordinate ascent over qubits in
+    per-qubit mode. The result is never below the unrotated maximum overlap.
     """
     opts = opts or OptimisationOptions()
     n = state.n
+    rho = np.asarray(state.rho)
     shared = opts.mode == "shared"
     rng = np.random.default_rng(opts.seed)
 
@@ -222,9 +336,7 @@ def optimise_ghz_overlap(
     grid = _shared_grid(max(4, opts.grid_density // 2))
     seeds = []  # (value, grid position, flat index)
     for g, angles in enumerate(grid):
-        u = su2_from_angles(angles)
-        rotated = apply_product_unitary(np.array(state.rho), [u] * n, n)
-        overlaps = ghz_diagonalise(DenseState(n, rotated)).flat()
+        overlaps = _screen_overlaps(rho, su2_from_angles(angles), n)
         pos = int(np.argmax(overlaps))
         seeds.append((float(overlaps[pos]), g, pos))
     seeds.sort(key=lambda t: (-t[0], t[1]))
@@ -240,28 +352,24 @@ def optimise_ghz_overlap(
     best = (LocalRotation.identity(), base.argmax(), base.p_max)
     for _, g, pos in picked:
         idx = GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1)
-        beta = ghz_basis_vector(idx, n)
-
-        def neg(x):
-            return -_overlap_objective(state, beta, x, shared)
-
+        bits = _ghz_bits(idx)
         if shared:
-            starts = [np.zeros(3), grid[g]]
-        else:
-            starts = [np.zeros(3 * n), np.tile(grid[g], n)]
-            starts += [rng.uniform(0, math.pi, size=3 * n) for _ in range(opts.restarts // 4)]
-        for start in starts:
-            res = minimize(neg, start, method="Nelder-Mead", options=_NELDER_MEAD)
-            val = -res.fun
-            if val > best[2] + 1e-13:
-                if shared:
+
+            def neg(x):
+                return -_overlap(rho, bits, idx.sign, [su2_from_angles(x)] * n)
+
+            for start in (np.zeros(3), grid[g]):
+                res = minimize(neg, start, method="Nelder-Mead", options=_NELDER_MEAD)
+                if -res.fun > best[2] + 1e-13:
                     canonical = so3_to_angles(so3_from_angles(res.x))
-                    rot = LocalRotation.from_shared(canonical)
-                else:
-                    rot = LocalRotation.from_per_qubit(
-                        [so3_to_angles(so3_from_angles(a)) for a in res.x.reshape(n, 3)]
-                    )
-                best = (rot, idx, float(val))
+                    best = (LocalRotation.from_shared(canonical), idx, float(-res.fun))
+        else:
+            starts = [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
+            starts += [rng.uniform(0, math.pi, size=(n, 3)) for _ in range(opts.restarts // 4)]
+            for start in starts:
+                angles, val = _overlap_ascent(rho, bits, idx.sign, start)
+                if val > best[2] + 1e-13:
+                    best = (LocalRotation.from_per_qubit(angles), idx, val)
     return best
 
 

@@ -1,0 +1,27 @@
+"""Dense conjugations by local unitaries, kept as test references.
+
+The package never conjugates a whole state: it reads rotated quantities
+through mode contractions and product vectors. These helpers build U rho
+U^dagger the direct way, so tests can compare the package's kernels with it.
+Import them with ``from dense_rotation import ...``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from entbound._linalg import apply_one_qubit
+
+
+def conjugate_one_qubit(rho: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """U rho U^dagger for a single-qubit unitary ``op`` on ``qubit``."""
+    left = apply_one_qubit(rho, op, qubit, n)
+    return apply_one_qubit(left.conj().T, op, qubit, n).conj().T
+
+
+def apply_product_unitary(rho: np.ndarray, ops, n: int) -> np.ndarray:
+    """(U_1 x ... x U_n) rho (.)^dagger with one 2x2 unitary per qubit."""
+    out = rho
+    for k, op in enumerate(ops):
+        out = conjugate_one_qubit(out, op, k, n)
+    return out

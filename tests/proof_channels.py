@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from entbound._linalg import ID2, SIGMA, apply_product_unitary, conjugate_one_qubit
+from dense_rotation import apply_product_unitary, conjugate_one_qubit
+from entbound._linalg import ID2, SIGMA
 from entbound.errors import CapacityError, ParameterError
 from entbound.locc import GHZBasisIndex, ghz_basis_vector
 from entbound.measures import DistanceKind, matrix_distance

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_m3n_inside_tetra
-from entbound._linalg import SIGMA_STACK, apply_product_unitary, pauli_power
+from dense_rotation import apply_product_unitary
+from entbound._linalg import SIGMA_STACK, pauli_power
 from entbound.cli import main
 from entbound.errors import StateValidityError
 from entbound.estimate import _BASIS_CHANGE, _born_diagonal

@@ -176,7 +176,7 @@ def test_ghz_spectrum_sparse_and_errors(tmp_path):
 def test_contractivity_under_m3nfication_odd(rng):
     # rotated family states have known exact entanglement; the twirl of the
     # rotated state cannot exceed it (single-qubit LOCC monotonicity)
-    from entbound._linalg import apply_product_unitary
+    from dense_rotation import apply_product_unitary
     from entbound.measures import DistanceKind, SeparabilityLevel, entanglement_m3n
     from entbound.pauli import LocalRotation
 

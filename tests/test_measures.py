@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_ghz_spectrum, random_m3n_outside_octahedron
-from entbound._linalg import conjugate_one_qubit, SIGMA
+from dense_rotation import conjugate_one_qubit
+from entbound._linalg import SIGMA
 from entbound.errors import (
     AlreadySeparableError,
     ParameterError,

@@ -1,12 +1,34 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import random_density
-from entbound._linalg import apply_product_unitary
+from dense_rotation import apply_product_unitary
+from entbound._linalg import kron_all
 from entbound.errors import ParameterError
-from entbound.locc import ghz_diagonalise
-from entbound.optimize import OptimisationOptions, optimise_ghz_overlap, optimise_triple
-from entbound.pauli import LocalRotation, correlation_tensor, rotated_triple
+from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
+from entbound.optimize import (
+    OptimisationOptions,
+    _best_rotation_for_matrix,
+    _ghz_bits,
+    _overlap,
+    _overlap_ascent,
+    _polar_rotation,
+    _random_rotations,
+    _screen_overlaps,
+    _shared_objective,
+    _shared_polynomial,
+    optimise_ghz_overlap,
+    optimise_triple,
+)
+from entbound.pauli import (
+    LocalRotation,
+    contract_modes,
+    correlation_tensor,
+    rotated_triple,
+    so3_from_angles,
+    su2_from_angles,
+)
 from entbound.qstate import DenseState, StateFamily, build_state
 
 
@@ -148,3 +170,112 @@ def test_overlap_never_below_unrotated(rng):
         state, OptimisationOptions(restarts=4, grid_density=6)
     )
     assert p >= base - 1e-12
+
+
+def dense_overlap(rho, idx, unitaries):
+    """<beta| U rho U^dag |beta> through a dense conjugation."""
+    beta = ghz_basis_vector(idx, idx.n)
+    rotated = apply_product_unitary(np.array(rho), unitaries, idx.n)
+    return float(np.real(beta.conj() @ rotated @ beta))
+
+
+def random_angles(rng, count):
+    return rng.uniform([0, 0, 0], [np.pi, 2 * np.pi, 2 * np.pi], size=(count, 3))
+
+
+@pytest.mark.parametrize("mode", ["shared", "per_qubit"])
+@pytest.mark.parametrize("case", ["w", "dicke", "random"])
+def test_returned_rotation_reproduces_overlap(mode, case, rng):
+    if case == "random":
+        state = random_density(3, rng)
+    else:
+        family = StateFamily.w() if case == "w" else StateFamily.dicke(2)
+        state = build_state(family, 4)
+    opts = OptimisationOptions(mode=mode, restarts=4, grid_density=8)
+    rot, idx, p = optimise_ghz_overlap(state, opts)
+    assert dense_overlap(state.rho, idx, rot.unitaries(state.n)) == pytest.approx(p, abs=1e-12)
+
+
+def symmetric_tensor(rng, n, terms=3):
+    """sum_r lambda_r v_r^{xn}: a permutation-symmetric (3,)*n tensor."""
+    out = np.zeros((3,) * n)
+    for lam, v in zip(rng.standard_normal(terms), rng.standard_normal((terms, 3))):
+        term = np.array(lam)
+        for _ in range(n):
+            term = np.multiply.outer(term, v)
+        out += term
+    return out / np.abs(out).max()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_shared_polynomial_matches_mode_contraction(n, rng):
+    angles = random_angles(rng, 16)
+    rows = np.swapaxes(so3_from_angles(angles), 0, 1)  # (3, G, 3)
+    rows = np.broadcast_to(rows[:, :, None, :], rows.shape[:2] + (n, 3)).reshape(-1, n, 3)
+    for bloch in (symmetric_tensor(rng, n), rng.uniform(-1, 1, size=(3,) * n)):
+        want = np.abs(contract_modes(bloch, rows).reshape(3, -1)).sum(axis=0)
+        got = _shared_objective(_shared_polynomial(bloch), angles)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert _shared_objective(_shared_polynomial(bloch), angles[0]) == pytest.approx(
+            want[0], abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_product_vector_overlap_matches_dense(n, rng):
+    rho = np.array(random_density(n, rng).rho)
+    for _ in range(3):
+        unitaries = [su2_from_angles(a) for a in random_angles(rng, n)]
+        for i in range(2 ** (n - 1)):
+            for sign in (1, -1):
+                idx = GHZBasisIndex(n, i, sign)
+                got = _overlap(rho, _ghz_bits(idx), sign, unitaries)
+                assert got == pytest.approx(dense_overlap(rho, idx, unitaries), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_screen_overlaps_match_dense_rotation(n, rng):
+    state = random_density(n, rng)
+    for angles in random_angles(rng, 4):
+        u = su2_from_angles(angles)
+        rotated = DenseState(n, apply_product_unitary(np.array(state.rho), [u] * n, n))
+        want = ghz_diagonalise(rotated).flat()
+        assert np.allclose(_screen_overlaps(np.array(state.rho), u, n), want, rtol=0, atol=1e-14)
+
+
+def test_polar_step_beats_random_rotations(rng):
+    for _ in range(5):
+        g = rng.standard_normal((3, 3))
+        o = _polar_rotation(g.T)
+        assert np.allclose(o @ o.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-12)
+        best = np.trace(o.T @ g)
+        others = np.einsum("rlm,lm->r", _random_rotations(rng, 200), g)
+        assert np.all(others <= best + 1e-12)
+        # the sign-class search sits on the same step
+        _, val = _best_rotation_for_matrix(g)
+        assert val >= np.abs(np.einsum("ij,ij->i", o, g)).sum() - 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_overlap_ascent_reaches_nelder_mead(n, rng):
+    for _ in range(2):
+        rho = np.array(random_density(n, rng).rho)
+        idx = GHZBasisIndex(n, int(rng.integers(2 ** (n - 1))), int(rng.choice([1, -1])))
+        bits = _ghz_bits(idx)
+        starts = [np.zeros((n, 3))] + [rng.uniform(0, np.pi, size=(n, 3)) for _ in range(2)]
+
+        beta = ghz_basis_vector(idx, n)
+
+        def neg(x):
+            u = kron_all([su2_from_angles(a) for a in x.reshape(n, 3)])
+            back = u.conj().T @ beta
+            return -float(np.real(back.conj() @ rho @ back))
+
+        ascent = max(_overlap_ascent(rho, bits, idx.sign, s)[1] for s in starts)
+        reference = max(
+            -minimize(neg, s.ravel(), method="Nelder-Mead",
+                      options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 5000}).fun
+            for s in starts
+        )
+        assert ascent >= reference - 1e-10

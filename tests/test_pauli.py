@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from entbound._linalg import apply_product_unitary, kron_all
+from dense_rotation import apply_product_unitary
+from entbound._linalg import kron_all
 from entbound.errors import ParameterError
 from entbound.pauli import (
     CorrelationTensor,
