@@ -91,7 +91,7 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition.
+    """Matrix square root of a Hermitian PSD matrix, or of a stack of them (..., m, m).
 
     Eigenvalues in (-1e-9, 0) are clamped to 0; anything more negative is a
     caller bug and raises.
@@ -100,4 +100,4 @@ def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     if w.min() < -1e-9:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

@@ -39,11 +39,11 @@ from .qstate import CorrelationTriple, DenseState
 
 _TWO_PI = 2 * math.pi
 
-#: convergence tolerance of the per-qubit triple ascent and of every Nelder-Mead refinement
+#: convergence tolerance of every Nelder-Mead refinement
 _REFINE_TOL = 1e-8
-#: sweep gain at which the per-qubit overlap ascent stops; 1e-8 left it up to
-#: 2.4e-10 below Nelder-Mead, this ends it within about 1e-12
-_OVERLAP_ASCENT_TOL = 1e-12
+#: sweep gain at which both per-qubit ascents stop; a 1e-8 stop left them up to
+#: 3.1e-8 below what the same starts reach, this ends them within about 1e-12
+_ASCENT_TOL = 1e-12
 #: sweep cap of both per-qubit ascents
 _MAX_SWEEPS = 500
 #: Nelder-Mead settings shared by the triple and overlap refinements
@@ -165,7 +165,7 @@ def _per_qubit_ascent(bloch: np.ndarray, starts: list) -> tuple[np.ndarray, floa
                 b = contract_modes(bloch, rows.reshape(9, n, 3))
                 os[k], _ = _best_rotation_for_matrix(b.reshape(3, 3))
             new_val = float(np.abs(contract_modes(bloch, np.swapaxes(os, 0, 1))).sum())
-            if new_val <= val + _REFINE_TOL:
+            if new_val <= val + _ASCENT_TOL:
                 val = max(val, new_val)
                 break
             val = new_val
@@ -296,7 +296,7 @@ def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndar
         for k in range(len(bits)):
             angles[k], new_val = _overlap_step(rho, bits, sign, unitaries, k)
             unitaries[k] = su2_from_angles(angles[k])
-        if new_val <= val + _OVERLAP_ASCENT_TOL:
+        if new_val <= val + _ASCENT_TOL:
             break
         val = new_val
     return angles, _overlap(rho, bits, sign, unitaries)

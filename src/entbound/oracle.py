@@ -2,11 +2,12 @@
 
 The octahedron oracle minimises a distance over a refined grid of separable
 triples: classical distances between GHZ-basis spectra where the target is
-diagonal in that basis (even n), matrix distances with an eigensolve per
-grid point otherwise. The GHZ-diagonal oracle minimises a classical distance
-over capped-simplex spectra, accepting the KKT point when a Frank-Wolfe
-duality gap certifies it and running projected descent otherwise. Neither
-touches the closed forms it checks.
+diagonal in that basis (even n), otherwise sums of distances over the 2x2
+blocks on the index pairs (i, 2^n - 1 - i) that every m3n density splits
+into. The GHZ-diagonal oracle minimises a classical distance over
+capped-simplex spectra, accepting the KKT point when a Frank-Wolfe duality
+gap certifies it and running projected descent otherwise. Neither touches
+the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -20,21 +21,17 @@ from scipy.optimize import linprog
 from ._linalg import hermitian_sqrt, pauli_power
 from .errors import CapacityError, ParameterError
 from .locc import GHZBasisIndex, GHZDiagonalState, ghz_basis_vector
-from .measures import DistanceKind, classical_distance, octahedron_excess
+from .measures import _EIG_ZERO, _SUPPORT_TOL, DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState, m3n_density
 
 _ORACLE_DENSE_CAP = 5
-
-_EIG_ZERO = 1e-12
-_SUPPORT_TOL = 1e-9
 
 #: deviation between a closed form and its oracle that counts as agreement
 _TOLERANCE = 1e-6
 #: random feasible starts, besides the analytic one, of the GHZ-diagonal descent
 _RESTARTS = 6
-#: matrix entries per batch of grid states: 1 MB per complex128 work array
-_BATCH_ENTRIES = 2**16
-#: largest off-diagonal or imaginary entry that still counts as GHZ-diagonal
+#: largest entry that still counts as zero where a structure is certified: off
+#: the GHZ diagonal, imaginary on it, or outside the 2x2 pair blocks
 _DIAGONAL_TOL = 1e-12
 #: Frank-Wolfe gap below which the analytic GHZ-diagonal candidate is accepted
 _GAP_TOL = 1e-12
@@ -54,16 +51,31 @@ class OracleConfig:
             raise ParameterError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
 
 
-# -- batched distances over m3n grids -------------------------------------------
+# -- distances over m3n grids on 2x2 pair blocks ------------------------------
 
-def _batch_m3n(triples: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense matrices of many triples at once, shape (G, 2^n, 2^n), in ``out`` if given."""
+def _pair_blocks(mats: np.ndarray, n: int):
+    """Blocks (..., 2^(n-1), 2, 2) of ``mats`` (..., 2^n, 2^n) on the pairs (k, 2^n - 1 - k).
+
+    None when any entry off the diagonal and the anti-diagonal exceeds 1e-12,
+    so that the matrices are not the direct sum of their blocks.
+    """
     dim = 2**n
-    paulis = np.stack([pauli_power(j, n) for j in (1, 2, 3)])
-    out = np.einsum("gj,jab->gab", triples, paulis, out=out)
-    out += np.eye(dim)[None, :, :]
-    out /= dim
-    return out
+    low = np.arange(dim // 2)
+    pairs = np.stack([low, dim - 1 - low], axis=1)
+    rows, cols = pairs[:, :, None], pairs[:, None, :]
+    rest = np.array(mats)
+    rest[..., rows, cols] = 0.0
+    if np.abs(rest).max() > _DIAGONAL_TOL:
+        return None
+    return mats[..., rows, cols]
+
+
+def _eigvals_2x2(m: np.ndarray):
+    """Eigenvalues (lower, upper) of Hermitian 2x2 matrices of shape (..., 2, 2)."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
+    return mean - radius, mean + radius
 
 
 def _xlog2_vec(x: np.ndarray) -> np.ndarray:
@@ -73,64 +85,41 @@ def _xlog2_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_distance(
-    rho: np.ndarray, batch: np.ndarray, kind: DistanceKind, work=None
-) -> np.ndarray:
-    """Distances from one state to a stack of states; matches matrix_distance.
+def _batch_distance(rho: np.ndarray, batch: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """Distances from one block-diagonal state to a stack of them; matches matrix_distance.
 
-    ``work`` is a pair of arrays shaped like ``batch`` that receive the batched
-    intermediates (allocated when not given); ``batch`` itself is left as is.
+    ``rho`` holds the K diagonal 2x2 blocks of the state, shape (K, 2, 2), and
+    ``batch`` those of G states, shape (G, K, 2, 2). Every distance is a sum
+    of traces over the blocks, so no 2^n x 2^n matrix is formed; trace
+    distance and the fidelities take closed-form 2x2 eigenvalues.
     """
-    w1, w2 = work if work is not None else (np.empty_like(batch), np.empty_like(batch))
     if kind is DistanceKind.TRACE:
-        w = np.linalg.eigvalsh(np.subtract(batch, rho[None], out=w1))
-        return 0.5 * np.sum(np.abs(w), axis=1)
+        lo, hi = _eigvals_2x2(batch - rho[None])
+        return 0.5 * np.sum(np.abs(lo) + np.abs(hi), axis=1)
     if kind is DistanceKind.RELATIVE_ENTROPY:
         wa = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         ent_a = float(np.sum(_xlog2_vec(wa)))
         wb, vb = np.linalg.eigh(batch)
         wb = np.clip(wb, 0.0, None)
-        overlaps = np.einsum("gji,jk,gki->gi", np.conjugate(vb, out=w1), rho, vb)
+        overlaps = np.einsum("gkji,kjl,gkli->gki", vb.conj(), rho, vb)
         overlaps = np.clip(np.real(overlaps), 0.0, None)
         null = wb <= _EIG_ZERO
-        leak = np.sum(np.where(null, overlaps, 0.0), axis=1)
+        leak = np.sum(np.where(null, overlaps, 0.0), axis=(1, 2))
         logs = np.where(null, 0.0, np.log2(np.where(null, 1.0, wb)))
-        cross = np.sum(np.where(null, 0.0, overlaps) * logs, axis=1)
+        cross = np.sum(np.where(null, 0.0, overlaps) * logs, axis=(1, 2))
         vals = np.maximum(ent_a - cross, 0.0)
         vals[leak > _SUPPORT_TOL] = np.inf
         return vals
-    if kind is DistanceKind.SQUARED_HELLINGER:
-        sa = hermitian_sqrt(rho)
-        wb, vb = np.linalg.eigh(batch)
-        wb = np.sqrt(np.clip(wb, 0.0, None))
-        sqrtb = np.einsum("gik,gk,gjk->gij", vb, wb, np.conjugate(vb, out=w1), out=w2)
-        affinity = np.real(np.einsum("ij,gji->g", sa, sqrtb))
-        return np.maximum(2.0 * (1.0 - affinity), 0.0)
     sa = hermitian_sqrt(rho)
-    m = np.matmul(np.matmul(sa[None], batch, out=w1), sa[None], out=w2)
-    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    root_f = np.minimum(np.sum(np.sqrt(w), axis=1), 1.0)
+    if kind is DistanceKind.SQUARED_HELLINGER:
+        affinity = np.real(np.einsum("kij,gkji->g", sa, hermitian_sqrt(batch)))
+        return np.maximum(2.0 * (1.0 - affinity), 0.0)
+    lo, hi = _eigvals_2x2(sa[None] @ batch @ sa[None])
+    roots = np.sqrt(np.clip(lo, 0.0, None)) + np.sqrt(np.clip(hi, 0.0, None))
+    root_f = np.minimum(np.sum(roots, axis=1), 1.0)
     if kind is DistanceKind.INFIDELITY:
         return np.maximum(1.0 - root_f**2, 0.0)
     return np.maximum(2.0 * (1.0 - root_f), 0.0)
-
-
-def _grid_distances(rho: np.ndarray, pts: np.ndarray, n: int, kind: DistanceKind,
-                    work: np.ndarray) -> np.ndarray:
-    """Distances from rho to the m3n states of the triples ``pts``, batch by batch.
-
-    ``work`` has shape (3, B, 2^n, 2^n): the batch and its two intermediates,
-    B matrices at a time, reused by every batch and face. Each matrix is solved
-    on its own, so the batching leaves every value unchanged; it keeps the
-    working set at a few MB whatever the grid size.
-    """
-    step = work.shape[1]
-    vals = []
-    for i in range(0, pts.shape[0], step):
-        g = min(step, pts.shape[0] - i)
-        batch = _batch_m3n(pts[i:i + g], n, out=work[0, :g])
-        vals.append(_batch_distance(rho, batch, kind, work=(work[1, :g], work[2, :g])))
-    return np.concatenate(vals)
 
 
 def _face_points(signs, center, halfwidth, resolution) -> np.ndarray:
@@ -200,8 +189,9 @@ def brute_min_over_octahedron(
     shrinks the grid by a factor 4 per refinement round. When the state is
     diagonal in the GHZ basis (even n) the distances are classical distances
     between spectra, and every face is refined around its own coarse minimum;
-    otherwise they are matrix distances, and only the incumbent's face is
-    refined. Separable inputs return 0 (the state itself is feasible).
+    otherwise (odd n) they are sums over the 2x2 pair blocks of rho and of
+    the grid states, and only the incumbent's face is refined. Separable
+    inputs return 0 (the state itself is feasible).
     """
     cfg = cfg or OracleConfig()
     if state.n > _ORACLE_DENSE_CAP:
@@ -216,10 +206,16 @@ def brute_min_over_octahedron(
         def distances(pts):
             return classical_distance(p, (1.0 + pts @ d) / rho.shape[0], kind)
     else:
-        work = np.empty((3, max(1, _BATCH_ENTRIES // rho.size)) + rho.shape, dtype=complex)
+        mats = np.stack([rho] + [pauli_power(j, state.n) for j in (1, 2, 3)])
+        blocks = _pair_blocks(mats, state.n)
+        if blocks is None:
+            raise RuntimeError("m3n density is not block-diagonal on the index pairs")
+        rho_blocks, paulis = blocks[0], blocks[1:].reshape(3, -1) / rho.shape[0]
+        identity = np.tile(np.eye(2).ravel(), len(rho_blocks)) / rho.shape[0]
 
         def distances(pts):
-            return _grid_distances(rho, pts, state.n, kind, work)
+            batch = (pts @ paulis + identity).reshape((-1,) + rho_blocks.shape)
+            return _batch_distance(rho_blocks, batch, kind)
 
     minima = []
     for signs in _FACES:
@@ -227,7 +223,7 @@ def brute_min_over_octahedron(
         vals = distances(pts)
         g = int(np.argmin(vals))
         minima.append((float(vals[g]), signs, bary[g]))
-    if spectra is None:  # an eigensolve per grid point: refine the incumbent's face only
+    if spectra is None:  # odd n: refine the incumbent's face only
         minima = [min(minima, key=lambda m: m[0])]
     return min(_refine_face(distances, signs, bary, val, cfg) for val, signs, bary in minima)
 

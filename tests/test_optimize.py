@@ -5,6 +5,7 @@ from scipy.optimize import minimize
 from conftest import random_density
 from dense_rotation import apply_product_unitary
 from entbound._linalg import kron_all
+from entbound import optimize
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
 from entbound.optimize import (
@@ -13,6 +14,7 @@ from entbound.optimize import (
     _ghz_bits,
     _overlap,
     _overlap_ascent,
+    _per_qubit_ascent,
     _polar_rotation,
     _random_rotations,
     _screen_overlaps,
@@ -279,3 +281,17 @@ def test_overlap_ascent_reaches_nelder_mead(n, rng):
             for s in starts
         )
         assert ascent >= reference - 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_per_qubit_ascent_runs_to_convergence(n, rng, monkeypatch):
+    # a stop at 1e-8 sweep gain ended the triple ascent up to 3.1e-8 short; the
+    # 1e-12 stop ends it at most 2.4e-12 short on 100 random densities
+    for _ in range(4):
+        bloch = correlation_tensor(random_density(n, rng)).bloch
+        starts = [np.tile(np.eye(3), (n, 1, 1))] + [_random_rotations(rng, n) for _ in range(3)]
+        val = _per_qubit_ascent(bloch, starts)[1]
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_ASCENT_TOL", 1e-14)
+            tight = _per_qubit_ascent(bloch, starts)[1]
+        assert abs(tight - val) <= 1e-11

@@ -11,6 +11,9 @@ from conftest import (
 )
 from entbound.errors import CapacityError, ParameterError
 from entbound.locc import GHZDiagonalState, m3nfy
+from scipy.linalg import logm, sqrtm
+
+from entbound._linalg import pauli_power
 from entbound.measures import (
     ALL_DISTANCES,
     DistanceKind,
@@ -20,7 +23,6 @@ from entbound.measures import (
     entanglement_m3n,
     genuine_from_overlap,
     genuine_ghz_diag,
-    matrix_distance,
     octahedron_excess,
 )
 from entbound import oracle
@@ -28,33 +30,110 @@ from entbound.oracle import (
     OracleConfig,
     _analytic_candidate,
     _batch_distance,
-    _batch_m3n,
     _face_points,
     _fw_gap,
     _ghz_spectra,
-    _grid_distances,
+    _pair_blocks,
     _project_capped_simplex,
     _surrogate,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
 )
-from entbound.qstate import CorrelationTriple, DenseState, M3NState, m3n_density
+from entbound.qstate import CorrelationTriple, M3NState, m3n_density
 from proof_channels import apply_lambda_pq, apply_omega, check_translation_invariance, corner_triple
 
 FAST = OracleConfig(grid_resolution=16, refine_rounds=4)
 
 
+def _dense_grid(pts, n):
+    """Dense m3n matrices (I + x . sigma^{xn}) / 2^n of the triples ``pts``."""
+    paulis = np.stack([pauli_power(j, n) for j in (1, 2, 3)])
+    return (np.eye(2**n) + np.einsum("gj,jab->gab", pts, paulis)) / 2**n
+
+
+def _dense_reference(rho, sigma, kind):
+    """One distance between two full-rank density matrices by scipy's sqrtm and logm."""
+    if kind is DistanceKind.TRACE:
+        diff = rho - sigma
+        return 0.5 * np.trace(sqrtm(diff @ diff)).real
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        return np.trace(rho @ (logm(rho) - logm(sigma))).real / math.log(2)
+    if kind is DistanceKind.SQUARED_HELLINGER:
+        return 2.0 * (1.0 - np.trace(sqrtm(rho) @ sqrtm(sigma)).real)
+    sa = sqrtm(rho)
+    root_f = np.trace(sqrtm(sa @ sigma @ sa)).real
+    if kind is DistanceKind.INFIDELITY:
+        return 1.0 - root_f**2
+    return 2.0 * (1.0 - root_f)
+
+
 def test_batched_distance_matches_reference(rng):
-    st = random_m3n_inside_tetra(3, rng)
-    rho = m3n_density(st)
-    triples = np.array(
-        [random_m3n_inside_tetra(3, rng).c.as_array() for _ in range(6)]
-    )
-    batch = _batch_m3n(triples, 3)
-    for kind in ALL_DISTANCES:
-        got = _batch_distance(np.array(rho.rho), batch, kind)
-        want = [matrix_distance(rho, DenseState(3, b), kind) for b in batch]
-        assert np.allclose(got, want, atol=1e-10)
+    # the block kernel against dense distances computed an independent way
+    for n in (2, 3, 4, 5):
+        while True:
+            rho = np.array(m3n_density(random_m3n_inside_tetra(n, rng)).rho)
+            if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
+                break
+        # at even n one of these faces lies on the tetrahedron, so its states are singular
+        pts = np.concatenate([_face_points(s, (0.5, 0.5), 0.5, 8)[0] for s in ((1, 1, 1), (1, -1, 1))])
+        dense = _dense_grid(pts, n)
+        full = np.linalg.eigvalsh(dense).min(axis=1) > 1e-6
+        assert full.sum() >= 15
+        for kind in ALL_DISTANCES:
+            got = _batch_distance(_pair_blocks(rho, n), _pair_blocks(dense, n), kind)
+            want = [_dense_reference(rho, sigma, kind) for sigma in dense[full]]
+            assert np.allclose(got[full], want, rtol=0.0, atol=1e-10), (n, kind)
+
+
+def test_pair_blocks_reassemble_the_matrix(rng):
+    for n in (2, 3, 4, 5):
+        dim = 2**n
+        rho = np.array(m3n_density(random_m3n_inside_tetra(n, rng)).rho)
+        blocks = _pair_blocks(rho, n)
+        assert blocks.shape == (dim // 2, 2, 2)
+        dense = np.zeros_like(rho)
+        for k, block in enumerate(blocks):
+            pair = [k, dim - 1 - k]
+            dense[np.ix_(pair, pair)] = block
+        assert np.array_equal(dense, rho)
+    assert _pair_blocks(np.array(random_density(3, rng).rho), 3) is None
+
+
+def test_block_trace_grid_matches_dense_eigensolve(monkeypatch, rng):
+    # the oracle's first call scores face (+,+,+) at the coarse resolution
+    recorded = []
+    inner = oracle._batch_distance
+
+    def wrapped(rho_blocks, batch, kind):
+        vals = inner(rho_blocks, batch, kind)
+        recorded.append(vals)
+        return vals
+
+    monkeypatch.setattr(oracle, "_batch_distance", wrapped)
+    for n in (3, 5):
+        state = random_m3n_outside_octahedron(n, rng)
+        recorded.clear()
+        brute_min_over_octahedron(state, DistanceKind.TRACE, OracleConfig(12, 0))
+        pts, _ = _face_points((1, 1, 1), (0.5, 0.5), 0.5, 12)
+        diff = _dense_grid(pts, n) - np.array(m3n_density(state).rho)
+        want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+        assert np.allclose(recorded[0], want, rtol=0.0, atol=1e-13), n
+
+
+@pytest.mark.parametrize(
+    "n, triple, resolution, want",
+    [
+        (3, (-0.470182, -0.590013, 0.056669), 40, 0.033735849342840206),
+        (3, (-0.796659, 0.157023, 0.213181), 40, 0.04816931664038389),
+        (3, (-0.490718, -0.613748, 0.121092), 40, 0.06511310480191614),
+        (5, (-0.695964, -0.320874, -0.547274), 24, 0.16284513266866468),
+    ],
+)
+def test_odd_octahedron_oracle_values_pinned(n, triple, resolution, want):
+    # the values a dense eigensolve per grid point gave
+    state = M3NState(n, CorrelationTriple(*triple))
+    got = brute_min_over_octahedron(state, DistanceKind.TRACE, OracleConfig(resolution, 3))
+    assert abs(got - want) < 1e-12
 
 
 def test_octahedron_oracle_even_vertex():
@@ -223,15 +302,14 @@ def test_spectral_grid_matches_matrix_grid(kind, rng):
     for n in (2, 4):
         rho = np.array(m3n_density(random_m3n_outside_octahedron(n, rng)).rho)
         p, d = _ghz_spectra(rho, n)
-        work = np.empty((3, 64) + rho.shape, dtype=complex)
         for signs in ((1, 1, 1), (-1, 1, -1), (1, -1, 1)):
             pts, _ = _face_points(signs, (0.5, 0.5), 0.5, 10)
             q = (1.0 + pts @ d) / 2**n
             spectral = classical_distance(p, q, kind)
-            matrix = _grid_distances(rho, pts, n, kind, work)
+            matrix = _batch_distance(_pair_blocks(rho, n), _pair_blocks(_dense_grid(pts, n), n), kind)
             full = np.all(q > 1e-6, axis=1)
             assert np.allclose(spectral[full], matrix[full], rtol=0.0, atol=1e-12), (n, signs)
-            # at rank-deficient grid states the matrix path takes square roots of
+            # at rank-deficient grid states the block path takes square roots of
             # eigenvalues that are rounding noise around 0, about 1e-8 each
             atol = 1e-12 if kind in (DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY) else 1e-7
             assert np.allclose(spectral, matrix, rtol=0.0, atol=atol), (n, signs)
@@ -246,7 +324,7 @@ def test_ghz_spectra_only_where_diagonal():
 def test_octahedron_oracle_falls_back_when_not_diagonal(monkeypatch):
     state = M3NState(4, CorrelationTriple(0.7, 0.5, 0.3))
     formula = entanglement_from_excess(octahedron_excess(state.c), DistanceKind.INFIDELITY)
-    calls = _count_calls(monkeypatch, "_grid_distances")
+    calls = _count_calls(monkeypatch, "_batch_distance")
     spectral = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
     assert not calls
     # in the computational basis the anti-diagonal of rho fails the check
@@ -254,6 +332,9 @@ def test_octahedron_oracle_falls_back_when_not_diagonal(monkeypatch):
     matrix = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
     assert calls
     assert abs(matrix - formula) < 5e-4 and abs(spectral - formula) < 5e-4
+    monkeypatch.setattr(oracle, "_pair_blocks", lambda mats, n: None)
+    with pytest.raises(RuntimeError):
+        brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
 
 
 def _test_spectra(rng):

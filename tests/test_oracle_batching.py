@@ -1,35 +1,10 @@
-"""The octahedron oracle evaluates its grid in fixed-size batches."""
+"""The octahedron oracle keeps its working set to a few MB at grid resolution 60."""
 
 import tracemalloc
 
-import numpy as np
-
-from conftest import random_m3n_inside_tetra
-from entbound.measures import ALL_DISTANCES, DistanceKind
-from entbound.oracle import (
-    OracleConfig,
-    _batch_distance,
-    _batch_m3n,
-    _face_points,
-    _grid_distances,
-    brute_min_over_octahedron,
-)
-from entbound.qstate import CorrelationTriple, M3NState, m3n_density
-
-
-def test_grid_batches_match_one_batch(rng):
-    # batching the grid through reused work arrays leaves every distance
-    # bit-identical to one batch over all points, and the batch unmodified
-    pts, _ = _face_points((1, -1, 1), (0.5, 0.5), 0.5, 12)
-    for n in (2, 3, 4):
-        rho = np.array(m3n_density(random_m3n_inside_tetra(n, rng)).rho)
-        batch = _batch_m3n(pts, n)
-        for kind in ALL_DISTANCES:
-            want = _batch_distance(rho, batch, kind)
-            for step in (1, 5, pts.shape[0]):
-                work = np.empty((3, step) + rho.shape, dtype=complex)
-                assert np.array_equal(_grid_distances(rho, pts, n, kind, work), want)
-        assert np.array_equal(batch, _batch_m3n(pts, n))
+from entbound.measures import DistanceKind
+from entbound.oracle import OracleConfig, brute_min_over_octahedron
+from entbound.qstate import CorrelationTriple, M3NState
 
 
 def test_octahedron_oracle_working_set_is_bounded():
@@ -40,6 +15,20 @@ def test_octahedron_oracle_working_set_is_bounded():
     tracemalloc.start()
     try:
         brute_min_over_octahedron(state, DistanceKind.SQUARED_HELLINGER, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_odd_octahedron_oracle_working_set_is_bounded():
+    # at n=5 a face of 1891 grid states is 1891 x 16 pair blocks of 2x2,
+    # about 2 MB; as dense 32x32 matrices it would be 31 MB
+    state = M3NState(5, CorrelationTriple(-0.695964, -0.320874, -0.547274))
+    cfg = OracleConfig(grid_resolution=60, refine_rounds=0)
+    tracemalloc.start()
+    try:
+        brute_min_over_octahedron(state, DistanceKind.TRACE, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
