@@ -3,16 +3,22 @@
 Two objectives: the rotated-correlation sum |c~1|+|c~2|+|c~3| feeding the
 global/partial lower bound, and the largest GHZ-basis overlap feeding the
 genuine bound. Both are non-smooth and multimodal, so every search runs from
-several starts.
+several starts, and all starts of a search run in lockstep: one batched
+objective call per step covers every start still running.
 
 - Per-qubit mode, either objective: closed-form coordinate ascent. With
   every other qubit fixed, the objective is linear in one qubit's SO(3)
   matrix (per sign class, for the correlation sum), so each step takes the
-  proper polar factor of a 3x3 matrix.
-- Shared mode, either objective: a coarse angle grid, then Nelder-Mead from
-  the best grid points. The correlation sum is a degree-n polynomial in the
-  rows of the shared SO(3) matrix; the overlap reads rho against two product
-  vectors. Neither builds a rotated state.
+  proper polar factor of a 3x3 matrix. The correlation-sum ascent steps
+  every start at once, one mode contraction per qubit and one batched SVD.
+- Shared mode, either objective: a coarse angle grid screened in one batch,
+  then :func:`minimize`, an in-package Nelder-Mead that runs every start
+  together. The correlation sum is a degree-n polynomial in the rows of the
+  shared SO(3) matrix; the overlap reads rho against two product vectors.
+  Neither builds a rotated state.
+
+Batches grow with the starts, the grid and n, so they run in chunks of at
+most ``_CHUNK_ENTRIES`` matrix entries. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._linalg import SIGMA_STACK, contract_qubit_pairs
+from ._linalg import SIGMA_STACK
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise
 from .pauli import (
@@ -46,10 +51,11 @@ _REFINE_TOL = 1e-8
 _ASCENT_TOL = 1e-12
 #: sweep cap of both per-qubit ascents
 _MAX_SWEEPS = 500
-#: Nelder-Mead settings shared by the triple and overlap refinements
-_NELDER_MEAD = {"xatol": _REFINE_TOL, "fatol": _REFINE_TOL, "maxiter": 10 * _MAX_SWEEPS}
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
+#: matrix entries one batched step may hold; starts and grid points beyond it
+#: run in chunks (at n <= 8 the 32 default per-qubit starts fit in one)
+_CHUNK_ENTRIES = 1 << 20
 
 #: sign classes for the per-qubit closed-form update; -s duplicates s under |.|
 _SIGN_CLASSES = np.array(
@@ -84,6 +90,113 @@ def _shared_grid(density: int) -> np.ndarray:
     return np.vstack([[0.0, 0.0, 0.0], grid])
 
 
+def _chunks(count: int, per_row: int) -> list[slice]:
+    """Slices covering range(count), of _CHUNK_ENTRIES // per_row rows each (at least one)."""
+    step = max(1, _CHUNK_ENTRIES // per_row)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+# -- lockstep Nelder-Mead ---------------------------------------------------------
+
+#: scipy's non-adaptive coefficients: reflection, expansion, contraction, shrink
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+#: initial simplex: each coordinate grows by 5%, or becomes 0.00025 when zero
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Best vertex ``x`` (S, dim) and value ``fun`` (S,) of every run.
+
+    ``nfev`` counts every point evaluated and ``nit`` every iteration, summed
+    over the runs.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    nit: int
+
+
+def minimize(fun, starts, maxiter: int = 10 * _MAX_SWEEPS) -> MinimizeResult:
+    """Minimise from every start at once; ``fun(run_ids, points)`` gives one value per row.
+
+    Row by row this is scipy's non-adaptive Nelder-Mead: the same initial
+    simplex, steps and np.argsort ordering. A run stops once its simplex
+    and its values each span at most _REFINE_TOL (scipy's xatol and fatol),
+    or at ``maxiter`` iterations, and is then frozen. Each iteration calls ``fun``
+    at most three times, on the reflections, on the expansions and
+    contractions, and on the shrinks of the runs still going.
+    """
+    x0 = np.array(starts, dtype=float)
+    runs, dim = x0.shape
+    nfev = 0
+
+    def evaluate(ids, points):
+        nonlocal nfev
+        nfev += len(ids)
+        return np.asarray(fun(ids, points), dtype=float)
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim, axis=1)
+        return (np.take_along_axis(sim, order[:, :, None], axis=1),
+                np.take_along_axis(fsim, order, axis=1))
+
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for k in range(dim):
+        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + _NM_NONZDELT) * x0[:, k], _NM_ZDELT)
+    fsim = evaluate(np.repeat(np.arange(runs), dim + 1), sim.reshape(-1, dim))
+    fsim = fsim.reshape(runs, dim + 1)
+    # scipy sorts the first simplex twice; with ties the second sort may reorder
+    sim, fsim = ordered(*ordered(sim, fsim))
+
+    iters = np.ones(runs, dtype=int)
+    live = np.flatnonzero(iters < maxiter)
+    while live.size:
+        s, f = sim[live], fsim[live]
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _REFINE_TOL) & (
+            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _REFINE_TOL
+        )
+        live, s, f = live[~done], s[~done], f[~done]
+        if not live.size:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / dim
+        worst = s[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = evaluate(live, xr)
+        expand = fxr < f[:, 0]
+        contract = ~expand & ~(fxr < f[:, -2])
+        outside = contract & (fxr < f[:, -1])
+        xe = (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst
+        xc = (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst
+        xcc = (1 - _NM_PSI) * xbar + _NM_PSI * worst
+        trial = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
+        ftrial = np.full(live.size, np.inf)
+        probe = np.flatnonzero(expand | contract)
+        if probe.size:
+            ftrial[probe] = evaluate(live[probe], trial[probe])
+        take = (
+            (expand & (ftrial < fxr))
+            | (outside & (ftrial <= fxr))
+            | (contract & ~outside & (ftrial < f[:, -1]))
+        )
+        shrink = contract & ~take
+        keep = ~shrink
+        s[keep, -1] = np.where(take[keep, None], trial[keep], xr[keep])
+        f[keep, -1] = np.where(take[keep], ftrial[keep], fxr[keep])
+        shrunk = np.flatnonzero(shrink)
+        if shrunk.size:
+            best = s[shrunk, :1]
+            s[shrunk, 1:] = best + _NM_SIGMA * (s[shrunk, 1:] - best)
+            f[shrunk, 1:] = evaluate(
+                np.repeat(live[shrunk], dim), s[shrunk, 1:].reshape(-1, dim)
+            ).reshape(-1, dim)
+        iters[live] += 1
+        sim[live], fsim[live] = ordered(s, f)
+        live = live[iters[live] < maxiter]
+    return MinimizeResult(sim[:, 0].copy(), fsim.min(axis=1), nfev, int(iters.sum()))
+
+
 # -- correlation-sum objective ----------------------------------------------------
 
 def _shared_polynomial(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,34 +227,44 @@ def _shared_objective(poly: tuple[np.ndarray, np.ndarray], angles: np.ndarray) -
     shape (..., 3) give values of shape (...).
     """
     coef, exps = poly
-    rows = so3_from_angles(angles)  # rows[..., i, :] is row i of O
-    powers = rows[..., None] ** np.arange(exps.max() + 1)
-    terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
-    return np.abs(terms @ coef).sum(axis=-1)
+    angles = np.asarray(angles, dtype=float)
+    flat = angles.reshape(-1, 3)
+    degree = int(exps.max()) + 1
+    out = np.empty(len(flat))
+    for chunk in _chunks(len(flat), 3 * (len(coef) + 3 * degree)):
+        rows = so3_from_angles(flat[chunk])  # rows[:, i, :] is row i of O
+        powers = rows[..., None] ** np.arange(degree)
+        terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
+        out[chunk] = np.abs(terms @ coef).sum(axis=-1)
+    return out.reshape(angles.shape[:-1])
 
 
 def _polar_rotation(m: np.ndarray) -> np.ndarray:
-    """The O in SO(3) maximising Tr(O m): the proper polar factor of m^T."""
+    """The O in SO(3) maximising Tr(O m): the proper polar factor of m^T.
+
+    Stacks of shape (..., 3, 3) give one factor per matrix.
+    """
     u, _, vt = np.linalg.svd(m)
-    o = (u @ vt).T
-    if np.linalg.det(o) < 0:
-        o = (u @ np.diag([1.0, 1.0, -1.0]) @ vt).T
-    return o
+    o = np.swapaxes(u @ vt, -1, -2)
+    flipped = np.swapaxes(u @ np.diag([1.0, 1.0, -1.0]) @ vt, -1, -2)
+    return np.where((np.linalg.det(o) < 0)[..., None, None], flipped, o)
 
 
-def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, float]:
+def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """argmax over O in SO(3) of sum_i |sum_j O_ij b_ij|, in closed form.
 
     For each sign class the signed objective is a linear functional of O,
-    maximised by a sign-corrected polar factor.
+    maximised by a sign-corrected polar factor; the first best class wins.
+    Stacks of shape (..., 3, 3) give rotations (..., 3, 3) and values (...).
     """
-    best_o, best_val = None, -np.inf
-    for s in _SIGN_CLASSES:
-        o = _polar_rotation(b.T * s[None, :])  # objective = Tr(O B^T diag(s))
-        val = float(np.sum(np.abs(np.einsum("ij,ij->i", o, b))))
-        if val > best_val:
-            best_o, best_val = o, val
-    return best_o, best_val
+    # objective of class s = Tr(O B^T diag(s))
+    os = _polar_rotation(np.swapaxes(b, -1, -2)[..., None, :, :] * _SIGN_CLASSES[:, None, :])
+    vals = np.abs(np.einsum("...ij,...ij->...i", os, b[..., None, :, :])).sum(axis=-1)
+    best = np.argmax(vals, axis=-1)[..., None]
+    return (
+        np.take_along_axis(os, best[..., None, None], axis=-3)[..., 0, :, :],
+        np.take_along_axis(vals, best, axis=-1)[..., 0],
+    )
 
 
 def _random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -150,28 +273,38 @@ def _random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
     return q
 
 
-def _per_qubit_ascent(bloch: np.ndarray, starts: list) -> tuple[np.ndarray, float]:
-    """Coordinate ascent over qubits on (n, 3, 3) rotation stacks."""
+def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
+    """Coordinate ascent over qubits on (n, 3, 3) rotation stacks, every start in lockstep.
+
+    Each start sweeps until a sweep gains at most _ASCENT_TOL (or for
+    _MAX_SWEEPS sweeps) and is then frozen; starts run in chunks under
+    _CHUNK_ENTRIES. Returns the first best start's stack and its value.
+    """
     n = bloch.ndim
-    best_os, best_val = None, -np.inf
-    for os_init in starts:
-        os = os_init.copy()
-        val = -np.inf
+    os = np.array(starts, dtype=float)
+    vals = np.full(len(os), -np.inf)
+    for chunk in _chunks(len(os), 9 * 3 ** (n - 1)):
+        live = np.arange(len(os))[chunk]
         for _ in range(_MAX_SWEEPS):
+            cur = os[live]
             for k in range(n):
-                # b[i, j]: row i of every other qubit's rotation, unit row e_j on qubit k
-                rows = np.broadcast_to(np.swapaxes(os, 0, 1)[:, None], (3, 3, n, 3)).copy()
-                rows[:, :, k] = np.eye(3)
-                b = contract_modes(bloch, rows.reshape(9, n, 3))
-                os[k], _ = _best_rotation_for_matrix(b.reshape(3, 3))
-            new_val = float(np.abs(contract_modes(bloch, np.swapaxes(os, 0, 1))).sum())
-            if new_val <= val + _ASCENT_TOL:
-                val = max(val, new_val)
+                # b[s, i, j]: row i of every other qubit's rotation, unit row e_j on qubit k
+                rows = np.broadcast_to(
+                    np.swapaxes(cur, 1, 2)[:, :, None], (len(live), 3, 3, n, 3)
+                ).copy()
+                rows[:, :, :, k] = np.eye(3)
+                b = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(-1, 3, 3)
+                cur[:, k] = _best_rotation_for_matrix(b)[0]
+            diag = contract_modes(bloch, np.swapaxes(cur, 1, 2).reshape(-1, n, 3))
+            new = np.abs(diag).reshape(-1, 3).sum(axis=1)
+            os[live] = cur
+            stop = new <= vals[live] + _ASCENT_TOL
+            vals[live] = np.where(stop, np.maximum(vals[live], new), new)
+            live = live[~stop]
+            if not live.size:
                 break
-            val = new_val
-        if val > best_val:
-            best_os, best_val = os, val
-    return best_os, best_val
+    best = int(np.argmax(vals))
+    return os[best], float(vals[best])
 
 
 def optimise_triple(
@@ -200,15 +333,11 @@ def optimise_triple(
         values = _shared_objective(poly, grid)
         order = np.argsort(values)[::-1]
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]
-
-        def neg(angles):
-            return -_shared_objective(poly, angles)
-
+        res = minimize(lambda _, angles: -_shared_objective(poly, angles), starts)
         best_angles, best_val = grid[0], values[0]
-        for start in starts:
-            res = minimize(neg, start, method="Nelder-Mead", options=_NELDER_MEAD)
-            if -res.fun > best_val + 1e-15:
-                best_angles, best_val = res.x, -res.fun
+        for x, neg in zip(res.x, res.fun):
+            if -neg > best_val + 1e-15:
+                best_angles, best_val = x, -neg
         canonical = so3_to_angles(so3_from_angles(best_angles))
         rotation = LocalRotation.from_shared(canonical)
     else:
@@ -241,24 +370,38 @@ def _ghz_bits(idx: GHZBasisIndex) -> np.ndarray:
 
 
 def _product_vector(factors) -> np.ndarray:
-    """Kronecker product of 2-vectors, qubit 0 leftmost."""
+    """Kronecker product of 2-vectors, qubit 0 leftmost; factors (..., 2) give (..., 2^n)."""
     out = np.ones(1, dtype=complex)
     for f in factors:
-        out = (out[:, None] * f[None, :]).ravel()
+        out = (out[..., :, None] * f[..., None, :]).reshape(f.shape[:-1] + (-1,))
     return out
 
 
-def _rotated_beta(bits: np.ndarray, sign: int, unitaries) -> np.ndarray:
-    """U^dag beta for beta = (|x> + sign |~x>)/sqrt(2); U^dag|y> is row y of conj(U)."""
-    a = _product_vector([u[x].conj() for u, x in zip(unitaries, bits)])
-    b = _product_vector([u[1 - x].conj() for u, x in zip(unitaries, bits)])
-    return (a + sign * b) / math.sqrt(2)
+def _rotated_beta(bits: np.ndarray, sign, unitaries) -> np.ndarray:
+    """U^dag beta for beta = (|x> + sign |~x>)/sqrt(2); U^dag|y> is row y of conj(U).
+
+    Batched too: bits (B, n), sign (B,) and unitaries (B, 2, 2) give (B, 2^n).
+    """
+    rows = (np.arange(len(bits)),) if np.ndim(bits) == 2 else ()
+    per_qubit = list(zip(unitaries, np.transpose(bits)))
+    a = _product_vector([u[(*rows, x)].conj() for u, x in per_qubit])
+    b = _product_vector([u[(*rows, 1 - x)].conj() for u, x in per_qubit])
+    return (a + np.asarray(sign)[..., None] * b) / math.sqrt(2)
 
 
 def _overlap(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries) -> float:
     """<beta| U rho U^dag |beta> for the product unitary U = U_1 x ... x U_n."""
     v = _rotated_beta(bits, sign, unitaries)
     return float(np.real(np.vdot(v, rho @ v)))
+
+
+def _shared_overlaps(rho: np.ndarray, bits: np.ndarray, signs: np.ndarray, angles) -> np.ndarray:
+    """<beta|U rho U^dag|beta> with U = u^{xn} for one angle triple u per row.
+
+    Row r reads the GHZ basis vector of bits[r] (shape (n,)) and signs[r].
+    """
+    v = _rotated_beta(bits, signs, [su2_from_angles(angles)] * bits.shape[-1])
+    return np.einsum("ri,ri->r", v.conj(), v @ rho.T).real
 
 
 def _overlap_step(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries, k: int):
@@ -302,17 +445,45 @@ def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndar
     return angles, _overlap(rho, bits, sign, unitaries)
 
 
+def _contract_pairs(rho: np.ndarray, mats: np.ndarray, n: int) -> np.ndarray:
+    """sum over r, c of rho[r, c] prod_k mats[b, i_k, r_k, c_k], for every b -> (B, d^n).
+
+    ``mats`` has shape (B, d, 2, 2). The last qubit goes first, in one matrix
+    product over every b; each later qubit is one batched product.
+    """
+    batch, d = mats.shape[:2]
+    mats = mats.reshape(batch, d, 4)
+    h = 2 ** (n - 1)
+    cur = rho.reshape(h, 2, h, 2).transpose(1, 3, 0, 2).reshape(4, h * h)
+    cur = (mats.reshape(batch * d, 4) @ cur).reshape(batch, d, h, h)
+    for _ in range(n - 1):
+        outs, h = cur.shape[1], h // 2
+        cur = cur.reshape(batch, outs, h, 2, h, 2).transpose(0, 3, 5, 1, 2, 4)
+        cur = (mats @ cur.reshape(batch, 4, -1)).reshape(batch, d * outs, h, h)
+    return cur.reshape(batch, -1)
+
+
 def _screen_overlaps(rho: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """GHZ-basis overlaps of u^{xn} rho u^{dag xn}, flat in ghz_diagonalise's order.
 
-    Reads only the diagonal and the anti-diagonal of the rotated state.
+    ``u`` of shape (..., 2, 2) gives overlaps of shape (..., 2^n). Reads only
+    the diagonal and the anti-diagonal of each rotated state, every u in one
+    contraction (in chunks under _CHUNK_ENTRIES).
     """
-    diag = contract_qubit_pairs(rho, [u[:, :, None] * u.conj()[:, None, :]] * n, n)
-    anti = contract_qubit_pairs(rho, [u[:, :, None] * u[::-1].conj()[:, None, :]] * n, n)
+    u = np.asarray(u)
+    flat = u.reshape(-1, 2, 2)
+    # mats[g, l, i, r, c] = u[i, r] conj(u[i ^ l, c]): line l = 0 is the diagonal
+    mats = flat[:, None, :, :, None] * np.stack([flat, flat[:, ::-1]], 1).conj()[:, :, :, None, :]
+    lines = np.empty((len(flat), 2, 2**n))
+    # per u: 4^n complex entries after the first contraction step, then a
+    # transposed copy of half of them
+    for chunk in _chunks(len(flat), 4 ** (n + 1)):
+        part = _contract_pairs(rho, mats[chunk].reshape(-1, 2, 2, 2), n)
+        lines[chunk] = part.real.reshape(-1, 2, 2**n)
     half = 2 ** (n - 1)
-    diag, anti = diag.real.reshape(-1), anti.real.reshape(-1)[:half]
-    mean = 0.5 * (diag[:half] + diag[::-1][:half])
-    return np.stack([mean + anti, mean - anti], axis=1).reshape(-1)
+    diag, anti = lines[:, 0], lines[:, 1, :half]
+    mean = 0.5 * (diag[:, :half] + diag[:, ::-1][:, :half])
+    return np.stack([mean + anti, mean - anti], axis=-1).reshape(u.shape[:-2] + (-1,))
 
 
 def optimise_ghz_overlap(
@@ -334,11 +505,10 @@ def optimise_ghz_overlap(
     # coarse screen: every basis index against a shared-angle grid, because
     # the best index at the identity need not be the best one after rotation
     grid = _shared_grid(max(4, opts.grid_density // 2))
-    seeds = []  # (value, grid position, flat index)
-    for g, angles in enumerate(grid):
-        overlaps = _screen_overlaps(rho, su2_from_angles(angles), n)
-        pos = int(np.argmax(overlaps))
-        seeds.append((float(overlaps[pos]), g, pos))
+    overlaps = _screen_overlaps(rho, su2_from_angles(grid), n)
+    best_pos = np.argmax(overlaps, axis=1)
+    # (value, grid position, flat index)
+    seeds = [(float(overlaps[g, pos]), g, int(pos)) for g, pos in enumerate(best_pos)]
     seeds.sort(key=lambda t: (-t[0], t[1]))
     picked, seen = [], set()
     for val, g, pos in seeds:
@@ -350,26 +520,26 @@ def optimise_ghz_overlap(
 
     base = ghz_diagonalise(state)
     best = (LocalRotation.identity(), base.argmax(), base.p_max)
-    for _, g, pos in picked:
-        idx = GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1)
+    candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, _, pos in picked]
+    if shared:
+        # two runs per candidate, from the identity and from its grid point
+        bits = np.repeat([_ghz_bits(idx) for idx in candidates], 2, axis=0)
+        signs = np.repeat([idx.sign for idx in candidates], 2)
+        starts = [x for _, g, _ in picked for x in (np.zeros(3), grid[g])]
+        res = minimize(lambda ids, x: -_shared_overlaps(rho, bits[ids], signs[ids], x), starts)
+        for run, (x, neg) in enumerate(zip(res.x, res.fun)):
+            if -neg > best[2] + 1e-13:
+                canonical = so3_to_angles(so3_from_angles(x))
+                best = (LocalRotation.from_shared(canonical), candidates[run // 2], float(-neg))
+        return best
+    for (_, g, _), idx in zip(picked, candidates):
         bits = _ghz_bits(idx)
-        if shared:
-
-            def neg(x):
-                return -_overlap(rho, bits, idx.sign, [su2_from_angles(x)] * n)
-
-            for start in (np.zeros(3), grid[g]):
-                res = minimize(neg, start, method="Nelder-Mead", options=_NELDER_MEAD)
-                if -res.fun > best[2] + 1e-13:
-                    canonical = so3_to_angles(so3_from_angles(res.x))
-                    best = (LocalRotation.from_shared(canonical), idx, float(-res.fun))
-        else:
-            starts = [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
-            starts += [rng.uniform(0, math.pi, size=(n, 3)) for _ in range(opts.restarts // 4)]
-            for start in starts:
-                angles, val = _overlap_ascent(rho, bits, idx.sign, start)
-                if val > best[2] + 1e-13:
-                    best = (LocalRotation.from_per_qubit(angles), idx, val)
+        starts = [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
+        starts += [rng.uniform(0, math.pi, size=(n, 3)) for _ in range(opts.restarts // 4)]
+        for start in starts:
+            angles, val = _overlap_ascent(rho, bits, idx.sign, start)
+            if val > best[2] + 1e-13:
+                best = (LocalRotation.from_per_qubit(angles), idx, val)
     return best
 
 

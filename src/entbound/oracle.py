@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._linalg import hermitian_sqrt, pauli_power
 from .errors import CapacityError, ParameterError
@@ -264,6 +263,9 @@ def _trace_min_lp(p: np.ndarray) -> float:
     simplex: the solver's objective may sit below the minimum by its
     feasibility tolerance (about 1e-8 just above p_max = 1/2).
     """
+    # scipy.optimize takes most of a second to import; only this LP needs it
+    from scipy.optimize import linprog
+
     m = p.size
     c = np.concatenate([np.zeros(m), 0.5 * np.ones(m)])
     eye = np.eye(m)

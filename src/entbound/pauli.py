@@ -122,16 +122,20 @@ def correlation_tensor(state: DenseState) -> CorrelationTensor:
 
 # -- local rotations ----------------------------------------------------------
 
-def su2_from_angles(angles: Sequence[float]) -> np.ndarray:
-    """The single-qubit unitary parameterised by (theta, psi, phi)."""
-    theta, psi, phi = angles
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [
-            [c * np.exp(-0.5j * (psi + phi)), -1j * s * np.exp(-0.5j * (phi - psi))],
-            [-1j * s * np.exp(0.5j * (phi - psi)), c * np.exp(0.5j * (psi + phi))],
-        ]
-    )
+def su2_from_angles(angles) -> np.ndarray:
+    """The single-qubit unitary parameterised by (theta, psi, phi).
+
+    Angles of shape (..., 3) give unitaries of shape (..., 2, 2).
+    """
+    a = np.asarray(angles, dtype=float)
+    theta, psi, phi = a[..., 0], a[..., 1], a[..., 2]
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    u = np.empty(a.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = c * np.exp(-0.5j * (psi + phi))
+    u[..., 0, 1] = -1j * s * np.exp(-0.5j * (phi - psi))
+    u[..., 1, 0] = -1j * s * np.exp(0.5j * (phi - psi))
+    u[..., 1, 1] = c * np.exp(0.5j * (psi + phi))
+    return u
 
 
 def so3_from_angles(angles) -> np.ndarray:

@@ -2,6 +2,10 @@
 exits 0 with one line of strict JSON, byte-identical across runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,36 @@ def test_number_list_may_follow_its_flag_with_a_leading_minus(argv, flag, value,
 )
 def test_negative_led_list_is_validated_as_a_value(argv, fragment, capsys):
     _assert_input_error(argv, capsys, fragment)
+
+
+LAZY_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from entbound.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["bound", "--n", "4", "--c=0.9,0.9,0.9"]) == 0
+    assert main(["optimise", "--family", "w", "--n", "4"]) == 0
+print("scipy.optimize" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["oracle", "--spectrum-file", sys.argv[1], "--distance", "trace"]) == 0
+print("scipy.optimize" in sys.modules)
+print(out.getvalue().strip())
+"""
+
+
+def test_scipy_optimize_is_imported_only_by_the_trace_lp(tmp_path):
+    # a fresh interpreter: the package import, bound and optimise leave
+    # scipy.optimize unloaded; the GHZ-spectrum trace oracle's LP loads it
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text('{"n": 3, "p": {"000+": 0.8, "001-": 0.2}}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(spectrum)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, report = proc.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    out = json.loads(report)
+    assert out["formula_value"] == pytest.approx(0.3, abs=1e-12)
+    assert out["deviation"] <= out["config"]["tolerance"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -18,6 +20,7 @@ from entbound.optimize import (
     _polar_rotation,
     _random_rotations,
     _screen_overlaps,
+    _shared_grid,
     _shared_objective,
     _shared_polynomial,
     optimise_ghz_overlap,
@@ -295,3 +298,145 @@ def test_per_qubit_ascent_runs_to_convergence(n, rng, monkeypatch):
             m.setattr(optimize, "_ASCENT_TOL", 1e-14)
             tight = _per_qubit_ascent(bloch, starts)[1]
         assert abs(tight - val) <= 1e-11
+
+
+# -- lockstep searches against their serial forms ------------------------------------
+
+NELDER_MEAD = {"xatol": optimize._REFINE_TOL, "fatol": optimize._REFINE_TOL,
+               "maxiter": 10 * optimize._MAX_SWEEPS}
+
+
+def rosenbrock_rows(run_ids, x):
+    """A 3-d Rosenbrock valley per row, shifted by the run id; elementwise in the rows."""
+    shift = 0.1 * np.asarray(run_ids)
+    x0, x1, x2 = x[..., 0] - shift, x[..., 1], x[..., 2] + shift
+    return (1 - x0) ** 2 + 100 * (x1 - x0**2) ** 2 + (1 - x1) ** 2 + 100 * (x2 - x1**2) ** 2
+
+
+@pytest.mark.parametrize("maxiter", [NELDER_MEAD["maxiter"], 40])
+def test_lockstep_minimize_matches_scipy_nelder_mead(maxiter, rng):
+    starts = np.vstack([np.zeros(3), [1.0, 0.0, -2.0], rng.uniform(-2, 2, size=(10, 3))])
+    options = dict(NELDER_MEAD, maxiter=maxiter)
+    res = optimize.minimize(rosenbrock_rows, starts, maxiter=maxiter)
+    nfev = nit = 0
+    for run, start in enumerate(starts):
+        ref = minimize(lambda x: rosenbrock_rows(run, x), start, method="Nelder-Mead",
+                       options=options)
+        assert np.array_equal(res.x[run], ref.x)
+        assert res.fun[run] == ref.fun
+        nfev, nit = nfev + ref.nfev, nit + ref.nit
+    assert (res.nfev, res.nit) == (nfev, nit)
+    assert type(res.nfev) is int and type(res.nit) is int
+
+
+SHARED_STATES = [
+    (StateFamily.ghz(), 3), (StateFamily.w(), 3), (StateFamily.w(), 4), (StateFamily.dicke(2), 4),
+    (StateFamily.w(), 5), (StateFamily.dicke(2), 6), (StateFamily.ghz(), 7), (StateFamily.w(), 8),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SHARED_STATES) + 6))
+def test_lockstep_minimize_matches_scipy_on_shared_objective(case, rng):
+    if case < len(SHARED_STATES):
+        family, n = SHARED_STATES[case]
+        bloch = correlation_tensor(build_state(family, n)).bloch
+    else:
+        n = case - len(SHARED_STATES) + 3
+        bloch = symmetric_tensor(rng, n)
+    poly = _shared_polynomial(bloch)
+    grid = _shared_grid(6)
+    starts = np.vstack([grid[:1], grid[np.argsort(_shared_objective(poly, grid))[::-1][:8]]])
+    res = optimize.minimize(lambda _, x: -_shared_objective(poly, x), starts)
+    serial = np.array([
+        minimize(lambda x: -_shared_objective(poly, x), s, method="Nelder-Mead",
+                 options=NELDER_MEAD).fun
+        for s in starts
+    ])
+    assert np.allclose(res.fun, serial, rtol=0, atol=1e-12)
+    assert res.fun.min() == pytest.approx(serial.min(), abs=1e-14)
+
+
+def serial_best_rotation(b):
+    """The per-matrix sign-class step as the ascent ran it one start at a time."""
+    best_o, best_val = None, -np.inf
+    for s in optimize._SIGN_CLASSES:
+        u, _, vt = np.linalg.svd(b.T * s[None, :])
+        o = (u @ vt).T
+        if np.linalg.det(o) < 0:
+            o = (u @ np.diag([1.0, 1.0, -1.0]) @ vt).T
+        val = float(np.sum(np.abs(np.einsum("ij,ij->i", o, b))))
+        if val > best_val:
+            best_o, best_val = o, val
+    return best_o
+
+
+def serial_ascent(bloch, starts):
+    """The per-qubit triple ascent one start at a time, as the package once ran it."""
+    n = bloch.ndim
+    best_os, best_val = None, -np.inf
+    for os_init in starts:
+        os = os_init.copy()
+        val = -np.inf
+        for _ in range(optimize._MAX_SWEEPS):
+            for k in range(n):
+                rows = np.broadcast_to(np.swapaxes(os, 0, 1)[:, None], (3, 3, n, 3)).copy()
+                rows[:, :, k] = np.eye(3)
+                b = contract_modes(bloch, rows.reshape(9, n, 3)).reshape(3, 3)
+                os[k] = serial_best_rotation(b)
+            new_val = float(np.abs(contract_modes(bloch, np.swapaxes(os, 0, 1))).sum())
+            if new_val <= val + optimize._ASCENT_TOL:
+                val = max(val, new_val)
+                break
+            val = new_val
+        if val > best_val:
+            best_os, best_val = os, val
+    return best_os, best_val
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("source", ["random-3", "random-4", "random-5", "cluster-6", "cluster-8"])
+def test_lockstep_ascent_matches_serial(source, chunk, rng, monkeypatch):
+    kind, n = source.split("-")
+    n = int(n)
+    if kind == "random":
+        state = random_density(n, rng)
+    else:
+        state = build_state(StateFamily.cluster_linear(), n)
+    bloch = correlation_tensor(state).bloch
+    starts = [np.tile(np.eye(3), (n, 1, 1))] + [_random_rotations(rng, n) for _ in range(7)]
+    if chunk is not None:
+        # chunks of `chunk` starts
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", chunk * 9 * 3 ** (n - 1))
+    os, val = _per_qubit_ascent(bloch, starts)
+    ref_os, ref_val = serial_ascent(bloch, starts)
+    assert abs(val - ref_val) <= 1e-15
+    assert np.max(np.abs(os - ref_os)) <= 1e-15
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_screen_matches_per_point(n, chunk, rng, monkeypatch):
+    rho = np.array(random_density(n, rng).rho)
+    us = su2_from_angles(np.vstack([np.zeros(3), random_angles(rng, 23)]))
+    if chunk is not None:
+        # chunks of `chunk` unitaries
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", chunk * 4 ** (n + 1))
+    batched = _screen_overlaps(rho, us, n)
+    assert batched.shape == (len(us), 2**n)
+    for u, row in zip(us, batched):
+        assert np.allclose(row, _screen_overlaps(rho, u, n), rtol=0, atol=1e-14)
+
+
+def test_per_qubit_working_set_is_bounded(monkeypatch):
+    # unchunked, the 32 default starts at n=10 hold a (288, 3^9) intermediate
+    # and peak at about 60 MB; in chunks of _CHUNK_ENTRIES (8 MB of float64)
+    # the peak stays near 10 MB. One sweep shows the whole working set.
+    tensor = correlation_tensor(build_state(StateFamily.cluster_linear(), 10))
+    monkeypatch.setattr(optimize, "_MAX_SWEEPS", 1)
+    tracemalloc.start()
+    try:
+        optimise_triple(tensor, OptimisationOptions(mode="per_qubit"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * optimize._CHUNK_ENTRIES
