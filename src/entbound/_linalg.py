@@ -65,13 +65,23 @@ def pauli_power(j: int, n: int) -> np.ndarray:
 def contract_qubit_pairs(rho: np.ndarray, mats, n: int) -> np.ndarray:
     """Contract each qubit's (row, column) axis pair of rho with one tensor.
 
-    ``mats[k]`` has shape (d, 2, 2); the result has shape (d,)*n with entry
-    sum over rows r and columns c of rho[r, c] prod_k mats[k][i_k, r_k, c_k].
+    ``mats[k]`` has shape (..., d_k, 2, 2), the leading (batch) axes the same
+    for every k; the result has shape (..., d_0, ..., d_{n-1}) with entry
+    sum over rows r and columns c of rho[r, c] prod_k mats[k][..., i_k, r_k, c_k].
+    Qubit 0 goes first; each qubit is one batched matrix product of the
+    partial sums, (r_k, c_k) on their last axis, with mats[k].
     """
-    cur = rho.reshape((2,) * (2 * n))
-    for k, m in enumerate(mats):
-        cur = np.tensordot(cur, m, axes=([0, n - k], [1, 2]))
-    return cur
+    batch = np.shape(mats[0])[:-3]
+    dims = tuple(np.shape(m)[-3] for m in mats)
+    h = 2**n
+    cur = rho.reshape(1, h, h, 1)
+    for m, d in zip(mats, dims):
+        outs, h = cur.shape[-1], h // 2
+        cur = cur.reshape(-1, 2, h, 2, h, outs).transpose(0, 1, 3, 2, 4, 5)
+        cur = cur.reshape(len(cur), 4, -1).swapaxes(1, 2)
+        cur = cur @ np.reshape(m, (-1, d, 4)).swapaxes(1, 2)
+        cur = cur.reshape(len(cur), h, h, -1)
+    return cur.reshape(batch + dims)
 
 
 def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:

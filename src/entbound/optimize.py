@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA_STACK
+from ._linalg import SIGMA_STACK, contract_qubit_pairs
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise
 from .pauli import (
@@ -51,6 +51,8 @@ _REFINE_TOL = 1e-8
 _ASCENT_TOL = 1e-12
 #: sweep cap of both per-qubit ascents
 _MAX_SWEEPS = 500
+#: iteration cap of every Nelder-Mead run
+_NM_MAXITER = 10 * _MAX_SWEEPS
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
 #: matrix entries one batched step may hold; starts and grid points beyond it
@@ -118,14 +120,14 @@ class MinimizeResult:
     nit: int
 
 
-def minimize(fun, starts, maxiter: int = 10 * _MAX_SWEEPS) -> MinimizeResult:
+def minimize(fun, starts) -> MinimizeResult:
     """Minimise from every start at once; ``fun(run_ids, points)`` gives one value per row.
 
     Row by row this is scipy's non-adaptive Nelder-Mead: the same initial
     simplex, steps and np.argsort ordering. A run stops once its simplex
     and its values each span at most _REFINE_TOL (scipy's xatol and fatol),
-    or at ``maxiter`` iterations, and is then frozen. Each iteration calls ``fun``
-    at most three times, on the reflections, on the expansions and
+    or at _NM_MAXITER iterations, and is then frozen. Each iteration calls
+    ``fun`` at most three times, on the reflections, on the expansions and
     contractions, and on the shrinks of the runs still going.
     """
     x0 = np.array(starts, dtype=float)
@@ -151,7 +153,7 @@ def minimize(fun, starts, maxiter: int = 10 * _MAX_SWEEPS) -> MinimizeResult:
     sim, fsim = ordered(*ordered(sim, fsim))
 
     iters = np.ones(runs, dtype=int)
-    live = np.flatnonzero(iters < maxiter)
+    live = np.flatnonzero(iters < _NM_MAXITER)
     while live.size:
         s, f = sim[live], fsim[live]
         done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _REFINE_TOL) & (
@@ -193,7 +195,7 @@ def minimize(fun, starts, maxiter: int = 10 * _MAX_SWEEPS) -> MinimizeResult:
             ).reshape(-1, dim)
         iters[live] += 1
         sim[live], fsim[live] = ordered(s, f)
-        live = live[iters[live] < maxiter]
+        live = live[iters[live] < _NM_MAXITER]
     return MinimizeResult(sim[:, 0].copy(), fsim.min(axis=1), nfev, int(iters.sum()))
 
 
@@ -227,16 +229,10 @@ def _shared_objective(poly: tuple[np.ndarray, np.ndarray], angles: np.ndarray) -
     shape (..., 3) give values of shape (...).
     """
     coef, exps = poly
-    angles = np.asarray(angles, dtype=float)
-    flat = angles.reshape(-1, 3)
-    degree = int(exps.max()) + 1
-    out = np.empty(len(flat))
-    for chunk in _chunks(len(flat), 3 * (len(coef) + 3 * degree)):
-        rows = so3_from_angles(flat[chunk])  # rows[:, i, :] is row i of O
-        powers = rows[..., None] ** np.arange(degree)
-        terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
-        out[chunk] = np.abs(terms @ coef).sum(axis=-1)
-    return out.reshape(angles.shape[:-1])
+    rows = so3_from_angles(angles)  # rows[..., i, :] is row i of O
+    powers = rows[..., None] ** np.arange(exps.max() + 1)
+    terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
+    return np.abs(terms @ coef).sum(axis=-1)
 
 
 def _polar_rotation(m: np.ndarray) -> np.ndarray:
@@ -445,24 +441,6 @@ def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndar
     return angles, _overlap(rho, bits, sign, unitaries)
 
 
-def _contract_pairs(rho: np.ndarray, mats: np.ndarray, n: int) -> np.ndarray:
-    """sum over r, c of rho[r, c] prod_k mats[b, i_k, r_k, c_k], for every b -> (B, d^n).
-
-    ``mats`` has shape (B, d, 2, 2). The last qubit goes first, in one matrix
-    product over every b; each later qubit is one batched product.
-    """
-    batch, d = mats.shape[:2]
-    mats = mats.reshape(batch, d, 4)
-    h = 2 ** (n - 1)
-    cur = rho.reshape(h, 2, h, 2).transpose(1, 3, 0, 2).reshape(4, h * h)
-    cur = (mats.reshape(batch * d, 4) @ cur).reshape(batch, d, h, h)
-    for _ in range(n - 1):
-        outs, h = cur.shape[1], h // 2
-        cur = cur.reshape(batch, outs, h, 2, h, 2).transpose(0, 3, 5, 1, 2, 4)
-        cur = (mats @ cur.reshape(batch, 4, -1)).reshape(batch, d * outs, h, h)
-    return cur.reshape(batch, -1)
-
-
 def _screen_overlaps(rho: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """GHZ-basis overlaps of u^{xn} rho u^{dag xn}, flat in ghz_diagonalise's order.
 
@@ -475,10 +453,10 @@ def _screen_overlaps(rho: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     # mats[g, l, i, r, c] = u[i, r] conj(u[i ^ l, c]): line l = 0 is the diagonal
     mats = flat[:, None, :, :, None] * np.stack([flat, flat[:, ::-1]], 1).conj()[:, :, :, None, :]
     lines = np.empty((len(flat), 2, 2**n))
-    # per u: 4^n complex entries after the first contraction step, then a
-    # transposed copy of half of them
+    # per u: 4^n complex entries after the first contraction step, and a
+    # transposed copy of them
     for chunk in _chunks(len(flat), 4 ** (n + 1)):
-        part = _contract_pairs(rho, mats[chunk].reshape(-1, 2, 2, 2), n)
+        part = contract_qubit_pairs(rho, [mats[chunk]] * n, n)
         lines[chunk] = part.real.reshape(-1, 2, 2**n)
     half = 2 ** (n - 1)
     diag, anti = lines[:, 0], lines[:, 1, :half]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_density, random_m3n_inside_tetra
 from dense_rotation import apply_product_unitary
-from entbound._linalg import SIGMA_STACK, pauli_power
+from entbound._linalg import SIGMA_STACK, contract_qubit_pairs, pauli_power
 from entbound.cli import main
 from entbound.errors import StateValidityError
 from entbound.estimate import _BASIS_CHANGE, _born_diagonal
@@ -69,6 +69,28 @@ def test_born_diagonal_matches_dense_rotation(n, rng):
         ws = [_BASIS_CHANGE[axis] @ u for u in us]
         dense = np.real(np.diagonal(apply_product_unitary(np.array(state.rho), ws, n)))
         assert np.max(np.abs(_born_diagonal(state.rho, ws, n) - dense)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_born_diagonal_bit_identical_to_tensordot_loop(n, rng):
+    # sampling reads these probabilities, so a zero must stay an exact zero
+    rho = random_density(n, rng).rho
+    ws = [_BASIS_CHANGE[1 + k % 3] @ su2_from_angles(rng.uniform(0, math.pi, 3)) for k in range(n)]
+    cur = rho.reshape((2,) * (2 * n))
+    for k, w in enumerate(ws):
+        cur = np.tensordot(cur, w[:, :, None] * w.conj()[:, None, :], axes=([0, n - k], [1, 2]))
+    assert np.array_equal(_born_diagonal(rho, ws, n), np.real(cur).reshape(-1))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batched_pair_contraction_matches_each_batch_entry(n, rng):
+    rho = random_density(n, rng).rho
+    mats = [rng.standard_normal((4, 3, 2, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2, 2))
+            for _ in range(n)]
+    batched = contract_qubit_pairs(rho, mats, n)
+    assert batched.shape == (4, 3) + (2,) * n
+    for b in np.ndindex(4, 3):
+        assert np.array_equal(batched[b], contract_qubit_pairs(rho, [m[b] for m in mats], n))
 
 
 def _with_smallest_eigenvalue(lo, n=4, seed=7):

@@ -303,7 +303,7 @@ def test_per_qubit_ascent_runs_to_convergence(n, rng, monkeypatch):
 # -- lockstep searches against their serial forms ------------------------------------
 
 NELDER_MEAD = {"xatol": optimize._REFINE_TOL, "fatol": optimize._REFINE_TOL,
-               "maxiter": 10 * optimize._MAX_SWEEPS}
+               "maxiter": optimize._NM_MAXITER}
 
 
 def rosenbrock_rows(run_ids, x):
@@ -314,10 +314,11 @@ def rosenbrock_rows(run_ids, x):
 
 
 @pytest.mark.parametrize("maxiter", [NELDER_MEAD["maxiter"], 40])
-def test_lockstep_minimize_matches_scipy_nelder_mead(maxiter, rng):
+def test_lockstep_minimize_matches_scipy_nelder_mead(maxiter, rng, monkeypatch):
     starts = np.vstack([np.zeros(3), [1.0, 0.0, -2.0], rng.uniform(-2, 2, size=(10, 3))])
     options = dict(NELDER_MEAD, maxiter=maxiter)
-    res = optimize.minimize(rosenbrock_rows, starts, maxiter=maxiter)
+    monkeypatch.setattr(optimize, "_NM_MAXITER", maxiter)
+    res = optimize.minimize(rosenbrock_rows, starts)
     nfev = nit = 0
     for run, start in enumerate(starts):
         ref = minimize(lambda x: rosenbrock_rows(run, x), start, method="Nelder-Mead",
