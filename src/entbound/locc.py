@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError, StateValidityError
 from .pauli import correlation_triple
-from .qstate import DenseState, M3NState
+from .qstate import DenseState, M3NState, _x_state
 
 _SUM_TOL = 1e-12
 #: spectra read from files may carry rounded entries; sums this close to 1 are renormalised
@@ -117,16 +117,16 @@ class GHZDiagonalState:
         return self.p.reshape(-1)
 
     def dense(self) -> DenseState:
-        """The dense matrix sum_i p_i |beta_i><beta_i|."""
-        dim = 2**self.n
-        rho = np.zeros((dim, dim), dtype=complex)
-        for i in range(2 ** (self.n - 1)):
-            for col, sign in ((0, +1), (1, -1)):
-                w = self.p[i, col]
-                if w:
-                    v = ghz_basis_vector(GHZBasisIndex(self.n, i, sign), self.n)
-                    rho += w * np.outer(v, v.conj())
-        return DenseState(self.n, rho)
+        """The dense matrix sum_i p_i |beta_i><beta_i|.
+
+        It is an X matrix: (p_i^+ + p_i^-)/2 at (i, i) and (~i, ~i), and
+        (p_i^+ - p_i^-)/2 at (i, ~i) and (~i, i).
+        """
+        mean = (self.p[:, 0] + self.p[:, 1]) / 2
+        cross = (self.p[:, 0] - self.p[:, 1]) / 2
+        diag = np.concatenate([mean, mean[::-1]]).astype(complex)
+        anti = np.concatenate([cross, cross[::-1]]).astype(complex)
+        return _x_state(self.n, diag, anti)
 
     # -- JSON exchange --------------------------------------------------------
     def to_json_dict(self) -> dict:

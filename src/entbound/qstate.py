@@ -3,6 +3,13 @@
 Dense density matrices for the reference families (GHZ, W, Dicke, cluster,
 Wei, Smolin, four-qubit singlet), triple-correlation states built from a
 correlation triple, and white-noise mixtures.
+
+A matrix from outside the package gets the full dense check in
+``DenseState``. A state the package builds is valid by construction and
+carries an O(2^n) certificate instead: a pure state is the projector of a
+vector whose squared norm is 1, the triple-correlation, Wei and GHZ-diagonal
+states are X matrices checked block by block (``_x_state``), and a white-noise
+mix of a built state with q in [0, 1] is a convex combination.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,16 +31,22 @@ from .errors import CapacityError, ParameterError, SchemaError, StateValidityErr
 #: ``DenseState`` do not check it: its matrix already exists.
 DENSE_CAP = 12
 
-#: Dimension above which the PSD check is skipped (it costs O(dim^3));
-#: hermiticity and trace are always verified. Up to it, every matrix is
-#: screened by a Cholesky factorisation and only a failed screen runs the
-#: eigenvalue test.
+#: Dimension above which the dense PSD check of a matrix from outside the
+#: package is skipped (it costs O(dim^3)); hermiticity and trace are always
+#: verified. Up to it, such a matrix is screened by a Cholesky factorisation
+#: and only a failed screen runs the eigenvalue test. States the package
+#: builds carry a certificate instead and are checked at every n.
 _PSD_CHECK_MAX_DIM = 1024
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-9
 _TRIPLE_TOL = 1e-12
+
+#: Passed to ``DenseState`` only by ``from_vector``, ``_x_state`` and the
+#: white-noise mix, whose matrices are valid by construction; it skips the
+#: dense checks.
+_CERTIFIED = object()
 
 
 def _check_cap(n: int) -> None:
@@ -96,14 +109,21 @@ class DenseState:
 
     Qubit 0 is the leftmost tensor factor and the computational basis is
     binary ordered. The matrix is frozen (read-only) after validation.
+    ``DenseState(n, rho)`` checks shape, finiteness, hermiticity, trace and
+    (up to ``_PSD_CHECK_MAX_DIM``) positivity; the package's own builders
+    prove their states valid in O(2^n) and skip those checks.
     """
 
     n: int
     rho: np.ndarray
+    _certificate: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _certificate):
         if self.n < 1:
             raise ParameterError(f"qubit count must be positive, got {self.n}")
+        if _certificate is _CERTIFIED:
+            self.rho.flags.writeable = False
+            return
         rho = np.array(self.rho, dtype=complex)
         dim = 2**self.n
         if rho.shape != (dim, dim):
@@ -130,11 +150,20 @@ class DenseState:
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DenseState":
+        """Projector onto a vector, normalised here.
+
+        Its trace is the squared norm of the normalised vector; when that is 1,
+        every entry is finite and the matrix is rank-1 PSD, so the dense checks
+        run only on a vector that is zero, not finite or out of float range.
+        """
         psi = np.asarray(psi, dtype=complex)
         n = int(round(math.log2(psi.size)))
         if 2**n != psi.size:
             raise ParameterError(f"vector length {psi.size} is not a power of 2")
-        return cls(n, projector(psi))
+        rho = projector(psi)
+        if abs(np.trace(rho) - 1) <= _TRACE_TOL:
+            return cls(n, rho, _CERTIFIED)
+        return cls(n, rho)
 
     def export_row_major(self) -> list:
         """Row-major list of [re, im] pairs, the dense exchange format."""
@@ -396,21 +425,61 @@ def _singlet4_vector() -> np.ndarray:
     return v / math.sqrt(3)
 
 
-def _wei_density(n: int, x: float) -> np.ndarray:
+def _wei_density(n: int, x: float) -> DenseState:
+    """x |GHZ><GHZ| plus (1 - x)/(2n) on each basis state of weight 1 or n - 1."""
     if not 0 <= x <= 1:
         raise ParameterError(f"Wei parameter x must be in [0, 1], got {x}")
     if n < 4:
         raise ParameterError(f"the Wei family needs n >= 4, got {n}")
     dim = 2**n
-    rho = x * projector(_ghz_vector(n))
+    ghz = _ghz_vector(n)
+    ends = (ghz / np.linalg.norm(ghz))[[0, -1]]  # normalised as ``projector`` does
+    corners = x * np.outer(ends, ends.conj())
     w = (1 - x) / (2 * n)
-    diag = np.zeros(dim)
+    diag = np.zeros(dim, dtype=complex)
     for k in range(1, n + 1):
         idx = 2 ** (k - 1)
         diag[idx] += w
         diag[dim - 1 - idx] += w
-    rho = rho + np.diag(diag).astype(complex)
-    return rho
+    anti = np.zeros(dim, dtype=complex)
+    diag[[0, -1]] = np.diagonal(corners)
+    anti[[0, -1]] = corners[1, 0], corners[0, 1]
+    return _x_state(n, diag, anti)
+
+
+def _check_x_matrix(diag: np.ndarray, anti: np.ndarray) -> None:
+    """Validity of the X matrix with diagonal ``diag`` and ``anti[i]`` at (2^n-1-i, i).
+
+    The matrix splits into 2x2 blocks on the index pairs (i, 2^n-1-i), so it
+    is Hermitian when diag is real and anti[~i] = conj(anti[i]), and PSD when
+    every block's smaller eigenvalue is; each check costs O(2^n). Raises
+    ``StateValidityError`` with the messages of the dense checks.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf
+        herm = max(np.max(np.abs(diag - diag.conj())), np.max(np.abs(anti - anti[::-1].conj())))
+    if not np.isfinite(herm):
+        raise StateValidityError("matrix entries must be finite")
+    if herm > _HERMITICITY_TOL:
+        raise StateValidityError(f"matrix is not Hermitian: residue {herm:.3e}")
+    tr = np.sum(diag)
+    if abs(tr - 1) > _TRACE_TOL:
+        raise StateValidityError(f"trace is {tr}, expected 1")
+    half = diag.size // 2
+    top, bottom = diag.real[:half], diag.real[::-1][:half]
+    lo = float(np.min((top + bottom) / 2 - np.hypot((top - bottom) / 2, np.abs(anti[:half]))))
+    if lo < _EIGENVALUE_FLOOR:
+        raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
+
+
+def _x_state(n: int, diag: np.ndarray, anti: np.ndarray) -> DenseState:
+    """The dense X matrix of ``diag`` and ``anti``, certified by ``_check_x_matrix``."""
+    _check_x_matrix(diag, anti)
+    dim = 2**n
+    idx = np.arange(dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[idx, idx] = diag
+    rho[dim - 1 - idx, idx] = anti
+    return DenseState(n, rho, _CERTIFIED)
 
 
 def build_state(family: StateFamily, n: int) -> DenseState:
@@ -445,7 +514,7 @@ def build_state(family: StateFamily, n: int) -> DenseState:
             )
         return DenseState.from_vector(_graph_state_vector(n, _rect_edges(rows, cols)))
     if tag == "wei":
-        return DenseState(n, _wei_density(n, params["x"]))
+        return _wei_density(n, params["x"])
     if tag == "smolin":
         if n % 2 or n < 4:
             raise ParameterError(f"the generalised Smolin state needs even n >= 4, got n={n}")
@@ -463,8 +532,9 @@ def build_state(family: StateFamily, n: int) -> DenseState:
             raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
         inner = build_state(params["inner"], n)
         dim = 2**n
+        # a convex combination of two density matrices is one
         rho = q * inner.rho + (1 - q) * np.eye(dim) / dim
-        return DenseState(n, rho)
+        return DenseState(n, rho, _CERTIFIED)
     raise ParameterError(f"unknown family {tag!r}")
 
 
@@ -472,7 +542,8 @@ def m3n_density(state: M3NState) -> DenseState:
     """Dense matrix (1/2^n)(I + sum_j c_j sigma_j^{xn}) of a valid triple.
 
     Only the diagonal (I and sigma_3^{xn}) and the anti-diagonal (sigma_1^{xn}
-    and sigma_2^{xn}) are nonzero; they are summed as vectors and written in.
+    and sigma_2^{xn}) are nonzero; they are summed as vectors and written in
+    by ``_x_state``.
     """
     _check_cap(state.n)
     n = state.n
@@ -483,11 +554,7 @@ def m3n_density(state: M3NState) -> DenseState:
         if cj != 0:
             line = diag if j == 3 else anti
             line += cj * pauli_power_entries(j, n)
-    idx = np.arange(dim)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[idx, idx] = diag / dim
-    rho[dim - 1 - idx, idx] = anti / dim
-    return DenseState(n, rho)
+    return _x_state(n, diag / dim, anti / dim)
 
 
 def m3n_spectrum(state: M3NState) -> list[SpectralLine]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_density, random_m3n_inside_tetra
+from conftest import random_density, random_ghz_spectrum, random_m3n_inside_tetra
 from entbound.errors import ParameterError, SchemaError, StateValidityError
 from entbound.locc import (
     GHZBasisIndex,
@@ -132,6 +132,21 @@ def test_ghz_diagonalise_preserves_diagonal_input(rng):
     spec = GHZDiagonalState(3, flat.reshape(4, 2))
     back = ghz_diagonalise(spec.dense())
     assert np.allclose(back.p, spec.p, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_diagonal_dense_matches_sum_of_projectors(n, rng):
+    pure = np.zeros((2 ** (n - 1), 2))
+    pure[-1, 1] = 1
+    for spec in (random_ghz_spectrum(n, rng), GHZDiagonalState(n, pure)):
+        ref = np.zeros((2**n, 2**n), dtype=complex)
+        for i in range(2 ** (n - 1)):
+            for col, sign in ((0, +1), (1, -1)):
+                v = ghz_basis_vector(GHZBasisIndex(n, i, sign), n)
+                ref += spec.p[i, col] * np.outer(v, v.conj())
+        dense = spec.dense()
+        assert np.max(np.abs(dense.rho - ref)) <= 1e-15
+        DenseState(n, np.array(dense.rho))  # the full check a matrix from outside gets
 
 
 def test_singlet_overlap_published_value():

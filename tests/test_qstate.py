@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entbound._linalg import pauli_power_entries
 from entbound.errors import CapacityError, ParameterError, StateValidityError
 from entbound.qstate import (
     CorrelationTriple,
@@ -277,3 +278,214 @@ def test_dense_export_row_major():
     assert flat[0] == pytest.approx([0.5, 0.0])
     assert flat[3] == pytest.approx([0.5, 0.0])
     assert flat[1] == pytest.approx([0.0, 0.0])
+
+
+# -- states certified by construction --------------------------------------------
+# The builders prove their own states valid in O(2^n) and skip the dense checks.
+# The references below are the dense constructions they replaced, copied as they
+# were; every built matrix must equal its reference bit for bit.
+
+
+def _reference_projector(v):
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _reference_vector(family, n):
+    dim = 2**n
+    v = np.zeros(dim, dtype=complex)
+    if family.tag == "ghz":
+        v[0] = v[-1] = 1 / math.sqrt(2)
+        return v
+    if family.tag == "w":
+        for k in range(n):
+            v[1 << k] = 1
+        return v / math.sqrt(n)
+    if family.tag == "dicke":
+        k = family.params["k"]
+        for positions in itertools.combinations(range(n), k):
+            v[sum(1 << (n - 1 - p) for p in positions)] = 1
+        return v / math.sqrt(math.comb(n, k))
+    if family.tag == "singlet4":
+        v[0b0011] = v[0b1100] = 1
+        for idx in (0b0101, 0b0110, 0b1001, 0b1010):
+            v[idx] = -0.5
+        return v / math.sqrt(3)
+    if family.tag == "cluster_linear":
+        edges = [(k, k + 1) for k in range(n - 1)]
+    else:
+        rows = family.params["rows"]
+        cols = n // rows
+        edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    v = np.full(dim, 1 / math.sqrt(dim), dtype=complex)
+    idx = np.arange(dim)
+    for a, b in edges:
+        v[(((idx >> (n - 1 - a)) & 1) & ((idx >> (n - 1 - b)) & 1)).astype(bool)] *= -1
+    return v
+
+
+def _reference_rho(family, n):
+    dim = 2**n
+    params = family.params
+    if family.tag == "wei":
+        x = params["x"]
+        w = (1 - x) / (2 * n)
+        diag = np.zeros(dim)
+        for k in range(1, n + 1):
+            diag[2 ** (k - 1)] += w
+            diag[dim - 1 - 2 ** (k - 1)] += w
+        ghz = _reference_vector(StateFamily.ghz(), n)
+        return x * _reference_projector(ghz) + np.diag(diag).astype(complex)
+    if family.tag in ("m3n", "smolin"):
+        s = float((-1) ** (n // 2))
+        c = params["c"] if family.tag == "m3n" else CorrelationTriple(s, s, s)
+        diag = np.ones(dim, dtype=complex)
+        anti = np.zeros(dim, dtype=complex)
+        for j, cj in enumerate(c, start=1):
+            if cj != 0:
+                line = diag if j == 3 else anti
+                line += cj * pauli_power_entries(j, n)
+        idx = np.arange(dim)
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[idx, idx] = diag / dim
+        rho[dim - 1 - idx, idx] = anti / dim
+        return rho
+    if family.tag == "white_noise_mix":
+        q = params["q"]
+        return q * _reference_rho(params["inner"], n) + (1 - q) * np.eye(dim) / dim
+    return _reference_projector(_reference_vector(family, n))
+
+
+def _m3n_triples(n, rng):
+    """A random triple, and the tetrahedron vertices (even n) or unit vectors (odd n)."""
+    from conftest import random_m3n_inside_tetra
+
+    triples = [tuple(random_m3n_inside_tetra(n, rng).c)]
+    if n % 2 == 0:
+        e = (-1) ** (n // 2)
+        return triples + [(1, e, 1), (-1, -e, 1), (1, -e, -1), (-1, e, -1)]
+    u = rng.standard_normal(3)
+    return triples + [(1, 0, 0), (0, -1, 0), tuple(u / np.linalg.norm(u))]
+
+
+def _family_cases():
+    rng = np.random.default_rng(1507)
+    cases = []
+    for n in range(2, 11):
+        rect = [StateFamily.cluster_rect(r, n // r) for r in range(2, n // 2 + 1) if n % r == 0]
+        families = [StateFamily.ghz(), StateFamily.w(), StateFamily.cluster_linear(), *rect]
+        families += [StateFamily.dicke(k) for k in range(n + 1)]
+        m3n = [StateFamily.m3n(c) for c in _m3n_triples(n, rng)]
+        families += m3n
+        inners = [StateFamily.ghz(), StateFamily.w(), StateFamily.dicke(n // 2),
+                  StateFamily.cluster_linear(), *rect[:1], m3n[0]]
+        if n >= 4:
+            wei = [StateFamily.wei(x) for x in (0.0, 1.0, rng.uniform())]
+            families += wei
+            inners.append(wei[-1])
+        if n >= 4 and n % 2 == 0:
+            families.append(StateFamily.smolin())
+            inners.append(StateFamily.smolin())
+        if n == 4:
+            families.append(StateFamily.singlet4())
+            inners.append(StateFamily.singlet4())
+        families += [StateFamily.white_noise_mix(f, rng.uniform()) for f in inners]
+        families += [StateFamily.white_noise_mix(inners[0], q) for q in (0.0, 1.0)]
+        cases += [pytest.param(f, n, id=f"n{n}-{f.tag}-{i}") for i, f in enumerate(families)]
+    return cases
+
+
+@pytest.mark.parametrize("family, n", _family_cases())
+def test_built_state_is_bit_identical_and_passes_the_dense_check(family, n):
+    state = build_state(family, n)
+    ref = _reference_rho(family, n)
+    assert state.rho.dtype == ref.dtype and state.rho.shape == ref.shape
+    assert state.rho.tobytes() == ref.tobytes()
+    assert not state.rho.flags.writeable
+    DenseState(n, np.array(state.rho))  # the full check a matrix from outside gets
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DenseState.from_vector([math.nan, 0, 0, 1]), StateValidityError,
+         "matrix entries must be finite"),
+        (lambda: DenseState.from_vector([0, 0, 0, 0]), StateValidityError,
+         "matrix entries must be finite"),
+        (lambda: DenseState.from_vector([math.inf, 0]), StateValidityError,
+         "matrix entries must be finite"),
+        (lambda: DenseState.from_vector([1e200, 1e200]), StateValidityError,
+         "trace is 0j, expected 1"),
+        (lambda: DenseState.from_vector([1, 0, 0]), ParameterError,
+         "vector length 3 is not a power of 2"),
+        (lambda: DenseState.from_vector([1]), ParameterError,
+         "qubit count must be positive, got 0"),
+        (lambda: build_state(StateFamily.wei(1.5), 4), ParameterError,
+         "Wei parameter x must be in [0, 1], got 1.5"),
+        (lambda: build_state(StateFamily.wei(-0.25), 6), ParameterError,
+         "Wei parameter x must be in [0, 1], got -0.25"),
+        (lambda: build_state(StateFamily.wei(math.nan), 6), ParameterError,
+         "Wei parameter x must be in [0, 1], got nan"),
+        (lambda: build_state(StateFamily.white_noise_mix(StateFamily.ghz(), 1.25), 3),
+         ParameterError, "mixing probability q must be in [0, 1], got 1.25"),
+        (lambda: build_state(StateFamily.white_noise_mix(StateFamily.w(), -0.5), 3),
+         ParameterError, "mixing probability q must be in [0, 1], got -0.5"),
+        (lambda: build_state(StateFamily.m3n((-1, -1, -1)), 4), StateValidityError,
+         "triple (-1.0, -1.0, -1.0) lies outside the physical tetrahedron for n=4 "
+         "(spectral expression -2.000e+00)"),
+        (lambda: build_state(StateFamily.m3n((1, 1, 1)), 6), StateValidityError,
+         "triple (1.0, 1.0, 1.0) lies outside the physical tetrahedron for n=6 "
+         "(spectral expression -2.000e+00)"),
+        (lambda: build_state(StateFamily.m3n((0.8, 0.8, 0.8)), 3), StateValidityError,
+         "triple (0.8, 0.8, 0.8) lies outside the unit ball (|c|^2 = 1.9200000000000004)"),
+        (lambda: build_state(StateFamily.m3n((0.6, 0.6, 0.6)), 9), StateValidityError,
+         "triple (0.6, 0.6, 0.6) lies outside the unit ball (|c|^2 = 1.08)"),
+    ],
+)
+def test_invalid_family_input_keeps_its_error(build, error, message):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _x_vectors(n, seed=3):
+    """Diagonal and anti-diagonal of a random X density matrix, with complex phases."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(2**n)).reshape(-1, 2)
+    mean = (p[:, 0] + p[:, 1]) / 2
+    cross = (p[:, 0] - p[:, 1]) / 2 * np.exp(1j * rng.uniform(0, 2 * np.pi, len(p)))
+    return (np.concatenate([mean, mean[::-1]]).astype(complex),
+            np.concatenate([cross, cross[::-1].conj()]))
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_x_matrix_certificate(n):
+    from entbound.qstate import _check_x_matrix
+
+    diag, anti = _x_vectors(n)
+    _check_x_matrix(diag, anti)
+    k = 2 ** (n - 1) - 2  # a block inside the vectors, not at their ends
+
+    # block k is [[d, a*], [a, d]], with eigenvalues d -/+ |a|
+    neg = anti.copy()
+    neg[k] = (diag[k].real + 1e-6) * 1j
+    neg[-1 - k] = np.conj(neg[k])
+    with pytest.raises(StateValidityError, match=r"^smallest eigenvalue -1\.000e-06 below -1e-09$"):
+        _check_x_matrix(diag, neg)
+
+    for vector, entry in ((diag, math.nan), (anti, math.inf), (diag, complex(0, math.inf))):
+        bad = vector.copy()
+        bad[k] = entry
+        args = (bad, anti) if vector is diag else (diag, bad)
+        with pytest.raises(StateValidityError, match="^matrix entries must be finite$"):
+            _check_x_matrix(*args)
+
+    skew = anti.copy()
+    skew[-1 - k] += 1e-9
+    with pytest.raises(StateValidityError, match=r"^matrix is not Hermitian: residue 1\.000e-09$"):
+        _check_x_matrix(diag, skew)
+
+    with pytest.raises(StateValidityError, match="^trace is .*, expected 1$"):
+        _check_x_matrix(diag * 1.001, anti)
