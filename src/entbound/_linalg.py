@@ -52,16 +52,6 @@ def pauli_power_entries(j: int, n: int) -> np.ndarray:
     raise ValueError(f"pauli index out of range: {j}")
 
 
-def pauli_power(j: int, n: int) -> np.ndarray:
-    """Dense sigma_j^{xn} (j in 1..3) built from its nonzero entries."""
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    rows = idx if j == 3 else dim - 1 - idx
-    out[rows, idx] = pauli_power_entries(j, n)
-    return out
-
-
 def contract_qubit_pairs(rho: np.ndarray, mats, n: int) -> np.ndarray:
     """Contract each qubit's (row, column) axis pair of rho with one tensor.
 

@@ -260,6 +260,12 @@ def _cmd_oracle(args) -> None:
             raise SchemaError("give --n and --c, or --spectrum-file")
         state = M3NState(args.n, _parse_triple(args.c))
         level = _parse_level(args, args.n)
+        if level.is_trivial(args.n):
+            # the octahedron oracle minimises over fully separable states only
+            raise ParameterError(
+                f"every triple-correlation state is separable at this level for n={args.n}, "
+                "so there is nothing to check"
+            )
         report = entanglement_m3n(state, level, kind)
         oracle_value = brute_min_over_octahedron(state, kind, cfg)
         out = oracle_report(report.value, oracle_value, cfg)

@@ -1,13 +1,15 @@
 """Brute-force verification of the closed formulas.
 
 The octahedron oracle minimises a distance over a refined grid of separable
-triples: classical distances between GHZ-basis spectra where the target is
-diagonal in that basis (even n), otherwise sums of distances over the 2x2
-blocks on the index pairs (i, 2^n - 1 - i) that every m3n density splits
-into. The GHZ-diagonal oracle minimises a classical distance over
-capped-simplex spectra, accepting the KKT point when a Frank-Wolfe duality
-gap certifies it and running projected descent otherwise. Neither touches
-the closed forms it checks.
+triples. Every m3n density splits into 2x2 blocks on the index pairs
+(i, 2^n - 1 - i); the oracle builds the few distinct ones from the nonzero
+entries of sigma_j^{xn}, never a 2^n x 2^n matrix, and takes classical
+distances between GHZ-basis spectra where the blocks are diagonal in that
+basis (even n), otherwise sums of distances over the blocks. The
+GHZ-diagonal oracle minimises a classical distance over capped-simplex
+spectra, accepting the KKT point when a Frank-Wolfe duality gap certifies it
+and running projected descent otherwise. Neither touches the closed forms it
+checks.
 """
 
 from __future__ import annotations
@@ -17,20 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import hermitian_sqrt, pauli_power
+from ._linalg import hermitian_sqrt, pauli_power_entries
 from .errors import CapacityError, ParameterError
-from .locc import GHZBasisIndex, GHZDiagonalState, ghz_basis_vector
+from .locc import GHZDiagonalState
 from .measures import _EIG_ZERO, _SUPPORT_TOL, DistanceKind, classical_distance, octahedron_excess
-from .qstate import M3NState, m3n_density
+from .qstate import M3NState
 
-_ORACLE_DENSE_CAP = 5
+#: largest n of the octahedron oracle; its pair blocks take O(2^n) memory
+_OCTAHEDRON_CAP = 16
 
 #: deviation between a closed form and its oracle that counts as agreement
 _TOLERANCE = 1e-6
 #: random feasible starts, besides the analytic one, of the GHZ-diagonal descent
 _RESTARTS = 6
-#: largest entry that still counts as zero where a structure is certified: off
-#: the GHZ diagonal, imaginary on it, or outside the 2x2 pair blocks
+#: largest entry that still counts as zero where a 2x2 pair block is certified
+#: diagonal in the GHZ pair basis: off its diagonal, or imaginary on it
 _DIAGONAL_TOL = 1e-12
 #: Frank-Wolfe gap below which the analytic GHZ-diagonal candidate is accepted
 _GAP_TOL = 1e-12
@@ -52,21 +55,44 @@ class OracleConfig:
 
 # -- distances over m3n grids on 2x2 pair blocks ------------------------------
 
-def _pair_blocks(mats: np.ndarray, n: int):
-    """Blocks (..., 2^(n-1), 2, 2) of ``mats`` (..., 2^n, 2^n) on the pairs (k, 2^n - 1 - k).
+def _pair_block_classes(n: int) -> np.ndarray:
+    """Distinct 2x2 blocks of (I, sigma_1^{xn}, sigma_2^{xn}, sigma_3^{xn}), shape (4, K, 2, 2).
 
-    None when any entry off the diagonal and the anti-diagonal exceeds 1e-12,
-    so that the matrices are not the direct sum of their blocks.
+    Every one of the four is the direct sum of its blocks on the index pairs
+    (i, 2^n - 1 - i), read here off ``pauli_power_entries``. Pairs whose four
+    blocks agree are merged, and each distinct tuple is scaled by its share
+    count / 2^n of the pairs: within a class rho and every grid state are
+    equal, so a distance's sum over the class is its term on the scaled block.
     """
     dim = 2**n
     low = np.arange(dim // 2)
     pairs = np.stack([low, dim - 1 - low], axis=1)
-    rows, cols = pairs[:, :, None], pairs[:, None, :]
-    rest = np.array(mats)
-    rest[..., rows, cols] = 0.0
-    if np.abs(rest).max() > _DIAGONAL_TOL:
+    blocks = np.zeros((dim // 2, 4, 2, 2), dtype=complex)
+    blocks[:, 0] = np.eye(2)
+    for j in (1, 2, 3):  # column i's entry sits in row i (j = 3) or row 2^n - 1 - i
+        rows = [0, 1] if j == 3 else [1, 0]
+        blocks[:, j, rows, [0, 1]] = pauli_power_entries(j, n)[pairs]
+    # complex unique sorts several times slower than on the float view
+    flat = blocks.reshape(dim // 2, -1).view(float)
+    _, first, counts = np.unique(flat, axis=0, return_index=True, return_counts=True)
+    scaled = blocks[first] * (counts / dim)[:, None, None, None]
+    return scaled.swapaxes(0, 1)
+
+
+def _ghz_pair_spectra(blocks: np.ndarray):
+    """Diagonals (..., 2) of Hermitian 2x2 ``blocks`` in the GHZ pair basis, or None.
+
+    The basis is (|i> +/- |2^n - 1 - i>) / sqrt(2). None when any block has an
+    off-diagonal or imaginary entry above 1e-12 there, as at odd n, where
+    sigma_3^{xn} swaps the two GHZ vectors of each pair.
+    """
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    conj = h @ blocks @ h
+    diag = np.diagonal(conj, axis1=-2, axis2=-1)
+    off = conj[..., [0, 1], [1, 0]]
+    if max(np.abs(off).max(), np.abs(diag.imag).max()) > _DIAGONAL_TOL:
         return None
-    return mats[..., rows, cols]
+    return diag.real
 
 
 def _eigvals_2x2(m: np.ndarray):
@@ -138,32 +164,6 @@ def _face_points(signs, center, halfwidth, resolution) -> np.ndarray:
     return np.stack([uu, vv, ww], axis=1) @ verts, np.stack([uu, vv], axis=1)
 
 
-def _ghz_basis(n: int) -> np.ndarray:
-    """The GHZ basis vectors as columns, in the order of GHZDiagonalState.flat()."""
-    return np.stack(
-        [ghz_basis_vector(GHZBasisIndex(n, i, s), n) for i in range(2 ** (n - 1)) for s in (1, -1)],
-        axis=1,
-    )
-
-
-def _ghz_spectra(rho: np.ndarray, n: int):
-    """Spectra (p, d) of rho and of sigma_j^{xn} in the GHZ basis, or None.
-
-    ``p`` has shape (2^n,) and ``d`` shape (3, 2^n), so that the triple x has
-    the spectrum (1 + x . d) / 2^n. None when any of the four matrices has an
-    off-diagonal or imaginary entry above 1e-12 there, as at odd n, where
-    sigma_3^{xn} swaps the two GHZ vectors of each pair.
-    """
-    basis = _ghz_basis(n)
-    mats = np.stack([rho] + [pauli_power(j, n) for j in (1, 2, 3)])
-    conj = basis.conj().T @ mats @ basis
-    diag = np.diagonal(conj, axis1=1, axis2=2)
-    off = conj - diag[:, :, None] * np.eye(rho.shape[0])
-    if max(np.abs(off).max(), np.abs(diag.imag).max()) > _DIAGONAL_TOL:
-        return None
-    return diag[0].real, diag[1:].real
-
-
 def _refine_face(distances, signs, bary, val: float, cfg: OracleConfig) -> float:
     """Shrink the grid on one face around (bary, val) by a factor 4 per round."""
     halfwidth = 0.5
@@ -185,32 +185,30 @@ def brute_min_over_octahedron(
     """Minimum distance from a triple-correlation state to the octahedron.
 
     Evaluates distances on a barycentric grid over all eight faces, then
-    shrinks the grid by a factor 4 per refinement round. When the state is
-    diagonal in the GHZ basis (even n) the distances are classical distances
-    between spectra, and every face is refined around its own coarse minimum;
-    otherwise (odd n) they are sums over the 2x2 pair blocks of rho and of
-    the grid states, and only the incumbent's face is refined. Separable
-    inputs return 0 (the state itself is feasible).
+    shrinks the grid by a factor 4 per refinement round. Rho and the grid
+    states are held as their distinct, share-scaled 2x2 pair blocks (two at
+    every n >= 2), so the cost does not grow with 2^n past building them.
+    When the blocks are diagonal in the GHZ pair basis (even n) the distances
+    are classical distances between spectra, and every face is refined around
+    its own coarse minimum; otherwise (odd n) they are sums over the blocks,
+    and only the incumbent's face is refined. Separable inputs return 0 (the
+    state itself is feasible).
     """
     cfg = cfg or OracleConfig()
-    if state.n > _ORACLE_DENSE_CAP:
-        raise CapacityError(f"the octahedron oracle is capped at n={_ORACLE_DENSE_CAP}")
+    if state.n > _OCTAHEDRON_CAP:
+        raise CapacityError(f"the octahedron oracle is capped at n={_OCTAHEDRON_CAP}")
     if octahedron_excess(state.c) <= 0:
         return 0.0
-    rho = np.array(m3n_density(state).rho)
-    spectra = _ghz_spectra(rho, state.n)
+    blocks = _pair_block_classes(state.n)
+    rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
+    spectra = _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
     if spectra is not None:
-        p, d = spectra
+        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
 
         def distances(pts):
-            return classical_distance(p, (1.0 + pts @ d) / rho.shape[0], kind)
+            return classical_distance(p, identity + pts @ d, kind)
     else:
-        mats = np.stack([rho] + [pauli_power(j, state.n) for j in (1, 2, 3)])
-        blocks = _pair_blocks(mats, state.n)
-        if blocks is None:
-            raise RuntimeError("m3n density is not block-diagonal on the index pairs")
-        rho_blocks, paulis = blocks[0], blocks[1:].reshape(3, -1) / rho.shape[0]
-        identity = np.tile(np.eye(2).ravel(), len(rho_blocks)) / rho.shape[0]
+        identity, paulis = blocks[0].ravel(), blocks[1:].reshape(3, -1)
 
         def distances(pts):
             batch = (pts @ paulis + identity).reshape((-1,) + rho_blocks.shape)

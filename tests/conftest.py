@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+from entbound._linalg import pauli_power_entries
 from entbound.qstate import CorrelationTriple, DenseState, M3NState
+
+
+def pauli_power(j: int, n: int) -> np.ndarray:
+    """Dense sigma_j^{xn} (j in 1..3) built from its nonzero entries."""
+    dim = 2**n
+    out = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    rows = idx if j == 3 else dim - 1 - idx
+    out[rows, idx] = pauli_power_entries(j, n)
+    return out
 
 
 def random_density(n, rng, rank=None):

@@ -137,13 +137,40 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
     "argv, fragment",
     [
         (["state", "--family", "ghz", "--n", "13"], "dense cap"),
-        (["oracle", "--n", "6", "--c=0.5,0.1,0.1"], "capped at n=5"),
+        (["oracle", "--n", "17", "--c=0.5,0.1,0.1"], "capped at n=16"),
         (["bound", "--n", "4", "--c=0.9,0.9,-0.9"], "tetrahedron"),
     ],
-    ids=["state-n13", "oracle-n6", "bound-outside-tetrahedron"],
+    ids=["state-n13", "oracle-n17", "bound-outside-tetrahedron"],
 )
 def test_unphysical_or_oversized_input_exits_2(argv, fragment, capsys):
     _assert_input_error(argv, capsys, fragment)
+
+
+#: a triple outside the octahedron at n=4, entangled at every non-trivial level
+_ORACLE_LEVEL_TRIPLE = "--c=-0.511822,0.935388,-0.447535"
+
+
+@pytest.mark.parametrize(
+    "level", [["--M", "2"], ["--partition", "2,2"]], ids=["M2", "partition-2-2"]
+)
+def test_oracle_rejects_a_trivial_level(level, capsys):
+    # the oracle minimises over fully separable states, which is the wrong set here
+    argv = ["oracle", "--n", "4", _ORACLE_LEVEL_TRIPLE, "--resolution", "16"] + level
+    _assert_input_error(argv, capsys, "separable at this level")
+
+
+@pytest.mark.parametrize(
+    "level",
+    [["--M", "3"], ["--partition", "1,3"], ["--partition", "1,1,2"]],
+    ids=["M3", "partition-1-3", "partition-1-1-2"],
+)
+def test_oracle_agrees_at_a_non_trivial_level(level, capsys):
+    argv = ["oracle", "--n", "4", _ORACLE_LEVEL_TRIPLE, "--resolution", "16"] + level
+    rc, out, err = _run(argv, capsys)
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["formula_value"] > 0.2
+    assert report["deviation"] < 1e-6
 
 
 @pytest.mark.parametrize(

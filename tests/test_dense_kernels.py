@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_m3n_inside_tetra
+from conftest import pauli_power, random_density, random_m3n_inside_tetra
 from dense_rotation import apply_product_unitary
-from entbound._linalg import SIGMA_STACK, contract_qubit_pairs, pauli_power
+from entbound._linalg import SIGMA_STACK, contract_qubit_pairs
 from entbound.cli import main
 from entbound.errors import StateValidityError
 from entbound.estimate import _BASIS_CHANGE, _born_diagonal

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    pauli_power,
     random_density,
     random_ghz_spectrum,
     random_m3n_inside_tetra,
@@ -13,7 +14,6 @@ from entbound.errors import CapacityError, ParameterError
 from entbound.locc import GHZDiagonalState, m3nfy
 from scipy.linalg import logm, sqrtm
 
-from entbound._linalg import pauli_power
 from entbound.measures import (
     ALL_DISTANCES,
     DistanceKind,
@@ -32,8 +32,8 @@ from entbound.oracle import (
     _batch_distance,
     _face_points,
     _fw_gap,
-    _ghz_spectra,
-    _pair_blocks,
+    _ghz_pair_spectra,
+    _pair_block_classes,
     _project_capped_simplex,
     _surrogate,
     brute_min_biseparable_ghz,
@@ -43,6 +43,23 @@ from entbound.qstate import CorrelationTriple, M3NState, m3n_density
 from proof_channels import apply_lambda_pq, apply_omega, check_translation_invariance, corner_triple
 
 FAST = OracleConfig(grid_resolution=16, refine_rounds=4)
+
+
+def _pair_blocks(mats: np.ndarray, n: int):
+    """Blocks (..., 2^(n-1), 2, 2) of ``mats`` (..., 2^n, 2^n) on the pairs (k, 2^n - 1 - k).
+
+    None when any entry off the diagonal and the anti-diagonal exceeds 1e-12,
+    so that the matrices are not the direct sum of their blocks.
+    """
+    dim = 2**n
+    low = np.arange(dim // 2)
+    pairs = np.stack([low, dim - 1 - low], axis=1)
+    rows, cols = pairs[:, :, None], pairs[:, None, :]
+    rest = np.array(mats)
+    rest[..., rows, cols] = 0.0
+    if np.abs(rest).max() > 1e-12:
+        return None
+    return mats[..., rows, cols]
 
 
 def _dense_grid(pts, n):
@@ -85,18 +102,20 @@ def test_batched_distance_matches_reference(rng):
             assert np.allclose(got[full], want, rtol=0.0, atol=1e-10), (n, kind)
 
 
-def test_pair_blocks_reassemble_the_matrix(rng):
-    for n in (2, 3, 4, 5):
-        dim = 2**n
-        rho = np.array(m3n_density(random_m3n_inside_tetra(n, rng)).rho)
-        blocks = _pair_blocks(rho, n)
-        assert blocks.shape == (dim // 2, 2, 2)
-        dense = np.zeros_like(rho)
-        for k, block in enumerate(blocks):
-            pair = [k, dim - 1 - k]
-            dense[np.ix_(pair, pair)] = block
-        assert np.array_equal(dense, rho)
-    assert _pair_blocks(np.array(random_density(3, rng).rho), 3) is None
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_classes_merge_the_dense_pair_blocks(n):
+    dim = 2**n
+    mats = np.stack([np.eye(dim, dtype=complex)] + [pauli_power(j, n) for j in (1, 2, 3)])
+    dense = _pair_blocks(mats, n).swapaxes(0, 1).reshape(dim // 2, -1)
+    classes = _pair_block_classes(n)
+    assert classes.shape == (4, 2, 2, 2)
+    # each class is scaled by its share of the pairs, read off its identity block
+    share = classes[0, :, 0, 0].real
+    unit = (classes / share[:, None, None]).swapaxes(0, 1).reshape(len(share), -1)
+    matches = np.all(dense[:, None, :] == unit[None, :, :], axis=2)
+    assert np.array_equal(matches.sum(axis=1), np.ones(dim // 2))
+    assert np.array_equal(matches.sum(axis=0) / dim, share)
+    assert np.array_equal(classes.sum(axis=1), _pair_blocks(mats, n).sum(axis=1) / dim)
 
 
 def test_block_trace_grid_matches_dense_eigensolve(monkeypatch, rng):
@@ -136,6 +155,43 @@ def test_odd_octahedron_oracle_values_pinned(n, triple, resolution, want):
     assert abs(got - want) < 1e-12
 
 
+EVEN_PINS = {
+    (2, (-0.932507, 0.058922, 0.120328)): (
+        0.002253669859527768, 0.02793925000000003, 0.0007812676310127165,
+        0.0007814202854283803, 0.0007814202854283803,
+    ),
+    (2, (0.366481, -0.575849, 0.518065)): (
+        0.03856988363796511, 0.11509875000000001, 0.013428064416869723,
+        0.013473447866220623, 0.013473447866220623,
+    ),
+    (2, (0.218465, 0.204377, -0.873232)): (
+        0.01586693579786759, 0.07401849999999999, 0.00550923327552566,
+        0.0055168421623867925, 0.0055168421623867925,
+    ),
+    (4, (-0.116695, 0.660122, -0.408801)): (
+        0.006223370260698573, 0.04640449999999999, 0.002158428485167785,
+        0.002159594447211921, 0.002159594447211921,
+    ),
+    (4, (0.307783, -0.34919, -0.761674)): (
+        0.03184188690322062, 0.10466174999999998, 0.011076826868076095,
+        0.011107671962180987, 0.011107671962180987,
+    ),
+    (4, (0.450669, -0.762187, -0.379639)): (
+        0.06426744832511266, 0.14812375, 0.022444396706082448,
+        0.022571767882416882, 0.022571767882416882,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, triple", EVEN_PINS.keys())
+def test_even_octahedron_oracle_values_pinned(n, triple):
+    # the values a GHZ-basis conjugation of the dense matrices gave, in ALL_DISTANCES order
+    state = M3NState(n, CorrelationTriple(*triple))
+    for kind, want in zip(ALL_DISTANCES, EVEN_PINS[n, triple]):
+        got = brute_min_over_octahedron(state, kind, OracleConfig(24, 3))
+        assert abs(got - want) < 1e-13, kind
+
+
 def test_octahedron_oracle_even_vertex():
     state = M3NState(4, CorrelationTriple(1, 1, 1))
     val = brute_min_over_octahedron(state, DistanceKind.TRACE, FAST)
@@ -158,7 +214,7 @@ def test_octahedron_oracle_inside_zero():
 def test_octahedron_oracle_capacity():
     with pytest.raises(CapacityError):
         brute_min_over_octahedron(
-            M3NState(6, CorrelationTriple(1, -1, 1)), DistanceKind.TRACE, FAST
+            M3NState(17, CorrelationTriple(0.8, -0.5, 0.3)), DistanceKind.TRACE, FAST
         )
 
 
@@ -169,6 +225,16 @@ def test_octahedron_oracle_matches_formula_even(kind, rng):
         formula = entanglement_from_excess(octahedron_excess(state.c), kind)
         oracle = brute_min_over_octahedron(state, kind, FAST)
         assert abs(formula - oracle) < 5e-4
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 11, 12])
+def test_octahedron_oracle_matches_formula_beyond_dense_sizes(n, rng):
+    # a dense 2^n x 2^n matrix at n=12 is 256 MB; the oracle needs none
+    state = random_m3n_outside_octahedron(n, rng)
+    for kind in ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,):
+        formula = entanglement_m3n(state, SeparabilityLevel(m=n), kind).value
+        oracle = brute_min_over_octahedron(state, kind, FAST)
+        assert formula - 1e-12 <= oracle < formula + 5e-4, kind
 
 
 def test_octahedron_oracle_matches_formula_odd(rng):
@@ -297,14 +363,23 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _class_spectra(state):
+    """GHZ pair spectra of rho's block classes and of the identity and sigma_j classes."""
+    blocks = _pair_block_classes(state.n)
+    rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
+    return _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
+
+
 @pytest.mark.parametrize("kind", ALL_DISTANCES)
 def test_spectral_grid_matches_matrix_grid(kind, rng):
     for n in (2, 4):
-        rho = np.array(m3n_density(random_m3n_outside_octahedron(n, rng)).rho)
-        p, d = _ghz_spectra(rho, n)
+        state = random_m3n_outside_octahedron(n, rng)
+        rho = np.array(m3n_density(state).rho)
+        spectra = _class_spectra(state)
+        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
         for signs in ((1, 1, 1), (-1, 1, -1), (1, -1, 1)):
             pts, _ = _face_points(signs, (0.5, 0.5), 0.5, 10)
-            q = (1.0 + pts @ d) / 2**n
+            q = identity + pts @ d
             spectral = classical_distance(p, q, kind)
             matrix = _batch_distance(_pair_blocks(rho, n), _pair_blocks(_dense_grid(pts, n), n), kind)
             full = np.all(q > 1e-6, axis=1)
@@ -317,8 +392,7 @@ def test_spectral_grid_matches_matrix_grid(kind, rng):
 
 def test_ghz_spectra_only_where_diagonal():
     for n in (3, 5):
-        rho = np.array(m3n_density(M3NState(n, CorrelationTriple(0.5, -0.4, 0.3))).rho)
-        assert _ghz_spectra(rho, n) is None
+        assert _class_spectra(M3NState(n, CorrelationTriple(0.5, -0.4, 0.3))) is None
 
 
 def test_octahedron_oracle_falls_back_when_not_diagonal(monkeypatch):
@@ -327,14 +401,11 @@ def test_octahedron_oracle_falls_back_when_not_diagonal(monkeypatch):
     calls = _count_calls(monkeypatch, "_batch_distance")
     spectral = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
     assert not calls
-    # in the computational basis the anti-diagonal of rho fails the check
-    monkeypatch.setattr(oracle, "_ghz_basis", lambda n: np.eye(2**n, dtype=complex))
+    # a failed diagonality check sends even n down the block path
+    monkeypatch.setattr(oracle, "_ghz_pair_spectra", lambda blocks: None)
     matrix = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
     assert calls
     assert abs(matrix - formula) < 5e-4 and abs(spectral - formula) < 5e-4
-    monkeypatch.setattr(oracle, "_pair_blocks", lambda mats, n: None)
-    with pytest.raises(RuntimeError):
-        brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
 
 
 def _test_spectra(rng):
