@@ -10,12 +10,19 @@ objective call per step covers every start still running.
   every other qubit fixed, the objective is linear in one qubit's SO(3)
   matrix (per sign class, for the correlation sum), so each step takes the
   proper polar factor of a 3x3 matrix. The correlation-sum ascent steps
-  every start at once, one mode contraction per qubit and one batched SVD.
+  every start at once, one batched SVD per qubit. Each sweep carries the
+  tensor contracted by the rows already updated, one mode further per
+  qubit, so a step contracts only the qubits still to come (O(3^n) per
+  sweep and start, not O(n 3^n)), in the order a full contraction takes.
 - Shared mode, either objective: a coarse angle grid screened in one batch,
   then :func:`minimize`, an in-package Nelder-Mead that runs every start
   together. The correlation sum is a degree-n polynomial in the rows of the
-  shared SO(3) matrix; the overlap reads rho against two product vectors.
-  Neither builds a rotated state.
+  shared SO(3) matrix, read through a table of their powers; the overlap
+  reads rho against two product vectors. Neither builds a rotated state.
+- The overlap screen of both modes reads the diagonal and anti-diagonal of
+  u^{xn} rho u^{dag xn}. With u = Rz(phi) Rx(theta) Rz(psi), the last
+  Rz(phi)^{xn} keeps the diagonal and only turns each anti-diagonal entry
+  by a phase, so the grid's phis share one contraction per (theta, psi).
 
 Batches grow with the starts, the grid and n, so they run in chunks of at
 most ``_CHUNK_ENTRIES`` matrix entries. Nothing here imports scipy.
@@ -28,13 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA_STACK, contract_qubit_pairs
+from ._linalg import SIGMA_STACK, contract_qubit_pairs, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise
 from .pauli import (
     CorrelationTensor,
     LocalRotation,
-    contract_modes,
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
@@ -230,7 +236,11 @@ def _shared_objective(poly: tuple[np.ndarray, np.ndarray], angles: np.ndarray) -
     """
     coef, exps = poly
     rows = so3_from_angles(angles)  # rows[..., i, :] is row i of O
-    powers = rows[..., None] ** np.arange(exps.max() + 1)
+    # powers[..., d] = rows ** d, by repeated products rather than a float pow per entry
+    powers = np.empty(rows.shape + (exps.max() + 1,))
+    powers[..., 0] = 1.0
+    for d in range(1, powers.shape[-1]):
+        powers[..., d] = powers[..., d - 1] * rows
     terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
     return np.abs(terms @ coef).sum(axis=-1)
 
@@ -269,12 +279,35 @@ def _random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
     return q
 
 
+def _qubit_matrix(left: np.ndarray, os: np.ndarray, k: int) -> np.ndarray:
+    """b[s, i, j]: row i of every other qubit's rotation, unit row e_j on qubit k.
+
+    ``os`` of shape (S, n, 3, 3) holds each start's rotations, and ``left``
+    is the sweep cache at qubit k: bloch with modes 0..k-1 contracted by row
+    i of os[s, m], shape (S * 3, 3^(n-k)) in (s, i) order, or bloch itself at
+    k = 0. Modes k+1..n-1 are contracted here in the order of
+    ``pauli.contract_modes``, a sum over three terms each, so b equals that
+    contraction over the 9 rows bit for bit; ``+ 0.0`` turns -0.0 into 0.0
+    as its unit row e_j does.
+    """
+    count, n = os.shape[:2]
+    cur = left.reshape(-1, 3, 3 ** (n - k - 1)) + 0.0  # (S * 3 or 1, j, modes k+1..)
+    for m in range(k + 1, n):
+        rows = os[:, m].reshape(-1, 3)
+        cur = np.einsum("bl,bjlr->bjr", rows, cur.reshape(len(cur), 3, 3, -1))
+    # at n = 1 nothing was contracted and every (s, i) reads bloch itself
+    return np.broadcast_to(cur, (count * 3, 3, 1)).reshape(count, 3, 3)
+
+
 def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
     """Coordinate ascent over qubits on (n, 3, 3) rotation stacks, every start in lockstep.
 
     Each start sweeps until a sweep gains at most _ASCENT_TOL (or for
     _MAX_SWEEPS sweeps) and is then frozen; starts run in chunks under
-    _CHUNK_ENTRIES. Returns the first best start's stack and its value.
+    _CHUNK_ENTRIES. A sweep carries bloch contracted by the rows already
+    updated, one mode further per qubit, so each qubit's step contracts only
+    the qubits still to come, and the last update leaves the sweep's value.
+    Returns the first best start's stack and its value.
     """
     n = bloch.ndim
     os = np.array(starts, dtype=float)
@@ -283,16 +316,17 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
         live = np.arange(len(os))[chunk]
         for _ in range(_MAX_SWEEPS):
             cur = os[live]
+            left = bloch
             for k in range(n):
-                # b[s, i, j]: row i of every other qubit's rotation, unit row e_j on qubit k
-                rows = np.broadcast_to(
-                    np.swapaxes(cur, 1, 2)[:, :, None], (len(live), 3, 3, n, 3)
-                ).copy()
-                rows[:, :, :, k] = np.eye(3)
-                b = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(-1, 3, 3)
-                cur[:, k] = _best_rotation_for_matrix(b)[0]
-            diag = contract_modes(bloch, np.swapaxes(cur, 1, 2).reshape(-1, n, 3))
-            new = np.abs(diag).reshape(-1, 3).sum(axis=1)
+                cur[:, k] = _best_rotation_for_matrix(_qubit_matrix(left, cur, k))[0]
+                # one more mode by the steps of pauli.contract_modes, so the
+                # sweep's value equals that contraction bit for bit
+                rows = cur[:, k].reshape(-1, 3)
+                if k == 0:
+                    left = rows @ bloch.reshape(3, -1)
+                else:
+                    left = np.einsum("bj,bjr->br", rows, left.reshape(len(left), 3, -1))
+            new = np.abs(left).reshape(-1, 3).sum(axis=1)
             os[live] = cur
             stop = new <= vals[live] + _ASCENT_TOL
             vals[live] = np.where(stop, np.maximum(vals[live], new), new)
@@ -373,16 +407,11 @@ def _product_vector(factors) -> np.ndarray:
     return out
 
 
-def _rotated_beta(bits: np.ndarray, sign, unitaries) -> np.ndarray:
-    """U^dag beta for beta = (|x> + sign |~x>)/sqrt(2); U^dag|y> is row y of conj(U).
-
-    Batched too: bits (B, n), sign (B,) and unitaries (B, 2, 2) give (B, 2^n).
-    """
-    rows = (np.arange(len(bits)),) if np.ndim(bits) == 2 else ()
-    per_qubit = list(zip(unitaries, np.transpose(bits)))
-    a = _product_vector([u[(*rows, x)].conj() for u, x in per_qubit])
-    b = _product_vector([u[(*rows, 1 - x)].conj() for u, x in per_qubit])
-    return (a + np.asarray(sign)[..., None] * b) / math.sqrt(2)
+def _rotated_beta(bits: np.ndarray, sign: int, unitaries) -> np.ndarray:
+    """U^dag beta for beta = (|x> + sign |~x>)/sqrt(2); U^dag|y> is row y of conj(U)."""
+    a = _product_vector([u[x].conj() for u, x in zip(unitaries, bits)])
+    b = _product_vector([u[1 - x].conj() for u, x in zip(unitaries, bits)])
+    return (a + sign * b) / math.sqrt(2)
 
 
 def _overlap(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries) -> float:
@@ -394,9 +423,18 @@ def _overlap(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries) -> float:
 def _shared_overlaps(rho: np.ndarray, bits: np.ndarray, signs: np.ndarray, angles) -> np.ndarray:
     """<beta|U rho U^dag|beta> with U = u^{xn} for one angle triple u per row.
 
-    Row r reads the GHZ basis vector of bits[r] (shape (n,)) and signs[r].
+    Row r reads the GHZ basis vector of bits[r] (bits of shape (R, n)) and
+    signs[r]. One gather takes rows x_k and ~x_k of conj(u) for every qubit
+    of every row; the two product vectors a and b then grow together.
     """
-    v = _rotated_beta(bits, signs, [su2_from_angles(angles)] * bits.shape[-1])
+    rows, n = bits.shape
+    picks = np.concatenate([bits, 1 - bits], axis=1)[:, :, None]
+    factors = np.take_along_axis(su2_from_angles(angles).conj(), picks, axis=1)
+    factors = factors.reshape(rows, 2, n, 2)  # [r, a or b, qubit, entry]
+    ab = np.ones((rows, 2, 1), dtype=complex)
+    for k in range(n):
+        ab = (ab[..., :, None] * factors[:, :, k, None, :]).reshape(rows, 2, -1)
+    v = (ab[:, 0] + signs[:, None] * ab[:, 1]) / math.sqrt(2)
     return np.einsum("ri,ri->r", v.conj(), v @ rho.T).real
 
 
@@ -441,27 +479,34 @@ def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndar
     return angles, _overlap(rho, bits, sign, unitaries)
 
 
-def _screen_overlaps(rho: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+def _screen_overlaps(rho: np.ndarray, angles, n: int) -> np.ndarray:
     """GHZ-basis overlaps of u^{xn} rho u^{dag xn}, flat in ghz_diagonalise's order.
 
-    ``u`` of shape (..., 2, 2) gives overlaps of shape (..., 2^n). Reads only
-    the diagonal and the anti-diagonal of each rotated state, every u in one
-    contraction (in chunks under _CHUNK_ENTRIES).
+    u = su2_from_angles(angles); angles of shape (..., 3) give overlaps of
+    shape (..., 2^n). Reads only the diagonal and the anti-diagonal of each
+    rotated state. As u = Rz(phi) v, with v the same angles at phi = 0, and
+    Rz(phi)^{xn} keeps the diagonal and turns anti-diagonal entry (i, ~i) by
+    exp(-i phi (n - 2|i|)), one contraction per distinct (theta, psi) serves
+    every phi (all in one batch, in chunks under _CHUNK_ENTRIES).
     """
-    u = np.asarray(u)
-    flat = u.reshape(-1, 2, 2)
-    # mats[g, l, i, r, c] = u[i, r] conj(u[i ^ l, c]): line l = 0 is the diagonal
-    mats = flat[:, None, :, :, None] * np.stack([flat, flat[:, ::-1]], 1).conj()[:, :, :, None, :]
-    lines = np.empty((len(flat), 2, 2**n))
-    # per u: 4^n complex entries after the first contraction step, and a
-    # transposed copy of them
-    for chunk in _chunks(len(flat), 4 ** (n + 1)):
-        part = contract_qubit_pairs(rho, [mats[chunk]] * n, n)
-        lines[chunk] = part.real.reshape(-1, 2, 2**n)
+    angles = np.asarray(angles, dtype=float)
+    flat = angles.reshape(-1, 3)
+    pairs, which = np.unique(flat[:, :2], axis=0, return_inverse=True)
+    v = su2_from_angles(np.column_stack([pairs, np.zeros(len(pairs))]))
+    # mats[g, l, i, r, c] = v[i, r] conj(v[i ^ l, c]): line l = 0 is the diagonal
+    mats = v[:, None, :, :, None] * np.stack([v, v[:, ::-1]], 1).conj()[:, :, :, None, :]
+    lines = np.empty((len(v), 2, 2**n), dtype=complex)
+    # per (theta, psi): 4^n complex entries after the first contraction step,
+    # and a transposed copy of them
+    for chunk in _chunks(len(v), 4 ** (n + 1)):
+        lines[chunk] = contract_qubit_pairs(rho, [mats[chunk]] * n, n).reshape(-1, 2, 2**n)
     half = 2 ** (n - 1)
-    diag, anti = lines[:, 0], lines[:, 1, :half]
+    which = which.reshape(-1)
+    diag = lines[:, 0].real[which]
+    turns = n - 2 * hamming_weights(n)[:half]
+    anti = (lines[which, 1, :half] * np.exp(-1j * flat[:, 2:] * turns)).real
     mean = 0.5 * (diag[:, :half] + diag[:, ::-1][:, :half])
-    return np.stack([mean + anti, mean - anti], axis=-1).reshape(u.shape[:-2] + (-1,))
+    return np.stack([mean + anti, mean - anti], axis=-1).reshape(angles.shape[:-1] + (-1,))
 
 
 def optimise_ghz_overlap(
@@ -483,7 +528,7 @@ def optimise_ghz_overlap(
     # coarse screen: every basis index against a shared-angle grid, because
     # the best index at the identity need not be the best one after rotation
     grid = _shared_grid(max(4, opts.grid_density // 2))
-    overlaps = _screen_overlaps(rho, su2_from_angles(grid), n)
+    overlaps = _screen_overlaps(rho, grid, n)
     best_pos = np.argmax(overlaps, axis=1)
     # (value, grid position, flat index)
     seeds = [(float(overlaps[g, pos]), g, int(pos)) for g, pos in enumerate(best_pos)]

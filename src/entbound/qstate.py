@@ -532,8 +532,11 @@ def build_state(family: StateFamily, n: int) -> DenseState:
             raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
         inner = build_state(params["inner"], n)
         dim = 2**n
-        # a convex combination of two density matrices is one
-        rho = q * inner.rho + (1 - q) * np.eye(dim) / dim
+        # a convex combination of two density matrices is one; built in place,
+        # with ``+= 0.0`` turning -0.0 into 0.0 as adding the identity's zeros did
+        rho = q * inner.rho
+        rho += 0.0
+        rho.reshape(-1)[:: dim + 1] += (1 - q) / dim
         return DenseState(n, rho, _CERTIFIED)
     raise ParameterError(f"unknown family {tag!r}")
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from conftest import random_density
 from dense_rotation import apply_product_unitary
-from entbound._linalg import kron_all
+from entbound._linalg import contract_qubit_pairs, kron_all
 from entbound import optimize
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
@@ -18,10 +18,13 @@ from entbound.optimize import (
     _overlap_ascent,
     _per_qubit_ascent,
     _polar_rotation,
+    _qubit_matrix,
     _random_rotations,
+    _rotated_beta,
     _screen_overlaps,
     _shared_grid,
     _shared_objective,
+    _shared_overlaps,
     _shared_polynomial,
     optimise_ghz_overlap,
     optimise_triple,
@@ -238,14 +241,25 @@ def test_product_vector_overlap_matches_dense(n, rng):
                 assert got == pytest.approx(dense_overlap(rho, idx, unitaries), abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def shared_pair_angles(rng, pairs=3, phis=3, single=4):
+    """Off-grid angles: ``pairs`` (theta, psi) pairs with ``phis`` phis each, then ``single`` more."""
+    repeated = np.repeat(random_angles(rng, pairs), phis, axis=0)
+    repeated[:, 2] = rng.uniform(0, 2 * np.pi, size=len(repeated))
+    return np.vstack([repeated, random_angles(rng, single)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_screen_overlaps_match_dense_rotation(n, rng):
     state = random_density(n, rng)
-    for angles in random_angles(rng, 4):
+    rho = np.array(state.rho)
+    angle_sets = shared_pair_angles(rng)
+    batched = _screen_overlaps(rho, angle_sets, n)
+    for angles, row in zip(angle_sets, batched):
         u = su2_from_angles(angles)
-        rotated = DenseState(n, apply_product_unitary(np.array(state.rho), [u] * n, n))
+        rotated = DenseState(n, apply_product_unitary(rho, [u] * n, n))
         want = ghz_diagonalise(rotated).flat()
-        assert np.allclose(_screen_overlaps(np.array(state.rho), u, n), want, rtol=0, atol=1e-14)
+        assert np.allclose(_screen_overlaps(rho, angles, n), want, rtol=0, atol=1e-14)
+        assert np.allclose(row, want, rtol=0, atol=1e-14)
 
 
 def test_polar_step_beats_random_rotations(rng):
@@ -415,17 +429,66 @@ def test_lockstep_ascent_matches_serial(source, chunk, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_batched_screen_matches_per_point(n, chunk, rng, monkeypatch):
     rho = np.array(random_density(n, rng).rho)
-    us = su2_from_angles(np.vstack([np.zeros(3), random_angles(rng, 23)]))
+    # 23 distinct (theta, psi) pairs, then 12 angle sets sharing 4 pairs
+    angles = np.vstack([np.zeros(3), random_angles(rng, 23), shared_pair_angles(rng, 4, 3, 0)])
     if chunk is not None:
-        # chunks of `chunk` unitaries
+        # chunks of `chunk` distinct (theta, psi) pairs
         monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", chunk * 4 ** (n + 1))
-    batched = _screen_overlaps(rho, us, n)
-    assert batched.shape == (len(us), 2**n)
-    for u, row in zip(us, batched):
-        assert np.allclose(row, _screen_overlaps(rho, u, n), rtol=0, atol=1e-14)
+    batched = _screen_overlaps(rho, angles, n)
+    assert batched.shape == (len(angles), 2**n)
+    for a, row in zip(angles, batched):
+        assert np.allclose(row, _screen_overlaps(rho, a, n), rtol=0, atol=1e-14)
+    assert _screen_overlaps(rho, angles.reshape(4, 9, 3), n).shape == (4, 9, 2**n)
+
+
+@pytest.mark.parametrize("mode", ["shared", "per_qubit"])
+def test_default_screen_contracts_once_per_theta_psi(mode, monkeypatch):
+    # the default overlap grid holds 6 x 6 (theta, psi) pairs with 6 phis each,
+    # and its identity row repeats the pair (0, 0): 36 contractions for 217 rows
+    rows = []
+
+    def counting(rho, mats, n):
+        rows.append(len(mats[0]))
+        return contract_qubit_pairs(rho, mats, n)
+
+    monkeypatch.setattr(optimize, "contract_qubit_pairs", counting)
+    optimise_ghz_overlap(build_state(StateFamily.w(), 3), OptimisationOptions(mode=mode))
+    assert len(_shared_grid(6)) == 217
+    assert sum(rows) == 36
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shared_overlaps_match_per_qubit_product_vectors(n, rng):
+    rho = np.array(random_density(n, rng).rho)
+    bits = rng.integers(0, 2, size=(12, n))
+    signs = rng.choice([1, -1], size=12)
+    angles = random_angles(rng, 12)
+    got = _shared_overlaps(rho, bits, signs, angles)
+    # the same vectors, qubit by qubit, read by the same quadratic form: equal bit for bit
+    v = np.array([_rotated_beta(x, s, [su2_from_angles(a)] * n)
+                  for x, s, a in zip(bits, signs, angles)])
+    assert np.array_equal(got, np.einsum("ri,ri->r", v.conj(), v @ rho.T).real)
+    want = [_overlap(rho, x, s, [su2_from_angles(a)] * n) for x, s, a in zip(bits, signs, angles)]
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sweep_cache_matrices_match_full_contraction(n, rng):
+    bloch = rng.uniform(-1, 1, size=(3,) * n)
+    os = np.array([_random_rotations(rng, n) for _ in range(3)])
+    left = np.broadcast_to(bloch, (3, 3) + bloch.shape)
+    for k in range(n):
+        # bloch with modes 0..k-1 contracted by row i of each start's rotations
+        cache = bloch if k == 0 else left.reshape(9, -1)
+        got = _qubit_matrix(cache, os, k)
+        rows = np.broadcast_to(np.swapaxes(os, 1, 2)[:, :, None], (3, 3, 3, n, 3)).copy()
+        rows[:, :, :, k] = np.eye(3)
+        want = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(3, 3, 3)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        left = np.einsum("sij,sij...->si...", os[:, k], left)
 
 
 def test_per_qubit_working_set_is_bounded(monkeypatch):
