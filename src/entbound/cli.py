@@ -2,14 +2,20 @@
 
 Every subcommand prints machine-readable JSON on stdout (a human-readable
 table with ``--pretty``) and exits 0. Input problems exit 2 with nothing on
-stdout: usage and schema errors, malformed parameters, unphysical states or
-spectra, and sizes above a dense cap. Other computation failures exit 1.
+stdout: usage and schema errors, unreadable input files, malformed
+parameters, unphysical states or spectra, and sizes above a dense cap. Other
+computation failures exit 1.
 Output is byte-identical across runs with the same flags and seeds.
+
+The argument parser is built once per process, on the first ``main`` call,
+and every later call parses with the same object; it is shared and must not
+be modified.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -360,7 +366,14 @@ def _add_common(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``entbound`` argument parser, built on the first call only.
+
+    Every call returns the same parser, shared by all ``main`` calls in the
+    process, so callers must not modify it (no ``add_argument`` or
+    ``set_defaults``). Its defaults are immutable, so parses share no state.
+    """
     parser = argparse.ArgumentParser(
         prog="entbound",
         description="Multiparticle-entanglement values and accessible lower bounds",
@@ -458,9 +471,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_attach_number_lists(argv))
+        if [] in vars(args).values():
+            # Python < 3.12 reads "--pmax=--" as an empty list, not as the value "--"
+            parser.error("an option value may not be '--'")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {args.seed}")
         args.func(args)
     except (SchemaError, ParameterError, StateValidityError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -468,7 +486,8 @@ def main(argv=None) -> int:
     except EntboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # an input file that is missing, a directory, unreadable or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

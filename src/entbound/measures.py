@@ -119,7 +119,7 @@ class SeparabilityLevel:
         """
         self.check_for(n)
         if self.m is not None:
-            return self.m <= math.ceil(n / 2)
+            return self.m <= (n + 1) // 2
         odd = sum(1 for k in self.partition if k % 2)
         return odd <= 1
 

@@ -174,12 +174,13 @@ class DenseState:
 def _even_eigenvalue_terms(n: int, c: CorrelationTriple):
     """The four spectral expressions of an even-n triple-correlation state.
 
-    Yields (value, sign, parity); each carries multiplicity 2^(n-2).
+    Yields (value, sign, parity), with value 2^n times the eigenvalue, so it
+    stays finite at any n; each eigenvalue carries multiplicity 2^(n-2).
     """
     e = (-1) ** (n // 2)
     for sign in (+1, -1):
         for parity in (0, 1):
-            val = (1 + sign * c.c1 + sign * e * (-1) ** parity * c.c2 + (-1) ** parity * c.c3) / 2**n
+            val = 1 + sign * c.c1 + sign * e * (-1) ** parity * c.c2 + (-1) ** parity * c.c3
             yield val, sign, parity
 
 
@@ -200,10 +201,10 @@ class M3NState:
             raise ParameterError(f"qubit count must be >= 2, got {self.n}")
         if self.n % 2 == 0:
             worst = min(v for v, _, _ in _even_eigenvalue_terms(self.n, self.c))
-            if worst < -_TRIPLE_TOL / 2**self.n:
+            if worst < -_TRIPLE_TOL:
                 raise StateValidityError(
                     f"triple {tuple(self.c)} lies outside the physical tetrahedron "
-                    f"for n={self.n} (spectral expression {worst * 2**self.n:.3e})"
+                    f"for n={self.n} (spectral expression {worst:.3e})"
                 )
         else:
             r2 = float(np.sum(self.c.as_array() ** 2))
@@ -569,12 +570,12 @@ def m3n_spectrum(state: M3NState) -> list[SpectralLine]:
     n = state.n
     if n % 2 == 0:
         return [
-            SpectralLine(max(val, 0.0), 2 ** (n - 2), sign, parity)
+            SpectralLine(max(math.ldexp(val, -n), 0.0), 2 ** (n - 2), sign, parity)
             for val, sign, parity in _even_eigenvalue_terms(n, state.c)
         ]
     r = state.radius
     return [
-        SpectralLine((1 + sign * r) / 2**n, 2 ** (n - 1), sign)
+        SpectralLine(math.ldexp(1 + sign * r, -n), 2 ** (n - 1), sign)
         for sign in (+1, -1)
     ]
 

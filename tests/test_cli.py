@@ -1,6 +1,7 @@
 """The CLI contract: input errors exit 2 with nothing on stdout; every subcommand
 exits 0 with one line of strict JSON, byte-identical across runs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from entbound.cli import main
+from entbound.cli import build_parser, main
 
 
 def _run(argv, capsys):
@@ -294,3 +295,108 @@ def test_scipy_optimize_is_imported_only_by_the_trace_lp(tmp_path):
     out = json.loads(report)
     assert out["formula_value"] == pytest.approx(0.3, abs=1e-12)
     assert out["deviation"] <= out["config"]["tolerance"]
+
+
+FILE_FLAGS = {
+    "bound-json": (["bound", "--file"], "data.json"),
+    "bound-csv": (["bound", "--file"], "data.csv"),
+    "genuine-spectrum": (["genuine", "--spectrum-file"], "spectrum.json"),
+    "oracle-spectrum": (["oracle", "--spectrum-file"], "spectrum.json"),
+    "state-file": (["state", "--state-file"], "state.json"),
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("argv, name", FILE_FLAGS.values(), ids=FILE_FLAGS.keys())
+def test_unreadable_input_file_exits_2(argv, name, kind, tmp_path, capsys):
+    path = tmp_path / name
+    if kind == "directory":
+        path.mkdir()
+        fragment = "Is a directory"
+    else:
+        path.write_bytes(b"\xff\xfe")
+        fragment = "can't decode"
+    _assert_input_error(argv + [str(path)], capsys, fragment)
+
+
+@pytest.mark.parametrize("n", ["1024", "1000000"])
+def test_bound_at_huge_even_n(n, capsys):
+    rc, out, err = _run(["bound", "--n", n, "--c=0.5,0.5,0.5", "--full-precision"], capsys)
+    assert rc == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert (report["n"], report["M"]) == (int(n), int(n))
+    assert report["value"] == pytest.approx(0.125, abs=1e-15)
+    _assert_input_error(["bound", "--n", n, "--c=0.9,0.9,-0.9"], capsys, "tetrahedron")
+
+
+def test_bound_level_at_n_beyond_float_precision(capsys):
+    # ceil(n/2) is exact at any n: M = 5e17 + 1 is a trivial level for n = 1e18 + 1
+    n = 10**18 + 1
+    rc, out, err = _run(["bound", "--n", str(n), "--M", str(n // 2 + 1), "--c=0.9,0.1,0.1"], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["meta"]["method"] == "exact-zero"
+
+
+@pytest.mark.parametrize("flag", ["--pmax", "--sigma-p", "--distance"])
+def test_double_dash_as_option_value_is_a_usage_error(flag, capsys):
+    rc, out, err = _run(["genuine", "--pmax", "0.9", f"{flag}=--"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genuine", "--pmax", "0.9", "--sigma-p", "0.1"],
+     ["bound", "--n", "4", "--c=0.5,0.5,0.5", "--sigma", "0.1,0.1,0.1"],
+     ["simulate", "--family", "ghz", "--n", "3", "--shots", "10"],
+     ["optimise", "--family", "ghz", "--n", "3", "--restarts", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    _assert_input_error(argv + ["--seed", "-1"], capsys, "seed must be >= 0")
+
+
+#: one call of every subcommand, plus the error and help paths; several rely
+#: on the defaults of --seed, --distance and --shots
+SHARED_PARSER_CASES = [
+    ["state", "--family", "ghz", "--n", "3"],
+    ["triple", "--family", "w", "--n", "3", "--angles", "0.1,0.2,0.3"],
+    ["bound", "--n", "4", "--c=0.9,0.9,0.9", "--sigma", "0.01,0.02,0.01"],
+    ["bound", "--n", "4", "--c=0.9,0.9,0.9", "--distance", "re", "--seed", "3"],
+    ["genuine", "--pmax", "0.55", "--sigma-p", "0.05"],
+    ["genuine", "--pmax", "0.55", "--sigma-p", "0.05", "--seed", "9", "--distance", "f"],
+    ["optimise", "--family", "ghz", "--n", "3", "--restarts", "2", "--grid", "4"],
+    ["oracle", "--n", "3", "--c=0.5,-0.5,0.5", "--resolution", "16"],
+    ["reproduce", "table-iv-b"],
+    ["simulate", "--family", "ghz", "--n", "3", "--shots", "200", "--seed", "5"],
+    ["simulate", "--family", "ghz", "--n", "3"],
+    ["bound", "--n", "four"],
+    ["frobnicate"],
+    ["optimise", "--family", "ghz", "--n", "3", "--objective", "nope"],
+    ["bound", "--n", "4", "--c=0.9,0.9,0.9", "--distance", "nope"],
+    ["bound", "--n", "4", "--c", "0.9,0.9"],
+    ["genuine", "--help"],
+    ["--help"],
+]
+
+
+def test_shared_parser_calls_leak_no_state(capsys):
+    assert build_parser() is build_parser()
+    first = {i: _run(argv, capsys) for i, argv in enumerate(SHARED_PARSER_CASES)}
+    assert {rc for rc, _, _ in first.values()} == {0, 2}
+    for i in reversed(range(len(SHARED_PARSER_CASES))):
+        assert _run(SHARED_PARSER_CASES[i], capsys) == first[i], SHARED_PARSER_CASES[i]
+    build_parser.cache_clear()
+    for i, argv in enumerate(SHARED_PARSER_CASES):
+        assert _run(argv, capsys) == first[i], argv
+
+
+def test_shared_parser_has_no_mutable_default():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *subparsers.choices.values()]:
+        for action in p._actions:
+            assert action.default is None or isinstance(action.default, (bool, int, float, str))
+        for value in p._defaults.values():
+            assert callable(value)

@@ -178,6 +178,45 @@ def test_m3n_region_validation():
         CorrelationTriple(1.5, 0, 0)
 
 
+def _scaled_tetrahedron_check(n, c):
+    """The even-n check as it was: every spectral expression scaled by 2^-n."""
+    e = (-1) ** (n // 2)
+    worst = min(
+        (1 + s * c[0] + s * e * (-1) ** p * c[1] + (-1) ** p * c[2]) / 2**n
+        for s in (1, -1)
+        for p in (0, 1)
+    )
+    return worst >= -1e-12 / 2**n
+
+
+def test_even_n_check_decides_as_the_scaled_comparison(rng):
+    # points on a face of the tetrahedron, pushed off it by about the tolerance,
+    # and points anywhere in the cube
+    decisions = []
+    for _ in range(400):
+        n = int(rng.choice(np.arange(4, 21, 2)))
+        e = (-1) ** (n // 2)
+        verts = np.array([[1, e, 1], [-1, -e, 1], [1, -e, -1], [-1, e, -1]], dtype=float)
+        if rng.random() < 0.75:
+            face = rng.choice(4, size=3, replace=False)
+            c = rng.dirichlet(np.ones(3)) @ verts[face]
+            c[rng.integers(3)] += rng.uniform(-3e-12, 3e-12)
+        else:
+            c = rng.uniform(-1, 1, size=3)
+        try:
+            triple = CorrelationTriple(*map(float, c))
+        except ParameterError:
+            continue
+        try:
+            M3NState(n, triple)
+            accepted = True
+        except StateValidityError:
+            accepted = False
+        assert accepted == _scaled_tetrahedron_check(n, tuple(triple)), (n, c)
+        decisions.append(accepted)
+    assert len(decisions) > 300 and 50 < sum(decisions) < len(decisions) - 50
+
+
 def test_m3n_spectrum_bell():
     lines = m3n_spectrum(M3NState(2, CorrelationTriple(1, -1, 1)))
     vals = sorted(
@@ -210,6 +249,14 @@ def test_m3n_spectrum_even_matches_dense(rng):
         dense_vals = np.sort(np.linalg.eigvalsh(m3n_density(state).rho))
         expanded = np.sort(np.concatenate([[l.value] * l.multiplicity for l in lines]))
         assert np.allclose(dense_vals, expanded, atol=1e-12)
+
+
+def test_m3n_spectrum_beyond_the_float_range_of_2_to_the_n():
+    even = m3n_spectrum(M3NState(1024, CorrelationTriple(0.5, 0.5, 0.5)))
+    assert [line.value for line in even] == [math.ldexp(v, -1024) for v in (2.5, 0.5, 0.5, 0.5)]
+    assert {line.multiplicity for line in even} == {2**1022}
+    odd = m3n_spectrum(M3NState(1025, CorrelationTriple(1.0, 0.0, 0.0)))
+    assert [line.value for line in odd] == [math.ldexp(2.0, -1025), 0.0]
 
 
 def test_m3n_spectrum_uniform_even():
