@@ -74,6 +74,14 @@ def contract_qubit_pairs(rho: np.ndarray, mats, n: int) -> np.ndarray:
     return cur.reshape(batch + dims)
 
 
+def kron_apply(mats, v: np.ndarray) -> np.ndarray:
+    """(mats[0] x ... x mats[n-1]) @ v for a 2^n vector, one 2x2 factor at a time: O(n 2^n)."""
+    out = np.asarray(v)
+    for k, m in enumerate(mats):
+        out = m @ out.reshape(2**k, 2, -1)
+    return out.reshape(-1)
+
+
 def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Left-multiply a 2^n x 2^n matrix by ``op`` acting on one qubit."""
     t = mat.reshape((2,) * n + (-1,))
@@ -81,13 +89,6 @@ def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.n
     t = np.tensordot(op, t, axes=(1, 0))
     t = np.moveaxis(t, 0, qubit)
     return t.reshape(mat.shape)
-
-
-def projector(vec: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |vec><vec| of a (not necessarily normalised) vector."""
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:

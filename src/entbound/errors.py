@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all entbound modules."""
 
+import contextlib
+
 
 class EntboundError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,3 +29,14 @@ class AlreadySeparableError(EntboundError):
 
 class SchemaError(EntboundError, ValueError):
     """An input file does not match the documented schema."""
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Report an input file that cannot be opened or decoded as a ``SchemaError`` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read the file ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: cannot decode the file ({exc})") from exc

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import contract_qubit_pairs
-from .errors import ParameterError, SchemaError
+from ._linalg import contract_qubit_pairs, kron_apply
+from .errors import ParameterError, SchemaError, reading
 from .measures import (
     DistanceKind,
     EntanglementReport,
@@ -69,7 +69,7 @@ class MeasurementRecord:
             raise ParameterError(f"shots must be >= 1, got {self.shots}")
         total = 0
         for key, cnt in self.counts.items():
-            if len(key) != self.n or any(ch not in "+-" for ch in key):
+            if len(key) != self.n or key.strip("+-"):
                 raise ParameterError(f"malformed outcome string {key!r} for n={self.n}")
             if cnt < 0:
                 raise ParameterError(f"negative count for outcome {key!r}")
@@ -117,6 +117,30 @@ def _born_diagonal(rho: np.ndarray, ws, n: int) -> np.ndarray:
     return np.real(contract_qubit_pairs(rho, born, n)).reshape(-1)
 
 
+def _born_from_form(form: tuple, ws) -> np.ndarray:
+    """diag(W rho W^dag) read from a built state's form (see ``qstate``): O(n 2^n).
+
+    Pure: |W psi|^2. X matrix: (x_k |w_k|^2) diag + (x_k m_k) anti, real part,
+    with m_k[a, b] = w_k[a, 1-b] conj(w_k[a, b]). Mix: q p_inner + (1 - q)/2^n.
+    """
+    kind, *parts = form
+    if kind == "pure":
+        phi = kron_apply(ws, parts[0])
+        return phi.real**2 + phi.imag**2
+    if kind == "x":
+        diag, anti = parts
+        flips = [w[:, ::-1] * w.conj() for w in ws]
+        return np.real(kron_apply([np.abs(w) ** 2 for w in ws], diag) + kron_apply(flips, anti))
+    q, inner = parts
+    return q * _born_from_form(inner, ws) + (1 - q) / 2 ** len(ws)
+
+
+def _outcome_keys(indices: np.ndarray, n: int) -> list:
+    """Outcome strings of basis indices: qubit 0 first, '+' for a 0 bit, '-' for a 1."""
+    bits = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.where(bits == 1, "-", "+").view(f"<U{n}").ravel().tolist()
+
+
 def simulate_measurements(
     state: DenseState,
     rot: LocalRotation | None,
@@ -126,8 +150,12 @@ def simulate_measurements(
     """Sample the three-setting protocol from the Born distribution.
 
     Setting j measures the rotated Pauli on every qubit; outcomes are
-    deterministic for a fixed seed. The outcome probabilities come from
-    :func:`_born_diagonal`, which builds no rotated matrix.
+    deterministic for a fixed seed. A state the package built carries its
+    form (a vector, an X matrix or a white-noise mix of one), and
+    :func:`_born_from_form` reads the outcome probabilities from it in
+    O(n 2^n); only a matrix from outside (no form) goes through
+    :func:`_born_diagonal`, an O(4^n) contraction of rho. Neither builds a
+    rotated matrix.
     """
     if shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
@@ -137,15 +165,15 @@ def simulate_measurements(
     records = []
     for axis in (1, 2, 3):
         ws = [_BASIS_CHANGE[axis] @ u for u in us]
-        probs = _born_diagonal(state.rho, ws, n)
+        if state._form is None:
+            probs = _born_diagonal(state.rho, ws, n)
+        else:
+            probs = _born_from_form(state._form, ws)
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
         drawn = rng.multinomial(shots, probs)
-        counts = {}
-        for idx in np.nonzero(drawn)[0]:
-            bits = format(idx, f"0{n}b")
-            key = "".join("+" if b == "0" else "-" for b in bits)
-            counts[key] = int(drawn[idx])
+        hit = np.flatnonzero(drawn)
+        counts = dict(zip(_outcome_keys(hit, n), drawn[hit].tolist()))
         records.append(MeasurementRecord(n, axis, shots, counts))
     return tuple(records)
 
@@ -331,10 +359,9 @@ def _parse_correlation_csv(path) -> TripleEstimate:
 
 def ingest_correlation_file(path) -> TripleEstimate:
     """Read a correlation-data file (JSON or CSV by extension)."""
-    text = str(path)
-    if text.endswith(".csv"):
-        return _parse_correlation_csv(path)
-    return _parse_correlation_json(path)
+    parse = _parse_correlation_csv if str(path).endswith(".csv") else _parse_correlation_json
+    with reading(path):
+        return parse(path)
 
 
 __all__ = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, StateValidityError
+from .errors import ParameterError, SchemaError, StateValidityError, reading
 from .pauli import correlation_triple
 from .qstate import DenseState, M3NState, _x_state
 
@@ -164,7 +164,7 @@ class GHZDiagonalState:
 
     @classmethod
     def from_file(cls, path) -> "GHZDiagonalState":
-        with open(path) as fh:
+        with reading(path), open(path) as fh:
             try:
                 spec = json.load(fh)
             except json.JSONDecodeError as exc:

@@ -10,6 +10,14 @@ carries an O(2^n) certificate instead: a pure state is the projector of a
 vector whose squared norm is 1, the triple-correlation, Wei and GHZ-diagonal
 states are X matrices checked block by block (``_x_state``), and a white-noise
 mix of a built state with q in [0, 1] is a convex combination.
+
+A built state also keeps the form it was made from, in O(2^n) memory, next
+to its dense ``rho`` (which is still built): ``("pure", psi)`` for GHZ, W,
+Dicke, both clusters and the singlet (``from_vector``), ``("x", diag, anti)``
+for the triple-correlation, Smolin, Wei and GHZ-diagonal states
+(``_x_state``), and ``("mix", q, inner form)`` for q inner + (1 - q) I/2^n,
+inner being any built state, a mix too. ``estimate`` reads it to sample
+outcomes without touching ``rho``; a matrix from outside has no form.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import pauli_power_entries, projector
-from .errors import CapacityError, ParameterError, SchemaError, StateValidityError
+from ._linalg import pauli_power_entries
+from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, reading
 
 #: Largest qubit count for which a dense 2^n x 2^n matrix is built from a state
 #: description (``build_state``, ``m3n_density``). Functions that receive a
@@ -111,12 +119,14 @@ class DenseState:
     binary ordered. The matrix is frozen (read-only) after validation.
     ``DenseState(n, rho)`` checks shape, finiteness, hermiticity, trace and
     (up to ``_PSD_CHECK_MAX_DIM``) positivity; the package's own builders
-    prove their states valid in O(2^n) and skip those checks.
+    prove their states valid in O(2^n), skip those checks and keep the
+    state's form (see the module docstring) in ``_form``.
     """
 
     n: int
     rho: np.ndarray
     _certificate: InitVar[object] = None
+    _form: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self, _certificate):
         if self.n < 1:
@@ -124,6 +134,7 @@ class DenseState:
         if _certificate is _CERTIFIED:
             self.rho.flags.writeable = False
             return
+        object.__setattr__(self, "_form", None)
         rho = np.array(self.rho, dtype=complex)
         dim = 2**self.n
         if rho.shape != (dim, dim):
@@ -160,9 +171,10 @@ class DenseState:
         n = int(round(math.log2(psi.size)))
         if 2**n != psi.size:
             raise ParameterError(f"vector length {psi.size} is not a power of 2")
-        rho = projector(psi)
+        unit = psi / np.linalg.norm(psi)
+        rho = np.outer(unit, unit.conj())
         if abs(np.trace(rho) - 1) <= _TRACE_TOL:
-            return cls(n, rho, _CERTIFIED)
+            return cls(n, rho, _CERTIFIED, ("pure", unit))
         return cls(n, rho)
 
     def export_row_major(self) -> list:
@@ -356,7 +368,7 @@ class StateFamily:
 
 def load_state_spec(path) -> tuple[StateFamily, int]:
     """Read a state-specification JSON file, returning (family, n)."""
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -434,7 +446,7 @@ def _wei_density(n: int, x: float) -> DenseState:
         raise ParameterError(f"the Wei family needs n >= 4, got {n}")
     dim = 2**n
     ghz = _ghz_vector(n)
-    ends = (ghz / np.linalg.norm(ghz))[[0, -1]]  # normalised as ``projector`` does
+    ends = (ghz / np.linalg.norm(ghz))[[0, -1]]  # normalised as ``from_vector`` does
     corners = x * np.outer(ends, ends.conj())
     w = (1 - x) / (2 * n)
     diag = np.zeros(dim, dtype=complex)
@@ -480,7 +492,7 @@ def _x_state(n: int, diag: np.ndarray, anti: np.ndarray) -> DenseState:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[idx, idx] = diag
     rho[dim - 1 - idx, idx] = anti
-    return DenseState(n, rho, _CERTIFIED)
+    return DenseState(n, rho, _CERTIFIED, ("x", diag, anti))
 
 
 def build_state(family: StateFamily, n: int) -> DenseState:
@@ -538,7 +550,7 @@ def build_state(family: StateFamily, n: int) -> DenseState:
         rho = q * inner.rho
         rho += 0.0
         rho.reshape(-1)[:: dim + 1] += (1 - q) / dim
-        return DenseState(n, rho, _CERTIFIED)
+        return DenseState(n, rho, _CERTIFIED, ("mix", q, inner._form))
     raise ParameterError(f"unknown family {tag!r}")
 
 

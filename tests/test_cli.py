@@ -25,6 +25,7 @@ def _assert_input_error(argv, capsys, fragment):
     assert out == ""
     assert "Traceback" not in err
     assert fragment in err
+    return err
 
 
 @pytest.mark.parametrize("sigma", ["nan,0,0", "0,inf,0", "0,0,-inf"])
@@ -316,7 +317,8 @@ def test_unreadable_input_file_exits_2(argv, name, kind, tmp_path, capsys):
     else:
         path.write_bytes(b"\xff\xfe")
         fragment = "can't decode"
-    _assert_input_error(argv + [str(path)], capsys, fragment)
+    err = _assert_input_error(argv + [str(path)], capsys, fragment)
+    assert err.startswith(f"error: {path}: cannot ")  # the message names the file
 
 
 @pytest.mark.parametrize("n", ["1024", "1000000"])

@@ -1,0 +1,194 @@
+"""The three-setting protocol: measurement records, the counts-to-triple step,
+and Born probabilities read from each built state's form."""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_ghz_spectrum
+from entbound import _linalg, estimate
+from entbound.errors import ParameterError
+from entbound.estimate import (
+    _BASIS_CHANGE,
+    MeasurementRecord,
+    _born_diagonal,
+    _born_from_form,
+    _outcome_keys,
+    counts_to_triple,
+    simulate_measurements,
+)
+from entbound.pauli import LocalRotation
+from entbound.qstate import DenseState, StateFamily, build_state
+
+
+# -- records ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "axis, shots, counts, message",
+    [
+        (0, 1, {"++": 1}, "axis must be 1, 2 or 3"),
+        (4, 1, {"++": 1}, "axis must be 1, 2 or 3"),
+        (1, 0, {}, "shots must be >= 1"),
+        (1, 1, {"+": 1}, "malformed outcome string '\\+'"),
+        (1, 1, {"+-+": 1}, "malformed outcome string"),
+        (1, 1, {"+x": 1}, "malformed outcome string"),
+        (1, 1, {"0-": 1}, "malformed outcome string"),
+        (1, 1, {"+\n": 1}, "malformed outcome string"),
+        (1, 2, {"++": 3, "--": -1}, "negative count for outcome '--'"),
+        (1, 5, {"++": 3, "--": 1}, "counts sum to 4, expected shots=5"),
+    ],
+)
+def test_record_rejects_malformed_input(axis, shots, counts, message):
+    with pytest.raises(ParameterError, match=message):
+        MeasurementRecord(2, axis, shots, counts)
+
+
+@pytest.mark.parametrize("key", ["", "+", "-", "++", "+-", "-+-", "+ ", "x-", "+\t", "−+"])
+def test_record_key_check_matches_per_character_test(key):
+    legal = len(key) == 2 and all(ch in "+-" for ch in key)
+    try:
+        MeasurementRecord(2, 3, 1, {key: 1})
+    except ParameterError:
+        assert not legal
+    else:
+        assert legal
+
+
+def _records(n=2, **by_axis):
+    counts = {axis: {"+" * n: 1} for axis in (1, 2, 3)}
+    counts.update({int(k[1:]): v for k, v in by_axis.items()})
+    return [MeasurementRecord(n, axis, sum(c.values()), c) for axis, c in counts.items()]
+
+
+def test_counts_to_triple_pins_mean_and_sigma():
+    records = _records(a1={"++": 6, "+-": 2, "--": 2}, a2={"-+": 3, "+-": 1}, a3={"+-": 1})
+    est = counts_to_triple(records)
+    # axis 1: products +1 x 8, -1 x 2; sample variance 0.64 * 10/9 over 10 shots
+    assert est.c.c1 == pytest.approx(0.6, abs=1e-15)
+    assert est.sigma[0] == pytest.approx(0.8 / 3, abs=1e-15)
+    # axis 2: every product is -1, so no spread; axis 3: one shot has variance 0
+    assert (est.c.c2, est.sigma[1]) == (-1.0, 0.0)
+    assert (est.c.c3, est.sigma[2]) == (-1.0, 0.0)
+    assert est.n == 2
+
+
+def test_counts_to_triple_single_shot_positive_product():
+    est = counts_to_triple(_records(a1={"--": 1}))
+    assert est.c.as_array().tolist() == [1.0, 1.0, 1.0]
+    assert est.sigma == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (_records()[:2], "need exactly three records, got 2"),
+        (_records()[:2] + _records()[:1], "need one record per axis 1, 2, 3"),
+        (_records()[:2] + _records(n=3)[2:], "records disagree on the qubit count"),
+    ],
+    ids=["two-records", "missing-axis", "mixed-n"],
+)
+def test_counts_to_triple_rejects_bad_record_sets(records, message):
+    with pytest.raises(ParameterError, match=message):
+        counts_to_triple(records)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_outcome_keys_match_binary_format(n):
+    indices = np.arange(2**n)
+    keys = _outcome_keys(indices, n)
+    assert keys == [format(i, f"0{n}b").replace("0", "+").replace("1", "-") for i in indices]
+    assert keys == sorted(keys)
+    assert _outcome_keys(indices[:0], n) == []
+
+
+# -- Born probabilities from the state's form -------------------------------------
+
+def _families(n):
+    """Every built family that exists at n, with white-noise mixes of a pure
+    and an X-matrix state and one nested mix."""
+    out = [StateFamily.ghz(), StateFamily.w(), StateFamily.dicke(n // 2),
+           StateFamily.cluster_linear(), StateFamily.m3n((0.3, -0.2, 0.4))]
+    if n in (4, 6, 8):
+        out += [StateFamily.cluster_rect(2), StateFamily.smolin()]
+    if n >= 4:
+        out.append(StateFamily.wei(0.4))
+    if n == 4:
+        out.append(StateFamily.singlet4())
+    mix_w = StateFamily.white_noise_mix(StateFamily.w(), 0.7)
+    out += [mix_w, StateFamily.white_noise_mix(StateFamily.m3n((0.1, 0.2, -0.3)), 0.6),
+            StateFamily.white_noise_mix(mix_w, 0.5)]
+    return out
+
+
+def _rotations(n, rng):
+    return [None, LocalRotation.from_shared(rng.uniform(0, math.pi, 3)),
+            LocalRotation.from_per_qubit(rng.uniform(0, math.pi, (n, 3)))]
+
+
+def _assert_form_matches_dense(state, rotations):
+    n = state.n
+    assert state._form is not None
+    for rot in rotations:
+        us = rot.unitaries(n) if rot is not None else [np.eye(2)] * n
+        for axis in (1, 2, 3):
+            ws = [_BASIS_CHANGE[axis] @ u for u in us]
+            fast = _born_from_form(state._form, ws)
+            assert np.max(np.abs(fast - _born_diagonal(state.rho, ws, n))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_born_from_form_matches_dense_contraction(n, rng):
+    for family in _families(n):
+        _assert_form_matches_dense(build_state(family, n), _rotations(n, rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_born_from_ghz_diagonal_form_matches_dense(n, rng):
+    _assert_form_matches_dense(random_ghz_spectrum(n, rng).dense(), _rotations(n, rng))
+
+
+def test_outside_matrix_has_no_form():
+    state = build_state(StateFamily.ghz(), 3)
+    assert DenseState(3, np.array(state.rho))._form is None
+    assert DenseState(3, np.array(state.rho), None, state._form)._form is None
+
+
+@pytest.fixture
+def no_dense_contraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Born contraction called")
+
+    monkeypatch.setattr(estimate, "contract_qubit_pairs", refuse)
+    monkeypatch.setattr(_linalg, "contract_qubit_pairs", refuse)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [StateFamily.ghz(), StateFamily.w(), StateFamily.m3n((0.3, -0.2, 0.4)),
+     StateFamily.white_noise_mix(StateFamily.w(), 0.7)],
+    ids=["ghz", "w", "m3n", "w-mix"],
+)
+def test_simulate_at_n12_reads_the_form(family, no_dense_contraction):
+    rot = LocalRotation.from_shared((0.3, 0.2, 0.1))
+    records = simulate_measurements(build_state(family, 12), rot, 200, seed=3)
+    assert [sum(r.counts.values()) for r in records] == [200, 200, 200]
+
+
+def test_outside_matrix_takes_the_dense_path(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _linalg.contract_qubit_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "contract_qubit_pairs", counting)
+    built = build_state(StateFamily.m3n((0.3, -0.2, 0.4)), 5)
+    outside = DenseState(5, np.array(built.rho))
+    rot = LocalRotation.from_shared((0.7, 0.4, 1.1))
+    fast = simulate_measurements(built, rot, 5000, seed=11)
+    assert calls == []
+    dense = simulate_measurements(outside, rot, 5000, seed=11)
+    assert len(calls) == 3
+    # every outcome has positive probability, so the 1e-17 rounding gap draws the same counts
+    assert [r.counts for r in dense] == [r.counts for r in fast]
