@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from importlib import resources
-
-import numpy as np
 
 from .errors import (
     CapacityError,
@@ -63,23 +62,31 @@ from .qstate import (
 )
 
 
-def _round_floats(obj, digits: int | None):
-    if digits is None:
-        return obj
+#: the values ``_round_floats`` rewrites; anything else (integers, strings) is kept as is
+_ROUNDED = (float, dict, list, tuple)
+
+
+def _round_floats(obj, digits: int):
+    """``obj`` with each finite float cut to ``digits`` significant digits.
+
+    It recurses only into floats and containers, so an integer or a string
+    (every count of a ``simulate`` record) costs no call.
+    """
     if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
+        if not math.isfinite(obj):
             return obj
         return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v, digits) if isinstance(v, _ROUNDED) else v
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v, digits) if isinstance(v, _ROUNDED) else v for v in obj]
     return obj
 
 
 def _emit(obj, args) -> None:
-    digits = None if args.full_precision else 6
-    obj = _round_floats(obj, digits)
+    if not args.full_precision:
+        obj = _round_floats(obj, 6)
     if args.pretty:
         rows = obj if isinstance(obj, list) else [obj]
         for row in rows:
@@ -166,8 +173,7 @@ def _cmd_state(args) -> None:
         "family": family.tag,
         "n": n,
         "c": list(triple.as_array()),
-        # sum of |rho_ij|^2, which is tr rho^2 for Hermitian rho
-        "purity": float(np.vdot(state.rho, state.rho).real),
+        "purity": state.purity(),
     }
     if args.dense:
         out["rho"] = state.export_row_major()

@@ -67,13 +67,21 @@ class MeasurementRecord:
             raise ParameterError(f"axis must be 1, 2 or 3, got {self.axis}")
         if self.shots < 1:
             raise ParameterError(f"shots must be >= 1, got {self.shots}")
-        total = 0
-        for key, cnt in self.counts.items():
-            if len(key) != self.n or key.strip("+-"):
-                raise ParameterError(f"malformed outcome string {key!r} for n={self.n}")
-            if cnt < 0:
-                raise ParameterError(f"negative count for outcome {key!r}")
-            total += cnt
+        counts = self.counts
+        # checked in bulk: every key n characters long, only '+' and '-' in all
+        # of them, no negative count; only a failure walks the keys, so that the
+        # message names the first bad one in dict order
+        if (
+            set(map(len, counts)) - {self.n}
+            or "".join(counts).strip("+-")
+            or min(counts.values(), default=0) < 0
+        ):
+            for key, cnt in counts.items():
+                if len(key) != self.n or key.strip("+-"):
+                    raise ParameterError(f"malformed outcome string {key!r} for n={self.n}")
+                if cnt < 0:
+                    raise ParameterError(f"negative count for outcome {key!r}")
+        total = sum(counts.values())
         if total != self.shots:
             raise ParameterError(f"counts sum to {total}, expected shots={self.shots}")
         object.__setattr__(self, "counts", dict(self.counts))
@@ -81,7 +89,9 @@ class MeasurementRecord:
     def products(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcome products (+/-1) and their counts, aligned arrays."""
         keys = sorted(self.counts)
-        prods = np.array([-1.0 if k.count("-") % 2 else 1.0 for k in keys])
+        # the keys are n-character '+'/'-' strings: one byte per qubit once joined
+        chars = np.frombuffer("".join(keys).encode(), dtype=np.uint8).reshape(len(keys), self.n)
+        prods = np.where(np.count_nonzero(chars == ord("-"), axis=1) % 2, -1.0, 1.0)
         cnts = np.array([self.counts[k] for k in keys], dtype=float)
         return prods, cnts
 

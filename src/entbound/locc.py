@@ -180,14 +180,16 @@ def m3nfy(state: DenseState) -> M3NState:
 def ghz_diagonalise(state: DenseState) -> GHZDiagonalState:
     """Dephase in the GHZ basis: p_i^+/- = <beta_i^+/-| rho |beta_i^+/->.
 
-    GHZ-diagonal inputs come back with their eigenvalues unchanged.
+    GHZ-diagonal inputs come back with their eigenvalues unchanged. Reads
+    only the diagonal and anti-diagonal (``state.lines()``).
     """
     n = state.n
     half = 2 ** (n - 1)
     idx = np.arange(half)
     flip = 2**n - 1 - idx
-    diag = np.real(np.diagonal(state.rho))
-    cross = np.real(state.rho[idx, flip])
+    diag, anti = state.lines()
+    diag = np.real(diag)
+    cross = np.real(anti[:half])
     mean = 0.5 * (diag[idx] + diag[flip])
     p = np.stack([mean + cross, mean - cross], axis=1)
     total = p.sum()

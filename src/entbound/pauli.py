@@ -60,11 +60,11 @@ def correlation_triple(state: DenseState) -> CorrelationTriple:
 
     sigma_j^{xn} has one nonzero entry per column i, so Tr(rho sigma_j^{xn})
     reads only the anti-diagonal rho[i, 2^n - 1 - i] (j = 1, 2) or the
-    diagonal (j = 3): O(2^n) work. :func:`expectation` is the dense reference.
+    diagonal (j = 3), both from ``state.lines()``: O(2^n) work, and no dense
+    matrix for a built state. :func:`expectation` is the dense reference.
     A zero component is returned as 0.0, never -0.0.
     """
-    anti = np.diagonal(state.rho[:, ::-1])
-    diag = np.diagonal(state.rho)
+    diag, anti = state.lines()
     return CorrelationTriple(
         *(
             _real_trace(np.sum(line * pauli_power_entries(j, state.n))) + 0.0

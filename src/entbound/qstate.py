@@ -1,6 +1,6 @@
 """Construction and validation of N-qubit states.
 
-Dense density matrices for the reference families (GHZ, W, Dicke, cluster,
+Density matrices for the reference families (GHZ, W, Dicke, cluster,
 Wei, Smolin, four-qubit singlet), triple-correlation states built from a
 correlation triple, and white-noise mixtures.
 
@@ -11,13 +11,18 @@ vector whose squared norm is 1, the triple-correlation, Wei and GHZ-diagonal
 states are X matrices checked block by block (``_x_state``), and a white-noise
 mix of a built state with q in [0, 1] is a convex combination.
 
-A built state also keeps the form it was made from, in O(2^n) memory, next
-to its dense ``rho`` (which is still built): ``("pure", psi)`` for GHZ, W,
-Dicke, both clusters and the singlet (``from_vector``), ``("x", diag, anti)``
-for the triple-correlation, Smolin, Wei and GHZ-diagonal states
-(``_x_state``), and ``("mix", q, inner form)`` for q inner + (1 - q) I/2^n,
-inner being any built state, a mix too. ``estimate`` reads it to sample
-outcomes without touching ``rho``; a matrix from outside has no form.
+A built state keeps only the form it was made from, in O(2^n) memory:
+``("pure", psi)`` for GHZ, W, Dicke, both clusters and the singlet
+(``from_vector``), ``("x", diag, anti)`` for the triple-correlation, Smolin,
+Wei and GHZ-diagonal states (``_x_state``), and ``("mix", q, inner form)`` for
+q inner + (1 - q) I/2^n, inner being any built state, a mix too. Its dense
+``rho`` is built from the form on the first read only (``_matrix_from_form``)
+and then cached. ``DenseState.lines`` (diagonal and anti-diagonal) and
+``DenseState.purity`` answer from the form in O(2^n), and ``estimate`` samples
+outcomes from it, so ``state`` (without ``--dense``), ``triple`` (without
+``--angles``) and ``simulate`` never build a 2^n x 2^n array; ``optimise``,
+``triple --angles``, ``state --dense`` and the distance kernels read ``rho``.
+A matrix from outside has no form and is checked and stored when constructed.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,8 +57,8 @@ _EIGENVALUE_FLOOR = -1e-9
 _TRIPLE_TOL = 1e-12
 
 #: Passed to ``DenseState`` only by ``from_vector``, ``_x_state`` and the
-#: white-noise mix, whose matrices are valid by construction; it skips the
-#: dense checks.
+#: white-noise mix, whose forms are valid by construction; it skips the dense
+#: checks and defers the matrix to its first read.
 _CERTIFIED = object()
 
 
@@ -111,34 +116,32 @@ def _clears_psd_screen(rho: np.ndarray) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-@dataclass(frozen=True)
 class DenseState:
-    """An N-qubit density matrix, validated on construction.
+    """An N-qubit density matrix, validated on construction; immutable.
 
     Qubit 0 is the leftmost tensor factor and the computational basis is
-    binary ordered. The matrix is frozen (read-only) after validation.
-    ``DenseState(n, rho)`` checks shape, finiteness, hermiticity, trace and
-    (up to ``_PSD_CHECK_MAX_DIM``) positivity; the package's own builders
-    prove their states valid in O(2^n), skip those checks and keep the
-    state's form (see the module docstring) in ``_form``.
+    binary ordered. ``DenseState(n, rho)`` checks shape, finiteness,
+    hermiticity, trace and (up to ``_PSD_CHECK_MAX_DIM``) positivity, then
+    stores ``rho`` read-only. The package's own builders prove their states
+    valid in O(2^n), skip those checks and pass only the state's form (see the
+    module docstring) as ``_form``; ``rho`` is then built on its first read
+    (``optimise``, ``triple --angles``, ``state --dense`` and the distance
+    kernels read it), frozen and cached.
     """
 
-    n: int
-    rho: np.ndarray
-    _certificate: InitVar[object] = None
-    _form: tuple | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self, _certificate):
-        if self.n < 1:
-            raise ParameterError(f"qubit count must be positive, got {self.n}")
+    def __init__(self, n: int, rho, _certificate=None, _form: tuple | None = None):
+        if n < 1:
+            raise ParameterError(f"qubit count must be positive, got {n}")
+        object.__setattr__(self, "n", n)
         if _certificate is _CERTIFIED:
-            self.rho.flags.writeable = False
+            object.__setattr__(self, "_rho", None)
+            object.__setattr__(self, "_form", _form)
             return
         object.__setattr__(self, "_form", None)
-        rho = np.array(self.rho, dtype=complex)
-        dim = 2**self.n
+        rho = np.array(rho, dtype=complex)
+        dim = 2**n
         if rho.shape != (dim, dim):
-            raise ParameterError(f"matrix shape {rho.shape} does not match n={self.n}")
+            raise ParameterError(f"matrix shape {rho.shape} does not match n={n}")
         with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
             herm = np.max(np.abs(rho - rho.conj().T))
         if not np.isfinite(herm):  # any NaN or inf entry makes the residue non-finite
@@ -153,11 +156,38 @@ class DenseState:
             if lo < _EIGENVALUE_FLOOR:
                 raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
         rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_rho", rho)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DenseState is immutable; cannot set {name!r}")
 
     @property
     def dim(self) -> int:
         return 2**self.n
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The read-only 2^n x 2^n matrix; a built state makes it here, once."""
+        if self._rho is None:
+            rho = _matrix_from_form(self._form, self.dim)
+            rho.flags.writeable = False
+            object.__setattr__(self, "_rho", rho)
+        return self._rho
+
+    def lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal rho[i, i] and the anti-diagonal rho[i, 2^n - 1 - i].
+
+        Bit for bit the entries of ``rho``, read from the form in O(2^n).
+        """
+        if self._form is not None:
+            return _lines_from_form(self._form, self.dim)
+        return np.diagonal(self.rho), np.diagonal(self.rho[:, ::-1])
+
+    def purity(self) -> float:
+        """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) from the form."""
+        if self._form is not None:
+            return float(_purity_from_form(self._form, self.dim))
+        return float(np.vdot(self.rho, self.rho).real)
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DenseState":
@@ -172,15 +202,69 @@ class DenseState:
         if 2**n != psi.size:
             raise ParameterError(f"vector length {psi.size} is not a power of 2")
         unit = psi / np.linalg.norm(psi)
-        rho = np.outer(unit, unit.conj())
-        if abs(np.trace(rho) - 1) <= _TRACE_TOL:
-            return cls(n, rho, _CERTIFIED, ("pure", unit))
-        return cls(n, rho)
+        if abs(np.vdot(unit, unit) - 1) <= _TRACE_TOL:
+            unit.flags.writeable = False
+            return cls(n, None, _CERTIFIED, ("pure", unit))
+        return cls(n, np.outer(unit, unit.conj()))
 
     def export_row_major(self) -> list:
         """Row-major list of [re, im] pairs, the dense exchange format."""
         flat = self.rho.reshape(-1)
         return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def _matrix_from_form(form: tuple, dim: int) -> np.ndarray:
+    """The dense matrix of a built state's form, with the operations that define it.
+
+    Pure: the projector ``np.outer(psi, psi.conj())``. X matrix: zeros with
+    ``diag`` on the diagonal and ``anti[i]`` at (dim-1-i, i). Mix: q inner plus
+    (1 - q)/dim on the diagonal, with ``+= 0.0`` turning -0.0 into 0.0 as adding
+    the identity's zeros would.
+    """
+    kind, *parts = form
+    if kind == "pure":
+        return np.outer(parts[0], parts[0].conj())
+    if kind == "x":
+        idx = np.arange(dim)
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[idx, idx] = parts[0]
+        rho[dim - 1 - idx, idx] = parts[1]
+        return rho
+    q, inner = parts
+    rho = _matrix_from_form(inner, dim)
+    rho *= q
+    rho += 0.0
+    rho.reshape(-1)[:: dim + 1] += (1 - q) / dim
+    return rho
+
+
+def _lines_from_form(form: tuple, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and anti-diagonal of ``_matrix_from_form(form, dim)``, same operations."""
+    kind, *parts = form
+    if kind == "pure":
+        conj = parts[0].conj()
+        return parts[0] * conj, parts[0] * conj[::-1]
+    if kind == "x":
+        return parts[0], parts[1][::-1]
+    q, inner = parts
+    diag, anti = (q * line for line in _lines_from_form(inner, dim))
+    diag += 0.0
+    anti += 0.0
+    diag += (1 - q) / dim
+    return diag, anti
+
+
+def _purity_from_form(form: tuple, dim: int) -> float:
+    """tr rho^2 of a built state: |psi|^4, |diag|^2 + |anti|^2, or for a mix
+    q^2 P + 2q(1 - q)/dim + (1 - q)^2/dim = q^2 P + (1 - q^2)/dim (tr inner = 1)."""
+    kind, *parts = form
+    if kind == "pure":
+        norm2 = np.vdot(parts[0], parts[0]).real
+        return norm2 * norm2
+    if kind == "x":
+        return np.vdot(parts[0], parts[0]).real + np.vdot(parts[1], parts[1]).real
+    q, inner = parts
+    return q * q * _purity_from_form(inner, dim) + (1 - q * q) / dim
 
 
 def _even_eigenvalue_terms(n: int, c: CorrelationTriple):
@@ -485,14 +569,14 @@ def _check_x_matrix(diag: np.ndarray, anti: np.ndarray) -> None:
 
 
 def _x_state(n: int, diag: np.ndarray, anti: np.ndarray) -> DenseState:
-    """The dense X matrix of ``diag`` and ``anti``, certified by ``_check_x_matrix``."""
+    """The X matrix of ``diag`` and ``anti``, certified by ``_check_x_matrix``.
+
+    The two vectors become the state's form and are frozen.
+    """
     _check_x_matrix(diag, anti)
-    dim = 2**n
-    idx = np.arange(dim)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[idx, idx] = diag
-    rho[dim - 1 - idx, idx] = anti
-    return DenseState(n, rho, _CERTIFIED, ("x", diag, anti))
+    diag.flags.writeable = False
+    anti.flags.writeable = False
+    return DenseState(n, None, _CERTIFIED, ("x", diag, anti))
 
 
 def build_state(family: StateFamily, n: int) -> DenseState:
@@ -543,14 +627,9 @@ def build_state(family: StateFamily, n: int) -> DenseState:
         q = params["q"]
         if not 0 <= q <= 1:
             raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
+        # a convex combination of two density matrices is one
         inner = build_state(params["inner"], n)
-        dim = 2**n
-        # a convex combination of two density matrices is one; built in place,
-        # with ``+= 0.0`` turning -0.0 into 0.0 as adding the identity's zeros did
-        rho = q * inner.rho
-        rho += 0.0
-        rho.reshape(-1)[:: dim + 1] += (1 - q) / dim
-        return DenseState(n, rho, _CERTIFIED, ("mix", q, inner._form))
+        return DenseState(n, None, _CERTIFIED, ("mix", q, inner._form))
     raise ParameterError(f"unknown family {tag!r}")
 
 

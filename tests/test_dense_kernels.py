@@ -154,6 +154,17 @@ def test_m3n_density_bit_identical_to_pauli_power_sum(n, rng):
         (StateFamily.m3n((0.2, -0.4, 0.1)), '{"c": [0.2, -0.4, 0.1]}', 3),
         (StateFamily.white_noise_mix(StateFamily.w(), 0.6),
          '{"inner": {"family": "w"}, "q": 0.6}', 6),
+        (StateFamily.dicke(3), '{"k": 3}', 6),
+        (StateFamily.cluster_linear(), "{}", 6),
+        (StateFamily.cluster_rect(2, 3), '{"rows": 2, "cols": 3}', 6),
+        (StateFamily.singlet4(), "{}", 4),
+        (StateFamily.smolin(), "{}", 6),
+        (StateFamily.m3n((0.5, 0.3, -0.2)), '{"c": [0.5, 0.3, -0.2]}', 6),
+        (StateFamily.white_noise_mix(StateFamily.m3n((0.1, 0.2, -0.3)), 0.35),
+         '{"inner": {"family": "m3n", "params": {"c": [0.1, 0.2, -0.3]}}, "q": 0.35}', 5),
+        (StateFamily.white_noise_mix(StateFamily.white_noise_mix(StateFamily.ghz(), 0.8), 0.5),
+         '{"inner": {"family": "white_noise_mix", "params": {"inner": {"family": "ghz"}, '
+         '"q": 0.8}}, "q": 0.5}', 6),
     ],
 )
 def test_state_purity_is_trace_of_square(family, params, n, capsys):

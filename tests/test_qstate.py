@@ -440,6 +440,8 @@ def _family_cases():
             inners.append(StateFamily.singlet4())
         families += [StateFamily.white_noise_mix(f, rng.uniform()) for f in inners]
         families += [StateFamily.white_noise_mix(inners[0], q) for q in (0.0, 1.0)]
+        families += [StateFamily.white_noise_mix(StateFamily.white_noise_mix(f, 0.7), 0.4)
+                     for f in (StateFamily.w(), m3n[0])]
         cases += [pytest.param(f, n, id=f"n{n}-{f.tag}-{i}") for i, f in enumerate(families)]
     return cases
 
@@ -452,6 +454,47 @@ def test_built_state_is_bit_identical_and_passes_the_dense_check(family, n):
     assert state.rho.tobytes() == ref.tobytes()
     assert not state.rho.flags.writeable
     DenseState(n, np.array(state.rho))  # the full check a matrix from outside gets
+
+
+def _assert_reads_match_rho(state):
+    """``lines()`` and ``purity()`` read the form, build no matrix, and agree with it."""
+    diag, anti = state.lines()
+    purity = state.purity()
+    assert state._rho is None
+    rho = state.rho
+    assert not rho.flags.writeable and state.rho is rho  # built once, frozen, cached
+    idx = np.arange(state.dim)
+    assert diag.dtype == anti.dtype == rho.dtype
+    assert diag.tobytes() == np.diagonal(rho).tobytes()
+    assert anti.tobytes() == rho[idx, state.dim - 1 - idx].tobytes()
+    # the sum of |rho_ij|^2, correctly rounded: np.vdot(rho, rho) itself rounds
+    # by up to 2e-13 at n = 10, where the form's sum of 2^n terms does not
+    exact = math.fsum((rho.real**2 + rho.imag**2).ravel().tolist())
+    assert abs(purity - exact) <= 1e-15
+    outside = DenseState(state.n, np.array(rho))
+    assert [line.tobytes() for line in outside.lines()] == [diag.tobytes(), anti.tobytes()]
+    assert outside.purity() == np.vdot(rho, rho).real
+
+
+@pytest.mark.parametrize("family, n", _family_cases())
+def test_lines_and_purity_read_the_form(family, n):
+    _assert_reads_match_rho(build_state(family, n))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ghz_diagonal_lines_and_purity_read_the_form(n, rng):
+    from conftest import random_ghz_spectrum
+
+    _assert_reads_match_rho(random_ghz_spectrum(n, rng).dense())
+
+
+def test_built_state_is_immutable():
+    state = build_state(StateFamily.w(), 3)
+    for name in ("n", "rho", "_form"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, None)
+    diag, _ = build_state(StateFamily.m3n((0.1, 0.2, 0.3)), 3).lines()
+    assert not diag.flags.writeable  # a view of the form, which stays frozen
 
 
 @pytest.mark.parametrize(

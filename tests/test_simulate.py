@@ -1,13 +1,15 @@
 """The three-setting protocol: measurement records, the counts-to-triple step,
 and Born probabilities read from each built state's form."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_ghz_spectrum
-from entbound import _linalg, estimate
+from entbound import _linalg, estimate, qstate
+from entbound.cli import main
 from entbound.errors import ParameterError
 from entbound.estimate import (
     _BASIS_CHANGE,
@@ -53,6 +55,31 @@ def test_record_key_check_matches_per_character_test(key):
         assert not legal
     else:
         assert legal
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"++": 1, "+x": 1, "-": 1}, "malformed outcome string '\\+x'"),
+        ({"--": 1, "-": 1, "+x": 1}, "malformed outcome string '-' "),
+        ({"++": -1, "+x": 2}, "negative count for outcome '\\+\\+'"),
+        ({"+x": 2, "++": -1}, "malformed outcome string '\\+x'"),
+        ({"++": 2, "--": 0, "+-": -1, "-+": 0}, "negative count for outcome '\\+-'"),
+    ],
+)
+def test_record_names_the_first_bad_key(counts, message):
+    with pytest.raises(ParameterError, match=message):
+        MeasurementRecord(2, 1, 1, counts)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_record_products_are_the_parity_of_minus_signs(n):
+    keys = _outcome_keys(np.arange(2**n), n)
+    rec = MeasurementRecord(n, 2, 2**n * (2**n + 1) // 2, {k: i + 1 for i, k in enumerate(keys[::-1])})
+    prods, cnts = rec.products()
+    ordered = sorted(rec.counts)
+    assert prods.tolist() == [-1.0 if k.count("-") % 2 else 1.0 for k in ordered]
+    assert cnts.tolist() == [float(rec.counts[k]) for k in ordered]
 
 
 def _records(n=2, **by_axis):
@@ -192,3 +219,95 @@ def test_outside_matrix_takes_the_dense_path(monkeypatch):
     assert len(calls) == 3
     # every outcome has positive probability, so the 1e-17 rounding gap draws the same counts
     assert [r.counts for r in dense] == [r.counts for r in fast]
+
+
+# -- which commands build a dense matrix ------------------------------------------
+
+_N12_SOURCES = {
+    "ghz": ["--family", "ghz"],
+    "w": ["--family", "w"],
+    "m3n": ["--family", "m3n", "--params", '{"c": [0.3, -0.2, 0.4]}'],
+    "wei": ["--family", "wei", "--params", '{"x": 0.4}'],
+    "w-mix": ["--family", "white_noise_mix", "--params", '{"inner": {"family": "w"}, "q": 0.7}'],
+}
+
+
+@pytest.mark.parametrize("command", [["state"], ["triple"], ["simulate", "--shots", "1000"]],
+                         ids=["state", "triple", "simulate"])
+@pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
+def test_form_commands_build_no_dense_matrix_at_n12(command, source, monkeypatch, capsys):
+    def refuse(form, dim):
+        raise AssertionError(f"a {dim} x {dim} matrix was built")
+
+    monkeypatch.setattr(qstate, "_matrix_from_form", refuse)
+    assert main(command + source + ["--n", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimise", "--restarts", "2", "--grid", "3"],
+        ["optimise", "--objective", "overlap", "--restarts", "2", "--grid", "3"],
+        ["triple", "--angles", "0.1,0.2,0.3"],
+        ["state", "--dense"],
+    ],
+    ids=["optimise-triple", "optimise-overlap", "triple-angles", "state-dense"],
+)
+def test_dense_commands_build_the_matrix_once(argv, monkeypatch, capsys):
+    built = []
+    materialise = qstate._matrix_from_form
+
+    def counting(form, dim):
+        built.append(dim)
+        return materialise(form, dim)
+
+    monkeypatch.setattr(qstate, "_matrix_from_form", counting)
+    assert main(argv + ["--family", "w", "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 4
+    assert built == [16]
+
+
+# -- default-precision output of a simulate record --------------------------------
+
+def _rounded(obj):
+    """Six significant digits on every finite float, walking every value."""
+    if isinstance(obj, float):
+        return float(f"{obj:.6g}") if math.isfinite(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def _nodes(obj):
+    """Floats, dicts and lists in a parsed JSON document, itself included."""
+    if isinstance(obj, dict):
+        return 1 + sum(_nodes(v) for v in obj.values())
+    if isinstance(obj, list):
+        return 1 + sum(_nodes(v) for v in obj)
+    return int(isinstance(obj, float))
+
+
+@pytest.mark.parametrize("angles", [[], ["--angles", "0.3,1.2,2.4"]], ids=["plain", "angles"])
+def test_simulate_rounding_skips_counts(angles, monkeypatch, capsys):
+    from entbound import cli
+
+    argv = ["simulate", "--family", "w", "--n", "8", "--shots", "3000", "--seed", "5"] + angles
+    assert main(argv + ["--full-precision"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    calls = []
+    walk = cli._round_floats
+
+    def counting(obj, digits):
+        calls.append(1)
+        return walk(obj, digits)
+
+    monkeypatch.setattr(cli, "_round_floats", counting)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(_rounded(full), sort_keys=True, separators=(",", ":")) + "\n"
+    # one call per float and container; the integer counts and the outcome strings cost none
+    assert len(calls) == _nodes(full)
+    assert sum(len(r["counts"]) for r in full["records"]) > len(calls)
