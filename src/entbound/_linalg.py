@@ -6,6 +6,8 @@ binary ordered, so basis index ``i`` has qubit ``k`` in bit ``(n-1-k)``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
@@ -19,6 +21,15 @@ SIGMA = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 #: stack of the four Paulis, shape (4, 2, 2), for tensor contractions.
 SIGMA_STACK = np.stack(SIGMA)
 
+#: matrix entries one batched step may hold; longer batches run in chunks
+CHUNK_ENTRIES = 1 << 20
+
+
+def chunks(count: int, per_row: int) -> list[slice]:
+    """Slices covering range(count), of CHUNK_ENTRIES // per_row rows each (at least one)."""
+    step = max(1, CHUNK_ENTRIES // per_row)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
 
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
@@ -28,27 +39,35 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
 def hamming_weights(n: int) -> np.ndarray:
-    """Bit counts of 0 .. 2^n - 1."""
+    """Bit counts of 0 .. 2^n - 1; cached per n and read-only."""
     idx = np.arange(2**n, dtype=np.uint64)
     w = np.zeros(2**n, dtype=np.int64)
     for k in range(n):
         w += ((idx >> np.uint64(k)) & np.uint64(1)).astype(np.int64)
-    return w
+    return _frozen(w)
 
 
+@functools.cache
 def pauli_power_entries(j: int, n: int) -> np.ndarray:
     """The 2^n nonzero entries of sigma_j^{xn} (j in 1..3), one per column i.
 
     sigma_3^{xn} holds (-1)^{weight(i)} at (i, i); sigma_1^{xn} holds 1 and
     sigma_2^{xn} holds i^n (-1)^{weight(i)} at the bit flip (2^n - 1 - i, i).
+    Cached per (j, n) and read-only.
     """
     if j == 1:
-        return np.ones(2**n, dtype=complex)
+        return _frozen(np.ones(2**n, dtype=complex))
     if j == 2:
-        return (1j) ** n * (-1.0) ** hamming_weights(n)
+        return _frozen((1j) ** n * (-1.0) ** hamming_weights(n))
     if j == 3:
-        return ((-1.0) ** hamming_weights(n)).astype(complex)
+        return _frozen(((-1.0) ** hamming_weights(n)).astype(complex))
     raise ValueError(f"pauli index out of range: {j}")
 
 
@@ -75,11 +94,14 @@ def contract_qubit_pairs(rho: np.ndarray, mats, n: int) -> np.ndarray:
 
 
 def kron_apply(mats, v: np.ndarray) -> np.ndarray:
-    """(mats[0] x ... x mats[n-1]) @ v for a 2^n vector, one 2x2 factor at a time: O(n 2^n)."""
+    """(mats[0] x ... x mats[n-1]) @ v for a 2^n vector, one 2x2 factor at a time: O(n 2^n).
+
+    Factors of shape (..., 2, 2), the same leading axes for every k, give (..., 2^n)."""
     out = np.asarray(v)
     for k, m in enumerate(mats):
-        out = m @ out.reshape(2**k, 2, -1)
-    return out.reshape(-1)
+        out = np.asarray(m)[..., None, :, :] @ out.reshape(out.shape[:-1] + (2**k, 2, -1))
+        out = out.reshape(out.shape[:-3] + (-1,))
+    return out
 
 
 def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:

@@ -45,8 +45,14 @@ from .measures import (
     genuine_ghz_diag,
     octahedron_excess,
 )
-from .optimize import OptimisationOptions, optimise_ghz_overlap, optimise_triple
+from .optimize import (
+    MAX_GRID_DENSITY,
+    OptimisationOptions,
+    optimise_ghz_overlap,
+    optimise_triple,
+)
 from .oracle import (
+    MAX_GRID_RESOLUTION,
     OracleConfig,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
@@ -182,13 +188,7 @@ def _cmd_state(args) -> None:
 
 def _cmd_triple(args) -> None:
     state, _, n = _state_from_args(args)
-    rot = _rotation_from_args(args, n)
-    if rot is None:
-        triple = correlation_triple(state)
-    else:
-        from .pauli import rotated_triple
-
-        triple = rotated_triple(correlation_tensor(state), rot)
+    triple = correlation_triple(state, _rotation_from_args(args, n))
     _emit({"n": n, "c": list(triple.as_array())}, args)
 
 
@@ -233,8 +233,8 @@ def _cmd_genuine(args) -> None:
 
 
 def _cmd_optimise(args) -> None:
-    state, family, n = _state_from_args(args)
     opts = _opts_from_args(args)
+    state, family, n = _state_from_args(args)
     if args.objective == "overlap":
         rot, idx, p_max = optimise_ghz_overlap(state, opts)
         out = {
@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["triple", "overlap"], default="triple")
     p.add_argument("--mode", choices=["shared", "per-qubit"], default="shared")
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--grid", type=int, default=12)
+    p.add_argument("--grid", type=int, default=12,
+                   help=f"angle grid density, 2..{MAX_GRID_DENSITY}")
     _add_common(p)
     p.set_defaults(func=_cmd_optimise)
 
@@ -433,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", default="trace")
     p.add_argument("--M", dest="level_m", type=int)
     p.add_argument("--partition")
-    p.add_argument("--resolution", type=int, default=40)
+    p.add_argument("--resolution", type=int, default=40,
+                   help=f"octahedron grid resolution, 4..{MAX_GRID_RESOLUTION}")
     p.add_argument("--rounds", type=int, default=3)
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)

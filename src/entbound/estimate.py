@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import contract_qubit_pairs, kron_apply
 from .errors import ParameterError, SchemaError, reading
 from .measures import (
     DistanceKind,
@@ -117,34 +116,6 @@ class TripleEstimate:
         return out
 
 
-def _born_diagonal(rho: np.ndarray, ws, n: int) -> np.ndarray:
-    """diag(W rho W^dag) for W = ws[0] x ... x ws[n-1], in the binary basis order.
-
-    Each qubit's (row, column) axis pair of rho is contracted with
-    m[i, j, l] = w[i, j] conj(w[i, l]): O(4^n) work and no rotated matrix.
-    """
-    born = [w[:, :, None] * w.conj()[:, None, :] for w in ws]
-    return np.real(contract_qubit_pairs(rho, born, n)).reshape(-1)
-
-
-def _born_from_form(form: tuple, ws) -> np.ndarray:
-    """diag(W rho W^dag) read from a built state's form (see ``qstate``): O(n 2^n).
-
-    Pure: |W psi|^2. X matrix: (x_k |w_k|^2) diag + (x_k m_k) anti, real part,
-    with m_k[a, b] = w_k[a, 1-b] conj(w_k[a, b]). Mix: q p_inner + (1 - q)/2^n.
-    """
-    kind, *parts = form
-    if kind == "pure":
-        phi = kron_apply(ws, parts[0])
-        return phi.real**2 + phi.imag**2
-    if kind == "x":
-        diag, anti = parts
-        flips = [w[:, ::-1] * w.conj() for w in ws]
-        return np.real(kron_apply([np.abs(w) ** 2 for w in ws], diag) + kron_apply(flips, anti))
-    q, inner = parts
-    return q * _born_from_form(inner, ws) + (1 - q) / 2 ** len(ws)
-
-
 def _outcome_keys(indices: np.ndarray, n: int) -> list:
     """Outcome strings of basis indices: qubit 0 first, '+' for a 0 bit, '-' for a 1."""
     bits = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -160,12 +131,11 @@ def simulate_measurements(
     """Sample the three-setting protocol from the Born distribution.
 
     Setting j measures the rotated Pauli on every qubit; outcomes are
-    deterministic for a fixed seed. A state the package built carries its
-    form (a vector, an X matrix or a white-noise mix of one), and
-    :func:`_born_from_form` reads the outcome probabilities from it in
-    O(n 2^n); only a matrix from outside (no form) goes through
-    :func:`_born_diagonal`, an O(4^n) contraction of rho. Neither builds a
-    rotated matrix.
+    deterministic for a fixed seed. Its outcome probabilities are the
+    diagonal of W rho W^dag, W = (B_j u_1) x ... x (B_j u_n) with B_j the
+    basis change of sigma_j, read by ``DenseState.lines_under`` from the
+    state's form: O(n 2^n) for a built state, O(4^n) for a matrix from
+    outside, and never a rotated matrix.
     """
     if shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
@@ -174,11 +144,7 @@ def simulate_measurements(
     rng = np.random.default_rng(seed)
     records = []
     for axis in (1, 2, 3):
-        ws = [_BASIS_CHANGE[axis] @ u for u in us]
-        if state._form is None:
-            probs = _born_diagonal(state.rho, ws, n)
-        else:
-            probs = _born_from_form(state._form, ws)
+        probs, _ = state.lines_under([_BASIS_CHANGE[axis] @ u for u in us], anti=False)
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
         drawn = rng.multinomial(shots, probs)

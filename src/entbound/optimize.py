@@ -19,13 +19,15 @@ objective call per step covers every start still running.
   together. The correlation sum is a degree-n polynomial in the rows of the
   shared SO(3) matrix, read through a table of their powers; the overlap
   reads rho against two product vectors. Neither builds a rotated state.
-- The overlap screen of both modes reads the diagonal and anti-diagonal of
-  u^{xn} rho u^{dag xn}. With u = Rz(phi) Rx(theta) Rz(psi), the last
-  Rz(phi)^{xn} keeps the diagonal and only turns each anti-diagonal entry
-  by a phase, so the grid's phis share one contraction per (theta, psi).
+- The overlap screen of both modes reads the state itself: the diagonal and
+  anti-diagonal of u^{xn} rho u^{dag xn}, from ``DenseState.lines_under``.
+  With u = Rz(phi) Rx(theta) Rz(psi), the last Rz(phi)^{xn} keeps the
+  diagonal and only turns each anti-diagonal entry by a phase, so the grid's
+  phis share one read per (theta, psi). A built state never builds rho
+  there; the refinements after it still read rho.
 
 Batches grow with the starts, the grid and n, so they run in chunks of at
-most ``_CHUNK_ENTRIES`` matrix entries. Nothing here imports scipy.
+most ``_linalg.CHUNK_ENTRIES`` matrix entries. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA_STACK, contract_qubit_pairs, hamming_weights
+from ._linalg import SIGMA_STACK, chunks, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise
 from .pauli import (
@@ -46,7 +48,7 @@ from .pauli import (
     so3_to_angles,
     su2_from_angles,
 )
-from .qstate import CorrelationTriple, DenseState
+from .qstate import DENSE_CAP, CorrelationTriple, DenseState
 
 _TWO_PI = 2 * math.pi
 
@@ -61,9 +63,17 @@ _MAX_SWEEPS = 500
 _NM_MAXITER = 10 * _MAX_SWEEPS
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
-#: matrix entries one batched step may hold; starts and grid points beyond it
-#: run in chunks (at n <= 8 the 32 default per-qubit starts fit in one)
-_CHUNK_ENTRIES = 1 << 20
+
+#: bytes the angle grid of one search may hold at n = DENSE_CAP
+_GRID_BUDGET = 512 << 20
+#: bound on the bytes of one overlap-screen row at n = DENSE_CAP: 40 * 2^n
+#: (tracemalloc measures 36 * 2^n)
+_SCREEN_ROW_BYTES = 40 * 2**DENSE_CAP
+#: largest grid_density. The overlap screen holds (density // 2)^3 + 1 rows, the
+#: largest grid at any density: at density 29 that is 2,745 rows, 0.42 GiB at
+#: n = 12, and 30 would take 0.52 GiB. The correlation-sum grid, density^3 + 1
+#: points of about 7.6 kB each at n = 12, takes 0.17 GiB at density 29.
+MAX_GRID_DENSITY = 29
 
 #: sign classes for the per-qubit closed-form update; -s duplicates s under |.|
 _SIGN_CLASSES = np.array(
@@ -73,7 +83,11 @@ _SIGN_CLASSES = np.array(
 
 @dataclass(frozen=True)
 class OptimisationOptions:
-    """Search-strategy knobs; defaults reproduce every reported table row."""
+    """Search-strategy knobs; defaults reproduce every reported table row.
+
+    ``grid_density`` runs from 2 to MAX_GRID_DENSITY, which keeps every angle
+    grid of a search within _GRID_BUDGET (512 MiB) at the dense cap.
+    """
 
     mode: str = "shared"
     restarts: int = 32
@@ -86,8 +100,10 @@ class OptimisationOptions:
             raise ParameterError(f"mode must be 'shared' or 'per_qubit', got {self.mode!r}")
         if self.restarts < 1:
             raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
-        if self.grid_density < 2:
-            raise ParameterError(f"grid_density must be >= 2, got {self.grid_density}")
+        if not 2 <= self.grid_density <= MAX_GRID_DENSITY:
+            raise ParameterError(
+                f"grid_density must be in 2..{MAX_GRID_DENSITY}, got {self.grid_density}"
+            )
 
 
 def _shared_grid(density: int) -> np.ndarray:
@@ -96,12 +112,6 @@ def _shared_grid(density: int) -> np.ndarray:
     phis = np.linspace(0.0, _TWO_PI, density, endpoint=False)
     grid = np.array(np.meshgrid(thetas, psis, phis, indexing="ij")).reshape(3, -1).T
     return np.vstack([[0.0, 0.0, 0.0], grid])
-
-
-def _chunks(count: int, per_row: int) -> list[slice]:
-    """Slices covering range(count), of _CHUNK_ENTRIES // per_row rows each (at least one)."""
-    step = max(1, _CHUNK_ENTRIES // per_row)
-    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 # -- lockstep Nelder-Mead ---------------------------------------------------------
@@ -304,15 +314,16 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
 
     Each start sweeps until a sweep gains at most _ASCENT_TOL (or for
     _MAX_SWEEPS sweeps) and is then frozen; starts run in chunks under
-    _CHUNK_ENTRIES. A sweep carries bloch contracted by the rows already
-    updated, one mode further per qubit, so each qubit's step contracts only
-    the qubits still to come, and the last update leaves the sweep's value.
+    CHUNK_ENTRIES (at n <= 8 the 32 default starts fit in one). A sweep
+    carries bloch contracted by the rows already updated, one mode further
+    per qubit, so each qubit's step contracts only the qubits still to come,
+    and the last update leaves the sweep's value.
     Returns the first best start's stack and its value.
     """
     n = bloch.ndim
     os = np.array(starts, dtype=float)
     vals = np.full(len(os), -np.inf)
-    for chunk in _chunks(len(os), 9 * 3 ** (n - 1)):
+    for chunk in chunks(len(os), 9 * 3 ** (n - 1)):
         live = np.arange(len(os))[chunk]
         for _ in range(_MAX_SWEEPS):
             cur = os[live]
@@ -479,32 +490,27 @@ def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndar
     return angles, _overlap(rho, bits, sign, unitaries)
 
 
-def _screen_overlaps(rho: np.ndarray, angles, n: int) -> np.ndarray:
+def _screen_overlaps(state: DenseState, angles) -> np.ndarray:
     """GHZ-basis overlaps of u^{xn} rho u^{dag xn}, flat in ghz_diagonalise's order.
 
     u = su2_from_angles(angles); angles of shape (..., 3) give overlaps of
     shape (..., 2^n). Reads only the diagonal and the anti-diagonal of each
     rotated state. As u = Rz(phi) v, with v the same angles at phi = 0, and
     Rz(phi)^{xn} keeps the diagonal and turns anti-diagonal entry (i, ~i) by
-    exp(-i phi (n - 2|i|)), one contraction per distinct (theta, psi) serves
-    every phi (all in one batch, in chunks under _CHUNK_ENTRIES).
+    exp(-i phi (n - 2|i|)), one read of the state's lines per distinct
+    (theta, psi) serves every phi, all in one batch.
     """
+    n = state.n
     angles = np.asarray(angles, dtype=float)
     flat = angles.reshape(-1, 3)
     pairs, which = np.unique(flat[:, :2], axis=0, return_inverse=True)
     v = su2_from_angles(np.column_stack([pairs, np.zeros(len(pairs))]))
-    # mats[g, l, i, r, c] = v[i, r] conj(v[i ^ l, c]): line l = 0 is the diagonal
-    mats = v[:, None, :, :, None] * np.stack([v, v[:, ::-1]], 1).conj()[:, :, :, None, :]
-    lines = np.empty((len(v), 2, 2**n), dtype=complex)
-    # per (theta, psi): 4^n complex entries after the first contraction step,
-    # and a transposed copy of them
-    for chunk in _chunks(len(v), 4 ** (n + 1)):
-        lines[chunk] = contract_qubit_pairs(rho, [mats[chunk]] * n, n).reshape(-1, 2, 2**n)
+    diag, anti = state.lines_under([v] * n)
     half = 2 ** (n - 1)
     which = which.reshape(-1)
-    diag = lines[:, 0].real[which]
+    diag = diag[which]
     turns = n - 2 * hamming_weights(n)[:half]
-    anti = (lines[which, 1, :half] * np.exp(-1j * flat[:, 2:] * turns)).real
+    anti = (anti[which, :half] * np.exp(-1j * flat[:, 2:] * turns)).real
     mean = 0.5 * (diag[:, :half] + diag[:, ::-1][:, :half])
     return np.stack([mean + anti, mean - anti], axis=-1).reshape(angles.shape[:-1] + (-1,))
 
@@ -521,14 +527,13 @@ def optimise_ghz_overlap(
     """
     opts = opts or OptimisationOptions()
     n = state.n
-    rho = np.asarray(state.rho)
     shared = opts.mode == "shared"
     rng = np.random.default_rng(opts.seed)
 
     # coarse screen: every basis index against a shared-angle grid, because
     # the best index at the identity need not be the best one after rotation
     grid = _shared_grid(max(4, opts.grid_density // 2))
-    overlaps = _screen_overlaps(rho, grid, n)
+    overlaps = _screen_overlaps(state, grid)
     best_pos = np.argmax(overlaps, axis=1)
     # (value, grid position, flat index)
     seeds = [(float(overlaps[g, pos]), g, int(pos)) for g, pos in enumerate(best_pos)]
@@ -543,6 +548,7 @@ def optimise_ghz_overlap(
 
     base = ghz_diagonalise(state)
     best = (LocalRotation.identity(), base.argmax(), base.p_max)
+    rho = np.asarray(state.rho)
     candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, _, pos in picked]
     if shared:
         # two runs per candidate, from the identity and from its grid point
@@ -567,6 +573,7 @@ def optimise_ghz_overlap(
 
 
 __all__ = [
+    "MAX_GRID_DENSITY",
     "OptimisationOptions",
     "optimise_ghz_overlap",
     "optimise_triple",

@@ -37,18 +37,32 @@ _RESTARTS = 6
 _DIAGONAL_TOL = 1e-12
 #: Frank-Wolfe gap below which the analytic GHZ-diagonal candidate is accepted
 _GAP_TOL = 1e-12
+#: bytes one octahedron grid may hold
+_GRID_BUDGET = 512 << 20
+#: bound on the bytes a grid point takes while its distances are evaluated, for
+#: every distance kind and n up to _OCTAHEDRON_CAP (the most measured with
+#: tracemalloc is 745, squared Hellinger at odd n)
+_POINT_BYTES = 800
+#: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
+#: 819^2 points of _POINT_BYTES fit _GRID_BUDGET, 820^2 do not
+MAX_GRID_RESOLUTION = 818
 #: sign patterns of the eight octahedron faces
 _FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
 
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Octahedron-grid knobs; ``grid_resolution`` runs from 4 to MAX_GRID_RESOLUTION,
+    which keeps one grid within _GRID_BUDGET (512 MiB)."""
+
     grid_resolution: int = 60
     refine_rounds: int = 3
 
     def __post_init__(self):
-        if self.grid_resolution < 4:
-            raise ParameterError(f"grid_resolution must be >= 4, got {self.grid_resolution}")
+        if not 4 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
+            raise ParameterError(
+                f"grid_resolution must be in 4..{MAX_GRID_RESOLUTION}, got {self.grid_resolution}"
+            )
         if self.refine_rounds < 0:
             raise ParameterError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
 
@@ -384,6 +398,7 @@ def oracle_report(formula_value: float, oracle_value: float, cfg: OracleConfig) 
 
 
 __all__ = [
+    "MAX_GRID_RESOLUTION",
     "OracleConfig",
     "brute_min_biseparable_ghz",
     "brute_min_over_octahedron",

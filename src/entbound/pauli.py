@@ -55,22 +55,27 @@ def _real_trace(val: complex) -> float:
     return float(val.real)
 
 
-def correlation_triple(state: DenseState) -> CorrelationTriple:
-    """The canonical triple (<s1^xn>, <s2^xn>, <s3^xn>) of a dense state.
+def correlation_triple(state: DenseState, rot: LocalRotation | None = None) -> CorrelationTriple:
+    """The canonical triple (<s1^xn>, <s2^xn>, <s3^xn>) of a state, or of U rho U^dag.
 
     sigma_j^{xn} has one nonzero entry per column i, so Tr(rho sigma_j^{xn})
     reads only the anti-diagonal rho[i, 2^n - 1 - i] (j = 1, 2) or the
     diagonal (j = 3), both from ``state.lines()``: O(2^n) work, and no dense
-    matrix for a built state. :func:`expectation` is the dense reference.
-    A zero component is returned as 0.0, never -0.0.
+    matrix for a built state. With a rotation, the same sums read the lines of
+    the rotated state, ``state.lines_under(rot.unitaries(n))``, and each
+    component is clamped to [-1, 1] as in :func:`rotated_triple`.
+    :func:`expectation` is the dense reference. A zero component is returned
+    as 0.0, never -0.0.
     """
-    diag, anti = state.lines()
-    return CorrelationTriple(
-        *(
-            _real_trace(np.sum(line * pauli_power_entries(j, state.n))) + 0.0
-            for j, line in ((1, anti), (2, anti), (3, diag))
-        )
-    )
+    n = state.n
+    diag, anti = state.lines() if rot is None else state.lines_under(rot.unitaries(n))
+    values = [
+        _real_trace(np.sum(line * pauli_power_entries(j, n))) + 0.0
+        for j, line in ((1, anti), (2, anti), (3, diag))
+    ]
+    if rot is not None:
+        values = [min(1.0, max(-1.0, v)) for v in values]
+    return CorrelationTriple(*values)
 
 
 def _contract_bloch(state: DenseState) -> np.ndarray:

@@ -4,25 +4,26 @@ Density matrices for the reference families (GHZ, W, Dicke, cluster,
 Wei, Smolin, four-qubit singlet), triple-correlation states built from a
 correlation triple, and white-noise mixtures.
 
-A matrix from outside the package gets the full dense check in
-``DenseState``. A state the package builds is valid by construction and
-carries an O(2^n) certificate instead: a pure state is the projector of a
-vector whose squared norm is 1, the triple-correlation, Wei and GHZ-diagonal
-states are X matrices checked block by block (``_x_state``), and a white-noise
-mix of a built state with q in [0, 1] is a convex combination.
-
-A built state keeps only the form it was made from, in O(2^n) memory:
+A ``DenseState`` is its form, a private tuple that only this module unpacks:
 ``("pure", psi)`` for GHZ, W, Dicke, both clusters and the singlet
 (``from_vector``), ``("x", diag, anti)`` for the triple-correlation, Smolin,
-Wei and GHZ-diagonal states (``_x_state``), and ``("mix", q, inner form)`` for
-q inner + (1 - q) I/2^n, inner being any built state, a mix too. Its dense
-``rho`` is built from the form on the first read only (``_matrix_from_form``)
-and then cached. ``DenseState.lines`` (diagonal and anti-diagonal) and
-``DenseState.purity`` answer from the form in O(2^n), and ``estimate`` samples
-outcomes from it, so ``state`` (without ``--dense``), ``triple`` (without
-``--angles``) and ``simulate`` never build a 2^n x 2^n array; ``optimise``,
-``triple --angles``, ``state --dense`` and the distance kernels read ``rho``.
-A matrix from outside has no form and is checked and stored when constructed.
+Wei and GHZ-diagonal states (``_x_state``), ``("mix", q, inner)`` for
+q inner + (1 - q) I/2^n, inner being any form, and ``("dense", rho)`` for a
+matrix from outside the package, which gets the full dense check. A built
+state is valid by construction and carries an O(2^n) certificate instead: a
+pure state is the projector of a vector whose squared norm is 1, an X matrix
+is checked block by block, and a white-noise mix of a built state with q in
+[0, 1] is a convex combination.
+
+Every read answers from the form. ``DenseState.lines`` and
+``DenseState.purity`` cost O(2^n) on a built state, and
+``DenseState.lines_under`` reads the diagonal or both lines of U rho U^dag for
+a product unitary U in O(n 2^n), or O(4^n) on a dense form, the one rotated
+contraction of a matrix. So ``state`` (without ``--dense``), ``triple``,
+``simulate`` and the overlap screen never build a 2^n x 2^n array for a built
+state; the rest of ``optimise``, ``state --dense`` and the distance kernels
+read ``rho``, made from the form on the first read (``_matrix_from_form``) and
+then cached.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import pauli_power_entries
+from ._linalg import chunks, contract_qubit_pairs, kron_apply, pauli_power_entries
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, reading
 
 #: Largest qubit count for which a dense 2^n x 2^n matrix is built from a state
@@ -58,7 +59,7 @@ _TRIPLE_TOL = 1e-12
 
 #: Passed to ``DenseState`` only by ``from_vector``, ``_x_state`` and the
 #: white-noise mix, whose forms are valid by construction; it skips the dense
-#: checks and defers the matrix to its first read.
+#: checks, and the matrix waits for its first read.
 _CERTIFIED = object()
 
 
@@ -122,11 +123,11 @@ class DenseState:
     Qubit 0 is the leftmost tensor factor and the computational basis is
     binary ordered. ``DenseState(n, rho)`` checks shape, finiteness,
     hermiticity, trace and (up to ``_PSD_CHECK_MAX_DIM``) positivity, then
-    stores ``rho`` read-only. The package's own builders prove their states
-    valid in O(2^n), skip those checks and pass only the state's form (see the
-    module docstring) as ``_form``; ``rho`` is then built on its first read
-    (``optimise``, ``triple --angles``, ``state --dense`` and the distance
-    kernels read it), frozen and cached.
+    keeps ``rho`` read-only as a dense form. The package's own builders prove
+    their states valid in O(2^n), skip those checks and pass the state's form
+    (see the module docstring) as ``_form``; ``rho`` is then built on its
+    first read (``optimise``, ``state --dense`` and the distance kernels read
+    it), frozen and cached.
     """
 
     def __init__(self, n: int, rho, _certificate=None, _form: tuple | None = None):
@@ -137,7 +138,6 @@ class DenseState:
             object.__setattr__(self, "_rho", None)
             object.__setattr__(self, "_form", _form)
             return
-        object.__setattr__(self, "_form", None)
         rho = np.array(rho, dtype=complex)
         dim = 2**n
         if rho.shape != (dim, dim):
@@ -157,6 +157,7 @@ class DenseState:
                 raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
         rho.flags.writeable = False
         object.__setattr__(self, "_rho", rho)
+        object.__setattr__(self, "_form", ("dense", rho))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DenseState is immutable; cannot set {name!r}")
@@ -179,15 +180,18 @@ class DenseState:
 
         Bit for bit the entries of ``rho``, read from the form in O(2^n).
         """
-        if self._form is not None:
-            return _lines_from_form(self._form, self.dim)
-        return np.diagonal(self.rho), np.diagonal(self.rho[:, ::-1])
+        return _lines_from_form(self._form, self.dim)
+
+    def lines_under(self, us, anti: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """The real diagonal and the anti-diagonal (None unless ``anti``) of U rho U^dag.
+
+        U = us[0] x ... x us[n-1]; unitaries of shape (..., 2, 2), the same
+        leading axes on every qubit, give lines of shape (..., 2^n)."""
+        return _lines_under(self._form, list(us), anti)
 
     def purity(self) -> float:
-        """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) from the form."""
-        if self._form is not None:
-            return float(_purity_from_form(self._form, self.dim))
-        return float(np.vdot(self.rho, self.rho).real)
+        """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) on a built state."""
+        return float(_purity_from_form(self._form, self.dim))
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DenseState":
@@ -246,6 +250,8 @@ def _lines_from_form(form: tuple, dim: int) -> tuple[np.ndarray, np.ndarray]:
         return parts[0] * conj, parts[0] * conj[::-1]
     if kind == "x":
         return parts[0], parts[1][::-1]
+    if kind == "dense":
+        return np.diagonal(parts[0]), np.diagonal(parts[0][:, ::-1])
     q, inner = parts
     diag, anti = (q * line for line in _lines_from_form(inner, dim))
     diag += 0.0
@@ -254,15 +260,58 @@ def _lines_from_form(form: tuple, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, anti
 
 
+def _lines_under(form: tuple, us: list, anti: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``DenseState.lines_under`` of a form; u^ is u with its rows swapped, u~ its columns.
+
+    Pure: phi = U psi gives |phi|^2 and phi conj(phi reversed). X, with (x m)
+    one entrywise product m of each qubit's u applied to a line by
+    ``kron_apply``: Re[(x |u|^2) diag + (x u~ conj(u)) anti] and
+    (x u conj(u^)) diag + (x u~ conj(u^)) anti. Mix: q times the inner lines,
+    plus (1 - q)/2^n on the diagonal as U is unitary. Dense: each qubit's row
+    and column axes of rho contracted with u[i, r] conj(u[i, c]), or
+    conj(u^[i, c]) for the anti-diagonal.
+    """
+    kind, *parts = form
+    if kind == "pure":
+        phi = kron_apply(us, parts[0])
+        return phi.real**2 + phi.imag**2, phi * phi[..., ::-1].conj() if anti else None
+    swapped = [u[..., ::-1, :] for u in us]
+    if kind == "x":
+        diag, off = parts
+        flips = [u[..., ::-1] * u.conj() for u in us]
+        born = np.real(kron_apply([np.abs(u) ** 2 for u in us], diag) + kron_apply(flips, off))
+        return born, (kron_apply([u * s.conj() for u, s in zip(us, swapped)], diag)
+                      + kron_apply([u[..., ::-1] * s.conj() for u, s in zip(us, swapped)], off)
+                      ) if anti else None
+    if kind == "dense":
+        n, lines = len(us), []
+        for rows in [us, swapped][: 1 + anti]:
+            mats = [np.reshape(u[..., None] * r.conj()[..., None, :], (-1, 2, 2, 2))
+                    for u, r in zip(us, rows)]
+            # per unitary: 4^n entries after the first step, and a transposed copy
+            line = np.empty((len(mats[0]), 2**n), dtype=complex)
+            for chunk in chunks(len(line), 4 ** (n + 1)):
+                line[chunk] = contract_qubit_pairs(parts[0], [m[chunk] for m in mats], n).reshape(
+                    -1, 2**n)
+            lines.append(line.reshape(np.shape(us[0])[:-2] + (-1,)))
+        return np.real(lines[0]), lines[1] if anti else None
+    q, inner = parts
+    born, line = _lines_under(inner, us, anti)
+    return q * born + (1 - q) / 2 ** len(us), q * line if anti else None
+
+
 def _purity_from_form(form: tuple, dim: int) -> float:
-    """tr rho^2 of a built state: |psi|^4, |diag|^2 + |anti|^2, or for a mix
-    q^2 P + 2q(1 - q)/dim + (1 - q)^2/dim = q^2 P + (1 - q^2)/dim (tr inner = 1)."""
+    """tr rho^2: |psi|^4, |diag|^2 + |anti|^2, the sum of |rho_ij|^2 of a dense
+    matrix, or for a mix q^2 P + 2q(1 - q)/dim + (1 - q)^2/dim = q^2 P + (1 - q^2)/dim
+    (tr inner = 1)."""
     kind, *parts = form
     if kind == "pure":
         norm2 = np.vdot(parts[0], parts[0]).real
         return norm2 * norm2
     if kind == "x":
         return np.vdot(parts[0], parts[0]).real + np.vdot(parts[1], parts[1]).real
+    if kind == "dense":
+        return np.vdot(parts[0], parts[0]).real
     q, inner = parts
     return q * q * _purity_from_form(inner, dim) + (1 - q * q) / dim
 

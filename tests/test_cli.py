@@ -6,11 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from entbound.cli import build_parser, main
+from entbound.optimize import MAX_GRID_DENSITY
+from entbound.oracle import MAX_GRID_RESOLUTION
 
 
 def _run(argv, capsys):
@@ -146,6 +149,34 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
 )
 def test_unphysical_or_oversized_input_exits_2(argv, fragment, capsys):
     _assert_input_error(argv, capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["optimise", "--family", "ghz", "--n", "12", "--objective", "overlap",
+          "--grid", str(MAX_GRID_DENSITY + 1)], f"grid_density must be in 2..{MAX_GRID_DENSITY}"),
+        (["oracle", "--n", "3", "--c=0.5,0.5,0.5", "--resolution", str(MAX_GRID_RESOLUTION + 1)],
+         f"grid_resolution must be in 4..{MAX_GRID_RESOLUTION}"),
+    ],
+    ids=["optimise-grid", "oracle-resolution"],
+)
+def test_grid_above_its_maximum_exits_2_before_allocating(argv, fragment, capsys):
+    build_parser()  # built once per process; not part of the command's allocations
+    tracemalloc.start()
+    try:
+        _assert_input_error(argv, capsys, fragment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command, maximum",
+                         [("optimise", MAX_GRID_DENSITY), ("oracle", MAX_GRID_RESOLUTION)])
+def test_help_shows_the_grid_maximum(command, maximum, capsys):
+    assert main([command, "--help"]) == 0
+    assert f"..{maximum}" in capsys.readouterr().out
 
 
 #: a triple outside the octahedron at n=4, entangled at every non-trivial level

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbound.cli import main
+from entbound.oracle import MAX_GRID_RESOLUTION
 
 JUNK = ["", "x", "four", "--", "-", "1,2", "0x1p-3", " 0.5", "1e", "½", "None", "[1]"]
 SPECIAL_FLOATS = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e309", "5e-324",
@@ -102,7 +103,12 @@ ORACLE_ARGV = _argv(
     _flag("--distance", DISTANCE),
     _flag("--M", SMALL_INT_TEXT),
     _flag("--partition", PARTITION_TEXT),
-    _flag("--resolution", _text(st.integers(-2, 16).map(str), st.sampled_from(JUNK))),
+    # rarely above the maximum, which must exit 2 before a grid is allocated
+    _flag("--resolution", _text(
+        st.integers(-2, 16).map(str),
+        st.integers(MAX_GRID_RESOLUTION + 1, 100 * MAX_GRID_RESOLUTION).map(str),
+        st.sampled_from(HUGE_INTS + JUNK),
+    )),
     _flag("--rounds", _text(st.integers(-2, 4).map(str), st.sampled_from(JUNK))),
 )
 

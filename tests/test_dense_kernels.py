@@ -9,10 +9,18 @@ import pytest
 
 from conftest import pauli_power, random_density, random_m3n_inside_tetra
 from dense_rotation import apply_product_unitary
-from entbound._linalg import SIGMA_STACK, contract_qubit_pairs
+from entbound._linalg import (
+    SIGMA,
+    SIGMA_STACK,
+    contract_qubit_pairs,
+    hamming_weights,
+    kron_all,
+    kron_apply,
+    pauli_power_entries,
+)
 from entbound.cli import main
 from entbound.errors import StateValidityError
-from entbound.estimate import _BASIS_CHANGE, _born_diagonal
+from entbound.estimate import _BASIS_CHANGE
 from entbound.pauli import correlation_tensor, correlation_triple, expectation, su2_from_angles
 from entbound.qstate import (
     CorrelationTriple,
@@ -62,24 +70,34 @@ def test_bloch_block_bit_identical_to_tensordot_loop(n, rng):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_born_diagonal_matches_dense_rotation(n, rng):
+def test_dense_lines_under_match_dense_rotation(n, rng):
     state = random_density(n, rng)
     us = [su2_from_angles(rng.uniform(0, math.pi, 3)) for _ in range(n)]
     for axis in (1, 2, 3):
         ws = [_BASIS_CHANGE[axis] @ u for u in us]
-        dense = np.real(np.diagonal(apply_product_unitary(np.array(state.rho), ws, n)))
-        assert np.max(np.abs(_born_diagonal(state.rho, ws, n) - dense)) <= 1e-15
+        rotated = apply_product_unitary(np.array(state.rho), ws, n)
+        diag, anti = state.lines_under(ws)
+        assert np.max(np.abs(diag - np.real(np.diagonal(rotated)))) <= 1e-15
+        assert np.max(np.abs(anti - np.diagonal(rotated[:, ::-1]))) <= 1e-15
+
+
+def _tensordot_line(rho, ws, rows, n):
+    """sum over r, c of rho[r, c] prod_k ws[k][i_k, r_k] conj(rows[k][i_k, c_k]), qubit by qubit."""
+    cur = rho.reshape((2,) * (2 * n))
+    for k, (w, r) in enumerate(zip(ws, rows)):
+        cur = np.tensordot(cur, w[:, :, None] * r.conj()[:, None, :], axes=([0, n - k], [1, 2]))
+    return cur.reshape(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_born_diagonal_bit_identical_to_tensordot_loop(n, rng):
-    # sampling reads these probabilities, so a zero must stay an exact zero
-    rho = random_density(n, rng).rho
+def test_dense_lines_under_bit_identical_to_tensordot_loop(n, rng):
+    # sampling reads the diagonal as probabilities, so a zero must stay an exact zero
+    state = random_density(n, rng)
     ws = [_BASIS_CHANGE[1 + k % 3] @ su2_from_angles(rng.uniform(0, math.pi, 3)) for k in range(n)]
-    cur = rho.reshape((2,) * (2 * n))
-    for k, w in enumerate(ws):
-        cur = np.tensordot(cur, w[:, :, None] * w.conj()[:, None, :], axes=([0, n - k], [1, 2]))
-    assert np.array_equal(_born_diagonal(rho, ws, n), np.real(cur).reshape(-1))
+    diag, anti = state.lines_under(ws)
+    assert np.array_equal(diag, np.real(_tensordot_line(state.rho, ws, ws, n)))
+    assert np.array_equal(anti, _tensordot_line(state.rho, ws, [w[::-1] for w in ws], n))
+    assert np.array_equal(state.lines_under(ws, anti=False)[0], diag)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -91,6 +109,32 @@ def test_batched_pair_contraction_matches_each_batch_entry(n, rng):
     assert batched.shape == (4, 3) + (2,) * n
     for b in np.ndindex(4, 3):
         assert np.array_equal(batched[b], contract_qubit_pairs(rho, [m[b] for m in mats], n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batched_kron_apply_matches_each_batch_entry(n, rng):
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    mats = [rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+            for _ in range(n)]
+    batched = kron_apply(mats, v)
+    assert batched.shape == (4, 3, 2**n)
+    for b in np.ndindex(4, 3):
+        single = kron_apply([m[b] for m in mats], v)
+        assert np.array_equal(batched[b], single)
+        assert np.allclose(single, kron_all([m[b] for m in mats]) @ v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_entries_are_cached_and_read_only(n):
+    weights = hamming_weights(n)
+    assert hamming_weights(n) is weights and not weights.flags.writeable
+    assert weights.tolist() == [bin(i).count("1") for i in range(2**n)]
+    idx = np.arange(2**n)
+    for j in (1, 2, 3):
+        entries = pauli_power_entries(j, n)
+        assert pauli_power_entries(j, n) is entries and not entries.flags.writeable
+        rows = idx if j == 3 else 2**n - 1 - idx
+        assert np.array_equal(entries, kron_all([SIGMA[j]] * n)[rows, idx])
 
 
 def _with_smallest_eigenvalue(lo, n=4, seed=7):

@@ -6,11 +6,12 @@ from scipy.optimize import minimize
 
 from conftest import random_density
 from dense_rotation import apply_product_unitary
-from entbound._linalg import contract_qubit_pairs, kron_all
-from entbound import optimize
+from entbound._linalg import kron_all
+from entbound import _linalg, optimize
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
 from entbound.optimize import (
+    MAX_GRID_DENSITY,
     OptimisationOptions,
     _best_rotation_for_matrix,
     _ghz_bits,
@@ -148,6 +149,28 @@ def test_options_validation():
         OptimisationOptions(restarts=0)
     with pytest.raises(ParameterError):
         OptimisationOptions(grid_density=1)
+    with pytest.raises(ParameterError, match=f"grid_density must be in 2..{MAX_GRID_DENSITY}"):
+        OptimisationOptions(grid_density=MAX_GRID_DENSITY + 1)
+    assert OptimisationOptions(grid_density=MAX_GRID_DENSITY).grid_density == MAX_GRID_DENSITY
+
+
+def test_grid_density_maximum_fits_the_budget():
+    def screen_bytes(density):
+        return ((density // 2) ** 3 + 1) * optimize._SCREEN_ROW_BYTES
+
+    assert screen_bytes(MAX_GRID_DENSITY) <= optimize._GRID_BUDGET
+    assert screen_bytes(MAX_GRID_DENSITY + 1) > optimize._GRID_BUDGET
+    # the row bound holds: the screen's peak over its 217 rows at n = 10
+    n = 10
+    state = build_state(StateFamily.w(), n)
+    grid = _shared_grid(6)
+    tracemalloc.start()
+    try:
+        _screen_overlaps(state, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(grid) * optimize._SCREEN_ROW_BYTES // 2 ** (optimize.DENSE_CAP - n)
 
 
 def test_overlap_pure_ghz_identity():
@@ -253,12 +276,12 @@ def test_screen_overlaps_match_dense_rotation(n, rng):
     state = random_density(n, rng)
     rho = np.array(state.rho)
     angle_sets = shared_pair_angles(rng)
-    batched = _screen_overlaps(rho, angle_sets, n)
+    batched = _screen_overlaps(state, angle_sets)
     for angles, row in zip(angle_sets, batched):
         u = su2_from_angles(angles)
         rotated = DenseState(n, apply_product_unitary(rho, [u] * n, n))
         want = ghz_diagonalise(rotated).flat()
-        assert np.allclose(_screen_overlaps(rho, angles, n), want, rtol=0, atol=1e-14)
+        assert np.allclose(_screen_overlaps(state, angles), want, rtol=0, atol=1e-14)
         assert np.allclose(row, want, rtol=0, atol=1e-14)
 
 
@@ -421,7 +444,7 @@ def test_lockstep_ascent_matches_serial(source, chunk, rng, monkeypatch):
     starts = [np.tile(np.eye(3), (n, 1, 1))] + [_random_rotations(rng, n) for _ in range(7)]
     if chunk is not None:
         # chunks of `chunk` starts
-        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", chunk * 9 * 3 ** (n - 1))
+        monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", chunk * 9 * 3 ** (n - 1))
     os, val = _per_qubit_ascent(bloch, starts)
     ref_os, ref_val = serial_ascent(bloch, starts)
     assert abs(val - ref_val) <= 1e-15
@@ -431,31 +454,36 @@ def test_lockstep_ascent_matches_serial(source, chunk, rng, monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_batched_screen_matches_per_point(n, chunk, rng, monkeypatch):
-    rho = np.array(random_density(n, rng).rho)
+    state = random_density(n, rng)
     # 23 distinct (theta, psi) pairs, then 12 angle sets sharing 4 pairs
     angles = np.vstack([np.zeros(3), random_angles(rng, 23), shared_pair_angles(rng, 4, 3, 0)])
     if chunk is not None:
         # chunks of `chunk` distinct (theta, psi) pairs
-        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", chunk * 4 ** (n + 1))
-    batched = _screen_overlaps(rho, angles, n)
+        monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", chunk * 4 ** (n + 1))
+    batched = _screen_overlaps(state, angles)
     assert batched.shape == (len(angles), 2**n)
     for a, row in zip(angles, batched):
-        assert np.allclose(row, _screen_overlaps(rho, a, n), rtol=0, atol=1e-14)
-    assert _screen_overlaps(rho, angles.reshape(4, 9, 3), n).shape == (4, 9, 2**n)
+        assert np.allclose(row, _screen_overlaps(state, a), rtol=0, atol=1e-14)
+    assert _screen_overlaps(state, angles.reshape(4, 9, 3)).shape == (4, 9, 2**n)
 
 
+@pytest.mark.parametrize("source", ["built", "outside"])
 @pytest.mark.parametrize("mode", ["shared", "per_qubit"])
-def test_default_screen_contracts_once_per_theta_psi(mode, monkeypatch):
+def test_default_screen_contracts_once_per_theta_psi(mode, source, monkeypatch):
     # the default overlap grid holds 6 x 6 (theta, psi) pairs with 6 phis each,
-    # and its identity row repeats the pair (0, 0): 36 contractions for 217 rows
+    # and its identity row repeats the pair (0, 0): 36 rotations read for 217 rows
     rows = []
+    lines_under = DenseState.lines_under
 
-    def counting(rho, mats, n):
-        rows.append(len(mats[0]))
-        return contract_qubit_pairs(rho, mats, n)
+    def counting(state, us, anti=True):
+        rows.append(len(us[0]))
+        return lines_under(state, us, anti)
 
-    monkeypatch.setattr(optimize, "contract_qubit_pairs", counting)
-    optimise_ghz_overlap(build_state(StateFamily.w(), 3), OptimisationOptions(mode=mode))
+    monkeypatch.setattr(DenseState, "lines_under", counting)
+    state = build_state(StateFamily.w(), 3)
+    if source == "outside":
+        state = DenseState(3, np.array(state.rho))
+    optimise_ghz_overlap(state, OptimisationOptions(mode=mode))
     assert len(_shared_grid(6)) == 217
     assert sum(rows) == 36
 
@@ -493,7 +521,7 @@ def test_sweep_cache_matrices_match_full_contraction(n, rng):
 
 def test_per_qubit_working_set_is_bounded(monkeypatch):
     # unchunked, the 32 default starts at n=10 hold a (288, 3^9) intermediate
-    # and peak at about 60 MB; in chunks of _CHUNK_ENTRIES (8 MB of float64)
+    # and peak at about 60 MB; in chunks of CHUNK_ENTRIES (8 MB of float64)
     # the peak stays near 10 MB. One sweep shows the whole working set.
     tensor = correlation_tensor(build_state(StateFamily.cluster_linear(), 10))
     monkeypatch.setattr(optimize, "_MAX_SWEEPS", 1)
@@ -503,4 +531,4 @@ def test_per_qubit_working_set_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * optimize._CHUNK_ENTRIES
+    assert peak <= 2 * 8 * _linalg.CHUNK_ENTRIES

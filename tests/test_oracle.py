@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from entbound.measures import (
 )
 from entbound import oracle
 from entbound.oracle import (
+    MAX_GRID_RESOLUTION,
     OracleConfig,
     _analytic_candidate,
     _batch_distance,
@@ -506,3 +508,23 @@ def test_twirl_never_increases_entanglement_two_qubits(rng):
         before = _ppt_trace_distance(cvxpy, np.array(state.rho))
         after = _ppt_trace_distance(cvxpy, np.array(m3n_density(m3nfy(state)).rho))
         assert after <= before + 2e-5
+
+
+def test_grid_resolution_maximum_fits_the_budget():
+    with pytest.raises(ParameterError, match=f"grid_resolution must be in 4..{MAX_GRID_RESOLUTION}"):
+        OracleConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
+    assert OracleConfig(grid_resolution=MAX_GRID_RESOLUTION).grid_resolution == MAX_GRID_RESOLUTION
+    budget = oracle._GRID_BUDGET
+    assert (MAX_GRID_RESOLUTION + 1) ** 2 * oracle._POINT_BYTES <= budget
+    assert (MAX_GRID_RESOLUTION + 2) ** 2 * oracle._POINT_BYTES > budget
+    # the point bound holds for the costliest kind, squared Hellinger at odd n
+    resolution = 100
+    state = M3NState(3, CorrelationTriple(0.5, -0.5, 0.5))
+    cfg = OracleConfig(grid_resolution=resolution, refine_rounds=1)
+    tracemalloc.start()
+    try:
+        brute_min_over_octahedron(state, DistanceKind.SQUARED_HELLINGER, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (resolution + 1) ** 2 * oracle._POINT_BYTES

@@ -8,19 +8,26 @@ import numpy as np
 import pytest
 
 from conftest import random_ghz_spectrum
-from entbound import _linalg, estimate, qstate
+from dense_rotation import apply_product_unitary
+from entbound import _linalg, qstate
+from entbound._linalg import pauli_power_entries
 from entbound.cli import main
 from entbound.errors import ParameterError
 from entbound.estimate import (
     _BASIS_CHANGE,
     MeasurementRecord,
-    _born_diagonal,
-    _born_from_form,
     _outcome_keys,
     counts_to_triple,
     simulate_measurements,
 )
-from entbound.pauli import LocalRotation
+from entbound.optimize import _screen_overlaps, _shared_grid
+from entbound.pauli import (
+    LocalRotation,
+    correlation_tensor,
+    correlation_triple,
+    rotated_triple,
+    su2_from_angles,
+)
 from entbound.qstate import DenseState, StateFamily, build_state
 
 
@@ -155,13 +162,14 @@ def _rotations(n, rng):
 
 def _assert_form_matches_dense(state, rotations):
     n = state.n
-    assert state._form is not None
+    outside = DenseState(n, np.array(state.rho))
+    assert state._form[0] != "dense"
     for rot in rotations:
         us = rot.unitaries(n) if rot is not None else [np.eye(2)] * n
         for axis in (1, 2, 3):
             ws = [_BASIS_CHANGE[axis] @ u for u in us]
-            fast = _born_from_form(state._form, ws)
-            assert np.max(np.abs(fast - _born_diagonal(state.rho, ws, n))) <= 1e-14
+            fast, _ = state.lines_under(ws, anti=False)
+            assert np.max(np.abs(fast - outside.lines_under(ws, anti=False)[0])) <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -175,19 +183,79 @@ def test_born_from_ghz_diagonal_form_matches_dense(n, rng):
     _assert_form_matches_dense(random_ghz_spectrum(n, rng).dense(), _rotations(n, rng))
 
 
-def test_outside_matrix_has_no_form():
+def test_outside_matrix_becomes_a_dense_form():
     state = build_state(StateFamily.ghz(), 3)
-    assert DenseState(3, np.array(state.rho))._form is None
-    assert DenseState(3, np.array(state.rho), None, state._form)._form is None
+    outside = DenseState(3, np.array(state.rho))
+    assert outside._form[0] == "dense" and outside._form[1].tobytes() == state.rho.tobytes()
+    assert not outside._form[1].flags.writeable
+    # a form passed without the builders' certificate is ignored: the matrix is checked
+    assert DenseState(3, np.array(state.rho), None, state._form)._form[0] == "dense"
+
+
+# -- lines of a locally rotated state, from the form ------------------------------
+
+def _unitary_sets(n, rng):
+    """Shared, per-qubit and batched unitaries: a (3, 2) stack of them on every qubit."""
+    shared = su2_from_angles(rng.uniform(0, math.pi, 3))
+    return [[shared] * n, list(su2_from_angles(rng.uniform(0, math.pi, (n, 3)))),
+            list(su2_from_angles(rng.uniform(0, math.pi, (n, 3, 2, 3))))]
+
+
+def _assert_lines_match_dense(state, rng):
+    n = state.n
+    outside = DenseState(n, np.array(state.rho))
+    for us in _unitary_sets(n, rng):
+        batch = us[0].shape[:-2]
+        got, want = state.lines_under(us), outside.lines_under(us)
+        for line, dense in zip(got, want):
+            assert line.shape == dense.shape == batch + (2**n,)
+            assert np.max(np.abs(line - dense)) <= 1e-14
+        for b in np.ndindex(batch):
+            single = outside.lines_under([u[b] for u in us])
+            assert all(np.array_equal(line[b], one) for line, one in zip(want, single))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lines_under_match_dense_contraction(n, rng):
+    for family in _families(n):
+        _assert_lines_match_dense(build_state(family, n), rng)
+    _assert_lines_match_dense(random_ghz_spectrum(n, rng).dense(), rng)
+
+
+def _extended_rotated_triple(state, rot):
+    """The rotated triple of a dense conjugation in extended precision (np.clongdouble)."""
+    n = state.n
+    us = [u.astype(np.clongdouble) for u in rot.unitaries(n)]
+    rotated = apply_product_unitary(state.rho.astype(np.clongdouble), us, n)
+    diag, anti = np.diagonal(rotated), np.diagonal(rotated[:, ::-1])
+    return np.array([float(np.sum(line * pauli_power_entries(j, n)).real)
+                     for j, line in ((1, anti), (2, anti), (3, diag))])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rotated_triple_matches_tensor_contraction(n, rng):
+    for family in _families(n):
+        state = build_state(family, n)
+        tensor = correlation_tensor(state)
+        for rot in _rotations(n, rng)[1:]:
+            # both paths sum 2^n rounded terms: at n = 8 the lines are off the
+            # extended-precision value by up to 1.7e-15, the tensor by up to 8e-16
+            got = correlation_triple(state, rot).as_array()
+            assert np.max(np.abs(got - _extended_rotated_triple(state, rot))) <= 2e-15
+            assert np.max(np.abs(got - rotated_triple(tensor, rot).as_array())) <= 2e-15
 
 
 @pytest.fixture
 def no_dense_contraction(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense Born contraction called")
+        raise AssertionError("dense contraction called")
 
-    monkeypatch.setattr(estimate, "contract_qubit_pairs", refuse)
+    def no_matrix(form, dim):
+        raise AssertionError(f"a {dim} x {dim} matrix was built")
+
+    monkeypatch.setattr(qstate, "contract_qubit_pairs", refuse)
     monkeypatch.setattr(_linalg, "contract_qubit_pairs", refuse)
+    monkeypatch.setattr(qstate, "_matrix_from_form", no_matrix)
 
 
 @pytest.mark.parametrize(
@@ -197,9 +265,14 @@ def no_dense_contraction(monkeypatch):
     ids=["ghz", "w", "m3n", "w-mix"],
 )
 def test_simulate_at_n12_reads_the_form(family, no_dense_contraction):
+    state = build_state(family, 12)
     rot = LocalRotation.from_shared((0.3, 0.2, 0.1))
-    records = simulate_measurements(build_state(family, 12), rot, 200, seed=3)
+    records = simulate_measurements(state, rot, 200, seed=3)
     assert [sum(r.counts.values()) for r in records] == [200, 200, 200]
+    assert correlation_triple(state, rot).abs_sum <= 3
+    overlaps = _screen_overlaps(state, _shared_grid(6))
+    assert overlaps.shape == (217, 2**12)
+    assert np.allclose(overlaps.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_outside_matrix_takes_the_dense_path(monkeypatch):
@@ -209,7 +282,7 @@ def test_outside_matrix_takes_the_dense_path(monkeypatch):
         calls.append(1)
         return _linalg.contract_qubit_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(estimate, "contract_qubit_pairs", counting)
+    monkeypatch.setattr(qstate, "contract_qubit_pairs", counting)
     built = build_state(StateFamily.m3n((0.3, -0.2, 0.4)), 5)
     outside = DenseState(5, np.array(built.rho))
     rot = LocalRotation.from_shared((0.7, 0.4, 1.1))
@@ -232,8 +305,12 @@ _N12_SOURCES = {
 }
 
 
-@pytest.mark.parametrize("command", [["state"], ["triple"], ["simulate", "--shots", "1000"]],
-                         ids=["state", "triple", "simulate"])
+@pytest.mark.parametrize(
+    "command",
+    [["state"], ["triple"], ["triple", "--angles", "0.3,0.2,0.1"], ["simulate", "--shots", "1000"],
+     ["simulate", "--shots", "1000", "--angles", "0.3,0.2,0.1"]],
+    ids=["state", "triple", "triple-angles", "simulate", "simulate-angles"],
+)
 @pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
 def test_form_commands_build_no_dense_matrix_at_n12(command, source, monkeypatch, capsys):
     def refuse(form, dim):
@@ -249,10 +326,9 @@ def test_form_commands_build_no_dense_matrix_at_n12(command, source, monkeypatch
     [
         ["optimise", "--restarts", "2", "--grid", "3"],
         ["optimise", "--objective", "overlap", "--restarts", "2", "--grid", "3"],
-        ["triple", "--angles", "0.1,0.2,0.3"],
         ["state", "--dense"],
     ],
-    ids=["optimise-triple", "optimise-overlap", "triple-angles", "state-dense"],
+    ids=["optimise-triple", "optimise-overlap", "state-dense"],
 )
 def test_dense_commands_build_the_matrix_once(argv, monkeypatch, capsys):
     built = []
