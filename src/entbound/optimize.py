@@ -9,22 +9,25 @@ objective call per step covers every start still running.
 - Per-qubit mode, either objective: closed-form coordinate ascent. With
   every other qubit fixed, the objective is linear in one qubit's SO(3)
   matrix (per sign class, for the correlation sum), so each step takes the
-  proper polar factor of a 3x3 matrix. The correlation-sum ascent steps
-  every start at once, one batched SVD per qubit. Each sweep carries the
-  tensor contracted by the rows already updated, one mode further per
-  qubit, so a step contracts only the qubits still to come (O(3^n) per
-  sweep and start, not O(n 3^n)), in the order a full contraction takes.
+  proper polar factor of a 3x3 matrix. Both ascents step every start at
+  once: the correlation sum with one batched SVD per qubit, shared by its
+  four sign classes, the overlap with one Gram-matrix read of the state per
+  qubit. Each correlation-sum sweep carries the tensor contracted by the
+  rows already updated, one mode further per qubit, so a step contracts
+  only the qubits still to come (O(3^n) per sweep and start, not O(n 3^n)),
+  in the order a full contraction takes.
 - Shared mode, either objective: a coarse angle grid screened in one batch,
   then :func:`minimize`, an in-package Nelder-Mead that runs every start
   together. The correlation sum is a degree-n polynomial in the rows of the
-  shared SO(3) matrix, read through a table of their powers; the overlap
-  reads rho against two product vectors. Neither builds a rotated state.
-- The overlap screen of both modes reads the state itself: the diagonal and
-  anti-diagonal of u^{xn} rho u^{dag xn}, from ``DenseState.lines_under``.
-  With u = Rz(phi) Rx(theta) Rz(psi), the last Rz(phi)^{xn} keeps the
-  diagonal and only turns each anti-diagonal entry by a phase, so the grid's
-  phis share one read per (theta, psi). A built state never builds rho
-  there; the refinements after it still read rho.
+  shared SO(3) matrix, read through a table of their powers. Neither builds
+  a rotated state.
+- The overlap search reads the state only through its form. The screen of
+  both modes takes the diagonal and anti-diagonal of u^{xn} rho u^{dag xn}
+  from ``DenseState.lines_under``: with u = Rz(phi) Rx(theta) Rz(psi), the
+  last Rz(phi)^{xn} keeps the diagonal and only turns each anti-diagonal
+  entry by a phase, so the grid's phis share one read per (theta, psi). The
+  refinements read rho against product vectors through
+  ``DenseState.sandwich``. A built state never builds rho here.
 
 Batches grow with the starts, the grid and n, so they run in chunks of at
 most ``_linalg.CHUNK_ENTRIES`` matrix entries. Nothing here imports scipy.
@@ -156,9 +159,9 @@ def minimize(fun, starts) -> MinimizeResult:
         return np.asarray(fun(ids, points), dtype=float)
 
     def ordered(sim, fsim):
+        rows = np.arange(len(fsim))[:, None]
         order = np.argsort(fsim, axis=1)
-        return (np.take_along_axis(sim, order[:, :, None], axis=1),
-                np.take_along_axis(fsim, order, axis=1))
+        return sim[rows, order], fsim[rows, order]
 
     sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
     for k in range(dim):
@@ -255,15 +258,24 @@ def _shared_objective(poly: tuple[np.ndarray, np.ndarray], angles: np.ndarray) -
     return np.abs(terms @ coef).sum(axis=-1)
 
 
+def _proper_polar(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """The O in SO(3) maximising Tr(O m) for m = u diag(sv) vt, sv the singular values.
+
+    That is (u vt)^T, or (u diag(1, 1, -1) vt)^T where (u vt)^T is improper.
+    Stacks of shape (..., 3, 3) give one factor per pair.
+    """
+    o = np.swapaxes(u @ vt, -1, -2)
+    flipped = np.swapaxes(u @ np.diag([1.0, 1.0, -1.0]) @ vt, -1, -2)
+    return np.where((np.linalg.det(o) < 0)[..., None, None], flipped, o)
+
+
 def _polar_rotation(m: np.ndarray) -> np.ndarray:
     """The O in SO(3) maximising Tr(O m): the proper polar factor of m^T.
 
     Stacks of shape (..., 3, 3) give one factor per matrix.
     """
     u, _, vt = np.linalg.svd(m)
-    o = np.swapaxes(u @ vt, -1, -2)
-    flipped = np.swapaxes(u @ np.diag([1.0, 1.0, -1.0]) @ vt, -1, -2)
-    return np.where((np.linalg.det(o) < 0)[..., None, None], flipped, o)
+    return _proper_polar(u, vt)
 
 
 def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +285,10 @@ def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     maximised by a sign-corrected polar factor; the first best class wins.
     Stacks of shape (..., 3, 3) give rotations (..., 3, 3) and values (...).
     """
-    # objective of class s = Tr(O B^T diag(s))
-    os = _polar_rotation(np.swapaxes(b, -1, -2)[..., None, :, :] * _SIGN_CLASSES[:, None, :])
+    # objective of class s = Tr(O B^T diag(s)); B^T = U S V^T makes
+    # B^T diag(s) = U S (diag(s) V)^T, so one SVD serves all four classes
+    u, _, vt = np.linalg.svd(np.swapaxes(b, -1, -2))
+    os = _proper_polar(u[..., None, :, :], vt[..., None, :, :] * _SIGN_CLASSES[:, None, :])
     vals = np.abs(np.einsum("...ij,...ij->...i", os, b[..., None, :, :])).sum(axis=-1)
     best = np.argmax(vals, axis=-1)[..., None]
     return (
@@ -386,7 +400,7 @@ def optimise_triple(
         for _ in range(opts.restarts - 1):
             starts.append(_random_rotations(rng, n))
         best_os, _ = _per_qubit_ascent(bloch, starts)
-        rotation = LocalRotation.from_per_qubit([so3_to_angles(o) for o in best_os])
+        rotation = LocalRotation.from_per_qubit(so3_to_angles(best_os))
 
     triple = rotated_triple(tensor, rotation)
     objective = triple.abs_sum
@@ -410,84 +424,83 @@ def _ghz_bits(idx: GHZBasisIndex) -> np.ndarray:
     return (idx.i >> np.arange(idx.n - 1, -1, -1)) & 1
 
 
-def _product_vector(factors) -> np.ndarray:
-    """Kronecker product of 2-vectors, qubit 0 leftmost; factors (..., 2) give (..., 2^n)."""
-    out = np.ones(1, dtype=complex)
-    for f in factors:
-        out = (out[..., :, None] * f[..., None, :]).reshape(f.shape[:-1] + (-1,))
-    return out
+def _rotated_betas(bits: np.ndarray, signs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """U^dag beta per row, for beta = (|x> + sign |~x>)/sqrt(2) and U = (x)_k us[r, k].
 
-
-def _rotated_beta(bits: np.ndarray, sign: int, unitaries) -> np.ndarray:
-    """U^dag beta for beta = (|x> + sign |~x>)/sqrt(2); U^dag|y> is row y of conj(U)."""
-    a = _product_vector([u[x].conj() for u, x in zip(unitaries, bits)])
-    b = _product_vector([u[1 - x].conj() for u, x in zip(unitaries, bits)])
-    return (a + sign * b) / math.sqrt(2)
-
-
-def _overlap(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries) -> float:
-    """<beta| U rho U^dag |beta> for the product unitary U = U_1 x ... x U_n."""
-    v = _rotated_beta(bits, sign, unitaries)
-    return float(np.real(np.vdot(v, rho @ v)))
-
-
-def _shared_overlaps(rho: np.ndarray, bits: np.ndarray, signs: np.ndarray, angles) -> np.ndarray:
-    """<beta|U rho U^dag|beta> with U = u^{xn} for one angle triple u per row.
-
-    Row r reads the GHZ basis vector of bits[r] (bits of shape (R, n)) and
-    signs[r]. One gather takes rows x_k and ~x_k of conj(u) for every qubit
-    of every row; the two product vectors a and b then grow together.
+    bits (R, n), signs (R,) and unitaries us (R, n, 2, 2) give (R, 2^n).
+    U_k^dag|y> is row y of conj(U_k): conj(U_k) with its rows swapped where
+    x_k = 1 holds the factors of a and b on each qubit, and the two product
+    vectors then grow together, qubit 0 leftmost.
     """
-    rows, n = bits.shape
-    picks = np.concatenate([bits, 1 - bits], axis=1)[:, :, None]
-    factors = np.take_along_axis(su2_from_angles(angles).conj(), picks, axis=1)
-    factors = factors.reshape(rows, 2, n, 2)  # [r, a or b, qubit, entry]
-    ab = np.ones((rows, 2, 1), dtype=complex)
-    for k in range(n):
-        ab = (ab[..., :, None] * factors[:, :, k, None, :]).reshape(rows, 2, -1)
-    v = (ab[:, 0] + signs[:, None] * ab[:, 1]) / math.sqrt(2)
-    return np.einsum("ri,ri->r", v.conj(), v @ rho.T).real
+    conj = np.conj(us)
+    factors = np.where(bits[:, :, None, None] == 1, conj[:, :, ::-1], conj)  # [r, qubit, a or b]
+    ab = factors[:, 0]
+    for k in range(1, bits.shape[1]):
+        ab = (ab[..., :, None] * factors[:, k, :, None, :]).reshape(len(ab), 2, -1)
+    return (ab[:, 0] + signs[:, None] * ab[:, 1]) / math.sqrt(2)
 
 
-def _overlap_step(rho: np.ndarray, bits: np.ndarray, sign: int, unitaries, k: int):
-    """The best U_k with every other qubit fixed, and the overlap it reaches.
+def _overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """<beta|U rho U^dag|beta> per row, in the arguments of :func:`_rotated_betas`."""
+    v = _rotated_betas(bits, signs, us)
+    return state.sandwich(v[..., None])[..., 0, 0].real
 
-    With w = (x)_{j != k} U_j^dag beta, the overlap is
+
+def _shared_overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, angles) -> np.ndarray:
+    """:func:`_overlaps` with U = u^{xn} for one angle triple u per row, angles (R, 3)."""
+    us = su2_from_angles(angles)[:, None]
+    return _overlaps(state, bits, signs, np.broadcast_to(us, (len(us), state.n, 2, 2)))
+
+
+def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, starts):
+    """Coordinate ascent over qubits from per-qubit angles, every run in lockstep.
+
+    Run r reads the GHZ basis vector of bits[r] (bits (R, n)) and signs[r]
+    from the angles starts[r] (starts (R, n, 3)). With w = (x)_{j != k}
+    U_j^dag beta, qubit k's step sees the overlap
     c + sum_lm O_k[l, m] G[l, m], G[l, m] = 1/2 Re <w|sigma_l x R_m|w>,
-    R_m = Tr_k[sigma_m rho]: linear in O_k, so the polar factor of G is exact.
+    R_m = Tr_k[sigma_m rho]: linear in O_k, so the polar factor of G is
+    exact. G and c come from the Gram matrix of the four vectors w_b x |d>
+    (b, d in {0, 1}; w_b is w with qubit-k component b), one
+    ``DenseState.sandwich`` read for every run still going. A run stops once
+    a sweep gains at most _ASCENT_TOL (or after _MAX_SWEEPS sweeps) and is
+    then frozen; runs go in chunks under CHUNK_ENTRIES.
+    Returns the angles (R, n, 3) and each run's overlap (R,).
     """
-    n = len(bits)
-    fixed = list(unitaries)
-    fixed[k] = np.eye(2)
-    w = _rotated_beta(bits, sign, fixed).reshape(2**k, 2, -1)
-    # column (b, d) of basis: w's qubit-k component b placed on qubit k = d
-    basis = np.zeros((2**k, 2, w.shape[2], 2, 2), dtype=complex)
-    for d in (0, 1):
-        basis[:, d, :, :, d] = np.swapaxes(w, 1, 2)
-    basis = basis.reshape(2**n, 4)
-    # gram[a, c, b, d] = sum conj(w_a) rho[(c, .), (d, .)] w_b
-    gram = (basis.conj().T @ (rho @ basis)).reshape(2, 2, 2, 2)
+    n = state.n
+    angles = np.array(starts, dtype=float)
+    us = su2_from_angles(angles)
+    vals = np.empty(len(angles))
     paulis = SIGMA_STACK[1:]
-    g = 0.5 * np.einsum("lab,mdc,acbd->lm", paulis, paulis, gram).real
-    const = 0.5 * np.einsum("acac->", gram).real
-    o = _polar_rotation(g.T)
-    angles = so3_to_angles(o)
-    return angles, const + float(np.sum(o * g))
-
-
-def _overlap_ascent(rho: np.ndarray, bits: np.ndarray, sign: int, start: np.ndarray):
-    """Coordinate ascent over qubits from per-qubit angles of shape (n, 3)."""
-    angles = [tuple(a) for a in start]
-    unitaries = [su2_from_angles(a) for a in angles]
-    val = _overlap(rho, bits, sign, unitaries)
-    for _ in range(_MAX_SWEEPS):
-        for k in range(len(bits)):
-            angles[k], new_val = _overlap_step(rho, bits, sign, unitaries, k)
-            unitaries[k] = su2_from_angles(angles[k])
-        if new_val <= val + _ASCENT_TOL:
-            break
-        val = new_val
-    return angles, _overlap(rho, bits, sign, unitaries)
+    for chunk in chunks(len(angles), 4 * 2**n):
+        # each run's value at its last sweep, for the stop rule
+        reached = _overlaps(state, bits[chunk], signs[chunk], us[chunk])
+        live = np.arange(len(reached))
+        for _ in range(_MAX_SWEEPS):
+            for k in range(n):
+                fixed = us[chunk][live]
+                fixed[:, k] = np.eye(2)
+                w = _rotated_betas(bits[chunk][live], signs[chunk][live], fixed)
+                w = w.reshape(len(live), 2**k, 2, -1)
+                # column (b, d): w's qubit-k component b placed on qubit k = d
+                basis = np.zeros((len(live), 2**k, 2, w.shape[-1], 2, 2), dtype=complex)
+                for d in (0, 1):
+                    basis[:, :, d, :, :, d] = np.swapaxes(w, 2, 3)
+                # gram[r, a, c, b, d] = sum conj(w_a) rho[(c, .), (d, .)] w_b
+                gram = state.sandwich(basis.reshape(len(live), 2**n, 4)).reshape(-1, 2, 2, 2, 2)
+                g = 0.5 * np.einsum("lab,mdc,racbd->rlm", paulis, paulis, gram).real
+                o = _polar_rotation(np.swapaxes(g, -1, -2))
+                angles[chunk][live, k] = so3_to_angles(o)
+                us[chunk][live, k] = su2_from_angles(angles[chunk][live, k])
+            # the sweep's value, as the last qubit's step reached it
+            new = 0.5 * np.einsum("racac->r", gram).real + np.sum(o * g, axis=(-2, -1))
+            stop = new <= reached[live] + _ASCENT_TOL
+            reached[live[~stop]] = new[~stop]
+            live = live[~stop]
+            if not live.size:
+                break
+        vals[chunk] = _overlaps(state, bits[chunk], signs[chunk], us[chunk])
+    return angles, vals
 
 
 def _screen_overlaps(state: DenseState, angles) -> np.ndarray:
@@ -548,27 +561,31 @@ def optimise_ghz_overlap(
 
     base = ghz_diagonalise(state)
     best = (LocalRotation.identity(), base.argmax(), base.p_max)
-    rho = np.asarray(state.rho)
     candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, _, pos in picked]
     if shared:
         # two runs per candidate, from the identity and from its grid point
         bits = np.repeat([_ghz_bits(idx) for idx in candidates], 2, axis=0)
         signs = np.repeat([idx.sign for idx in candidates], 2)
         starts = [x for _, g, _ in picked for x in (np.zeros(3), grid[g])]
-        res = minimize(lambda ids, x: -_shared_overlaps(rho, bits[ids], signs[ids], x), starts)
+        res = minimize(lambda ids, x: -_shared_overlaps(state, bits[ids], signs[ids], x), starts)
         for run, (x, neg) in enumerate(zip(res.x, res.fun)):
             if -neg > best[2] + 1e-13:
                 canonical = so3_to_angles(so3_from_angles(x))
                 best = (LocalRotation.from_shared(canonical), candidates[run // 2], float(-neg))
         return best
+    # every candidate's runs in one lockstep ascent: the identity, its grid
+    # point tiled over the qubits, and restarts // 4 random starts each
+    runs, starts = [], []
     for (_, g, _), idx in zip(picked, candidates):
-        bits = _ghz_bits(idx)
-        starts = [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
+        starts += [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
         starts += [rng.uniform(0, math.pi, size=(n, 3)) for _ in range(opts.restarts // 4)]
-        for start in starts:
-            angles, val = _overlap_ascent(rho, bits, idx.sign, start)
-            if val > best[2] + 1e-13:
-                best = (LocalRotation.from_per_qubit(angles), idx, val)
+        runs += [idx] * (2 + opts.restarts // 4)
+    bits = np.array([_ghz_bits(idx) for idx in runs])
+    signs = np.array([idx.sign for idx in runs])
+    angles, vals = _overlap_ascent(state, bits, signs, starts)
+    for idx, run_angles, val in zip(runs, angles, vals):
+        if val > best[2] + 1e-13:
+            best = (LocalRotation.from_per_qubit(run_angles), idx, float(val))
     return best
 
 

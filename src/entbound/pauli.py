@@ -169,49 +169,52 @@ def so3_from_angles(angles) -> np.ndarray:
     return o
 
 
-def so3_to_angles(o: np.ndarray) -> tuple[float, float, float]:
+#: so3_to_angles: row k lists, for the quaternion branch led by component k, where
+#: each component's numerator sits in [0, o21 - o12, o02 - o20, o10 - o01,
+#: o01 + o10, o02 + o20, o12 + o21]
+_QUATERNION_NUMERATORS = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+
+
+def so3_to_angles(o: np.ndarray) -> tuple[float, float, float] | np.ndarray:
     """Angles (theta, psi, phi) whose rotation matrix equals ``o``.
 
     Inverts the adjoint map through the quaternion lift; the returned triple
-    satisfies so3_from_angles(angles) == o up to numerical noise.
+    satisfies so3_from_angles(angles) == o up to numerical noise. One matrix
+    gives a tuple of floats; stacks of shape (..., 3, 3) give angles of shape
+    (..., 3), each slice equal to what the matrix alone gives.
     """
     o = np.asarray(o, dtype=float)
-    if o.shape != (3, 3) or not np.allclose(o @ o.T, np.eye(3), atol=1e-8):
+    if (o.ndim < 2 or o.shape[-2:] != (3, 3)
+            or not np.allclose(o @ np.swapaxes(o, -1, -2), np.eye(3), atol=1e-8)):
         raise ParameterError("not an orthogonal 3x3 matrix")
-    if np.linalg.det(o) < 0:
+    if np.any(np.linalg.det(o) < 0):
         raise ParameterError("improper rotation (determinant -1) has no SU(2) lift")
-    # quaternion (w, x, y, z) of the rotation, Shepperd's method
-    tr = np.trace(o)
-    cand = np.array([1 + tr, 1 + 2 * o[0, 0] - tr, 1 + 2 * o[1, 1] - tr, 1 + 2 * o[2, 2] - tr])
-    k = int(np.argmax(cand))
-    s = math.sqrt(max(cand[k], 0.0))
-    if k == 0:
-        w = s / 2
-        x = (o[2, 1] - o[1, 2]) / (2 * s)
-        y = (o[0, 2] - o[2, 0]) / (2 * s)
-        z = (o[1, 0] - o[0, 1]) / (2 * s)
-    elif k == 1:
-        x = s / 2
-        w = (o[2, 1] - o[1, 2]) / (2 * s)
-        y = (o[0, 1] + o[1, 0]) / (2 * s)
-        z = (o[0, 2] + o[2, 0]) / (2 * s)
-    elif k == 2:
-        y = s / 2
-        w = (o[0, 2] - o[2, 0]) / (2 * s)
-        x = (o[0, 1] + o[1, 0]) / (2 * s)
-        z = (o[1, 2] + o[2, 1]) / (2 * s)
-    else:
-        z = s / 2
-        w = (o[1, 0] - o[0, 1]) / (2 * s)
-        x = (o[0, 2] + o[2, 0]) / (2 * s)
-        y = (o[1, 2] + o[2, 1]) / (2 * s)
-    # U = w I - i (x s1 + y s2 + z s3); match against the angle template
-    theta = 2 * math.atan2(math.hypot(x, y), math.hypot(w, z))
-    half_sum = math.atan2(z, w) if math.hypot(w, z) > 1e-15 else 0.0
-    half_diff = math.atan2(y, x) if math.hypot(x, y) > 1e-15 else 0.0
-    phi = (half_sum + half_diff) % _TWO_PI
-    psi = (half_sum - half_diff) % _TWO_PI
-    return (theta, psi, phi)
+    # quaternion (w, x, y, z) of the rotation, Shepperd's method: component k,
+    # the largest, is s/2, and each other one a numerator over 2s
+    flat = o.reshape(-1, 3, 3)
+    tr = np.trace(flat, axis1=1, axis2=2)[:, None]
+    cand = np.concatenate([1 + tr, 1 + 2 * np.diagonal(flat, axis1=1, axis2=2) - tr], axis=1)
+    k = np.argmax(cand, axis=1)
+    s = np.sqrt(np.maximum(cand[np.arange(len(k)), k], 0.0))[:, None]
+    numerators = np.concatenate([
+        np.zeros((len(k), 1)),
+        flat[:, [2, 0, 1], [1, 2, 0]] - flat[:, [1, 2, 0], [2, 0, 1]],
+        flat[:, [0, 0, 1], [1, 2, 2]] + flat[:, [1, 2, 2], [0, 0, 1]],
+    ], axis=1)
+    q = np.take_along_axis(numerators, _QUATERNION_NUMERATORS[k], axis=1) / (2 * s)
+    q[np.arange(len(k)), k] = s[:, 0] / 2
+    # U = w I - i (x s1 + y s2 + z s3), matched against the angle template
+    # through math's atan2 and hypot, which numpy's do not always equal
+    w, x, y, z = q.T.tolist()
+    wz, xy = list(map(math.hypot, w, z)), list(map(math.hypot, x, y))
+    theta = 2 * np.array(list(map(math.atan2, xy, wz)))
+    half_sum = np.where(np.array(wz) > 1e-15, list(map(math.atan2, z, w)), 0.0)
+    half_diff = np.where(np.array(xy) > 1e-15, list(map(math.atan2, y, x)), 0.0)
+    angles = np.stack([theta, (half_sum - half_diff) % _TWO_PI,
+                       (half_sum + half_diff) % _TWO_PI], axis=1)
+    if o.ndim == 2:
+        return tuple(angles[0].tolist())
+    return angles.reshape(o.shape[:-2] + (3,))
 
 
 def _check_angles(angles: Sequence[float]) -> tuple[float, float, float]:

@@ -16,14 +16,15 @@ is checked block by block, and a white-noise mix of a built state with q in
 [0, 1] is a convex combination.
 
 Every read answers from the form. ``DenseState.lines`` and
-``DenseState.purity`` cost O(2^n) on a built state, and
+``DenseState.purity`` cost O(2^n) on a built state;
 ``DenseState.lines_under`` reads the diagonal or both lines of U rho U^dag for
 a product unitary U in O(n 2^n), or O(4^n) on a dense form, the one rotated
-contraction of a matrix. So ``state`` (without ``--dense``), ``triple``,
-``simulate`` and the overlap screen never build a 2^n x 2^n array for a built
-state; the rest of ``optimise``, ``state --dense`` and the distance kernels
-read ``rho``, made from the form on the first read (``_matrix_from_form``) and
-then cached.
+contraction of a matrix; and ``DenseState.sandwich`` gives V^dag rho V for m
+vectors in O(m 2^n), or one matrix product on a dense form. So ``state``
+(without ``--dense``), ``triple``, ``simulate`` and ``optimise --objective
+overlap`` never build a 2^n x 2^n array for a built state; the correlation-sum
+``optimise``, ``state --dense`` and the distance kernels read ``rho``, made
+from the form on the first read (``_matrix_from_form``) and then cached.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class DenseState:
     keeps ``rho`` read-only as a dense form. The package's own builders prove
     their states valid in O(2^n), skip those checks and pass the state's form
     (see the module docstring) as ``_form``; ``rho`` is then built on its
-    first read (``optimise``, ``state --dense`` and the distance kernels read
-    it), frozen and cached.
+    first read (the correlation-sum ``optimise``, ``state --dense`` and the
+    distance kernels read it), frozen and cached.
     """
 
     def __init__(self, n: int, rho, _certificate=None, _form: tuple | None = None):
@@ -188,6 +189,13 @@ class DenseState:
         U = us[0] x ... x us[n-1]; unitaries of shape (..., 2, 2), the same
         leading axes on every qubit, give lines of shape (..., 2^n)."""
         return _lines_under(self._form, list(us), anti)
+
+    def sandwich(self, vs) -> np.ndarray:
+        """V^dag rho V for the columns of V: vs of shape (..., 2^n, m) gives (..., m, m).
+
+        A Gram matrix of the vectors under rho, read from the form: O(m 2^n)
+        on a built state, one matrix product on a dense form."""
+        return _sandwich(self._form, np.asarray(vs))
 
     def purity(self) -> float:
         """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) on a built state."""
@@ -298,6 +306,31 @@ def _lines_under(form: tuple, us: list, anti: bool) -> tuple[np.ndarray, np.ndar
     q, inner = parts
     born, line = _lines_under(inner, us, anti)
     return q * born + (1 - q) / 2 ** len(us), q * line if anti else None
+
+
+def _sandwich(form: tuple, vs: np.ndarray) -> np.ndarray:
+    """``DenseState.sandwich`` of a form.
+
+    Pure: a = psi^dag V gives conj(a)^T a. X: (rho v)[r] = diag[r] v[r] +
+    anti[~r] v[~r], ~r = 2^n - 1 - r. Mix: q times the inner Gram matrix plus
+    (1 - q)/2^n V^dag V. Dense: rho times every column of the batch in one
+    matrix product. X and dense then take V^dag (rho V).
+    """
+    kind, *parts = form
+    if kind == "pure":
+        a = parts[0].conj() @ vs
+        return a.conj()[..., :, None] * a[..., None, :]
+    adjoint = np.swapaxes(vs.conj(), -1, -2)
+    if kind == "mix":
+        q, inner = parts
+        return q * _sandwich(inner, vs) + (1 - q) / vs.shape[-2] * (adjoint @ vs)
+    if kind == "x":
+        diag, anti = parts
+        rho_v = diag[:, None] * vs + anti[::-1, None] * vs[..., ::-1, :]
+    else:
+        cols = np.moveaxis(vs, -2, 0)
+        rho_v = np.moveaxis((parts[0] @ cols.reshape(len(cols), -1)).reshape(cols.shape), 0, -2)
+    return adjoint @ rho_v
 
 
 def _purity_from_form(form: tuple, dim: int) -> float:

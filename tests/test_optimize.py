@@ -15,13 +15,13 @@ from entbound.optimize import (
     OptimisationOptions,
     _best_rotation_for_matrix,
     _ghz_bits,
-    _overlap,
     _overlap_ascent,
+    _overlaps,
     _per_qubit_ascent,
     _polar_rotation,
     _qubit_matrix,
     _random_rotations,
-    _rotated_beta,
+    _rotated_betas,
     _screen_overlaps,
     _shared_grid,
     _shared_objective,
@@ -254,14 +254,18 @@ def test_shared_polynomial_matches_mode_contraction(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_product_vector_overlap_matches_dense(n, rng):
-    rho = np.array(random_density(n, rng).rho)
+    state = random_density(n, rng)
+    rho = np.array(state.rho)
     for _ in range(3):
-        unitaries = [su2_from_angles(a) for a in random_angles(rng, n)]
-        for i in range(2 ** (n - 1)):
-            for sign in (1, -1):
-                idx = GHZBasisIndex(n, i, sign)
-                got = _overlap(rho, _ghz_bits(idx), sign, unitaries)
-                assert got == pytest.approx(dense_overlap(rho, idx, unitaries), abs=1e-14)
+        angles = random_angles(rng, n)
+        unitaries = [su2_from_angles(a) for a in angles]
+        idxs = [GHZBasisIndex(n, i, sign) for i in range(2 ** (n - 1)) for sign in (1, -1)]
+        bits = np.array([_ghz_bits(idx) for idx in idxs])
+        signs = np.array([idx.sign for idx in idxs])
+        us = np.broadcast_to(su2_from_angles(angles), (len(idxs), n, 2, 2))
+        got = _overlaps(state, bits, signs, us)
+        for idx, value in zip(idxs, got):
+            assert value == pytest.approx(dense_overlap(rho, idx, unitaries), abs=1e-14)
 
 
 def shared_pair_angles(rng, pairs=3, phis=3, single=4):
@@ -302,9 +306,9 @@ def test_polar_step_beats_random_rotations(rng):
 @pytest.mark.parametrize("n", [3, 4])
 def test_overlap_ascent_reaches_nelder_mead(n, rng):
     for _ in range(2):
-        rho = np.array(random_density(n, rng).rho)
+        state = random_density(n, rng)
+        rho = np.array(state.rho)
         idx = GHZBasisIndex(n, int(rng.integers(2 ** (n - 1))), int(rng.choice([1, -1])))
-        bits = _ghz_bits(idx)
         starts = [np.zeros((n, 3))] + [rng.uniform(0, np.pi, size=(n, 3)) for _ in range(2)]
 
         beta = ghz_basis_vector(idx, n)
@@ -314,7 +318,9 @@ def test_overlap_ascent_reaches_nelder_mead(n, rng):
             back = u.conj().T @ beta
             return -float(np.real(back.conj() @ rho @ back))
 
-        ascent = max(_overlap_ascent(rho, bits, idx.sign, s)[1] for s in starts)
+        bits = np.tile(_ghz_bits(idx), (len(starts), 1))
+        signs = np.full(len(starts), idx.sign)
+        ascent = _overlap_ascent(state, bits, signs, starts)[1].max()
         reference = max(
             -minimize(neg, s.ravel(), method="Nelder-Mead",
                       options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 5000}).fun
@@ -395,7 +401,9 @@ def test_lockstep_minimize_matches_scipy_on_shared_objective(case, rng):
 
 
 def serial_best_rotation(b):
-    """The per-matrix sign-class step as the ascent ran it one start at a time."""
+    """The per-matrix sign-class step as the ascent ran it one start at a time, one SVD per class.
+
+    Returns the rotation and its value."""
     best_o, best_val = None, -np.inf
     for s in optimize._SIGN_CLASSES:
         u, _, vt = np.linalg.svd(b.T * s[None, :])
@@ -405,7 +413,21 @@ def serial_best_rotation(b):
         val = float(np.sum(np.abs(np.einsum("ij,ij->i", o, b))))
         if val > best_val:
             best_o, best_val = o, val
-    return best_o
+    return best_o, best_val
+
+
+def test_one_svd_step_matches_four_sign_class_svds(rng):
+    full = rng.standard_normal((400, 3, 3))
+    rank2 = rng.standard_normal((200, 3, 2)) @ rng.standard_normal((200, 2, 3))
+    rank1 = rng.standard_normal((200, 3, 1)) @ rng.standard_normal((200, 1, 3))
+    for stack in (full, rank2, rank1):
+        os, vals = _best_rotation_for_matrix(stack)
+        for b, o, val in zip(stack, os, vals):
+            ref_o, ref_val = serial_best_rotation(b)
+            # the same SVD up to column signs, so equal bit for bit with LAPACK's
+            # Householder bidiagonalisation; the tolerance leaves room for others
+            assert abs(val - ref_val) <= 1e-15
+            assert np.max(np.abs(o - ref_o)) <= 1e-15
 
 
 def serial_ascent(bloch, starts):
@@ -420,7 +442,7 @@ def serial_ascent(bloch, starts):
                 rows = np.broadcast_to(np.swapaxes(os, 0, 1)[:, None], (3, 3, n, 3)).copy()
                 rows[:, :, k] = np.eye(3)
                 b = contract_modes(bloch, rows.reshape(9, n, 3)).reshape(3, 3)
-                os[k] = serial_best_rotation(b)
+                os[k] = serial_best_rotation(b)[0]
             new_val = float(np.abs(contract_modes(bloch, np.swapaxes(os, 0, 1))).sum())
             if new_val <= val + optimize._ASCENT_TOL:
                 val = max(val, new_val)
@@ -449,6 +471,42 @@ def test_lockstep_ascent_matches_serial(source, chunk, rng, monkeypatch):
     ref_os, ref_val = serial_ascent(bloch, starts)
     assert abs(val - ref_val) <= 1e-15
     assert np.max(np.abs(os - ref_os)) <= 1e-15
+
+
+OVERLAP_ASCENT_STATES = {
+    "random-3": lambda rng: random_density(3, rng),
+    "w-4": lambda rng: build_state(StateFamily.w(), 4),
+    "m3n-5": lambda rng: build_state(StateFamily.m3n((0.3, -0.2, 0.4)), 5),
+    "w-mix-6": lambda rng: build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.7), 6),
+    "dicke-outside-6": lambda rng: DenseState(6, np.array(build_state(StateFamily.dicke(3), 6).rho)),
+}
+
+
+@pytest.mark.parametrize("source", list(OVERLAP_ASCENT_STATES))
+def test_lockstep_overlap_ascent_matches_each_run_alone(source, rng, monkeypatch):
+    state = OVERLAP_ASCENT_STATES[source](rng)
+    n = state.n
+    # three GHZ indices, each from the identity, a tiled shared triple and a random start
+    idxs = [GHZBasisIndex(n, int(i), int(s)) for i, s in
+            zip(rng.integers(2 ** (n - 1), size=3), rng.choice([1, -1], size=3))]
+    runs = [idx for idx in idxs for _ in range(3)]
+    starts = [s for _ in idxs for s in (np.zeros((n, 3)), np.tile(random_angles(rng, 1), (n, 1)),
+                                       rng.uniform(0, np.pi, size=(n, 3)))]
+    bits = np.array([_ghz_bits(idx) for idx in runs])
+    signs = np.array([idx.sign for idx in runs])
+    angles, vals = _overlap_ascent(state, bits, signs, starts)
+    assert angles.shape == (len(runs), n, 3) and vals.shape == (len(runs),)
+    for r in range(len(runs)):
+        alone = _overlap_ascent(state, bits[r:r + 1], signs[r:r + 1], starts[r:r + 1])
+        assert np.max(np.abs(alone[0][0] - angles[r])) <= 1e-14
+        assert abs(alone[1][0] - vals[r]) <= 1e-14
+        assert vals[r] == pytest.approx(
+            dense_overlap(state.rho, runs[r], [su2_from_angles(a) for a in angles[r]]), abs=1e-14)
+    # chunks of two runs
+    monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", 2 * 4 * 2**n)
+    chunked = _overlap_ascent(state, bits, signs, starts)
+    assert np.max(np.abs(chunked[0] - angles)) <= 1e-14
+    assert np.max(np.abs(chunked[1] - vals)) <= 1e-14
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
@@ -490,17 +548,21 @@ def test_default_screen_contracts_once_per_theta_psi(mode, source, monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_shared_overlaps_match_per_qubit_product_vectors(n, rng):
-    rho = np.array(random_density(n, rng).rho)
+    state = random_density(n, rng)
+    rho = np.array(state.rho)
     bits = rng.integers(0, 2, size=(12, n))
     signs = rng.choice([1, -1], size=12)
     angles = random_angles(rng, 12)
-    got = _shared_overlaps(rho, bits, signs, angles)
-    # the same vectors, qubit by qubit, read by the same quadratic form: equal bit for bit
-    v = np.array([_rotated_beta(x, s, [su2_from_angles(a)] * n)
-                  for x, s, a in zip(bits, signs, angles)])
-    assert np.array_equal(got, np.einsum("ri,ri->r", v.conj(), v @ rho.T).real)
-    want = [_overlap(rho, x, s, [su2_from_angles(a)] * n) for x, s, a in zip(bits, signs, angles)]
-    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    got = _shared_overlaps(state, bits, signs, angles)
+    # U^dag beta built qubit by qubit with np.kron, read by the dense quadratic form
+    def product(rows):
+        return kron_all([r.reshape(1, 2) for r in rows])[0]
+
+    v = np.array([product([u[x] for x in row]) + s * product([u[1 - x] for x in row])
+                  for row, s, u in zip(bits, signs, su2_from_angles(angles).conj())]) / np.sqrt(2)
+    us = np.broadcast_to(su2_from_angles(angles)[:, None], (12, n, 2, 2))
+    assert np.allclose(_rotated_betas(bits, signs, us), v, rtol=0, atol=1e-15)
+    assert np.allclose(got, np.einsum("ri,ri->r", v.conj(), v @ rho.T).real, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

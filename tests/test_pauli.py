@@ -169,6 +169,30 @@ def test_so3_roundtrip_through_angles(rng):
         assert np.allclose(so3_from_angles(angles), q, atol=1e-9)
 
 
+def test_so3_to_angles_on_stacks(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((60, 3, 3)))
+    q[np.linalg.det(q) < 0, :, 0] *= -1
+    # rotations by pi about each axis and the identity take the other quaternion branches
+    q = np.concatenate([q, [np.eye(3), np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]),
+                            np.diag([-1.0, -1, 1])]])
+    stacked = so3_to_angles(q.reshape(4, 16, 3, 3))
+    assert stacked.shape == (4, 16, 3)
+    for o, angles in zip(q, stacked.reshape(-1, 3)):
+        single = so3_to_angles(o)
+        assert type(single) is tuple and all(type(a) is float for a in single)
+        assert tuple(angles.tolist()) == single
+    improper = q.copy()
+    improper[5, :, 0] *= -1
+    skewed = q.copy()
+    skewed[7, 0, 1] += 1e-6
+    for bad, message in ((improper, "improper rotation"), (skewed, "not an orthogonal")):
+        for stack in (bad, bad[None], bad[5:8]):
+            with pytest.raises(ParameterError, match=message):
+                so3_to_angles(stack)
+    with pytest.raises(ParameterError, match="not an orthogonal"):
+        so3_to_angles(np.eye(3)[0])
+
+
 def test_rotated_triple_identity_is_diagonal():
     ghz = build_state(StateFamily.ghz(), 3)
     tensor = correlation_tensor(ghz)

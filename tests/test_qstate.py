@@ -488,6 +488,37 @@ def test_ghz_diagonal_lines_and_purity_read_the_form(n, rng):
     _assert_reads_match_rho(random_ghz_spectrum(n, rng).dense())
 
 
+def _assert_sandwich_matches_rho(state, rng):
+    """``sandwich`` reads the form and agrees with the dense V^dag rho V, m = 1 and 4, batched."""
+    dim = state.dim
+    reads = []
+    for shape in [(dim, 1), (dim, 4), (3, dim, 1), (2, 3, dim, 4)]:
+        vs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vs /= np.linalg.norm(vs, axis=-2, keepdims=True)
+        reads.append((vs, state.sandwich(vs)))
+    built = state._form[0] != "dense"
+    assert state._rho is None or not built
+    for vs, got in reads:
+        want = np.swapaxes(vs.conj(), -1, -2) @ state.rho @ vs
+        assert got.shape == want.shape == vs.shape[:-2] + (vs.shape[-1],) * 2
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("family, n", [c for c in _family_cases() if c.values[1] <= 8])
+def test_sandwich_reads_the_form(family, n, rng):
+    _assert_sandwich_matches_rho(build_state(family, n), rng)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sandwich_of_ghz_diagonal_and_outside_matrices(n, rng):
+    from conftest import random_density, random_ghz_spectrum
+
+    _assert_sandwich_matches_rho(random_ghz_spectrum(n, rng).dense(), rng)
+    _assert_sandwich_matches_rho(random_density(n, rng), rng)
+    mix = build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.6), n)
+    _assert_sandwich_matches_rho(DenseState(n, np.array(mix.rho)), rng)
+
+
 def test_built_state_is_immutable():
     state = build_state(StateFamily.w(), 3)
     for name in ("n", "rho", "_form"):

@@ -305,30 +305,39 @@ _N12_SOURCES = {
 }
 
 
+def _refuse_matrix(form, dim):
+    raise AssertionError(f"a {dim} x {dim} matrix was built")
+
+
 @pytest.mark.parametrize(
     "command",
     [["state"], ["triple"], ["triple", "--angles", "0.3,0.2,0.1"], ["simulate", "--shots", "1000"],
-     ["simulate", "--shots", "1000", "--angles", "0.3,0.2,0.1"]],
-    ids=["state", "triple", "triple-angles", "simulate", "simulate-angles"],
+     ["simulate", "--shots", "1000", "--angles", "0.3,0.2,0.1"],
+     ["optimise", "--objective", "overlap"]],
+    ids=["state", "triple", "triple-angles", "simulate", "simulate-angles", "optimise-overlap"],
 )
 @pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
 def test_form_commands_build_no_dense_matrix_at_n12(command, source, monkeypatch, capsys):
-    def refuse(form, dim):
-        raise AssertionError(f"a {dim} x {dim} matrix was built")
-
-    monkeypatch.setattr(qstate, "_matrix_from_form", refuse)
+    monkeypatch.setattr(qstate, "_matrix_from_form", _refuse_matrix)
     assert main(command + source + ["--n", "12"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 12
+
+
+@pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
+def test_per_qubit_overlap_search_builds_no_dense_matrix(source, monkeypatch, capsys):
+    monkeypatch.setattr(qstate, "_matrix_from_form", _refuse_matrix)
+    argv = ["optimise", "--objective", "overlap", "--mode", "per-qubit", "--restarts", "1"]
+    assert main(argv + source + ["--n", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 8
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["optimise", "--restarts", "2", "--grid", "3"],
-        ["optimise", "--objective", "overlap", "--restarts", "2", "--grid", "3"],
         ["state", "--dense"],
     ],
-    ids=["optimise-triple", "optimise-overlap", "state-dense"],
+    ids=["optimise-triple", "state-dense"],
 )
 def test_dense_commands_build_the_matrix_once(argv, monkeypatch, capsys):
     built = []
