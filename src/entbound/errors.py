@@ -19,7 +19,7 @@ class StateValidityError(EntboundError, ValueError):
     """A state object violates its physicality constraints."""
 
 
-class UnsupportedDistanceError(EntboundError):
+class UnsupportedDistanceError(ParameterError):
     """The requested distance has no exact formula for this input class."""
 
 

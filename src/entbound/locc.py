@@ -177,27 +177,33 @@ def m3nfy(state: DenseState) -> M3NState:
     return M3NState(state.n, correlation_triple(state))
 
 
+def ghz_overlaps(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """GHZ-basis overlaps p_i^+/- = (d[i] + d[~i]) / 2 +/- Re a[i], shape (..., 2^(n-1), 2).
+
+    ``diag`` and ``anti`` are a state's diagonal and anti-diagonal, shape
+    (..., 2^n); ~i = 2^n - 1 - i. Only the real parts and the first half of
+    ``anti`` are read, so ``anti`` may hold just that half.
+    """
+    half = diag.shape[-1] // 2
+    diag = np.real(diag)
+    cross = np.real(anti[..., :half])
+    mean = 0.5 * (diag[..., :half] + diag[..., ::-1][..., :half])
+    return np.stack([mean + cross, mean - cross], axis=-1)
+
+
 def ghz_diagonalise(state: DenseState) -> GHZDiagonalState:
     """Dephase in the GHZ basis: p_i^+/- = <beta_i^+/-| rho |beta_i^+/->.
 
     GHZ-diagonal inputs come back with their eigenvalues unchanged. Reads
     only the diagonal and anti-diagonal (``state.lines()``).
     """
-    n = state.n
-    half = 2 ** (n - 1)
-    idx = np.arange(half)
-    flip = 2**n - 1 - idx
-    diag, anti = state.lines()
-    diag = np.real(diag)
-    cross = np.real(anti[:half])
-    mean = 0.5 * (diag[idx] + diag[flip])
-    p = np.stack([mean + cross, mean - cross], axis=1)
+    p = ghz_overlaps(*state.lines())
     total = p.sum()
     if abs(total - 1) > 1e-10:
         raise StateValidityError(f"GHZ overlaps sum to {total}, expected 1")
     p = np.clip(p, 0.0, None)
     p /= p.sum()
-    return GHZDiagonalState(n, p)
+    return GHZDiagonalState(state.n, p)
 
 
 __all__ = [

@@ -30,7 +30,7 @@ objective call per step covers every start still running.
   ``DenseState.sandwich``. A built state never builds rho here.
 
 Batches grow with the starts, the grid and n, so they run in chunks of at
-most ``_linalg.CHUNK_ENTRIES`` matrix entries. Nothing here imports scipy.
+most ``_linalg.CHUNK_ENTRIES`` matrix entries.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from ._linalg import SIGMA_STACK, chunks, hamming_weights
 from .errors import ParameterError
-from .locc import GHZBasisIndex, ghz_diagonalise
+from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
     CorrelationTensor,
     LocalRotation,
@@ -96,7 +96,6 @@ class OptimisationOptions:
     restarts: int = 32
     grid_density: int = 12
     seed: int = 0
-    check_symmetry: bool = True
 
     def __post_init__(self):
         if self.mode not in ("shared", "per_qubit"):
@@ -378,10 +377,10 @@ def optimise_triple(
     rng = np.random.default_rng(opts.seed)
 
     if opts.mode == "shared":
-        if opts.check_symmetry and not tensor.is_symmetric():
+        if not tensor.is_symmetric():
             raise ParameterError(
                 "shared-angle optimisation expects a permutation-symmetric tensor; "
-                "use per_qubit mode or disable check_symmetry"
+                "use per_qubit mode"
             )
         poly = _shared_polynomial(bloch)
         grid = _shared_grid(opts.grid_density)
@@ -521,11 +520,10 @@ def _screen_overlaps(state: DenseState, angles) -> np.ndarray:
     diag, anti = state.lines_under([v] * n)
     half = 2 ** (n - 1)
     which = which.reshape(-1)
-    diag = diag[which]
     turns = n - 2 * hamming_weights(n)[:half]
-    anti = (anti[which, :half] * np.exp(-1j * flat[:, 2:] * turns)).real
-    mean = 0.5 * (diag[:, :half] + diag[:, ::-1][:, :half])
-    return np.stack([mean + anti, mean - anti], axis=-1).reshape(angles.shape[:-1] + (-1,))
+    # ghz_overlaps reads only the anti-diagonal's first half
+    anti = anti[which, :half] * np.exp(-1j * flat[:, 2:] * turns)
+    return ghz_overlaps(diag[which], anti).reshape(angles.shape[:-1] + (-1,))
 
 
 def optimise_ghz_overlap(

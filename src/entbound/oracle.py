@@ -3,9 +3,10 @@
 The octahedron oracle minimises a distance over a refined grid of separable
 triples. Every m3n density splits into 2x2 blocks on the index pairs
 (i, 2^n - 1 - i); the oracle builds the few distinct ones from the nonzero
-entries of sigma_j^{xn}, never a 2^n x 2^n matrix, and takes classical
-distances between GHZ-basis spectra where the blocks are diagonal in that
-basis (even n), otherwise sums of distances over the blocks. The
+entries of sigma_j^{xn}, never a 2^n x 2^n matrix. At even n the blocks are
+diagonal in the GHZ pair basis, and every distance is a classical distance
+between GHZ-basis spectra; at odd n only trace distance has a closed form to
+check, and it is a sum of closed-form 2x2 eigenvalues over the blocks. The
 GHZ-diagonal oracle minimises a classical distance over capped-simplex
 spectra, accepting the KKT point when a Frank-Wolfe duality gap certifies it
 and running projected descent otherwise. Neither touches the closed forms it
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import hermitian_sqrt, pauli_power_entries
-from .errors import CapacityError, ParameterError
+from ._linalg import pauli_power_entries
+from .errors import CapacityError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
-from .measures import _EIG_ZERO, _SUPPORT_TOL, DistanceKind, classical_distance, octahedron_excess
+from .measures import DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState
 
 #: largest n of the octahedron oracle; its pair blocks take O(2^n) memory
@@ -40,8 +41,8 @@ _GAP_TOL = 1e-12
 #: bytes one octahedron grid may hold
 _GRID_BUDGET = 512 << 20
 #: bound on the bytes a grid point takes while its distances are evaluated, for
-#: every distance kind and n up to _OCTAHEDRON_CAP (the most measured with
-#: tracemalloc is 745, squared Hellinger at odd n)
+#: every supported distance kind and n up to _OCTAHEDRON_CAP (the most measured
+#: with tracemalloc is 410, trace distance at odd n)
 _POINT_BYTES = 800
 #: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
 #: 819^2 points of _POINT_BYTES fit _GRID_BUDGET, 820^2 do not
@@ -109,56 +110,19 @@ def _ghz_pair_spectra(blocks: np.ndarray):
     return diag.real
 
 
-def _eigvals_2x2(m: np.ndarray):
-    """Eigenvalues (lower, upper) of Hermitian 2x2 matrices of shape (..., 2, 2)."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    mean = 0.5 * (a + d)
-    radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
-    return mean - radius, mean + radius
-
-
-def _xlog2_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = x[pos] * np.log2(x[pos])
-    return out
-
-
-def _batch_distance(rho: np.ndarray, batch: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Distances from one block-diagonal state to a stack of them; matches matrix_distance.
+def _batch_trace_distance(rho: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Trace distances from one block-diagonal state to a stack of them.
 
     ``rho`` holds the K diagonal 2x2 blocks of the state, shape (K, 2, 2), and
-    ``batch`` those of G states, shape (G, K, 2, 2). Every distance is a sum
-    of traces over the blocks, so no 2^n x 2^n matrix is formed; trace
-    distance and the fidelities take closed-form 2x2 eigenvalues.
+    ``batch`` those of G states, shape (G, K, 2, 2). The distance is half the
+    sum of the absolute eigenvalues of the Hermitian block differences, taken
+    in closed form, so no 2^n x 2^n matrix is formed.
     """
-    if kind is DistanceKind.TRACE:
-        lo, hi = _eigvals_2x2(batch - rho[None])
-        return 0.5 * np.sum(np.abs(lo) + np.abs(hi), axis=1)
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        wa = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-        ent_a = float(np.sum(_xlog2_vec(wa)))
-        wb, vb = np.linalg.eigh(batch)
-        wb = np.clip(wb, 0.0, None)
-        overlaps = np.einsum("gkji,kjl,gkli->gki", vb.conj(), rho, vb)
-        overlaps = np.clip(np.real(overlaps), 0.0, None)
-        null = wb <= _EIG_ZERO
-        leak = np.sum(np.where(null, overlaps, 0.0), axis=(1, 2))
-        logs = np.where(null, 0.0, np.log2(np.where(null, 1.0, wb)))
-        cross = np.sum(np.where(null, 0.0, overlaps) * logs, axis=(1, 2))
-        vals = np.maximum(ent_a - cross, 0.0)
-        vals[leak > _SUPPORT_TOL] = np.inf
-        return vals
-    sa = hermitian_sqrt(rho)
-    if kind is DistanceKind.SQUARED_HELLINGER:
-        affinity = np.real(np.einsum("kij,gkji->g", sa, hermitian_sqrt(batch)))
-        return np.maximum(2.0 * (1.0 - affinity), 0.0)
-    lo, hi = _eigvals_2x2(sa[None] @ batch @ sa[None])
-    roots = np.sqrt(np.clip(lo, 0.0, None)) + np.sqrt(np.clip(hi, 0.0, None))
-    root_f = np.minimum(np.sum(roots, axis=1), 1.0)
-    if kind is DistanceKind.INFIDELITY:
-        return np.maximum(1.0 - root_f**2, 0.0)
-    return np.maximum(2.0 * (1.0 - root_f), 0.0)
+    diff = batch - rho[None]
+    a, d = diff[..., 0, 0].real, diff[..., 1, 1].real
+    mean = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), np.abs(diff[..., 0, 1]))
+    return 0.5 * np.sum(np.abs(mean - radius) + np.abs(mean + radius), axis=1)
 
 
 def _face_points(signs, center, halfwidth, resolution) -> np.ndarray:
@@ -202,31 +166,39 @@ def brute_min_over_octahedron(
     shrinks the grid by a factor 4 per refinement round. Rho and the grid
     states are held as their distinct, share-scaled 2x2 pair blocks (two at
     every n >= 2), so the cost does not grow with 2^n past building them.
-    When the blocks are diagonal in the GHZ pair basis (even n) the distances
+    At even n the blocks are diagonal in the GHZ pair basis, the distances
     are classical distances between spectra, and every face is refined around
-    its own coarse minimum; otherwise (odd n) they are sums over the blocks,
-    and only the incumbent's face is refined. Separable inputs return 0 (the
-    state itself is feasible).
+    its own coarse minimum. At odd n only trace distance is supported, as in
+    ``entanglement_m3n``; it is a sum over the blocks, and only the
+    incumbent's face is refined. Separable inputs return 0 (the state itself
+    is feasible).
     """
     cfg = cfg or OracleConfig()
+    odd = state.n % 2 == 1
+    if odd and kind is not DistanceKind.TRACE:
+        raise UnsupportedDistanceError(
+            f"the octahedron oracle supports only trace distance at odd n, got {kind.value}"
+        )
     if state.n > _OCTAHEDRON_CAP:
         raise CapacityError(f"the octahedron oracle is capped at n={_OCTAHEDRON_CAP}")
     if octahedron_excess(state.c) <= 0:
         return 0.0
     blocks = _pair_block_classes(state.n)
     rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
-    spectra = _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
-    if spectra is not None:
-        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
-
-        def distances(pts):
-            return classical_distance(p, identity + pts @ d, kind)
-    else:
+    if odd:
         identity, paulis = blocks[0].ravel(), blocks[1:].reshape(3, -1)
 
         def distances(pts):
             batch = (pts @ paulis + identity).reshape((-1,) + rho_blocks.shape)
-            return _batch_distance(rho_blocks, batch, kind)
+            return _batch_trace_distance(rho_blocks, batch)
+    else:
+        spectra = _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
+        if spectra is None:
+            raise RuntimeError(f"the pair blocks at even n={state.n} are not GHZ-diagonal")
+        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
+
+        def distances(pts):
+            return classical_distance(p, identity + pts @ d, kind)
 
     minima = []
     for signs in _FACES:
@@ -234,7 +206,7 @@ def brute_min_over_octahedron(
         vals = distances(pts)
         g = int(np.argmin(vals))
         minima.append((float(vals[g]), signs, bary[g]))
-    if spectra is None:  # odd n: refine the incumbent's face only
+    if odd:  # refine the incumbent's face only
         minima = [min(minima, key=lambda m: m[0])]
     return min(_refine_face(distances, signs, bary, val, cfg) for val, signs, bary in minima)
 
@@ -266,29 +238,6 @@ def _analytic_candidate(p: np.ndarray) -> np.ndarray:
     else:
         q[np.arange(q.size) != k] = 0.5 / (q.size - 1)
     return _project_capped_simplex(q)
-
-
-def _trace_min_lp(p: np.ndarray) -> float:
-    """Min of the classical trace distance over the capped simplex, by linear program.
-
-    Returns the distance of the LP's point after projection onto the capped
-    simplex: the solver's objective may sit below the minimum by its
-    feasibility tolerance (about 1e-8 just above p_max = 1/2).
-    """
-    # scipy.optimize takes most of a second to import; only this LP needs it
-    from scipy.optimize import linprog
-
-    m = p.size
-    c = np.concatenate([np.zeros(m), 0.5 * np.ones(m)])
-    eye = np.eye(m)
-    a_ub = np.block([[eye, -eye], [-eye, -eye]])
-    b_ub = np.concatenate([p, -p])
-    a_eq = np.concatenate([np.ones(m), np.zeros(m)])[None, :]
-    bounds = [(0.0, 0.5)] * m + [(0.0, None)] * m
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"trace LP failed: {res.message}")
-    return classical_distance(p, _project_capped_simplex(res.x[:m]), DistanceKind.TRACE)
 
 
 def _fw_gap(q: np.ndarray, g: np.ndarray) -> float:
@@ -323,16 +272,24 @@ def _projected_descent(p: np.ndarray, q0: np.ndarray, grad, objective, max_iter=
 
 
 def _surrogate(p: np.ndarray, kind: DistanceKind):
-    """(objective, gradient) in q of the convex function a smooth distance minimises.
+    """(objective, gradient) in q of the convex function a distance minimises.
 
-    Relative entropy is minimised directly; infidelity, squared Bures and
-    squared Hellinger all decrease with the affinity sum sqrt(p q), so they
-    minimise its negative.
+    Trace and relative entropy are minimised directly; trace takes the
+    subgradient (1/2) sign(q - p), with +1/2 at a tie, where any value in
+    [-1/2, 1/2] is a subgradient. Infidelity, squared Bures and squared
+    Hellinger all decrease with the affinity sum sqrt(p q), so they minimise
+    its negative.
     """
     support = p > 0
     floor = 1e-14
 
-    if kind is DistanceKind.RELATIVE_ENTROPY:
+    if kind is DistanceKind.TRACE:
+        def objective(q):
+            return classical_distance(p, q, kind)
+
+        def grad(q):
+            return np.where(q >= p, 0.5, -0.5)
+    elif kind is DistanceKind.RELATIVE_ENTROPY:
         def objective(q):
             if np.any(q[support] <= 0):
                 return math.inf
@@ -359,19 +316,17 @@ def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> fl
     """Minimum classical distance from a GHZ spectrum to the biseparable set.
 
     The biseparable GHZ-diagonal spectra are exactly those with every entry
-    at most 1/2. Trace distance is solved exactly as a linear program. The
-    smooth distances are minimised through relative entropy or the affinity,
-    both convex in q: the analytic KKT candidate min(1/2, t p) is accepted
-    when its Frank-Wolfe gap, computed from p, the gradient and the feasible
-    set alone, is at most 1e-12; otherwise projected descent with restarts
-    from the candidate and random feasible points finds the minimiser.
+    at most 1/2. Every distance is minimised through a convex function of q:
+    trace distance and relative entropy themselves, or the affinity for the
+    fidelity-based kinds. The analytic KKT candidate min(1/2, t p) is
+    accepted when its Frank-Wolfe gap, computed from p, the (sub)gradient and
+    the feasible set alone, is at most 1e-12; otherwise projected descent
+    with restarts from the candidate and random feasible points finds the
+    minimiser.
     """
     p = state.flat()
     if p.max() <= 0.5 + 1e-15:
         return 0.0
-    if kind is DistanceKind.TRACE:
-        return _trace_min_lp(p)
-
     objective, grad = _surrogate(p, kind)
     q = _analytic_candidate(p)
     if _fw_gap(q, grad(q)) > _GAP_TOL:

@@ -296,37 +296,56 @@ def test_negative_led_list_is_validated_as_a_value(argv, fragment, capsys):
     _assert_input_error(argv, capsys, fragment)
 
 
-LAZY_SCIPY_SCRIPT = """
-import contextlib, io, sys
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
 from entbound.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["bound", "--n", "4", "--c=0.9,0.9,0.9"]) == 0
-    assert main(["optimise", "--family", "w", "--n", "4"]) == 0
-print("scipy.optimize" in sys.modules)
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert main(["oracle", "--spectrum-file", sys.argv[1], "--distance", "trace"]) == 0
-print("scipy.optimize" in sys.modules)
-print(out.getvalue().strip())
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    print(json.dumps([rc, out.getvalue()]))
 """
 
 
-def test_scipy_optimize_is_imported_only_by_the_trace_lp(tmp_path):
-    # a fresh interpreter: the package import, bound and optimise leave
-    # scipy.optimize unloaded; the GHZ-spectrum trace oracle's LP loads it
+def test_package_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported runs every command
     spectrum = tmp_path / "spectrum.json"
     spectrum.write_text('{"n": 3, "p": {"000+": 0.8, "001-": 0.2}}')
+    commands = [
+        ["bound", "--n", "4", "--c=0.9,0.9,0.9"],
+        ["genuine", "--pmax", "0.8", "--sigma-p", "0.05"],
+        ["optimise", "--family", "w", "--n", "4"],
+        ["optimise", "--family", "ghz", "--n", "4", "--objective", "overlap"],
+        ["simulate", "--family", "ghz", "--n", "3", "--shots", "200", "--seed", "5"],
+        ["reproduce", "table-iv-b"],
+        ["oracle", "--spectrum-file", str(spectrum), "--distance", "trace"],
+        ["oracle", "--spectrum-file", str(spectrum), "--distance", "squared_hellinger"],
+        ["oracle", "--n", "3", "--c=0.6,0.6,0.3", "--resolution", "12"],
+        ["oracle", "--n", "4", "--c=0.6,0.6,0.3", "--distance", "re", "--resolution", "12"],
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(spectrum)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after, report = proc.stdout.splitlines()
-    assert (before, after) == ("False", "True")
-    out = json.loads(report)
-    assert out["formula_value"] == pytest.approx(0.3, abs=1e-12)
-    assert out["deviation"] <= out["config"]["tolerance"]
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == len(commands)
+    for argv, (rc, out) in zip(commands, runs):
+        assert rc == 0, (argv, proc.stderr)
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {argv}"))
+    trace = json.loads(runs[6][1])
+    assert trace["formula_value"] == pytest.approx(0.3, abs=1e-12)
+    assert trace["deviation"] <= 1e-15
+
+
+@pytest.mark.parametrize("command", ["bound", "oracle"])
+def test_unsupported_distance_is_an_input_error(command, capsys):
+    # odd n has an exact value for trace distance only
+    err = _assert_input_error([command, "--n", "3", "--c=0.6,0.6,0.3", "--distance", "re"],
+                              capsys, "only trace distance")
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 FILE_FLAGS = {

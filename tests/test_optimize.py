@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ from entbound.pauli import (
     so3_from_angles,
     su2_from_angles,
 )
-from entbound.qstate import DenseState, StateFamily, build_state
+from entbound.qstate import DenseState, StateFamily, build_state, permutation_conjugate
 
 
 def objective_of(family, n, mode="shared", **kw):
@@ -72,13 +73,21 @@ def test_bell_matches_singular_values(rng):
     assert obj == pytest.approx(want, abs=1e-8)
 
 
+def permutation_symmetrised(state):
+    """The average of a state over every permutation of its qubits."""
+    perms = list(itertools.permutations(range(state.n)))
+    rho = sum(np.array(permutation_conjugate(state, perm).rho) for perm in perms) / len(perms)
+    return DenseState(state.n, rho)
+
+
 def test_objective_never_below_identity(rng):
-    state = random_density(3, rng)
-    tensor = correlation_tensor(state)
-    identity_val = tensor.diagonal_triple().abs_sum
-    for mode in ("shared", "per_qubit"):
+    # shared mode runs only on permutation-symmetric tensors
+    for mode, state in (("shared", permutation_symmetrised(random_density(3, rng))),
+                        ("per_qubit", random_density(3, rng))):
+        tensor = correlation_tensor(state)
+        identity_val = tensor.diagonal_triple().abs_sum
         _, _, obj = optimise_triple(
-            tensor, OptimisationOptions(mode=mode, restarts=4, grid_density=6, check_symmetry=False)
+            tensor, OptimisationOptions(mode=mode, restarts=4, grid_density=6)
         )
         assert obj >= identity_val - 1e-10
 
@@ -133,13 +142,6 @@ def test_shared_mode_rejects_asymmetric_tensor():
                 correlation_tensor(build_state(StateFamily.cluster_linear(), n)),
                 OptimisationOptions(mode="shared"),
             )
-    state = build_state(StateFamily.cluster_linear(), 4)
-    tensor = correlation_tensor(state)
-    # explicit opt-out allowed
-    _, _, obj = optimise_triple(
-        tensor, OptimisationOptions(mode="shared", check_symmetry=False, restarts=4, grid_density=6)
-    )
-    assert obj <= 3 + 1e-12
 
 
 def test_options_validation():

@@ -11,7 +11,7 @@ from conftest import (
     random_m3n_inside_tetra,
     random_m3n_outside_octahedron,
 )
-from entbound.errors import CapacityError, ParameterError
+from entbound.errors import CapacityError, ParameterError, UnsupportedDistanceError
 from entbound.locc import GHZDiagonalState, m3nfy
 from scipy.linalg import logm, sqrtm
 
@@ -31,7 +31,7 @@ from entbound.oracle import (
     MAX_GRID_RESOLUTION,
     OracleConfig,
     _analytic_candidate,
-    _batch_distance,
+    _batch_trace_distance,
     _face_points,
     _fw_gap,
     _ghz_pair_spectra,
@@ -87,7 +87,7 @@ def _dense_reference(rho, sigma, kind):
 
 
 def test_batched_distance_matches_reference(rng):
-    # the block kernel against dense distances computed an independent way
+    # the block trace kernel against dense trace distances computed an independent way
     for n in (2, 3, 4, 5):
         while True:
             rho = np.array(m3n_density(random_m3n_inside_tetra(n, rng)).rho)
@@ -98,10 +98,9 @@ def test_batched_distance_matches_reference(rng):
         dense = _dense_grid(pts, n)
         full = np.linalg.eigvalsh(dense).min(axis=1) > 1e-6
         assert full.sum() >= 15
-        for kind in ALL_DISTANCES:
-            got = _batch_distance(_pair_blocks(rho, n), _pair_blocks(dense, n), kind)
-            want = [_dense_reference(rho, sigma, kind) for sigma in dense[full]]
-            assert np.allclose(got[full], want, rtol=0.0, atol=1e-10), (n, kind)
+        got = _batch_trace_distance(_pair_blocks(rho, n), _pair_blocks(dense, n))
+        want = [_dense_reference(rho, sigma, DistanceKind.TRACE) for sigma in dense[full]]
+        assert np.allclose(got[full], want, rtol=0.0, atol=1e-10), n
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -123,14 +122,14 @@ def test_block_classes_merge_the_dense_pair_blocks(n):
 def test_block_trace_grid_matches_dense_eigensolve(monkeypatch, rng):
     # the oracle's first call scores face (+,+,+) at the coarse resolution
     recorded = []
-    inner = oracle._batch_distance
+    inner = oracle._batch_trace_distance
 
-    def wrapped(rho_blocks, batch, kind):
-        vals = inner(rho_blocks, batch, kind)
+    def wrapped(rho_blocks, batch):
+        vals = inner(rho_blocks, batch)
         recorded.append(vals)
         return vals
 
-    monkeypatch.setattr(oracle, "_batch_distance", wrapped)
+    monkeypatch.setattr(oracle, "_batch_trace_distance", wrapped)
     for n in (3, 5):
         state = random_m3n_outside_octahedron(n, rng)
         recorded.clear()
@@ -237,6 +236,15 @@ def test_octahedron_oracle_matches_formula_beyond_dense_sizes(n, rng):
         formula = entanglement_m3n(state, SeparabilityLevel(m=n), kind).value
         oracle = brute_min_over_octahedron(state, kind, FAST)
         assert formula - 1e-12 <= oracle < formula + 5e-4, kind
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("kind", [k for k in ALL_DISTANCES if k is not DistanceKind.TRACE])
+def test_odd_octahedron_oracle_supports_trace_only(n, kind):
+    # entanglement_m3n has no closed form to check for these kinds at odd n
+    state = M3NState(n, CorrelationTriple(0.6, -0.5, 0.4))
+    with pytest.raises(UnsupportedDistanceError, match=kind.value):
+        brute_min_over_octahedron(state, kind, FAST)
 
 
 def test_octahedron_oracle_matches_formula_odd(rng):
@@ -350,9 +358,6 @@ def test_translation_invariance_h0_zero_distance():
 
 # -- classical spectra on the even-n grid, certified GHZ-diagonal minimum --------
 
-SMOOTH = [k for k in ALL_DISTANCES if k is not DistanceKind.TRACE]
-
-
 def _count_calls(monkeypatch, name):
     calls = []
     inner = getattr(oracle, name)
@@ -374,22 +379,25 @@ def _class_spectra(state):
 
 @pytest.mark.parametrize("kind", ALL_DISTANCES)
 def test_spectral_grid_matches_matrix_grid(kind, rng):
+    # classical distances between the class spectra against scipy's dense
+    # sqrtm and logm at the full-rank grid states
     for n in (2, 4):
-        state = random_m3n_outside_octahedron(n, rng)
-        rho = np.array(m3n_density(state).rho)
+        while True:
+            state = random_m3n_outside_octahedron(n, rng)
+            rho = np.array(m3n_density(state).rho)
+            if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
+                break
         spectra = _class_spectra(state)
         p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
-        for signs in ((1, 1, 1), (-1, 1, -1), (1, -1, 1)):
-            pts, _ = _face_points(signs, (0.5, 0.5), 0.5, 10)
-            q = identity + pts @ d
-            spectral = classical_distance(p, q, kind)
-            matrix = _batch_distance(_pair_blocks(rho, n), _pair_blocks(_dense_grid(pts, n), n), kind)
-            full = np.all(q > 1e-6, axis=1)
-            assert np.allclose(spectral[full], matrix[full], rtol=0.0, atol=1e-12), (n, signs)
-            # at rank-deficient grid states the block path takes square roots of
-            # eigenvalues that are rounding noise around 0, about 1e-8 each
-            atol = 1e-12 if kind in (DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY) else 1e-7
-            assert np.allclose(spectral, matrix, rtol=0.0, atol=atol), (n, signs)
+        # at even n some of these faces lie on the tetrahedron, so their states are singular
+        faces = ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1))
+        pts = np.concatenate([_face_points(s, (0.5, 0.5), 0.5, 10)[0] for s in faces])
+        q = identity + pts @ d
+        full = np.all(q > 1e-6, axis=1)
+        assert full.sum() >= 15
+        spectral = classical_distance(p, q[full], kind)
+        dense = [_dense_reference(rho, sigma, kind) for sigma in _dense_grid(pts[full], n)]
+        assert np.allclose(spectral, dense, rtol=0.0, atol=1e-10), n
 
 
 def test_ghz_spectra_only_where_diagonal():
@@ -397,17 +405,16 @@ def test_ghz_spectra_only_where_diagonal():
         assert _class_spectra(M3NState(n, CorrelationTriple(0.5, -0.4, 0.3))) is None
 
 
-def test_octahedron_oracle_falls_back_when_not_diagonal(monkeypatch):
+def test_even_octahedron_oracle_raises_when_not_diagonal(monkeypatch):
     state = M3NState(4, CorrelationTriple(0.7, 0.5, 0.3))
-    formula = entanglement_from_excess(octahedron_excess(state.c), DistanceKind.INFIDELITY)
-    calls = _count_calls(monkeypatch, "_batch_distance")
-    spectral = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
+    calls = _count_calls(monkeypatch, "_batch_trace_distance")
+    brute_min_over_octahedron(state, DistanceKind.TRACE, FAST)
     assert not calls
-    # a failed diagonality check sends even n down the block path
+    # even n has no block path: a failed diagonality check is a fault
     monkeypatch.setattr(oracle, "_ghz_pair_spectra", lambda blocks: None)
-    matrix = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
-    assert calls
-    assert abs(matrix - formula) < 5e-4 and abs(spectral - formula) < 5e-4
+    with pytest.raises(RuntimeError, match="not GHZ-diagonal"):
+        brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
+    assert not calls
 
 
 def _test_spectra(rng):
@@ -422,7 +429,7 @@ def _test_spectra(rng):
         yield random_ghz_spectrum(n, rng, p_max_range=(0.5 + 1e-9, 0.5 + 1e-6))
 
 
-@pytest.mark.parametrize("kind", SMOOTH)
+@pytest.mark.parametrize("kind", ALL_DISTANCES)
 def test_gap_certifies_analytic_candidate(kind, rng):
     for spec in _test_spectra(rng):
         p = spec.flat()
@@ -431,13 +438,14 @@ def test_gap_certifies_analytic_candidate(kind, rng):
         assert _fw_gap(q, _surrogate(p, kind)[1](q)) <= 1e-12, (spec.n, spec.p_max)
 
 
-def test_perturbed_candidate_takes_descent(monkeypatch, rng):
-    kind = DistanceKind.SQUARED_HELLINGER
+@pytest.mark.parametrize("kind", [DistanceKind.TRACE, DistanceKind.SQUARED_HELLINGER])
+def test_perturbed_candidate_takes_descent(kind, monkeypatch, rng):
     spec = random_ghz_spectrum(2, rng, p_max_range=(0.7, 0.8))
     p = spec.flat()
     q = _analytic_candidate(p)
+    # from the capped entry to the smallest: trace distance grows by 0.05
     shift = np.zeros_like(q)
-    shift[np.argsort(q)[:2]] = (0.05, -0.05)
+    shift[np.argsort(q)[[0, -1]]] = (0.05, -0.05)
     bad = _project_capped_simplex(q + shift)
     assert _fw_gap(bad, _surrogate(p, kind)[1](bad)) > 1e-6
 
@@ -517,13 +525,13 @@ def test_grid_resolution_maximum_fits_the_budget():
     budget = oracle._GRID_BUDGET
     assert (MAX_GRID_RESOLUTION + 1) ** 2 * oracle._POINT_BYTES <= budget
     assert (MAX_GRID_RESOLUTION + 2) ** 2 * oracle._POINT_BYTES > budget
-    # the point bound holds for the costliest kind, squared Hellinger at odd n
+    # the point bound holds for the costliest kind, trace distance at odd n
     resolution = 100
     state = M3NState(3, CorrelationTriple(0.5, -0.5, 0.5))
     cfg = OracleConfig(grid_resolution=resolution, refine_rounds=1)
     tracemalloc.start()
     try:
-        brute_min_over_octahedron(state, DistanceKind.SQUARED_HELLINGER, cfg)
+        brute_min_over_octahedron(state, DistanceKind.TRACE, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
