@@ -23,6 +23,8 @@ SIGMA_STACK = np.stack(SIGMA)
 
 #: matrix entries one batched step may hold; longer batches run in chunks
 CHUNK_ENTRIES = 1 << 20
+#: bytes one search or oracle grid may hold
+GRID_BUDGET = 512 << 20
 
 
 def chunks(count: int, per_row: int) -> list[slice]:

@@ -122,6 +122,8 @@ def _parse_triple(text: str) -> CorrelationTriple:
 
 
 def _parse_level(args, n: int) -> SeparabilityLevel:
+    if n < 2:  # checked first: a level's own checks would name M, not n
+        raise ParameterError(f"qubit count must be >= 2, got {n}")
     if getattr(args, "partition", None):
         parts = _parse_numbers("--partition", args.partition, None, int)
         level = SeparabilityLevel(partition=tuple(parts))

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all entbound modules."""
+"""Exception hierarchy shared by all entbound modules, and the JSON input reader."""
 
 import contextlib
+import json
 
 
 class EntboundError(Exception):
@@ -40,3 +41,12 @@ def reading(path):
         raise SchemaError(f"{path}: cannot read the file ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: cannot decode the file ({exc})") from exc
+
+
+def read_json(path):
+    """The JSON value in an input file; one that cannot be read or parsed is a ``SchemaError``."""
+    with reading(path), open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc

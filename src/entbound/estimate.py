@@ -15,13 +15,12 @@ with header ``n,c1,c2,c3,s1,s2,s3``.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, reading
+from .errors import ParameterError, SchemaError, read_json, reading
 from .measures import (
     DistanceKind,
     EntanglementReport,
@@ -287,11 +286,7 @@ def genuine_bound_with_uncertainty(
 # -- file ingestion ----------------------------------------------------------------
 
 def _parse_correlation_json(path) -> TripleEstimate:
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    spec = read_json(path)
     if not isinstance(spec, dict):
         raise SchemaError(f"{path}: top level must be an object")
     if "n" not in spec:

@@ -8,13 +8,12 @@ rounded so that they sum to within 1e-5 of 1 are renormalised on reading.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, StateValidityError, reading
+from .errors import ParameterError, SchemaError, StateValidityError, read_json
 from .pauli import correlation_triple
 from .qstate import DenseState, M3NState, _x_state
 
@@ -164,12 +163,7 @@ class GHZDiagonalState:
 
     @classmethod
     def from_file(cls, path) -> "GHZDiagonalState":
-        with reading(path), open(path) as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_json_dict(spec)
+        return cls.from_json_dict(read_json(path))
 
 
 def m3nfy(state: DenseState) -> M3NState:

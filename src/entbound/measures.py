@@ -167,13 +167,18 @@ def _xlog2(x: float) -> float:
     return 0.0 if x <= 0 else x * math.log2(x)
 
 
+def _excess(c) -> np.ndarray:
+    """The excess h = (|c1| + |c2| + |c3| - 1) / 2 of triples of shape (..., 3)."""
+    return 0.5 * (np.abs(c).sum(axis=-1) - 1)
+
+
 def octahedron_excess(c: CorrelationTriple) -> float:
     """Half the amount by which |c1|+|c2|+|c3| exceeds the separability octahedron.
 
     Positive exactly when the triple lies outside the octahedron; equals the
     two-qubit concurrence for n = 2. Range [-1/2, 1].
     """
-    return 0.5 * (c.abs_sum - 1.0)
+    return float(_excess(c.as_array()))
 
 
 def _excess_values(h, kind: DistanceKind) -> np.ndarray:
@@ -216,7 +221,7 @@ def _odd_branches(c):
     face the formula is the smallest of the per-axis edge values.
     """
     mags = np.abs(c)
-    h = 0.5 * (mags.sum(axis=-1) - 1)
+    h = _excess(c)
     face = np.all(h[..., None] <= 1.5 * mags, axis=-1)
     edge = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h[..., None] - mags) ** 2)
     return h, mags, face, edge
@@ -236,7 +241,7 @@ def _bound_values(c, n: int, level: SeparabilityLevel, kind: DistanceKind) -> np
         return np.zeros(c.shape[:-1])
     if n % 2:
         return _odd_trace_values(c)
-    return _excess_values(0.5 * (np.abs(c).sum(axis=-1) - 1), kind)
+    return _excess_values(_excess(c), kind)
 
 
 def entanglement_from_excess(h: float, kind: DistanceKind) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA_STACK, chunks, hamming_weights
+from ._linalg import GRID_BUDGET, SIGMA_STACK, chunks, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
@@ -67,8 +67,6 @@ _NM_MAXITER = 10 * _MAX_SWEEPS
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
 
-#: bytes the angle grid of one search may hold at n = DENSE_CAP
-_GRID_BUDGET = 512 << 20
 #: bound on the bytes of one overlap-screen row at n = DENSE_CAP: 40 * 2^n
 #: (tracemalloc measures 36 * 2^n)
 _SCREEN_ROW_BYTES = 40 * 2**DENSE_CAP
@@ -89,7 +87,7 @@ class OptimisationOptions:
     """Search-strategy knobs; defaults reproduce every reported table row.
 
     ``grid_density`` runs from 2 to MAX_GRID_DENSITY, which keeps every angle
-    grid of a search within _GRID_BUDGET (512 MiB) at the dense cap.
+    grid of a search within GRID_BUDGET (512 MiB) at the dense cap.
     """
 
     mode: str = "shared"

@@ -8,9 +8,10 @@ diagonal in the GHZ pair basis, and every distance is a classical distance
 between GHZ-basis spectra; at odd n only trace distance has a closed form to
 check, and it is a sum of closed-form 2x2 eigenvalues over the blocks. The
 GHZ-diagonal oracle minimises a classical distance over capped-simplex
-spectra, accepting the KKT point when a Frank-Wolfe duality gap certifies it
-and running projected descent otherwise. Neither touches the closed forms it
-checks.
+spectra in one certified step: it computes the KKT point min(1/2, t p),
+checks that it is feasible and that its Frank-Wolfe duality gap is at most
+1e-12, and raises if either check fails. Neither oracle touches the closed
+forms it checks.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pauli_power_entries
-from .errors import CapacityError, ParameterError, UnsupportedDistanceError
+from ._linalg import GRID_BUDGET, pauli_power_entries
+from .errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
 from .measures import DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState
@@ -31,21 +32,21 @@ _OCTAHEDRON_CAP = 16
 
 #: deviation between a closed form and its oracle that counts as agreement
 _TOLERANCE = 1e-6
-#: random feasible starts, besides the analytic one, of the GHZ-diagonal descent
-_RESTARTS = 6
 #: largest entry that still counts as zero where a 2x2 pair block is certified
 #: diagonal in the GHZ pair basis: off its diagonal, or imaginary on it
 _DIAGONAL_TOL = 1e-12
-#: Frank-Wolfe gap below which the analytic GHZ-diagonal candidate is accepted
-_GAP_TOL = 1e-12
-#: bytes one octahedron grid may hold
-_GRID_BUDGET = 512 << 20
+#: largest Frank-Wolfe gap, and deviation of the entry sum from 1, of a certified
+#: GHZ-diagonal candidate
+_GAP_TOL = _SUM_TOL = 1e-12
 #: bound on the bytes a grid point takes while its distances are evaluated, for
-#: every supported distance kind and n up to _OCTAHEDRON_CAP (the most measured
-#: with tracemalloc is 410, trace distance at odd n)
+#: every supported distance kind (the most measured with tracemalloc is 410,
+#: trace distance at odd n). Apart from the grid, ``_pair_block_classes`` takes
+#: a fixed O(2^n) working set before the blocks are merged: at most 460 * 2^n
+#: bytes with tracemalloc at n = 10..16 (15 MB at n = 15), freed before the
+#: grid is evaluated, so a call peaks at the larger of the two
 _POINT_BYTES = 800
 #: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
-#: 819^2 points of _POINT_BYTES fit _GRID_BUDGET, 820^2 do not
+#: 819^2 points of _POINT_BYTES fit GRID_BUDGET, 820^2 do not
 MAX_GRID_RESOLUTION = 818
 #: sign patterns of the eight octahedron faces
 _FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
@@ -54,7 +55,7 @@ _FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
 @dataclass(frozen=True)
 class OracleConfig:
     """Octahedron-grid knobs; ``grid_resolution`` runs from 4 to MAX_GRID_RESOLUTION,
-    which keeps one grid within _GRID_BUDGET (512 MiB)."""
+    which keeps one grid within GRID_BUDGET (512 MiB)."""
 
     grid_resolution: int = 60
     refine_rounds: int = 3
@@ -194,7 +195,7 @@ def brute_min_over_octahedron(
     else:
         spectra = _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
         if spectra is None:
-            raise RuntimeError(f"the pair blocks at even n={state.n} are not GHZ-diagonal")
+            raise EntboundError(f"the pair blocks at even n={state.n} are not GHZ-diagonal")
         p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
 
         def distances(pts):
@@ -213,31 +214,21 @@ def brute_min_over_octahedron(
 
 # -- GHZ-diagonal oracle ---------------------------------------------------------
 
-def _project_capped_simplex(y: np.ndarray, cap: float = 0.5) -> np.ndarray:
-    """Euclidean projection onto {q : 0 <= q <= cap, sum q = 1} by bisection."""
-    lo = np.min(y) - cap - 1.0
-    hi = np.max(y) + 1.0
-    for _ in range(100):
-        tau = 0.5 * (lo + hi)
-        total = np.sum(np.clip(y - tau, 0.0, cap))
-        if total > 1.0:
-            lo = tau
-        else:
-            hi = tau
-    return np.clip(y - 0.5 * (lo + hi), 0.0, cap)
-
-
 def _analytic_candidate(p: np.ndarray) -> np.ndarray:
+    """The KKT point min(1/2, t p): 1/2 at the largest entry, the rest scaled to sum 1/2.
+
+    The remainder is the sum of the other entries (1 - p_max cancels near
+    p_max = 1), and each entry is divided by it before the factor 1/2 (1/2
+    over a subnormal remainder overflows). Only when every other entry is 0 is
+    1/2 spread evenly. Every entry lies in [0, 1/2] by construction.
+    """
     q = np.array(p, dtype=float)
     k = int(np.argmax(q))
-    rest = 1.0 - q[k]
+    others = np.arange(q.size) != k
+    rest = float(q[others].sum())
+    q[others] = q[others] / rest * 0.5 if rest > 0 else 0.5 / (q.size - 1)
     q[k] = 0.5
-    if rest > 1e-15:
-        scale = 0.5 / rest
-        q[np.arange(q.size) != k] *= scale
-    else:
-        q[np.arange(q.size) != k] = 0.5 / (q.size - 1)
-    return _project_capped_simplex(q)
+    return q
 
 
 def _fw_gap(q: np.ndarray, g: np.ndarray) -> float:
@@ -249,67 +240,25 @@ def _fw_gap(q: np.ndarray, g: np.ndarray) -> float:
     return float(g @ q - 0.5 * np.sum(np.partition(g, 1)[:2]))
 
 
-def _projected_descent(p: np.ndarray, q0: np.ndarray, grad, objective, max_iter=4000):
-    """Projected gradient descent from q0; returns (objective value, point)."""
-    q = np.array(q0)
-    val = objective(q)
-    step = 0.5
-    for _ in range(max_iter):
-        g = grad(q)
-        improved = False
-        s = step
-        for _ in range(40):
-            trial = _project_capped_simplex(q - s * g)
-            tv = objective(trial)
-            if tv < val - 1e-15:
-                q, val, improved = trial, tv, True
-                step = min(s * 2.0, 1e3)
-                break
-            s *= 0.5
-        if not improved:
-            break
-    return val, q
-
-
-def _surrogate(p: np.ndarray, kind: DistanceKind):
-    """(objective, gradient) in q of the convex function a distance minimises.
+def _surrogate_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """(Sub)gradient at q of the convex function of q that a distance minimises.
 
     Trace and relative entropy are minimised directly; trace takes the
     subgradient (1/2) sign(q - p), with +1/2 at a tie, where any value in
     [-1/2, 1/2] is a subgradient. Infidelity, squared Bures and squared
     Hellinger all decrease with the affinity sum sqrt(p q), so they minimise
-    its negative.
+    its negative. Entries of q are floored at 1e-14 where p is positive.
     """
-    support = p > 0
-    floor = 1e-14
-
     if kind is DistanceKind.TRACE:
-        def objective(q):
-            return classical_distance(p, q, kind)
-
-        def grad(q):
-            return np.where(q >= p, 0.5, -0.5)
-    elif kind is DistanceKind.RELATIVE_ENTROPY:
-        def objective(q):
-            if np.any(q[support] <= 0):
-                return math.inf
-            return float(np.sum(p[support] * np.log2(p[support] / q[support])))
-
-        def grad(q):
-            g = np.zeros_like(q)
-            qs = np.maximum(q[support], floor)
-            g[support] = -p[support] / (qs * math.log(2))
-            return g
+        return np.where(q >= p, 0.5, -0.5)
+    support = p > 0
+    qs = np.maximum(q[support], 1e-14)
+    g = np.zeros_like(q)
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        g[support] = -p[support] / (qs * math.log(2))
     else:
-        def objective(q):
-            return -float(np.sum(np.sqrt(p[support] * np.maximum(q[support], 0.0))))
-
-        def grad(q):
-            g = np.zeros_like(q)
-            qs = np.maximum(q[support], floor)
-            g[support] = -0.5 * np.sqrt(p[support] / qs)
-            return g
-    return objective, grad
+        g[support] = -0.5 * np.sqrt(p[support] / qs)
+    return g
 
 
 def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> float:
@@ -318,24 +267,23 @@ def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> fl
     The biseparable GHZ-diagonal spectra are exactly those with every entry
     at most 1/2. Every distance is minimised through a convex function of q:
     trace distance and relative entropy themselves, or the affinity for the
-    fidelity-based kinds. The analytic KKT candidate min(1/2, t p) is
-    accepted when its Frank-Wolfe gap, computed from p, the (sub)gradient and
-    the feasible set alone, is at most 1e-12; otherwise projected descent
-    with restarts from the candidate and random feasible points finds the
-    minimiser.
+    fidelity-based kinds. For p_max > 1/2 the KKT point min(1/2, t p) is the
+    minimiser, and the oracle checks it from p, the (sub)gradient and the
+    feasible set alone: its entries must lie in [0, 1/2] and sum to 1 within
+    1e-12, and its Frank-Wolfe gap, which bounds its distance above the
+    minimum, must be at most 1e-12. A failed check is a fault and raises
+    ``EntboundError``.
     """
     p = state.flat()
     if p.max() <= 0.5 + 1e-15:
         return 0.0
-    objective, grad = _surrogate(p, kind)
     q = _analytic_candidate(p)
-    if _fw_gap(q, grad(q)) > _GAP_TOL:
-        rng = np.random.default_rng(0)
-        starts = [q]
-        for _ in range(_RESTARTS):
-            starts.append(_project_capped_simplex(rng.dirichlet(np.ones(p.size))))
-        runs = [_projected_descent(p, q0, grad, objective) for q0 in starts]
-        q = min(runs, key=lambda run: run[0])[1]
+    gap = _fw_gap(q, _surrogate_gradient(p, q, kind))
+    if q.min() < 0 or q.max() > 0.5 or abs(q.sum() - 1) > _SUM_TOL or gap > _GAP_TOL:
+        raise EntboundError(
+            f"the GHZ-spectrum oracle's candidate is not certified: entries in [{q.min():.3g}, "
+            f"{q.max():.3g}], sum {q.sum():.17g}, Frank-Wolfe gap {gap:.3g}"
+        )
     return classical_distance(p, q, kind)
 
 

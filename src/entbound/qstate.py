@@ -30,7 +30,6 @@ from the form on the first read (``_matrix_from_form``) and then cached.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import chunks, contract_qubit_pairs, kron_apply, pauli_power_entries
-from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, reading
+from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 
 #: Largest qubit count for which a dense 2^n x 2^n matrix is built from a state
 #: description (``build_state``, ``m3n_density``). Functions that receive a
@@ -534,11 +533,7 @@ class StateFamily:
 
 def load_state_spec(path) -> tuple[StateFamily, int]:
     """Read a state-specification JSON file, returning (family, n)."""
-    with reading(path), open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    spec = read_json(path)
     if not isinstance(spec, dict):
         raise SchemaError(f"{path}: a state file must hold a JSON object")
     if "n" not in spec:

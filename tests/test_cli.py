@@ -9,8 +9,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from entbound import oracle
 from entbound.cli import build_parser, main
 from entbound.optimize import MAX_GRID_DENSITY
 from entbound.oracle import MAX_GRID_RESOLUTION
@@ -357,18 +359,50 @@ FILE_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "malformed"])
 @pytest.mark.parametrize("argv, name", FILE_FLAGS.values(), ids=FILE_FLAGS.keys())
 def test_unreadable_input_file_exits_2(argv, name, kind, tmp_path, capsys):
     path = tmp_path / name
     if kind == "directory":
         path.mkdir()
-        fragment = "Is a directory"
-    else:
+        fragment, start = "Is a directory", "cannot "
+    elif kind == "non-utf8":
         path.write_bytes(b"\xff\xfe")
-        fragment = "can't decode"
+        fragment, start = "can't decode", "cannot "
+    else:  # a CSV reader takes any text, so a malformed CSV fails on its header
+        path.write_text('{"n": 3, ')
+        fragment = start = "header must start" if name.endswith(".csv") else "not valid JSON ("
     err = _assert_input_error(argv + [str(path)], capsys, fragment)
-    assert err.startswith(f"error: {path}: cannot ")  # the message names the file
+    assert err.startswith(f"error: {path}: {start}")  # the message names the file
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_bound_names_the_qubit_count_below_two(n, capsys):
+    # no --M was given, so the message is about n, not about the level it defaults to
+    err = _assert_input_error(["bound", "--n", n, "--c=0.5,0.5,0.5"], capsys,
+                              f"qubit count must be >= 2, got {n}")
+    assert "M must be" not in err
+
+
+def _assert_oracle_fault(argv, capsys, fragment):
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+
+
+def test_octahedron_oracle_fault_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_ghz_pair_spectra", lambda blocks: None)
+    _assert_oracle_fault(["oracle", "--n", "4", "--c=0.7,0.5,0.3"], capsys, "not GHZ-diagonal")
+
+
+def test_spectrum_oracle_fault_exits_1(monkeypatch, tmp_path, capsys):
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text('{"n": 2, "p": {"00+": 0.7, "00-": 0.2, "01+": 0.1}}')
+    # 0.05 moved from the capped entry to an empty one: feasible, but not the minimiser
+    bad = np.array([0.45, 0.5 * 0.2 / 0.3, 0.5 * 0.1 / 0.3, 0.05])
+    monkeypatch.setattr(oracle, "_analytic_candidate", lambda p: bad)
+    argv = ["oracle", "--spectrum-file", str(spectrum), "--distance", "trace"]
+    _assert_oracle_fault(argv, capsys, "not certified")
 
 
 @pytest.mark.parametrize("n", ["1024", "1000000"])

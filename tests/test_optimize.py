@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from conftest import random_density
 from dense_rotation import apply_product_unitary
-from entbound._linalg import kron_all
+from entbound._linalg import GRID_BUDGET, kron_all
 from entbound import _linalg, optimize
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
@@ -160,8 +160,8 @@ def test_grid_density_maximum_fits_the_budget():
     def screen_bytes(density):
         return ((density // 2) ** 3 + 1) * optimize._SCREEN_ROW_BYTES
 
-    assert screen_bytes(MAX_GRID_DENSITY) <= optimize._GRID_BUDGET
-    assert screen_bytes(MAX_GRID_DENSITY + 1) > optimize._GRID_BUDGET
+    assert screen_bytes(MAX_GRID_DENSITY) <= GRID_BUDGET
+    assert screen_bytes(MAX_GRID_DENSITY + 1) > GRID_BUDGET
     # the row bound holds: the screen's peak over its 217 rows at n = 10
     n = 10
     state = build_state(StateFamily.w(), n)

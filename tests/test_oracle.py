@@ -11,7 +11,8 @@ from conftest import (
     random_m3n_inside_tetra,
     random_m3n_outside_octahedron,
 )
-from entbound.errors import CapacityError, ParameterError, UnsupportedDistanceError
+from entbound._linalg import GRID_BUDGET
+from entbound.errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
 from entbound.locc import GHZDiagonalState, m3nfy
 from scipy.linalg import logm, sqrtm
 
@@ -36,8 +37,7 @@ from entbound.oracle import (
     _fw_gap,
     _ghz_pair_spectra,
     _pair_block_classes,
-    _project_capped_simplex,
-    _surrogate,
+    _surrogate_gradient,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
 )
@@ -412,7 +412,7 @@ def test_even_octahedron_oracle_raises_when_not_diagonal(monkeypatch):
     assert not calls
     # even n has no block path: a failed diagonality check is a fault
     monkeypatch.setattr(oracle, "_ghz_pair_spectra", lambda blocks: None)
-    with pytest.raises(RuntimeError, match="not GHZ-diagonal"):
+    with pytest.raises(EntboundError, match="not GHZ-diagonal"):
         brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
     assert not calls
 
@@ -429,35 +429,56 @@ def _test_spectra(rng):
         yield random_ghz_spectrum(n, rng, p_max_range=(0.5 + 1e-9, 0.5 + 1e-6))
 
 
+#: a valid n=3 spectrum on which a capped-simplex projection of the candidate
+#: leaves its Frank-Wolfe gap above 1e-12
+HARSH_SPECTRUM = {"000+": 0.31656042001978096, "000-": 0.020663169834347007,
+                  "001+": 0.0945100832086592, "001-": 1.3245579349095977e-09,
+                  "010+": 0.015186687418303733, "010-": 0.012936296142178364,
+                  "011+": 0.011974571526107649, "011-": 0.5281687705260653}
+
+
+def _harsh_spectra(rng):
+    # p_max next to 1 or just above 1/2 with a sparse tail, and a subnormal remainder
+    for n in (2, 3, 4, 5, 8):
+        size = 2**n
+        for top, alpha in ((1 - 1e-12, 1.0), (1 - 1e-9, 1.0), (0.5 + 1e-9, 0.05), (0.53, 0.05)):
+            tail = rng.dirichlet(np.full(size - 1, alpha)) * (1 - top)
+            flat = np.insert(tail, rng.integers(size), top)
+            yield GHZDiagonalState(n, flat.reshape(-1, 2))
+        flat = np.zeros(size)
+        flat[rng.choice(size, size=2, replace=False)] = (1.0, 5e-324)
+        yield GHZDiagonalState(n, flat.reshape(-1, 2))
+    yield GHZDiagonalState.from_json_dict({"n": 3, "p": HARSH_SPECTRUM})
+
+
 @pytest.mark.parametrize("kind", ALL_DISTANCES)
 def test_gap_certifies_analytic_candidate(kind, rng):
-    for spec in _test_spectra(rng):
+    for spec in (*_test_spectra(rng), *_harsh_spectra(rng)):
         p = spec.flat()
         q = _analytic_candidate(p)
-        assert q.min() >= 0 and q.max() <= 0.5 and abs(q.sum() - 1) < 1e-12
-        assert _fw_gap(q, _surrogate(p, kind)[1](q)) <= 1e-12, (spec.n, spec.p_max)
+        assert q.min() >= 0 and q.max() <= 0.5 and abs(q.sum() - 1) <= 1e-12, (spec.n, spec.p_max)
+        assert _fw_gap(q, _surrogate_gradient(p, q, kind)) <= 1e-12, (spec.n, spec.p_max)
 
 
 @pytest.mark.parametrize("kind", [DistanceKind.TRACE, DistanceKind.SQUARED_HELLINGER])
-def test_perturbed_candidate_takes_descent(kind, monkeypatch, rng):
+def test_uncertified_candidate_raises(kind, monkeypatch, rng):
     spec = random_ghz_spectrum(2, rng, p_max_range=(0.7, 0.8))
     p = spec.flat()
     q = _analytic_candidate(p)
-    # from the capped entry to the smallest: trace distance grows by 0.05
+    formula = genuine_from_overlap(spec.p_max, kind)
+    assert brute_min_biseparable_ghz(spec, kind) == pytest.approx(formula, abs=1e-14)
+    # from the capped entry to the smallest: feasible, but trace distance grows by 0.05
     shift = np.zeros_like(q)
     shift[np.argsort(q)[[0, -1]]] = (0.05, -0.05)
-    bad = _project_capped_simplex(q + shift)
-    assert _fw_gap(bad, _surrogate(p, kind)[1](bad)) > 1e-6
-
-    calls = _count_calls(monkeypatch, "_projected_descent")
-    certified = brute_min_biseparable_ghz(spec, kind)
-    assert not calls
+    bad = q + shift
+    assert _fw_gap(bad, _surrogate_gradient(p, bad, kind)) > 1e-6
     monkeypatch.setattr(oracle, "_analytic_candidate", lambda p: bad)
-    descended = brute_min_biseparable_ghz(spec, kind)
-    assert len(calls) == 1 + oracle._RESTARTS
-    formula = genuine_from_overlap(spec.p_max, kind)
-    assert abs(descended - formula) < 1e-6
-    assert certified == pytest.approx(formula, abs=1e-14)
+    with pytest.raises(EntboundError, match="not certified"):
+        brute_min_biseparable_ghz(spec, kind)
+    # p itself has gap 0, but its entry above 1/2 is not a biseparable spectrum
+    monkeypatch.setattr(oracle, "_analytic_candidate", lambda p: p.copy())
+    with pytest.raises(EntboundError, match=r", 0\.[78]\d*\], sum 1, Frank-Wolfe gap 0$"):
+        brute_min_biseparable_ghz(spec, kind)
 
 
 def test_oracles_never_below_closed_form(rng):
@@ -522,7 +543,7 @@ def test_grid_resolution_maximum_fits_the_budget():
     with pytest.raises(ParameterError, match=f"grid_resolution must be in 4..{MAX_GRID_RESOLUTION}"):
         OracleConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
     assert OracleConfig(grid_resolution=MAX_GRID_RESOLUTION).grid_resolution == MAX_GRID_RESOLUTION
-    budget = oracle._GRID_BUDGET
+    budget = GRID_BUDGET
     assert (MAX_GRID_RESOLUTION + 1) ** 2 * oracle._POINT_BYTES <= budget
     assert (MAX_GRID_RESOLUTION + 2) ** 2 * oracle._POINT_BYTES > budget
     # the point bound holds for the costliest kind, trace distance at odd n
