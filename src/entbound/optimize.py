@@ -16,8 +16,8 @@ objective call per step covers every start still running.
   rows already updated, one mode further per qubit, so a step contracts
   only the qubits still to come (O(3^n) per sweep and start, not O(n 3^n)),
   in the order a full contraction takes.
-- Shared mode, either objective: a coarse angle grid screened in one batch,
-  then :func:`minimize`, an in-package Nelder-Mead that runs every start
+- Shared mode, either objective: a coarse angle-grid screen, then
+  :func:`minimize`, an in-package Nelder-Mead that runs every start
   together. The correlation sum is a degree-n polynomial in the rows of the
   shared SO(3) matrix, read through a table of their powers. Neither builds
   a rotated state.
@@ -29,8 +29,13 @@ objective call per step covers every start still running.
   refinements read rho against product vectors through
   ``DenseState.sandwich``. A built state never builds rho here.
 
-Batches grow with the starts, the grid and n, so they run in chunks of at
-most ``_linalg.CHUNK_ENTRIES`` matrix entries.
+Both screens walk their grid by whole theta planes and keep only what
+their search reads: each row's correlation sum, or each row's largest GHZ
+overlap and its index. The correlation-sum screen reads one plane at a time;
+the overlap screen reads as many planes at once as keep their overlaps within
+``_linalg.CHUNK_ENTRIES``: the default grid is one read up to n = 12, and
+the largest grid at n = 12 one plane a read. The per-qubit ascents run their
+starts in chunks of at most ``_linalg.CHUNK_ENTRIES`` matrix entries.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET, SIGMA_STACK, chunks, hamming_weights
+from ._linalg import SIGMA_STACK, chunks, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
@@ -51,7 +56,7 @@ from .pauli import (
     so3_to_angles,
     su2_from_angles,
 )
-from .qstate import DENSE_CAP, CorrelationTriple, DenseState
+from .qstate import CorrelationTriple, DenseState
 
 _TWO_PI = 2 * math.pi
 
@@ -67,13 +72,11 @@ _NM_MAXITER = 10 * _MAX_SWEEPS
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
 
-#: bound on the bytes of one overlap-screen row at n = DENSE_CAP: 40 * 2^n
-#: (tracemalloc measures 36 * 2^n)
-_SCREEN_ROW_BYTES = 40 * 2**DENSE_CAP
-#: largest grid_density. The overlap screen holds (density // 2)^3 + 1 rows, the
-#: largest grid at any density: at density 29 that is 2,745 rows, 0.42 GiB at
-#: n = 12, and 30 would take 0.52 GiB. The correlation-sum grid, density^3 + 1
-#: points of about 7.6 kB each at n = 12, takes 0.17 GiB at density 29.
+#: largest grid_density, the CLI's documented 2..29 range. A screen holds one
+#: plane or one read of whole planes, not its grid, so the cap bounds time: the
+#: grid has density^3 + 1 points, and at density 29 one CLI run (imports
+#: included, 2-core Xeon VM) takes 1.3 s for the GHZ-overlap search at n = 12
+#: and 0.4 s for the W correlation-sum search at n = 10.
 MAX_GRID_DENSITY = 29
 
 #: sign classes for the per-qubit closed-form update; -s duplicates s under |.|
@@ -86,8 +89,10 @@ _SIGN_CLASSES = np.array(
 class OptimisationOptions:
     """Search-strategy knobs; defaults reproduce every reported table row.
 
-    ``grid_density`` runs from 2 to MAX_GRID_DENSITY, which keeps every angle
-    grid of a search within GRID_BUDGET (512 MiB) at the dense cap.
+    ``grid_density`` runs from 2 to MAX_GRID_DENSITY. A screen's time grows
+    with its grid, density^3 points; its working set is one theta plane, or
+    for the overlap screen at most ``_linalg.CHUNK_ENTRIES`` overlaps of
+    whole planes.
     """
 
     mode: str = "shared"
@@ -112,6 +117,17 @@ def _shared_grid(density: int) -> np.ndarray:
     phis = np.linspace(0.0, _TWO_PI, density, endpoint=False)
     grid = np.array(np.meshgrid(thetas, psis, phis, indexing="ij")).reshape(3, -1).T
     return np.vstack([[0.0, 0.0, 0.0], grid])
+
+
+def _theta_planes(grid: np.ndarray) -> list[np.ndarray]:
+    """Views of a ``_shared_grid``, one theta plane each, in grid order.
+
+    The grid is theta-major, so a plane is a contiguous slice of density^2
+    rows. The identity row opens the theta = 0 plane: it shares that plane's
+    (0, 0) pair, so a screen still reads each (theta, psi) pair once.
+    """
+    plane = round((len(grid) - 1) ** (1 / 3)) ** 2
+    return np.split(grid, range(1 + plane, len(grid), plane))
 
 
 # -- lockstep Nelder-Mead ---------------------------------------------------------
@@ -308,16 +324,19 @@ def _qubit_matrix(left: np.ndarray, os: np.ndarray, k: int) -> np.ndarray:
     i of os[s, m], shape (S * 3, 3^(n-k)) in (s, i) order, or bloch itself at
     k = 0. Modes k+1..n-1 are contracted here in the order of
     ``pauli.contract_modes``, a sum over three terms each, so b equals that
-    contraction over the 9 rows bit for bit; ``+ 0.0`` turns -0.0 into 0.0
-    as its unit row e_j does.
+    contraction over the 9 rows bit for bit, signs of zeros included. A
+    contraction sums into zeros, so neither its result nor the cache past
+    k = 0 holds a -0.0, whatever the signs of its input's zeros. Only at
+    n = 1, where b is bloch itself, can b hold one, and ``+ 0.0`` turns it
+    into 0.0 as the unit row e_j does; so the cache is read in place.
     """
     count, n = os.shape[:2]
-    cur = left.reshape(-1, 3, 3 ** (n - k - 1)) + 0.0  # (S * 3 or 1, j, modes k+1..)
+    cur = left.reshape(-1, 3, 3 ** (n - k - 1))  # (S * 3 or 1, j, modes k+1..)
     for m in range(k + 1, n):
         rows = os[:, m].reshape(-1, 3)
         cur = np.einsum("bl,bjlr->bjr", rows, cur.reshape(len(cur), 3, 3, -1))
     # at n = 1 nothing was contracted and every (s, i) reads bloch itself
-    return np.broadcast_to(cur, (count * 3, 3, 1)).reshape(count, 3, 3)
+    return np.broadcast_to(cur, (count * 3, 3, 1)).reshape(count, 3, 3) + 0.0
 
 
 def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
@@ -359,6 +378,14 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
     return os[best], float(vals[best])
 
 
+def _screen_sums(poly, grid: np.ndarray) -> np.ndarray:
+    """:func:`_shared_objective` at each row of a ``_shared_grid``.
+
+    The rows go one theta plane at a time, so one plane's terms are held at once.
+    """
+    return np.concatenate([_shared_objective(poly, plane) for plane in _theta_planes(grid)])
+
+
 def optimise_triple(
     tensor: CorrelationTensor, opts: OptimisationOptions | None = None
 ) -> tuple[LocalRotation, CorrelationTriple, float]:
@@ -382,7 +409,7 @@ def optimise_triple(
             )
         poly = _shared_polynomial(bloch)
         grid = _shared_grid(opts.grid_density)
-        values = _shared_objective(poly, grid)
+        values = _screen_sums(poly, grid)
         order = np.argsort(values)[::-1]
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]
         res = minimize(lambda _, angles: -_shared_objective(poly, angles), starts)
@@ -393,9 +420,10 @@ def optimise_triple(
         canonical = so3_to_angles(so3_from_angles(best_angles))
         rotation = LocalRotation.from_shared(canonical)
     else:
-        starts = [np.tile(np.eye(3), (n, 1, 1))]
-        for _ in range(opts.restarts - 1):
-            starts.append(_random_rotations(rng, n))
+        starts = np.concatenate([
+            np.tile(np.eye(3), (1, n, 1, 1)),
+            _random_rotations(rng, (opts.restarts - 1) * n).reshape(-1, n, 3, 3),
+        ])
         best_os, _ = _per_qubit_ascent(bloch, starts)
         rotation = LocalRotation.from_per_qubit(so3_to_angles(best_os))
 
@@ -524,6 +552,25 @@ def _screen_overlaps(state: DenseState, angles) -> np.ndarray:
     return ghz_overlaps(diag[which], anti).reshape(angles.shape[:-1] + (-1,))
 
 
+def _screen_tops(state: DenseState, grid: np.ndarray):
+    """Each row's largest :func:`_screen_overlaps` entry and its first flat index.
+
+    Rows of a ``_shared_grid`` are screened by whole theta planes, as many at
+    once as keep their 2^n overlaps a row within CHUNK_ENTRIES (at least one),
+    and a read's overlaps are dropped before the next read, so one read's
+    overlaps are held at once. Returns values (R,) and indices (R,).
+    """
+
+    def top(overlaps):
+        pos = np.argmax(overlaps, axis=1)
+        return np.take_along_axis(overlaps, pos[:, None], axis=1)[:, 0], pos
+
+    planes = _theta_planes(grid)
+    reads = chunks(len(planes), len(planes[-1]) * 2**state.n)
+    tops, pos = zip(*(top(_screen_overlaps(state, np.concatenate(planes[r]))) for r in reads))
+    return np.concatenate(tops), np.concatenate(pos)
+
+
 def optimise_ghz_overlap(
     state: DenseState, opts: OptimisationOptions | None = None
 ) -> tuple[LocalRotation, GHZBasisIndex, float]:
@@ -542,10 +589,9 @@ def optimise_ghz_overlap(
     # coarse screen: every basis index against a shared-angle grid, because
     # the best index at the identity need not be the best one after rotation
     grid = _shared_grid(max(4, opts.grid_density // 2))
-    overlaps = _screen_overlaps(state, grid)
-    best_pos = np.argmax(overlaps, axis=1)
     # (value, grid position, flat index)
-    seeds = [(float(overlaps[g, pos]), g, int(pos)) for g, pos in enumerate(best_pos)]
+    tops, best_pos = _screen_tops(state, grid)
+    seeds = [(float(val), g, int(pos)) for g, (val, pos) in enumerate(zip(tops, best_pos))]
     seeds.sort(key=lambda t: (-t[0], t[1]))
     picked, seen = [], set()
     for val, g, pos in seeds:
@@ -574,7 +620,7 @@ def optimise_ghz_overlap(
     runs, starts = [], []
     for (_, g, _), idx in zip(picked, candidates):
         starts += [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
-        starts += [rng.uniform(0, math.pi, size=(n, 3)) for _ in range(opts.restarts // 4)]
+        starts += list(rng.uniform(0, math.pi, size=(opts.restarts // 4, n, 3)))
         runs += [idx] * (2 + opts.restarts // 4)
     bits = np.array([_ghz_bits(idx) for idx in runs])
     signs = np.array([idx.sign for idx in runs])

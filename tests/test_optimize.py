@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from conftest import random_density
 from dense_rotation import apply_product_unitary
-from entbound._linalg import GRID_BUDGET, kron_all
+from entbound._linalg import kron_all
 from entbound import _linalg, optimize
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
@@ -24,10 +24,13 @@ from entbound.optimize import (
     _random_rotations,
     _rotated_betas,
     _screen_overlaps,
+    _screen_sums,
+    _screen_tops,
     _shared_grid,
     _shared_objective,
     _shared_overlaps,
     _shared_polynomial,
+    _theta_planes,
     optimise_ghz_overlap,
     optimise_triple,
 )
@@ -40,6 +43,10 @@ from entbound.pauli import (
     su2_from_angles,
 )
 from entbound.qstate import DenseState, StateFamily, build_state, permutation_conjugate
+
+#: bound on the bytes one overlap-screen row takes per overlap: 40 * 2^n a row
+#: (tracemalloc measures 36 * 2^n)
+SCREEN_ROW_BYTES_PER_OVERLAP = 40
 
 
 def objective_of(family, n, mode="shared", **kw):
@@ -156,13 +163,8 @@ def test_options_validation():
     assert OptimisationOptions(grid_density=MAX_GRID_DENSITY).grid_density == MAX_GRID_DENSITY
 
 
-def test_grid_density_maximum_fits_the_budget():
-    def screen_bytes(density):
-        return ((density // 2) ** 3 + 1) * optimize._SCREEN_ROW_BYTES
-
-    assert screen_bytes(MAX_GRID_DENSITY) <= GRID_BUDGET
-    assert screen_bytes(MAX_GRID_DENSITY + 1) > GRID_BUDGET
-    # the row bound holds: the screen's peak over its 217 rows at n = 10
+def test_overlap_screen_row_bound():
+    # the screen's peak over its 217 rows at n = 10
     n = 10
     state = build_state(StateFamily.w(), n)
     grid = _shared_grid(6)
@@ -172,7 +174,7 @@ def test_grid_density_maximum_fits_the_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= len(grid) * optimize._SCREEN_ROW_BYTES // 2 ** (optimize.DENSE_CAP - n)
+    assert peak <= len(grid) * SCREEN_ROW_BYTES_PER_OVERLAP * 2**n
 
 
 def test_overlap_pure_ghz_identity():
@@ -567,20 +569,38 @@ def test_shared_overlaps_match_per_qubit_product_vectors(n, rng):
     assert np.allclose(got, np.einsum("ri,ri->r", v.conj(), v @ rho.T).real, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_sweep_cache_matrices_match_full_contraction(n, rng):
-    bloch = rng.uniform(-1, 1, size=(3,) * n)
-    os = np.array([_random_rotations(rng, n) for _ in range(3)])
-    left = np.broadcast_to(bloch, (3, 3) + bloch.shape)
+@pytest.mark.parametrize(
+    "n, source", [(n, "random") for n in range(1, 9)] + [(n, "cluster") for n in range(2, 9)]
+)
+def test_sweep_cache_matrices_match_full_contraction(n, source, rng):
+    # the cluster tensor has many exact zeros, and signed permutations keep
+    # them zero: b equals the reference bit for bit, signs of zeros included
+    if source == "random":
+        bloch = rng.uniform(-1, 1, size=(3,) * n)
+        # a signed zero, which b at n = 1 reads without a contraction
+        bloch.flat[0] = -0.0
+    else:
+        bloch = correlation_tensor(build_state(StateFamily.cluster_linear(), n)).bloch
+    perm = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]])
+    os = np.concatenate([
+        np.stack([np.tile(np.eye(3), (n, 1, 1)), np.tile(perm, (n, 1, 1))]),
+        _random_rotations(rng, 3 * n).reshape(3, n, 3, 3),
+    ])
+    left = bloch
     for k in range(n):
-        # bloch with modes 0..k-1 contracted by row i of each start's rotations
-        cache = bloch if k == 0 else left.reshape(9, -1)
-        got = _qubit_matrix(cache, os, k)
-        rows = np.broadcast_to(np.swapaxes(os, 1, 2)[:, :, None], (3, 3, 3, n, 3)).copy()
+        got = _qubit_matrix(left, os, k)
+        rows = np.broadcast_to(np.swapaxes(os, 1, 2)[:, :, None], (5, 3, 3, n, 3)).copy()
         rows[:, :, :, k] = np.eye(3)
-        want = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(3, 3, 3)
-        assert np.allclose(got, want, rtol=0, atol=1e-13)
-        left = np.einsum("sij,sij...->si...", os[:, k], left)
+        want = contract_modes(bloch, rows.reshape(-1, n, 3)).reshape(5, 3, 3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # bloch with modes 0..k contracted by row i of each start's rotations,
+        # as the ascent carries it
+        step = os[:, k].reshape(-1, 3)
+        if k == 0:
+            left = step @ bloch.reshape(3, -1)
+        else:
+            left = np.einsum("bj,bjr->br", step, left.reshape(len(left), 3, -1))
 
 
 def test_per_qubit_working_set_is_bounded(monkeypatch):
@@ -596,3 +616,99 @@ def test_per_qubit_working_set_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * _linalg.CHUNK_ENTRIES
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("density", range(2, MAX_GRID_DENSITY + 1))
+def test_correlation_screen_plane_walk_matches_one_batch(density, rng):
+    grid = _shared_grid(density)
+    planes = _theta_planes(grid)
+    # one plane per theta, the identity row opening the theta = 0 plane
+    assert [len(p) for p in planes] == [density**2 + 1] + [density**2] * (density - 1)
+    assert np.array_equal(np.concatenate(planes), grid)
+    assert all(np.unique(p[:, 0]).size == 1 for p in planes)
+    blochs = [rng.uniform(-1, 1, size=(3,) * n) for n in (2, 3, 5)]
+    for family, n in ((StateFamily.w(), 4), (StateFamily.dicke(2), 6)):
+        blochs.append(correlation_tensor(build_state(family, n)).bloch)
+    for bloch in blochs:
+        poly = _shared_polynomial(bloch)
+        assert np.array_equal(_screen_sums(poly, grid), _shared_objective(poly, grid))
+
+
+@pytest.mark.parametrize("one_plane", [False, True])
+@pytest.mark.parametrize("density", range(4, MAX_GRID_DENSITY // 2 + 1))
+def test_overlap_screen_plane_walk_matches_one_batch(density, one_plane, rng, monkeypatch):
+    # at these n the whole grid fits one read; a CHUNK_ENTRIES of 1 makes
+    # every theta plane a read of its own
+    if one_plane:
+        monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", 1)
+    grid = _shared_grid(density)
+    states = [
+        random_density(3, rng),
+        build_state(StateFamily.w(), 5),
+        # equal top overlaps, where the first-index rule picks the index
+        build_state(StateFamily.m3n([0.3, -0.2, 0.4]), 5),
+        build_state(StateFamily.white_noise_mix(StateFamily.ghz(), 0.7), 4),
+    ]
+    for state in states:
+        full = _screen_overlaps(state, grid)
+        pos = np.argmax(full, axis=1)
+        tops, got_pos = _screen_tops(state, grid)
+        assert np.array_equal(got_pos, pos)
+        assert np.array_equal(tops, full[np.arange(len(grid)), pos])
+
+
+def test_screens_hold_part_of_the_largest_grid(monkeypatch):
+    # at grid_density 29 the correlation-sum grid has 24,390 rows, about 97 MB
+    # of terms at n = 8 in one batch; walked by theta plane, the peak is the
+    # largest plane's (842 rows) plus the values kept, 8 bytes a row twice
+    density = MAX_GRID_DENSITY
+    poly = _shared_polynomial(correlation_tensor(build_state(StateFamily.w(), 8)).bloch)
+    grid = _shared_grid(density)
+    plane_peak = traced_peak(lambda: _shared_objective(poly, _theta_planes(grid)[0]))
+    assert traced_peak(lambda: _screen_sums(poly, grid)) <= plane_peak + 16 * len(grid)
+    # the overlap screen at n = 10 reads 2,745 rows, 112 MB under the row
+    # bound; a read takes whole planes of 196 rows while their overlaps fit
+    # CHUNK_ENTRIES, 5 planes here, and one plane when CHUNK_ENTRIES is smaller
+    n = 10
+    state = build_state(StateFamily.w(), n)
+    grid = _shared_grid(density // 2)
+    row_bytes = SCREEN_ROW_BYTES_PER_OVERLAP * 2**n
+    read_rows = _linalg.CHUNK_ENTRIES // 2**n + 1
+    assert traced_peak(lambda: _screen_tops(state, grid)) <= read_rows * row_bytes
+    monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", 1)
+    plane_rows = (density // 2) ** 2 + 1
+    assert traced_peak(lambda: _screen_tops(state, grid)) <= plane_rows * row_bytes
+
+
+def test_sweep_cache_is_read_in_place(monkeypatch):
+    # the 32 default starts at n = 8 run in one chunk, whose sweep cache at
+    # qubit 1 holds 32 * 3 rows of 3^7 entries, 1.7 MB; one sweep peaks at
+    # about 1.5 caches, and a copy of the cache at every qubit step takes it to 2.4
+    n = 8
+    tensor = correlation_tensor(build_state(StateFamily.cluster_linear(), n))
+    monkeypatch.setattr(optimize, "_MAX_SWEEPS", 1)
+    cache_bytes = 8 * 32 * 3**n
+    peak = traced_peak(lambda: optimise_triple(tensor, OptimisationOptions(mode="per_qubit")))
+    assert peak <= 1.75 * cache_bytes
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_random_starts_drawn_in_one_call_match_one_per_start(n):
+    # one normal draw and one batched QR give each start the rotations that a
+    # draw per start gives, as do the overlap search's uniform angles
+    for seed in range(5):
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = _random_rotations(one, 31 * n).reshape(31, n, 3, 3)
+        assert np.array_equal(batch, [_random_rotations(each, n) for _ in range(31)])
+        batch = one.uniform(0, np.pi, size=(8, n, 3))
+        assert np.array_equal(batch, [each.uniform(0, np.pi, size=(n, 3)) for _ in range(8)])
