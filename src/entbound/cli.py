@@ -3,8 +3,9 @@
 Every subcommand prints machine-readable JSON on stdout (a human-readable
 table with ``--pretty``) and exits 0. Input problems exit 2 with nothing on
 stdout: usage and schema errors, unreadable input files, malformed
-parameters, unphysical states or spectra, and sizes above a dense cap. Other
-computation failures exit 1.
+parameters, unphysical states or spectra, and sizes above a cap: the qubit
+cap of a state, the dense cap of its matrix and correlation block, or a memory
+budget. Other computation failures exit 1.
 Output is byte-identical across runs with the same flags and seeds.
 
 The argument parser is built once per process, on the first ``main`` call,

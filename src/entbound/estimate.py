@@ -138,6 +138,8 @@ def simulate_measurements(
     """
     if shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
+    if shots > np.iinfo(np.int64).max:
+        raise ParameterError(f"shots must be at most 2^63 - 1 (numpy's multinomial), got {shots}")
     n = state.n
     us = rot.unitaries(n) if rot is not None else [np.eye(2, dtype=complex)] * n
     rng = np.random.default_rng(seed)

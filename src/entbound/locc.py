@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, StateValidityError, read_json
+from ._linalg import GRID_BUDGET
+from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 from .pauli import correlation_triple
 from .qstate import DenseState, M3NState, _x_state
 
@@ -147,6 +148,11 @@ class GHZDiagonalState:
             raise SchemaError(f'GHZ spectrum field "n" must be an integer >= 2, got {n!r}')
         if not isinstance(entries, dict):
             raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
+        # the (2^(n-1), 2) float spectrum takes 8 * 2^n bytes
+        if 8 * 2**n > GRID_BUDGET:
+            raise CapacityError(
+                f"a GHZ spectrum at n={n} exceeds the {GRID_BUDGET >> 20} MiB budget"
+            )
         p = np.zeros((2 ** (n - 1), 2))
         for key, value in entries.items():
             idx = GHZBasisIndex.from_key(str(key))

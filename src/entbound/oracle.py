@@ -21,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET, pauli_power_entries
+from ._linalg import GRID_BUDGET, QUBIT_CAP, pauli_power_entries
 from .errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
 from .measures import DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState
-
-#: largest n of the octahedron oracle; its pair blocks take O(2^n) memory
-_OCTAHEDRON_CAP = 16
 
 #: deviation between a closed form and its oracle that counts as agreement
 _TOLERANCE = 1e-6
@@ -180,8 +177,8 @@ def brute_min_over_octahedron(
         raise UnsupportedDistanceError(
             f"the octahedron oracle supports only trace distance at odd n, got {kind.value}"
         )
-    if state.n > _OCTAHEDRON_CAP:
-        raise CapacityError(f"the octahedron oracle is capped at n={_OCTAHEDRON_CAP}")
+    if state.n > QUBIT_CAP:
+        raise CapacityError(f"the octahedron oracle is capped at n={QUBIT_CAP}")
     if octahedron_excess(state.c) <= 0:
         return 0.0
     blocks = _pair_block_classes(state.n)

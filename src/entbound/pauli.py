@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import SIGMA, SIGMA_STACK, apply_one_qubit, contract_qubit_pairs, pauli_power_entries
+from ._linalg import SIGMA, apply_one_qubit, pauli_power_entries
 from .errors import ParameterError
 from .qstate import CorrelationTriple, DenseState
 
@@ -79,11 +79,9 @@ def correlation_triple(state: DenseState, rot: LocalRotation | None = None) -> C
 
 
 def _contract_bloch(state: DenseState) -> np.ndarray:
-    """Contract rho with sigma_1..sigma_3 on every qubit -> the (3,)*n block."""
-    # Tr(rho sigma) pairs row r of rho with column r of sigma
-    paulis = SIGMA_STACK[1:].transpose(0, 2, 1)
-    cur = contract_qubit_pairs(state.rho, [paulis] * state.n, state.n)
-    imag = float(np.max(np.abs(cur.imag))) if np.iscomplexobj(cur) else 0.0
+    """The real, read-only (3,)*n block of ``state.bloch()``."""
+    cur = state.bloch()
+    imag = float(np.max(np.abs(cur.imag)))
     if imag > 1e-12:
         raise ParameterError(f"imaginary residue {imag:.3e} in the correlation tensor")
     bloch = np.ascontiguousarray(cur.real)
@@ -121,7 +119,7 @@ class CorrelationTensor:
 
 
 def correlation_tensor(state: DenseState) -> CorrelationTensor:
-    """The bloch block of a dense state's correlation tensor."""
+    """The bloch block of a state's correlation tensor, read from its form."""
     return CorrelationTensor(state.n, _contract_bloch(state))
 
 

@@ -18,13 +18,12 @@ is checked block by block, and a white-noise mix of a built state with q in
 Every read answers from the form. ``DenseState.lines`` and
 ``DenseState.purity`` cost O(2^n) on a built state;
 ``DenseState.lines_under`` reads the diagonal or both lines of U rho U^dag for
-a product unitary U in O(n 2^n), or O(4^n) on a dense form, the one rotated
-contraction of a matrix; and ``DenseState.sandwich`` gives V^dag rho V for m
-vectors in O(m 2^n), or one matrix product on a dense form. So ``state``
-(without ``--dense``), ``triple``, ``simulate`` and ``optimise --objective
-overlap`` never build a 2^n x 2^n array for a built state; the correlation-sum
-``optimise``, ``state --dense`` and the distance kernels read ``rho``, made
-from the form on the first read (``_matrix_from_form``) and then cached.
+a product unitary U in O(n 2^n), or O(4^n) on a dense form; ``sandwich``
+gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the (3,)^n
+correlation block. Of the commands only ``state --dense`` reads a built
+state's ``rho`` (made on the first read, then cached), as do the test references
+(``pauli.expectation``, ``measures.matrix_distance``, ``permutation_conjugate``).
+States go up to ``_linalg.QUBIT_CAP`` qubits, ``rho`` and ``bloch`` to ``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -37,12 +36,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import chunks, contract_qubit_pairs, kron_apply, pauli_power_entries
+from ._linalg import (CHUNK_ENTRIES, QUBIT_CAP, SIGMA_STACK, chunks, contract_qubit_pairs,
+                      kron_all, kron_apply, pauli_power_entries)
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 
-#: Largest qubit count for which a dense 2^n x 2^n matrix is built from a state
-#: description (``build_state``, ``m3n_density``). Functions that receive a
-#: ``DenseState`` do not check it: its matrix already exists.
+#: Largest qubit count at which a state's 2^n x 2^n matrix (first read of ``rho``)
+#: or (3,)^n correlation block (``bloch``) is made; the forms go up to QUBIT_CAP.
 DENSE_CAP = 12
 
 #: Dimension above which the dense PSD check of a matrix from outside the
@@ -63,9 +62,9 @@ _TRIPLE_TOL = 1e-12
 _CERTIFIED = object()
 
 
-def _check_cap(n: int) -> None:
-    if n > DENSE_CAP:
-        raise CapacityError(f"n={n} exceeds the dense cap {DENSE_CAP}")
+def _check_cap(n: int, cap: int, name: str) -> None:
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds the {name} cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,8 @@ class DenseState:
     keeps ``rho`` read-only as a dense form. The package's own builders prove
     their states valid in O(2^n), skip those checks and pass the state's form
     (see the module docstring) as ``_form``; ``rho`` is then built on its
-    first read (the correlation-sum ``optimise``, ``state --dense`` and the
-    distance kernels read it), frozen and cached.
+    first read (``state --dense`` and the test references read it), frozen
+    and cached.
     """
 
     def __init__(self, n: int, rho, _certificate=None, _form: tuple | None = None):
@@ -170,6 +169,7 @@ class DenseState:
     def rho(self) -> np.ndarray:
         """The read-only 2^n x 2^n matrix; a built state makes it here, once."""
         if self._rho is None:
+            _check_cap(self.n, DENSE_CAP, "dense")
             rho = _matrix_from_form(self._form, self.dim)
             rho.flags.writeable = False
             object.__setattr__(self, "_rho", rho)
@@ -195,6 +195,11 @@ class DenseState:
         A Gram matrix of the vectors under rho, read from the form: O(m 2^n)
         on a built state, one matrix product on a dense form."""
         return _sandwich(self._form, np.asarray(vs))
+
+    def bloch(self) -> np.ndarray:
+        """The complex (3,)^n block Tr(rho sigma_{i_1} x ... x sigma_{i_n}), read from the form."""
+        _check_cap(self.n, DENSE_CAP, "dense")
+        return _bloch_from_form(self._form, self.n)
 
     def purity(self) -> float:
         """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) on a built state."""
@@ -330,6 +335,39 @@ def _sandwich(form: tuple, vs: np.ndarray) -> np.ndarray:
         cols = np.moveaxis(vs, -2, 0)
         rho_v = np.moveaxis((parts[0] @ cols.reshape(len(cols), -1)).reshape(cols.shape), 0, -2)
     return adjoint @ rho_v
+
+
+def _bloch_from_form(form: tuple, n: int) -> np.ndarray:
+    """``DenseState.bloch`` of a form; Tr(rho sigma) pairs row r of rho with column r of sigma.
+
+    Dense: rho's qubit axes contracted with sigma^T. Pure: psi as a 2^k x 2^(n-k) matrix
+    P, k the fewest leading qubits keeping N_a = P^T sigma_a^T conj(P) within CHUNK_ENTRIES;
+    each string a leaves N_a, contracted as rho is (summed over outer products, N is rho
+    at k = 0, bit for bit). X: sigma_3^{xn} from row (1, -1) on the diagonal, {sigma_1,
+    sigma_2}^{xn} from rows (1, 1) and (i, -i) on rho[r, ~r], all else 0, summed as the
+    dense contraction sums. Mix: q times the inner block (white noise has none).
+    """
+    kind, *parts = form
+    paulis = SIGMA_STACK[1:].transpose(0, 2, 1)
+    if kind == "dense":
+        return contract_qubit_pairs(parts[0], [paulis] * n, n)
+    if kind == "mix":
+        return parts[0] * _bloch_from_form(parts[1], n)
+    if kind == "x":
+        diag, anti = _lines_from_form(form, 2**n)
+        block = np.zeros((3,) * n, dtype=complex)
+        block[(slice(2),) * n] = kron_apply([[[1, 1], [1j, -1j]]] * n, anti).reshape((2,) * n)
+        block[(2,) * n] = kron_apply([[[1, 1], [1, -1]]] * n, diag)[-1]
+        return block
+    k = max(0, n - (CHUNK_ENTRIES.bit_length() - 1) // 2)
+    p, rows = parts[0].reshape(2**k, -1), []
+    for string in itertools.product(paulis, repeat=k):
+        y = kron_all(string) @ p.conj()
+        n_a = np.multiply.outer(p[0], y[0])
+        for pr, yr in zip(p[1:], y[1:]):
+            n_a += np.multiply.outer(pr, yr)
+        rows.append(contract_qubit_pairs(n_a, [paulis] * (n - k), n - k))
+    return np.reshape(rows, (3,) * n)
 
 
 def _purity_from_form(form: tuple, dim: int) -> float:
@@ -658,7 +696,7 @@ def _x_state(n: int, diag: np.ndarray, anti: np.ndarray) -> DenseState:
 
 def build_state(family: StateFamily, n: int) -> DenseState:
     """Dense density matrix of a named family; pure families come out rank 1."""
-    _check_cap(n)
+    _check_cap(n, QUBIT_CAP, "qubit")
     tag, params = family.tag, family.params
     if tag == "ghz":
         if n < 2:
@@ -717,7 +755,7 @@ def m3n_density(state: M3NState) -> DenseState:
     and sigma_2^{xn}) are nonzero; they are summed as vectors and written in
     by ``_x_state``.
     """
-    _check_cap(state.n)
+    _check_cap(state.n, QUBIT_CAP, "qubit")
     n = state.n
     dim = 2**n
     diag = np.ones(dim, dtype=complex)
@@ -748,10 +786,6 @@ def m3n_spectrum(state: M3NState) -> list[SpectralLine]:
     ]
 
 
-def maximally_mixed(n: int) -> DenseState:
-    return DenseState(n, np.eye(2**n, dtype=complex) / 2**n)
-
-
 def permutation_conjugate(state: DenseState, perm: Sequence[int]) -> DenseState:
     """Relabel qubits of a dense state by the permutation ``perm``.
 
@@ -780,6 +814,5 @@ __all__ = [
     "load_state_spec",
     "m3n_density",
     "m3n_spectrum",
-    "maximally_mixed",
     "permutation_conjugate",
 ]

@@ -143,14 +143,44 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
 @pytest.mark.parametrize(
     "argv, fragment",
     [
-        (["state", "--family", "ghz", "--n", "13"], "dense cap"),
+        (["state", "--family", "ghz", "--n", "17"], "qubit cap"),
+        (["optimise", "--family", "w", "--n", "13"], "dense cap"),
+        (["state", "--dense", "--family", "w", "--n", "13"], "dense cap"),
         (["oracle", "--n", "17", "--c=0.5,0.1,0.1"], "capped at n=16"),
         (["bound", "--n", "4", "--c=0.9,0.9,-0.9"], "tetrahedron"),
+        (["genuine", "--spectrum-file", "{n40}"], "512 MiB budget"),
+        (["oracle", "--spectrum-file", "{n40}"], "512 MiB budget"),
+        (["optimise", "--family", "ghz", "--n", "3", "--mode", "per-qubit",
+          "--restarts", "1000000000"], "512 MiB budget"),
+        (["optimise", "--family", "ghz", "--n", "3", "--mode", "per-qubit",
+          "--objective", "overlap", "--restarts", "1000000000"], "512 MiB budget"),
+        (["simulate", "--family", "ghz", "--n", "3", "--shots", str(10**20)], "2^63 - 1"),
     ],
-    ids=["state-n13", "oracle-n17", "bound-outside-tetrahedron"],
+    ids=["state-n17", "optimise-n13", "state-dense-n13", "oracle-n17",
+         "bound-outside-tetrahedron", "genuine-spectrum-n40", "oracle-spectrum-n40",
+         "optimise-per-qubit-restarts", "optimise-per-qubit-overlap-restarts", "simulate-shots"],
 )
-def test_unphysical_or_oversized_input_exits_2(argv, fragment, capsys):
-    _assert_input_error(argv, capsys, fragment)
+def test_unphysical_or_oversized_input_exits_2(argv, fragment, tmp_path, capsys):
+    # a GHZ spectrum of 2^40 entries; the file itself is a few bytes
+    spectrum = tmp_path / "n40.json"
+    spectrum.write_text('{"n": 40, "p": {}}')
+    argv = [a.replace("{n40}", str(spectrum)) for a in argv]
+    build_parser()  # built once per process; not part of the command's allocations
+    tracemalloc.start()
+    try:
+        _assert_input_error(argv, capsys, fragment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # rejected before anything of the size asked for is allocated
+    assert peak < 1 << 20
+
+
+def test_simulate_takes_the_largest_shot_count_numpy_draws(capsys):
+    argv = ["simulate", "--family", "ghz", "--n", "3", "--shots", str(2**63 - 1)]
+    rc, out, _ = _run(argv, capsys)
+    assert rc == 0
+    assert json.loads(out)["shots"] == 2**63 - 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,18 @@ def test_local_rotation_validation():
         LocalRotation.from_shared((0.5, 7.0, 0.0))  # psi beyond 2 pi
     with pytest.raises(ParameterError):
         LocalRotation(((0.1, 0.2, 0.3), (0.1, 0.2, 0.3)), shared=True)
+
+
+def test_correlation_tensor_of_a_built_state_builds_no_matrix():
+    # W at n=12: rho alone takes 256 MiB; the pure form holds a few matrices
+    # N_a of 2^20 entries (16 MiB each) at a time
+    state = build_state(StateFamily.w(), 12)
+    tracemalloc.start()
+    try:
+        tensor = correlation_tensor(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state._rho is None
+    assert peak <= 64 << 20
+    assert tensor.bloch.shape == (3,) * 12 and not tensor.bloch.flags.writeable

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from entbound._linalg import pauli_power_entries
+from entbound import qstate
+from entbound._linalg import SIGMA_STACK, contract_qubit_pairs, pauli_power_entries
 from entbound.errors import CapacityError, ParameterError, StateValidityError
 from entbound.qstate import (
     CorrelationTriple,
@@ -109,7 +110,7 @@ def test_family_parameter_errors():
     with pytest.raises(ParameterError):
         StateFamily("unknown_family")
     with pytest.raises(CapacityError):
-        build_state(StateFamily.ghz(), 13)
+        build_state(StateFamily.ghz(), 17)
 
 
 def test_dense_state_invariants_rejected():
@@ -517,6 +518,54 @@ def test_sandwich_of_ghz_diagonal_and_outside_matrices(n, rng):
     _assert_sandwich_matches_rho(random_density(n, rng), rng)
     mix = build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.6), n)
     _assert_sandwich_matches_rho(DenseState(n, np.array(mix.rho)), rng)
+
+
+def _assert_bloch_matches_rho(state, exact=True):
+    """``bloch`` reads the form and equals the contraction of ``rho`` it replaces: bit
+    for bit, or within 1e-15 where the form sums in another order."""
+    got = state.bloch()
+    assert state._rho is None or state._form[0] == "dense"
+    n = state.n
+    want = contract_qubit_pairs(state.rho, [SIGMA_STACK[1:].transpose(0, 2, 1)] * n, n)
+    assert got.shape == want.shape == (3,) * n
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("family, n", _family_cases())
+def test_bloch_reads_the_form(family, n):
+    # a white-noise mix scales the inner block instead of contracting the noise
+    _assert_bloch_matches_rho(build_state(family, n), exact=family.tag != "white_noise_mix")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bloch_of_vectors_x_matrices_and_outside_matrices(n, rng):
+    from conftest import random_density
+
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    _assert_bloch_matches_rho(DenseState.from_vector(psi))
+    if n >= 2:
+        _assert_bloch_matches_rho(qstate._x_state(n, *_x_vectors(n)))
+    if n <= 6:
+        _assert_bloch_matches_rho(random_density(n, rng))
+
+
+@pytest.mark.parametrize("chunk", [4, 64])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bloch_of_vectors_in_chunks(n, chunk, rng, monkeypatch):
+    # N_a of 4 or 64 entries splits off n - 1 or n - 3 leading qubits
+    monkeypatch.setattr(qstate, "CHUNK_ENTRIES", chunk)
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    _assert_bloch_matches_rho(DenseState.from_vector(psi), exact=False)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_bloch_of_vectors_past_one_chunk(n, rng):
+    # from n = 11 on, N_a of the default CHUNK_ENTRIES splits off n - 10 qubits
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    _assert_bloch_matches_rho(DenseState.from_vector(psi), exact=False)
 
 
 def test_built_state_is_immutable():

@@ -313,8 +313,9 @@ def _refuse_matrix(form, dim):
     "command",
     [["state"], ["triple"], ["triple", "--angles", "0.3,0.2,0.1"], ["simulate", "--shots", "1000"],
      ["simulate", "--shots", "1000", "--angles", "0.3,0.2,0.1"],
-     ["optimise", "--objective", "overlap"]],
-    ids=["state", "triple", "triple-angles", "simulate", "simulate-angles", "optimise-overlap"],
+     ["optimise", "--objective", "overlap"], ["optimise"]],
+    ids=["state", "triple", "triple-angles", "simulate", "simulate-angles", "optimise-overlap",
+         "optimise"],
 )
 @pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
 def test_form_commands_build_no_dense_matrix_at_n12(command, source, monkeypatch, capsys):
@@ -331,14 +332,7 @@ def test_per_qubit_overlap_search_builds_no_dense_matrix(source, monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["n"] == 8
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["optimise", "--restarts", "2", "--grid", "3"],
-        ["state", "--dense"],
-    ],
-    ids=["optimise-triple", "state-dense"],
-)
+@pytest.mark.parametrize("argv", [["state", "--dense"]], ids=["state-dense"])
 def test_dense_commands_build_the_matrix_once(argv, monkeypatch, capsys):
     built = []
     materialise = qstate._matrix_from_form
