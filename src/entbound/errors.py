@@ -13,7 +13,7 @@ class ParameterError(EntboundError, ValueError):
 
 
 class CapacityError(EntboundError):
-    """A dense computation was requested above the configured qubit cap."""
+    """A size above a cap (qubit or dense) or a working set above a memory budget."""
 
 
 class StateValidityError(EntboundError, ValueError):

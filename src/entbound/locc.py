@@ -148,8 +148,10 @@ class GHZDiagonalState:
             raise SchemaError(f'GHZ spectrum field "n" must be an integer >= 2, got {n!r}')
         if not isinstance(entries, dict):
             raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
-        # the (2^(n-1), 2) float spectrum takes 8 * 2^n bytes
-        if 8 * 2**n > GRID_BUDGET:
+        # the (2^(n-1), 2) float spectrum takes 8 * 2^n bytes, and a command holds
+        # up to about 6.4 copies of it (the oracle, tracemalloc at n = 12..18):
+        # eight copies must fit the budget, so n >= 24 is refused
+        if 8 * 8 * 2**n > GRID_BUDGET:
             raise CapacityError(
                 f"a GHZ spectrum at n={n} exceeds the {GRID_BUDGET >> 20} MiB budget"
             )

@@ -29,10 +29,12 @@ objective call per step covers every start still running.
   refinements read rho against product vectors through
   ``DenseState.sandwich``. A built state never builds rho here.
 
-Both screens walk their grid by whole theta planes and keep only what
-their search reads: each row's correlation sum, or each row's largest GHZ
-overlap and its index. The correlation-sum screen reads one plane at a time;
-the overlap screen reads as many planes at once as keep their overlaps within
+The shared grid is density theta planes of density^2 (psi, phi) rows, the
+identity first; seeds and starts index its rows in that order. Both screens
+walk it by whole theta planes and keep only what their search reads: each
+row's correlation sum, or each row's largest GHZ overlap and its index. The
+correlation-sum screen reads one plane at a time; the overlap screen reads
+as many planes at once as keep their overlaps within
 ``_linalg.CHUNK_ENTRIES``: the default grid is one read up to n = 12, and
 the largest grid at n = 12 one plane a read. The per-qubit ascents run their
 starts in chunks of at most ``_linalg.CHUNK_ENTRIES`` matrix entries.
@@ -74,7 +76,7 @@ _OVERLAP_CANDIDATES = 4
 
 #: largest grid_density, the CLI's documented 2..29 range. A screen holds one
 #: plane or one read of whole planes, not its grid, so the cap bounds time: the
-#: grid has density^3 + 1 points, and at density 29 one CLI run (imports
+#: grid has density^3 points, and at density 29 one CLI run (imports
 #: included, 2-core Xeon VM) takes 1.3 s for the GHZ-overlap search at n = 12
 #: and 0.4 s for the W correlation-sum search at n = 10.
 MAX_GRID_DENSITY = 29
@@ -112,22 +114,17 @@ class OptimisationOptions:
 
 
 def _shared_grid(density: int) -> np.ndarray:
+    """The shared (theta, psi, phi) grid as density theta planes, shape (density, density^2, 3).
+
+    Plane t holds theta_t; its row j * density + k holds (psi_j, phi_k), so
+    each psi's first row has phi = 0, and row 0 of the theta = 0 plane is the
+    identity. Flattened, the planes are the grid's density^3 rows in order.
+    """
     thetas = np.linspace(0.0, math.pi, density)
     psis = np.linspace(0.0, _TWO_PI, density, endpoint=False)
     phis = np.linspace(0.0, _TWO_PI, density, endpoint=False)
-    grid = np.array(np.meshgrid(thetas, psis, phis, indexing="ij")).reshape(3, -1).T
-    return np.vstack([[0.0, 0.0, 0.0], grid])
-
-
-def _theta_planes(grid: np.ndarray) -> list[np.ndarray]:
-    """Views of a ``_shared_grid``, one theta plane each, in grid order.
-
-    The grid is theta-major, so a plane is a contiguous slice of density^2
-    rows. The identity row opens the theta = 0 plane: it shares that plane's
-    (0, 0) pair, so a screen still reads each (theta, psi) pair once.
-    """
-    plane = round((len(grid) - 1) ** (1 / 3)) ** 2
-    return np.split(grid, range(1 + plane, len(grid), plane))
+    grid = np.stack(np.meshgrid(thetas, psis, phis, indexing="ij"), axis=-1)
+    return grid.reshape(density, density**2, 3)
 
 
 # -- lockstep Nelder-Mead ---------------------------------------------------------
@@ -388,11 +385,11 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
 
 
 def _screen_sums(poly, grid: np.ndarray) -> np.ndarray:
-    """:func:`_shared_objective` at each row of a ``_shared_grid``.
+    """:func:`_shared_objective` at each row of a ``_shared_grid``, flat in grid order.
 
     The rows go one theta plane at a time, so one plane's terms are held at once.
     """
-    return np.concatenate([_shared_objective(poly, plane) for plane in _theta_planes(grid)])
+    return np.concatenate([_shared_objective(poly, plane) for plane in grid])
 
 
 def optimise_triple(
@@ -417,8 +414,9 @@ def optimise_triple(
                 "use per_qubit mode"
             )
         poly = _shared_polynomial(bloch)
-        grid = _shared_grid(opts.grid_density)
-        values = _screen_sums(poly, grid)
+        planes = _shared_grid(opts.grid_density)
+        values = _screen_sums(poly, planes)
+        grid = planes.reshape(-1, 3)
         order = np.argsort(values)[::-1]
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]
         res = minimize(lambda _, angles: -_shared_objective(poly, angles), starts)
@@ -462,7 +460,8 @@ def _ghz_bits(idx: GHZBasisIndex) -> np.ndarray:
 def _rotated_betas(bits: np.ndarray, signs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """U^dag beta per row, for beta = (|x> + sign |~x>)/sqrt(2) and U = (x)_k us[r, k].
 
-    bits (R, n), signs (R,) and unitaries us (R, n, 2, 2) give (R, 2^n).
+    bits (R, n), signs (R,) and unitaries us (R, n, 2, 2) give (R, 2^n);
+    us (R, 1, 2, 2) puts one unitary on every qubit of a row.
     U_k^dag|y> is row y of conj(U_k): conj(U_k) with its rows swapped where
     x_k = 1 holds the factors of a and b on each qubit, and the two product
     vectors then grow together, qubit 0 leftmost.
@@ -479,12 +478,6 @@ def _overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, us: np.nda
     """<beta|U rho U^dag|beta> per row, in the arguments of :func:`_rotated_betas`."""
     v = _rotated_betas(bits, signs, us)
     return state.sandwich(v[..., None])[..., 0, 0].real
-
-
-def _shared_overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, angles) -> np.ndarray:
-    """:func:`_overlaps` with U = u^{xn} for one angle triple u per row, angles (R, 3)."""
-    us = su2_from_angles(angles)[:, None]
-    return _overlaps(state, bits, signs, np.broadcast_to(us, (len(us), state.n, 2, 2)))
 
 
 def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, starts):
@@ -538,46 +531,42 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
     return angles, vals
 
 
-def _screen_overlaps(state: DenseState, angles) -> np.ndarray:
-    """GHZ-basis overlaps of u^{xn} rho u^{dag xn}, flat in ghz_diagonalise's order.
+def _screen_overlaps(state: DenseState, planes: np.ndarray) -> np.ndarray:
+    """GHZ-basis overlaps of u^{xn} rho u^{dag xn} at each row of whole ``_shared_grid`` planes.
 
-    u = su2_from_angles(angles); angles of shape (..., 3) give overlaps of
-    shape (..., 2^n). Reads only the diagonal and the anti-diagonal of each
-    rotated state. As u = Rz(phi) v, with v the same angles at phi = 0, and
-    Rz(phi)^{xn} keeps the diagonal and turns anti-diagonal entry (i, ~i) by
-    exp(-i phi (n - 2|i|)), one read of the state's lines per distinct
-    (theta, psi) serves every phi, all in one batch.
+    u = su2_from_angles(row); planes (P, d^2, 3) give overlaps (P d^2, 2^n),
+    rows in grid order, each in ghz_diagonalise's order. Reads only the
+    diagonal and the anti-diagonal of each rotated state. As u = Rz(phi) v,
+    with v the same angles at phi = 0, and Rz(phi)^{xn} keeps the diagonal and
+    turns anti-diagonal entry (i, ~i) by exp(-i phi (n - 2|i|)), one read of
+    the state's lines per (theta, psi) serves every phi, all in one batch:
+    the planes' rows at phi = 0, every d-th.
     """
-    n = state.n
-    angles = np.asarray(angles, dtype=float)
-    flat = angles.reshape(-1, 3)
-    pairs, which = np.unique(flat[:, :2], axis=0, return_inverse=True)
-    v = su2_from_angles(np.column_stack([pairs, np.zeros(len(pairs))]))
-    diag, anti = state.lines_under([v] * n)
+    n, d = state.n, math.isqrt(planes.shape[1])
+    diag, anti = state.lines_under([su2_from_angles(planes[:, ::d])] * n)
     half = 2 ** (n - 1)
-    which = which.reshape(-1)
     turns = n - 2 * hamming_weights(n)[:half]
+    phis = planes[..., 2:].reshape(len(planes), d, d, 1)
     # ghz_overlaps reads only the anti-diagonal's first half
-    anti = anti[which, :half] * np.exp(-1j * flat[:, 2:] * turns)
-    return ghz_overlaps(diag[which], anti).reshape(angles.shape[:-1] + (-1,))
+    anti = anti[:, :, None, :half] * np.exp(-1j * phis * turns)
+    return ghz_overlaps(diag[:, :, None], anti).reshape(-1, 2**n)
 
 
 def _screen_tops(state: DenseState, grid: np.ndarray):
     """Each row's largest :func:`_screen_overlaps` entry and its first flat index.
 
-    Rows of a ``_shared_grid`` are screened by whole theta planes, as many at
-    once as keep their 2^n overlaps a row within CHUNK_ENTRIES (at least one),
-    and a read's overlaps are dropped before the next read, so one read's
-    overlaps are held at once. Returns values (R,) and indices (R,).
+    A ``_shared_grid`` is screened by whole theta planes, as many at once as
+    keep their 2^n overlaps a row within CHUNK_ENTRIES (at least one), and a
+    read's overlaps are dropped before the next read, so one read's overlaps
+    are held at once. Returns values and indices, one per grid row in order.
     """
 
     def top(overlaps):
         pos = np.argmax(overlaps, axis=1)
         return np.take_along_axis(overlaps, pos[:, None], axis=1)[:, 0], pos
 
-    planes = _theta_planes(grid)
-    reads = chunks(len(planes), len(planes[-1]) * 2**state.n)
-    tops, pos = zip(*(top(_screen_overlaps(state, np.concatenate(planes[r]))) for r in reads))
+    reads = chunks(len(grid), grid.shape[1] * 2**state.n)
+    tops, pos = zip(*(top(_screen_overlaps(state, grid[r])) for r in reads))
     return np.concatenate(tops), np.concatenate(pos)
 
 
@@ -598,28 +587,31 @@ def optimise_ghz_overlap(
 
     # coarse screen: every basis index against a shared-angle grid, because
     # the best index at the identity need not be the best one after rotation
-    grid = _shared_grid(max(4, opts.grid_density // 2))
-    # (value, grid position, flat index)
-    tops, best_pos = _screen_tops(state, grid)
-    seeds = [(float(val), g, int(pos)) for g, (val, pos) in enumerate(zip(tops, best_pos))]
-    seeds.sort(key=lambda t: (-t[0], t[1]))
+    planes = _shared_grid(max(4, opts.grid_density // 2))
+    tops, best_pos = _screen_tops(state, planes)
+    grid = planes.reshape(-1, 3)
+    # (grid row, flat index) by falling top overlap, ties in grid order
     picked, seen = [], set()
-    for val, g, pos in seeds:
+    for g in np.argsort(-tops, kind="stable"):
+        pos = int(best_pos[g])
         if pos not in seen or len(picked) < opts.restarts // 4:
-            picked.append((val, g, pos))
+            picked.append((g, pos))
             seen.add(pos)
         if len(picked) >= _OVERLAP_CANDIDATES:
             break
 
     base = ghz_diagonalise(state)
     best = (LocalRotation.identity(), base.argmax(), base.p_max)
-    candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, _, pos in picked]
+    candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, pos in picked]
     if shared:
         # two runs per candidate, from the identity and from its grid point
         bits = np.repeat([_ghz_bits(idx) for idx in candidates], 2, axis=0)
         signs = np.repeat([idx.sign for idx in candidates], 2)
-        starts = [x for _, g, _ in picked for x in (np.zeros(3), grid[g])]
-        res = minimize(lambda ids, x: -_shared_overlaps(state, bits[ids], signs[ids], x), starts)
+        starts = [x for g, _ in picked for x in (np.zeros(3), grid[g])]
+        res = minimize(
+            lambda ids, x: -_overlaps(state, bits[ids], signs[ids], su2_from_angles(x)[:, None]),
+            starts,
+        )
         for run, (x, neg) in enumerate(zip(res.x, res.fun)):
             if -neg > best[2] + 1e-13:
                 canonical = so3_to_angles(so3_from_angles(x))
@@ -629,7 +621,7 @@ def optimise_ghz_overlap(
     # point tiled over the qubits, and restarts // 4 random starts each
     _check_start_stack(len(picked) * (2 + opts.restarts // 4) * n * 3)
     runs, starts = [], []
-    for (_, g, _), idx in zip(picked, candidates):
+    for (g, _), idx in zip(picked, candidates):
         starts += [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
         starts += list(rng.uniform(0, math.pi, size=(opts.restarts // 4, n, 3)))
         runs += [idx] * (2 + opts.restarts // 4)

@@ -36,8 +36,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import (CHUNK_ENTRIES, QUBIT_CAP, SIGMA_STACK, chunks, contract_qubit_pairs,
-                      kron_all, kron_apply, pauli_power_entries)
+from ._linalg import (CHUNK_ENTRIES, GRID_BUDGET, QUBIT_CAP, SIGMA_STACK, chunks,
+                      contract_qubit_pairs, kron_all, kron_apply, pauli_power_entries)
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 
 #: Largest qubit count at which a state's 2^n x 2^n matrix (first read of ``rho``)
@@ -224,7 +224,18 @@ class DenseState:
         return cls(n, np.outer(unit, unit.conj()))
 
     def export_row_major(self) -> list:
-        """Row-major list of [re, im] pairs, the dense exchange format."""
+        """Row-major list of [re, im] pairs, the dense exchange format.
+
+        The list and the JSON a command makes of it take up to about 460 bytes
+        an entry (tracemalloc, n = 6..9), so an export whose 4^n entries at 512
+        bytes each exceed GRID_BUDGET (n >= 11) is refused before rho is read;
+        above DENSE_CAP the refusal names that cap, as reading rho would.
+        """
+        _check_cap(self.n, DENSE_CAP, "dense")
+        if 512 * self.dim**2 > GRID_BUDGET:
+            raise CapacityError(
+                f"the dense export at n={self.n} exceeds the {GRID_BUDGET >> 20} MiB budget"
+            )
         flat = self.rho.reshape(-1)
         return [[float(z.real), float(z.imag)] for z in flat]
 
@@ -590,13 +601,6 @@ def _ghz_vector(n: int) -> np.ndarray:
     return v
 
 
-def _w_vector(n: int) -> np.ndarray:
-    v = np.zeros(2**n, dtype=complex)
-    for k in range(n):
-        v[1 << k] = 1
-    return v / math.sqrt(n)
-
-
 def _dicke_vector(n: int, k: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     for positions in itertools.combinations(range(n), k):
@@ -705,7 +709,7 @@ def build_state(family: StateFamily, n: int) -> DenseState:
     if tag == "w":
         if n < 2:
             raise ParameterError("W needs n >= 2")
-        return DenseState.from_vector(_w_vector(n))
+        return DenseState.from_vector(_dicke_vector(n, 1))
     if tag == "dicke":
         k = params.get("k", n // 2)
         if not 0 <= k <= n:

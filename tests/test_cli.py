@@ -146,34 +146,63 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
         (["state", "--family", "ghz", "--n", "17"], "qubit cap"),
         (["optimise", "--family", "w", "--n", "13"], "dense cap"),
         (["state", "--dense", "--family", "w", "--n", "13"], "dense cap"),
+        (["state", "--dense", "--family", "w", "--n", "11"], "512 MiB budget"),
+        (["state", "--dense", "--family", "w", "--n", "12"], "512 MiB budget"),
         (["oracle", "--n", "17", "--c=0.5,0.1,0.1"], "capped at n=16"),
         (["bound", "--n", "4", "--c=0.9,0.9,-0.9"], "tetrahedron"),
         (["genuine", "--spectrum-file", "{n40}"], "512 MiB budget"),
         (["oracle", "--spectrum-file", "{n40}"], "512 MiB budget"),
+        (["oracle", "--spectrum-file", "{n24}"], "512 MiB budget"),
         (["optimise", "--family", "ghz", "--n", "3", "--mode", "per-qubit",
           "--restarts", "1000000000"], "512 MiB budget"),
         (["optimise", "--family", "ghz", "--n", "3", "--mode", "per-qubit",
           "--objective", "overlap", "--restarts", "1000000000"], "512 MiB budget"),
         (["simulate", "--family", "ghz", "--n", "3", "--shots", str(10**20)], "2^63 - 1"),
     ],
-    ids=["state-n17", "optimise-n13", "state-dense-n13", "oracle-n17",
-         "bound-outside-tetrahedron", "genuine-spectrum-n40", "oracle-spectrum-n40",
+    ids=["state-n17", "optimise-n13", "state-dense-n13", "state-dense-n11", "state-dense-n12",
+         "oracle-n17", "bound-outside-tetrahedron", "genuine-spectrum-n40", "oracle-spectrum-n40",
+         "oracle-spectrum-n24",
          "optimise-per-qubit-restarts", "optimise-per-qubit-overlap-restarts", "simulate-shots"],
 )
 def test_unphysical_or_oversized_input_exits_2(argv, fragment, tmp_path, capsys):
-    # a GHZ spectrum of 2^40 entries; the file itself is a few bytes
+    # GHZ spectra of 2^40 entries, and of 2^24 whose 128 MB array the oracle
+    # would hold about 6.4 times; each file itself is a few bytes
     spectrum = tmp_path / "n40.json"
     spectrum.write_text('{"n": 40, "p": {}}')
-    argv = [a.replace("{n40}", str(spectrum)) for a in argv]
+    two_entries = {"0" * 24 + "+": 0.8, "0" * 23 + "1-": 0.2}
+    (tmp_path / "n24.json").write_text(json.dumps({"n": 24, "p": two_entries}))
+    argv = [a.replace("{n40}", str(spectrum)).replace("{n24}", str(tmp_path / "n24.json"))
+            for a in argv]
     build_parser()  # built once per process; not part of the command's allocations
     tracemalloc.start()
     try:
-        _assert_input_error(argv, capsys, fragment)
+        err = _assert_input_error(argv, capsys, fragment)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert err.startswith("error: ") and err.count("\n") == 1
     # rejected before anything of the size asked for is allocated
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("distance", ["re", "trace", "infidelity", "bures", "hellinger"])
+def test_spectrum_oracle_holds_at_most_eight_spectra(distance, tmp_path, capsys):
+    # the reader refuses a spectrum whose eight (2^(n-1), 2) float copies
+    # exceed the budget; the oracle holds about 6.4 of them
+    n = 16
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text(json.dumps({"n": n, "p": {"0" * n + "+": 0.8, "0" * (n - 1) + "1-": 0.2}}))
+    build_parser()  # built once per process; not part of the command's allocations
+    tracemalloc.start()
+    try:
+        rc, out, _ = _run(["oracle", "--spectrum-file", str(spectrum), "--distance", distance],
+                          capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads(out)["deviation"] <= 1e-6
+    assert peak <= 8 * 8 * 2**n
 
 
 def test_simulate_takes_the_largest_shot_count_numpy_draws(capsys):

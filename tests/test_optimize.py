@@ -7,10 +7,10 @@ from scipy.optimize import minimize
 
 from conftest import random_density
 from dense_rotation import apply_product_unitary
-from entbound._linalg import kron_all
+from entbound._linalg import hamming_weights, kron_all
 from entbound import _linalg, optimize
 from entbound.errors import ParameterError
-from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise
+from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise, ghz_overlaps
 from entbound.optimize import (
     MAX_GRID_DENSITY,
     OptimisationOptions,
@@ -28,9 +28,7 @@ from entbound.optimize import (
     _screen_tops,
     _shared_grid,
     _shared_objective,
-    _shared_overlaps,
     _shared_polynomial,
-    _theta_planes,
     optimise_ghz_overlap,
     optimise_triple,
 )
@@ -164,7 +162,7 @@ def test_options_validation():
 
 
 def test_overlap_screen_row_bound():
-    # the screen's peak over its 217 rows at n = 10
+    # the screen's peak over its 216 rows at n = 10
     n = 10
     state = build_state(StateFamily.w(), n)
     grid = _shared_grid(6)
@@ -174,7 +172,7 @@ def test_overlap_screen_row_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= len(grid) * SCREEN_ROW_BYTES_PER_OVERLAP * 2**n
+    assert peak <= 216 * SCREEN_ROW_BYTES_PER_OVERLAP * 2**n
 
 
 def test_overlap_pure_ghz_identity():
@@ -272,25 +270,52 @@ def test_product_vector_overlap_matches_dense(n, rng):
             assert value == pytest.approx(dense_overlap(rho, idx, unitaries), abs=1e-14)
 
 
-def shared_pair_angles(rng, pairs=3, phis=3, single=4):
-    """Off-grid angles: ``pairs`` (theta, psi) pairs with ``phis`` phis each, then ``single`` more."""
-    repeated = np.repeat(random_angles(rng, pairs), phis, axis=0)
-    repeated[:, 2] = rng.uniform(0, 2 * np.pi, size=len(repeated))
-    return np.vstack([repeated, random_angles(rng, single)])
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_screen_overlaps_match_dense_rotation(n, rng):
     state = random_density(n, rng)
     rho = np.array(state.rho)
-    angle_sets = shared_pair_angles(rng)
-    batched = _screen_overlaps(state, angle_sets)
-    for angles, row in zip(angle_sets, batched):
+    grid = _shared_grid(3)
+    batched = _screen_overlaps(state, grid)
+    assert batched.shape == (27, 2**n)
+    for angles, row in zip(grid.reshape(-1, 3), batched):
         u = su2_from_angles(angles)
         rotated = DenseState(n, apply_product_unitary(rho, [u] * n, n))
-        want = ghz_diagonalise(rotated).flat()
-        assert np.allclose(_screen_overlaps(state, angles), want, rtol=0, atol=1e-14)
-        assert np.allclose(row, want, rtol=0, atol=1e-14)
+        assert np.allclose(row, ghz_diagonalise(rotated).flat(), rtol=0, atol=1e-14)
+
+
+def row_screen(state, angles):
+    """GHZ-basis overlaps at angle rows (R, 3) in any order, one lines_under
+    read per distinct (theta, psi) pair found by np.unique: the screen of
+    arbitrary rows that the plane screen replaced."""
+    n = state.n
+    pairs, which = np.unique(angles[:, :2], axis=0, return_inverse=True)
+    v = su2_from_angles(np.column_stack([pairs, np.zeros(len(pairs))]))
+    diag, anti = state.lines_under([v] * n)
+    half = 2 ** (n - 1)
+    which = which.reshape(-1)
+    turns = n - 2 * hamming_weights(n)[:half]
+    anti = anti[which, :half] * np.exp(-1j * angles[:, 2:] * turns)
+    return ghz_overlaps(diag[which], anti).reshape(len(angles), -1)
+
+
+@pytest.mark.parametrize("source", ["built", "outside"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_plane_screen_equals_row_screen_bit_for_bit(n, source, rng):
+    # the row screen read the grid with a copy of the identity in front of
+    # it; every row of the planes screens to the same bits as there
+    if source == "built":
+        states = [build_state(StateFamily.w(), n),
+                  build_state(StateFamily.white_noise_mix(StateFamily.ghz(), 0.7), n),
+                  build_state(StateFamily.m3n([0.3, -0.2, 0.4]), n)]
+    else:
+        states = [random_density(n, rng)]
+    for density in range(4, 15):
+        grid = _shared_grid(density)
+        rows = np.vstack([np.zeros((1, 3)), grid.reshape(-1, 3)])
+        for state in states:
+            want = row_screen(state, rows)
+            assert np.array_equal(want[0], want[1])
+            assert np.array_equal(_screen_overlaps(state, grid), want[1:])
 
 
 def test_polar_step_beats_random_rotations(rng):
@@ -392,7 +417,7 @@ def test_lockstep_minimize_matches_scipy_on_shared_objective(case, rng):
         n = case - len(SHARED_STATES) + 3
         bloch = symmetric_tensor(rng, n)
     poly = _shared_polynomial(bloch)
-    grid = _shared_grid(6)
+    grid = _shared_grid(6).reshape(-1, 3)
     starts = np.vstack([grid[:1], grid[np.argsort(_shared_objective(poly, grid))[::-1][:8]]])
     res = optimize.minimize(lambda _, x: -_shared_objective(poly, x), starts)
     serial = np.array([
@@ -515,30 +540,29 @@ def test_lockstep_overlap_ascent_matches_each_run_alone(source, rng, monkeypatch
 
 @pytest.mark.parametrize("chunk", [None, 5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
-def test_batched_screen_matches_per_point(n, chunk, rng, monkeypatch):
+def test_batched_screen_matches_per_plane(n, chunk, rng, monkeypatch):
     state = random_density(n, rng)
-    # 23 distinct (theta, psi) pairs, then 12 angle sets sharing 4 pairs
-    angles = np.vstack([np.zeros(3), random_angles(rng, 23), shared_pair_angles(rng, 4, 3, 0)])
+    # 5 planes of 5 (theta, psi) pairs with 5 phis each
+    grid = _shared_grid(5)
     if chunk is not None:
-        # chunks of `chunk` distinct (theta, psi) pairs
+        # chunks of `chunk` (theta, psi) pairs
         monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", chunk * 4 ** (n + 1))
-    batched = _screen_overlaps(state, angles)
-    assert batched.shape == (len(angles), 2**n)
-    for a, row in zip(angles, batched):
-        assert np.allclose(row, _screen_overlaps(state, a), rtol=0, atol=1e-14)
-    assert _screen_overlaps(state, angles.reshape(4, 9, 3)).shape == (4, 9, 2**n)
+    batched = _screen_overlaps(state, grid)
+    assert batched.shape == (125, 2**n)
+    for t, rows in enumerate(batched.reshape(5, 25, -1)):
+        assert np.allclose(rows, _screen_overlaps(state, grid[t : t + 1]), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("source", ["built", "outside"])
 @pytest.mark.parametrize("mode", ["shared", "per_qubit"])
 def test_default_screen_contracts_once_per_theta_psi(mode, source, monkeypatch):
-    # the default overlap grid holds 6 x 6 (theta, psi) pairs with 6 phis each,
-    # and its identity row repeats the pair (0, 0): 36 rotations read for 217 rows
+    # the default overlap grid holds 6 theta planes of 6 psis with 6 phis each:
+    # 36 rotations read for 216 rows
     rows = []
     lines_under = DenseState.lines_under
 
     def counting(state, us, anti=True):
-        rows.append(len(us[0]))
+        rows.append(np.prod(np.shape(us[0])[:-2]))
         return lines_under(state, us, anti)
 
     monkeypatch.setattr(DenseState, "lines_under", counting)
@@ -546,8 +570,8 @@ def test_default_screen_contracts_once_per_theta_psi(mode, source, monkeypatch):
     if source == "outside":
         state = DenseState(3, np.array(state.rho))
     optimise_ghz_overlap(state, OptimisationOptions(mode=mode))
-    assert len(_shared_grid(6)) == 217
-    assert sum(rows) == 36
+    assert _shared_grid(6).shape == (6, 36, 3)
+    assert rows == [36]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -557,7 +581,8 @@ def test_shared_overlaps_match_per_qubit_product_vectors(n, rng):
     bits = rng.integers(0, 2, size=(12, n))
     signs = rng.choice([1, -1], size=12)
     angles = random_angles(rng, 12)
-    got = _shared_overlaps(state, bits, signs, angles)
+    # one unitary per row, broadcast over the qubits
+    got = _overlaps(state, bits, signs, su2_from_angles(angles)[:, None])
     # U^dag beta built qubit by qubit with np.kron, read by the dense quadratic form
     def product(rows):
         return kron_all([r.reshape(1, 2) for r in rows])[0]
@@ -631,17 +656,18 @@ def traced_peak(call) -> int:
 @pytest.mark.parametrize("density", range(2, MAX_GRID_DENSITY + 1))
 def test_correlation_screen_plane_walk_matches_one_batch(density, rng):
     grid = _shared_grid(density)
-    planes = _theta_planes(grid)
-    # one plane per theta, the identity row opening the theta = 0 plane
-    assert [len(p) for p in planes] == [density**2 + 1] + [density**2] * (density - 1)
-    assert np.array_equal(np.concatenate(planes), grid)
-    assert all(np.unique(p[:, 0]).size == 1 for p in planes)
+    rows = grid.reshape(-1, 3)
+    # one plane per theta, density^3 distinct rows, the identity first
+    assert grid.shape == (density, density**2, 3)
+    assert all(np.unique(p[:, 0]).size == 1 for p in grid)
+    assert len(np.unique(rows, axis=0)) == density**3
+    assert np.array_equal(rows[0], np.zeros(3))
     blochs = [rng.uniform(-1, 1, size=(3,) * n) for n in (2, 3, 5)]
     for family, n in ((StateFamily.w(), 4), (StateFamily.dicke(2), 6)):
         blochs.append(correlation_tensor(build_state(family, n)).bloch)
     for bloch in blochs:
         poly = _shared_polynomial(bloch)
-        assert np.array_equal(_screen_sums(poly, grid), _shared_objective(poly, grid))
+        assert np.array_equal(_screen_sums(poly, grid), _shared_objective(poly, rows))
 
 
 @pytest.mark.parametrize("one_plane", [False, True])
@@ -664,19 +690,19 @@ def test_overlap_screen_plane_walk_matches_one_batch(density, one_plane, rng, mo
         pos = np.argmax(full, axis=1)
         tops, got_pos = _screen_tops(state, grid)
         assert np.array_equal(got_pos, pos)
-        assert np.array_equal(tops, full[np.arange(len(grid)), pos])
+        assert np.array_equal(tops, full[np.arange(density**3), pos])
 
 
 def test_screens_hold_part_of_the_largest_grid(monkeypatch):
-    # at grid_density 29 the correlation-sum grid has 24,390 rows, about 97 MB
-    # of terms at n = 8 in one batch; walked by theta plane, the peak is the
-    # largest plane's (842 rows) plus the values kept, 8 bytes a row twice
+    # at grid_density 29 the correlation-sum grid has 24,389 rows, about 97 MB
+    # of terms at n = 8 in one batch; walked by theta plane, the peak is one
+    # plane's (841 rows) plus the values kept, 8 bytes a row twice
     density = MAX_GRID_DENSITY
     poly = _shared_polynomial(correlation_tensor(build_state(StateFamily.w(), 8)).bloch)
     grid = _shared_grid(density)
-    plane_peak = traced_peak(lambda: _shared_objective(poly, _theta_planes(grid)[0]))
-    assert traced_peak(lambda: _screen_sums(poly, grid)) <= plane_peak + 16 * len(grid)
-    # the overlap screen at n = 10 reads 2,745 rows, 112 MB under the row
+    plane_peak = traced_peak(lambda: _shared_objective(poly, grid[0]))
+    assert traced_peak(lambda: _screen_sums(poly, grid)) <= plane_peak + 16 * density**3
+    # the overlap screen at n = 10 reads 2,744 rows, 112 MB under the row
     # bound; a read takes whole planes of 196 rows while their overlaps fit
     # CHUNK_ENTRIES, 5 planes here, and one plane when CHUNK_ENTRIES is smaller
     n = 10
@@ -686,7 +712,7 @@ def test_screens_hold_part_of_the_largest_grid(monkeypatch):
     read_rows = _linalg.CHUNK_ENTRIES // 2**n + 1
     assert traced_peak(lambda: _screen_tops(state, grid)) <= read_rows * row_bytes
     monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", 1)
-    plane_rows = (density // 2) ** 2 + 1
+    plane_rows = (density // 2) ** 2
     assert traced_peak(lambda: _screen_tops(state, grid)) <= plane_rows * row_bytes
 
 

@@ -271,7 +271,7 @@ def test_simulate_at_n12_reads_the_form(family, no_dense_contraction):
     assert [sum(r.counts.values()) for r in records] == [200, 200, 200]
     assert correlation_triple(state, rot).abs_sum <= 3
     overlaps = _screen_overlaps(state, _shared_grid(6))
-    assert overlaps.shape == (217, 2**12)
+    assert overlaps.shape == (216, 2**12)
     assert np.allclose(overlaps.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
