@@ -53,7 +53,6 @@ from .measures import (
     genuine_ghz_diag,
     is_separable_m3n,
     lower_bound_from_triple,
-    matrix_distance,
     octahedron_excess,
 )
 from .optimize import OptimisationOptions, optimise_ghz_overlap, optimise_triple

@@ -116,15 +116,3 @@ def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.n
     t = np.moveaxis(t, 0, qubit)
     return t.reshape(mat.shape)
 
-
-def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix, or of a stack of them (..., m, m).
-
-    Eigenvalues in (-1e-9, 0) are clamped to 0; anything more negative is a
-    caller bug and raises.
-    """
-    w, v = np.linalg.eigh(mat)
-    if w.min() < -1e-9:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

@@ -228,7 +228,8 @@ def bound_with_uncertainty(
         rng = np.random.default_rng(seed)
         samples = rng.normal(est.c.as_array(), sig, size=(_BOOTSTRAP_SAMPLES, 3))
         clipped = np.mean((samples < -1) | (samples > 1))
-        samples = np.clip(samples, -1.0, 1.0)
+        # entry-major, so the bound's reductions over the three entries run along rows
+        samples = np.clip(samples.T, -1.0, 1.0, order="C").T
         values = _bound_values(samples, n, level, kind)
         unc = float(np.std(values, ddof=1))
         meta = {

@@ -417,7 +417,7 @@ def optimise_triple(
         planes = _shared_grid(opts.grid_density)
         values = _screen_sums(poly, planes)
         grid = planes.reshape(-1, 3)
-        order = np.argsort(values)[::-1]
+        order = np.argsort(-values, kind="stable")
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]
         res = minimize(lambda _, angles: -_shared_objective(poly, angles), starts)
         best_angles, best_val = grid[0], values[0]

@@ -6,7 +6,11 @@ triples. Every m3n density splits into 2x2 blocks on the index pairs
 entries of sigma_j^{xn}, never a 2^n x 2^n matrix. At even n the blocks are
 diagonal in the GHZ pair basis, and every distance is a classical distance
 between GHZ-basis spectra; at odd n only trace distance has a closed form to
-check, and it is a sum of closed-form 2x2 eigenvalues over the blocks. The
+check, and it is a sum of closed-form 2x2 eigenvalues over the blocks. Grid
+points and grid states are built entry-major, (entries, points), and handed to
+the distance kernels as ``.T`` views, so each reduction over a point's few
+entries adds whole contiguous rows; row-major, numpy runs a short inner loop
+per point, and at even n the distances took two to three times as long. The
 GHZ-diagonal oracle minimises a classical distance over capped-simplex
 spectra in one certified step: it computes the KKT point min(1/2, t p),
 checks that it is feasible and that its Frank-Wolfe duality gap is at most
@@ -16,12 +20,13 @@ forms it checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET, QUBIT_CAP, pauli_power_entries
+from ._linalg import GRID_BUDGET, QUBIT_CAP, _frozen, pauli_power_entries
 from .errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
 from .measures import DistanceKind, classical_distance, octahedron_excess
@@ -37,10 +42,12 @@ _DIAGONAL_TOL = 1e-12
 _GAP_TOL = _SUM_TOL = 1e-12
 #: bound on the bytes a grid point takes while its distances are evaluated, for
 #: every supported distance kind (the most measured with tracemalloc is 410,
-#: trace distance at odd n). Apart from the grid, ``_pair_block_classes`` takes
-#: a fixed O(2^n) working set before the blocks are merged: at most 460 * 2^n
-#: bytes with tracemalloc at n = 10..16 (15 MB at n = 15), freed before the
-#: grid is evaluated, so a call peaks at the larger of the two
+#: trace distance at n = 3 and 5, resolution 100; relative entropy at n = 4
+#: takes 236). Apart from the grid, the first call at each n runs
+#: ``_pair_block_classes``, whose O(2^n) working set before the blocks are
+#: merged is at most 410 * 2^n bytes with tracemalloc at n = 10..16 (13 MB at
+#: n = 15); it is freed before the grid is evaluated and its result is cached,
+#: so a call peaks at the larger of the two
 _POINT_BYTES = 800
 #: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
 #: 819^2 points of _POINT_BYTES fit GRID_BUDGET, 820^2 do not
@@ -68,6 +75,7 @@ class OracleConfig:
 
 # -- distances over m3n grids on 2x2 pair blocks ------------------------------
 
+@functools.cache
 def _pair_block_classes(n: int) -> np.ndarray:
     """Distinct 2x2 blocks of (I, sigma_1^{xn}, sigma_2^{xn}, sigma_3^{xn}), shape (4, K, 2, 2).
 
@@ -76,6 +84,7 @@ def _pair_block_classes(n: int) -> np.ndarray:
     blocks agree are merged, and each distinct tuple is scaled by its share
     count / 2^n of the pairs: within a class rho and every grid state are
     equal, so a distance's sum over the class is its term on the scaled block.
+    Cached per n and read-only.
     """
     dim = 2**n
     low = np.arange(dim // 2)
@@ -89,7 +98,7 @@ def _pair_block_classes(n: int) -> np.ndarray:
     flat = blocks.reshape(dim // 2, -1).view(float)
     _, first, counts = np.unique(flat, axis=0, return_index=True, return_counts=True)
     scaled = blocks[first] * (counts / dim)[:, None, None, None]
-    return scaled.swapaxes(0, 1)
+    return _frozen(scaled.swapaxes(0, 1))
 
 
 def _ghz_pair_spectra(blocks: np.ndarray):
@@ -123,21 +132,25 @@ def _batch_trace_distance(rho: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(mean - radius) + np.abs(mean + radius), axis=1)
 
 
-def _face_points(signs, center, halfwidth, resolution) -> np.ndarray:
-    """Triples on one octahedron face, gridded in barycentric coordinates.
+def _face_points(signs, center, halfwidth, resolution) -> tuple[np.ndarray, np.ndarray]:
+    """Triples (N, 3) on one octahedron face and their barycentric (u, v) (N, 2).
 
-    ``center``/``halfwidth`` restrict to a window (used by refinement rounds).
+    The grid is row-major in (u, v); ``center``/``halfwidth`` restrict it to a
+    window (used by refinement rounds). Both arrays are the ``.T`` views of
+    entry-major (3, N) and (2, N) buffers, so a reduction over the entries
+    of a point runs along whole rows.
     """
     steps = np.linspace(0.0, 1.0, resolution + 1)
     u = center[0] - halfwidth + 2 * halfwidth * steps
     v = center[1] - halfwidth + 2 * halfwidth * steps
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    uu, vv = uu.reshape(-1), vv.reshape(-1)
-    ww = 1.0 - uu - vv
-    keep = (uu >= -1e-12) & (vv >= -1e-12) & (ww >= -1e-12)
-    uu, vv, ww = uu[keep], vv[keep], np.clip(ww[keep], 0.0, None)
-    verts = np.diag(np.asarray(signs, dtype=float))
-    return np.stack([uu, vv, ww], axis=1) @ verts, np.stack([uu, vv], axis=1)
+    u, v = u[u >= -1e-12], v[v >= -1e-12]
+    ww = 1.0 - u[:, None] - v[None, :]
+    iu, iv = np.nonzero(ww >= -1e-12)
+    bary = np.stack([u[iu], v[iv]])
+    pts = np.empty((3, iu.size))
+    np.multiply(bary, np.asarray(signs[:2], dtype=float)[:, None], out=pts[:2])
+    np.multiply(np.clip(ww[iu, iv], 0.0, None), signs[2], out=pts[2])
+    return pts.T, bary.T
 
 
 def _refine_face(distances, signs, bary, val: float, cfg: OracleConfig) -> float:
@@ -184,26 +197,28 @@ def brute_min_over_octahedron(
     blocks = _pair_block_classes(state.n)
     rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
     if odd:
-        identity, paulis = blocks[0].ravel(), blocks[1:].reshape(3, -1)
+        identity, paulis = blocks[0].reshape(-1, 1), blocks[1:].reshape(3, -1).T
 
         def distances(pts):
-            batch = (pts @ paulis + identity).reshape((-1,) + rho_blocks.shape)
-            return _batch_trace_distance(rho_blocks, batch)
+            batch = (paulis @ pts.T + identity).reshape(rho_blocks.shape + (-1,))
+            return _batch_trace_distance(rho_blocks, np.moveaxis(batch, -1, 0))
     else:
         spectra = _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
         if spectra is None:
             raise EntboundError(f"the pair blocks at even n={state.n} are not GHZ-diagonal")
-        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
+        p, identity = spectra[0].ravel(), spectra[1].reshape(-1, 1)
+        d = spectra[2:].reshape(3, -1).T
 
         def distances(pts):
-            return classical_distance(p, identity + pts @ d, kind)
+            return classical_distance(p, (identity + d @ pts.T).T, kind)
 
     minima = []
     for signs in _FACES:
         pts, bary = _face_points(signs, (0.5, 0.5), 0.5, cfg.grid_resolution)
         vals = distances(pts)
         g = int(np.argmin(vals))
-        minima.append((float(vals[g]), signs, bary[g]))
+        # a copy, so that this face's grid is freed before the next one is built
+        minima.append((float(vals[g]), signs, bary[g].copy()))
     if odd:  # refine the incumbent's face only
         minima = [min(minima, key=lambda m: m[0])]
     return min(_refine_face(distances, signs, bary, val, cfg) for val, signs, bary in minima)

@@ -22,7 +22,7 @@ a product unitary U in O(n 2^n), or O(4^n) on a dense form; ``sandwich``
 gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the (3,)^n
 correlation block. Of the commands only ``state --dense`` reads a built
 state's ``rho`` (made on the first read, then cached), as do the test references
-(``pauli.expectation``, ``measures.matrix_distance``, ``permutation_conjugate``).
+(``pauli.expectation``, ``permutation_conjugate`` and the tests' dense distances).
 States go up to ``_linalg.QUBIT_CAP`` qubits, ``rho`` and ``bloch`` to ``DENSE_CAP``.
 """
 

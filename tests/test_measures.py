@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_ghz_spectrum, random_m3n_outside_octahedron
+from dense_distance import matrix_distance
 from dense_rotation import conjugate_one_qubit
 from entbound._linalg import SIGMA
 from entbound.errors import (
@@ -25,7 +26,6 @@ from entbound.measures import (
     genuine_ghz_diag,
     is_separable_m3n,
     lower_bound_from_triple,
-    matrix_distance,
     octahedron_excess,
 )
 from entbound.qstate import (

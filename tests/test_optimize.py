@@ -140,6 +140,27 @@ def test_determinism():
     assert out1[0] == out2[0]
 
 
+def test_tied_screen_values_seed_in_grid_row_order(monkeypatch):
+    # the seeds are the rows of largest screen value, ties taken in grid-row
+    # order; an unstable sort orders ties by its internals and the grid's length
+    grid = _shared_grid(5).reshape(-1, 3)
+    values = np.zeros(len(grid))
+    values[[90, 7, 64, 33]] = 2.0
+    values[[120, 3, 41]] = 1.0
+    monkeypatch.setattr(optimize, "_screen_sums", lambda poly, planes: values)
+    seen = []
+    real_minimize = optimize.minimize
+
+    def recording(fun, starts):
+        seen.append(np.array(starts))
+        return real_minimize(fun, starts)
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    tensor = correlation_tensor(build_state(StateFamily.w(), 3))
+    optimise_triple(tensor, OptimisationOptions(restarts=10, grid_density=5))
+    assert np.array_equal(seen[0], grid[[0, 7, 33, 64, 90, 3, 41, 120, 0, 1, 2]])
+
+
 def test_shared_mode_rejects_asymmetric_tensor():
     for n in (4, 6):
         with pytest.raises(ParameterError):

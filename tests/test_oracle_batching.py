@@ -1,10 +1,27 @@
-"""The octahedron oracle keeps its working set to a few MB at grid resolution 60."""
+"""The octahedron oracle's working set and memory layout.
 
+It keeps its working set to a few MB at grid resolution 60, and it builds its
+grid entry-major with the same bits as the row-major grid it replaced.
+"""
+
+import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from entbound.measures import DistanceKind
+from conftest import random_m3n_outside_octahedron
+from entbound import estimate, oracle
+from entbound.errors import StateValidityError
+from entbound.estimate import TripleEstimate, bound_with_uncertainty
+from entbound.measures import (
+    ALL_DISTANCES,
+    DistanceKind,
+    SeparabilityLevel,
+    _bound_values,
+    classical_distance,
+    octahedron_excess,
+)
 from entbound.oracle import OracleConfig, brute_min_over_octahedron
 from entbound.qstate import CorrelationTriple, M3NState
 
@@ -38,3 +55,200 @@ def test_odd_octahedron_oracle_working_set_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# -- entry-major grids ----------------------------------------------------------
+
+def row_major_face_points(signs, center, halfwidth, resolution):
+    """The face grid as the oracle once built it: filtered meshgrid, (N, 3) rows."""
+    steps = np.linspace(0.0, 1.0, resolution + 1)
+    u = center[0] - halfwidth + 2 * halfwidth * steps
+    v = center[1] - halfwidth + 2 * halfwidth * steps
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    uu, vv = uu.reshape(-1), vv.reshape(-1)
+    ww = 1.0 - uu - vv
+    keep = (uu >= -1e-12) & (vv >= -1e-12) & (ww >= -1e-12)
+    uu, vv, ww = uu[keep], vv[keep], np.clip(ww[keep], 0.0, None)
+    verts = np.diag(np.asarray(signs, dtype=float))
+    return np.stack([uu, vv, ww], axis=1) @ verts, np.stack([uu, vv], axis=1)
+
+
+def row_major_oracle(state, kind, cfg):
+    """The octahedron oracle with every grid held row-major, (points, entries)."""
+    if octahedron_excess(state.c) <= 0:
+        return 0.0
+    odd = state.n % 2 == 1
+    blocks = oracle._pair_block_classes(state.n)
+    rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
+    if odd:
+        identity, paulis = blocks[0].ravel(), blocks[1:].reshape(3, -1)
+
+        def distances(pts):
+            batch = (pts @ paulis + identity).reshape((-1,) + rho_blocks.shape)
+            return oracle._batch_trace_distance(rho_blocks, batch)
+    else:
+        spectra = oracle._ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
+        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
+
+        def distances(pts):
+            return classical_distance(p, identity + pts @ d, kind)
+
+    minima = []
+    for signs in oracle._FACES:
+        pts, bary = row_major_face_points(signs, (0.5, 0.5), 0.5, cfg.grid_resolution)
+        vals = distances(pts)
+        g = int(np.argmin(vals))
+        minima.append((float(vals[g]), signs, bary[g]))
+    if odd:
+        minima = [min(minima, key=lambda m: m[0])]
+    best = []
+    for val, signs, bary in minima:
+        halfwidth = 0.5
+        for _ in range(cfg.refine_rounds):
+            halfwidth /= 4.0
+            pts, grid = row_major_face_points(signs, bary, halfwidth, cfg.grid_resolution)
+            if pts.shape[0] == 0:
+                break
+            vals = distances(pts)
+            g = int(np.argmin(vals))
+            if vals[g] < val:
+                val, bary = float(vals[g]), grid[g]
+        best.append(val)
+    return min(best)
+
+
+@pytest.mark.parametrize(
+    "center, halfwidth",
+    [((0.5, 0.5), 0.5), ((0.0, 0.0), 0.125), ((0.0, 0.7), 0.125), ((0.6, 0.4), 0.125),
+     ((1.0, 0.0), 0.03125), ((0.3, 0.3), 0.0078125), ((0.999, 0.0), 0.001)],
+)
+@pytest.mark.parametrize("resolution", [4, 7, 60])
+def test_face_points_match_the_row_major_grid(center, halfwidth, resolution):
+    # windows around a corner, across the u = 0 and w = 0 edges, and inside the face
+    for signs in oracle._FACES:
+        pts, bary = oracle._face_points(signs, center, halfwidth, resolution)
+        want_pts, want_bary = row_major_face_points(signs, center, halfwidth, resolution)
+        assert pts.shape == want_pts.shape and bary.shape == want_bary.shape
+        assert np.array_equal(pts, want_pts) and np.array_equal(bary, want_bary)
+        assert pts.T.flags.c_contiguous and bary.T.flags.c_contiguous
+
+
+def _oracle_cases(n, rng):
+    kinds = ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,)
+    settings = itertools.cycle(itertools.product([4, 9, 24, 60], range(4)))
+    for kind in kinds:
+        for _ in range(4):
+            resolution, rounds = next(settings)
+            state = random_m3n_outside_octahedron(n, rng)
+            yield state, kind, OracleConfig(resolution, rounds)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_oracle_equals_row_major_oracle_bit_for_bit(n, rng):
+    for state, kind, cfg in _oracle_cases(n, rng):
+        assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("resolution, rounds", [(60, 3), (24, 1), (4, 0)])
+def test_oracle_equals_row_major_oracle_on_a_known_miss(n, resolution, rounds):
+    # the triple on which the squared-Bures oracle once missed the closed form
+    state = M3NState(n, CorrelationTriple(-0.511822, 0.935388, -0.447535))
+    cfg = OracleConfig(resolution, rounds)
+    for kind in ALL_DISTANCES:
+        assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+
+
+def _on_tetrahedron_boundary(n, rng):
+    """A triple outside the octahedron scaled out to the even-n tetrahedron's boundary."""
+    c = random_m3n_outside_octahedron(n, rng).c.as_array()
+    lo, hi = 1.0, 1.0 / np.abs(c).max()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            M3NState(n, CorrelationTriple(*(mid * c)))
+            lo = mid
+        except StateValidityError:
+            hi = mid
+    return M3NState(n, CorrelationTriple(*(lo * c)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_oracle_equals_row_major_oracle_near_face_edges(n, rng):
+    # the closest face point of a triple on the tetrahedron's boundary (even n),
+    # or of one with a zero or tiny entry (odd n), lies on an edge of its face, so
+    # the refinement windows around it cross that edge and the grid filter cuts them
+    if n % 2:
+        kinds = (DistanceKind.TRACE,)
+        states = [M3NState(n, CorrelationTriple(*c)) for small in (0.0, 1e-13, 0.01)
+                  for c in ([small, 0.7, 0.7], [-0.79, small, -0.6], [0.7, 0.6, small])]
+    else:
+        kinds = ALL_DISTANCES
+        states = [_on_tetrahedron_boundary(n, rng) for _ in range(3)]
+    for state, kind in itertools.product(states, kinds):
+        for cfg in (OracleConfig(60, 3), OracleConfig(7, 3)):
+            assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+
+
+def _row_major_bootstrap(est, n, level, kind, seed):
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(est.c.as_array(), est.sigma, size=(estimate._BOOTSTRAP_SAMPLES, 3))
+    return float(np.std(_bound_values(np.clip(samples, -1.0, 1.0), n, level, kind), ddof=1))
+
+
+def _bootstrapped_estimate(n, rng):
+    """A triple outside the octahedron with errors wide enough to need the bootstrap."""
+    while True:
+        c = random_m3n_outside_octahedron(n, rng).c
+        est = TripleEstimate(c, tuple(rng.uniform(0.02, 0.4, 3)))
+        if estimate._needs_bootstrap_triple(est, n):
+            return est
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_bootstrap_equals_row_major_bootstrap(n, rng):
+    kinds = ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,)
+    level = SeparabilityLevel(m=n)
+    for seed, kind in enumerate(kinds):
+        for _ in range(2):
+            est = _bootstrapped_estimate(n, rng)
+            report = bound_with_uncertainty(est, n, level, kind, seed=seed)
+            assert report.meta["method"] == "bootstrap"
+            assert report.uncertainty == _row_major_bootstrap(est, n, level, kind, seed)
+
+
+def _layout_guard(monkeypatch, module, name, arg, entry_major):
+    """Wrap ``module.name`` to record ``entry_major`` of its positional argument ``arg``."""
+    inner = getattr(module, name)
+    seen = []
+
+    def guarded(*args):
+        seen.append(entry_major(args[arg]))
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, guarded)
+    return seen
+
+
+def test_grids_and_draws_reach_the_kernels_entry_major(monkeypatch, rng):
+    # spectra (N, 4) and draws (N, 3) hold their last axis slowest in memory;
+    # the odd-n block stack (G, K, 2, 2) holds its point axis fastest
+    def last_slowest(a):
+        return a.T.flags.c_contiguous
+
+    def first_fastest(a):
+        return np.moveaxis(a, 0, -1).flags.c_contiguous
+
+    spectra = _layout_guard(monkeypatch, oracle, "classical_distance", 1, last_slowest)
+    blocks = _layout_guard(monkeypatch, oracle, "_batch_trace_distance", 1, first_fastest)
+    draws = _layout_guard(monkeypatch, estimate, "_bound_values", 0, last_slowest)
+    cfg = OracleConfig(24, 2)
+    for kind in ALL_DISTANCES:
+        brute_min_over_octahedron(random_m3n_outside_octahedron(4, rng), kind, cfg)
+    brute_min_over_octahedron(random_m3n_outside_octahedron(5, rng), DistanceKind.TRACE, cfg)
+    for n in (4, 5):
+        bound_with_uncertainty(_bootstrapped_estimate(n, rng), n, SeparabilityLevel(m=n),
+                               DistanceKind.TRACE)
+    assert len(spectra) >= 5 * 8 and all(spectra)
+    assert len(blocks) >= 8 and all(blocks)
+    assert draws == [True, True]
