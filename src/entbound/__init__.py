@@ -7,7 +7,6 @@ bounds, and measurement-data ingestion with propagated uncertainty.
 """
 
 from .errors import (
-    AlreadySeparableError,
     CapacityError,
     EntboundError,
     ParameterError,
@@ -22,36 +21,29 @@ from .qstate import (
     StateFamily,
     build_state,
     m3n_density,
-    m3n_spectrum,
 )
 from .pauli import (
     CorrelationTensor,
     LocalRotation,
     correlation_tensor,
     correlation_triple,
-    expectation,
     rotated_triple,
     so3_from_angles,
 )
 from .locc import (
     GHZBasisIndex,
     GHZDiagonalState,
-    ghz_basis_vector,
     ghz_diagonalise,
-    m3nfy,
 )
 from .measures import (
     DistanceKind,
     EntanglementReport,
     SeparabilityLevel,
     classical_distance,
-    closest_separable_even,
-    closest_separable_odd_trace,
     entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
     genuine_ghz_diag,
-    is_separable_m3n,
     lower_bound_from_triple,
     octahedron_excess,
 )

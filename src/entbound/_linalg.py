@@ -107,12 +107,3 @@ def kron_apply(mats, v: np.ndarray) -> np.ndarray:
         out = out.reshape(out.shape[:-3] + (-1,))
     return out
 
-
-def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Left-multiply a 2^n x 2^n matrix by ``op`` acting on one qubit."""
-    t = mat.reshape((2,) * n + (-1,))
-    t = np.moveaxis(t, qubit, 0)
-    t = np.tensordot(op, t, axes=(1, 0))
-    t = np.moveaxis(t, 0, qubit)
-    return t.reshape(mat.shape)
-

@@ -57,6 +57,7 @@ from .optimize import (
 )
 from .oracle import (
     MAX_GRID_RESOLUTION,
+    MAX_REFINE_ROUNDS,
     OracleConfig,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
@@ -442,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition")
     p.add_argument("--resolution", type=int, default=40,
                    help=f"octahedron grid resolution, 4..{MAX_GRID_RESOLUTION}")
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=int, default=3,
+                   help=f"refinement rounds around each face minimum, 0..{MAX_REFINE_ROUNDS}")
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -24,10 +24,6 @@ class UnsupportedDistanceError(ParameterError):
     """The requested distance has no exact formula for this input class."""
 
 
-class AlreadySeparableError(EntboundError):
-    """A closest-separable-state construction was asked for a separable input."""
-
-
 class SchemaError(EntboundError, ValueError):
     """An input file does not match the documented schema."""
 

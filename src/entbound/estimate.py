@@ -296,6 +296,9 @@ def _parse_correlation_json(path) -> TripleEstimate:
         raise SchemaError(f'{path}: missing field "n"')
     if "c" not in spec:
         raise SchemaError(f'{path}: missing field "c"')
+    n = spec["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SchemaError(f'{path}: field "n" must be an integer, got {n!r}')
     c = spec["c"]
     if not isinstance(c, list) or len(c) != 3:
         raise SchemaError(f'{path}: field "c" must be a list of 3 numbers, got {c!r}')
@@ -304,7 +307,7 @@ def _parse_correlation_json(path) -> TripleEstimate:
         raise SchemaError(f'{path}: field "sigma" must be a list of 3 numbers, got {sigma!r}')
     try:
         triple = CorrelationTriple.from_sequence(c)
-        return TripleEstimate(triple, tuple(float(s) for s in sigma), n=int(spec["n"]))
+        return TripleEstimate(triple, tuple(float(s) for s in sigma), n=n)
     except (ParameterError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -320,8 +323,11 @@ def _parse_correlation_csv(path) -> TripleEstimate:
     if len(rows) < 2:
         raise SchemaError(f"{path}: no data row")
     row = rows[1]
-    if len(row) < 4:
-        raise SchemaError(f"{path}: data row needs at least 4 columns, got {len(row)}")
+    if len(row) != 4 and len(row) < 7:
+        raise SchemaError(
+            f"{path}: data row needs 4 columns (n,c1,c2,c3) or at least 7 (and s1,s2,s3), "
+            f"got {len(row)}"
+        )
     try:
         n = int(row[0])
         c = [float(x) for x in row[1:4]]

@@ -1,22 +1,21 @@
-"""LOCC reductions onto the two reference families.
+"""LOCC reduction onto the GHZ-diagonal family.
 
-Triple extraction (any state to the triple-correlation family) and
-GHZ-diagonalisation (dephasing in the GHZ basis). GHZ spectra serialise as
+GHZ-diagonalisation dephases a state in the GHZ basis; the other reduction,
+onto the triple-correlation family, keeps only the triple that
+``pauli.correlation_triple`` reads. GHZ spectra serialise as
 ``{"n": 3, "p": {"000+": 0.97, ...}}``; absent keys mean zero, and entries
 rounded so that they sum to within 1e-5 of 1 are renormalised on reading.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import GRID_BUDGET
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
-from .pauli import correlation_triple
-from .qstate import DenseState, M3NState, _x_state
+from .qstate import DenseState
 
 _SUM_TOL = 1e-12
 #: spectra read from files may carry rounded entries; sums this close to 1 are renormalised
@@ -62,17 +61,6 @@ class GHZBasisIndex:
         return cls(len(key) - 1, int(key[:-1], 2), +1 if key[-1] == "+" else -1)
 
 
-def ghz_basis_vector(idx: GHZBasisIndex, n: int) -> np.ndarray:
-    """Unit vector (|i> + sign * |bitwise complement of i>)/sqrt(2)."""
-    if idx.n != n:
-        raise ParameterError(f"index is for n={idx.n}, not n={n}")
-    v = np.zeros(2**n, dtype=complex)
-    flip = 2**n - 1 - idx.i
-    v[idx.i] += 1 / math.sqrt(2)
-    v[flip] += idx.sign / math.sqrt(2)
-    return v
-
-
 @dataclass(frozen=True)
 class GHZDiagonalState:
     """Eigenvalues of a GHZ-diagonal state, indexed by (i, sign).
@@ -115,18 +103,6 @@ class GHZDiagonalState:
     def flat(self) -> np.ndarray:
         """Eigenvalues as a flat vector of length 2^n."""
         return self.p.reshape(-1)
-
-    def dense(self) -> DenseState:
-        """The dense matrix sum_i p_i |beta_i><beta_i|.
-
-        It is an X matrix: (p_i^+ + p_i^-)/2 at (i, i) and (~i, ~i), and
-        (p_i^+ - p_i^-)/2 at (i, ~i) and (~i, i).
-        """
-        mean = (self.p[:, 0] + self.p[:, 1]) / 2
-        cross = (self.p[:, 0] - self.p[:, 1]) / 2
-        diag = np.concatenate([mean, mean[::-1]]).astype(complex)
-        anti = np.concatenate([cross, cross[::-1]]).astype(complex)
-        return _x_state(self.n, diag, anti)
 
     # -- JSON exchange --------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -174,11 +150,6 @@ class GHZDiagonalState:
         return cls.from_json_dict(read_json(path))
 
 
-def m3nfy(state: DenseState) -> M3NState:
-    """Triple-correlation image of a state: same n, triple from three traces."""
-    return M3NState(state.n, correlation_triple(state))
-
-
 def ghz_overlaps(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     """GHZ-basis overlaps p_i^+/- = (d[i] + d[~i]) / 2 +/- Re a[i], shape (..., 2^(n-1), 2).
 
@@ -211,7 +182,5 @@ def ghz_diagonalise(state: DenseState) -> GHZDiagonalState:
 __all__ = [
     "GHZBasisIndex",
     "GHZDiagonalState",
-    "ghz_basis_vector",
     "ghz_diagonalise",
-    "m3nfy",
 ]

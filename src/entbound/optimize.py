@@ -384,14 +384,6 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
     return os[best], float(vals[best])
 
 
-def _screen_sums(poly, grid: np.ndarray) -> np.ndarray:
-    """:func:`_shared_objective` at each row of a ``_shared_grid``, flat in grid order.
-
-    The rows go one theta plane at a time, so one plane's terms are held at once.
-    """
-    return np.concatenate([_shared_objective(poly, plane) for plane in grid])
-
-
 def optimise_triple(
     tensor: CorrelationTensor, opts: OptimisationOptions | None = None
 ) -> tuple[LocalRotation, CorrelationTriple, float]:
@@ -415,7 +407,8 @@ def optimise_triple(
             )
         poly = _shared_polynomial(bloch)
         planes = _shared_grid(opts.grid_density)
-        values = _screen_sums(poly, planes)
+        # one theta plane at a time, so one plane's terms are held at once
+        values = np.concatenate([_shared_objective(poly, plane) for plane in planes])
         grid = planes.reshape(-1, 3)
         order = np.argsort(-values, kind="stable")
         starts = [grid[0]] + [grid[i] for i in order[: opts.restarts]]

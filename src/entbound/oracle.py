@@ -52,6 +52,10 @@ _POINT_BYTES = 800
 #: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
 #: 819^2 points of _POINT_BYTES fit GRID_BUDGET, 820^2 do not
 MAX_GRID_RESOLUTION = 818
+#: largest refine_rounds: the window's half-width shrinks 4x a round, and after
+#: 26 it is 0.5 * 4^-26 = 1.1e-16, one ulp of a coordinate in [0.5, 1); on the
+#: oracle-check octahedron cases rounds 26, 40 and 60 give the same value bit for bit
+MAX_REFINE_ROUNDS = 26
 #: sign patterns of the eight octahedron faces
 _FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
 
@@ -59,7 +63,8 @@ _FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
 @dataclass(frozen=True)
 class OracleConfig:
     """Octahedron-grid knobs; ``grid_resolution`` runs from 4 to MAX_GRID_RESOLUTION,
-    which keeps one grid within GRID_BUDGET (512 MiB)."""
+    which keeps one grid within GRID_BUDGET (512 MiB), and ``refine_rounds`` from 0
+    to MAX_REFINE_ROUNDS."""
 
     grid_resolution: int = 60
     refine_rounds: int = 3
@@ -69,8 +74,10 @@ class OracleConfig:
             raise ParameterError(
                 f"grid_resolution must be in 4..{MAX_GRID_RESOLUTION}, got {self.grid_resolution}"
             )
-        if self.refine_rounds < 0:
-            raise ParameterError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
+        if not 0 <= self.refine_rounds <= MAX_REFINE_ROUNDS:
+            raise ParameterError(
+                f"refine_rounds must be in 0..{MAX_REFINE_ROUNDS}, got {self.refine_rounds}"
+            )
 
 
 # -- distances over m3n grids on 2x2 pair blocks ------------------------------
@@ -314,6 +321,7 @@ def oracle_report(formula_value: float, oracle_value: float, cfg: OracleConfig) 
 
 __all__ = [
     "MAX_GRID_RESOLUTION",
+    "MAX_REFINE_ROUNDS",
     "OracleConfig",
     "brute_min_biseparable_ghz",
     "brute_min_over_octahedron",

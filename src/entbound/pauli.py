@@ -21,31 +21,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import SIGMA, apply_one_qubit, pauli_power_entries
+from ._linalg import pauli_power_entries
 from .errors import ParameterError
 from .qstate import CorrelationTriple, DenseState
 
 _IMAG_TOL = 1e-10
 _TWO_PI = 2 * math.pi
-
-
-def expectation(state: DenseState, pauli_string: Sequence[int]) -> float:
-    """Tr(rho * sigma_{i_1} x ... x sigma_{i_n}) as a real number.
-
-    The imaginary residue must stay below 1e-10 (it does for Hermitian input).
-    """
-    string = [int(i) for i in pauli_string]
-    if len(string) != state.n:
-        raise ParameterError(
-            f"pauli string length {len(string)} does not match n={state.n}"
-        )
-    if any(i not in (0, 1, 2, 3) for i in string):
-        raise ParameterError(f"pauli indices must be in 0..3, got {string}")
-    mat = state.rho
-    for k, i in enumerate(string):
-        if i != 0:
-            mat = apply_one_qubit(mat, SIGMA[i], k, state.n)
-    return _real_trace(np.trace(mat))
 
 
 def _real_trace(val: complex) -> float:
@@ -63,9 +44,8 @@ def correlation_triple(state: DenseState, rot: LocalRotation | None = None) -> C
     diagonal (j = 3), both from ``state.lines()``: O(2^n) work, and no dense
     matrix for a built state. With a rotation, the same sums read the lines of
     the rotated state, ``state.lines_under(rot.unitaries(n))``, and each
-    component is clamped to [-1, 1] as in :func:`rotated_triple`.
-    :func:`expectation` is the dense reference. A zero component is returned
-    as 0.0, never -0.0.
+    component is clamped to [-1, 1] as in :func:`rotated_triple`. A zero
+    component is returned as 0.0, never -0.0.
     """
     n = state.n
     diag, anti = state.lines() if rot is None else state.lines_under(rot.unitaries(n))
@@ -95,7 +75,7 @@ class CorrelationTensor:
 
     ``bloch`` has shape (3,)*n, axis k indexing qubit k and position j the
     Pauli sigma_{j+1}. Local rotations mix only these indices, so entries with
-    an identity factor are left to :func:`expectation`.
+    an identity factor are not kept.
     """
 
     n: int
@@ -300,7 +280,6 @@ __all__ = [
     "contract_modes",
     "correlation_tensor",
     "correlation_triple",
-    "expectation",
     "rotated_triple",
     "so3_from_angles",
     "so3_to_angles",

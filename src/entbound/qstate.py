@@ -6,8 +6,8 @@ correlation triple, and white-noise mixtures.
 
 A ``DenseState`` is its form, a private tuple that only this module unpacks:
 ``("pure", psi)`` for GHZ, W, Dicke, both clusters and the singlet
-(``from_vector``), ``("x", diag, anti)`` for the triple-correlation, Smolin,
-Wei and GHZ-diagonal states (``_x_state``), ``("mix", q, inner)`` for
+(``from_vector``), ``("x", diag, anti)`` for the triple-correlation, Smolin
+and Wei states (``_x_state``), ``("mix", q, inner)`` for
 q inner + (1 - q) I/2^n, inner being any form, and ``("dense", rho)`` for a
 matrix from outside the package, which gets the full dense check. A built
 state is valid by construction and carries an O(2^n) certificate instead: a
@@ -21,8 +21,8 @@ Every read answers from the form. ``DenseState.lines`` and
 a product unitary U in O(n 2^n), or O(4^n) on a dense form; ``sandwich``
 gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the (3,)^n
 correlation block. Of the commands only ``state --dense`` reads a built
-state's ``rho`` (made on the first read, then cached), as do the test references
-(``pauli.expectation``, ``permutation_conjugate`` and the tests' dense distances).
+state's ``rho`` (made on the first read, then cached); the tests' dense
+references read it too.
 States go up to ``_linalg.QUBIT_CAP`` qubits, ``rho`` and ``bloch`` to ``DENSE_CAP``.
 """
 
@@ -125,8 +125,8 @@ class DenseState:
     keeps ``rho`` read-only as a dense form. The package's own builders prove
     their states valid in O(2^n), skip those checks and pass the state's form
     (see the module docstring) as ``_form``; ``rho`` is then built on its
-    first read (``state --dense`` and the test references read it), frozen
-    and cached.
+    first read (of the commands, only ``state --dense`` reads it), frozen and
+    cached.
     """
 
     def __init__(self, n: int, rho, _certificate=None, _form: tuple | None = None):
@@ -438,20 +438,6 @@ class M3NState:
                 raise StateValidityError(
                     f"triple {tuple(self.c)} lies outside the unit ball (|c|^2 = {r2})"
                 )
-
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.c.as_array()))
-
-
-@dataclass(frozen=True)
-class SpectralLine:
-    """One eigenvalue of a triple-correlation state with its degeneracy labels."""
-
-    value: float
-    multiplicity: int
-    sign: int
-    parity: int | None = None
 
 
 # family tag -> set of accepted parameter names
@@ -771,52 +757,13 @@ def m3n_density(state: M3NState) -> DenseState:
     return _x_state(n, diag / dim, anti / dim)
 
 
-def m3n_spectrum(state: M3NState) -> list[SpectralLine]:
-    """Closed-form eigenvalues with sign/parity labels and multiplicities.
-
-    Even n: four lines (sign, parity) with multiplicity 2^(n-2) each.
-    Odd n: two lines (1 +/- r)/2^n with multiplicity 2^(n-1) each.
-    """
-    n = state.n
-    if n % 2 == 0:
-        return [
-            SpectralLine(max(math.ldexp(val, -n), 0.0), 2 ** (n - 2), sign, parity)
-            for val, sign, parity in _even_eigenvalue_terms(n, state.c)
-        ]
-    r = state.radius
-    return [
-        SpectralLine(math.ldexp(1 + sign * r, -n), 2 ** (n - 1), sign)
-        for sign in (+1, -1)
-    ]
-
-
-def permutation_conjugate(state: DenseState, perm: Sequence[int]) -> DenseState:
-    """Relabel qubits of a dense state by the permutation ``perm``.
-
-    ``perm[k]`` is the new position of qubit ``k``.
-    """
-    n = state.n
-    if sorted(perm) != list(range(n)):
-        raise ParameterError(f"not a permutation of 0..{n - 1}: {perm}")
-    t = state.rho.reshape((2,) * (2 * n))
-    axes = [0] * (2 * n)
-    for k, p in enumerate(perm):
-        axes[p] = k
-        axes[n + p] = n + k
-    t = np.transpose(t, axes)
-    return DenseState(n, t.reshape(state.dim, state.dim))
-
-
 __all__ = [
     "DENSE_CAP",
     "CorrelationTriple",
     "DenseState",
     "M3NState",
-    "SpectralLine",
     "StateFamily",
     "build_state",
     "load_state_spec",
     "m3n_density",
-    "m3n_spectrum",
-    "permutation_conjugate",
 ]

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from entbound._linalg import apply_one_qubit
+
+def apply_one_qubit(mat: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """Left-multiply a 2^n x 2^n matrix by ``op`` acting on one qubit."""
+    t = mat.reshape((2,) * n + (-1,))
+    t = np.moveaxis(t, qubit, 0)
+    t = np.tensordot(op, t, axes=(1, 0))
+    t = np.moveaxis(t, 0, qubit)
+    return t.reshape(mat.shape)
 
 
 def conjugate_one_qubit(rho: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:

@@ -14,10 +14,11 @@ import math
 import numpy as np
 
 from dense_distance import matrix_distance
+from dense_reference import ghz_basis_vector
 from dense_rotation import apply_product_unitary, conjugate_one_qubit
 from entbound._linalg import ID2, SIGMA
 from entbound.errors import CapacityError, ParameterError
-from entbound.locc import GHZBasisIndex, ghz_basis_vector
+from entbound.locc import GHZBasisIndex
 from entbound.measures import DistanceKind
 from entbound.qstate import (
     CorrelationTriple,

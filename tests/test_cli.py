@@ -15,7 +15,7 @@ import pytest
 from entbound import oracle
 from entbound.cli import build_parser, main
 from entbound.optimize import MAX_GRID_DENSITY
-from entbound.oracle import MAX_GRID_RESOLUTION
+from entbound.oracle import MAX_GRID_RESOLUTION, MAX_REFINE_ROUNDS
 
 
 def _run(argv, capsys):
@@ -55,6 +55,31 @@ def test_bound_rejects_non_finite_sigma_in_csv_file(tmp_path, capsys):
     path = tmp_path / "data.csv"
     path.write_text("n,c1,c2,c3,s1,s2,s3\n4,0.9,0.9,0.9,nan,0,0\n")
     _assert_input_error(["bound", "--file", str(path)], capsys, "finite")
+
+
+@pytest.mark.parametrize("n", ["4.7", '"4"', "true"], ids=["float", "string", "bool"])
+def test_bound_rejects_non_integer_n_in_json_file(n, tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(f'{{"n": {n}, "c": [0.6, 0.5, 0.3]}}')
+    _assert_input_error(["bound", "--file", str(path)], capsys, 'field "n" must be an integer')
+
+
+@pytest.mark.parametrize("row", ["4,0.6,0.5,0.3,0.01", "4,0.6,0.5,0.3,0.01,0.02"],
+                         ids=["one-sigma", "two-sigmas"])
+def test_bound_rejects_partial_sigma_in_csv_file(row, tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text(f"n,c1,c2,c3,s1,s2,s3\n{row}\n")
+    _assert_input_error(["bound", "--file", str(path)], capsys, "data row needs 4 columns")
+
+
+@pytest.mark.parametrize("row, uncertainty", [("4,0.6,0.5,0.3", 0.0),
+                                              ("4,0.6,0.5,0.3,0.01,0.02,0.03", 0.00935414)])
+def test_bound_reads_csv_rows_without_or_with_all_sigmas(row, uncertainty, tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text(f"n,c1,c2,c3,s1,s2,s3\n{row}\n")
+    rc, out, _ = _run(["bound", "--file", str(path)], capsys)
+    assert rc == 0
+    assert json.loads(out)["uncertainty"] == uncertainty
 
 
 def test_finite_sigma_still_accepted(capsys):
@@ -231,6 +256,22 @@ def test_grid_above_its_maximum_exits_2_before_allocating(argv, fragment, capsys
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("rounds", [MAX_REFINE_ROUNDS + 1, 100_000])
+def test_oracle_rounds_above_the_maximum_exit_2(rounds, capsys):
+    # 100,000 rounds once ran until killed; past the maximum no round changes the value
+    argv = ["oracle", "--n", "4", "--c=0.537799,-0.42312,-0.884021", "--rounds", str(rounds)]
+    _assert_input_error(argv, capsys, f"refine_rounds must be in 0..{MAX_REFINE_ROUNDS}")
+
+
+def test_oracle_takes_the_maximum_rounds(capsys):
+    argv = ["oracle", "--n", "3", "--c=0.5,-0.5,0.5", "--resolution", "16"]
+    rc, out, _ = _run(argv + ["--rounds", str(MAX_REFINE_ROUNDS)], capsys)
+    assert rc == 0
+    assert json.loads(out)["config"]["refine_rounds"] == MAX_REFINE_ROUNDS
+    assert main(["oracle", "--help"]) == 0
+    assert f"0..{MAX_REFINE_ROUNDS}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, maximum",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import pauli_power, random_density, random_m3n_inside_tetra
+from dense_reference import expectation
 from dense_rotation import apply_product_unitary
 from entbound._linalg import (
     SIGMA,
@@ -21,7 +22,7 @@ from entbound._linalg import (
 from entbound.cli import main
 from entbound.errors import StateValidityError
 from entbound.estimate import _BASIS_CHANGE
-from entbound.pauli import correlation_tensor, correlation_triple, expectation, su2_from_angles
+from entbound.pauli import correlation_tensor, correlation_triple, su2_from_angles
 from entbound.qstate import (
     CorrelationTriple,
     DenseState,

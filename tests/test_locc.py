@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_ghz_spectrum, random_m3n_inside_tetra
+from dense_reference import expectation, ghz_basis_vector, ghz_dense
 from entbound.errors import ParameterError, SchemaError, StateValidityError
-from entbound.locc import (
-    GHZBasisIndex,
-    GHZDiagonalState,
-    ghz_basis_vector,
-    ghz_diagonalise,
-    m3nfy,
-)
-from entbound.pauli import correlation_tensor, correlation_triple, expectation
+from entbound.locc import GHZBasisIndex, GHZDiagonalState, ghz_diagonalise
+from entbound.pauli import correlation_tensor, correlation_triple
 from entbound.qstate import (
     CorrelationTriple,
     DenseState,
@@ -25,19 +20,22 @@ from proof_channels import apply_m3nfication_channel, singlet_overlap_check
 
 
 def test_m3nfy_ghz4():
-    state = m3nfy(build_state(StateFamily.ghz(), 4))
+    ghz = build_state(StateFamily.ghz(), 4)
+    state = M3NState(ghz.n, correlation_triple(ghz))
     assert np.allclose(state.c.as_array(), [1, 1, 1], atol=1e-12)
 
 
 def test_m3nfy_maximally_mixed():
-    state = m3nfy(DenseState(3, np.eye(8, dtype=complex) / 8))
+    mixed = DenseState(3, np.eye(8, dtype=complex) / 8)
+    state = M3NState(mixed.n, correlation_triple(mixed))
     assert np.allclose(state.c.as_array(), [0, 0, 0], atol=1e-14)
 
 
 def test_m3nfy_w4_canonical_triple_needs_optimisation():
     # dense traces give the canonical triple, whose excess is not positive;
     # the favourable triple only appears after local rotation
-    state = m3nfy(build_state(StateFamily.w(), 4))
+    w = build_state(StateFamily.w(), 4)
+    state = M3NState(w.n, correlation_triple(w))
     assert np.allclose(state.c.as_array(), [0, 0, -1], atol=1e-12)
     assert state.c.abs_sum <= 1 + 1e-12
 
@@ -46,7 +44,7 @@ def test_channel_equals_triple_construction(rng):
     for n in (2, 3, 4):
         state = random_density(n, rng)
         twirled = apply_m3nfication_channel(state)
-        ref = m3n_density(m3nfy(state))
+        ref = m3n_density(M3NState(state.n, correlation_triple(state)))
         assert np.max(np.abs(twirled.rho - ref.rho)) < 1e-10
 
 
@@ -130,7 +128,7 @@ def test_ghz_diagonalise_noisy_ghz():
 def test_ghz_diagonalise_preserves_diagonal_input(rng):
     flat = rng.dirichlet(np.ones(8))
     spec = GHZDiagonalState(3, flat.reshape(4, 2))
-    back = ghz_diagonalise(spec.dense())
+    back = ghz_diagonalise(ghz_dense(spec))
     assert np.allclose(back.p, spec.p, atol=1e-13)
 
 
@@ -144,7 +142,7 @@ def test_ghz_diagonal_dense_matches_sum_of_projectors(n, rng):
             for col, sign in ((0, +1), (1, -1)):
                 v = ghz_basis_vector(GHZBasisIndex(n, i, sign), n)
                 ref += spec.p[i, col] * np.outer(v, v.conj())
-        dense = spec.dense()
+        dense = ghz_dense(spec)
         assert np.max(np.abs(dense.rho - ref)) <= 1e-15
         DenseState(n, np.array(dense.rho))  # the full check a matrix from outside gets
 
@@ -205,6 +203,6 @@ def test_contractivity_under_m3nfication_odd(rng):
             np.array(m3n_density(base).rho), rot.unitaries(3), 3
         )
         after = entanglement_m3n(
-            m3nfy(DenseState(3, rotated)), level, DistanceKind.TRACE
+            M3NState(3, correlation_triple(DenseState(3, rotated))), level, DistanceKind.TRACE
         ).value
         assert after <= before + 1e-10

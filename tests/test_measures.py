@@ -7,24 +7,17 @@ from conftest import random_density, random_ghz_spectrum, random_m3n_outside_oct
 from dense_distance import matrix_distance
 from dense_rotation import conjugate_one_qubit
 from entbound._linalg import SIGMA
-from entbound.errors import (
-    AlreadySeparableError,
-    ParameterError,
-    UnsupportedDistanceError,
-)
+from entbound.errors import ParameterError, UnsupportedDistanceError
 from entbound.locc import GHZDiagonalState
 from entbound.measures import (
     ALL_DISTANCES,
     DistanceKind,
     SeparabilityLevel,
     classical_distance,
-    closest_separable_even,
-    closest_separable_odd_trace,
     entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
     genuine_ghz_diag,
-    is_separable_m3n,
     lower_bound_from_triple,
     octahedron_excess,
 )
@@ -35,6 +28,12 @@ from entbound.qstate import (
     StateFamily,
     build_state,
     m3n_density,
+)
+from m3n_constructions import (
+    AlreadySeparableError,
+    closest_separable_even,
+    closest_separable_odd_trace,
+    is_separable_m3n,
     m3n_spectrum,
 )
 
@@ -410,9 +409,9 @@ def test_pauli_conjugation_invariance(rng):
     dense = m3n_density(state)
     for j in (1, 2, 3):
         rotated = conjugate_one_qubit(np.array(dense.rho), SIGMA[j], 0, 4)
-        from entbound.locc import m3nfy
+        from entbound.pauli import correlation_triple
 
-        flipped = m3nfy(DenseState(4, rotated))
+        flipped = M3NState(4, correlation_triple(DenseState(4, rotated)))
         # two components flip sign, magnitudes stay
         assert np.allclose(
             np.abs(flipped.c.as_array()), np.abs(state.c.as_array()), atol=1e-12

@@ -6,11 +6,12 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import random_density
+from dense_reference import ghz_basis_vector, permutation_conjugate
 from dense_rotation import apply_product_unitary
 from entbound._linalg import hamming_weights, kron_all
 from entbound import _linalg, optimize
 from entbound.errors import ParameterError
-from entbound.locc import GHZBasisIndex, ghz_basis_vector, ghz_diagonalise, ghz_overlaps
+from entbound.locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from entbound.optimize import (
     MAX_GRID_DENSITY,
     OptimisationOptions,
@@ -24,7 +25,6 @@ from entbound.optimize import (
     _random_rotations,
     _rotated_betas,
     _screen_overlaps,
-    _screen_sums,
     _screen_tops,
     _shared_grid,
     _shared_objective,
@@ -40,7 +40,7 @@ from entbound.pauli import (
     so3_from_angles,
     su2_from_angles,
 )
-from entbound.qstate import DenseState, StateFamily, build_state, permutation_conjugate
+from entbound.qstate import DenseState, StateFamily, build_state
 
 #: bound on the bytes one overlap-screen row takes per overlap: 40 * 2^n a row
 #: (tracemalloc measures 36 * 2^n)
@@ -143,11 +143,21 @@ def test_determinism():
 def test_tied_screen_values_seed_in_grid_row_order(monkeypatch):
     # the seeds are the rows of largest screen value, ties taken in grid-row
     # order; an unstable sort orders ties by its internals and the grid's length
-    grid = _shared_grid(5).reshape(-1, 3)
+    planes = _shared_grid(5)
+    grid = planes.reshape(-1, 3)
     values = np.zeros(len(grid))
     values[[90, 7, 64, 33]] = 2.0
     values[[120, 3, 41]] = 1.0
-    monkeypatch.setattr(optimize, "_screen_sums", lambda poly, planes: values)
+    real_objective = optimize._shared_objective
+
+    def screened(poly, angles):
+        # the screen reads the grid one theta plane at a time; Nelder-Mead reads other points
+        for plane, plane_values in zip(planes, values.reshape(len(planes), -1)):
+            if np.array_equal(angles, plane):
+                return plane_values
+        return real_objective(poly, angles)
+
+    monkeypatch.setattr(optimize, "_shared_objective", screened)
     seen = []
     real_minimize = optimize.minimize
 
@@ -688,7 +698,8 @@ def test_correlation_screen_plane_walk_matches_one_batch(density, rng):
         blochs.append(correlation_tensor(build_state(family, n)).bloch)
     for bloch in blochs:
         poly = _shared_polynomial(bloch)
-        assert np.array_equal(_screen_sums(poly, grid), _shared_objective(poly, rows))
+        walked = np.concatenate([_shared_objective(poly, plane) for plane in grid])
+        assert np.array_equal(walked, _shared_objective(poly, rows))
 
 
 @pytest.mark.parametrize("one_plane", [False, True])
@@ -716,13 +727,16 @@ def test_overlap_screen_plane_walk_matches_one_batch(density, one_plane, rng, mo
 
 def test_screens_hold_part_of_the_largest_grid(monkeypatch):
     # at grid_density 29 the correlation-sum grid has 24,389 rows, about 97 MB
-    # of terms at n = 8 in one batch; walked by theta plane, the peak is one
-    # plane's (841 rows) plus the values kept, 8 bytes a row twice
+    # of terms at n = 8 in one batch; walked by theta plane, the whole shared
+    # search (grid, values, seeds and Nelder-Mead) peaks below two planes'
+    # terms (841 rows each): tracemalloc measures 4.9 MB against one plane's 3.3
     density = MAX_GRID_DENSITY
-    poly = _shared_polynomial(correlation_tensor(build_state(StateFamily.w(), 8)).bloch)
+    tensor = correlation_tensor(build_state(StateFamily.w(), 8))
+    poly = _shared_polynomial(tensor.bloch)
     grid = _shared_grid(density)
     plane_peak = traced_peak(lambda: _shared_objective(poly, grid[0]))
-    assert traced_peak(lambda: _screen_sums(poly, grid)) <= plane_peak + 16 * density**3
+    opts = OptimisationOptions(grid_density=density)
+    assert traced_peak(lambda: optimise_triple(tensor, opts)) <= 2 * plane_peak
     # the overlap screen at n = 10 reads 2,744 rows, 112 MB under the row
     # bound; a read takes whole planes of 196 rows while their overlaps fit
     # CHUNK_ENTRIES, 5 planes here, and one plane when CHUNK_ENTRIES is smaller

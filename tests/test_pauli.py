@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from dense_reference import expectation
 from dense_rotation import apply_product_unitary
 from entbound._linalg import kron_all
 from entbound.errors import ParameterError
@@ -13,7 +14,6 @@ from entbound.pauli import (
     contract_modes,
     correlation_tensor,
     correlation_triple,
-    expectation,
     rotated_triple,
     so3_from_angles,
     so3_to_angles,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import ghz_dense, permutation_conjugate
 from entbound import qstate
 from entbound._linalg import SIGMA_STACK, contract_qubit_pairs, pauli_power_entries
 from entbound.errors import CapacityError, ParameterError, StateValidityError
@@ -16,9 +17,8 @@ from entbound.qstate import (
     build_state,
     load_state_spec,
     m3n_density,
-    m3n_spectrum,
-    permutation_conjugate,
 )
+from m3n_constructions import m3n_spectrum
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -266,12 +266,12 @@ def test_m3n_spectrum_uniform_even():
 
 
 def test_m3nfy_roundtrip_identity(rng):
-    from entbound.locc import m3nfy
     from conftest import random_m3n_inside_tetra
+    from entbound.pauli import correlation_triple
 
     for n in (2, 3, 4, 5):
         state = random_m3n_inside_tetra(n, rng)
-        back = m3nfy(m3n_density(state))
+        back = M3NState(state.n, correlation_triple(m3n_density(state)))
         assert np.allclose(back.c.as_array(), state.c.as_array(), atol=1e-12)
 
 
@@ -486,7 +486,7 @@ def test_lines_and_purity_read_the_form(family, n):
 def test_ghz_diagonal_lines_and_purity_read_the_form(n, rng):
     from conftest import random_ghz_spectrum
 
-    _assert_reads_match_rho(random_ghz_spectrum(n, rng).dense())
+    _assert_reads_match_rho(ghz_dense(random_ghz_spectrum(n, rng)))
 
 
 def _assert_sandwich_matches_rho(state, rng):
@@ -514,7 +514,7 @@ def test_sandwich_reads_the_form(family, n, rng):
 def test_sandwich_of_ghz_diagonal_and_outside_matrices(n, rng):
     from conftest import random_density, random_ghz_spectrum
 
-    _assert_sandwich_matches_rho(random_ghz_spectrum(n, rng).dense(), rng)
+    _assert_sandwich_matches_rho(ghz_dense(random_ghz_spectrum(n, rng)), rng)
     _assert_sandwich_matches_rho(random_density(n, rng), rng)
     mix = build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.6), n)
     _assert_sandwich_matches_rho(DenseState(n, np.array(mix.rho)), rng)

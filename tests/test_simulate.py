@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ghz_spectrum
+from dense_reference import ghz_dense
 from dense_rotation import apply_product_unitary
 from entbound import _linalg, qstate
 from entbound._linalg import pauli_power_entries
@@ -180,7 +181,7 @@ def test_born_from_form_matches_dense_contraction(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_born_from_ghz_diagonal_form_matches_dense(n, rng):
-    _assert_form_matches_dense(random_ghz_spectrum(n, rng).dense(), _rotations(n, rng))
+    _assert_form_matches_dense(ghz_dense(random_ghz_spectrum(n, rng)), _rotations(n, rng))
 
 
 def test_outside_matrix_becomes_a_dense_form():
@@ -219,7 +220,7 @@ def _assert_lines_match_dense(state, rng):
 def test_lines_under_match_dense_contraction(n, rng):
     for family in _families(n):
         _assert_lines_match_dense(build_state(family, n), rng)
-    _assert_lines_match_dense(random_ghz_spectrum(n, rng).dense(), rng)
+    _assert_lines_match_dense(ghz_dense(random_ghz_spectrum(n, rng)), rng)
 
 
 def _extended_rotated_triple(state, rot):
