@@ -226,11 +226,14 @@ def bound_with_uncertainty(
 
     if _needs_bootstrap_triple(est, n):
         rng = np.random.default_rng(seed)
-        samples = rng.normal(est.c.as_array(), sig, size=(_BOOTSTRAP_SAMPLES, 3))
+        # c + sigma z, as rng.normal(c, sigma) draws it, scaled into one entry-major
+        # buffer, so the bound's reductions over the three entries run along rows
+        z = rng.standard_normal((_BOOTSTRAP_SAMPLES, 3))
+        samples = np.multiply(sig[:, None], z.T, out=np.empty((3, _BOOTSTRAP_SAMPLES)))
+        samples += est.c.as_array()[:, None]
         clipped = np.mean((samples < -1) | (samples > 1))
-        # entry-major, so the bound's reductions over the three entries run along rows
-        samples = np.clip(samples.T, -1.0, 1.0, order="C").T
-        values = _bound_values(samples, n, level, kind)
+        np.clip(samples, -1.0, 1.0, out=samples)
+        values = _bound_values(samples.T, n, level, kind)
         unc = float(np.std(values, ddof=1))
         meta = {
             "method": "bootstrap",
@@ -323,11 +326,16 @@ def _parse_correlation_csv(path) -> TripleEstimate:
     if len(rows) < 2:
         raise SchemaError(f"{path}: no data row")
     row = rows[1]
+    if any(field.strip() for later in rows[2:] for field in later):
+        raise SchemaError(f"{path}: one data row expected, got a second one")
     if len(row) != 4 and len(row) < 7:
         raise SchemaError(
             f"{path}: data row needs 4 columns (n,c1,c2,c3) or at least 7 (and s1,s2,s3), "
             f"got {len(row)}"
         )
+    if len(row) >= 7 and header[4:7] != ["s1", "s2", "s3"]:
+        raise SchemaError(f"{path}: a data row with sigmas needs the header n,c1,c2,c3,s1,s2,s3, "
+                          f"got {header}")
     try:
         n = int(row[0])
         c = [float(x) for x in row[1:4]]

@@ -212,7 +212,13 @@ def _odd_branches(c):
     mags = np.abs(c)
     h = _excess(c)
     face = np.all(h[..., None] <= 1.5 * mags, axis=-1)
-    edge = 0.5 * np.sqrt(mags**2 + 0.5 * (2 * h[..., None] - mags) ** 2)
+    # 0.5 sqrt(|c|^2 + 0.5 (2h - |c|)^2), in place in one buffer laid out as mags
+    edge = 2 * h[..., None] - mags
+    np.square(edge, out=edge)
+    edge *= 0.5
+    edge += np.square(mags)
+    np.sqrt(edge, out=edge)
+    edge *= 0.5
     return h, mags, face, edge
 
 

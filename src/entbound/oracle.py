@@ -10,7 +10,10 @@ check, and it is a sum of closed-form 2x2 eigenvalues over the blocks. Grid
 points and grid states are built entry-major, (entries, points), and handed to
 the distance kernels as ``.T`` views, so each reduction over a point's few
 entries adds whole contiguous rows; row-major, numpy runs a short inner loop
-per point, and at even n the distances took two to three times as long. The
+per point, and at even n the distances took two to three times as long. Each
+round builds one barycentric lattice for all the face windows it scores (the
+coarse round one window, which every face scales by its signs), in chunks of
+as many windows as fit CHUNK_ENTRIES, and scores each window on its own. The
 GHZ-diagonal oracle minimises a classical distance over capped-simplex
 spectra in one certified step: it computes the KKT point min(1/2, t p),
 checks that it is feasible and that its Frank-Wolfe duality gap is at most
@@ -21,12 +24,13 @@ forms it checks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET, QUBIT_CAP, _frozen, pauli_power_entries
+from ._linalg import GRID_BUDGET, QUBIT_CAP, _frozen, chunks, pauli_power_entries
 from .errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
 from .measures import DistanceKind, classical_distance, octahedron_excess
@@ -41,9 +45,12 @@ _DIAGONAL_TOL = 1e-12
 #: GHZ-diagonal candidate
 _GAP_TOL = _SUM_TOL = 1e-12
 #: bound on the bytes a grid point takes while its distances are evaluated, for
-#: every supported distance kind (the most measured with tracemalloc is 410,
-#: trace distance at n = 3 and 5, resolution 100; relative entropy at n = 4
-#: takes 236). Apart from the grid, the first call at each n runs
+#: every supported distance kind. The most measured with tracemalloc at
+#: resolution 100 is 393, trace distance at n = 3 and 5; at even n, where one
+#: lattice holds a round's eight windows (24 B a point) beside the window being
+#: scored, relative entropy takes 294 at n = 4 and 329 at n = 6. A build holds
+#: at most CHUNK_ENTRIES // (r + 1)^2 windows: all eight up to r = 361, and
+#: one from r = 724 on. Apart from the grid, the first call at each n runs
 #: ``_pair_block_classes``, whose O(2^n) working set before the blocks are
 #: merged is at most 410 * 2^n bytes with tracemalloc at n = 10..16 (13 MB at
 #: n = 15); it is freed before the grid is evaluated and its result is cached,
@@ -57,7 +64,7 @@ MAX_GRID_RESOLUTION = 818
 #: oracle-check octahedron cases rounds 26, 40 and 60 give the same value bit for bit
 MAX_REFINE_ROUNDS = 26
 #: sign patterns of the eight octahedron faces
-_FACES = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+_FACES = _frozen(np.array(list(itertools.product((1.0, -1.0), repeat=3))))
 
 
 @dataclass(frozen=True)
@@ -139,40 +146,32 @@ def _batch_trace_distance(rho: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(mean - radius) + np.abs(mean + radius), axis=1)
 
 
-def _face_points(signs, center, halfwidth, resolution) -> tuple[np.ndarray, np.ndarray]:
-    """Triples (N, 3) on one octahedron face and their barycentric (u, v) (N, 2).
+@functools.cache
+def _steps(resolution: int) -> np.ndarray:
+    """The r + 1 grid steps from 0 to 1 of resolution r; cached per r and read-only."""
+    return _frozen(np.linspace(0.0, 1.0, resolution + 1))
 
-    The grid is row-major in (u, v); ``center``/``halfwidth`` restrict it to a
-    window (used by refinement rounds). Both arrays are the ``.T`` views of
-    entry-major (3, N) and (2, N) buffers, so a reduction over the entries
-    of a point runs along whole rows.
+
+def _face_windows(centers, halfwidth: float, resolution: int) -> tuple[np.ndarray, list]:
+    """Barycentric lattices (u, v, w) of several face windows in one build.
+
+    Window k spans ``centers[k]`` +/- ``halfwidth`` in u and in v, on the
+    steps of ``resolution``, cut to the face (u, v, w >= -1e-12, w clipped at
+    0). Returns one entry-major (3, N) buffer holding every window's points,
+    each window row-major in (u, v), and the slice of each window in it. A
+    face's points are the lattice times its signs.
     """
-    steps = np.linspace(0.0, 1.0, resolution + 1)
-    u = center[0] - halfwidth + 2 * halfwidth * steps
-    v = center[1] - halfwidth + 2 * halfwidth * steps
-    u, v = u[u >= -1e-12], v[v >= -1e-12]
-    ww = 1.0 - u[:, None] - v[None, :]
-    iu, iv = np.nonzero(ww >= -1e-12)
-    bary = np.stack([u[iu], v[iv]])
-    pts = np.empty((3, iu.size))
-    np.multiply(bary, np.asarray(signs[:2], dtype=float)[:, None], out=pts[:2])
-    np.multiply(np.clip(ww[iu, iv], 0.0, None), signs[2], out=pts[2])
-    return pts.T, bary.T
-
-
-def _refine_face(distances, signs, bary, val: float, cfg: OracleConfig) -> float:
-    """Shrink the grid on one face around (bary, val) by a factor 4 per round."""
-    halfwidth = 0.5
-    for _ in range(cfg.refine_rounds):
-        halfwidth /= 4.0
-        pts, grid = _face_points(signs, bary, halfwidth, cfg.grid_resolution)
-        if pts.shape[0] == 0:
-            break
-        vals = distances(pts)
-        g = int(np.argmin(vals))
-        if vals[g] < val:
-            val, bary = float(vals[g]), grid[g]
-    return val
+    axes = (np.asarray(centers) - halfwidth)[:, :, None] + 2 * halfwidth * _steps(resolution)
+    u, v = axes[:, 0, :, None], axes[:, 1, None, :]
+    w = 1.0 - u - v
+    keep = (w >= -1e-12) & (u >= -1e-12) & (v >= -1e-12)
+    counts = np.count_nonzero(keep, axis=(1, 2)).tolist()
+    ends = np.cumsum(counts).tolist()
+    lattice = np.empty((3, ends[-1]))
+    lattice[0] = np.broadcast_to(u, w.shape)[keep]
+    lattice[1] = np.broadcast_to(v, w.shape)[keep]
+    np.clip(w[keep], 0.0, None, out=lattice[2])
+    return lattice, [slice(end - count, end) for end, count in zip(ends, counts)]
 
 
 def brute_min_over_octahedron(
@@ -181,7 +180,11 @@ def brute_min_over_octahedron(
     """Minimum distance from a triple-correlation state to the octahedron.
 
     Evaluates distances on a barycentric grid over all eight faces, then
-    shrinks the grid by a factor 4 per refinement round. Rho and the grid
+    shrinks the grid by a factor 4 per refinement round around each refined
+    face's best point. One lattice serves the eight coarse grids, and each
+    round builds one lattice for all its windows (in chunks of CHUNK_ENTRIES
+    entries at (resolution + 1)^2 a window), then scores each window with one
+    distance call, so the scoring working set is one window's. Rho and the grid
     states are held as their distinct, share-scaled 2x2 pair blocks (two at
     every n >= 2), so the cost does not grow with 2^n past building them.
     At even n the blocks are diagonal in the GHZ pair basis, the distances
@@ -219,16 +222,35 @@ def brute_min_over_octahedron(
         def distances(pts):
             return classical_distance(p, (identity + d @ pts.T).T, kind)
 
-    minima = []
+    # the coarse lattice is the same on every face; a face's points are its signs times it
+    lattice, _ = _face_windows([(0.5, 0.5)], 0.5, cfg.grid_resolution)
+    faces = []  # [value, signs, barycentric (u, v) of the value's point]
     for signs in _FACES:
-        pts, bary = _face_points(signs, (0.5, 0.5), 0.5, cfg.grid_resolution)
-        vals = distances(pts)
+        vals = distances((lattice * signs[:, None]).T)
         g = int(np.argmin(vals))
-        # a copy, so that this face's grid is freed before the next one is built
-        minima.append((float(vals[g]), signs, bary[g].copy()))
+        faces.append([float(vals[g]), signs, lattice[:2, g].copy()])
+    del lattice
     if odd:  # refine the incumbent's face only
-        minima = [min(minima, key=lambda m: m[0])]
-    return min(_refine_face(distances, signs, bary, val, cfg) for val, signs, bary in minima)
+        faces = [min(faces, key=lambda f: f[0])]
+    # each round shrinks the windows 4x around the faces' best points, in one build
+    # for as many windows as fit CHUNK_ENTRIES; a face whose window is empty stops
+    refining, halfwidth, window_points = faces, 0.5, (cfg.grid_resolution + 1) ** 2
+    for _ in range(cfg.refine_rounds):
+        halfwidth /= 4.0
+        batches = [refining[chunk] for chunk in chunks(len(refining), window_points)]
+        refining = []
+        for batch in batches:
+            lattice, windows = _face_windows([f[2] for f in batch], halfwidth, cfg.grid_resolution)
+            for face, window in zip(batch, windows):
+                if window.start == window.stop:
+                    continue
+                vals = distances((lattice[:, window] * face[1][:, None]).T)
+                g = int(np.argmin(vals))
+                if vals[g] < face[0]:
+                    face[0], face[2] = float(vals[g]), lattice[:2, window.start + g].copy()
+                refining.append(face)
+            del lattice
+    return min(f[0] for f in faces)
 
 
 # -- GHZ-diagonal oracle ---------------------------------------------------------

@@ -82,6 +82,31 @@ def test_bound_reads_csv_rows_without_or_with_all_sigmas(row, uncertainty, tmp_p
     assert json.loads(out)["uncertainty"] == uncertainty
 
 
+@pytest.mark.parametrize("later", ["4,0.9,0.9,0.9", "\n4,0.9,0.9,0.9,0.01,0.01,0.01"],
+                         ids=["next-line", "after-a-blank-line"])
+def test_bound_rejects_a_second_csv_data_row(later, tmp_path, capsys):
+    # the first row alone would print a bound (h = 0.2) with exit 0
+    path = tmp_path / "data.csv"
+    path.write_text(f"n,c1,c2,c3\n4,0.6,0.5,0.3\n{later}\n")
+    _assert_input_error(["bound", "--file", str(path)], capsys, "one data row expected")
+
+
+def test_bound_reads_a_csv_row_followed_by_blank_lines(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("n,c1,c2,c3\n4,0.6,0.5,0.3\n\n , \n")
+    rc, out, _ = _run(["bound", "--file", str(path)], capsys)
+    assert rc == 0 and json.loads(out)["h"] == 0.2
+
+
+@pytest.mark.parametrize("header", ["n,c1,c2,c3", "n,c1,c2,c3,s3,s2,s1"],
+                         ids=["no-sigmas", "reordered"])
+def test_bound_rejects_csv_sigmas_without_their_header(header, tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n4,0.6,0.5,0.3,0.01,0.02,0.03\n")
+    _assert_input_error(["bound", "--file", str(path)], capsys,
+                        "needs the header n,c1,c2,c3,s1,s2,s3")
+
+
 def test_finite_sigma_still_accepted(capsys):
     rc, out, _ = _run(["bound", "--n", "4", "--c=0.9,0.9,0.9", "--sigma", "0.01,0,0"], capsys)
     assert rc == 0

@@ -33,7 +33,7 @@ from entbound.oracle import (
     OracleConfig,
     _analytic_candidate,
     _batch_trace_distance,
-    _face_points,
+    _face_windows,
     _fw_gap,
     _ghz_pair_spectra,
     _pair_block_classes,
@@ -63,6 +63,12 @@ def _pair_blocks(mats: np.ndarray, n: int):
     if np.abs(rest).max() > 1e-12:
         return None
     return mats[..., rows, cols]
+
+
+def _face_grid(signs, resolution):
+    """Triples (N, 3) of the coarse grid on the face with ``signs``."""
+    lattice, _ = _face_windows([(0.5, 0.5)], 0.5, resolution)
+    return (lattice * np.asarray(signs, dtype=float)[:, None]).T
 
 
 def _dense_grid(pts, n):
@@ -95,7 +101,7 @@ def test_batched_distance_matches_reference(rng):
             if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
                 break
         # at even n one of these faces lies on the tetrahedron, so its states are singular
-        pts = np.concatenate([_face_points(s, (0.5, 0.5), 0.5, 8)[0] for s in ((1, 1, 1), (1, -1, 1))])
+        pts = np.concatenate([_face_grid(s, 8) for s in ((1, 1, 1), (1, -1, 1))])
         dense = _dense_grid(pts, n)
         full = np.linalg.eigvalsh(dense).min(axis=1) > 1e-6
         assert full.sum() >= 15
@@ -135,7 +141,7 @@ def test_block_trace_grid_matches_dense_eigensolve(monkeypatch, rng):
         state = random_m3n_outside_octahedron(n, rng)
         recorded.clear()
         brute_min_over_octahedron(state, DistanceKind.TRACE, OracleConfig(12, 0))
-        pts, _ = _face_points((1, 1, 1), (0.5, 0.5), 0.5, 12)
+        pts = _face_grid((1, 1, 1), 12)
         diff = _dense_grid(pts, n) - np.array(m3n_density(state).rho)
         want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
         assert np.allclose(recorded[0], want, rtol=0.0, atol=1e-13), n
@@ -392,7 +398,7 @@ def test_spectral_grid_matches_matrix_grid(kind, rng):
         p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
         # at even n some of these faces lie on the tetrahedron, so their states are singular
         faces = ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1))
-        pts = np.concatenate([_face_points(s, (0.5, 0.5), 0.5, 10)[0] for s in faces])
+        pts = np.concatenate([_face_grid(s, 10) for s in faces])
         q = identity + pts @ d
         full = np.all(q > 1e-6, axis=1)
         assert full.sum() >= 15
@@ -548,14 +554,18 @@ def test_grid_resolution_maximum_fits_the_budget():
     budget = GRID_BUDGET
     assert (MAX_GRID_RESOLUTION + 1) ** 2 * oracle._POINT_BYTES <= budget
     assert (MAX_GRID_RESOLUTION + 2) ** 2 * oracle._POINT_BYTES > budget
-    # the point bound holds for the costliest kind, trace distance at odd n
+    # the point bound holds for the costliest kind, trace distance at odd n, and for
+    # even n, where one lattice holds all eight refinement windows of a round
     resolution = 100
-    state = M3NState(3, CorrelationTriple(0.5, -0.5, 0.5))
     cfg = OracleConfig(grid_resolution=resolution, refine_rounds=1)
-    tracemalloc.start()
-    try:
-        brute_min_over_octahedron(state, DistanceKind.TRACE, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (resolution + 1) ** 2 * oracle._POINT_BYTES
+    for n, kind, c in [(3, DistanceKind.TRACE, (0.5, -0.5, 0.5)),
+                       (4, DistanceKind.RELATIVE_ENTROPY, (0.537799, -0.42312, -0.884021)),
+                       (6, DistanceKind.RELATIVE_ENTROPY, (0.5, -0.5, 0.7))]:
+        state = M3NState(n, CorrelationTriple(*c))
+        tracemalloc.start()
+        try:
+            brute_min_over_octahedron(state, kind, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (resolution + 1) ** 2 * oracle._POINT_BYTES, n

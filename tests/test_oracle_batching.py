@@ -1,7 +1,8 @@
 """The octahedron oracle's working set and memory layout.
 
 It keeps its working set to a few MB at grid resolution 60, and it builds its
-grid entry-major with the same bits as the row-major grid it replaced.
+grid entry-major with the same bits as the row-major grid it replaced: one
+lattice per round for every face window the round scores, in chunks.
 """
 
 import itertools
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import random_m3n_outside_octahedron
-from entbound import estimate, oracle
-from entbound.errors import StateValidityError
+from entbound import _linalg, estimate, oracle
+from entbound.errors import ParameterError, StateValidityError
 from entbound.estimate import TripleEstimate, bound_with_uncertainty
 from entbound.measures import (
     ALL_DISTANCES,
@@ -124,13 +125,20 @@ def row_major_oracle(state, kind, cfg):
 )
 @pytest.mark.parametrize("resolution", [4, 7, 60])
 def test_face_points_match_the_row_major_grid(center, halfwidth, resolution):
-    # windows around a corner, across the u = 0 and w = 0 edges, and inside the face
-    for signs in oracle._FACES:
-        pts, bary = oracle._face_points(signs, center, halfwidth, resolution)
-        want_pts, want_bary = row_major_face_points(signs, center, halfwidth, resolution)
-        assert pts.shape == want_pts.shape and bary.shape == want_bary.shape
-        assert np.array_equal(pts, want_pts) and np.array_equal(bary, want_bary)
-        assert pts.T.flags.c_contiguous and bary.T.flags.c_contiguous
+    # windows around a corner, across the u = 0 and w = 0 edges, and inside the face,
+    # built in one lattice with windows at the face's corners, its middle and outside it
+    centers = [(1.0, 0.0), center, (2.0, 2.0), (0.0, 1.0), (0.5, 0.5), (0.0, 0.0)]
+    lattice, windows = oracle._face_windows(centers, halfwidth, resolution)
+    assert lattice.shape[0] == 3 and lattice.flags.c_contiguous
+    assert [w.start for w in windows] == [0] + [w.stop for w in windows[:-1]]
+    assert windows[-1].stop == lattice.shape[1]
+    assert windows[2].start == windows[2].stop
+    for c, window in zip(centers, windows):
+        for signs in oracle._FACES:
+            pts = (lattice[:, window] * signs[:, None]).T
+            want_pts, want_bary = row_major_face_points(signs, c, halfwidth, resolution)
+            assert np.array_equal(pts, want_pts)
+            assert np.array_equal(lattice[:2, window].T, want_bary)
 
 
 def _oracle_cases(n, rng):
@@ -157,6 +165,62 @@ def test_oracle_equals_row_major_oracle_on_a_known_miss(n, resolution, rounds):
     cfg = OracleConfig(resolution, rounds)
     for kind in ALL_DISTANCES:
         assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+
+
+def _outcome(oracle_fn, state, kind, cfg):
+    """The oracle's value, or the message of the ParameterError it raises."""
+    try:
+        return oracle_fn(state, kind, cfg)
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_oracle_equals_row_major_oracle_to_the_last_round(n, rng):
+    # refinement down to MAX_REFINE_ROUNDS, with best points at a corner or on an edge
+    # of their face, so the windows are clipped by one or two of the face's edges. At
+    # n = 2 a deep window at a corner holds points 1e-12 outside the face, whose spectra
+    # have an entry below 0, and both oracles raise the same ParameterError there
+    triples = [(0.98, 0.02, 0.02), (0.3, 0.3, 0.9), (0.6, 0.0, 0.6), (0.2, -0.2, 1.0)]
+    states = [random_m3n_outside_octahedron(n, rng) for _ in range(2)]
+    for c in triples:
+        try:
+            states.append(M3NState(n, CorrelationTriple(*c)))
+        except StateValidityError:
+            pass
+    kinds = ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,)
+    configs = [OracleConfig(8, oracle.MAX_REFINE_ROUNDS), OracleConfig(24, 13), OracleConfig(7, 6)]
+    for state, kind, cfg in itertools.product(states, kinds, configs):
+        want = _outcome(row_major_oracle, state, kind, cfg)
+        assert _outcome(brute_min_over_octahedron, state, kind, cfg) == want
+
+
+def test_one_lattice_build_per_round(monkeypatch, rng):
+    # the coarse lattice serves all eight faces; each round then builds every window
+    # it refines at once: eight at even n, the incumbent's at odd n
+    builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
+    cfg = OracleConfig()
+    for n, kind in [(4, DistanceKind.RELATIVE_ENTROPY), (6, DistanceKind.TRACE)]:
+        builds.clear()
+        brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), kind, cfg)
+        assert builds == [1] + [8] * cfg.refine_rounds
+    for n in (3, 5):
+        builds.clear()
+        brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), DistanceKind.TRACE, cfg)
+        assert builds == [1] * (1 + cfg.refine_rounds)
+
+
+def test_lattice_builds_run_in_chunks(monkeypatch, rng):
+    # a build holds as many windows as fit CHUNK_ENTRIES at (resolution + 1)^2 a window
+    builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
+    cfg = OracleConfig(24, 2)
+    state = random_m3n_outside_octahedron(4, rng)
+    want = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg)
+    for per_build, batches in [(3, [3, 3, 2]), (1, [1] * 8), (8, [8])]:
+        monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", per_build * 25**2)
+        builds.clear()
+        assert brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg) == want
+        assert builds == [1] + batches * cfg.refine_rounds
 
 
 def _on_tetrahedron_boundary(n, rng):
@@ -217,13 +281,13 @@ def test_bootstrap_equals_row_major_bootstrap(n, rng):
             assert report.uncertainty == _row_major_bootstrap(est, n, level, kind, seed)
 
 
-def _layout_guard(monkeypatch, module, name, arg, entry_major):
-    """Wrap ``module.name`` to record ``entry_major`` of its positional argument ``arg``."""
+def _layout_guard(monkeypatch, module, name, arg, probe):
+    """Wrap ``module.name`` to record ``probe`` of its positional argument ``arg``."""
     inner = getattr(module, name)
     seen = []
 
     def guarded(*args):
-        seen.append(entry_major(args[arg]))
+        seen.append(probe(args[arg]))
         return inner(*args)
 
     monkeypatch.setattr(module, name, guarded)
