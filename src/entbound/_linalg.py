@@ -25,7 +25,7 @@ SIGMA_STACK = np.stack(SIGMA)
 CHUNK_ENTRIES = 1 << 20
 #: bytes one search or oracle grid may hold
 GRID_BUDGET = 512 << 20
-#: largest qubit count of a built state, an m3n density and the octahedron oracle
+#: largest qubit count of a built state and an m3n density
 QUBIT_CAP = 16
 
 

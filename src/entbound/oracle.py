@@ -1,20 +1,20 @@
 """Brute-force verification of the closed formulas.
 
-The octahedron oracle minimises a distance over a refined grid of separable
-triples. Every m3n density splits into 2x2 blocks on the index pairs
-(i, 2^n - 1 - i); the oracle builds the few distinct ones from the nonzero
-entries of sigma_j^{xn}, never a 2^n x 2^n matrix. At even n the blocks are
-diagonal in the GHZ pair basis, and every distance is a classical distance
-between GHZ-basis spectra; at odd n only trace distance has a closed form to
-check, and it is a sum of closed-form 2x2 eigenvalues over the blocks. Grid
-points and grid states are built entry-major, (entries, points), and handed to
-the distance kernels as ``.T`` views, so each reduction over a point's few
-entries adds whole contiguous rows; row-major, numpy runs a short inner loop
-per point, and at even n the distances took two to three times as long. Each
-round builds one barycentric lattice for all the face windows it scores (the
-coarse round one window, which every face scales by its signs), in chunks of
-as many windows as fit CHUNK_ENTRIES, and scores each window on its own. The
-GHZ-diagonal oracle minimises a classical distance over capped-simplex
+The octahedron oracle minimises a distance from an m3n state rho(c) =
+(I + c . sigma^{xn}) / 2^n over a refined grid of separable triples x, and it
+reads each distance off the two triples, never a 2^n x 2^n matrix. At even n
+the sigma_j^{xn} commute, so rho(x) has the four eigenvalues (1 + s . x) / 2^n
+over the rows s of one 4x3 sign matrix, and every distance is a classical one
+between spectra (1 + S c) / 4 and (1 + S x) / 4. At odd n they anticommute, so
+the trace distance is |c - x| / 2, and only trace distance has a closed form to
+check. Grid points and grid spectra are built entry-major, (entries, points),
+and handed to the distance kernels as ``.T`` views, so each reduction over a
+point's few entries adds whole contiguous rows; row-major, numpy runs a short
+inner loop per point, and at even n the distances took two to three times as
+long. Each round builds one barycentric lattice for all the face windows it
+scores (the coarse round one window, which every face scales by its signs), in
+chunks of as many windows as fit CHUNK_ENTRIES, and scores each window on its
+own. The GHZ-diagonal oracle minimises a classical distance over capped-simplex
 spectra in one certified step: it computes the KKT point min(1/2, t p),
 checks that it is feasible and that its Frank-Wolfe duality gap is at most
 1e-12, and raises if either check fails. Neither oracle touches the closed
@@ -30,31 +30,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET, QUBIT_CAP, _frozen, chunks, pauli_power_entries
-from .errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
+from ._linalg import GRID_BUDGET, _frozen, chunks
+from .errors import EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
 from .measures import DistanceKind, classical_distance, octahedron_excess
-from .qstate import M3NState
+from .qstate import M3NState, _even_signs
 
 #: deviation between a closed form and its oracle that counts as agreement
 _TOLERANCE = 1e-6
-#: largest entry that still counts as zero where a 2x2 pair block is certified
-#: diagonal in the GHZ pair basis: off its diagonal, or imaginary on it
-_DIAGONAL_TOL = 1e-12
 #: largest Frank-Wolfe gap, and deviation of the entry sum from 1, of a certified
 #: GHZ-diagonal candidate
 _GAP_TOL = _SUM_TOL = 1e-12
 #: bound on the bytes a grid point takes while its distances are evaluated, for
 #: every supported distance kind. The most measured with tracemalloc at
-#: resolution 100 is 393, trace distance at n = 3 and 5; at even n, where one
+#: resolution 100 is 329, relative entropy at n = 6 (294 at n = 4), where one
 #: lattice holds a round's eight windows (24 B a point) beside the window being
-#: scored, relative entropy takes 294 at n = 4 and 329 at n = 6. A build holds
-#: at most CHUNK_ENTRIES // (r + 1)^2 windows: all eight up to r = 361, and
-#: one from r = 724 on. Apart from the grid, the first call at each n runs
-#: ``_pair_block_classes``, whose O(2^n) working set before the blocks are
-#: merged is at most 410 * 2^n bytes with tracemalloc at n = 10..16 (13 MB at
-#: n = 15); it is freed before the grid is evaluated and its result is cached,
-#: so a call peaks at the larger of the two
+#: scored; trace distance at odd n takes 112. A build holds at most
+#: CHUNK_ENTRIES // (r + 1)^2 windows: all eight up to r = 361, and one from
+#: r = 724 on. Nothing else grows with the grid or with n
 _POINT_BYTES = 800
 #: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
 #: 819^2 points of _POINT_BYTES fit GRID_BUDGET, 820^2 do not
@@ -87,63 +80,18 @@ class OracleConfig:
             )
 
 
-# -- distances over m3n grids on 2x2 pair blocks ------------------------------
+# -- distances over m3n grids, from the triples --------------------------------
 
-@functools.cache
-def _pair_block_classes(n: int) -> np.ndarray:
-    """Distinct 2x2 blocks of (I, sigma_1^{xn}, sigma_2^{xn}, sigma_3^{xn}), shape (4, K, 2, 2).
+def _odd_trace_distances(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Trace distances from rho(c) to the grid states rho(x) of the rows x of ``pts``, odd n.
 
-    Every one of the four is the direct sum of its blocks on the index pairs
-    (i, 2^n - 1 - i), read here off ``pauli_power_entries``. Pairs whose four
-    blocks agree are merged, and each distinct tuple is scaled by its share
-    count / 2^n of the pairs: within a class rho and every grid state are
-    equal, so a distance's sum over the class is its term on the scaled block.
-    Cached per n and read-only.
+    The sigma_j^{xn} anticommute at odd n, so (c - x) . sigma^{xn} has the
+    eigenvalues +/- |c - x|, and the distance is |c - x| / 2. ``pts`` is (N, 3);
+    passed as the ``.T`` of an entry-major (3, N) buffer, the sum over the three
+    entries adds whole contiguous rows.
     """
-    dim = 2**n
-    low = np.arange(dim // 2)
-    pairs = np.stack([low, dim - 1 - low], axis=1)
-    blocks = np.zeros((dim // 2, 4, 2, 2), dtype=complex)
-    blocks[:, 0] = np.eye(2)
-    for j in (1, 2, 3):  # column i's entry sits in row i (j = 3) or row 2^n - 1 - i
-        rows = [0, 1] if j == 3 else [1, 0]
-        blocks[:, j, rows, [0, 1]] = pauli_power_entries(j, n)[pairs]
-    # complex unique sorts several times slower than on the float view
-    flat = blocks.reshape(dim // 2, -1).view(float)
-    _, first, counts = np.unique(flat, axis=0, return_index=True, return_counts=True)
-    scaled = blocks[first] * (counts / dim)[:, None, None, None]
-    return _frozen(scaled.swapaxes(0, 1))
-
-
-def _ghz_pair_spectra(blocks: np.ndarray):
-    """Diagonals (..., 2) of Hermitian 2x2 ``blocks`` in the GHZ pair basis, or None.
-
-    The basis is (|i> +/- |2^n - 1 - i>) / sqrt(2). None when any block has an
-    off-diagonal or imaginary entry above 1e-12 there, as at odd n, where
-    sigma_3^{xn} swaps the two GHZ vectors of each pair.
-    """
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    conj = h @ blocks @ h
-    diag = np.diagonal(conj, axis1=-2, axis2=-1)
-    off = conj[..., [0, 1], [1, 0]]
-    if max(np.abs(off).max(), np.abs(diag.imag).max()) > _DIAGONAL_TOL:
-        return None
-    return diag.real
-
-
-def _batch_trace_distance(rho: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Trace distances from one block-diagonal state to a stack of them.
-
-    ``rho`` holds the K diagonal 2x2 blocks of the state, shape (K, 2, 2), and
-    ``batch`` those of G states, shape (G, K, 2, 2). The distance is half the
-    sum of the absolute eigenvalues of the Hermitian block differences, taken
-    in closed form, so no 2^n x 2^n matrix is formed.
-    """
-    diff = batch - rho[None]
-    a, d = diff[..., 0, 0].real, diff[..., 1, 1].real
-    mean = 0.5 * (a + d)
-    radius = np.hypot(0.5 * (a - d), np.abs(diff[..., 0, 1]))
-    return 0.5 * np.sum(np.abs(mean - radius) + np.abs(mean + radius), axis=1)
+    diff = pts.T - c[:, None]
+    return 0.5 * np.sqrt(np.sum(diff * diff, axis=0))
 
 
 @functools.cache
@@ -156,10 +104,10 @@ def _face_windows(centers, halfwidth: float, resolution: int) -> tuple[np.ndarra
     """Barycentric lattices (u, v, w) of several face windows in one build.
 
     Window k spans ``centers[k]`` +/- ``halfwidth`` in u and in v, on the
-    steps of ``resolution``, cut to the face (u, v, w >= -1e-12, w clipped at
-    0). Returns one entry-major (3, N) buffer holding every window's points,
-    each window row-major in (u, v), and the slice of each window in it. A
-    face's points are the lattice times its signs.
+    steps of ``resolution``, cut to the face (u, v, w >= -1e-12, then each
+    clipped at 0). Returns one entry-major (3, N) buffer holding every window's
+    points, each window row-major in (u, v), and the slice of each window in it.
+    A face's points are the lattice times its signs.
     """
     axes = (np.asarray(centers) - halfwidth)[:, :, None] + 2 * halfwidth * _steps(resolution)
     u, v = axes[:, 0, :, None], axes[:, 1, None, :]
@@ -168,9 +116,8 @@ def _face_windows(centers, halfwidth: float, resolution: int) -> tuple[np.ndarra
     counts = np.count_nonzero(keep, axis=(1, 2)).tolist()
     ends = np.cumsum(counts).tolist()
     lattice = np.empty((3, ends[-1]))
-    lattice[0] = np.broadcast_to(u, w.shape)[keep]
-    lattice[1] = np.broadcast_to(v, w.shape)[keep]
-    np.clip(w[keep], 0.0, None, out=lattice[2])
+    for row, coord in enumerate((u, v, w)):
+        np.clip(np.broadcast_to(coord, w.shape)[keep], 0.0, None, out=lattice[row])
     return lattice, [slice(end - count, end) for end, count in zip(ends, counts)]
 
 
@@ -184,15 +131,15 @@ def brute_min_over_octahedron(
     face's best point. One lattice serves the eight coarse grids, and each
     round builds one lattice for all its windows (in chunks of CHUNK_ENTRIES
     entries at (resolution + 1)^2 a window), then scores each window with one
-    distance call, so the scoring working set is one window's. Rho and the grid
-    states are held as their distinct, share-scaled 2x2 pair blocks (two at
-    every n >= 2), so the cost does not grow with 2^n past building them.
-    At even n the blocks are diagonal in the GHZ pair basis, the distances
-    are classical distances between spectra, and every face is refined around
-    its own coarse minimum. At odd n only trace distance is supported, as in
-    ``entanglement_m3n``; it is a sum over the blocks, and only the
-    incumbent's face is refined. Separable inputs return 0 (the state itself
-    is feasible).
+    distance call, so the scoring working set is one window's. Each distance
+    comes from c and the grid triple alone, so the cost does not grow with n.
+    Even n: the sigma_j^{xn} commute, so the distances are classical distances
+    between the spectra (1 + S c) / 4 and (1 + S x) / 4, and every face is
+    refined around its own coarse minimum.
+    Odd n: the sigma_j^{xn} anticommute, so the trace distance is |c - x| / 2;
+    only trace distance is supported, as in ``entanglement_m3n``, and only
+    the incumbent's face is refined. Separable inputs return 0 (the state
+    itself is feasible).
     """
     cfg = cfg or OracleConfig()
     odd = state.n % 2 == 1
@@ -200,27 +147,18 @@ def brute_min_over_octahedron(
         raise UnsupportedDistanceError(
             f"the octahedron oracle supports only trace distance at odd n, got {kind.value}"
         )
-    if state.n > QUBIT_CAP:
-        raise CapacityError(f"the octahedron oracle is capped at n={QUBIT_CAP}")
     if octahedron_excess(state.c) <= 0:
         return 0.0
-    blocks = _pair_block_classes(state.n)
-    rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
+    c = state.c.as_array()
     if odd:
-        identity, paulis = blocks[0].reshape(-1, 1), blocks[1:].reshape(3, -1).T
-
         def distances(pts):
-            batch = (paulis @ pts.T + identity).reshape(rho_blocks.shape + (-1,))
-            return _batch_trace_distance(rho_blocks, np.moveaxis(batch, -1, 0))
+            return _odd_trace_distances(c, pts)
     else:
-        spectra = _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
-        if spectra is None:
-            raise EntboundError(f"the pair blocks at even n={state.n} are not GHZ-diagonal")
-        p, identity = spectra[0].ravel(), spectra[1].reshape(-1, 1)
-        d = spectra[2:].reshape(3, -1).T
+        s = _even_signs(state.n)
+        p, quarter = (1 + s @ c) / 4, s / 4
 
         def distances(pts):
-            return classical_distance(p, (identity + d @ pts.T).T, kind)
+            return classical_distance(p, (0.25 + quarter @ pts.T).T, kind)
 
     # the coarse lattice is the same on every face; a face's points are its signs times it
     lattice, _ = _face_windows([(0.5, 0.5)], 0.5, cfg.grid_resolution)

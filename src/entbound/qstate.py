@@ -28,6 +28,7 @@ States go up to ``_linalg.QUBIT_CAP`` qubits, ``rho`` and ``bloch`` to ``DENSE_C
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import (CHUNK_ENTRIES, GRID_BUDGET, QUBIT_CAP, SIGMA_STACK, chunks,
+from ._linalg import (CHUNK_ENTRIES, GRID_BUDGET, QUBIT_CAP, SIGMA_STACK, _frozen, chunks,
                       contract_qubit_pairs, kron_all, kron_apply, pauli_power_entries)
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 
@@ -397,17 +398,18 @@ def _purity_from_form(form: tuple, dim: int) -> float:
     return q * q * _purity_from_form(inner, dim) + (1 - q * q) / dim
 
 
-def _even_eigenvalue_terms(n: int, c: CorrelationTriple):
-    """The four spectral expressions of an even-n triple-correlation state.
+@functools.cache
+def _even_signs(n: int) -> np.ndarray:
+    """The 4x3 sign matrix S of even n: an m3n state's eigenvalues are (1 + S c) / 2^n.
 
-    Yields (value, sign, parity), with value 2^n times the eigenvalue, so it
-    stays finite at any n; each eigenvalue carries multiplicity 2^(n-2).
+    At even n the sigma_j^{xn} commute, and row s of S holds their joint
+    eigenvalues on one eigenspace of dimension 2^(n-2): rows (sign, parity) =
+    (+, 0), (+, 1), (-, 0), (-, 1) read (sign, sign e (-1)^parity, (-1)^parity)
+    with e = (-1)^(n/2). Cached per n and read-only.
     """
-    e = (-1) ** (n // 2)
-    for sign in (+1, -1):
-        for parity in (0, 1):
-            val = 1 + sign * c.c1 + sign * e * (-1) ** parity * c.c2 + (-1) ** parity * c.c3
-            yield val, sign, parity
+    e = (-1.0) ** (n // 2)
+    rows = [[sign, sign * e * par, par] for sign in (1.0, -1.0) for par in (1.0, -1.0)]
+    return _frozen(np.array(rows))
 
 
 @dataclass(frozen=True)
@@ -426,7 +428,9 @@ class M3NState:
         if self.n < 2:
             raise ParameterError(f"qubit count must be >= 2, got {self.n}")
         if self.n % 2 == 0:
-            worst = min(v for v, _, _ in _even_eigenvalue_terms(self.n, self.c))
+            c1, c2, c3 = self.c
+            signs = _even_signs(self.n).tolist()
+            worst = min(1 + s1 * c1 + s2 * c2 + s3 * c3 for s1, s2, s3 in signs)
             if worst < -_TRIPLE_TOL:
                 raise StateValidityError(
                     f"triple {tuple(self.c)} lies outside the physical tetrahedron "

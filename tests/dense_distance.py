@@ -1,10 +1,11 @@
 """The five distances between density matrices, kept as a test reference.
 
-The package computes every distance it reports from spectra or 2x2 blocks
-(``measures.classical_distance`` and the oracle's block kernels). This module
-takes eigendecompositions of whole matrices instead, so tests can check those
-kernels and the paper's constructions against the direct definitions. Import
-it with ``from dense_distance import matrix_distance``.
+The package computes every distance it reports from spectra or triples
+(``measures.classical_distance``, and the odd-n trace distance |c - x| / 2 of
+the octahedron oracle). This module takes eigendecompositions of whole
+matrices instead, so tests can check those kernels and the paper's
+constructions against the direct definitions. Import it with
+``from dense_distance import matrix_distance``.
 """
 
 from __future__ import annotations

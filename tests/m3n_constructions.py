@@ -18,7 +18,7 @@ import numpy as np
 
 from entbound.errors import EntboundError, ParameterError
 from entbound.measures import SeparabilityLevel, _odd_branches, octahedron_excess
-from entbound.qstate import CorrelationTriple, M3NState, _even_eigenvalue_terms
+from entbound.qstate import CorrelationTriple, M3NState, _even_signs
 
 _SEP_TOL = 1e-12
 
@@ -45,9 +45,11 @@ def m3n_spectrum(state: M3NState) -> list[SpectralLine]:
     """
     n = state.n
     if n % 2 == 0:
+        s = _even_signs(n)
+        vals = 1 + s @ state.c.as_array()
         return [
-            SpectralLine(max(math.ldexp(val, -n), 0.0), 2 ** (n - 2), sign, parity)
-            for val, sign, parity in _even_eigenvalue_terms(n, state.c)
+            SpectralLine(max(math.ldexp(val, -n), 0.0), 2 ** (n - 2), int(sign), int(par < 0))
+            for val, (sign, _, par) in zip(vals.tolist(), s)
         ]
     r = float(np.linalg.norm(state.c.as_array()))
     return [

@@ -198,7 +198,6 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
         (["state", "--dense", "--family", "w", "--n", "13"], "dense cap"),
         (["state", "--dense", "--family", "w", "--n", "11"], "512 MiB budget"),
         (["state", "--dense", "--family", "w", "--n", "12"], "512 MiB budget"),
-        (["oracle", "--n", "17", "--c=0.5,0.1,0.1"], "capped at n=16"),
         (["bound", "--n", "4", "--c=0.9,0.9,-0.9"], "tetrahedron"),
         (["genuine", "--spectrum-file", "{n40}"], "512 MiB budget"),
         (["oracle", "--spectrum-file", "{n40}"], "512 MiB budget"),
@@ -210,7 +209,7 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
         (["simulate", "--family", "ghz", "--n", "3", "--shots", str(10**20)], "2^63 - 1"),
     ],
     ids=["state-n17", "optimise-n13", "state-dense-n13", "state-dense-n11", "state-dense-n12",
-         "oracle-n17", "bound-outside-tetrahedron", "genuine-spectrum-n40", "oracle-spectrum-n40",
+         "bound-outside-tetrahedron", "genuine-spectrum-n40", "oracle-spectrum-n40",
          "oracle-spectrum-n24",
          "optimise-per-qubit-restarts", "optimise-per-qubit-overlap-restarts", "simulate-shots"],
 )
@@ -288,6 +287,29 @@ def test_oracle_rounds_above_the_maximum_exit_2(rounds, capsys):
     # 100,000 rounds once ran until killed; past the maximum no round changes the value
     argv = ["oracle", "--n", "4", "--c=0.537799,-0.42312,-0.884021", "--rounds", str(rounds)]
     _assert_input_error(argv, capsys, f"refine_rounds must be in 0..{MAX_REFINE_ROUNDS}")
+
+
+@pytest.mark.parametrize("n", ["17", "40"])
+@pytest.mark.parametrize("c", ["0.5,0.1,0.1", "0.5,-0.5,-0.7"])
+def test_octahedron_oracle_runs_past_the_qubit_cap(n, c, capsys):
+    # the oracle reads the triple alone, so it runs at every n that bound accepts
+    rc, out, err = _run(["oracle", "--n", n, f"--c={c}"], capsys)
+    assert rc == 0, err
+    assert json.loads(out, parse_constant=_reject_constant)["deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "distance, resolution",
+    [("re", 6)] + [(d, r) for r in (8, 11) for d in ("re", "infidelity", "bures", "hellinger")],
+)
+def test_oracle_at_a_face_corner_to_the_last_round(distance, resolution, capsys):
+    # deep windows at a face corner hold grid points with u or v in [-1e-12, 0); unclipped,
+    # their n=2 spectra had an entry of -1e-12 and classical_distance refused them
+    argv = ["oracle", "--n", "2", "--c=0.2,-0.2,1.0", "--distance", distance,
+            "--resolution", str(resolution), "--rounds", str(MAX_REFINE_ROUNDS)]
+    rc, out, err = _run(argv, capsys)
+    assert rc == 0, err
+    assert json.loads(out, parse_constant=_reject_constant)["deviation"] <= 1e-6
 
 
 def test_oracle_takes_the_maximum_rounds(capsys):
@@ -513,11 +535,6 @@ def _assert_oracle_fault(argv, capsys, fragment):
     rc, out, err = _run(argv, capsys)
     assert (rc, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
-
-
-def test_octahedron_oracle_fault_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "_ghz_pair_spectra", lambda blocks: None)
-    _assert_oracle_fault(["oracle", "--n", "4", "--c=0.7,0.5,0.3"], capsys, "not GHZ-diagonal")
 
 
 def test_spectrum_oracle_fault_exits_1(monkeypatch, tmp_path, capsys):

@@ -12,7 +12,7 @@ from conftest import (
     random_m3n_outside_octahedron,
 )
 from entbound._linalg import GRID_BUDGET
-from entbound.errors import CapacityError, EntboundError, ParameterError, UnsupportedDistanceError
+from entbound.errors import EntboundError, ParameterError, UnsupportedDistanceError
 from entbound.locc import GHZDiagonalState
 from scipy.linalg import logm, sqrtm
 
@@ -20,7 +20,6 @@ from entbound.measures import (
     ALL_DISTANCES,
     DistanceKind,
     SeparabilityLevel,
-    classical_distance,
     entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
@@ -32,37 +31,18 @@ from entbound.oracle import (
     MAX_GRID_RESOLUTION,
     OracleConfig,
     _analytic_candidate,
-    _batch_trace_distance,
     _face_windows,
     _fw_gap,
-    _ghz_pair_spectra,
-    _pair_block_classes,
+    _odd_trace_distances,
     _surrogate_gradient,
     brute_min_biseparable_ghz,
     brute_min_over_octahedron,
 )
 from entbound.pauli import correlation_triple
-from entbound.qstate import CorrelationTriple, M3NState, m3n_density
+from entbound.qstate import CorrelationTriple, M3NState, _even_signs, m3n_density
 from proof_channels import apply_lambda_pq, apply_omega, check_translation_invariance, corner_triple
 
 FAST = OracleConfig(grid_resolution=16, refine_rounds=4)
-
-
-def _pair_blocks(mats: np.ndarray, n: int):
-    """Blocks (..., 2^(n-1), 2, 2) of ``mats`` (..., 2^n, 2^n) on the pairs (k, 2^n - 1 - k).
-
-    None when any entry off the diagonal and the anti-diagonal exceeds 1e-12,
-    so that the matrices are not the direct sum of their blocks.
-    """
-    dim = 2**n
-    low = np.arange(dim // 2)
-    pairs = np.stack([low, dim - 1 - low], axis=1)
-    rows, cols = pairs[:, :, None], pairs[:, None, :]
-    rest = np.array(mats)
-    rest[..., rows, cols] = 0.0
-    if np.abs(rest).max() > 1e-12:
-        return None
-    return mats[..., rows, cols]
 
 
 def _face_grid(signs, resolution):
@@ -93,58 +73,69 @@ def _dense_reference(rho, sigma, kind):
     return 2.0 * (1.0 - root_f)
 
 
-def test_batched_distance_matches_reference(rng):
-    # the block trace kernel against dense trace distances computed an independent way
-    for n in (2, 3, 4, 5):
+def _recorded(monkeypatch, name):
+    """Wrap ``oracle.name`` to record the value of each call."""
+    seen = []
+    inner = getattr(oracle, name)
+
+    def wrapped(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, name, wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_even_sign_spectrum_matches_dense_eigensolve(n, rng):
+    # (1 + S x) / 2^n, each 2^(n-2) times, inside the tetrahedron, at one of its
+    # vertices (rank 2^(n-2)) and on an octahedron face
+    e = (-1) ** (n // 2)
+    triples = [random_m3n_inside_tetra(n, rng).c.as_array(), np.array([1.0, e, 1.0]),
+               _face_grid((1, -1, -1), 4)[7]]
+    s = _even_signs(n)
+    for x in triples:
+        want = np.linalg.eigvalsh(m3n_density(M3NState(n, CorrelationTriple(*x))).rho)
+        got = np.sort(np.repeat((1 + s @ x) / 2**n, 2 ** (n - 2)))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15), x
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_odd_trace_distance_matches_dense_eigensolve(n, rng):
+    # half the Euclidean distance between the triples against the eigenvalues of
+    # rho(c) - rho(x), on the grids of a face and of its opposite
+    state = random_m3n_outside_octahedron(n, rng)
+    rho = np.array(m3n_density(state).rho)
+    for signs in ((1, 1, 1), (-1, -1, -1)):
+        pts = _face_grid(signs, 8)
+        want = 0.5 * np.abs(np.linalg.eigvalsh(_dense_grid(pts, n) - rho)).sum(axis=1)
+        got = _odd_trace_distances(state.c.as_array(), pts)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), signs
+
+
+@pytest.mark.parametrize("kind", ALL_DISTANCES)
+def test_even_grid_distances_match_matrix_distances(kind, monkeypatch, rng):
+    # the oracle's coarse-round distances, one call per face in _FACES order, against
+    # scipy's dense sqrtm and logm at the full-rank grid states
+    recorded = _recorded(monkeypatch, "classical_distance")
+    for n in (2, 4):
         while True:
-            rho = np.array(m3n_density(random_m3n_inside_tetra(n, rng)).rho)
+            state = random_m3n_outside_octahedron(n, rng)
+            rho = np.array(m3n_density(state).rho)
             if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
                 break
-        # at even n one of these faces lies on the tetrahedron, so its states are singular
-        pts = np.concatenate([_face_grid(s, 8) for s in ((1, 1, 1), (1, -1, 1))])
-        dense = _dense_grid(pts, n)
-        full = np.linalg.eigvalsh(dense).min(axis=1) > 1e-6
-        assert full.sum() >= 15
-        got = _batch_trace_distance(_pair_blocks(rho, n), _pair_blocks(dense, n))
-        want = [_dense_reference(rho, sigma, DistanceKind.TRACE) for sigma in dense[full]]
-        assert np.allclose(got[full], want, rtol=0.0, atol=1e-10), n
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_block_classes_merge_the_dense_pair_blocks(n):
-    dim = 2**n
-    mats = np.stack([np.eye(dim, dtype=complex)] + [pauli_power(j, n) for j in (1, 2, 3)])
-    dense = _pair_blocks(mats, n).swapaxes(0, 1).reshape(dim // 2, -1)
-    classes = _pair_block_classes(n)
-    assert classes.shape == (4, 2, 2, 2)
-    # each class is scaled by its share of the pairs, read off its identity block
-    share = classes[0, :, 0, 0].real
-    unit = (classes / share[:, None, None]).swapaxes(0, 1).reshape(len(share), -1)
-    matches = np.all(dense[:, None, :] == unit[None, :, :], axis=2)
-    assert np.array_equal(matches.sum(axis=1), np.ones(dim // 2))
-    assert np.array_equal(matches.sum(axis=0) / dim, share)
-    assert np.array_equal(classes.sum(axis=1), _pair_blocks(mats, n).sum(axis=1) / dim)
-
-
-def test_block_trace_grid_matches_dense_eigensolve(monkeypatch, rng):
-    # the oracle's first call scores face (+,+,+) at the coarse resolution
-    recorded = []
-    inner = oracle._batch_trace_distance
-
-    def wrapped(rho_blocks, batch):
-        vals = inner(rho_blocks, batch)
-        recorded.append(vals)
-        return vals
-
-    monkeypatch.setattr(oracle, "_batch_trace_distance", wrapped)
-    for n in (3, 5):
-        state = random_m3n_outside_octahedron(n, rng)
         recorded.clear()
-        brute_min_over_octahedron(state, DistanceKind.TRACE, OracleConfig(12, 0))
-        pts = _face_grid((1, 1, 1), 12)
-        diff = _dense_grid(pts, n) - np.array(m3n_density(state).rho)
-        want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
-        assert np.allclose(recorded[0], want, rtol=0.0, atol=1e-13), n
+        brute_min_over_octahedron(state, kind, OracleConfig(10, 0))
+        by_face = {tuple(signs): vals for signs, vals in zip(oracle._FACES, recorded)}
+        # at even n some of these faces lie on the tetrahedron, so their states are singular
+        checked = 0
+        for signs in ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1)):
+            dense = _dense_grid(_face_grid(signs, 10), n)
+            full = np.linalg.eigvalsh(dense).min(axis=1) > 1e-6 / 2**n
+            want = [_dense_reference(rho, sigma, kind) for sigma in dense[full]]
+            assert np.allclose(by_face[signs][full], want, rtol=0.0, atol=1e-10), (n, signs)
+            checked += int(full.sum())
+        assert checked >= 15
 
 
 @pytest.mark.parametrize(
@@ -219,13 +210,6 @@ def test_octahedron_oracle_inside_zero():
         assert brute_min_over_octahedron(state, kind, FAST) == 0.0
 
 
-def test_octahedron_oracle_capacity():
-    with pytest.raises(CapacityError):
-        brute_min_over_octahedron(
-            M3NState(17, CorrelationTriple(0.8, -0.5, 0.3)), DistanceKind.TRACE, FAST
-        )
-
-
 @pytest.mark.parametrize("kind", ALL_DISTANCES)
 def test_octahedron_oracle_matches_formula_even(kind, rng):
     for n in (2, 4):
@@ -235,9 +219,10 @@ def test_octahedron_oracle_matches_formula_even(kind, rng):
         assert abs(formula - oracle) < 5e-4
 
 
-@pytest.mark.parametrize("n", [6, 7, 8, 11, 12])
+@pytest.mark.parametrize("n", [6, 7, 8, 11, 12, 17, 40, 1001])
 def test_octahedron_oracle_matches_formula_beyond_dense_sizes(n, rng):
-    # a dense 2^n x 2^n matrix at n=12 is 256 MB; the oracle needs none
+    # a dense 2^n x 2^n matrix at n=12 is 256 MB; the oracle needs none, and it
+    # runs past the qubit cap of built states
     state = random_m3n_outside_octahedron(n, rng)
     for kind in ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,):
         formula = entanglement_m3n(state, SeparabilityLevel(m=n), kind).value
@@ -363,66 +348,7 @@ def test_translation_invariance_h0_zero_distance():
     assert check_translation_invariance(0.0, [(0.2, 0.3)], DistanceKind.TRACE, 4) < 1e-12
 
 
-# -- classical spectra on the even-n grid, certified GHZ-diagonal minimum --------
-
-def _count_calls(monkeypatch, name):
-    calls = []
-    inner = getattr(oracle, name)
-
-    def wrapped(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, name, wrapped)
-    return calls
-
-
-def _class_spectra(state):
-    """GHZ pair spectra of rho's block classes and of the identity and sigma_j classes."""
-    blocks = _pair_block_classes(state.n)
-    rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
-    return _ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
-
-
-@pytest.mark.parametrize("kind", ALL_DISTANCES)
-def test_spectral_grid_matches_matrix_grid(kind, rng):
-    # classical distances between the class spectra against scipy's dense
-    # sqrtm and logm at the full-rank grid states
-    for n in (2, 4):
-        while True:
-            state = random_m3n_outside_octahedron(n, rng)
-            rho = np.array(m3n_density(state).rho)
-            if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
-                break
-        spectra = _class_spectra(state)
-        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
-        # at even n some of these faces lie on the tetrahedron, so their states are singular
-        faces = ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1))
-        pts = np.concatenate([_face_grid(s, 10) for s in faces])
-        q = identity + pts @ d
-        full = np.all(q > 1e-6, axis=1)
-        assert full.sum() >= 15
-        spectral = classical_distance(p, q[full], kind)
-        dense = [_dense_reference(rho, sigma, kind) for sigma in _dense_grid(pts[full], n)]
-        assert np.allclose(spectral, dense, rtol=0.0, atol=1e-10), n
-
-
-def test_ghz_spectra_only_where_diagonal():
-    for n in (3, 5):
-        assert _class_spectra(M3NState(n, CorrelationTriple(0.5, -0.4, 0.3))) is None
-
-
-def test_even_octahedron_oracle_raises_when_not_diagonal(monkeypatch):
-    state = M3NState(4, CorrelationTriple(0.7, 0.5, 0.3))
-    calls = _count_calls(monkeypatch, "_batch_trace_distance")
-    brute_min_over_octahedron(state, DistanceKind.TRACE, FAST)
-    assert not calls
-    # even n has no block path: a failed diagonality check is a fault
-    monkeypatch.setattr(oracle, "_ghz_pair_spectra", lambda blocks: None)
-    with pytest.raises(EntboundError, match="not GHZ-diagonal"):
-        brute_min_over_octahedron(state, DistanceKind.INFIDELITY, FAST)
-    assert not calls
-
+# -- certified GHZ-diagonal minimum ----------------------------------------------
 
 def _test_spectra(rng):
     for n in (2, 3, 4, 5):

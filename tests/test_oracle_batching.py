@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_m3n_outside_octahedron
 from entbound import _linalg, estimate, oracle
-from entbound.errors import ParameterError, StateValidityError
+from entbound.errors import StateValidityError
 from entbound.estimate import TripleEstimate, bound_with_uncertainty
 from entbound.measures import (
     ALL_DISTANCES,
@@ -24,7 +24,7 @@ from entbound.measures import (
     octahedron_excess,
 )
 from entbound.oracle import OracleConfig, brute_min_over_octahedron
-from entbound.qstate import CorrelationTriple, M3NState
+from entbound.qstate import CorrelationTriple, M3NState, _even_signs
 
 
 @pytest.mark.parametrize("n", [4, 12])
@@ -45,8 +45,8 @@ def test_octahedron_oracle_working_set_is_bounded(n):
 
 @pytest.mark.parametrize("n", [5, 11])
 def test_odd_octahedron_oracle_working_set_is_bounded(n):
-    # a face of 1891 grid states is 1891 x 2 merged pair blocks of 2x2 at any
-    # n; as dense 32 x 32 matrices at n=5 it would be 31 MB
+    # a face of 1891 grid states is 1891 triples at any n; as dense 32 x 32
+    # matrices at n=5 it would be 31 MB
     state = M3NState(n, CorrelationTriple(-0.695964, -0.320874, -0.547274))
     cfg = OracleConfig(grid_resolution=60, refine_rounds=0)
     tracemalloc.start()
@@ -69,7 +69,7 @@ def row_major_face_points(signs, center, halfwidth, resolution):
     uu, vv = uu.reshape(-1), vv.reshape(-1)
     ww = 1.0 - uu - vv
     keep = (uu >= -1e-12) & (vv >= -1e-12) & (ww >= -1e-12)
-    uu, vv, ww = uu[keep], vv[keep], np.clip(ww[keep], 0.0, None)
+    uu, vv, ww = (np.clip(x[keep], 0.0, None) for x in (uu, vv, ww))
     verts = np.diag(np.asarray(signs, dtype=float))
     return np.stack([uu, vv, ww], axis=1) @ verts, np.stack([uu, vv], axis=1)
 
@@ -79,20 +79,17 @@ def row_major_oracle(state, kind, cfg):
     if octahedron_excess(state.c) <= 0:
         return 0.0
     odd = state.n % 2 == 1
-    blocks = oracle._pair_block_classes(state.n)
-    rho_blocks = blocks[0] + np.tensordot(state.c.as_array(), blocks[1:], axes=1)
+    c = state.c.as_array()
     if odd:
-        identity, paulis = blocks[0].ravel(), blocks[1:].reshape(3, -1)
-
         def distances(pts):
-            batch = (pts @ paulis + identity).reshape((-1,) + rho_blocks.shape)
-            return oracle._batch_trace_distance(rho_blocks, batch)
+            diff = pts - c
+            return 0.5 * np.sqrt(np.sum(diff * diff, axis=1))
     else:
-        spectra = oracle._ghz_pair_spectra(np.concatenate([rho_blocks[None], blocks]))
-        p, identity, d = spectra[0].ravel(), spectra[1].ravel(), spectra[2:].reshape(3, -1)
+        s = _even_signs(state.n)
+        p, quarter = (1 + s @ c) / 4, s / 4
 
         def distances(pts):
-            return classical_distance(p, identity + pts @ d, kind)
+            return classical_distance(p, 0.25 + pts @ quarter.T, kind)
 
     minima = []
     for signs in oracle._FACES:
@@ -167,20 +164,12 @@ def test_oracle_equals_row_major_oracle_on_a_known_miss(n, resolution, rounds):
         assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
 
 
-def _outcome(oracle_fn, state, kind, cfg):
-    """The oracle's value, or the message of the ParameterError it raises."""
-    try:
-        return oracle_fn(state, kind, cfg)
-    except ParameterError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_oracle_equals_row_major_oracle_to_the_last_round(n, rng):
     # refinement down to MAX_REFINE_ROUNDS, with best points at a corner or on an edge
-    # of their face, so the windows are clipped by one or two of the face's edges. At
-    # n = 2 a deep window at a corner holds points 1e-12 outside the face, whose spectra
-    # have an entry below 0, and both oracles raise the same ParameterError there
+    # of their face, so the windows are clipped by one or two of the face's edges. A
+    # deep window at a corner holds points up to 1e-12 outside the face, which both
+    # grids clip onto it
     triples = [(0.98, 0.02, 0.02), (0.3, 0.3, 0.9), (0.6, 0.0, 0.6), (0.2, -0.2, 1.0)]
     states = [random_m3n_outside_octahedron(n, rng) for _ in range(2)]
     for c in triples:
@@ -191,8 +180,7 @@ def test_oracle_equals_row_major_oracle_to_the_last_round(n, rng):
     kinds = ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,)
     configs = [OracleConfig(8, oracle.MAX_REFINE_ROUNDS), OracleConfig(24, 13), OracleConfig(7, 6)]
     for state, kind, cfg in itertools.product(states, kinds, configs):
-        want = _outcome(row_major_oracle, state, kind, cfg)
-        assert _outcome(brute_min_over_octahedron, state, kind, cfg) == want
+        assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
 
 
 def test_one_lattice_build_per_round(monkeypatch, rng):
@@ -295,16 +283,13 @@ def _layout_guard(monkeypatch, module, name, arg, probe):
 
 
 def test_grids_and_draws_reach_the_kernels_entry_major(monkeypatch, rng):
-    # spectra (N, 4) and draws (N, 3) hold their last axis slowest in memory;
-    # the odd-n block stack (G, K, 2, 2) holds its point axis fastest
+    # spectra (N, 4), odd-n grid points (N, 3) and draws (N, 3) hold their last
+    # axis slowest in memory
     def last_slowest(a):
         return a.T.flags.c_contiguous
 
-    def first_fastest(a):
-        return np.moveaxis(a, 0, -1).flags.c_contiguous
-
     spectra = _layout_guard(monkeypatch, oracle, "classical_distance", 1, last_slowest)
-    blocks = _layout_guard(monkeypatch, oracle, "_batch_trace_distance", 1, first_fastest)
+    points = _layout_guard(monkeypatch, oracle, "_odd_trace_distances", 1, last_slowest)
     draws = _layout_guard(monkeypatch, estimate, "_bound_values", 0, last_slowest)
     cfg = OracleConfig(24, 2)
     for kind in ALL_DISTANCES:
@@ -314,5 +299,5 @@ def test_grids_and_draws_reach_the_kernels_entry_major(monkeypatch, rng):
         bound_with_uncertainty(_bootstrapped_estimate(n, rng), n, SeparabilityLevel(m=n),
                                DistanceKind.TRACE)
     assert len(spectra) >= 5 * 8 and all(spectra)
-    assert len(blocks) >= 8 and all(blocks)
+    assert len(points) >= 8 and all(points)
     assert draws == [True, True]
