@@ -444,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=40,
                    help=f"octahedron grid resolution, 4..{MAX_GRID_RESOLUTION}")
     p.add_argument("--rounds", type=int, default=3,
-                   help=f"refinement rounds around each face minimum, 0..{MAX_REFINE_ROUNDS}")
+                   help="refinement rounds around the minimum of each face that can still "
+                        f"hold the overall minimum, 0..{MAX_REFINE_ROUNDS}")
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 

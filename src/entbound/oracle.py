@@ -14,11 +14,16 @@ inner loop per point, and at even n the distances took two to three times as
 long. Each round builds one barycentric lattice for all the face windows it
 scores (the coarse round one window, which every face scales by its signs), in
 chunks of as many windows as fit CHUNK_ENTRIES, and scores each window on its
-own. The GHZ-diagonal oracle minimises a classical distance over capped-simplex
-spectra in one certified step: it computes the KKT point min(1/2, t p),
-checks that it is feasible and that its Frank-Wolfe duality gap is at most
-1e-12, and raises if either check fails. Neither oracle touches the closed
-forms it checks.
+own. At even n a round refines only the faces that can still hold the minimum:
+every distance is convex in x, so a face's best point and the gradient there
+bound the face from below (its Frank-Wolfe gap), and a face whose bound lies
+above the least value so far by more than a rounding margin cannot lower it.
+Skipping such a face leaves the returned value unchanged to the bit, since
+the faces that stay are scored as before. The GHZ-diagonal oracle minimises a
+classical distance over capped-simplex spectra in one certified step: it
+computes the KKT point min(1/2, t p), checks that it is feasible and that its
+Frank-Wolfe duality gap is at most 1e-12, and raises if either check fails.
+Neither oracle touches the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from ._linalg import GRID_BUDGET, _frozen, chunks
 from .errors import EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
-from .measures import DistanceKind, classical_distance, octahedron_excess
+from .measures import _SUPPORT_TOL, DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState, _even_signs
 
 #: deviation between a closed form and its oracle that counts as agreement
@@ -43,9 +48,10 @@ _TOLERANCE = 1e-6
 _GAP_TOL = _SUM_TOL = 1e-12
 #: bound on the bytes a grid point takes while its distances are evaluated, for
 #: every supported distance kind. The most measured with tracemalloc at
-#: resolution 100 is 329, relative entropy at n = 6 (294 at n = 4), where one
-#: lattice holds a round's eight windows (24 B a point) beside the window being
-#: scored; trace distance at odd n takes 112. A build holds at most
+#: resolution 100 is 329, relative entropy at n = 6 (294 at n = 4) with all
+#: eight faces refined, where one lattice holds a round's eight windows (24 B a
+#: point) beside the window being scored; the floors keep all eight in the worst
+#: case. Trace distance at odd n takes 112. A build holds at most
 #: CHUNK_ENTRIES // (r + 1)^2 windows: all eight up to r = 361, and one from
 #: r = 724 on. Nothing else grows with the grid or with n
 _POINT_BYTES = 800
@@ -56,6 +62,9 @@ MAX_GRID_RESOLUTION = 818
 #: 26 it is 0.5 * 4^-26 = 1.1e-16, one ulp of a coordinate in [0.5, 1); on the
 #: oracle-check octahedron cases rounds 26, 40 and 60 give the same value bit for bit
 MAX_REFINE_ROUNDS = 26
+#: margin of a face's floor per unit of 1 + sum |g_q| (see _face_floors): a factor
+#: 10 above the largest amount by which the kernel's values can fall below the bound
+_FLOOR_MARGIN = 1e-6
 #: sign patterns of the eight octahedron faces
 _FACES = _frozen(np.array(list(itertools.product((1.0, -1.0), repeat=3))))
 
@@ -121,6 +130,70 @@ def _face_windows(centers, halfwidth: float, resolution: int) -> tuple[np.ndarra
     return lattice, [slice(end - count, end) for end, count in zip(ends, counts)]
 
 
+def _distance_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """(Sub)gradient in q of ``classical_distance(p, q, kind)``, for each row of q.
+
+    ``q`` has shape (..., m), and every kind is convex in it. Trace distance
+    takes the subgradient (1/2) sign(q - p), with +1/2 at a tie, where any
+    value in [-1/2, 1/2] is one; relative entropy -p / (q ln 2); infidelity
+    -F sqrt(p / q) with F = sum sqrt(p q); squared Bures and squared Hellinger
+    -sqrt(p / q). Entries where p is 0 are 0, and where q is 0 and p is not,
+    -inf.
+    """
+    if kind is DistanceKind.TRACE:
+        return np.where(q >= p, 0.5, -0.5)
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        g = -p / (q * math.log(2))
+    else:
+        g = -np.sqrt(p / q)
+        if kind is DistanceKind.INFIDELITY:
+            g = g * np.sum(np.sqrt(p * q), axis=-1, keepdims=True)
+    return np.where(p > 0, g, 0.0)
+
+
+def _face_floors(p: np.ndarray, s: np.ndarray, kind: DistanceKind, faces: list) -> np.ndarray:
+    """A value below every distance the grid can score on each face, even n.
+
+    A face [value f, signs sigma, barycentric b of f's point] has its point
+    x = sigma b, the spectrum q = (1 + S x) / 4 there, clipped at 0 as
+    ``classical_distance`` clips it, and the gradient g_q at q. The distance is
+    convex in q, and q is affine in x, so over the face, whose vertices are
+    sigma_i e_i, it is at least f - g . x + min_i sigma_i g_i with
+    g = S^T g_q / 4: f less the Frank-Wolfe duality gap (M. Jaggi, ICML 2013).
+    On the face with signs -s_k for a row s_k of S, q_k is 0 throughout, so
+    entry k leaves g_q; under relative entropy with p_k above _SUPPORT_TOL that
+    face is all inf, and so is its floor.
+
+    The floor is this bound less _FLOOR_MARGIN (1 + sum |g_q|), which covers
+    how far the values the kernel computes can fall below it:
+    - rounding, and grid points up to 2e-12 off the face (the window filter's
+      tolerance), move them by well under 1e-11 (1 + sum |g_q|); f is at most 2
+      except under relative entropy, whose rounding its gradient bounds;
+    - on a face with signs -s_k, q_k rounds into [0, 2^-52], which lowers the
+      affinity kinds by up to 2 sqrt(p_k 2^-52) < 3e-8;
+    - relative entropy keeps or drops the term of an entry with 0 < p_k <=
+      _SUPPORT_TOL as q_k crosses 1e-12, which moves a value by less than
+      3.2e-8 for each such entry, and there are at most three.
+    A face whose value or gradient is not finite gets the floor -inf, except
+    that all-inf face. Computed for all faces at once, under ``np.errstate``: a
+    zero spectrum entry divides by 0.
+    """
+    values, signs, bary = (np.array(column) for column in zip(*faces))
+    x = signs * bary
+    q = np.clip(0.25 + x @ (s / 4).T, 0.0, None)
+    vanishing = signs @ s.T == -3  # signs -s_k: q_k is 0 on the whole face
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gq = _distance_gradient(p, q, kind)
+        gq[vanishing] = 0.0
+        g = gq @ s / 4
+        bound = values - (g * x).sum(axis=1) + (signs * g).min(axis=1)
+        floors = bound - _FLOOR_MARGIN * (1 + np.abs(gq).sum(axis=1))
+    floors[~(np.isfinite(values) & np.isfinite(gq).all(axis=1))] = -np.inf
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        floors[(vanishing & (p > _SUPPORT_TOL)).any(axis=1)] = np.inf
+    return floors
+
+
 def brute_min_over_octahedron(
     state: M3NState, kind: DistanceKind, cfg: OracleConfig | None = None
 ) -> float:
@@ -134,8 +207,12 @@ def brute_min_over_octahedron(
     distance call, so the scoring working set is one window's. Each distance
     comes from c and the grid triple alone, so the cost does not grow with n.
     Even n: the sigma_j^{xn} commute, so the distances are classical distances
-    between the spectra (1 + S c) / 4 and (1 + S x) / 4, and every face is
-    refined around its own coarse minimum.
+    between the spectra (1 + S c) / 4 and (1 + S x) / 4. Each face is refined
+    around its own best point, until a round finds its floor (``_face_floors``,
+    a convexity bound from that point) above the least value of all faces so
+    far; no value it could score would then be the minimum. All eight faces
+    survive in the worst case, so the coarse round and the memory bound stay
+    those of refining every face.
     Odd n: the sigma_j^{xn} anticommute, so the trace distance is |c - x| / 2;
     only trace distance is supported, as in ``entanglement_m3n``, and only
     the incumbent's face is refined. Separable inputs return 0 (the state
@@ -162,30 +239,38 @@ def brute_min_over_octahedron(
 
     # the coarse lattice is the same on every face; a face's points are its signs times it
     lattice, _ = _face_windows([(0.5, 0.5)], 0.5, cfg.grid_resolution)
-    faces = []  # [value, signs, barycentric (u, v) of the value's point]
+    faces = []  # [value, signs, barycentric (u, v, w) of the value's point]
     for signs in _FACES:
         vals = distances((lattice * signs[:, None]).T)
         g = int(np.argmin(vals))
-        faces.append([float(vals[g]), signs, lattice[:2, g].copy()])
+        faces.append([float(vals[g]), signs, lattice[:, g].copy()])
     del lattice
     if odd:  # refine the incumbent's face only
         faces = [min(faces, key=lambda f: f[0])]
     # each round shrinks the windows 4x around the faces' best points, in one build
-    # for as many windows as fit CHUNK_ENTRIES; a face whose window is empty stops
+    # for as many windows as fit CHUNK_ENTRIES; a face whose window is empty stops,
+    # and at even n so does a face whose floor lies above the least value so far
     refining, halfwidth, window_points = faces, 0.5, (cfg.grid_resolution + 1) ** 2
     for _ in range(cfg.refine_rounds):
+        if not refining:
+            break
+        if not odd:
+            incumbent = min(f[0] for f in faces)
+            floors = _face_floors(p, s, kind, refining)
+            refining = [f for f, floor in zip(refining, floors.tolist()) if not floor > incumbent]
         halfwidth /= 4.0
         batches = [refining[chunk] for chunk in chunks(len(refining), window_points)]
         refining = []
         for batch in batches:
-            lattice, windows = _face_windows([f[2] for f in batch], halfwidth, cfg.grid_resolution)
+            lattice, windows = _face_windows([f[2][:2] for f in batch], halfwidth,
+                                             cfg.grid_resolution)
             for face, window in zip(batch, windows):
                 if window.start == window.stop:
                     continue
                 vals = distances((lattice[:, window] * face[1][:, None]).T)
                 g = int(np.argmin(vals))
                 if vals[g] < face[0]:
-                    face[0], face[2] = float(vals[g]), lattice[:2, window.start + g].copy()
+                    face[0], face[2] = float(vals[g]), lattice[:, window.start + g].copy()
                 refining.append(face)
             del lattice
     return min(f[0] for f in faces)
@@ -222,22 +307,17 @@ def _fw_gap(q: np.ndarray, g: np.ndarray) -> float:
 def _surrogate_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """(Sub)gradient at q of the convex function of q that a distance minimises.
 
-    Trace and relative entropy are minimised directly; trace takes the
-    subgradient (1/2) sign(q - p), with +1/2 at a tie, where any value in
-    [-1/2, 1/2] is a subgradient. Infidelity, squared Bures and squared
-    Hellinger all decrease with the affinity sum sqrt(p q), so they minimise
-    its negative. Entries of q are floored at 1e-14 where p is positive.
+    Trace and relative entropy are minimised directly. Infidelity, squared
+    Bures and squared Hellinger all decrease with the affinity sum sqrt(p q),
+    so they minimise its negative, half the squared-Bures gradient. Entries of
+    q are floored at 1e-14, except for trace distance.
     """
     if kind is DistanceKind.TRACE:
-        return np.where(q >= p, 0.5, -0.5)
-    support = p > 0
-    qs = np.maximum(q[support], 1e-14)
-    g = np.zeros_like(q)
+        return _distance_gradient(p, q, kind)
+    qs = np.maximum(q, 1e-14)
     if kind is DistanceKind.RELATIVE_ENTROPY:
-        g[support] = -p[support] / (qs * math.log(2))
-    else:
-        g[support] = -0.5 * np.sqrt(p[support] / qs)
-    return g
+        return _distance_gradient(p, qs, kind)
+    return 0.5 * _distance_gradient(p, qs, DistanceKind.SQUARED_BURES)
 
 
 def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> float:

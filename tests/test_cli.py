@@ -489,6 +489,33 @@ def test_package_runs_without_scipy(tmp_path):
     assert trace["deviation"] <= 1e-15
 
 
+QUIET_SCRIPT = """
+import contextlib, io, json, sys
+from entbound.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        print(main(argv), file=sys.__stdout__)
+"""
+
+
+def test_octahedron_oracle_writes_nothing_to_stderr():
+    # its face floors divide by zero spectrum entries: the faces with signs -s_k hold
+    # q_k = 0, and here relative entropy's is all inf. A fresh interpreter prints any
+    # numpy RuntimeWarning that escapes them to stderr
+    commands = [
+        ["oracle", "--n", "4", "--c=0.537799,-0.42312,-0.884021", "--distance", "re"],
+        ["oracle", "--n", "4", "--c=-0.511822,0.935388,-0.447535", "--distance", "squared_bures"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", QUIET_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("command", ["bound", "oracle"])
 def test_unsupported_distance_is_an_input_error(command, capsys):
     # odd n has an exact value for trace distance only

@@ -154,11 +154,14 @@ def test_oracle_equals_row_major_oracle_bit_for_bit(n, rng):
         assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
 
 
+#: the triple on which the squared-Bures oracle once missed the closed form
+KNOWN_MISS = (-0.511822, 0.935388, -0.447535)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("resolution, rounds", [(60, 3), (24, 1), (4, 0)])
 def test_oracle_equals_row_major_oracle_on_a_known_miss(n, resolution, rounds):
-    # the triple on which the squared-Bures oracle once missed the closed form
-    state = M3NState(n, CorrelationTriple(-0.511822, 0.935388, -0.447535))
+    state = M3NState(n, CorrelationTriple(*KNOWN_MISS))
     cfg = OracleConfig(resolution, rounds)
     for kind in ALL_DISTANCES:
         assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
@@ -183,28 +186,57 @@ def test_oracle_equals_row_major_oracle_to_the_last_round(n, rng):
         assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
 
 
+def _kept_faces(monkeypatch):
+    """Record, per round, how many faces the floors leave to refine."""
+    inner = oracle._face_floors
+    kept = []
+
+    def recorded(p, s, kind, faces):
+        floors = inner(p, s, kind, faces)
+        incumbent = min(f[0] for f in faces)  # the incumbent's face is among them
+        kept.append(int(np.sum(~(floors > incumbent))))
+        return floors
+
+    monkeypatch.setattr(oracle, "_face_floors", recorded)
+    return kept
+
+
 def test_one_lattice_build_per_round(monkeypatch, rng):
     # the coarse lattice serves all eight faces; each round then builds every window
-    # it refines at once: eight at even n, the incumbent's at odd n
+    # it refines at once: at even n those of the faces whose floor does not lie above
+    # the least value so far, at odd n the incumbent's
     builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
+    kept = _kept_faces(monkeypatch)
     cfg = OracleConfig()
     for n, kind in [(4, DistanceKind.RELATIVE_ENTROPY), (6, DistanceKind.TRACE)]:
         builds.clear()
+        kept.clear()
         brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), kind, cfg)
-        assert builds == [1] + [8] * cfg.refine_rounds
+        assert len(kept) == cfg.refine_rounds and max(kept) < 8
+        assert builds == [1] + kept
+    # the benchmark's n=4 relative-entropy triple refines one face a round; on its
+    # squared-Bures miss the floors leave more
+    re_triple = (0.537799, -0.42312, -0.884021)
+    for c, kind, want in [(re_triple, DistanceKind.RELATIVE_ENTROPY, [1, 1, 1]),
+                          (KNOWN_MISS, DistanceKind.SQUARED_BURES, [7, 5, 5])]:
+        builds.clear()
+        brute_min_over_octahedron(M3NState(4, CorrelationTriple(*c)), kind, OracleConfig(40, 3))
+        assert builds == [1] + want
     for n in (3, 5):
         builds.clear()
         brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), DistanceKind.TRACE, cfg)
         assert builds == [1] * (1 + cfg.refine_rounds)
 
 
-def test_lattice_builds_run_in_chunks(monkeypatch, rng):
-    # a build holds as many windows as fit CHUNK_ENTRIES at (resolution + 1)^2 a window
+def test_lattice_builds_run_in_chunks(monkeypatch):
+    # a build holds as many windows as fit CHUNK_ENTRIES at (resolution + 1)^2 a
+    # window; on the squared-Bures miss seven faces survive each round
     builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
     cfg = OracleConfig(24, 2)
-    state = random_m3n_outside_octahedron(4, rng)
+    state = M3NState(4, CorrelationTriple(*KNOWN_MISS))
     want = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg)
-    for per_build, batches in [(3, [3, 3, 2]), (1, [1] * 8), (8, [8])]:
+    assert builds == [1, 7, 7]
+    for per_build, batches in [(3, [3, 3, 1]), (1, [1] * 7), (8, [7])]:
         monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", per_build * 25**2)
         builds.clear()
         assert brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg) == want
