@@ -301,10 +301,8 @@ def _cmd_simulate(args) -> None:
         "shots": args.shots,
         "seed": args.seed,
         "estimate": est.to_json_dict(),
-        "records": [
-            {"axis": rec.axis, "counts": dict(sorted(rec.counts.items()))}
-            for rec in records
-        ],
+        # a simulated record's counts are already in sorted-outcome order
+        "records": [{"axis": rec.axis, "counts": rec.counts} for rec in records],
     }
     _emit(out, args)
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import _frozen, hamming_weights
 from .errors import ParameterError, SchemaError, read_json, reading
 from .measures import (
     DistanceKind,
@@ -37,12 +38,13 @@ from .measures import (
 from .pauli import LocalRotation
 from .qstate import CorrelationTriple, DenseState
 
-#: basis changes mapping the eigenbasis of sigma_j to the computational basis
-_BASIS_CHANGE = {
-    1: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    2: np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
-    3: np.eye(2, dtype=complex),
-}
+#: basis changes mapping the eigenbasis of sigma_j to the computational basis, sigma_j's
+#: at index j - 1, so that one leading axis serves the three settings
+_BASIS_CHANGES = _frozen(np.stack([
+    np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
+    np.eye(2, dtype=complex),
+]))
 
 #: parametric bootstrap draws behind every bootstrapped error bar
 _BOOTSTRAP_SAMPLES = 10_000
@@ -53,12 +55,19 @@ class MeasurementRecord:
     """Shot counts for one product-Pauli setting.
 
     Outcome strings use '+' and '-' per qubit; counts must add up to shots.
+    A record keeps its outcome products (+/-1) and their counts as read-only
+    float arrays in sorted-outcome order, which ``products`` returns. One made
+    from a dict is validated and computes them from its sorted keys; one that
+    ``simulate_measurements`` draws is valid by construction, skips the checks
+    and takes them straight from the drawn outcome indices.
     """
 
     n: int
     axis: int
     shots: int
     counts: dict
+    _prods: np.ndarray = field(init=False, repr=False, compare=False)
+    _cnts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in (1, 2, 3):
@@ -82,16 +91,38 @@ class MeasurementRecord:
         total = sum(counts.values())
         if total != self.shots:
             raise ParameterError(f"counts sum to {total}, expected shots={self.shots}")
-        object.__setattr__(self, "counts", dict(self.counts))
-
-    def products(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome products (+/-1) and their counts, aligned arrays."""
-        keys = sorted(self.counts)
+        object.__setattr__(self, "counts", dict(counts))
+        keys = sorted(counts)
         # the keys are n-character '+'/'-' strings: one byte per qubit once joined
         chars = np.frombuffer("".join(keys).encode(), dtype=np.uint8).reshape(len(keys), self.n)
-        prods = np.where(np.count_nonzero(chars == ord("-"), axis=1) % 2, -1.0, 1.0)
-        cnts = np.array([self.counts[k] for k in keys], dtype=float)
-        return prods, cnts
+        self._store(np.count_nonzero(chars == ord("-"), axis=1),
+                    np.array([counts[k] for k in keys], dtype=float))
+
+    def _store(self, minus_signs: np.ndarray, cnts: np.ndarray) -> None:
+        prods = np.where(minus_signs % 2, -1.0, 1.0)
+        object.__setattr__(self, "_prods", _frozen(prods))
+        object.__setattr__(self, "_cnts", _frozen(cnts))
+
+    @classmethod
+    def _drawn(cls, n: int, axis: int, shots: int, drawn: np.ndarray) -> "MeasurementRecord":
+        """The record of one multinomial draw over the 2^n outcome indices, n <= QUBIT_CAP.
+
+        Index i stands for the outcome string whose '-' signs are i's 1 bits,
+        qubit 0 first, so the ascending hit indices are in sorted-outcome order
+        ('+' sorts before '-') and their Hamming weights count the '-' signs.
+        """
+        hit = np.flatnonzero(drawn)
+        cnts = drawn[hit]
+        rec = cls.__new__(cls)
+        for name, value in (("n", n), ("axis", axis), ("shots", shots),
+                            ("counts", dict(zip(_outcome_keys(hit, n), cnts.tolist())))):
+            object.__setattr__(rec, name, value)
+        rec._store(hamming_weights(n)[hit], cnts.astype(float))
+        return rec
+
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome products (+/-1) and their counts, aligned read-only arrays."""
+        return self._prods, self._cnts
 
 
 @dataclass(frozen=True)
@@ -132,9 +163,12 @@ def simulate_measurements(
     Setting j measures the rotated Pauli on every qubit; outcomes are
     deterministic for a fixed seed. Its outcome probabilities are the
     diagonal of W rho W^dag, W = (B_j u_1) x ... x (B_j u_n) with B_j the
-    basis change of sigma_j, read by ``DenseState.lines_under`` from the
-    state's form: O(n 2^n) for a built state, O(4^n) for a matrix from
-    outside, and never a rotated matrix.
+    basis change of sigma_j. One ``DenseState.lines_under`` call reads all
+    three settings from the state's form, the three B_j u_k stacked on a
+    leading axis: O(n 2^n) for a built state, O(4^n) for a matrix from
+    outside, and never a rotated matrix. Each setting's outcomes stay the
+    integer counts of the multinomial draw, indexed by basis state, until
+    the record turns them into its outcome strings and products.
     """
     if shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
@@ -142,16 +176,13 @@ def simulate_measurements(
         raise ParameterError(f"shots must be at most 2^63 - 1 (numpy's multinomial), got {shots}")
     n = state.n
     us = rot.unitaries(n) if rot is not None else [np.eye(2, dtype=complex)] * n
+    born, _ = state.lines_under([_BASIS_CHANGES @ u for u in us], anti=False)
     rng = np.random.default_rng(seed)
     records = []
-    for axis in (1, 2, 3):
-        probs, _ = state.lines_under([_BASIS_CHANGE[axis] @ u for u in us], anti=False)
-        probs = np.clip(probs, 0.0, None)
+    for axis, line in zip((1, 2, 3), born):
+        probs = np.clip(line, 0.0, None)
         probs /= probs.sum()
-        drawn = rng.multinomial(shots, probs)
-        hit = np.flatnonzero(drawn)
-        counts = dict(zip(_outcome_keys(hit, n), drawn[hit].tolist()))
-        records.append(MeasurementRecord(n, axis, shots, counts))
+        records.append(MeasurementRecord._drawn(n, axis, shots, rng.multinomial(shots, probs)))
     return tuple(records)
 
 

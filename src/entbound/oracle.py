@@ -65,6 +65,9 @@ MAX_REFINE_ROUNDS = 26
 #: margin of a face's floor per unit of 1 + sum |g_q| (see _face_floors): a factor
 #: 10 above the largest amount by which the kernel's values can fall below the bound
 _FLOOR_MARGIN = 1e-6
+#: share of the way to its face's centroid that a best point on an edge moves
+#: before its face's floor is taken (see _face_floors)
+_INWARD = 1e-3
 #: sign patterns of the eight octahedron faces
 _FACES = _frozen(np.array(list(itertools.product((1.0, -1.0), repeat=3))))
 
@@ -151,6 +154,14 @@ def _distance_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.n
     return np.where(p > 0, g, 0.0)
 
 
+def _spectrum_gradients(p, s, kind, x, vanishing) -> np.ndarray:
+    """The gradient g_q at the spectra (1 + S x) / 4, clipped at 0, of the rows of x,
+    with the entries that vanish on a point's whole face set to 0."""
+    gq = _distance_gradient(p, np.clip(0.25 + x @ (s / 4).T, 0.0, None), kind)
+    gq[vanishing] = 0.0
+    return gq
+
+
 def _face_floors(p: np.ndarray, s: np.ndarray, kind: DistanceKind, faces: list) -> np.ndarray:
     """A value below every distance the grid can score on each face, even n.
 
@@ -174,17 +185,26 @@ def _face_floors(p: np.ndarray, s: np.ndarray, kind: DistanceKind, faces: list) 
     - relative entropy keeps or drops the term of an entry with 0 < p_k <=
       _SUPPORT_TOL as q_k crosses 1e-12, which moves a value by less than
       3.2e-8 for each such entry, and there are at most three.
-    A face whose value or gradient is not finite gets the floor -inf, except
-    that all-inf face. Computed for all faces at once, under ``np.errstate``: a
-    zero spectrum entry divides by 0.
+    The bound holds from any point of the face, so a face whose best point
+    has an infinite gradient (it lies on an edge where q_k = 0 < p_k) takes
+    it at that point moved _INWARD of the way to the face's centroid, where
+    q_k > 0 off the vanishing entries, valued by ``classical_distance`` for
+    all such faces at once. A face whose value or gradient is still not
+    finite gets the floor -inf, except that all-inf face. Computed for all
+    faces at once, under ``np.errstate``: a zero spectrum entry divides by 0.
     """
     values, signs, bary = (np.array(column) for column in zip(*faces))
     x = signs * bary
-    q = np.clip(0.25 + x @ (s / 4).T, 0.0, None)
     vanishing = signs @ s.T == -3  # signs -s_k: q_k is 0 on the whole face
     with np.errstate(divide="ignore", invalid="ignore"):
-        gq = _distance_gradient(p, q, kind)
-        gq[vanishing] = 0.0
+        gq = _spectrum_gradients(p, s, kind, x, vanishing)
+        # a best point on an edge where q_k = 0 < p_k has an infinite gradient there;
+        # such a face takes its bound at a point just inside it, valued in one call
+        edge = np.isfinite(values) & ~np.isfinite(gq).all(axis=1)
+        if edge.any():
+            x[edge] = signs[edge] * ((1 - _INWARD) * bary[edge] + _INWARD / 3)
+            gq[edge] = _spectrum_gradients(p, s, kind, x[edge], vanishing[edge])
+            values[edge] = classical_distance(p, 0.25 + x[edge] @ (s / 4).T, kind)
         g = gq @ s / 4
         bound = values - (g * x).sum(axis=1) + (signs * g).min(axis=1)
         floors = bound - _FLOOR_MARGIN * (1 + np.abs(gq).sum(axis=1))

@@ -187,7 +187,9 @@ class DenseState:
         """The real diagonal and the anti-diagonal (None unless ``anti``) of U rho U^dag.
 
         U = us[0] x ... x us[n-1]; unitaries of shape (..., 2, 2), the same
-        leading axes on every qubit, give lines of shape (..., 2^n)."""
+        leading axes on every qubit, give lines of shape (..., 2^n), so one
+        call serves several settings: ``simulate_measurements`` stacks its
+        three basis changes on a leading axis of length 3."""
         return _lines_under(self._form, list(us), anti)
 
     def sandwich(self, vs) -> np.ndarray:

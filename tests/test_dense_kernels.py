@@ -21,7 +21,7 @@ from entbound._linalg import (
 )
 from entbound.cli import main
 from entbound.errors import StateValidityError
-from entbound.estimate import _BASIS_CHANGE
+from entbound.estimate import _BASIS_CHANGES
 from entbound.pauli import correlation_tensor, correlation_triple, su2_from_angles
 from entbound.qstate import (
     CorrelationTriple,
@@ -75,7 +75,7 @@ def test_dense_lines_under_match_dense_rotation(n, rng):
     state = random_density(n, rng)
     us = [su2_from_angles(rng.uniform(0, math.pi, 3)) for _ in range(n)]
     for axis in (1, 2, 3):
-        ws = [_BASIS_CHANGE[axis] @ u for u in us]
+        ws = [_BASIS_CHANGES[axis - 1] @ u for u in us]
         rotated = apply_product_unitary(np.array(state.rho), ws, n)
         diag, anti = state.lines_under(ws)
         assert np.max(np.abs(diag - np.real(np.diagonal(rotated)))) <= 1e-15
@@ -94,7 +94,7 @@ def _tensordot_line(rho, ws, rows, n):
 def test_dense_lines_under_bit_identical_to_tensordot_loop(n, rng):
     # sampling reads the diagonal as probabilities, so a zero must stay an exact zero
     state = random_density(n, rng)
-    ws = [_BASIS_CHANGE[1 + k % 3] @ su2_from_angles(rng.uniform(0, math.pi, 3)) for k in range(n)]
+    ws = [_BASIS_CHANGES[k % 3] @ su2_from_angles(rng.uniform(0, math.pi, 3)) for k in range(n)]
     diag, anti = state.lines_under(ws)
     assert np.array_equal(diag, np.real(_tensordot_line(state.rho, ws, ws, n)))
     assert np.array_equal(anti, _tensordot_line(state.rho, ws, [w[::-1] for w in ws], n))

@@ -215,10 +215,11 @@ def test_one_lattice_build_per_round(monkeypatch, rng):
         assert len(kept) == cfg.refine_rounds and max(kept) < 8
         assert builds == [1] + kept
     # the benchmark's n=4 relative-entropy triple refines one face a round; on its
-    # squared-Bures miss the floors leave more
+    # squared-Bures miss, whose faces' best points lie on edges where a spectral entry
+    # vanishes, the floors taken just inside those faces leave two
     re_triple = (0.537799, -0.42312, -0.884021)
     for c, kind, want in [(re_triple, DistanceKind.RELATIVE_ENTROPY, [1, 1, 1]),
-                          (KNOWN_MISS, DistanceKind.SQUARED_BURES, [7, 5, 5])]:
+                          (KNOWN_MISS, DistanceKind.SQUARED_BURES, [2, 2, 2])]:
         builds.clear()
         brute_min_over_octahedron(M3NState(4, CorrelationTriple(*c)), kind, OracleConfig(40, 3))
         assert builds == [1] + want
@@ -230,13 +231,14 @@ def test_one_lattice_build_per_round(monkeypatch, rng):
 
 def test_lattice_builds_run_in_chunks(monkeypatch):
     # a build holds as many windows as fit CHUNK_ENTRIES at (resolution + 1)^2 a
-    # window; on the squared-Bures miss seven faces survive each round
+    # window; on this n=2 triple the four faces that share the vertex e_3 all find
+    # their best point there, with one value, so all four survive each round
     builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
     cfg = OracleConfig(24, 2)
-    state = M3NState(4, CorrelationTriple(*KNOWN_MISS))
+    state = M3NState(2, CorrelationTriple(0.2, -0.2, 1.0))
     want = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg)
-    assert builds == [1, 7, 7]
-    for per_build, batches in [(3, [3, 3, 1]), (1, [1] * 7), (8, [7])]:
+    assert builds == [1, 4, 4]
+    for per_build, batches in [(3, [3, 1]), (2, [2, 2]), (1, [1] * 4), (8, [4])]:
         monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", per_build * 25**2)
         builds.clear()
         assert brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg) == want

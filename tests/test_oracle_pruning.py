@@ -88,8 +88,35 @@ def _triples(n, rng):
         for shift in (4e-14, 1e-13, -1e-13):  # -1e-13: just outside, within _TRIPLE_TOL
             states.append(_state(n, state.c.as_array() + shift / 3 * row))
     states += [_with_a_small_entry(n, rng) for _ in range(3)]
+    states += [_with_an_edge_best_point(n, rng)[0] for _ in range(2)]
     states += [_state(n, c) for c in CATALOG_N4]
     return [state for state in states if state is not None]
+
+
+#: the kinds whose gradient is infinite where q_k = 0 < p_k and whose value is finite there
+AFFINITY_KINDS = (DistanceKind.INFIDELITY, DistanceKind.SQUARED_BURES,
+                  DistanceKind.SQUARED_HELLINGER)
+
+
+def _edge_faces(state, kind, faces):
+    """Which faces' best points lie on an edge where a spectral entry q_k is 0 and p_k is
+    not, off the face with signs -s_k (on which q_k is 0 throughout)."""
+    s = _even_signs(state.n)
+    p = (1 + s @ state.c.as_array()) / 4
+    signs = np.array([f[1] for f in faces])
+    q = np.clip(0.25 + (signs * np.array([f[2] for f in faces])) @ (s / 4).T, 0.0, None)
+    return ((q == 0) & (p > 0) & (signs @ s.T != -3)).any(axis=1)
+
+
+def _with_an_edge_best_point(n, rng):
+    """A triple outside the octahedron, and an affinity kind, for which a face's coarse
+    best point lies on an edge where a spectral entry vanishes (a gradient entry is
+    infinite there); about one random triple in twenty has one."""
+    while True:
+        state = random_m3n_outside_octahedron(n, rng)
+        for kind in AFFINITY_KINDS:
+            if _edge_faces(state, kind, refined_faces(state, kind, OracleConfig(24, 0))).any():
+                return state, kind
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -122,7 +149,8 @@ def _coarse_points(state, kind, resolution):
 def test_face_floors_lie_below_the_fine_grid_and_the_closed_form(kind, rng):
     for n in (2, 4, 6):
         states = [random_m3n_outside_octahedron(n, rng) for _ in range(2)]
-        states += [_on_tetrahedron_face(n, rng)[0], _with_a_small_entry(n, rng)]
+        states += [_on_tetrahedron_face(n, rng)[0], _with_a_small_entry(n, rng),
+                   _with_an_edge_best_point(n, rng)[0]]
         for state in states:
             p, s, points = _coarse_points(state, kind, 8)
             floors = oracle._face_floors(p, s, kind, points).reshape(8, -1)
@@ -136,6 +164,32 @@ def test_face_floors_lie_below_the_fine_grid_and_the_closed_form(kind, rng):
             assert np.all(closest * signs >= 0)
             face = next(i for i, f in enumerate(oracle._FACES) if np.array_equal(f, signs))
             assert floors[face].max() <= entanglement_m3n(state, level, kind).value
+
+
+def test_edge_best_points_take_finite_floors_below_the_fine_grid(rng):
+    # a face whose best point lies on an edge where q_k = 0 < p_k has an infinite
+    # gradient there; its floor, taken just inside the face, is finite and still lies
+    # below the face's fine-grid minimum and, on the closest face, below the closed form
+    cases = [(M3NState(4, CorrelationTriple(*CATALOG_N4[3])), DistanceKind.SQUARED_BURES)]
+    cases += [_with_an_edge_best_point(n, rng) for n in (2, 4, 6) for _ in range(3)]
+    edges = 0
+    for state, kind in cases:
+        s = _even_signs(state.n)
+        p = (1 + s @ state.c.as_array()) / 4
+        fine = refined_faces(state, kind, OracleConfig(200, 2))
+        closest = tuple(np.where(state.c.as_array() >= 0, 1.0, -1.0))
+        value = entanglement_m3n(state, SeparabilityLevel(m=state.n), kind).value
+        for rounds in range(3):
+            faces = refined_faces(state, kind, OracleConfig(24, rounds))
+            on_edge = _edge_faces(state, kind, faces)
+            floors = oracle._face_floors(p, s, kind, faces)
+            assert np.all(np.isfinite(floors[on_edge])), (state.c, kind, rounds)
+            for face, floor, refined in zip(faces, floors, fine):
+                assert floor <= refined[0], (state.c, kind, face[1])
+                if tuple(face[1]) == closest:
+                    assert floor <= value
+            edges += int(on_edge.sum())
+    assert edges >= 20
 
 
 @pytest.mark.parametrize("kind", ALL_DISTANCES, ids=lambda k: k.value)

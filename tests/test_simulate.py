@@ -1,6 +1,8 @@
 """The three-setting protocol: measurement records, the counts-to-triple step,
 and Born probabilities read from each built state's form."""
 
+import ast
+import itertools
 import json
 import math
 
@@ -15,7 +17,7 @@ from entbound._linalg import pauli_power_entries
 from entbound.cli import main
 from entbound.errors import ParameterError
 from entbound.estimate import (
-    _BASIS_CHANGE,
+    _BASIS_CHANGES,
     MeasurementRecord,
     _outcome_keys,
     counts_to_triple,
@@ -30,6 +32,7 @@ from entbound.pauli import (
     su2_from_angles,
 )
 from entbound.qstate import DenseState, StateFamily, build_state
+from simulate_reference import simulate_per_setting
 
 
 # -- records ----------------------------------------------------------------------
@@ -168,7 +171,7 @@ def _assert_form_matches_dense(state, rotations):
     for rot in rotations:
         us = rot.unitaries(n) if rot is not None else [np.eye(2)] * n
         for axis in (1, 2, 3):
-            ws = [_BASIS_CHANGE[axis] @ u for u in us]
+            ws = [_BASIS_CHANGES[axis - 1] @ u for u in us]
             fast, _ = state.lines_under(ws, anti=False)
             assert np.max(np.abs(fast - outside.lines_under(ws, anti=False)[0])) <= 1e-14
 
@@ -290,9 +293,73 @@ def test_outside_matrix_takes_the_dense_path(monkeypatch):
     fast = simulate_measurements(built, rot, 5000, seed=11)
     assert calls == []
     dense = simulate_measurements(outside, rot, 5000, seed=11)
-    assert len(calls) == 3
+    assert len(calls) == 1  # the three settings share one contraction
     # every outcome has positive probability, so the 1e-17 rounding gap draws the same counts
     assert [r.counts for r in dense] == [r.counts for r in fast]
+
+
+# -- one read for the three settings, integer outcomes -------------------------------
+
+def _simulate_states(n, rng):
+    """A pure, an X-matrix and a mixed built state, and a dense matrix from outside."""
+    pure = build_state(StateFamily.w() if rng.integers(2) else StateFamily.cluster_linear(), n)
+    x = build_state(StateFamily.m3n(tuple(rng.uniform(-0.3, 0.3, 3))), n)
+    mix = build_state(StateFamily.white_noise_mix(StateFamily.ghz(), rng.uniform(0.2, 0.9)), n)
+    outside = DenseState(n, np.array(build_state(StateFamily.white_noise_mix(
+        StateFamily.dicke(n // 2), rng.uniform(0.2, 0.9)), n).rho))
+    states = {"pure": pure, "x": x, "mix": mix, "dense": outside}
+    assert [s._form[0] for s in states.values()] == list(states)
+    return states
+
+
+def test_simulate_matches_the_per_setting_reference(rng):
+    # counts dicts (their key order too) and estimate bits against one read per setting
+    calls = 0
+    for n in range(2, 11):
+        for form, state in _simulate_states(n, rng).items():
+            rounds = 2 if form == "dense" and n >= 9 else 3
+            for rot, _ in itertools.product(_rotations(n, rng), range(rounds)):
+                # every seventh call takes an end of the range, 1 or 10^5 shots
+                shots = int(10 ** rng.uniform(0, 5)) if calls % 7 else (1, 10**5)[calls % 2]
+                seed = int(rng.integers(2**32))
+                got = simulate_measurements(state, rot, shots, seed)
+                want = simulate_per_setting(state, rot, shots, seed)
+                assert [list(r.counts.items()) for r in got] == \
+                    [list(r.counts.items()) for r in want], (n, form, shots, seed)
+                est, ref = counts_to_triple(got), counts_to_triple(want)
+                assert est.c.as_array().tobytes() == ref.c.as_array().tobytes()
+                assert np.array(est.sigma).tobytes() == np.array(ref.sigma).tobytes()
+                calls += 1
+    assert calls >= 300
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_simulated_record_equals_its_dict_record(n, rng):
+    state = build_state(StateFamily.white_noise_mix(StateFamily.ghz(), 0.6), n) if n > 1 else \
+        DenseState(1, np.array([[0.7, 0.2j], [-0.2j, 0.3]]))
+    for shots in (1, 37, 5000):
+        for rec in simulate_measurements(state, _rotations(n, rng)[1], shots, seed=shots):
+            again = MeasurementRecord(n, rec.axis, shots, dict(rec.counts))
+            assert rec == again and repr(rec) == repr(again)
+            assert list(rec.counts) == sorted(rec.counts)
+            for mine, theirs in zip(rec.products(), again.products()):
+                assert mine.dtype == theirs.dtype == float
+                assert mine.tobytes() == theirs.tobytes()
+                assert not mine.flags.writeable and not theirs.flags.writeable
+
+
+@pytest.mark.parametrize("family", [["--family", "w"], ["--family", "m3n", "--params",
+                                                          '{"c": [0.5, 0.3, -0.2]}']])
+def test_pretty_simulate_prints_counts_in_sorted_order(family, capsys):
+    argv = ["simulate", "--n", "5", "--shots", "400", "--seed", "3"] + family
+    assert main(argv + ["--full-precision"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert main(argv + ["--pretty"]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.strip().startswith("records:"))
+    printed = ast.literal_eval(line.split(":", 1)[1].strip())
+    assert printed == records
+    assert all(list(r["counts"]) == sorted(r["counts"]) for r in printed)
 
 
 # -- which commands build a dense matrix ------------------------------------------
