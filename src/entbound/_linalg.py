@@ -10,6 +10,8 @@ import functools
 
 import numpy as np
 
+from .errors import CapacityError
+
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -23,10 +25,18 @@ SIGMA_STACK = np.stack(SIGMA)
 
 #: matrix entries one batched step may hold; longer batches run in chunks
 CHUNK_ENTRIES = 1 << 20
-#: bytes one search or oracle grid may hold
+#: bytes one working set (a matrix, a block, a search or an oracle grid) may hold
 GRID_BUDGET = 512 << 20
 #: largest qubit count of a built state and an m3n density
 QUBIT_CAP = 16
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Refuse a working set of ``nbytes`` bytes above GRID_BUDGET, before it is allocated."""
+    if nbytes > GRID_BUDGET:
+        raise CapacityError(
+            f"{what} takes {-(-nbytes >> 20)} MiB, above the {GRID_BUDGET >> 20} MiB budget"
+        )
 
 
 def chunks(count: int, per_row: int) -> list[slice]:

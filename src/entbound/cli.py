@@ -4,11 +4,11 @@ Every subcommand prints machine-readable JSON on stdout (a human-readable
 table with ``--pretty``) and exits 0. Input problems exit 2 with nothing on
 stdout: usage and schema errors, unreadable input files, malformed
 parameters, unphysical states or spectra, and sizes above a cap: the qubit
-cap of a state, the dense cap of its matrix and correlation block, or a memory
-budget. The budget bounds a search's starts, a GHZ spectrum file (eight
-copies of its array, about what ``oracle`` holds: n >= 24 exits 2) and the
-``state --dense`` export (512 bytes an entry: n >= 11 exits 2). Other
-computation failures exit 1.
+cap of a state, or the memory budget of a working set. The budget bounds a
+state's correlation block (a correlation-sum ``optimise``: n >= 14 exits 2),
+a search's starts, a GHZ spectrum file (eight copies of its array, about
+what ``oracle`` holds: n >= 24 exits 2) and the ``state --dense`` export
+(512 bytes an entry: n >= 11 exits 2). Other computation failures exit 1.
 Output is byte-identical across runs with the same flags and seeds.
 
 The argument parser is built once per process, on the first ``main`` call,

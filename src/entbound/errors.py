@@ -13,7 +13,7 @@ class ParameterError(EntboundError, ValueError):
 
 
 class CapacityError(EntboundError):
-    """A size above a cap (qubit or dense) or a working set above a memory budget."""
+    """A qubit count above the qubit cap, or a working set above the memory budget."""
 
 
 class StateValidityError(EntboundError, ValueError):

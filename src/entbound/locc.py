@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET
-from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
+from ._linalg import check_budget
+from .errors import ParameterError, SchemaError, StateValidityError, read_json
 from .qstate import DenseState
 
 _SUM_TOL = 1e-12
@@ -97,9 +97,6 @@ class GHZDiagonalState:
         flat = int(np.argmax(self.p))
         return GHZBasisIndex(self.n, flat // 2, +1 if flat % 2 == 0 else -1)
 
-    def value(self, idx: GHZBasisIndex) -> float:
-        return float(self.p[idx.i, 0 if idx.sign > 0 else 1])
-
     def flat(self) -> np.ndarray:
         """Eigenvalues as a flat vector of length 2^n."""
         return self.p.reshape(-1)
@@ -126,11 +123,8 @@ class GHZDiagonalState:
             raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
         # the (2^(n-1), 2) float spectrum takes 8 * 2^n bytes, and a command holds
         # up to about 6.4 copies of it (the oracle, tracemalloc at n = 12..18):
-        # eight copies must fit the budget, so n >= 24 is refused
-        if 8 * 8 * 2**n > GRID_BUDGET:
-            raise CapacityError(
-                f"a GHZ spectrum at n={n} exceeds the {GRID_BUDGET >> 20} MiB budget"
-            )
+        # eight copies are charged to the budget, so n >= 24 is refused
+        check_budget(8 * 8 * 2**n, f"a GHZ spectrum at n={n}")
         p = np.zeros((2 ** (n - 1), 2))
         for key, value in entries.items():
             idx = GHZBasisIndex.from_key(str(key))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import GRID_BUDGET, SIGMA_STACK, chunks, hamming_weights
+from ._linalg import SIGMA_STACK, check_budget, chunks, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
@@ -307,15 +307,6 @@ def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _check_start_stack(entries: int) -> None:
-    """Reject a stack of per-qubit starts above GRID_BUDGET bytes of floats before drawing it."""
-    if 8 * entries > GRID_BUDGET:
-        raise ParameterError(
-            f"the per-qubit starts take {8 * entries >> 20} MiB, above the "
-            f"{GRID_BUDGET >> 20} MiB budget; lower restarts"
-        )
-
-
 def _random_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((count, 3, 3)))
     q[np.linalg.det(q) < 0, :, 0] *= -1
@@ -420,7 +411,8 @@ def optimise_triple(
         canonical = so3_to_angles(so3_from_angles(best_angles))
         rotation = LocalRotation.from_shared(canonical)
     else:
-        _check_start_stack(opts.restarts * n * 9)
+        check_budget(8 * opts.restarts * n * 9,
+                     f"the per-qubit start stack of {opts.restarts} restarts")
         starts = np.concatenate([
             np.tile(np.eye(3), (1, n, 1, 1)),
             _random_rotations(rng, (opts.restarts - 1) * n).reshape(-1, n, 3, 3),
@@ -612,7 +604,8 @@ def optimise_ghz_overlap(
         return best
     # every candidate's runs in one lockstep ascent: the identity, its grid
     # point tiled over the qubits, and restarts // 4 random starts each
-    _check_start_stack(len(picked) * (2 + opts.restarts // 4) * n * 3)
+    check_budget(8 * len(picked) * (2 + opts.restarts // 4) * n * 3,
+                 f"the per-qubit start stack of {opts.restarts} restarts")
     runs, starts = [], []
     for (g, _), idx in zip(picked, candidates):
         starts += [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]

@@ -235,8 +235,9 @@ def brute_min_over_octahedron(
     those of refining every face.
     Odd n: the sigma_j^{xn} anticommute, so the trace distance is |c - x| / 2;
     only trace distance is supported, as in ``entanglement_m3n``, and only
-    the incumbent's face is refined. Separable inputs return 0 (the state
-    itself is feasible).
+    the faces that hold the least coarse value are refined: two faces tie at a
+    point of their shared edge, and the minimum may lie inside either.
+    Separable inputs return 0 (the state itself is feasible).
     """
     cfg = cfg or OracleConfig()
     odd = state.n % 2 == 1
@@ -265,8 +266,9 @@ def brute_min_over_octahedron(
         g = int(np.argmin(vals))
         faces.append([float(vals[g]), signs, lattice[:, g].copy()])
     del lattice
-    if odd:  # refine the incumbent's face only
-        faces = [min(faces, key=lambda f: f[0])]
+    if odd:  # refine only the faces tied at the least coarse value
+        least = min(f[0] for f in faces)
+        faces = [f for f in faces if f[0] == least]
     # each round shrinks the windows 4x around the faces' best points, in one build
     # for as many windows as fit CHUNK_ENTRIES; a face whose window is empty stops,
     # and at even n so does a face whose floor lies above the least value so far

@@ -23,7 +23,9 @@ gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the (3,)^n
 correlation block. Of the commands only ``state --dense`` reads a built
 state's ``rho`` (made on the first read, then cached); the tests' dense
 references read it too.
-States go up to ``_linalg.QUBIT_CAP`` qubits, ``rho`` and ``bloch`` to ``DENSE_CAP``.
+States go up to ``_linalg.QUBIT_CAP`` qubits. ``rho``, ``bloch`` and the dense
+export charge their working sets to ``_linalg.GRID_BUDGET`` (``check_budget``),
+which admits them up to n = 12, 13 and 10.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import (CHUNK_ENTRIES, GRID_BUDGET, QUBIT_CAP, SIGMA_STACK, _frozen, chunks,
+from ._linalg import (CHUNK_ENTRIES, QUBIT_CAP, SIGMA_STACK, _frozen, check_budget, chunks,
                       contract_qubit_pairs, kron_all, kron_apply, pauli_power_entries)
 from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 
-#: Largest qubit count at which a state's 2^n x 2^n matrix (first read of ``rho``)
-#: or (3,)^n correlation block (``bloch``) is made; the forms go up to QUBIT_CAP.
-DENSE_CAP = 12
+#: Bytes ``bloch`` charges per (3,)^n block entry, for the correlation-sum search that
+#: reads it, plus 3 CHUNK_ENTRIES complex entries for the pure form's N_a; tracemalloc
+#: peaks of ``optimise`` were at most 49 B an entry at n = 13 and 51 MiB at n = 10..12
+_BLOCK_ENTRY_BYTES = 128
+_BLOCK_FIXED_BYTES = 48 * CHUNK_ENTRIES
 
 #: Dimension above which the dense PSD check of a matrix from outside the
 #: package is skipped (it costs O(dim^3)); hermiticity and trace are always
@@ -63,9 +67,9 @@ _TRIPLE_TOL = 1e-12
 _CERTIFIED = object()
 
 
-def _check_cap(n: int, cap: int, name: str) -> None:
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the {name} cap {cap}")
+def _check_qubits(n: int) -> None:
+    if n > QUBIT_CAP:
+        raise CapacityError(f"n={n} exceeds the qubit cap {QUBIT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class DenseState:
     def rho(self) -> np.ndarray:
         """The read-only 2^n x 2^n matrix; a built state makes it here, once."""
         if self._rho is None:
-            _check_cap(self.n, DENSE_CAP, "dense")
+            check_budget(16 * self.dim**2, f"the dense matrix at n={self.n}")
             rho = _matrix_from_form(self._form, self.dim)
             rho.flags.writeable = False
             object.__setattr__(self, "_rho", rho)
@@ -201,7 +205,8 @@ class DenseState:
 
     def bloch(self) -> np.ndarray:
         """The complex (3,)^n block Tr(rho sigma_{i_1} x ... x sigma_{i_n}), read from the form."""
-        _check_cap(self.n, DENSE_CAP, "dense")
+        check_budget(_BLOCK_ENTRY_BYTES * 3**self.n + _BLOCK_FIXED_BYTES,
+                     f"the correlation block at n={self.n}")
         return _bloch_from_form(self._form, self.n)
 
     def purity(self) -> float:
@@ -230,15 +235,10 @@ class DenseState:
         """Row-major list of [re, im] pairs, the dense exchange format.
 
         The list and the JSON a command makes of it take up to about 460 bytes
-        an entry (tracemalloc, n = 6..9), so an export whose 4^n entries at 512
-        bytes each exceed GRID_BUDGET (n >= 11) is refused before rho is read;
-        above DENSE_CAP the refusal names that cap, as reading rho would.
+        an entry (tracemalloc, n = 6..9), so the export is charged 512 bytes for
+        each of its 4^n entries, and refused from n = 11 before rho is read.
         """
-        _check_cap(self.n, DENSE_CAP, "dense")
-        if 512 * self.dim**2 > GRID_BUDGET:
-            raise CapacityError(
-                f"the dense export at n={self.n} exceeds the {GRID_BUDGET >> 20} MiB budget"
-            )
+        check_budget(512 * self.dim**2, f"the dense export at n={self.n}")
         flat = self.rho.reshape(-1)
         return [[float(z.real), float(z.imag)] for z in flat]
 
@@ -692,7 +692,7 @@ def _x_state(n: int, diag: np.ndarray, anti: np.ndarray) -> DenseState:
 
 def build_state(family: StateFamily, n: int) -> DenseState:
     """Dense density matrix of a named family; pure families come out rank 1."""
-    _check_cap(n, QUBIT_CAP, "qubit")
+    _check_qubits(n)
     tag, params = family.tag, family.params
     if tag == "ghz":
         if n < 2:
@@ -751,7 +751,7 @@ def m3n_density(state: M3NState) -> DenseState:
     and sigma_2^{xn}) are nonzero; they are summed as vectors and written in
     by ``_x_state``.
     """
-    _check_cap(state.n, QUBIT_CAP, "qubit")
+    _check_qubits(state.n)
     n = state.n
     dim = 2**n
     diag = np.ones(dim, dtype=complex)
@@ -764,7 +764,6 @@ def m3n_density(state: M3NState) -> DenseState:
 
 
 __all__ = [
-    "DENSE_CAP",
     "CorrelationTriple",
     "DenseState",
     "M3NState",

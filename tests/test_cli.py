@@ -194,8 +194,8 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
     "argv, fragment",
     [
         (["state", "--family", "ghz", "--n", "17"], "qubit cap"),
-        (["optimise", "--family", "w", "--n", "13"], "dense cap"),
-        (["state", "--dense", "--family", "w", "--n", "13"], "dense cap"),
+        (["optimise", "--family", "w", "--n", "14"], "512 MiB budget"),
+        (["state", "--dense", "--family", "w", "--n", "13"], "512 MiB budget"),
         (["state", "--dense", "--family", "w", "--n", "11"], "512 MiB budget"),
         (["state", "--dense", "--family", "w", "--n", "12"], "512 MiB budget"),
         (["bound", "--n", "4", "--c=0.9,0.9,-0.9"], "tetrahedron"),
@@ -208,7 +208,7 @@ def test_state_rejects_malformed_family_params(family, params, fragment, capsys)
           "--objective", "overlap", "--restarts", "1000000000"], "512 MiB budget"),
         (["simulate", "--family", "ghz", "--n", "3", "--shots", str(10**20)], "2^63 - 1"),
     ],
-    ids=["state-n17", "optimise-n13", "state-dense-n13", "state-dense-n11", "state-dense-n12",
+    ids=["state-n17", "optimise-n14", "state-dense-n13", "state-dense-n11", "state-dense-n12",
          "bound-outside-tetrahedron", "genuine-spectrum-n40", "oracle-spectrum-n40",
          "oracle-spectrum-n24",
          "optimise-per-qubit-restarts", "optimise-per-qubit-overlap-restarts", "simulate-shots"],

@@ -9,7 +9,7 @@ from conftest import random_density
 from dense_reference import ghz_basis_vector, permutation_conjugate
 from dense_rotation import apply_product_unitary
 from entbound._linalg import hamming_weights, kron_all
-from entbound import _linalg, optimize
+from entbound import _linalg, optimize, qstate
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from entbound.optimize import (
@@ -682,6 +682,17 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "family", [StateFamily.ghz(), StateFamily.m3n([0.5, 0.3, -0.2])], ids=["pure", "x"]
+)
+def test_block_charge_bounds_a_correlation_sum_search_at_n13(family):
+    # bloch() admits n = 13 on its charge; the search that reads the block peaks at
+    # about 73 MiB in shared mode (the per-qubit peak is lower) against 243 MiB charged
+    state = build_state(family, 13)
+    peak = traced_peak(lambda: optimise_triple(correlation_tensor(state), OptimisationOptions()))
+    assert peak <= qstate._BLOCK_ENTRY_BYTES * 3**13 + qstate._BLOCK_FIXED_BYTES
 
 
 @pytest.mark.parametrize("density", range(2, MAX_GRID_DENSITY + 1))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -16,10 +17,12 @@ from entbound.errors import EntboundError, ParameterError, UnsupportedDistanceEr
 from entbound.locc import GHZDiagonalState
 from scipy.linalg import logm, sqrtm
 
+from entbound.cli import main
 from entbound.measures import (
     ALL_DISTANCES,
     DistanceKind,
     SeparabilityLevel,
+    _odd_trace_values,
     entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
@@ -246,6 +249,31 @@ def test_octahedron_oracle_matches_formula_odd(rng):
         formula = entanglement_m3n(state, lvl, DistanceKind.TRACE).value
         oracle = brute_min_over_octahedron(state, DistanceKind.TRACE, FAST)
         assert abs(formula - oracle) < 5e-4
+
+
+def test_odd_oracle_refines_every_face_tied_at_the_coarse_minimum(capsys):
+    # faces (-,+,+) and (-,+,-) tie at their shared edge point (0.2, 0.8, 0) of the
+    # coarse grid, and the minimum lies inside the second; refining only the first
+    # face left a deviation of 2.99e-3 at any resolution and round count
+    argv = ["oracle", "--n", "5", "--c=-0.201255,0.799276,-0.014865", "--full-precision"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["deviation"] <= 1e-6
+
+
+def test_odd_oracle_reaches_the_closed_form_on_a_seeded_sweep():
+    # 300 six-decimal triples in the unit ball and outside the octahedron, n = 3, 5, 7;
+    # at 26 rounds the refined windows are a few ulps wide, so only a face left
+    # unrefined can keep the oracle off the closed form (by up to 2.0e-3 on these)
+    cs = np.round(np.random.default_rng(5).uniform(-1, 1, (1200, 3)), 6)
+    cs = cs[(np.sum(cs * cs, axis=1) <= 1) & (np.abs(cs).sum(axis=1) > 1)][:300]
+    assert len(cs) == 300
+    misses = []
+    for i, c in enumerate(cs):
+        state = M3NState((3, 5, 7)[i % 3], CorrelationTriple(*c))
+        got = brute_min_over_octahedron(state, DistanceKind.TRACE, OracleConfig(40, 26))
+        if abs(got - _odd_trace_values(c)) > 1e-12:
+            misses.append((state.n, tuple(c), got - _odd_trace_values(c)))
+    assert not misses
 
 
 def test_ghz_oracle_examples():
