@@ -440,10 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", dest="level_m", type=int)
     p.add_argument("--partition")
     p.add_argument("--resolution", type=int, default=40,
-                   help=f"octahedron grid resolution, 4..{MAX_GRID_RESOLUTION}")
+                   help=f"octahedron grid resolution, 4..{MAX_GRID_RESOLUTION} (odd n; even n "
+                        "takes an exact certified step)")
     p.add_argument("--rounds", type=int, default=3,
-                   help="refinement rounds around the minimum of each face that can still "
-                        f"hold the overall minimum, 0..{MAX_REFINE_ROUNDS}")
+                   help="refinement rounds around the minimum of each face that holds the "
+                        f"least coarse value, 0..{MAX_REFINE_ROUNDS} (odd n; even n takes an "
+                        "exact certified step)")
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 

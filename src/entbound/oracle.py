@@ -1,29 +1,30 @@
 """Brute-force verification of the closed formulas.
 
 The octahedron oracle minimises a distance from an m3n state rho(c) =
-(I + c . sigma^{xn}) / 2^n over a refined grid of separable triples x, and it
+(I + c . sigma^{xn}) / 2^n over the separable triples x, |x|_1 <= 1, and it
 reads each distance off the two triples, never a 2^n x 2^n matrix. At even n
 the sigma_j^{xn} commute, so rho(x) has the four eigenvalues (1 + s . x) / 2^n
-over the rows s of one 4x3 sign matrix, and every distance is a classical one
-between spectra (1 + S c) / 4 and (1 + S x) / 4. At odd n they anticommute, so
-the trace distance is |c - x| / 2, and only trace distance has a closed form to
-check. Grid points and grid spectra are built entry-major, (entries, points),
-and handed to the distance kernels as ``.T`` views, so each reduction over a
-point's few entries adds whole contiguous rows; row-major, numpy runs a short
-inner loop per point, and at even n the distances took two to three times as
-long. Each round builds one barycentric lattice for all the face windows it
-scores (the coarse round one window, which every face scales by its signs), in
-chunks of as many windows as fit CHUNK_ENTRIES, and scores each window on its
-own. At even n a round refines only the faces that can still hold the minimum:
-every distance is convex in x, so a face's best point and the gradient there
-bound the face from below (its Frank-Wolfe gap), and a face whose bound lies
-above the least value so far by more than a rounding margin cannot lower it.
-Skipping such a face leaves the returned value unchanged to the bit, since
-the faces that stay are scored as before. The GHZ-diagonal oracle minimises a
-classical distance over capped-simplex spectra in one certified step: it
-computes the KKT point min(1/2, t p), checks that it is feasible and that its
-Frank-Wolfe duality gap is at most 1e-12, and raises if either check fails.
-Neither oracle touches the closed forms it checks.
+over the rows s of one 4x3 sign matrix S, and every distance is a classical one
+between the spectra p = (1 + S c) / 4 and q = (1 + S x) / 4. The rows of S and
+their negatives are the eight sign vectors, so the octahedron's eight facets
+are q_k <= 1/2 and q_k >= 0: x -> q maps it onto the capped simplex
+{sum q = 1, 0 <= q_k <= 1/2}, the feasible set of the GHZ-diagonal oracle, and
+the even-n oracle takes that oracle's certified step. At odd n they
+anticommute, so the trace distance is |c - x| / 2, and only trace distance has
+a closed form to check; the odd-n oracle minimises it over a refined grid of
+the octahedron's faces. Grid points are built entry-major, (entries, points),
+and handed to the distance kernel as ``.T`` views, so each reduction over a
+point's three entries adds whole contiguous rows instead of running a short
+inner loop per point. Each round builds one barycentric lattice for all the
+face windows it scores (the coarse round one window, which every face scales
+by its signs), in chunks of as many windows as fit CHUNK_ENTRIES, and scores
+each window on its own.
+
+The certified step minimises a classical distance from a spectrum p with
+p_max > 1/2 over the capped simplex: it computes the KKT point min(1/2, t p),
+checks that it is feasible and that its Frank-Wolfe duality gap (M. Jaggi,
+ICML 2013) is at most 1e-12, and raises if either check fails. Neither oracle
+touches the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -38,22 +39,21 @@ import numpy as np
 from ._linalg import GRID_BUDGET, _frozen, chunks
 from .errors import EntboundError, ParameterError, UnsupportedDistanceError
 from .locc import GHZDiagonalState
-from .measures import _SUPPORT_TOL, DistanceKind, classical_distance, octahedron_excess
+from .measures import DistanceKind, classical_distance, octahedron_excess
 from .qstate import M3NState, _even_signs
 
 #: deviation between a closed form and its oracle that counts as agreement
 _TOLERANCE = 1e-6
 #: largest Frank-Wolfe gap, and deviation of the entry sum from 1, of a certified
-#: GHZ-diagonal candidate
+#: capped-simplex candidate
 _GAP_TOL = _SUM_TOL = 1e-12
-#: bound on the bytes a grid point takes while its distances are evaluated, for
-#: every supported distance kind. The most measured with tracemalloc at
-#: resolution 100 is 329, relative entropy at n = 6 (294 at n = 4) with all
-#: eight faces refined, where one lattice holds a round's eight windows (24 B a
-#: point) beside the window being scored; the floors keep all eight in the worst
-#: case. Trace distance at odd n takes 112. A build holds at most
-#: CHUNK_ENTRIES // (r + 1)^2 windows: all eight up to r = 361, and one from
-#: r = 724 on. Nothing else grows with the grid or with n
+#: bound on the bytes a grid point takes while its distances are evaluated; the
+#: grid runs at odd n only, for trace distance. The most measured with tracemalloc
+#: at resolutions 100 to 818 is 112, with one face refined, where a round's lattice
+#: (24 B a point) sits beside the window being scored; two faces tied on their
+#: shared edge took 102. Each further window in a build adds at most 24 B a point,
+#: and a build holds at most CHUNK_ENTRIES // (r + 1)^2 windows: all eight up to
+#: r = 361, and one from r = 724 on. Nothing else grows with the grid or with n
 _POINT_BYTES = 800
 #: largest grid_resolution: a grid of resolution r holds (r + 1)^2 points, and
 #: 819^2 points of _POINT_BYTES fit GRID_BUDGET, 820^2 do not
@@ -62,21 +62,15 @@ MAX_GRID_RESOLUTION = 818
 #: 26 it is 0.5 * 4^-26 = 1.1e-16, one ulp of a coordinate in [0.5, 1); on the
 #: oracle-check octahedron cases rounds 26, 40 and 60 give the same value bit for bit
 MAX_REFINE_ROUNDS = 26
-#: margin of a face's floor per unit of 1 + sum |g_q| (see _face_floors): a factor
-#: 10 above the largest amount by which the kernel's values can fall below the bound
-_FLOOR_MARGIN = 1e-6
-#: share of the way to its face's centroid that a best point on an edge moves
-#: before its face's floor is taken (see _face_floors)
-_INWARD = 1e-3
 #: sign patterns of the eight octahedron faces
 _FACES = _frozen(np.array(list(itertools.product((1.0, -1.0), repeat=3))))
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Octahedron-grid knobs; ``grid_resolution`` runs from 4 to MAX_GRID_RESOLUTION,
-    which keeps one grid within GRID_BUDGET (512 MiB), and ``refine_rounds`` from 0
-    to MAX_REFINE_ROUNDS."""
+    """Octahedron-grid knobs, used at odd n; ``grid_resolution`` runs from 4 to
+    MAX_GRID_RESOLUTION, which keeps one grid within GRID_BUDGET (512 MiB), and
+    ``refine_rounds`` from 0 to MAX_REFINE_ROUNDS."""
 
     grid_resolution: int = 60
     refine_rounds: int = 3
@@ -133,6 +127,78 @@ def _face_windows(centers, halfwidth: float, resolution: int) -> tuple[np.ndarra
     return lattice, [slice(end - count, end) for end, count in zip(ends, counts)]
 
 
+def brute_min_over_octahedron(
+    state: M3NState, kind: DistanceKind, cfg: OracleConfig | None = None
+) -> float:
+    """Minimum distance from a triple-correlation state to the octahedron.
+
+    Even n: the sigma_j^{xn} commute, and the octahedron's spectra (1 + S x) / 4
+    are exactly the capped simplex {sum q = 1, 0 <= q_k <= 1/2}, so the
+    minimum is the certified capped-simplex step (``_capped_simplex_min``)
+    from p = (1 + S c) / 4, clipped at 0 (an entry that rounds to -6e-17 on a
+    tetrahedron face would fail the candidate's feasibility check). ``cfg`` is
+    not used.
+    Odd n: the sigma_j^{xn} anticommute, so the trace distance is |c - x| / 2;
+    only trace distance is supported, as in ``entanglement_m3n``. It is
+    evaluated on a barycentric grid over all eight faces, and the grid then
+    shrinks by a factor 4 per refinement round around the best point of every
+    face that holds the least coarse value: two faces tie at a point of their
+    shared edge, and the minimum may lie inside either. One lattice serves the
+    eight coarse grids, and each round builds one lattice for all its windows
+    (in chunks of CHUNK_ENTRIES entries at (resolution + 1)^2 a window), then
+    scores each window with one distance call, so the scoring working set is
+    one window's.
+    Each distance comes from c and the separable triple alone, so the cost
+    does not grow with n. Separable inputs return 0 (the state itself is
+    feasible).
+    """
+    cfg = cfg or OracleConfig()
+    odd = state.n % 2 == 1
+    if odd and kind is not DistanceKind.TRACE:
+        raise UnsupportedDistanceError(
+            f"the octahedron oracle supports only trace distance at odd n, got {kind.value}"
+        )
+    if octahedron_excess(state.c) <= 0:
+        return 0.0
+    c = state.c.as_array()
+    if not odd:
+        return _capped_simplex_min(np.clip((1 + _even_signs(state.n) @ c) / 4, 0.0, None), kind)
+    # the coarse lattice is the same on every face; a face's points are its signs times it
+    lattice, _ = _face_windows([(0.5, 0.5)], 0.5, cfg.grid_resolution)
+    faces = []  # [value, signs, barycentric (u, v, w) of the value's point]
+    for signs in _FACES:
+        vals = _odd_trace_distances(c, (lattice * signs[:, None]).T)
+        g = int(np.argmin(vals))
+        faces.append([float(vals[g]), signs, lattice[:, g].copy()])
+    del lattice
+    least = min(f[0] for f in faces)
+    # each round shrinks the windows 4x around the tied faces' best points, in one build
+    # for as many windows as fit CHUNK_ENTRIES; a face whose window is empty stops
+    refining = [f for f in faces if f[0] == least]
+    halfwidth, window_points = 0.5, (cfg.grid_resolution + 1) ** 2
+    for _ in range(cfg.refine_rounds):
+        if not refining:
+            break
+        halfwidth /= 4.0
+        batches = [refining[chunk] for chunk in chunks(len(refining), window_points)]
+        refining = []
+        for batch in batches:
+            lattice, windows = _face_windows([f[2][:2] for f in batch], halfwidth,
+                                             cfg.grid_resolution)
+            for face, window in zip(batch, windows):
+                if window.start == window.stop:
+                    continue
+                vals = _odd_trace_distances(c, (lattice[:, window] * face[1][:, None]).T)
+                g = int(np.argmin(vals))
+                if vals[g] < face[0]:
+                    face[0], face[2] = float(vals[g]), lattice[:, window.start + g].copy()
+                refining.append(face)
+            del lattice
+    return min(f[0] for f in faces)
+
+
+# -- the certified capped-simplex step, and the GHZ-diagonal oracle ---------------
+
 def _distance_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """(Sub)gradient in q of ``classical_distance(p, q, kind)``, for each row of q.
 
@@ -153,152 +219,6 @@ def _distance_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.n
             g = g * np.sum(np.sqrt(p * q), axis=-1, keepdims=True)
     return np.where(p > 0, g, 0.0)
 
-
-def _spectrum_gradients(p, s, kind, x, vanishing) -> np.ndarray:
-    """The gradient g_q at the spectra (1 + S x) / 4, clipped at 0, of the rows of x,
-    with the entries that vanish on a point's whole face set to 0."""
-    gq = _distance_gradient(p, np.clip(0.25 + x @ (s / 4).T, 0.0, None), kind)
-    gq[vanishing] = 0.0
-    return gq
-
-
-def _face_floors(p: np.ndarray, s: np.ndarray, kind: DistanceKind, faces: list) -> np.ndarray:
-    """A value below every distance the grid can score on each face, even n.
-
-    A face [value f, signs sigma, barycentric b of f's point] has its point
-    x = sigma b, the spectrum q = (1 + S x) / 4 there, clipped at 0 as
-    ``classical_distance`` clips it, and the gradient g_q at q. The distance is
-    convex in q, and q is affine in x, so over the face, whose vertices are
-    sigma_i e_i, it is at least f - g . x + min_i sigma_i g_i with
-    g = S^T g_q / 4: f less the Frank-Wolfe duality gap (M. Jaggi, ICML 2013).
-    On the face with signs -s_k for a row s_k of S, q_k is 0 throughout, so
-    entry k leaves g_q; under relative entropy with p_k above _SUPPORT_TOL that
-    face is all inf, and so is its floor.
-
-    The floor is this bound less _FLOOR_MARGIN (1 + sum |g_q|), which covers
-    how far the values the kernel computes can fall below it:
-    - rounding, and grid points up to 2e-12 off the face (the window filter's
-      tolerance), move them by well under 1e-11 (1 + sum |g_q|); f is at most 2
-      except under relative entropy, whose rounding its gradient bounds;
-    - on a face with signs -s_k, q_k rounds into [0, 2^-52], which lowers the
-      affinity kinds by up to 2 sqrt(p_k 2^-52) < 3e-8;
-    - relative entropy keeps or drops the term of an entry with 0 < p_k <=
-      _SUPPORT_TOL as q_k crosses 1e-12, which moves a value by less than
-      3.2e-8 for each such entry, and there are at most three.
-    The bound holds from any point of the face, so a face whose best point
-    has an infinite gradient (it lies on an edge where q_k = 0 < p_k) takes
-    it at that point moved _INWARD of the way to the face's centroid, where
-    q_k > 0 off the vanishing entries, valued by ``classical_distance`` for
-    all such faces at once. A face whose value or gradient is still not
-    finite gets the floor -inf, except that all-inf face. Computed for all
-    faces at once, under ``np.errstate``: a zero spectrum entry divides by 0.
-    """
-    values, signs, bary = (np.array(column) for column in zip(*faces))
-    x = signs * bary
-    vanishing = signs @ s.T == -3  # signs -s_k: q_k is 0 on the whole face
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gq = _spectrum_gradients(p, s, kind, x, vanishing)
-        # a best point on an edge where q_k = 0 < p_k has an infinite gradient there;
-        # such a face takes its bound at a point just inside it, valued in one call
-        edge = np.isfinite(values) & ~np.isfinite(gq).all(axis=1)
-        if edge.any():
-            x[edge] = signs[edge] * ((1 - _INWARD) * bary[edge] + _INWARD / 3)
-            gq[edge] = _spectrum_gradients(p, s, kind, x[edge], vanishing[edge])
-            values[edge] = classical_distance(p, 0.25 + x[edge] @ (s / 4).T, kind)
-        g = gq @ s / 4
-        bound = values - (g * x).sum(axis=1) + (signs * g).min(axis=1)
-        floors = bound - _FLOOR_MARGIN * (1 + np.abs(gq).sum(axis=1))
-    floors[~(np.isfinite(values) & np.isfinite(gq).all(axis=1))] = -np.inf
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        floors[(vanishing & (p > _SUPPORT_TOL)).any(axis=1)] = np.inf
-    return floors
-
-
-def brute_min_over_octahedron(
-    state: M3NState, kind: DistanceKind, cfg: OracleConfig | None = None
-) -> float:
-    """Minimum distance from a triple-correlation state to the octahedron.
-
-    Evaluates distances on a barycentric grid over all eight faces, then
-    shrinks the grid by a factor 4 per refinement round around each refined
-    face's best point. One lattice serves the eight coarse grids, and each
-    round builds one lattice for all its windows (in chunks of CHUNK_ENTRIES
-    entries at (resolution + 1)^2 a window), then scores each window with one
-    distance call, so the scoring working set is one window's. Each distance
-    comes from c and the grid triple alone, so the cost does not grow with n.
-    Even n: the sigma_j^{xn} commute, so the distances are classical distances
-    between the spectra (1 + S c) / 4 and (1 + S x) / 4. Each face is refined
-    around its own best point, until a round finds its floor (``_face_floors``,
-    a convexity bound from that point) above the least value of all faces so
-    far; no value it could score would then be the minimum. All eight faces
-    survive in the worst case, so the coarse round and the memory bound stay
-    those of refining every face.
-    Odd n: the sigma_j^{xn} anticommute, so the trace distance is |c - x| / 2;
-    only trace distance is supported, as in ``entanglement_m3n``, and only
-    the faces that hold the least coarse value are refined: two faces tie at a
-    point of their shared edge, and the minimum may lie inside either.
-    Separable inputs return 0 (the state itself is feasible).
-    """
-    cfg = cfg or OracleConfig()
-    odd = state.n % 2 == 1
-    if odd and kind is not DistanceKind.TRACE:
-        raise UnsupportedDistanceError(
-            f"the octahedron oracle supports only trace distance at odd n, got {kind.value}"
-        )
-    if octahedron_excess(state.c) <= 0:
-        return 0.0
-    c = state.c.as_array()
-    if odd:
-        def distances(pts):
-            return _odd_trace_distances(c, pts)
-    else:
-        s = _even_signs(state.n)
-        p, quarter = (1 + s @ c) / 4, s / 4
-
-        def distances(pts):
-            return classical_distance(p, (0.25 + quarter @ pts.T).T, kind)
-
-    # the coarse lattice is the same on every face; a face's points are its signs times it
-    lattice, _ = _face_windows([(0.5, 0.5)], 0.5, cfg.grid_resolution)
-    faces = []  # [value, signs, barycentric (u, v, w) of the value's point]
-    for signs in _FACES:
-        vals = distances((lattice * signs[:, None]).T)
-        g = int(np.argmin(vals))
-        faces.append([float(vals[g]), signs, lattice[:, g].copy()])
-    del lattice
-    if odd:  # refine only the faces tied at the least coarse value
-        least = min(f[0] for f in faces)
-        faces = [f for f in faces if f[0] == least]
-    # each round shrinks the windows 4x around the faces' best points, in one build
-    # for as many windows as fit CHUNK_ENTRIES; a face whose window is empty stops,
-    # and at even n so does a face whose floor lies above the least value so far
-    refining, halfwidth, window_points = faces, 0.5, (cfg.grid_resolution + 1) ** 2
-    for _ in range(cfg.refine_rounds):
-        if not refining:
-            break
-        if not odd:
-            incumbent = min(f[0] for f in faces)
-            floors = _face_floors(p, s, kind, refining)
-            refining = [f for f, floor in zip(refining, floors.tolist()) if not floor > incumbent]
-        halfwidth /= 4.0
-        batches = [refining[chunk] for chunk in chunks(len(refining), window_points)]
-        refining = []
-        for batch in batches:
-            lattice, windows = _face_windows([f[2][:2] for f in batch], halfwidth,
-                                             cfg.grid_resolution)
-            for face, window in zip(batch, windows):
-                if window.start == window.stop:
-                    continue
-                vals = distances((lattice[:, window] * face[1][:, None]).T)
-                g = int(np.argmin(vals))
-                if vals[g] < face[0]:
-                    face[0], face[2] = float(vals[g]), lattice[:, window.start + g].copy()
-                refining.append(face)
-            del lattice
-    return min(f[0] for f in faces)
-
-
-# -- GHZ-diagonal oracle ---------------------------------------------------------
 
 def _analytic_candidate(p: np.ndarray) -> np.ndarray:
     """The KKT point min(1/2, t p): 1/2 at the largest entry, the rest scaled to sum 1/2.
@@ -342,30 +262,39 @@ def _surrogate_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.
     return 0.5 * _distance_gradient(p, qs, DistanceKind.SQUARED_BURES)
 
 
-def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> float:
-    """Minimum classical distance from a GHZ spectrum to the biseparable set.
+def _capped_simplex_min(p: np.ndarray, kind: DistanceKind) -> float:
+    """Minimum classical distance from a spectrum p with p_max > 1/2 to the capped
+    simplex {sum q = 1, 0 <= q_k <= 1/2}, certified.
 
-    The biseparable GHZ-diagonal spectra are exactly those with every entry
-    at most 1/2. Every distance is minimised through a convex function of q:
-    trace distance and relative entropy themselves, or the affinity for the
-    fidelity-based kinds. For p_max > 1/2 the KKT point min(1/2, t p) is the
-    minimiser, and the oracle checks it from p, the (sub)gradient and the
-    feasible set alone: its entries must lie in [0, 1/2] and sum to 1 within
-    1e-12, and its Frank-Wolfe gap, which bounds its distance above the
-    minimum, must be at most 1e-12. A failed check is a fault and raises
-    ``EntboundError``.
+    Every distance is minimised through a convex function of q: trace
+    distance and relative entropy themselves, or the affinity for the
+    fidelity-based kinds. The KKT point min(1/2, t p) is the minimiser, and it
+    is checked from p, the (sub)gradient and the feasible set alone: its
+    entries must lie in [0, 1/2] and sum to 1 within 1e-12, and its
+    Frank-Wolfe gap, which bounds its distance above the minimum, must be at
+    most 1e-12. A failed check is a fault and raises ``EntboundError``.
     """
-    p = state.flat()
-    if p.max() <= 0.5 + 1e-15:
-        return 0.0
     q = _analytic_candidate(p)
     gap = _fw_gap(q, _surrogate_gradient(p, q, kind))
     if q.min() < 0 or q.max() > 0.5 or abs(q.sum() - 1) > _SUM_TOL or gap > _GAP_TOL:
         raise EntboundError(
-            f"the GHZ-spectrum oracle's candidate is not certified: entries in [{q.min():.3g}, "
-            f"{q.max():.3g}], sum {q.sum():.17g}, Frank-Wolfe gap {gap:.3g}"
+            f"the oracle's capped-simplex candidate is not certified: entries in "
+            f"[{q.min():.3g}, {q.max():.3g}], sum {q.sum():.17g}, Frank-Wolfe gap {gap:.3g}"
         )
     return classical_distance(p, q, kind)
+
+
+def brute_min_biseparable_ghz(state: GHZDiagonalState, kind: DistanceKind) -> float:
+    """Minimum classical distance from a GHZ spectrum to the biseparable set.
+
+    The biseparable GHZ-diagonal spectra are exactly those with every entry
+    at most 1/2, the capped simplex. A spectrum inside it returns 0;
+    otherwise the minimum is the certified step ``_capped_simplex_min``.
+    """
+    p = state.flat()
+    if p.max() <= 0.5 + 1e-15:
+        return 0.0
+    return _capped_simplex_min(p, kind)
 
 
 def oracle_report(formula_value: float, oracle_value: float, cfg: OracleConfig) -> dict:

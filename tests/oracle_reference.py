@@ -1,11 +1,11 @@
-"""The octahedron oracle that refines every face, kept as a test reference.
+"""The even-n octahedron grid that refines every face, kept as a test reference.
 
-``brute_min_over_octahedron`` refines at even n only the faces whose
-convexity floor does not lie above the least value so far. This module keeps
-the even-n loop it replaced, which refines all eight faces in every round on
-the same lattices, so tests can check that the pruned oracle returns the same
-float and that no face's floor lies above its refined minimum. Import it with
-``from oracle_reference import refine_every_face, refined_faces``.
+``brute_min_over_octahedron`` minimises at even n over the capped simplex in
+one certified step. This module keeps the even-n grid loop it replaced, which
+refines all eight faces in every round on the same lattices as the odd-n
+grid, so tests can check that the certified value never lies above a grid
+value. Import it with ``from oracle_reference import refine_every_face,
+refined_faces``.
 """
 
 from __future__ import annotations

@@ -303,8 +303,9 @@ def test_octahedron_oracle_runs_past_the_qubit_cap(n, c, capsys):
     [("re", 6)] + [(d, r) for r in (8, 11) for d in ("re", "infidelity", "bures", "hellinger")],
 )
 def test_oracle_at_a_face_corner_to_the_last_round(distance, resolution, capsys):
-    # deep windows at a face corner hold grid points with u or v in [-1e-12, 0); unclipped,
-    # their n=2 spectra had an entry of -1e-12 and classical_distance refused them
+    # the even-n grid's deep windows at a face corner held grid points with u or v in
+    # [-1e-12, 0); unclipped, their n=2 spectra had an entry of -1e-12 and
+    # classical_distance refused them. The certified step takes every setting alike
     argv = ["oracle", "--n", "2", "--c=0.2,-0.2,1.0", "--distance", distance,
             "--resolution", str(resolution), "--rounds", str(MAX_REFINE_ROUNDS)]
     rc, out, err = _run(argv, capsys)
@@ -499,12 +500,14 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_octahedron_oracle_writes_nothing_to_stderr():
-    # its face floors divide by zero spectrum entries: the faces with signs -s_k hold
-    # q_k = 0, and here relative entropy's is all inf. A fresh interpreter prints any
-    # numpy RuntimeWarning that escapes them to stderr
+    # a fresh interpreter prints any numpy RuntimeWarning that escapes to stderr; the
+    # last two triples lie on a tetrahedron face, where a spectrum entry is 0 (or rounds
+    # to -6e-17 before the clip) and the gradients divide by it
     commands = [
         ["oracle", "--n", "4", "--c=0.537799,-0.42312,-0.884021", "--distance", "re"],
         ["oracle", "--n", "4", "--c=-0.511822,0.935388,-0.447535", "--distance", "squared_bures"],
+        ["oracle", "--n", "2", "--c=0.83357,0.264753,-0.098323", "--distance", "re"],
+        ["oracle", "--n", "2", "--c=0.83357,0.264753,-0.098323", "--distance", "hellinger"],
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -512,7 +515,7 @@ def test_octahedron_oracle_writes_nothing_to_stderr():
     proc = subprocess.run([sys.executable, "-c", QUIET_SCRIPT, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0"] * len(commands)
     assert proc.stderr == ""
 
 
@@ -571,6 +574,14 @@ def test_spectrum_oracle_fault_exits_1(monkeypatch, tmp_path, capsys):
     bad = np.array([0.45, 0.5 * 0.2 / 0.3, 0.5 * 0.1 / 0.3, 0.05])
     monkeypatch.setattr(oracle, "_analytic_candidate", lambda p: bad)
     argv = ["oracle", "--spectrum-file", str(spectrum), "--distance", "trace"]
+    _assert_oracle_fault(argv, capsys, "not certified")
+
+
+def test_octahedron_oracle_fault_exits_1(monkeypatch, capsys):
+    # at even n the octahedron oracle takes the certified capped-simplex step, whose
+    # failed check is a fault like the spectrum oracle's
+    monkeypatch.setattr(oracle, "_analytic_candidate", lambda p: p.copy())
+    argv = ["oracle", "--n", "4", "--c=0.537799,-0.42312,-0.884021"]
     _assert_oracle_fault(argv, capsys, "not certified")
 
 

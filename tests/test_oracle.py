@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,7 +14,12 @@ from conftest import (
     random_m3n_outside_octahedron,
 )
 from entbound._linalg import GRID_BUDGET
-from entbound.errors import EntboundError, ParameterError, UnsupportedDistanceError
+from entbound.errors import (
+    EntboundError,
+    ParameterError,
+    StateValidityError,
+    UnsupportedDistanceError,
+)
 from entbound.locc import GHZDiagonalState
 from scipy.linalg import logm, sqrtm
 
@@ -76,19 +82,6 @@ def _dense_reference(rho, sigma, kind):
     return 2.0 * (1.0 - root_f)
 
 
-def _recorded(monkeypatch, name):
-    """Wrap ``oracle.name`` to record the value of each call."""
-    seen = []
-    inner = getattr(oracle, name)
-
-    def wrapped(*args):
-        seen.append(inner(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(oracle, name, wrapped)
-    return seen
-
-
 @pytest.mark.parametrize("n", range(2, 11, 2))
 def test_even_sign_spectrum_matches_dense_eigensolve(n, rng):
     # (1 + S x) / 2^n, each 2^(n-2) times, inside the tetrahedron, at one of its
@@ -117,28 +110,33 @@ def test_odd_trace_distance_matches_dense_eigensolve(n, rng):
 
 
 @pytest.mark.parametrize("kind", ALL_DISTANCES)
-def test_even_grid_distances_match_matrix_distances(kind, monkeypatch, rng):
-    # the oracle's coarse-round distances, one call per face in _FACES order, against
-    # scipy's dense sqrtm and logm at the full-rank grid states
-    recorded = _recorded(monkeypatch, "classical_distance")
+def test_even_witness_distances_match_matrix_distances(kind, monkeypatch, rng):
+    # the certified step's minimiser q* is the spectrum of the separable triple
+    # x* = S^T (4 q* - 1) / 4 (S^T S = 4 I, and S's columns sum to 0); x* lies in the
+    # octahedron, and the distance the oracle returns is scipy's dense sqrtm and logm
+    # distance between rho(c) and rho(x*)
+    calls = []
+    inner = oracle.classical_distance
+
+    def recorded(p, q, kind):
+        calls.append(np.array(q))
+        return inner(p, q, kind)
+
+    monkeypatch.setattr(oracle, "classical_distance", recorded)
     for n in (2, 4):
-        while True:
-            state = random_m3n_outside_octahedron(n, rng)
-            rho = np.array(m3n_density(state).rho)
-            if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
-                break
-        recorded.clear()
-        brute_min_over_octahedron(state, kind, OracleConfig(10, 0))
-        by_face = {tuple(signs): vals for signs, vals in zip(oracle._FACES, recorded)}
-        # at even n some of these faces lie on the tetrahedron, so their states are singular
-        checked = 0
-        for signs in ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1)):
-            dense = _dense_grid(_face_grid(signs, 10), n)
-            full = np.linalg.eigvalsh(dense).min(axis=1) > 1e-6 / 2**n
-            want = [_dense_reference(rho, sigma, kind) for sigma in dense[full]]
-            assert np.allclose(by_face[signs][full], want, rtol=0.0, atol=1e-10), (n, signs)
-            checked += int(full.sum())
-        assert checked >= 15
+        for _ in range(2):
+            while True:
+                state = random_m3n_outside_octahedron(n, rng)
+                rho = np.array(m3n_density(state).rho)
+                if np.linalg.eigvalsh(rho).min() > 1e-2 / 2**n:
+                    break
+            calls.clear()
+            got = brute_min_over_octahedron(state, kind)
+            [q] = calls
+            x = _even_signs(n).T @ (4 * q - 1) / 4
+            assert np.abs(x).sum() <= 1 + 1e-12, (n, x)
+            sigma = _dense_grid(x[None, :], n)[0]
+            assert abs(got - _dense_reference(rho, sigma, kind)) < 1e-10, (n, state.c)
 
 
 @pytest.mark.parametrize(
@@ -157,7 +155,9 @@ def test_odd_octahedron_oracle_values_pinned(n, triple, resolution, want):
     assert abs(got - want) < 1e-12
 
 
-EVEN_PINS = {
+#: the values the even-n grid at (24, 3) gave: feasible, so upper bounds on the minimum.
+#: A GHZ-basis conjugation of the dense matrices gave the same, in ALL_DISTANCES order
+GRID_PINS = {
     (2, (-0.932507, 0.058922, 0.120328)): (
         0.002253669859527768, 0.02793925000000003, 0.0007812676310127165,
         0.0007814202854283803, 0.0007814202854283803,
@@ -184,20 +184,54 @@ EVEN_PINS = {
     ),
 }
 
+#: the certified step's values on the same triples, in ALL_DISTANCES order
+EVEN_PINS = {
+    (2, (-0.932507, 0.058922, 0.120328)): (
+        0.0022535139626264217, 0.027939249999999978, 0.0007812119827245168,
+        0.0007813646153900233, 0.0007813646153900233,
+    ),
+    (2, (0.366481, -0.575849, 0.518065)): (
+        0.03856980702255296, 0.11509875000000004, 0.013428034358289986,
+        0.01347341760377141, 0.01347341760377141,
+    ),
+    (2, (0.218465, 0.204377, -0.873232)): (
+        0.015866549125777826, 0.07401849999999999, 0.005509088397218309,
+        0.005516696883343997, 0.005516696883343997,
+    ),
+    (4, (-0.116695, 0.660122, -0.408801)): (
+        0.006222285072782732, 0.0464045, 0.0021580347341637607,
+        0.002159200270615891, 0.002159200270615891,
+    ),
+    (4, (0.307783, -0.34919, -0.761674)): (
+        0.03184175797677749, 0.10466175, 0.011076776899544782,
+        0.011107621714583349, 0.011107621714583349,
+    ),
+    (4, (0.450669, -0.762187, -0.379639)): (
+        0.06426744717543673, 0.14812375000000003, 0.022444396236482755,
+        0.02257176740745681, 0.02257176740745681,
+    ),
+}
+
 
 @pytest.mark.parametrize("n, triple", EVEN_PINS.keys())
 def test_even_octahedron_oracle_values_pinned(n, triple):
-    # the values a GHZ-basis conjugation of the dense matrices gave, in ALL_DISTANCES order
+    # the certified minimum never lies above a feasible grid value, and it reaches the
+    # closed form; the configuration is not used at even n
     state = M3NState(n, CorrelationTriple(*triple))
-    for kind, want in zip(ALL_DISTANCES, EVEN_PINS[n, triple]):
+    level = SeparabilityLevel(m=n)
+    for kind, want, grid in zip(ALL_DISTANCES, EVEN_PINS[n, triple], GRID_PINS[n, triple]):
         got = brute_min_over_octahedron(state, kind, OracleConfig(24, 3))
         assert abs(got - want) < 1e-13, kind
+        assert got <= grid + 1e-15, kind
+        assert abs(got - entanglement_m3n(state, level, kind).value) <= 1e-12, kind
 
 
 def test_octahedron_oracle_even_vertex():
+    # a tetrahedron vertex: the spectrum (1, 0, 0, 0), whose closest capped-simplex
+    # point (1/2, 1/6, 1/6, 1/6) lies at trace distance 1/2
     state = M3NState(4, CorrelationTriple(1, 1, 1))
     val = brute_min_over_octahedron(state, DistanceKind.TRACE, FAST)
-    assert val == pytest.approx(0.5, abs=1e-4)
+    assert val == pytest.approx(0.5, abs=1e-15)
 
 
 def test_octahedron_oracle_odd_face():
@@ -219,7 +253,7 @@ def test_octahedron_oracle_matches_formula_even(kind, rng):
         state = random_m3n_outside_octahedron(n, rng)
         formula = entanglement_from_excess(octahedron_excess(state.c), kind)
         oracle = brute_min_over_octahedron(state, kind, FAST)
-        assert abs(formula - oracle) < 5e-4
+        assert abs(formula - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 11, 12, 17, 40, 1001])
@@ -230,7 +264,8 @@ def test_octahedron_oracle_matches_formula_beyond_dense_sizes(n, rng):
     for kind in ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,):
         formula = entanglement_m3n(state, SeparabilityLevel(m=n), kind).value
         oracle = brute_min_over_octahedron(state, kind, FAST)
-        assert formula - 1e-12 <= oracle < formula + 5e-4, kind
+        slack = 5e-4 if n % 2 else 1e-12  # the odd-n grid's resolution, or rounding
+        assert formula - 1e-12 <= oracle < formula + slack, kind
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -273,6 +308,103 @@ def test_odd_oracle_reaches_the_closed_form_on_a_seeded_sweep():
         got = brute_min_over_octahedron(state, DistanceKind.TRACE, OracleConfig(40, 26))
         if abs(got - _odd_trace_values(c)) > 1e-12:
             misses.append((state.n, tuple(c), got - _odd_trace_values(c)))
+    assert not misses
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_octahedron_is_the_capped_simplex(n, rng):
+    # x -> q = (1 + S x) / 4 maps |x|_1 <= 1 onto {sum q = 1, 0 <= q_k <= 1/2}, at
+    # n = 0 and 2 (mod 4) alike. The rows s_k of S and their negatives are the eight
+    # sign vectors, so the facet sigma . x = 1 is q_k = 1/2 for sigma = s_k and q_k = 0
+    # for sigma = -s_k, and the six vertices +/- e_i go to the six spectra that hold
+    # 1/2 twice, the capped simplex's vertices
+    s = _even_signs(n)
+    signs = list(itertools.product((1.0, -1.0), repeat=3))
+    assert sorted(map(tuple, np.vstack([s, -s]))) == sorted(signs)
+    vertices = np.vstack([np.eye(3), -np.eye(3)])
+    images = (1 + vertices @ s.T) / 4
+    assert np.all((images == 0) | (images == 0.5))
+    assert sorted(tuple(np.flatnonzero(q)) for q in images) == sorted(
+        itertools.combinations(range(4), 2))
+    for sigma in map(np.array, signs):
+        # the facet's vertices sigma_i e_i, and points across it
+        bary = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), 20)])
+        q = (1 + (bary * sigma) @ s.T) / 4
+        [k] = [k for k in range(4) if abs(s[k] @ sigma) == 3]
+        want = 0.5 if np.array_equal(s[k], sigma) else 0.0
+        assert np.allclose(q[:, k], want, rtol=0.0, atol=1e-15), sigma
+        assert np.allclose(q.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    # the octahedron's points go into the capped simplex, and back
+    x = rng.dirichlet(np.ones(6), 500) @ vertices
+    q = (1 + x @ s.T) / 4
+    assert q.min() >= -1e-15 and q.max() <= 0.5 + 1e-15
+    q = rng.dirichlet(np.ones(4), 2000)
+    q = q[q.max(axis=1) <= 0.5]
+    x = (4 * q - 1) @ s / 4
+    assert len(q) >= 100 and np.abs(x).sum(axis=1).max() <= 1 + 1e-12
+    assert np.allclose((1 + x @ s.T) / 4, q, rtol=0.0, atol=1e-15)
+
+
+#: even-n oracle commands that a grid or an unclipped spectrum got wrong: a triple on
+#: the tetrahedron face 1 - c1 - c2 - c3 = 0, whose spectrum entry rounds to about
+#: -6e-17 and fails the candidate's feasibility check unless clipped; the grid's worst
+#: miss of a seeded sweep (2.43e-4 at the CLI default); and the squared-Bures triple
+#: whose minimiser lies just off a face edge (2.6e-6)
+EVEN_REGRESSIONS = {
+    **{f"face-{kind.value}": ["--n", "2", "--c=0.83357,0.264753,-0.098323",
+                              "--distance", kind.value] for kind in ALL_DISTANCES},
+    "worst-grid-miss": ["--n", "6", "--c=0.122865,-0.990539,0.132324", "--distance", "re"],
+    "squared-bures-edge": ["--n", "4", "--c=-0.511822,0.935388,-0.447535",
+                           "--distance", "squared_bures"],
+}
+
+
+@pytest.mark.parametrize("argv", EVEN_REGRESSIONS.values(), ids=EVEN_REGRESSIONS.keys())
+def test_even_oracle_regressions_reach_the_closed_form(argv, capsys):
+    assert main(["oracle", *argv, "--full-precision"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["deviation"] <= 1e-12
+
+
+def _on_a_tetrahedron_face(n, rng):
+    """A six-decimal triple on a face 1 + s_k . c = 0 of the even-n tetrahedron, exact in
+    decimal, so its spectrum entry k rounds to a few ulps either side of 0."""
+    s = _even_signs(n)
+    while True:
+        c = np.round(rng.uniform(-1, 1, 3), 6)
+        k, j = rng.integers(4), rng.integers(3)
+        c[j] = round(s[k, j] * (-1 - (s[k] @ c - s[k, j] * c[j])), 6)
+        if np.abs(c).max() <= 1:
+            try:
+                return M3NState(n, CorrelationTriple(*c))
+            except StateValidityError:
+                pass
+
+
+def test_even_oracle_reaches_the_closed_form_on_a_seeded_sweep():
+    # at n = 2, 4, 6, 8, 12 and 40, under all five kinds: 150 six-decimal valid triples,
+    # 20 on a tetrahedron face, and the four tetrahedron and six octahedron vertices.
+    # No call raises, and every value lies within 1e-12 of the closed form
+    rng = np.random.default_rng(31)
+    calls, misses = 0, []
+    for n in (2, 4, 6, 8, 12, 40):
+        states = [M3NState(n, CorrelationTriple(*c)) for c in (*_even_signs(n), *np.eye(3),
+                                                               *-np.eye(3))]
+        states += [_on_a_tetrahedron_face(n, rng) for _ in range(20)]
+        while len(states) < 180:
+            try:
+                states.append(M3NState(n, CorrelationTriple(*np.round(rng.uniform(-1, 1, 3), 6))))
+            except StateValidityError:
+                pass
+        level = SeparabilityLevel(m=n)
+        for state, kind in itertools.product(states, ALL_DISTANCES):
+            got = brute_min_over_octahedron(state, kind)
+            want = entanglement_m3n(state, level, kind).value
+            if not abs(got - want) <= 1e-12:
+                misses.append((n, tuple(state.c.as_array()), kind.value, got - want))
+            calls += 1
+    assert calls >= 5000
     assert not misses
 
 
@@ -421,6 +553,31 @@ def test_gap_certifies_analytic_candidate(kind, rng):
         assert _fw_gap(q, _surrogate_gradient(p, q, kind)) <= 1e-12, (spec.n, spec.p_max)
 
 
+def test_gradient_matches_finite_differences(rng):
+    # the gradient in q of each kind against central differences at interior spectra
+    for kind, _ in itertools.product(ALL_DISTANCES, range(3)):
+        p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+        if kind is DistanceKind.TRACE and np.min(np.abs(p - q)) < 1e-3:
+            continue
+        g = oracle._distance_gradient(p, q, kind)
+        step = 1e-6
+        for k in range(4):
+            e = np.zeros(4)
+            e[k] = step
+            # classical_distance needs sums of 1, so difference the unnormalised formulas
+            want = (_unnormalised(p, q + e, kind) - _unnormalised(p, q - e, kind)) / (2 * step)
+            assert g[k] == pytest.approx(want, rel=1e-5, abs=1e-7), (kind, k)
+
+
+def _unnormalised(p, q, kind):
+    if kind is DistanceKind.TRACE:
+        return 0.5 * np.sum(np.abs(p - q))
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        return np.sum(p * np.log2(p / q))
+    root_f = np.sum(np.sqrt(p * q))
+    return 1 - root_f**2 if kind is DistanceKind.INFIDELITY else 2 * (1 - root_f)
+
+
 @pytest.mark.parametrize("kind", [DistanceKind.TRACE, DistanceKind.SQUARED_HELLINGER])
 def test_uncertified_candidate_raises(kind, monkeypatch, rng):
     spec = random_ghz_spectrum(2, rng, p_max_range=(0.7, 0.8))
@@ -455,13 +612,14 @@ def test_oracles_never_below_closed_form(rng):
 
 
 def test_octahedron_oracle_squared_bures_across_an_edge():
-    # the coarse minimum lies on the c3 = 0 edge of faces (-,+,+) and (-,+,-), and
-    # the minimiser 3e-4 inside (-,+,-): refining (-,+,+) alone ends 1.1e-4 off
+    # the grid's coarse minimum lay on the c3 = 0 edge of faces (-,+,+) and (-,+,-), and
+    # the minimiser 3e-4 inside (-,+,-): the grid ended 1.1e-4 off, and at (40, 3)
+    # with every face refined 2.6e-6 off
     state = M3NState(4, CorrelationTriple(-0.511822, 0.935388, -0.447535))
     kind = DistanceKind.SQUARED_BURES
     formula = entanglement_from_excess(octahedron_excess(state.c), kind)
     oracle_value = brute_min_over_octahedron(state, kind, OracleConfig(40, 3))
-    assert abs(oracle_value - formula) < 1e-5
+    assert abs(oracle_value - formula) < 1e-12
 
 
 # -- full-separable-set cross-checks at n = 2 via the PPT characterisation -------
@@ -508,17 +666,16 @@ def test_grid_resolution_maximum_fits_the_budget():
     budget = GRID_BUDGET
     assert (MAX_GRID_RESOLUTION + 1) ** 2 * oracle._POINT_BYTES <= budget
     assert (MAX_GRID_RESOLUTION + 2) ** 2 * oracle._POINT_BYTES > budget
-    # the point bound holds for the costliest kind, trace distance at odd n, and for
-    # even n, where one lattice holds all eight refinement windows of a round
+    # the point bound holds for the grid, trace distance at odd n, with one face refined
+    # and with two faces tied at the least coarse value
     resolution = 100
-    cfg = OracleConfig(grid_resolution=resolution, refine_rounds=1)
-    for n, kind, c in [(3, DistanceKind.TRACE, (0.5, -0.5, 0.5)),
-                       (4, DistanceKind.RELATIVE_ENTROPY, (0.537799, -0.42312, -0.884021)),
-                       (6, DistanceKind.RELATIVE_ENTROPY, (0.5, -0.5, 0.7))]:
+    cfg = OracleConfig(grid_resolution=resolution, refine_rounds=3)
+    for n, c in [(3, (0.5, -0.5, 0.5)), (7, (-0.695964, -0.320874, -0.547274)),
+                 (5, (-0.201255, 0.799276, -0.014865)), (3, (0.6, 0.7, 0.0))]:
         state = M3NState(n, CorrelationTriple(*c))
         tracemalloc.start()
         try:
-            brute_min_over_octahedron(state, kind, cfg)
+            brute_min_over_octahedron(state, DistanceKind.TRACE, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,8 +1,9 @@
 """The octahedron oracle's working set and memory layout.
 
-It keeps its working set to a few MB at grid resolution 60, and it builds its
-grid entry-major with the same bits as the row-major grid it replaced: one
-lattice per round for every face window the round scores, in chunks.
+It keeps its working set to a few MB at grid resolution 60. At odd n it
+builds its grid entry-major with the same bits as the row-major grid it
+replaced: one lattice per round for every face window the round scores, in
+chunks. At even n it takes one certified step and builds no grid.
 """
 
 import itertools
@@ -20,18 +21,16 @@ from entbound.measures import (
     DistanceKind,
     SeparabilityLevel,
     _bound_values,
-    classical_distance,
     octahedron_excess,
 )
 from entbound.oracle import OracleConfig, brute_min_over_octahedron
-from entbound.qstate import CorrelationTriple, M3NState, _even_signs
+from entbound.qstate import CorrelationTriple, M3NState
 
 
 @pytest.mark.parametrize("n", [4, 12])
 def test_octahedron_oracle_working_set_is_bounded(n):
-    # the n=4 grid at resolution 60 holds 1891 points a face; one batch of
-    # them took about 31 MB of arrays, the reused work arrays take a few MB.
-    # At n=12 one dense 4096 x 4096 complex matrix alone would be 256 MB.
+    # the certified step holds a few four-entry spectra at any n; at n=12 one dense
+    # 4096 x 4096 complex matrix alone would be 256 MB
     state = M3NState(n, CorrelationTriple(-0.441524, 0.444112, -0.753098))
     cfg = OracleConfig(grid_resolution=60, refine_rounds=0)
     tracemalloc.start()
@@ -74,22 +73,15 @@ def row_major_face_points(signs, center, halfwidth, resolution):
     return np.stack([uu, vv, ww], axis=1) @ verts, np.stack([uu, vv], axis=1)
 
 
-def row_major_oracle(state, kind, cfg):
-    """The octahedron oracle with every grid held row-major, (points, entries)."""
+def row_major_oracle(state, cfg):
+    """The odd-n octahedron oracle with every grid held row-major, (points, entries)."""
     if octahedron_excess(state.c) <= 0:
         return 0.0
-    odd = state.n % 2 == 1
     c = state.c.as_array()
-    if odd:
-        def distances(pts):
-            diff = pts - c
-            return 0.5 * np.sqrt(np.sum(diff * diff, axis=1))
-    else:
-        s = _even_signs(state.n)
-        p, quarter = (1 + s @ c) / 4, s / 4
 
-        def distances(pts):
-            return classical_distance(p, 0.25 + pts @ quarter.T, kind)
+    def distances(pts):
+        diff = pts - c
+        return 0.5 * np.sqrt(np.sum(diff * diff, axis=1))
 
     minima = []
     for signs in oracle._FACES:
@@ -97,10 +89,9 @@ def row_major_oracle(state, kind, cfg):
         vals = distances(pts)
         g = int(np.argmin(vals))
         minima.append((float(vals[g]), signs, bary[g]))
-    if odd:
-        minima = [min(minima, key=lambda m: m[0])]
+    least = min(m[0] for m in minima)
     best = []
-    for val, signs, bary in minima:
+    for val, signs, bary in (m for m in minima if m[0] == least):
         halfwidth = 0.5
         for _ in range(cfg.refine_rounds):
             halfwidth /= 4.0
@@ -138,36 +129,35 @@ def test_face_points_match_the_row_major_grid(center, halfwidth, resolution):
             assert np.array_equal(lattice[:2, window].T, want_bary)
 
 
-def _oracle_cases(n, rng):
-    kinds = ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,)
-    settings = itertools.cycle(itertools.product([4, 9, 24, 60], range(4)))
-    for kind in kinds:
-        for _ in range(4):
-            resolution, rounds = next(settings)
-            state = random_m3n_outside_octahedron(n, rng)
-            yield state, kind, OracleConfig(resolution, rounds)
+def _odd(state, cfg):
+    """The octahedron oracle's trace-distance value at odd n."""
+    return brute_min_over_octahedron(state, DistanceKind.TRACE, cfg)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(3, 20, 2))
 def test_oracle_equals_row_major_oracle_bit_for_bit(n, rng):
-    for state, kind, cfg in _oracle_cases(n, rng):
-        assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+    for resolution, rounds in itertools.product([4, 9, 24, 60], range(4)):
+        state = random_m3n_outside_octahedron(n, rng)
+        cfg = OracleConfig(resolution, rounds)
+        assert _odd(state, cfg) == row_major_oracle(state, cfg)
 
 
-#: the triple on which the squared-Bures oracle once missed the closed form
-KNOWN_MISS = (-0.511822, 0.935388, -0.447535)
+#: odd-n triples whose coarse minimum two faces share: the first ties at resolutions
+#: 40 and 60 on an edge point, and c3 = 0 makes the second's faces (+,+,+) and (+,+,-)
+#: mirror images, tied at every resolution
+TIED_FACES = [(-0.201255, 0.799276, -0.014865), (0.6, 0.7, 0.0)]
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [5, 9])
 @pytest.mark.parametrize("resolution, rounds", [(60, 3), (24, 1), (4, 0)])
-def test_oracle_equals_row_major_oracle_on_a_known_miss(n, resolution, rounds):
-    state = M3NState(n, CorrelationTriple(*KNOWN_MISS))
+def test_oracle_equals_row_major_oracle_on_tied_faces(n, resolution, rounds):
     cfg = OracleConfig(resolution, rounds)
-    for kind in ALL_DISTANCES:
-        assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+    for c in TIED_FACES:
+        state = M3NState(n, CorrelationTriple(*c))
+        assert _odd(state, cfg) == row_major_oracle(state, cfg)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_oracle_equals_row_major_oracle_to_the_last_round(n, rng):
     # refinement down to MAX_REFINE_ROUNDS, with best points at a corner or on an edge
     # of their face, so the windows are clipped by one or two of the face's edges. A
@@ -180,100 +170,56 @@ def test_oracle_equals_row_major_oracle_to_the_last_round(n, rng):
             states.append(M3NState(n, CorrelationTriple(*c)))
         except StateValidityError:
             pass
-    kinds = ALL_DISTANCES if n % 2 == 0 else (DistanceKind.TRACE,)
     configs = [OracleConfig(8, oracle.MAX_REFINE_ROUNDS), OracleConfig(24, 13), OracleConfig(7, 6)]
-    for state, kind, cfg in itertools.product(states, kinds, configs):
-        assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
-
-
-def _kept_faces(monkeypatch):
-    """Record, per round, how many faces the floors leave to refine."""
-    inner = oracle._face_floors
-    kept = []
-
-    def recorded(p, s, kind, faces):
-        floors = inner(p, s, kind, faces)
-        incumbent = min(f[0] for f in faces)  # the incumbent's face is among them
-        kept.append(int(np.sum(~(floors > incumbent))))
-        return floors
-
-    monkeypatch.setattr(oracle, "_face_floors", recorded)
-    return kept
+    for state, cfg in itertools.product(states, configs):
+        assert _odd(state, cfg) == row_major_oracle(state, cfg)
 
 
 def test_one_lattice_build_per_round(monkeypatch, rng):
-    # the coarse lattice serves all eight faces; each round then builds every window
-    # it refines at once: at even n those of the faces whose floor does not lie above
-    # the least value so far, at odd n the incumbent's
+    # the coarse lattice serves all eight faces; each round then builds the windows of
+    # every face tied at the least coarse value at once, and at even n no lattice is built
     builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
-    kept = _kept_faces(monkeypatch)
     cfg = OracleConfig()
-    for n, kind in [(4, DistanceKind.RELATIVE_ENTROPY), (6, DistanceKind.TRACE)]:
-        builds.clear()
-        kept.clear()
-        brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), kind, cfg)
-        assert len(kept) == cfg.refine_rounds and max(kept) < 8
-        assert builds == [1] + kept
-    # the benchmark's n=4 relative-entropy triple refines one face a round; on its
-    # squared-Bures miss, whose faces' best points lie on edges where a spectral entry
-    # vanishes, the floors taken just inside those faces leave two
-    re_triple = (0.537799, -0.42312, -0.884021)
-    for c, kind, want in [(re_triple, DistanceKind.RELATIVE_ENTROPY, [1, 1, 1]),
-                          (KNOWN_MISS, DistanceKind.SQUARED_BURES, [2, 2, 2])]:
-        builds.clear()
-        brute_min_over_octahedron(M3NState(4, CorrelationTriple(*c)), kind, OracleConfig(40, 3))
-        assert builds == [1] + want
     for n in (3, 5):
         builds.clear()
-        brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), DistanceKind.TRACE, cfg)
+        _odd(random_m3n_outside_octahedron(n, rng), cfg)
         assert builds == [1] * (1 + cfg.refine_rounds)
+    for c in TIED_FACES:
+        builds.clear()
+        _odd(M3NState(5, CorrelationTriple(*c)), OracleConfig(40, 3))
+        assert builds == [1, 2, 2, 2]
+    builds.clear()
+    for n, kind in [(4, DistanceKind.RELATIVE_ENTROPY), (6, DistanceKind.TRACE)]:
+        brute_min_over_octahedron(random_m3n_outside_octahedron(n, rng), kind, cfg)
+    assert builds == []
 
 
 def test_lattice_builds_run_in_chunks(monkeypatch):
     # a build holds as many windows as fit CHUNK_ENTRIES at (resolution + 1)^2 a
-    # window; on this n=2 triple the four faces that share the vertex e_3 all find
-    # their best point there, with one value, so all four survive each round
+    # window; on this n=3 triple with c3 = 0 the faces (+,+,+) and (+,+,-) are mirror
+    # images, so both hold the least value in every round
     builds = _layout_guard(monkeypatch, oracle, "_face_windows", 0, len)
     cfg = OracleConfig(24, 2)
-    state = M3NState(2, CorrelationTriple(0.2, -0.2, 1.0))
-    want = brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg)
-    assert builds == [1, 4, 4]
-    for per_build, batches in [(3, [3, 1]), (2, [2, 2]), (1, [1] * 4), (8, [4])]:
+    state = M3NState(3, CorrelationTriple(*TIED_FACES[1]))
+    want = _odd(state, cfg)
+    assert builds == [1, 2, 2]
+    for per_build, batches in [(1, [1, 1]), (2, [2]), (8, [2])]:
         monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", per_build * 25**2)
         builds.clear()
-        assert brute_min_over_octahedron(state, DistanceKind.INFIDELITY, cfg) == want
+        assert _odd(state, cfg) == want
         assert builds == [1] + batches * cfg.refine_rounds
 
 
-def _on_tetrahedron_boundary(n, rng):
-    """A triple outside the octahedron scaled out to the even-n tetrahedron's boundary."""
-    c = random_m3n_outside_octahedron(n, rng).c.as_array()
-    lo, hi = 1.0, 1.0 / np.abs(c).max()
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        try:
-            M3NState(n, CorrelationTriple(*(mid * c)))
-            lo = mid
-        except StateValidityError:
-            hi = mid
-    return M3NState(n, CorrelationTriple(*(lo * c)))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_oracle_equals_row_major_oracle_near_face_edges(n, rng):
-    # the closest face point of a triple on the tetrahedron's boundary (even n),
-    # or of one with a zero or tiny entry (odd n), lies on an edge of its face, so
-    # the refinement windows around it cross that edge and the grid filter cuts them
-    if n % 2:
-        kinds = (DistanceKind.TRACE,)
-        states = [M3NState(n, CorrelationTriple(*c)) for small in (0.0, 1e-13, 0.01)
-                  for c in ([small, 0.7, 0.7], [-0.79, small, -0.6], [0.7, 0.6, small])]
-    else:
-        kinds = ALL_DISTANCES
-        states = [_on_tetrahedron_boundary(n, rng) for _ in range(3)]
-    for state, kind in itertools.product(states, kinds):
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_oracle_equals_row_major_oracle_near_face_edges(n):
+    # the closest face point of a triple with a zero or tiny entry lies on an edge of
+    # its face, so the refinement windows around it cross that edge and the grid
+    # filter cuts them
+    states = [M3NState(n, CorrelationTriple(*c)) for small in (0.0, 1e-13, 0.01)
+              for c in ([small, 0.7, 0.7], [-0.79, small, -0.6], [0.7, 0.6, small])]
+    for state in states:
         for cfg in (OracleConfig(60, 3), OracleConfig(7, 3)):
-            assert brute_min_over_octahedron(state, kind, cfg) == row_major_oracle(state, kind, cfg)
+            assert _odd(state, cfg) == row_major_oracle(state, cfg)
 
 
 def _row_major_bootstrap(est, n, level, kind, seed):
@@ -317,21 +263,18 @@ def _layout_guard(monkeypatch, module, name, arg, probe):
 
 
 def test_grids_and_draws_reach_the_kernels_entry_major(monkeypatch, rng):
-    # spectra (N, 4), odd-n grid points (N, 3) and draws (N, 3) hold their last
-    # axis slowest in memory
+    # odd-n grid points (N, 3) and draws (N, 3) hold their last axis slowest in memory
     def last_slowest(a):
         return a.T.flags.c_contiguous
 
-    spectra = _layout_guard(monkeypatch, oracle, "classical_distance", 1, last_slowest)
     points = _layout_guard(monkeypatch, oracle, "_odd_trace_distances", 1, last_slowest)
     draws = _layout_guard(monkeypatch, estimate, "_bound_values", 0, last_slowest)
     cfg = OracleConfig(24, 2)
-    for kind in ALL_DISTANCES:
-        brute_min_over_octahedron(random_m3n_outside_octahedron(4, rng), kind, cfg)
-    brute_min_over_octahedron(random_m3n_outside_octahedron(5, rng), DistanceKind.TRACE, cfg)
+    for n in (3, 5, 7):
+        _odd(random_m3n_outside_octahedron(n, rng), cfg)
+    _odd(M3NState(3, CorrelationTriple(*TIED_FACES[1])), cfg)
     for n in (4, 5):
         bound_with_uncertainty(_bootstrapped_estimate(n, rng), n, SeparabilityLevel(m=n),
                                DistanceKind.TRACE)
-    assert len(spectra) >= 5 * 8 and all(spectra)
-    assert len(points) >= 8 and all(points)
+    assert len(points) >= 4 * 8 + 2 * 2 and all(points)
     assert draws == [True, True]
