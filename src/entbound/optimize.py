@@ -6,6 +6,22 @@ genuine bound. Both are non-smooth and multimodal, so every search runs from
 several starts, and all starts of a search run in lockstep: one batched
 objective call per step covers every start still running.
 
+Before any search work, once every check that can refuse the call has run,
+the unrotated value is compared with a bound no local rotation can beat; when
+it meets the bound, the identity is returned with no screen, no
+:func:`minimize` and no ascent. Each bound is one read:
+
+- Correlation sum, n >= 2: |c~1|+|c~2|+|c~3| <= sum_J |T_J|, the l1 norm of
+  the (3,)^n block. c~_i = sum_J T_J prod_k O_k[i, j_k], and by AM-GM and
+  |x|^n <= x^2, sum_i prod_k |O_k[i, j_k]| <= (1/n) sum_k sum_i O_k[i, j_k]^2
+  = 1, for shared and per-qubit rotations alike. Triple-correlation states,
+  whose block holds only c on its diagonal, meet it. At n = 1 it fails:
+  rotating T = e_1 reaches sqrt(3).
+- GHZ overlap: <beta|U rho U^dag|beta> <= lambda_max(rho), as U^dag beta is a
+  unit vector; ``DenseState.top_eigenvalue`` reads lambda_max from the form.
+  States whose top GHZ vector is a top eigenvector, GHZ-diagonal ones
+  included, meet it.
+
 - Per-qubit mode, either objective: closed-form coordinate ascent. With
   every other qubit fixed, the objective is linear in one qubit's SO(3)
   matrix (per sign class, for the correlation sum), so each step takes the
@@ -73,6 +89,9 @@ _MAX_SWEEPS = 500
 _NM_MAXITER = 10 * _MAX_SWEEPS
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
+#: screen overlaps this close to a row's largest, and top overlaps this close
+#: to the next row's, tie
+_TIE_TOL = 1e-12
 
 #: largest grid_density, the CLI's documented 2..29 range. A screen holds one
 #: plane or one read of whole planes, not its grid, so the cap bounds time: the
@@ -383,19 +402,36 @@ def optimise_triple(
     Shared mode optimises one angle triple applied to all qubits (optimal for
     permutation-invariant states); per-qubit mode runs alternating closed-form
     updates qubit by qubit. The identity rotation is always among the starts,
-    so the objective never drops below the unrotated value.
+    so the objective never drops below the unrotated value. When n >= 2 and
+    the unrotated value meets the l1 norm of the block (see the module
+    docstring), as on every triple-correlation tensor, the identity returns
+    at once: one zero triple, shared, in shared mode, and n zero triples in
+    per-qubit mode.
     """
     opts = opts or OptimisationOptions()
     n = tensor.n
     bloch = tensor.bloch
+    shared = opts.mode == "shared"
     rng = np.random.default_rng(opts.seed)
 
-    if opts.mode == "shared":
-        if not tensor.is_symmetric():
-            raise ParameterError(
-                "shared-angle optimisation expects a permutation-symmetric tensor; "
-                "use per_qubit mode"
-            )
+    if not shared:
+        check_budget(8 * opts.restarts * n * 9,
+                     f"the per-qubit start stack of {opts.restarts} restarts")
+    elif not tensor.is_symmetric():
+        raise ParameterError(
+            "shared-angle optimisation expects a permutation-symmetric tensor; "
+            "use per_qubit mode"
+        )
+    identity_val = tensor.diagonal_triple().abs_sum
+    # no rotation gains more than the bound's slack; 1e-12 is the identity
+    # fallback's margin below, inside which a gain is taken for rounding
+    if n >= 2 and identity_val >= np.abs(bloch).sum() - 1e-12:
+        rotation = (LocalRotation.identity() if shared
+                    else LocalRotation.from_per_qubit([(0.0, 0.0, 0.0)] * n))
+        triple = rotated_triple(tensor, rotation)
+        return rotation, triple, triple.abs_sum
+
+    if shared:
         poly = _shared_polynomial(bloch)
         planes = _shared_grid(opts.grid_density)
         # one theta plane at a time, so one plane's terms are held at once
@@ -411,8 +447,6 @@ def optimise_triple(
         canonical = so3_to_angles(so3_from_angles(best_angles))
         rotation = LocalRotation.from_shared(canonical)
     else:
-        check_budget(8 * opts.restarts * n * 9,
-                     f"the per-qubit start stack of {opts.restarts} restarts")
         starts = np.concatenate([
             np.tile(np.eye(3), (1, n, 1, 1)),
             _random_rotations(rng, (opts.restarts - 1) * n).reshape(-1, n, 3, 3),
@@ -422,7 +456,6 @@ def optimise_triple(
 
     triple = rotated_triple(tensor, rotation)
     objective = triple.abs_sum
-    identity_val = tensor.diagonal_triple().abs_sum
     if objective < identity_val - 1e-12:
         rotation = LocalRotation.identity()
         triple = tensor.diagonal_triple()
@@ -538,17 +571,20 @@ def _screen_overlaps(state: DenseState, planes: np.ndarray) -> np.ndarray:
 
 
 def _screen_tops(state: DenseState, grid: np.ndarray):
-    """Each row's largest :func:`_screen_overlaps` entry and its first flat index.
+    """Each row's largest :func:`_screen_overlaps` entry, and the first flat index within
+    _TIE_TOL of it.
 
-    A ``_shared_grid`` is screened by whole theta planes, as many at once as
-    keep their 2^n overlaps a row within CHUNK_ENTRIES (at least one), and a
-    read's overlaps are dropped before the next read, so one read's overlaps
-    are held at once. Returns values and indices, one per grid row in order.
+    Overlaps that tie in exact arithmetic differ in their last bits, so the
+    index is picked on a tolerance, not by those bits. A ``_shared_grid`` is
+    screened by whole theta planes, as many at once as keep their 2^n
+    overlaps a row within CHUNK_ENTRIES (at least one), and a read's overlaps
+    are dropped before the next read, so one read's overlaps are held at
+    once. Returns values and indices, one per grid row in order.
     """
 
     def top(overlaps):
-        pos = np.argmax(overlaps, axis=1)
-        return np.take_along_axis(overlaps, pos[:, None], axis=1)[:, 0], pos
+        tops = overlaps.max(axis=1)
+        return tops, np.argmax(overlaps >= tops[:, None] - _TIE_TOL, axis=1)
 
     reads = chunks(len(grid), grid.shape[1] * 2**state.n)
     tops, pos = zip(*(top(_screen_overlaps(state, grid[r])) for r in reads))
@@ -564,20 +600,39 @@ def optimise_ghz_overlap(
     rotation for the best few candidate indices: Nelder-Mead on one shared
     angle triple in shared mode, closed-form coordinate ascent over qubits in
     per-qubit mode. The result is never below the unrotated maximum overlap.
+    When that overlap meets ``state.top_eigenvalue()`` (see the module
+    docstring), as on GHZ-diagonal states, the identity and the unrotated
+    best index return at once, in either mode.
     """
     opts = opts or OptimisationOptions()
     n = state.n
     shared = opts.mode == "shared"
     rng = np.random.default_rng(opts.seed)
 
+    if not shared:
+        # every candidate's runs: the identity, its grid point and restarts // 4
+        # random starts. The pick below takes _OVERLAP_CANDIDATES whenever
+        # restarts // 4 >= _OVERLAP_CANDIDATES, as any refused stack needs
+        check_budget(8 * _OVERLAP_CANDIDATES * (2 + opts.restarts // 4) * n * 3,
+                     f"the per-qubit start stack of {opts.restarts} restarts")
+    base = ghz_diagonalise(state)
+    best = (LocalRotation.identity(), base.argmax(), base.p_max)
+    # a run replaces the best only when it gains more than 1e-13, so with the
+    # bound within 1e-13 no run can
+    if base.p_max + 1e-13 >= state.top_eigenvalue():
+        return best
+
     # coarse screen: every basis index against a shared-angle grid, because
     # the best index at the identity need not be the best one after rotation
     planes = _shared_grid(max(4, opts.grid_density // 2))
     tops, best_pos = _screen_tops(state, planes)
     grid = planes.reshape(-1, 3)
-    # (grid row, flat index) by falling top overlap, ties in grid order
+    # (grid row, flat index) by falling top overlap; rows whose tops lie within
+    # _TIE_TOL of the next one tie, and tied rows go in grid order
+    order = np.argsort(-tops, kind="stable")
+    tied = np.concatenate([[0], np.cumsum(-np.diff(tops[order]) > _TIE_TOL)])
     picked, seen = [], set()
-    for g in np.argsort(-tops, kind="stable"):
+    for g in order[np.lexsort((order, tied))]:
         pos = int(best_pos[g])
         if pos not in seen or len(picked) < opts.restarts // 4:
             picked.append((g, pos))
@@ -585,8 +640,6 @@ def optimise_ghz_overlap(
         if len(picked) >= _OVERLAP_CANDIDATES:
             break
 
-    base = ghz_diagonalise(state)
-    best = (LocalRotation.identity(), base.argmax(), base.p_max)
     candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, pos in picked]
     if shared:
         # two runs per candidate, from the identity and from its grid point
@@ -604,8 +657,6 @@ def optimise_ghz_overlap(
         return best
     # every candidate's runs in one lockstep ascent: the identity, its grid
     # point tiled over the qubits, and restarts // 4 random starts each
-    check_budget(8 * len(picked) * (2 + opts.restarts // 4) * n * 3,
-                 f"the per-qubit start stack of {opts.restarts} restarts")
     runs, starts = [], []
     for (g, _), idx in zip(picked, candidates):
         starts += [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]

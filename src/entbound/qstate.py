@@ -15,12 +15,12 @@ pure state is the projector of a vector whose squared norm is 1, an X matrix
 is checked block by block, and a white-noise mix of a built state with q in
 [0, 1] is a convex combination.
 
-Every read answers from the form. ``DenseState.lines`` and
-``DenseState.purity`` cost O(2^n) on a built state;
-``DenseState.lines_under`` reads the diagonal or both lines of U rho U^dag for
-a product unitary U in O(n 2^n), or O(4^n) on a dense form; ``sandwich``
-gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the (3,)^n
-correlation block. Of the commands only ``state --dense`` reads a built
+Every read answers from the form. ``DenseState.lines``,
+``DenseState.purity`` and ``DenseState.top_eigenvalue`` cost O(2^n) on a
+built state; ``DenseState.lines_under`` reads the diagonal or both lines of
+U rho U^dag for a product unitary U in O(n 2^n), or O(4^n) on a dense form;
+``sandwich`` gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the
+(3,)^n correlation block. Of the commands only ``state --dense`` reads a built
 state's ``rho`` (made on the first read, then cached); the tests' dense
 references read it too.
 States go up to ``_linalg.QUBIT_CAP`` qubits. ``rho``, ``bloch`` and the dense
@@ -213,6 +213,16 @@ class DenseState:
         """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) on a built state."""
         return float(_purity_from_form(self._form, self.dim))
 
+    def top_eigenvalue(self) -> float:
+        """An upper bound on rho's largest eigenvalue, read from the form without an eigensolve.
+
+        Exact on a built state, in O(2^n): the squared norm of a pure form's
+        vector, the largest eigenvalue of an X matrix's 2x2 blocks, or
+        q lambda + (1 - q)/2^n for a white-noise mix. On a dense form it is 1,
+        the trace, which bounds every eigenvalue of a density matrix.
+        """
+        return float(_top_eigenvalue_from_form(self._form, self.dim))
+
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DenseState":
         """Projector onto a vector, normalised here.
@@ -398,6 +408,22 @@ def _purity_from_form(form: tuple, dim: int) -> float:
         return np.vdot(parts[0], parts[0]).real
     q, inner = parts
     return q * q * _purity_from_form(inner, dim) + (1 - q * q) / dim
+
+
+def _top_eigenvalue_from_form(form: tuple, dim: int) -> float:
+    """``DenseState.top_eigenvalue`` of a form: |psi|^2, the top of the X blocks'
+    centre + radius (``_x_blocks``), 1 for a dense matrix, or for a mix
+    q lambda_inner + (1 - q)/dim, white noise shifting every eigenvalue alike."""
+    kind, *parts = form
+    if kind == "pure":
+        return np.vdot(parts[0], parts[0]).real
+    if kind == "x":
+        centre, radius = _x_blocks(*parts)
+        return np.max(centre + radius)
+    if kind == "dense":
+        return 1.0
+    q, inner = parts
+    return q * _top_eigenvalue_from_form(inner, dim) + (1 - q) / dim
 
 
 @functools.cache
@@ -655,6 +681,17 @@ def _wei_density(n: int, x: float) -> DenseState:
     return _x_state(n, diag, anti)
 
 
+def _x_blocks(diag: np.ndarray, anti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius of each 2x2 block (i, 2^n-1-i), i in the first half.
+
+    A Hermitian block [[d_i, conj(a_i)], [a_i, d_~i]] has the eigenvalues
+    (d_i + d_~i)/2 -/+ hypot((d_i - d_~i)/2, |a_i|).
+    """
+    half = diag.size // 2
+    top, bottom = diag.real[:half], diag.real[::-1][:half]
+    return (top + bottom) / 2, np.hypot((top - bottom) / 2, np.abs(anti[:half]))
+
+
 def _check_x_matrix(diag: np.ndarray, anti: np.ndarray) -> None:
     """Validity of the X matrix with diagonal ``diag`` and ``anti[i]`` at (2^n-1-i, i).
 
@@ -672,9 +709,8 @@ def _check_x_matrix(diag: np.ndarray, anti: np.ndarray) -> None:
     tr = np.sum(diag)
     if abs(tr - 1) > _TRACE_TOL:
         raise StateValidityError(f"trace is {tr}, expected 1")
-    half = diag.size // 2
-    top, bottom = diag.real[:half], diag.real[::-1][:half]
-    lo = float(np.min((top + bottom) / 2 - np.hypot((top - bottom) / 2, np.abs(anti[:half]))))
+    centre, radius = _x_blocks(diag, anti)
+    lo = float(np.min(centre - radius))
     if lo < _EIGENVALUE_FLOOR:
         raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
 

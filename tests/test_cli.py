@@ -156,6 +156,21 @@ def test_shared_optimise_rejects_asymmetric_state(capsys):
     _assert_input_error(argv, capsys, "permutation-symmetric")
 
 
+@pytest.mark.parametrize("mode, angles", [("per-qubit", [[0.0, 0.0, 0.0]] * 4),
+                                          ("shared", [[0.0, 0.0, 0.0]])])
+def test_certified_correlation_sum_prints_the_identity_of_its_mode(mode, angles, capsys):
+    # an m3n block meets its l1 norm unrotated, so no search runs; per qubit the
+    # identity keeps one zero triple a qubit and "shared": false
+    argv = ["optimise", "--family", "m3n", "--n", "4", "--params", '{"c":[0.3,-0.2,0.4]}',
+            "--mode", mode, "--full-precision"]
+    rc, out, err = _run(argv, capsys)
+    assert rc == 0 and err == ""
+    expected = {"angles": angles, "c": [0.3, -0.2, 0.39999999999999997], "n": 4,
+                "objective": "correlation_sum", "shared": mode == "shared",
+                "sum_abs_c": 0.8999999999999999}
+    assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @pytest.mark.parametrize(
     "spec", ['["n"]', '{"n": "x", "family": "ghz"}', '{"n": 3.5, "family": "ghz"}',
              '{"n": true, "family": "ghz"}']
@@ -466,7 +481,7 @@ def test_package_runs_without_scipy(tmp_path):
         ["bound", "--n", "4", "--c=0.9,0.9,0.9"],
         ["genuine", "--pmax", "0.8", "--sigma-p", "0.05"],
         ["optimise", "--family", "w", "--n", "4"],
-        ["optimise", "--family", "ghz", "--n", "4", "--objective", "overlap"],
+        ["optimise", "--family", "w", "--n", "4", "--objective", "overlap"],
         ["simulate", "--family", "ghz", "--n", "3", "--shots", "200", "--seed", "5"],
         ["reproduce", "table-iv-b"],
         ["oracle", "--spectrum-file", str(spectrum), "--distance", "trace"],

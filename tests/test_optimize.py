@@ -10,7 +10,7 @@ from dense_reference import ghz_basis_vector, permutation_conjugate
 from dense_rotation import apply_product_unitary
 from entbound._linalg import hamming_weights, kron_all
 from entbound import _linalg, optimize, qstate
-from entbound.errors import ParameterError
+from entbound.errors import CapacityError, ParameterError
 from entbound.locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from entbound.optimize import (
     MAX_GRID_DENSITY,
@@ -33,6 +33,7 @@ from entbound.optimize import (
     optimise_triple,
 )
 from entbound.pauli import (
+    CorrelationTensor,
     LocalRotation,
     contract_modes,
     correlation_tensor,
@@ -685,11 +686,12 @@ def traced_peak(call) -> int:
 
 
 @pytest.mark.parametrize(
-    "family", [StateFamily.ghz(), StateFamily.m3n([0.5, 0.3, -0.2])], ids=["pure", "x"]
+    "family", [StateFamily.ghz(), StateFamily.wei(0.5)], ids=["pure", "x"]
 )
 def test_block_charge_bounds_a_correlation_sum_search_at_n13(family):
     # bloch() admits n = 13 on its charge; the search that reads the block peaks at
-    # about 73 MiB in shared mode (the per-qubit peak is lower) against 243 MiB charged
+    # about 73 MiB in shared mode (the per-qubit peak is lower) against 243 MiB charged.
+    # The X form is Wei's: an m3n block meets its l1 norm unrotated and is not searched
     state = build_state(family, 13)
     peak = traced_peak(lambda: optimise_triple(correlation_tensor(state), OptimisationOptions()))
     assert peak <= qstate._BLOCK_ENTRY_BYTES * 3**13 + qstate._BLOCK_FIXED_BYTES
@@ -724,16 +726,17 @@ def test_overlap_screen_plane_walk_matches_one_batch(density, one_plane, rng, mo
     states = [
         random_density(3, rng),
         build_state(StateFamily.w(), 5),
-        # equal top overlaps, where the first-index rule picks the index
+        # equal top overlaps, where the first index within _TIE_TOL of the top is taken
         build_state(StateFamily.m3n([0.3, -0.2, 0.4]), 5),
         build_state(StateFamily.white_noise_mix(StateFamily.ghz(), 0.7), 4),
     ]
     for state in states:
         full = _screen_overlaps(state, grid)
-        pos = np.argmax(full, axis=1)
+        top = full.max(axis=1)
+        pos = np.argmax(full >= top[:, None] - optimize._TIE_TOL, axis=1)
         tops, got_pos = _screen_tops(state, grid)
         assert np.array_equal(got_pos, pos)
-        assert np.array_equal(tops, full[np.arange(density**3), pos])
+        assert np.array_equal(tops, top)
 
 
 def test_screens_hold_part_of_the_largest_grid(monkeypatch):
@@ -784,3 +787,156 @@ def test_random_starts_drawn_in_one_call_match_one_per_start(n):
         assert np.array_equal(batch, [_random_rotations(each, n) for _ in range(31)])
         batch = one.uniform(0, np.pi, size=(8, n, 3))
         assert np.array_equal(batch, [each.uniform(0, np.pi, size=(n, 3)) for _ in range(8)])
+
+
+# -- bounds that certify the identity without a search ---------------------------------
+
+def rotated_sums(bloch, os):
+    """|c~1|+|c~2|+|c~3| of bloch under per-qubit rotation stacks os (B, n, 3, 3)."""
+    rows = np.swapaxes(os, 1, 2).reshape(-1, bloch.ndim, 3)  # (B * 3, n, 3): row i per qubit
+    return np.abs(contract_modes(bloch, rows)).reshape(-1, 3).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rotated_correlation_sum_never_exceeds_the_block_l1_norm(n, rng):
+    # any real block, symmetric or not and from a state or not, under shared and
+    # per-qubit rotations; sparse blocks come closest to the bound
+    count = 40
+    for _ in range(20):
+        bloch = rng.standard_normal((3,) * n)
+        if rng.random() < 0.5:
+            bloch *= rng.random((3,) * n) < 3 / bloch.size
+        per_qubit = _random_rotations(rng, count * n).reshape(count, n, 3, 3)
+        shared = np.repeat(_random_rotations(rng, count)[:, None], n, axis=1)
+        sums = rotated_sums(bloch, np.concatenate([per_qubit, shared]))
+        assert np.all(sums <= np.abs(bloch).sum() * (1 + 1e-12))
+
+
+def test_l1_bound_fails_at_one_qubit():
+    # at n = 1 the correlation sum of T = e_1 under O is sum_i |O[i, 0]|, up to
+    # sqrt(3) against the block's l1 norm of 1
+    bloch = np.array([1.0, 0.0, 0.0])
+    o = so3_from_angles([0.3, 0.2, 0.1])
+    assert rotated_sums(bloch, o[None, None])[0] > 1.3
+    tensor = CorrelationTensor(1, bloch)
+    for mode in ("shared", "per_qubit"):
+        _, _, objective = optimise_triple(tensor, OptimisationOptions(mode=mode, restarts=4))
+        assert objective > 1.7
+
+
+def _no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified call searched")
+
+    for name in ("minimize", "_screen_tops", "_per_qubit_ascent", "_overlap_ascent",
+                 "_shared_objective"):
+        monkeypatch.setattr(optimize, name, refuse)
+
+
+@pytest.mark.parametrize("mode", ["shared", "per_qubit"])
+@pytest.mark.parametrize("family, n", [
+    (StateFamily.m3n((0.3, -0.2, 0.4)), 5), (StateFamily.m3n((0.3, -0.2, 0.4)), 12),
+    (StateFamily.m3n((-0.5, 0.3, 0.1)), 4), (StateFamily.smolin(), 6),
+    (StateFamily.white_noise_mix(StateFamily.m3n((0.2, 0.5, -0.1)), 0.6), 7),
+])
+def test_certified_correlation_sum_runs_no_search(family, n, mode, monkeypatch):
+    tensor = correlation_tensor(build_state(family, n))
+    _no_search(monkeypatch)
+    rotation, triple, objective = optimise_triple(tensor, OptimisationOptions(mode=mode))
+    if mode == "shared":
+        assert rotation == LocalRotation.identity()
+    else:
+        assert rotation == LocalRotation.from_per_qubit([(0.0, 0.0, 0.0)] * n)
+    assert triple == rotated_triple(tensor, LocalRotation.identity())
+    assert objective == triple.abs_sum == pytest.approx(tensor.diagonal_triple().abs_sum, abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["shared", "per_qubit"])
+@pytest.mark.parametrize("family, n", [
+    (StateFamily.ghz(), 4), (StateFamily.ghz(), 16),
+    (StateFamily.white_noise_mix(StateFamily.ghz(), 0.3), 5), (StateFamily.smolin(), 4),
+    (StateFamily.m3n((0.3, -0.2, 0.4)), 6), (StateFamily.m3n((-0.5, 0.3, 0.1)), 4),
+])
+def test_certified_overlap_runs_no_search(family, n, mode, monkeypatch):
+    state = build_state(family, n)
+    base = ghz_diagonalise(state)
+    _no_search(monkeypatch)
+    rotation, idx, p = optimise_ghz_overlap(state, OptimisationOptions(mode=mode))
+    assert rotation == LocalRotation.identity()
+    assert idx == base.argmax() and p == base.p_max
+    assert p == pytest.approx(state.top_eigenvalue(), abs=1e-13)
+
+
+@pytest.mark.parametrize("family, n", [
+    (StateFamily.w(), 4), (StateFamily.dicke(2), 4), (StateFamily.cluster_linear(), 4),
+    (StateFamily.white_noise_mix(StateFamily.w(), 0.8), 3),
+])
+@pytest.mark.parametrize("mode", ["shared", "per_qubit"])
+def test_uncertified_inputs_still_search(family, n, mode, monkeypatch):
+    calls = []
+    for name in ("minimize", "_screen_tops", "_per_qubit_ascent", "_overlap_ascent"):
+        def recording(*args, _real=getattr(optimize, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(optimize, name, recording)
+    state = build_state(family, n)
+    opts = OptimisationOptions(mode=mode, restarts=4, grid_density=4)
+    optimise_ghz_overlap(state, opts)
+    assert calls[:2] == ["_screen_tops", "minimize" if mode == "shared" else "_overlap_ascent"]
+    calls.clear()
+    if mode == "shared" and family.tag == "cluster_linear":
+        return  # an asymmetric tensor is refused in shared mode
+    optimise_triple(correlation_tensor(state), opts)
+    assert calls == ["minimize" if mode == "shared" else "_per_qubit_ascent"]
+
+
+@pytest.mark.parametrize("family", [StateFamily.w(), StateFamily.ghz()], ids=["w", "ghz"])
+def test_refused_per_qubit_overlap_search_never_screens(family, monkeypatch):
+    # the start stack is charged for _OVERLAP_CANDIDATES candidates before the
+    # screen, and before the bound that certifies GHZ
+    def refuse(*args):
+        raise AssertionError("screened before refusing")
+
+    monkeypatch.setattr(optimize, "_screen_tops", refuse)
+    with pytest.raises(CapacityError, match="per-qubit start stack of 1000000000 restarts"):
+        optimise_ghz_overlap(build_state(family, 3),
+                             OptimisationOptions(mode="per_qubit", restarts=10**9))
+
+
+def _candidates(state, opts, monkeypatch, noise_seed=None):
+    """The GHZ-basis keys an overlap search refines, in order, with optional 1-ulp screen noise."""
+    keys = []
+    real_bits, real_screen = optimize._ghz_bits, optimize._screen_overlaps
+
+    def bits(idx):
+        keys.append(idx.key)
+        return real_bits(idx)
+
+    def noisy(state, planes):
+        overlaps = real_screen(state, planes)
+        ulps = np.random.default_rng(noise_seed).integers(-1, 2, size=overlaps.shape)
+        return overlaps + ulps * np.spacing(overlaps)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_ghz_bits", bits)
+        if noise_seed is not None:
+            m.setattr(optimize, "_screen_overlaps", noisy)
+        optimise_ghz_overlap(state, opts)
+    return list(dict.fromkeys(keys))
+
+
+@pytest.mark.parametrize("mode", ["shared", "per_qubit"])
+@pytest.mark.parametrize("family, n", [
+    (StateFamily.m3n((0.3, -0.2, 0.4)), 5), (StateFamily.m3n((0.3, -0.2, 0.4)), 3),
+    (StateFamily.w(), 4), (StateFamily.cluster_linear(), 4),
+    (StateFamily.white_noise_mix(StateFamily.dicke(2), 0.5), 5),
+])
+def test_overlap_candidates_ignore_the_last_bits_of_the_screen(family, n, mode, monkeypatch):
+    # overlaps that tie in exact arithmetic, within a screen row or across rows,
+    # are told apart on _TIE_TOL, not by their rounding
+    state = build_state(family, n)
+    opts = OptimisationOptions(mode=mode, restarts=4)
+    exact = _candidates(state, opts, monkeypatch)
+    for seed in range(3):
+        assert _candidates(state, opts, monkeypatch, noise_seed=seed) == exact

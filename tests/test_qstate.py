@@ -489,6 +489,26 @@ def test_ghz_diagonal_lines_and_purity_read_the_form(n, rng):
     _assert_reads_match_rho(ghz_dense(random_ghz_spectrum(n, rng)))
 
 
+@pytest.mark.parametrize("family, n", [c for c in _family_cases() if c.values[1] <= 7])
+def test_top_eigenvalue_reads_the_form(family, n):
+    # pure, X (m3n at both parities, Wei, Smolin) and nested white-noise forms;
+    # eigvalsh itself is off by up to 1.3e-15 here (the linear cluster at n = 7)
+    state = build_state(family, n)
+    top = state.top_eigenvalue()
+    assert state._rho is None
+    assert top == pytest.approx(np.linalg.eigvalsh(state.rho)[-1], abs=2e-15)
+
+
+def test_top_eigenvalue_of_a_dense_form_is_the_trace(rng):
+    from conftest import random_density
+
+    pure = DenseState(5, np.array(build_state(StateFamily.w(), 5).rho))
+    mixed = random_density(5, rng)
+    assert pure.top_eigenvalue() == mixed.top_eigenvalue() == 1.0
+    assert np.linalg.eigvalsh(pure.rho)[-1] == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.eigvalsh(mixed.rho)[-1] < 0.5
+
+
 def _assert_sandwich_matches_rho(state, rng):
     """``sandwich`` reads the form and agrees with the dense V^dag rho V, m = 1 and 4, batched."""
     dim = state.dim
