@@ -11,12 +11,16 @@ the unrotated value is compared with a bound no local rotation can beat; when
 it meets the bound, the identity is returned with no screen, no
 :func:`minimize` and no ascent. Each bound is one read:
 
-- Correlation sum, n >= 2: |c~1|+|c~2|+|c~3| <= sum_J |T_J|, the l1 norm of
-  the (3,)^n block. c~_i = sum_J T_J prod_k O_k[i, j_k], and by AM-GM and
+- Correlation sum: the ceiling min(3, sum_J |T_J|), the l1 term at n >= 2
+  only. Each c~_i is the mean of a product of +-1-valued observables, so
+  |c~_i| <= 1 and the sum is at most 3; ``rotated_triple`` clips every entry
+  to [-1, 1], so no rotation prints more. For the l1 norm of the (3,)^n
+  block: c~_i = sum_J T_J prod_k O_k[i, j_k], and by AM-GM and
   |x|^n <= x^2, sum_i prod_k |O_k[i, j_k]| <= (1/n) sum_k sum_i O_k[i, j_k]^2
   = 1, for shared and per-qubit rotations alike. Triple-correlation states,
-  whose block holds only c on its diagonal, meet it. At n = 1 it fails:
-  rotating T = e_1 reaches sqrt(3).
+  whose block holds only c on its diagonal, meet the l1 norm, and GHZ and
+  Dicke(n/2) at even n, with c = (+-1, +-1, +-1), meet 3. At n = 1 the l1
+  norm fails: rotating T = e_1 reaches sqrt(3).
 - GHZ overlap: <beta|U rho U^dag|beta> <= lambda_max(rho), as U^dag beta is a
   unit vector; ``DenseState.top_eigenvalue`` reads lambda_max from the form.
   States whose top GHZ vector is a top eigenvector, GHZ-diagonal ones
@@ -25,7 +29,9 @@ it meets the bound, the identity is returned with no screen, no
 - Per-qubit mode, either objective: closed-form coordinate ascent. With
   every other qubit fixed, the objective is linear in one qubit's SO(3)
   matrix (per sign class, for the correlation sum), so each step takes the
-  proper polar factor of a 3x3 matrix. Both ascents step every start at
+  proper polar factor of a 3x3 matrix. The correlation-sum ascent stops
+  every start, and runs no further chunk, once one start's sweep reaches the
+  ceiling above. Both ascents step every start at
   once: the correlation sum with one batched SVD per qubit, shared by its
   four sign classes, the overlap with one Gram-matrix read of the state per
   qubit. Each correlation-sum sweep carries the tensor contracted by the
@@ -72,6 +78,7 @@ from .pauli import (
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
+    so3_to_quaternion,
     su2_from_angles,
 )
 from .qstate import CorrelationTriple, DenseState
@@ -83,6 +90,9 @@ _REFINE_TOL = 1e-8
 #: sweep gain at which both per-qubit ascents stop; a 1e-8 stop left them up to
 #: 3.1e-8 below what the same starts reach, this ends them within about 1e-12
 _ASCENT_TOL = 1e-12
+#: a correlation sum this close to its ceiling min(3, l1) is taken as the
+#: ceiling: the identity fallback's margin, inside which a gain is rounding
+_CEILING_TOL = 1e-12
 #: sweep cap of both per-qubit ascents
 _MAX_SWEEPS = 500
 #: iteration cap of every Nelder-Mead run
@@ -355,12 +365,16 @@ def _qubit_matrix(left: np.ndarray, os: np.ndarray, k: int) -> np.ndarray:
     return np.broadcast_to(cur, (count * 3, 3, 1)).reshape(count, 3, 3) + 0.0
 
 
-def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
+def _per_qubit_ascent(
+    bloch: np.ndarray, starts, ceiling: float = np.inf
+) -> tuple[np.ndarray, float]:
     """Coordinate ascent over qubits on (n, 3, 3) rotation stacks, every start in lockstep.
 
     Each start sweeps until a sweep gains at most _ASCENT_TOL (or for
     _MAX_SWEEPS sweeps) and is then frozen; starts run in chunks under
-    CHUNK_ENTRIES (at n <= 8 the 32 default starts fit in one). A sweep
+    CHUNK_ENTRIES (at n <= 8 the 32 default starts fit in one). Once a
+    sweep brings any start within _CEILING_TOL of ``ceiling``, a value no
+    start can beat, every start stops and no further chunk runs. A sweep
     carries bloch contracted by the rows already updated, one mode further
     per qubit, so each qubit's step contracts only the qubits still to come,
     and the last update leaves the sweep's value.
@@ -370,6 +384,8 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
     os = np.array(starts, dtype=float)
     vals = np.full(len(os), -np.inf)
     for chunk in chunks(len(os), 9 * 3 ** (n - 1)):
+        if vals.max() >= ceiling - _CEILING_TOL:
+            break
         live = np.arange(len(os))[chunk]
         for _ in range(_MAX_SWEEPS):
             cur = os[live]
@@ -388,7 +404,7 @@ def _per_qubit_ascent(bloch: np.ndarray, starts) -> tuple[np.ndarray, float]:
             stop = new <= vals[live] + _ASCENT_TOL
             vals[live] = np.where(stop, np.maximum(vals[live], new), new)
             live = live[~stop]
-            if not live.size:
+            if not live.size or new.max() >= ceiling - _CEILING_TOL:
                 break
     best = int(np.argmax(vals))
     return os[best], float(vals[best])
@@ -402,11 +418,14 @@ def optimise_triple(
     Shared mode optimises one angle triple applied to all qubits (optimal for
     permutation-invariant states); per-qubit mode runs alternating closed-form
     updates qubit by qubit. The identity rotation is always among the starts,
-    so the objective never drops below the unrotated value. When n >= 2 and
-    the unrotated value meets the l1 norm of the block (see the module
-    docstring), as on every triple-correlation tensor, the identity returns
-    at once: one zero triple, shared, in shared mode, and n zero triples in
-    per-qubit mode.
+    so the objective never drops below the unrotated value. No rotation
+    beats the ceiling min(3, l1 norm of the block), the l1 term at n >= 2
+    only: every |c~_i| <= 1, being the mean of a +-1-valued product, and the
+    l1 proof is in the module docstring. When the unrotated value meets it,
+    as on every triple-correlation tensor and on GHZ and Dicke(n/2) at even
+    n, the identity returns at once: one zero triple, shared, in shared
+    mode, and n zero triples in per-qubit mode. The per-qubit ascent stops
+    every start once one of them reaches it.
     """
     opts = opts or OptimisationOptions()
     n = tensor.n
@@ -423,9 +442,8 @@ def optimise_triple(
             "use per_qubit mode"
         )
     identity_val = tensor.diagonal_triple().abs_sum
-    # no rotation gains more than the bound's slack; 1e-12 is the identity
-    # fallback's margin below, inside which a gain is taken for rounding
-    if n >= 2 and identity_val >= np.abs(bloch).sum() - 1e-12:
+    ceiling = min(3.0, float(np.abs(bloch).sum())) if n >= 2 else 3.0
+    if identity_val >= ceiling - _CEILING_TOL:
         rotation = (LocalRotation.identity() if shared
                     else LocalRotation.from_per_qubit([(0.0, 0.0, 0.0)] * n))
         triple = rotated_triple(tensor, rotation)
@@ -451,7 +469,7 @@ def optimise_triple(
             np.tile(np.eye(3), (1, n, 1, 1)),
             _random_rotations(rng, (opts.restarts - 1) * n).reshape(-1, n, 3, 3),
         ])
-        best_os, _ = _per_qubit_ascent(bloch, starts)
+        best_os, _ = _per_qubit_ascent(bloch, starts, ceiling)
         rotation = LocalRotation.from_per_qubit(so3_to_angles(best_os))
 
     triple = rotated_triple(tensor, rotation)
@@ -498,6 +516,18 @@ def _overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, us: np.nda
     return state.sandwich(v[..., None])[..., 0, 0].real
 
 
+def _su2_from_so3(o: np.ndarray) -> np.ndarray:
+    """U = w I - i (x s1 + y s2 + z s3) from each rotation's quaternion (w, x, y, z).
+
+    U lifts o up to a sign, which no overlap sees. Stacks (..., 3, 3) give
+    (..., 2, 2).
+    """
+    w, x, y, z = np.moveaxis(so3_to_quaternion(o), -1, 0)
+    return np.stack([w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z], axis=-1).reshape(
+        o.shape[:-2] + (2, 2)
+    )
+
+
 def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, starts):
     """Coordinate ascent over qubits from per-qubit angles, every run in lockstep.
 
@@ -508,13 +538,16 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
     R_m = Tr_k[sigma_m rho]: linear in O_k, so the polar factor of G is
     exact. G and c come from the Gram matrix of the four vectors w_b x |d>
     (b, d in {0, 1}; w_b is w with qubit-k component b), one
-    ``DenseState.sandwich`` read for every run still going. A run stops once
-    a sweep gains at most _ASCENT_TOL (or after _MAX_SWEEPS sweeps) and is
-    then frozen; runs go in chunks under CHUNK_ENTRIES.
-    Returns the angles (R, n, 3) and each run's overlap (R,).
+    ``DenseState.sandwich`` read for every run still going. A step lifts O_k
+    to U_k through its quaternion, with no angles; the angles are read once,
+    after the last sweep. A run stops once a sweep gains at most _ASCENT_TOL
+    (or after _MAX_SWEEPS sweeps) and is then frozen; runs go in chunks under
+    CHUNK_ENTRIES.
+    Returns the angles (R, n, 3) and each run's overlap at them (R,).
     """
     n = state.n
     angles = np.array(starts, dtype=float)
+    os = so3_from_angles(angles)
     us = su2_from_angles(angles)
     vals = np.empty(len(angles))
     paulis = SIGMA_STACK[1:]
@@ -536,8 +569,8 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
                 gram = state.sandwich(basis.reshape(len(live), 2**n, 4)).reshape(-1, 2, 2, 2, 2)
                 g = 0.5 * np.einsum("lab,mdc,racbd->rlm", paulis, paulis, gram).real
                 o = _polar_rotation(np.swapaxes(g, -1, -2))
-                angles[chunk][live, k] = so3_to_angles(o)
-                us[chunk][live, k] = su2_from_angles(angles[chunk][live, k])
+                os[chunk][live, k] = o
+                us[chunk][live, k] = _su2_from_so3(o)
             # the sweep's value, as the last qubit's step reached it
             new = 0.5 * np.einsum("racac->r", gram).real + np.sum(o * g, axis=(-2, -1))
             stop = new <= reached[live] + _ASCENT_TOL
@@ -545,7 +578,8 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
             live = live[~stop]
             if not live.size:
                 break
-        vals[chunk] = _overlaps(state, bits[chunk], signs[chunk], us[chunk])
+        angles[chunk] = so3_to_angles(os[chunk])
+        vals[chunk] = _overlaps(state, bits[chunk], signs[chunk], su2_from_angles(angles[chunk]))
     return angles, vals
 
 

@@ -153,6 +153,30 @@ def so3_from_angles(angles) -> np.ndarray:
 _QUATERNION_NUMERATORS = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
 
 
+def so3_to_quaternion(o: np.ndarray) -> np.ndarray:
+    """The unit quaternion (w, x, y, z) of each rotation, by Shepperd's method.
+
+    U = w I - i (x s1 + y s2 + z s3) is an SU(2) lift of o: so3_from_angles
+    of its angles gives o. Stacks of shape (..., 3, 3) give (..., 4). ``o``
+    is not checked; :func:`so3_to_angles` checks it.
+    """
+    o = np.asarray(o, dtype=float)
+    # component k, the largest, is s/2, and each other one a numerator over 2s
+    flat = o.reshape(-1, 3, 3)
+    tr = np.trace(flat, axis1=1, axis2=2)[:, None]
+    cand = np.concatenate([1 + tr, 1 + 2 * np.diagonal(flat, axis1=1, axis2=2) - tr], axis=1)
+    k = np.argmax(cand, axis=1)
+    s = np.sqrt(np.maximum(cand[np.arange(len(k)), k], 0.0))[:, None]
+    numerators = np.concatenate([
+        np.zeros((len(k), 1)),
+        flat[:, [2, 0, 1], [1, 2, 0]] - flat[:, [1, 2, 0], [2, 0, 1]],
+        flat[:, [0, 0, 1], [1, 2, 2]] + flat[:, [1, 2, 2], [0, 0, 1]],
+    ], axis=1)
+    q = np.take_along_axis(numerators, _QUATERNION_NUMERATORS[k], axis=1) / (2 * s)
+    q[np.arange(len(k)), k] = s[:, 0] / 2
+    return q.reshape(o.shape[:-2] + (4,))
+
+
 def so3_to_angles(o: np.ndarray) -> tuple[float, float, float] | np.ndarray:
     """Angles (theta, psi, phi) whose rotation matrix equals ``o``.
 
@@ -167,20 +191,7 @@ def so3_to_angles(o: np.ndarray) -> tuple[float, float, float] | np.ndarray:
         raise ParameterError("not an orthogonal 3x3 matrix")
     if np.any(np.linalg.det(o) < 0):
         raise ParameterError("improper rotation (determinant -1) has no SU(2) lift")
-    # quaternion (w, x, y, z) of the rotation, Shepperd's method: component k,
-    # the largest, is s/2, and each other one a numerator over 2s
-    flat = o.reshape(-1, 3, 3)
-    tr = np.trace(flat, axis1=1, axis2=2)[:, None]
-    cand = np.concatenate([1 + tr, 1 + 2 * np.diagonal(flat, axis1=1, axis2=2) - tr], axis=1)
-    k = np.argmax(cand, axis=1)
-    s = np.sqrt(np.maximum(cand[np.arange(len(k)), k], 0.0))[:, None]
-    numerators = np.concatenate([
-        np.zeros((len(k), 1)),
-        flat[:, [2, 0, 1], [1, 2, 0]] - flat[:, [1, 2, 0], [2, 0, 1]],
-        flat[:, [0, 0, 1], [1, 2, 2]] + flat[:, [1, 2, 2], [0, 0, 1]],
-    ], axis=1)
-    q = np.take_along_axis(numerators, _QUATERNION_NUMERATORS[k], axis=1) / (2 * s)
-    q[np.arange(len(k)), k] = s[:, 0] / 2
+    q = so3_to_quaternion(o).reshape(-1, 4)
     # U = w I - i (x s1 + y s2 + z s3), matched against the angle template
     # through math's atan2 and hypot, which numpy's do not always equal
     w, x, y, z = q.T.tolist()
@@ -283,5 +294,6 @@ __all__ = [
     "rotated_triple",
     "so3_from_angles",
     "so3_to_angles",
+    "so3_to_quaternion",
     "su2_from_angles",
 ]

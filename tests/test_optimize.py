@@ -39,6 +39,7 @@ from entbound.pauli import (
     correlation_tensor,
     rotated_triple,
     so3_from_angles,
+    so3_to_angles,
     su2_from_angles,
 )
 from entbound.qstate import DenseState, StateFamily, build_state
@@ -348,6 +349,20 @@ def test_plane_screen_equals_row_screen_bit_for_bit(n, source, rng):
             want = row_screen(state, rows)
             assert np.array_equal(want[0], want[1])
             assert np.array_equal(_screen_overlaps(state, grid), want[1:])
+
+
+def test_quaternion_lift_matches_adjoint_action(rng):
+    # the overlap ascent lifts each step's rotation without angles; rotations by
+    # pi about each axis and the identity take the other quaternion branches
+    os = np.concatenate([_random_rotations(rng, 60), [np.eye(3), np.diag([1.0, -1, -1]),
+                                                      np.diag([-1.0, 1, -1]), np.diag([-1.0, -1, 1])]])
+    us = optimize._su2_from_so3(os.reshape(4, 16, 3, 3)).reshape(-1, 2, 2)
+    paulis = _linalg.SIGMA_STACK[1:]
+    for o, u in zip(os, us):
+        turned = u @ paulis @ u.conj().T
+        assert np.allclose(turned, np.einsum("kj,kab->jab", o, paulis), atol=1e-12)
+        via_angles = su2_from_angles(so3_to_angles(o))
+        assert min(np.abs(u - via_angles).max(), np.abs(u + via_angles).max()) <= 1e-12
 
 
 def test_polar_step_beats_random_rotations(rng):
@@ -810,6 +825,15 @@ def test_rotated_correlation_sum_never_exceeds_the_block_l1_norm(n, rng):
         shared = np.repeat(_random_rotations(rng, count)[:, None], n, axis=1)
         sums = rotated_sums(bloch, np.concatenate([per_qubit, shared]))
         assert np.all(sums <= np.abs(bloch).sum() * (1 + 1e-12))
+    # a state's block also keeps every rotated c~_i in [-1, 1], so the sum is at
+    # most 3 whatever its l1 norm; pure and rank-2 states come closest
+    for rank in (1, 2):
+        bloch = correlation_tensor(random_density(n, rng, rank=rank)).bloch
+        per_qubit = _random_rotations(rng, count * n).reshape(count, n, 3, 3)
+        shared = np.repeat(_random_rotations(rng, count)[:, None], n, axis=1)
+        sums = rotated_sums(bloch, np.concatenate([per_qubit, shared]))
+        assert np.all(sums <= 3 + 1e-12)
+        assert np.all(sums <= np.abs(bloch).sum() * (1 + 1e-12))
 
 
 def test_l1_bound_fails_at_one_qubit():
@@ -838,6 +862,8 @@ def _no_search(monkeypatch):
     (StateFamily.m3n((0.3, -0.2, 0.4)), 5), (StateFamily.m3n((0.3, -0.2, 0.4)), 12),
     (StateFamily.m3n((-0.5, 0.3, 0.1)), 4), (StateFamily.smolin(), 6),
     (StateFamily.white_noise_mix(StateFamily.m3n((0.2, 0.5, -0.1)), 0.6), 7),
+    (StateFamily.ghz(), 4), (StateFamily.ghz(), 8),
+    (StateFamily.dicke(2), 4), (StateFamily.dicke(3), 6),
 ])
 def test_certified_correlation_sum_runs_no_search(family, n, mode, monkeypatch):
     tensor = correlation_tensor(build_state(family, n))
@@ -847,8 +873,9 @@ def test_certified_correlation_sum_runs_no_search(family, n, mode, monkeypatch):
         assert rotation == LocalRotation.identity()
     else:
         assert rotation == LocalRotation.from_per_qubit([(0.0, 0.0, 0.0)] * n)
+    # the clipped triple: Dicke(3)'s unrotated diagonal at n = 6 reads 1 + 4e-16
     assert triple == rotated_triple(tensor, LocalRotation.identity())
-    assert objective == triple.abs_sum == pytest.approx(tensor.diagonal_triple().abs_sum, abs=1e-15)
+    assert objective == triple.abs_sum
 
 
 @pytest.mark.parametrize("mode", ["shared", "per_qubit"])
@@ -868,7 +895,7 @@ def test_certified_overlap_runs_no_search(family, n, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("family, n", [
-    (StateFamily.w(), 4), (StateFamily.dicke(2), 4), (StateFamily.cluster_linear(), 4),
+    (StateFamily.w(), 4), (StateFamily.dicke(2), 5), (StateFamily.cluster_linear(), 4),
     (StateFamily.white_noise_mix(StateFamily.w(), 0.8), 3),
 ])
 @pytest.mark.parametrize("mode", ["shared", "per_qubit"])
@@ -889,6 +916,47 @@ def test_uncertified_inputs_still_search(family, n, mode, monkeypatch):
         return  # an asymmetric tensor is refused in shared mode
     optimise_triple(correlation_tensor(state), opts)
     assert calls == ["minimize" if mode == "shared" else "_per_qubit_ascent"]
+
+
+def _recorded_steps(monkeypatch):
+    """The start count of every per-qubit ascent step from here on, one entry a qubit step."""
+    steps = []
+    real = optimize._best_rotation_for_matrix
+
+    def counting(b):
+        steps.append(len(b))
+        return real(b)
+
+    monkeypatch.setattr(optimize, "_best_rotation_for_matrix", counting)
+    return steps
+
+
+@pytest.mark.parametrize("family, n", [
+    (StateFamily.cluster_linear(), 6), (StateFamily.cluster_rect(4, 2), 8),
+])
+def test_per_qubit_ascent_stops_at_the_ceiling(family, n, monkeypatch):
+    # cluster states reach Sigma|c~| = 3 within three sweeps; every start then
+    # stops, where without the ceiling the slowest ran to sweep 11 (n = 6) and
+    # 300 (n = 8)
+    steps = _recorded_steps(monkeypatch)
+    tensor = correlation_tensor(build_state(family, n))
+    _, triple, objective = optimise_triple(tensor, OptimisationOptions(mode="per_qubit"))
+    # the 32 default starts share one chunk at n <= 8: one step call a qubit and sweep
+    assert len(steps) <= 3 * n
+    assert objective == triple.abs_sum >= 3 - 1e-12
+
+
+def test_per_qubit_ascent_runs_no_chunk_after_the_ceiling(rng, monkeypatch):
+    # GHZ's identity start reaches 3 in its first sweep; with one start a chunk,
+    # as from n = 11, the seven random starts after it never run
+    n = 4
+    bloch = correlation_tensor(build_state(StateFamily.ghz(), n)).bloch
+    starts = [np.tile(np.eye(3), (n, 1, 1))] + [_random_rotations(rng, n) for _ in range(7)]
+    monkeypatch.setattr(_linalg, "CHUNK_ENTRIES", 9 * 3 ** (n - 1))
+    steps = _recorded_steps(monkeypatch)
+    _, val = _per_qubit_ascent(bloch, starts, 3.0)
+    assert steps == [1] * n
+    assert val >= 3 - 1e-12
 
 
 @pytest.mark.parametrize("family", [StateFamily.w(), StateFamily.ghz()], ids=["w", "ghz"])
