@@ -39,9 +39,14 @@ def check_budget(nbytes: int, what: str) -> None:
         )
 
 
+def chunk_rows(per_row: int) -> int:
+    """Rows of one chunk: CHUNK_ENTRIES // per_row, at least one."""
+    return max(1, CHUNK_ENTRIES // per_row)
+
+
 def chunks(count: int, per_row: int) -> list[slice]:
-    """Slices covering range(count), of CHUNK_ENTRIES // per_row rows each (at least one)."""
-    step = max(1, CHUNK_ENTRIES // per_row)
+    """Slices covering range(count), of ``chunk_rows(per_row)`` rows each."""
+    step = chunk_rows(per_row)
     return [slice(i, i + step) for i in range(0, count, step)]
 
 

@@ -28,16 +28,21 @@ it meets the bound, the identity is returned with no screen, no
 
 - Per-qubit mode, either objective: closed-form coordinate ascent. With
   every other qubit fixed, the objective is linear in one qubit's SO(3)
-  matrix (per sign class, for the correlation sum), so each step takes the
-  proper polar factor of a 3x3 matrix. The correlation-sum ascent stops
+  matrix (per sign class, for the correlation sum). Both ascents step every
+  start at once. The correlation sum's step takes the proper polar factor of
+  a 3x3 matrix, one batched SVD per qubit shared by its four sign classes.
+  The overlap's step takes the top eigenvector of a symmetric 4x4 matrix in
+  the unit quaternion, one batched eigensolve per qubit; that eigenvector
+  is the qubit's SU(2) unitary itself. The correlation-sum ascent stops
   every start, and runs no further chunk, once one start's sweep reaches the
-  ceiling above. Both ascents step every start at
-  once: the correlation sum with one batched SVD per qubit, shared by its
-  four sign classes, the overlap with one Gram-matrix read of the state per
-  qubit. Each correlation-sum sweep carries the tensor contracted by the
-  rows already updated, one mode further per qubit, so a step contracts
+  ceiling above. Each correlation-sum sweep carries the tensor contracted by
+  the rows already updated, one mode further per qubit, so a step contracts
   only the qubits still to come (O(3^n) per sweep and start, not O(n 3^n)),
-  in the order a full contraction takes.
+  in the order a full contraction takes. Each overlap run keeps the product
+  factors of its GHZ vector's two halves across a sweep, and a step reads
+  the state once, through ``DenseState.qubit_gram``, against the products
+  before its qubit (grown one factor a step) and after it (formed once a
+  sweep).
 - Shared mode, either objective: a coarse angle-grid screen, then
   :func:`minimize`, an in-package Nelder-Mead that runs every start
   together. The correlation sum is a degree-n polynomial in the rows of the
@@ -49,7 +54,8 @@ it meets the bound, the identity is returned with no screen, no
   last Rz(phi)^{xn} keeps the diagonal and only turns each anti-diagonal
   entry by a phase, so the grid's phis share one read per (theta, psi). The
   refinements read rho against product vectors through
-  ``DenseState.sandwich``. A built state never builds rho here.
+  ``DenseState.sandwich``, and the overlap ascent's steps through
+  ``DenseState.qubit_gram``. A built state never builds rho here.
 
 The shared grid is density theta planes of density^2 (psi, phi) rows, the
 identity first; seeds and starts index its rows in that order. Both screens
@@ -69,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA_STACK, check_budget, chunks, hamming_weights
+from ._linalg import SIGMA_STACK, check_budget, chunk_rows, chunks, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
@@ -78,7 +84,6 @@ from .pauli import (
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
-    so3_to_quaternion,
     su2_from_angles,
 )
 from .qstate import CorrelationTriple, DenseState
@@ -99,6 +104,15 @@ _MAX_SWEEPS = 500
 _NM_MAXITER = 10 * _MAX_SWEEPS
 #: GHZ basis indices whose rotation angles the overlap search refines
 _OVERLAP_CANDIDATES = 4
+#: bytes the per-qubit overlap search charges each run per qubit, for the whole
+#: search (start, angles and bits; tracemalloc reads about 100 a qubit at n = 3
+#: and 5), and each run of the ascent chunk in hand, per qubit (rotations,
+#: lifts, factors and the angle read; about 700) and per amplitude (the kept
+#: products and one step's temporaries; about 70 on a pure state and 390 on a
+#: dense one at n = 3..10)
+_OVERLAP_RUN_BYTES_PER_QUBIT = 128
+_OVERLAP_CHUNK_BYTES_PER_QUBIT = 1024
+_OVERLAP_CHUNK_BYTES_PER_AMPLITUDE = 512
 #: screen overlaps this close to a row's largest, and top overlaps this close
 #: to the next row's, tie
 _TIE_TOL = 1e-12
@@ -308,15 +322,6 @@ def _proper_polar(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return np.where((np.linalg.det(o) < 0)[..., None, None], flipped, o)
 
 
-def _polar_rotation(m: np.ndarray) -> np.ndarray:
-    """The O in SO(3) maximising Tr(O m): the proper polar factor of m^T.
-
-    Stacks of shape (..., 3, 3) give one factor per matrix.
-    """
-    u, _, vt = np.linalg.svd(m)
-    return _proper_polar(u, vt)
-
-
 def _best_rotation_for_matrix(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """argmax over O in SO(3) of sum_i |sum_j O_ij b_ij|, in closed form.
 
@@ -493,17 +498,25 @@ def _ghz_bits(idx: GHZBasisIndex) -> np.ndarray:
     return (idx.i >> np.arange(idx.n - 1, -1, -1)) & 1
 
 
+def _product_factors(bits: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """factors[r, k]: rows U_k^dag|x_k> and U_k^dag|~x_k>, qubit k's factors of a and b.
+
+    U_k^dag|y> is row y of conj(U_k), so the factors are conj(U_k) with its
+    rows swapped where x_k = 1. bits (R, n) and unitaries us (R, n, 2, 2), or
+    (R, 1, 2, 2) for one unitary on every qubit of a row, give (R, n, 2, 2).
+    """
+    conj = np.conj(us)
+    return np.where(bits[:, :, None, None] == 1, conj[:, :, ::-1], conj)
+
+
 def _rotated_betas(bits: np.ndarray, signs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """U^dag beta per row, for beta = (|x> + sign |~x>)/sqrt(2) and U = (x)_k us[r, k].
 
     bits (R, n), signs (R,) and unitaries us (R, n, 2, 2) give (R, 2^n);
-    us (R, 1, 2, 2) puts one unitary on every qubit of a row.
-    U_k^dag|y> is row y of conj(U_k): conj(U_k) with its rows swapped where
-    x_k = 1 holds the factors of a and b on each qubit, and the two product
-    vectors then grow together, qubit 0 leftmost.
+    us (R, 1, 2, 2) puts one unitary on every qubit of a row. The two product
+    vectors grow together from :func:`_product_factors`, qubit 0 leftmost.
     """
-    conj = np.conj(us)
-    factors = np.where(bits[:, :, None, None] == 1, conj[:, :, ::-1], conj)  # [r, qubit, a or b]
+    factors = _product_factors(bits, us)
     ab = factors[:, 0]
     for k in range(1, bits.shape[1]):
         ab = (ab[..., :, None] * factors[:, k, :, None, :]).reshape(len(ab), 2, -1)
@@ -516,16 +529,38 @@ def _overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, us: np.nda
     return state.sandwich(v[..., None])[..., 0, 0].real
 
 
-def _su2_from_so3(o: np.ndarray) -> np.ndarray:
-    """U = w I - i (x s1 + y s2 + z s3) from each rotation's quaternion (w, x, y, z).
+#: E_mu of the lift U = sum_mu q_mu E_mu = w I - i (x s1 + y s2 + z s3) of a unit
+#: quaternion q = (w, x, y, z), the lift ``pauli.so3_to_quaternion`` reads
+_QUATERNION_BASIS = np.concatenate([np.eye(2)[None], -1j * SIGMA_STACK[1:]])
+#: F[l, m] with O[l, m] = q^T F[l, m] q = 1/2 Tr(s_l U s_m U^dag), the rotation of
+#: that lift: U s_m U^dag = sum_l O[l, m] s_l. Entries are 0 and +-1
+_QUATERNION_FORMS = 0.5 * np.einsum(
+    "lab,mbc,jcd,nad->ljmn", SIGMA_STACK[1:], _QUATERNION_BASIS, SIGMA_STACK[1:],
+    _QUATERNION_BASIS.conj()).real
 
-    U lifts o up to a sign, which no overlap sees. Stacks (..., 3, 3) give
-    (..., 2, 2).
+
+def _quaternion_step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit quaternion q whose rotation O maximises sum_lm O[l, m] g[l, m], and that maximum.
+
+    On unit quaternions O[l, m] = q^T F[l, m] q (``_QUATERNION_FORMS``), so the
+    objective is q^T K q with K = sum_lm g[l, m] F[l, m], symmetric 4x4: its
+    maximum over SO(3) is K's top eigenvalue, reached at its eigenvector
+    (Davenport's q-method; Horn, J. Opt. Soc. Am. A 4, 629 (1987)). q is the
+    SU(2) lift of O itself, up to a sign no overlap sees. Stacks (..., 3, 3)
+    give quaternions (..., 4) and maxima (...), one eigensolve per matrix.
     """
-    w, x, y, z = np.moveaxis(so3_to_quaternion(o), -1, 0)
-    return np.stack([w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z], axis=-1).reshape(
-        o.shape[:-2] + (2, 2)
-    )
+    evals, evecs = np.linalg.eigh(np.einsum("lmab,...lm->...ab", _QUATERNION_FORMS, g))
+    return evecs[..., -1], evals[..., -1]
+
+
+def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
+    """U = w I - i (x s1 + y s2 + z s3); quaternions (..., 4) give (..., 2, 2)."""
+    return np.einsum("...m,mab->...ab", q, _QUATERNION_BASIS)
+
+
+def _so3_from_quaternion(q: np.ndarray) -> np.ndarray:
+    """The rotation O[l, m] = q^T F[l, m] q of each quaternion's lift; (..., 4) gives (..., 3, 3)."""
+    return np.einsum("lmab,...a,...b->...lm", _QUATERNION_FORMS, q, q)
 
 
 def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, starts):
@@ -535,52 +570,73 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
     from the angles starts[r] (starts (R, n, 3)). With w = (x)_{j != k}
     U_j^dag beta, qubit k's step sees the overlap
     c + sum_lm O_k[l, m] G[l, m], G[l, m] = 1/2 Re <w|sigma_l x R_m|w>,
-    R_m = Tr_k[sigma_m rho]: linear in O_k, so the polar factor of G is
-    exact. G and c come from the Gram matrix of the four vectors w_b x |d>
-    (b, d in {0, 1}; w_b is w with qubit-k component b), one
-    ``DenseState.sandwich`` read for every run still going. A step lifts O_k
-    to U_k through its quaternion, with no angles; the angles are read once,
-    after the last sweep. A run stops once a sweep gains at most _ASCENT_TOL
-    (or after _MAX_SWEEPS sweeps) and is then frozen; runs go in chunks under
-    CHUNK_ENTRIES.
+    R_m = Tr_k[sigma_m rho]: linear in O_k, so the top eigenvector of a 4x4
+    quaternion matrix built from G (:func:`_quaternion_step`) is exact, and is
+    U_k itself; the sweep's value is c plus its eigenvalue. G and c come from
+    the Gram block of the four vectors w_b x |d> (b, d in {0, 1}; w_b is w
+    with qubit-k component b), one ``DenseState.qubit_gram`` read for every
+    run still going. Each w_b is a product vector: a's factors off qubit k
+    over sqrt(2), or sign times b's, so each run keeps the factors of a and b
+    on every qubit; a sweep forms their products after each qubit (the tails)
+    once, and grows the products before it (the heads) by one factor a step. The
+    rotations and the angles are read once, after the last sweep. A run stops
+    once a sweep gains at most _ASCENT_TOL (or after _MAX_SWEEPS sweeps) and
+    is then frozen; runs go in chunks under CHUNK_ENTRIES.
     Returns the angles (R, n, 3) and each run's overlap at them (R,).
     """
     n = state.n
     angles = np.array(starts, dtype=float)
-    os = so3_from_angles(angles)
-    us = su2_from_angles(angles)
     vals = np.empty(len(angles))
     paulis = SIGMA_STACK[1:]
     for chunk in chunks(len(angles), 4 * 2**n):
+        flips, signs_c = bits[chunk] == 1, signs[chunk]
+        us = su2_from_angles(angles[chunk])
         # each run's value at its last sweep, for the stop rule
-        reached = _overlaps(state, bits[chunk], signs[chunk], us[chunk])
+        reached = _overlaps(state, bits[chunk], signs_c, us)
+        factors = _product_factors(bits[chunk], us)
+        quats = np.empty(us.shape[:2] + (4,))
+        # w's part from a weighs 1/sqrt(2), from b sign/sqrt(2): the heads start there
+        weights = np.stack([np.ones(len(signs_c)), signs_c], axis=1)[:, :, None] / math.sqrt(2)
         live = np.arange(len(reached))
         for _ in range(_MAX_SWEEPS):
+            cur = factors[live]
+            tails = [np.ones((len(live), 2, 1), dtype=complex)]
+            for k in range(n - 1, 0, -1):
+                tails.append((cur[:, k, :, :, None] * tails[-1][:, :, None, :]).reshape(
+                    len(live), 2, -1))
+            heads = weights[live].astype(complex)
             for k in range(n):
-                fixed = us[chunk][live]
-                fixed[:, k] = np.eye(2)
-                w = _rotated_betas(bits[chunk][live], signs[chunk][live], fixed)
-                w = w.reshape(len(live), 2**k, 2, -1)
-                # column (b, d): w's qubit-k component b placed on qubit k = d
-                basis = np.zeros((len(live), 2**k, 2, w.shape[-1], 2, 2), dtype=complex)
-                for d in (0, 1):
-                    basis[:, :, d, :, :, d] = np.swapaxes(w, 2, 3)
-                # gram[r, a, c, b, d] = sum conj(w_a) rho[(c, .), (d, .)] w_b
-                gram = state.sandwich(basis.reshape(len(live), 2**n, 4)).reshape(-1, 2, 2, 2, 2)
+                gram = state.qubit_gram(heads, tails.pop())
+                # the read's halves are a's and b's, and a has component x_k on
+                # qubit k: gram[r, a, c, b, d] = <w_a c| rho |w_b d>
+                flip = flips[live, k][:, None, None]
+                gram = np.where(flip[..., None, None], gram[:, ::-1, :, ::-1], gram)
                 g = 0.5 * np.einsum("lab,mdc,racbd->rlm", paulis, paulis, gram).real
-                o = _polar_rotation(np.swapaxes(g, -1, -2))
-                os[chunk][live, k] = o
-                us[chunk][live, k] = _su2_from_so3(o)
+                quats[live, k], gain = _quaternion_step(g)
+                u = _su2_from_quaternion(quats[live, k]).conj()
+                cur[:, k] = np.where(flip, u[:, ::-1], u)
+                if k < n - 1:
+                    heads = (heads[:, :, :, None] * cur[:, k, :, None, :]).reshape(len(live), 2, -1)
             # the sweep's value, as the last qubit's step reached it
-            new = 0.5 * np.einsum("racac->r", gram).real + np.sum(o * g, axis=(-2, -1))
+            new = 0.5 * np.einsum("racac->r", gram).real + gain
+            factors[live] = cur
             stop = new <= reached[live] + _ASCENT_TOL
             reached[live[~stop]] = new[~stop]
             live = live[~stop]
             if not live.size:
                 break
-        angles[chunk] = so3_to_angles(os[chunk])
-        vals[chunk] = _overlaps(state, bits[chunk], signs[chunk], su2_from_angles(angles[chunk]))
+        angles[chunk] = so3_to_angles(_so3_from_quaternion(quats))
+        vals[chunk] = _overlaps(state, bits[chunk], signs_c, su2_from_angles(angles[chunk]))
     return angles, vals
+
+
+def _overlap_search_bytes(n: int, restarts: int) -> int:
+    """Bytes the per-qubit overlap search of ``restarts`` holds: every run of every
+    candidate for the whole search, and one :func:`_overlap_ascent` chunk's runs."""
+    runs = _OVERLAP_CANDIDATES * (2 + restarts // 4)
+    rows = min(runs, chunk_rows(4 * 2**n))
+    return (runs * _OVERLAP_RUN_BYTES_PER_QUBIT * (n + 1)
+            + rows * (_OVERLAP_CHUNK_BYTES_PER_QUBIT * n + _OVERLAP_CHUNK_BYTES_PER_AMPLITUDE * 2**n))
 
 
 def _screen_overlaps(state: DenseState, planes: np.ndarray) -> np.ndarray:
@@ -647,8 +703,8 @@ def optimise_ghz_overlap(
         # every candidate's runs: the identity, its grid point and restarts // 4
         # random starts. The pick below takes _OVERLAP_CANDIDATES whenever
         # restarts // 4 >= _OVERLAP_CANDIDATES, as any refused stack needs
-        check_budget(8 * _OVERLAP_CANDIDATES * (2 + opts.restarts // 4) * n * 3,
-                     f"the per-qubit start stack of {opts.restarts} restarts")
+        check_budget(_overlap_search_bytes(n, opts.restarts),
+                     f"the per-qubit start stack of {opts.restarts} restarts and its ascent")
     base = ghz_diagonalise(state)
     best = (LocalRotation.identity(), base.argmax(), base.p_max)
     # a run replaces the best only when it gains more than 1e-13, so with the
@@ -676,32 +732,38 @@ def optimise_ghz_overlap(
 
     candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, pos in picked]
     if shared:
-        # two runs per candidate, from the identity and from its grid point
-        bits = np.repeat([_ghz_bits(idx) for idx in candidates], 2, axis=0)
-        signs = np.repeat([idx.sign for idx in candidates], 2)
-        starts = [x for g, _ in picked for x in (np.zeros(3), grid[g])]
+        # two runs per candidate, from the identity and from its grid point; a
+        # run repeating an earlier (index, start) would end where it does and,
+        # coming later, never win, so it is not run
+        runs = {}
+        for (g, pos), idx in zip(picked, candidates):
+            for x in (np.zeros(3), grid[g]):
+                runs.setdefault((pos, *x), (idx, x))
+        idxs, starts = zip(*runs.values())
+        bits = np.array([_ghz_bits(idx) for idx in idxs])
+        signs = np.array([idx.sign for idx in idxs])
         res = minimize(
             lambda ids, x: -_overlaps(state, bits[ids], signs[ids], su2_from_angles(x)[:, None]),
             starts,
         )
-        for run, (x, neg) in enumerate(zip(res.x, res.fun)):
+        for idx, x, neg in zip(idxs, res.x, res.fun):
             if -neg > best[2] + 1e-13:
                 canonical = so3_to_angles(so3_from_angles(x))
-                best = (LocalRotation.from_shared(canonical), candidates[run // 2], float(-neg))
+                best = (LocalRotation.from_shared(canonical), idx, float(-neg))
         return best
     # every candidate's runs in one lockstep ascent: the identity, its grid
     # point tiled over the qubits, and restarts // 4 random starts each
-    runs, starts = [], []
-    for (g, _), idx in zip(picked, candidates):
-        starts += [np.zeros((n, 3)), np.tile(grid[g], (n, 1))]
-        starts += list(rng.uniform(0, math.pi, size=(opts.restarts // 4, n, 3)))
-        runs += [idx] * (2 + opts.restarts // 4)
-    bits = np.array([_ghz_bits(idx) for idx in runs])
-    signs = np.array([idx.sign for idx in runs])
-    angles, vals = _overlap_ascent(state, bits, signs, starts)
-    for idx, run_angles, val in zip(runs, angles, vals):
+    per = 2 + opts.restarts // 4
+    starts = np.empty((len(picked), per, n, 3))
+    for (g, _), row in zip(picked, starts):
+        row[0], row[1] = 0.0, grid[g]
+        row[2:] = rng.uniform(0, math.pi, size=(opts.restarts // 4, n, 3))
+    bits = np.repeat([_ghz_bits(idx) for idx in candidates], per, axis=0)
+    signs = np.repeat([idx.sign for idx in candidates], per)
+    angles, vals = _overlap_ascent(state, bits, signs, starts.reshape(-1, n, 3))
+    for run, (run_angles, val) in enumerate(zip(angles, vals)):
         if val > best[2] + 1e-13:
-            best = (LocalRotation.from_per_qubit(run_angles), idx, float(val))
+            best = (LocalRotation.from_per_qubit(run_angles), candidates[run // per], float(val))
     return best
 
 

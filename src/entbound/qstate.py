@@ -19,10 +19,11 @@ Every read answers from the form. ``DenseState.lines``,
 ``DenseState.purity`` and ``DenseState.top_eigenvalue`` cost O(2^n) on a
 built state; ``DenseState.lines_under`` reads the diagonal or both lines of
 U rho U^dag for a product unitary U in O(n 2^n), or O(4^n) on a dense form;
-``sandwich`` gives V^dag rho V for m vectors in O(m 2^n); ``bloch`` gives the
-(3,)^n correlation block. Of the commands only ``state --dense`` reads a built
-state's ``rho`` (made on the first read, then cached); the tests' dense
-references read it too.
+``sandwich`` gives V^dag rho V for m vectors in O(m 2^n), and ``qubit_gram``
+the same for the 2m vectors h x |c> x t around one qubit, from the h and t
+alone; ``bloch`` gives the (3,)^n correlation block. Of the commands only
+``state --dense`` reads a built state's ``rho`` (made on the first read, then
+cached); the tests' dense references read it too.
 States go up to ``_linalg.QUBIT_CAP`` qubits. ``rho``, ``bloch`` and the dense
 export charge their working sets to ``_linalg.GRID_BUDGET`` (``check_budget``),
 which admits them up to n = 12, 13 and 10.
@@ -203,6 +204,16 @@ class DenseState:
         on a built state, one matrix product on a dense form."""
         return _sandwich(self._form, np.asarray(vs))
 
+    def qubit_gram(self, heads, tails) -> np.ndarray:
+        """The Gram matrix under rho of the 2m vectors h_e x |c> x t_e, c on qubit k.
+
+        heads (..., m, 2^k) and tails (..., m, 2^(n-k-1)) give (..., m, 2, m, 2),
+        entry [e, c, f, d] = <h_e c t_e| rho |h_f d t_f>: ``sandwich`` of those
+        vectors, read without building them on a built state, in O(m 2^n) on a
+        pure or mixed form and O(m^2 2^n) on an X form; one matrix product on a
+        dense form."""
+        return _qubit_gram(self._form, np.asarray(heads), np.asarray(tails))
+
     def bloch(self) -> np.ndarray:
         """The complex (3,)^n block Tr(rho sigma_{i_1} x ... x sigma_{i_n}), read from the form."""
         check_budget(_BLOCK_ENTRY_BYTES * 3**self.n + _BLOCK_FIXED_BYTES,
@@ -359,6 +370,46 @@ def _sandwich(form: tuple, vs: np.ndarray) -> np.ndarray:
         cols = np.moveaxis(vs, -2, 0)
         rho_v = np.moveaxis((parts[0] @ cols.reshape(len(cols), -1)).reshape(cols.shape), 0, -2)
     return adjoint @ rho_v
+
+
+def _qubit_gram(form: tuple, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """``DenseState.qubit_gram`` of a form; v_ec = h_e x |c> x t_e, J = 2^(n-k-1).
+
+    Pure: a_ec = <psi|v_ec> contracts conj(psi) as (2^k, 2, J) with h_e, then
+    with t_e, one stacked product per run, and gives conj(a_ec) a_fd. Mix: q
+    times the inner block plus (1 - q)/2^n <v_ec|v_fd> = (h_e^dag h_f)
+    delta_cd (t_e^dag t_f). X: rho[r, r] = diag[r] keeps c = d and
+    rho[r, ~r] = anti[~r] flips c, so each line is contracted with
+    conj(h_e) h_f and conj(t_e) t_f, read straight for the diagonal and
+    reversed (h_f[~i], t_f[~j]) for the anti-diagonal. Dense: ``_sandwich`` of
+    the 2m vectors.
+    """
+    kind, *parts = form
+    m, rows, cols = heads.shape[-2], heads.shape[-1], tails.shape[-1]
+    if kind == "pure":
+        a = heads @ parts[0].conj().reshape(rows, -1)
+        a = (a.reshape(a.shape[:-1] + (2, cols)) @ tails[..., None])[..., 0]
+        return a.conj()[..., :, :, None, None] * a[..., None, None, :, :]
+    if kind == "mix":
+        q, inner = parts
+        overlap = (heads.conj() @ np.swapaxes(heads, -1, -2)) * (
+            tails.conj() @ np.swapaxes(tails, -1, -2))
+        return (q * _qubit_gram(inner, heads, tails)
+                + (1 - q) / (2 * rows * cols) * np.einsum("...ef,cd->...ecfd", overlap, np.eye(2)))
+    if kind == "x":
+        diag, anti = parts
+        gram = 0
+        for line, turn, flip in ((diag, np.eye(2), slice(None)),
+                                 (anti[::-1], np.eye(2)[::-1], slice(None, None, -1))):
+            h = heads.conj()[..., :, None, :] * heads[..., None, :, flip]
+            t = tails.conj()[..., :, None, :] * tails[..., None, :, flip]
+            part = h @ line.reshape(rows, -1)  # (..., m, m, 2 J)
+            part = (part.reshape(part.shape[:-1] + (2, cols)) @ t[..., None])[..., 0]
+            gram = gram + np.einsum("...efc,cd->...ecfd", part, turn)
+        return gram
+    vecs = np.einsum("...ei,...ej,cd->...icjed", heads, tails, np.eye(2))
+    return _sandwich(form, vecs.reshape(vecs.shape[:-5] + (-1, 2 * m))).reshape(
+        vecs.shape[:-5] + (m, 2, m, 2))
 
 
 def _bloch_from_form(form: tuple, n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from conftest import random_density
 from dense_reference import ghz_basis_vector, permutation_conjugate
 from dense_rotation import apply_product_unitary
 from entbound._linalg import hamming_weights, kron_all
+from entbound.cli import main
 from entbound import _linalg, optimize, qstate
 from entbound.errors import CapacityError, ParameterError
 from entbound.locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
@@ -20,7 +21,6 @@ from entbound.optimize import (
     _overlap_ascent,
     _overlaps,
     _per_qubit_ascent,
-    _polar_rotation,
     _qubit_matrix,
     _random_rotations,
     _rotated_betas,
@@ -40,6 +40,7 @@ from entbound.pauli import (
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
+    so3_to_quaternion,
     su2_from_angles,
 )
 from entbound.qstate import DenseState, StateFamily, build_state
@@ -351,24 +352,59 @@ def test_plane_screen_equals_row_screen_bit_for_bit(n, source, rng):
             assert np.array_equal(_screen_overlaps(state, grid), want[1:])
 
 
+def quaternion_step_inputs(rng):
+    """3x3 matrices for the quaternion step: random ones, ranks 0, 1 and 2, negative
+    determinants, and the identity and rotations by pi about each axis, which the
+    step returns unchanged and whose lifts take the other quaternion branches."""
+    random = rng.standard_normal((40, 3, 3))
+    u, _, vt = np.linalg.svd(rng.standard_normal((3, 3, 3)))
+    ranks = [np.zeros((3, 3))] + [u[r] @ np.diag(sv) @ vt[r]
+                                  for r, sv in enumerate([[2.0, 0, 0], [1.5, 0.5, 0]])]
+    # a rank-1 matrix with a repeated direction, and a rank-2 one with equal values
+    ranks += [np.outer([1.0, 2, -1], [0.5, 0.0, 1]), np.diag([1.0, 1, 0])]
+    negative = random[:10].copy()
+    negative[np.linalg.det(negative) > 0, 0] *= -1
+    proper = [np.eye(3), np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]), np.diag([-1.0, -1, 1])]
+    return np.concatenate([random, ranks, negative, _random_rotations(rng, 10), proper])
+
+
+def test_quaternion_step_matches_the_proper_polar_factor(rng):
+    gs = quaternion_step_inputs(rng)
+    q, gain = optimize._quaternion_step(gs)
+    o = optimize._so3_from_quaternion(q)
+    u_svd, _, vt = np.linalg.svd(np.swapaxes(gs, -1, -2))
+    polar = optimize._proper_polar(u_svd, vt)
+    for g, qr, val, rot, ref in zip(gs, q, gain, o, polar):
+        assert np.linalg.norm(qr) == pytest.approx(1.0, abs=1e-12)
+        # proper orthogonal
+        assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        # the top eigenvalue is the step's gain, and equals the polar factor's value
+        assert val == pytest.approx(np.sum(rot * g), abs=1e-12)
+        assert val == pytest.approx(np.sum(ref * g), abs=1e-12)
+    # a proper rotation is its own best step
+    assert np.allclose(o[-14:], gs[-14:], atol=1e-12)
+
+
 def test_quaternion_lift_matches_adjoint_action(rng):
-    # the overlap ascent lifts each step's rotation without angles; rotations by
-    # pi about each axis and the identity take the other quaternion branches
-    os = np.concatenate([_random_rotations(rng, 60), [np.eye(3), np.diag([1.0, -1, -1]),
-                                                      np.diag([-1.0, 1, -1]), np.diag([-1.0, -1, 1])]])
-    us = optimize._su2_from_so3(os.reshape(4, 16, 3, 3)).reshape(-1, 2, 2)
+    # the overlap ascent takes each step's unitary from the quaternion, with no
+    # angles; the angles read from its rotation lift it back, up to sign
+    q, _ = optimize._quaternion_step(quaternion_step_inputs(rng))
+    os = optimize._so3_from_quaternion(q)
+    us = optimize._su2_from_quaternion(q)
     paulis = _linalg.SIGMA_STACK[1:]
     for o, u in zip(os, us):
         turned = u @ paulis @ u.conj().T
         assert np.allclose(turned, np.einsum("kj,kab->jab", o, paulis), atol=1e-12)
         via_angles = su2_from_angles(so3_to_angles(o))
         assert min(np.abs(u - via_angles).max(), np.abs(u + via_angles).max()) <= 1e-12
+    assert np.allclose(optimize._so3_from_quaternion(so3_to_quaternion(os)), os, atol=1e-12)
 
 
-def test_polar_step_beats_random_rotations(rng):
+def test_quaternion_step_beats_random_rotations(rng):
     for _ in range(5):
         g = rng.standard_normal((3, 3))
-        o = _polar_rotation(g.T)
+        o = optimize._so3_from_quaternion(optimize._quaternion_step(g)[0])
         assert np.allclose(o @ o.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-12)
         best = np.trace(o.T @ g)
@@ -970,6 +1006,62 @@ def test_refused_per_qubit_overlap_search_never_screens(family, monkeypatch):
     with pytest.raises(CapacityError, match="per-qubit start stack of 1000000000 restarts"):
         optimise_ghz_overlap(build_state(family, 3),
                              OptimisationOptions(mode="per_qubit", restarts=10**9))
+
+
+@pytest.mark.parametrize("source", ["pure", "dense"])
+@pytest.mark.parametrize("n, restarts", [(3, 400), (3, 4000), (6, 400), (6, 4000)])
+def test_per_qubit_overlap_charge_bounds_the_traced_peak(n, restarts, source, rng, monkeypatch):
+    # one sweep holds the whole working set: every run's angles, one chunk's
+    # rotations, lifts, kept products and a step's temporaries. The dense form's
+    # read holds the most a run; a charge of the start angles alone reads 0.29 MB
+    # at n = 3 and 4,000 restarts, where such a search peaked at 12.9 MB
+    monkeypatch.setattr(optimize, "_MAX_SWEEPS", 1)
+    state = build_state(StateFamily.w(), n) if source == "pure" else random_density(n, rng)
+    opts = OptimisationOptions(mode="per_qubit", restarts=restarts)
+    peak = traced_peak(lambda: optimise_ghz_overlap(state, opts))
+    assert peak <= optimize._overlap_search_bytes(n, restarts)
+
+
+def test_over_budget_overlap_restarts_exit_2_before_the_search(monkeypatch, capsys):
+    # two million restarts hold 8-byte start angles within the budget (144 MiB
+    # at n = 3), but the search of their 2,000,008 runs does not
+    restarts = 2_000_000
+    runs = 4 * (2 + restarts // 4)
+    assert 8 * runs * 3 * 3 <= _linalg.GRID_BUDGET < optimize._overlap_search_bytes(3, restarts)
+
+    def refuse(*args):
+        raise AssertionError("searched before refusing")
+
+    monkeypatch.setattr(optimize, "_screen_tops", refuse)
+    monkeypatch.setattr(optimize, "_overlap_ascent", refuse)
+    rc = main(["optimise", "--family", "w", "--n", "3", "--objective", "overlap",
+               "--mode", "per-qubit", "--restarts", str(restarts)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the per-qubit start stack of 2000000 restarts")
+    assert err.rstrip().endswith("MiB, above the 512 MiB budget")
+
+
+def test_shared_overlap_search_runs_each_index_and_start_once(monkeypatch, capsys):
+    # rotation-search's overlap-shared-n6 picks 000000- from four grid rows, so its
+    # four identity starts are one run: 8 runs become 5, and the output holds to
+    # the last bit, as the first of equal runs wins
+    counts = []
+    real = optimize.minimize
+
+    def recording(fun, starts):
+        counts.append(len(starts))
+        return real(fun, starts)
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    rc = main(["optimise", "--family", "white_noise_mix", "--n", "6", "--params",
+               '{"inner":{"family":"dicke","params":{"k":2}},"q":0.535069}',
+               "--objective", "overlap", "--seed", "841229", "--full-precision"])
+    assert rc == 0 and counts == [5]
+    assert capsys.readouterr().out == (
+        '{"angles":[[1.570796319348914,0.17170208103614487,5.235987763206955]],'
+        '"index":"000000-","n":6,"objective":"ghz_overlap","p_max":0.2580781406250001,'
+        '"shared":true}\n')
 
 
 def _candidates(state, opts, monkeypatch, noise_seed=None):

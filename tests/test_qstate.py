@@ -540,6 +540,51 @@ def test_sandwich_of_ghz_diagonal_and_outside_matrices(n, rng):
     _assert_sandwich_matches_rho(DenseState(n, np.array(mix.rho)), rng)
 
 
+def _assert_qubit_gram_matches_rho(state, rng):
+    """``qubit_gram`` reads the form and agrees with the dense Gram matrix of the vectors
+    h_e x |c> x t_e, at every qubit, for m = 1, 2 and 3, batched."""
+    n = state.n
+    reads = []
+    for k in range(n):
+        for batch, m in [((), 1), ((3,), 2), ((2, 3), 3)]:
+            heads = rng.standard_normal(batch + (m, 2**k)) + 1j * rng.standard_normal(batch + (m, 2**k))
+            shape = batch + (m, 2 ** (n - k - 1))
+            tails = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            reads.append((heads, tails, state.qubit_gram(heads, tails)))
+    assert state._rho is None or state._form[0] == "dense"
+    for heads, tails, got in reads:
+        m = heads.shape[-2]
+        vecs = np.empty(heads.shape[:-2] + (state.dim, m, 2), dtype=complex)
+        for index in np.ndindex(heads.shape[:-1]):
+            for c in (0, 1):
+                vecs[index[:-1] + (slice(None), index[-1], c)] = np.kron(
+                    np.kron(heads[index], np.eye(2)[c]), tails[index])
+        vecs = vecs.reshape(vecs.shape[:-2] + (2 * m,))
+        want = np.swapaxes(vecs.conj(), -1, -2) @ state.rho @ vecs
+        assert got.shape == heads.shape[:-2] + (m, 2, m, 2)
+        scale = max(1.0, np.abs(want).max())
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("family, n", [c for c in _family_cases() if c.values[1] <= 8])
+def test_qubit_gram_reads_the_form(family, n, rng):
+    _assert_qubit_gram_matches_rho(build_state(family, n), rng)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_qubit_gram_of_ghz_diagonal_and_outside_matrices(n, rng):
+    from conftest import random_density, random_ghz_spectrum
+
+    _assert_qubit_gram_matches_rho(ghz_dense(random_ghz_spectrum(n, rng)), rng)
+    _assert_qubit_gram_matches_rho(random_density(n, rng), rng)
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    _assert_qubit_gram_matches_rho(DenseState.from_vector(psi), rng)
+    if n >= 2:
+        mix = build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.6), n)
+        _assert_qubit_gram_matches_rho(mix, rng)
+        _assert_qubit_gram_matches_rho(DenseState(n, np.array(mix.rho)), rng)
+
+
 def _assert_bloch_matches_rho(state, exact=True):
     """``bloch`` reads the form and equals the contraction of ``rho`` it replaces: bit
     for bit, or within 1e-15 where the form sums in another order."""
