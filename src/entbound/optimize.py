@@ -81,6 +81,7 @@ from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
     CorrelationTensor,
     LocalRotation,
+    quaternion_to_angles,
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
@@ -108,8 +109,9 @@ _OVERLAP_CANDIDATES = 4
 #: search (start, angles and bits; tracemalloc reads about 100 a qubit at n = 3
 #: and 5), and each run of the ascent chunk in hand, per qubit (rotations,
 #: lifts, factors and the angle read; about 700) and per amplitude (the kept
-#: products and one step's temporaries; about 70 on a pure state and 390 on a
-#: dense one at n = 3..10)
+#: products and one step's temporaries; at n = 6..10 about 70 on a pure or
+#: mixed state, 130 on an X state and 380 on a dense one, whose read builds
+#: the four vectors)
 _OVERLAP_RUN_BYTES_PER_QUBIT = 128
 _OVERLAP_CHUNK_BYTES_PER_QUBIT = 1024
 _OVERLAP_CHUNK_BYTES_PER_AMPLITUDE = 512
@@ -530,7 +532,8 @@ def _overlaps(state: DenseState, bits: np.ndarray, signs: np.ndarray, us: np.nda
 
 
 #: E_mu of the lift U = sum_mu q_mu E_mu = w I - i (x s1 + y s2 + z s3) of a unit
-#: quaternion q = (w, x, y, z), the lift ``pauli.so3_to_quaternion`` reads
+#: quaternion q = (w, x, y, z), the lift ``pauli.so3_to_quaternion`` reads and
+#: ``pauli.quaternion_to_angles`` turns into angles
 _QUATERNION_BASIS = np.concatenate([np.eye(2)[None], -1j * SIGMA_STACK[1:]])
 #: F[l, m] with O[l, m] = q^T F[l, m] q = 1/2 Tr(s_l U s_m U^dag), the rotation of
 #: that lift: U s_m U^dag = sum_l O[l, m] s_l. Entries are 0 and +-1
@@ -558,9 +561,10 @@ def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
     return np.einsum("...m,mab->...ab", q, _QUATERNION_BASIS)
 
 
-def _so3_from_quaternion(q: np.ndarray) -> np.ndarray:
-    """The rotation O[l, m] = q^T F[l, m] q of each quaternion's lift; (..., 4) gives (..., 3, 3)."""
-    return np.einsum("lmab,...a,...b->...lm", _QUATERNION_FORMS, q, q)
+def _ascent_row_entries(n: int) -> int:
+    """Entries a run of :func:`_overlap_ascent` counts against CHUNK_ENTRIES: its
+    four 2^n-vectors, as the Gram read of the dense form builds them."""
+    return 4 * 2**n
 
 
 def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, starts):
@@ -578,17 +582,17 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
     run still going. Each w_b is a product vector: a's factors off qubit k
     over sqrt(2), or sign times b's, so each run keeps the factors of a and b
     on every qubit; a sweep forms their products after each qubit (the tails)
-    once, and grows the products before it (the heads) by one factor a step. The
-    rotations and the angles are read once, after the last sweep. A run stops
-    once a sweep gains at most _ASCENT_TOL (or after _MAX_SWEEPS sweeps) and
-    is then frozen; runs go in chunks under CHUNK_ENTRIES.
+    once, and grows the products before it (the heads) by one factor a step.
+    The angles are read from the quaternions once, after the last sweep. A run
+    stops once a sweep gains at most _ASCENT_TOL (or after _MAX_SWEEPS sweeps)
+    and is then frozen; runs go in chunks under CHUNK_ENTRIES.
     Returns the angles (R, n, 3) and each run's overlap at them (R,).
     """
     n = state.n
     angles = np.array(starts, dtype=float)
     vals = np.empty(len(angles))
     paulis = SIGMA_STACK[1:]
-    for chunk in chunks(len(angles), 4 * 2**n):
+    for chunk in chunks(len(angles), _ascent_row_entries(n)):
         flips, signs_c = bits[chunk] == 1, signs[chunk]
         us = su2_from_angles(angles[chunk])
         # each run's value at its last sweep, for the stop rule
@@ -625,7 +629,7 @@ def _overlap_ascent(state: DenseState, bits: np.ndarray, signs: np.ndarray, star
             live = live[~stop]
             if not live.size:
                 break
-        angles[chunk] = so3_to_angles(_so3_from_quaternion(quats))
+        angles[chunk] = quaternion_to_angles(quats)
         vals[chunk] = _overlaps(state, bits[chunk], signs_c, su2_from_angles(angles[chunk]))
     return angles, vals
 
@@ -634,7 +638,7 @@ def _overlap_search_bytes(n: int, restarts: int) -> int:
     """Bytes the per-qubit overlap search of ``restarts`` holds: every run of every
     candidate for the whole search, and one :func:`_overlap_ascent` chunk's runs."""
     runs = _OVERLAP_CANDIDATES * (2 + restarts // 4)
-    rows = min(runs, chunk_rows(4 * 2**n))
+    rows = min(runs, chunk_rows(_ascent_row_entries(n)))
     return (runs * _OVERLAP_RUN_BYTES_PER_QUBIT * (n + 1)
             + rows * (_OVERLAP_CHUNK_BYTES_PER_QUBIT * n + _OVERLAP_CHUNK_BYTES_PER_AMPLITUDE * 2**n))
 

@@ -191,19 +191,29 @@ def so3_to_angles(o: np.ndarray) -> tuple[float, float, float] | np.ndarray:
         raise ParameterError("not an orthogonal 3x3 matrix")
     if np.any(np.linalg.det(o) < 0):
         raise ParameterError("improper rotation (determinant -1) has no SU(2) lift")
-    q = so3_to_quaternion(o).reshape(-1, 4)
-    # U = w I - i (x s1 + y s2 + z s3), matched against the angle template
-    # through math's atan2 and hypot, which numpy's do not always equal
-    w, x, y, z = q.T.tolist()
+    angles = quaternion_to_angles(so3_to_quaternion(o))
+    if o.ndim == 2:
+        return tuple(angles.tolist())
+    return angles
+
+
+def quaternion_to_angles(q: np.ndarray) -> np.ndarray:
+    """Angles (theta, psi, phi) of the lift U = w I - i (x s1 + y s2 + z s3).
+
+    su2_from_angles of the angles gives U up to a sign, for either sign of the
+    unit quaternion q = (w, x, y, z). Stacks (..., 4) give (..., 3).
+    """
+    q = np.asarray(q, dtype=float)
+    # U matched against the angle template through math's atan2 and hypot,
+    # which numpy's do not always equal
+    w, x, y, z = q.reshape(-1, 4).T.tolist()
     wz, xy = list(map(math.hypot, w, z)), list(map(math.hypot, x, y))
     theta = 2 * np.array(list(map(math.atan2, xy, wz)))
     half_sum = np.where(np.array(wz) > 1e-15, list(map(math.atan2, z, w)), 0.0)
     half_diff = np.where(np.array(xy) > 1e-15, list(map(math.atan2, y, x)), 0.0)
     angles = np.stack([theta, (half_sum - half_diff) % _TWO_PI,
                        (half_sum + half_diff) % _TWO_PI], axis=1)
-    if o.ndim == 2:
-        return tuple(angles[0].tolist())
-    return angles.reshape(o.shape[:-2] + (3,))
+    return angles.reshape(q.shape[:-1] + (3,))
 
 
 def _check_angles(angles: Sequence[float]) -> tuple[float, float, float]:
@@ -291,6 +301,7 @@ __all__ = [
     "contract_modes",
     "correlation_tensor",
     "correlation_triple",
+    "quaternion_to_angles",
     "rotated_triple",
     "so3_from_angles",
     "so3_to_angles",

@@ -37,6 +37,7 @@ from entbound.pauli import (
     LocalRotation,
     contract_modes,
     correlation_tensor,
+    quaternion_to_angles,
     rotated_triple,
     so3_from_angles,
     so3_to_angles,
@@ -352,6 +353,11 @@ def test_plane_screen_equals_row_screen_bit_for_bit(n, source, rng):
             assert np.array_equal(_screen_overlaps(state, grid), want[1:])
 
 
+def so3_from_quaternion(q):
+    """The rotation O[l, m] = q^T F[l, m] q of each quaternion's lift; (..., 4) gives (..., 3, 3)."""
+    return np.einsum("lmab,...a,...b->...lm", optimize._QUATERNION_FORMS, q, q)
+
+
 def quaternion_step_inputs(rng):
     """3x3 matrices for the quaternion step: random ones, ranks 0, 1 and 2, negative
     determinants, and the identity and rotations by pi about each axis, which the
@@ -371,7 +377,7 @@ def quaternion_step_inputs(rng):
 def test_quaternion_step_matches_the_proper_polar_factor(rng):
     gs = quaternion_step_inputs(rng)
     q, gain = optimize._quaternion_step(gs)
-    o = optimize._so3_from_quaternion(q)
+    o = so3_from_quaternion(q)
     u_svd, _, vt = np.linalg.svd(np.swapaxes(gs, -1, -2))
     polar = optimize._proper_polar(u_svd, vt)
     for g, qr, val, rot, ref in zip(gs, q, gain, o, polar):
@@ -390,7 +396,7 @@ def test_quaternion_lift_matches_adjoint_action(rng):
     # the overlap ascent takes each step's unitary from the quaternion, with no
     # angles; the angles read from its rotation lift it back, up to sign
     q, _ = optimize._quaternion_step(quaternion_step_inputs(rng))
-    os = optimize._so3_from_quaternion(q)
+    os = so3_from_quaternion(q)
     us = optimize._su2_from_quaternion(q)
     paulis = _linalg.SIGMA_STACK[1:]
     for o, u in zip(os, us):
@@ -398,13 +404,18 @@ def test_quaternion_lift_matches_adjoint_action(rng):
         assert np.allclose(turned, np.einsum("kj,kab->jab", o, paulis), atol=1e-12)
         via_angles = su2_from_angles(so3_to_angles(o))
         assert min(np.abs(u - via_angles).max(), np.abs(u + via_angles).max()) <= 1e-12
-    assert np.allclose(optimize._so3_from_quaternion(so3_to_quaternion(os)), os, atol=1e-12)
+    # the ascent reads its angles from the quaternions, of either sign
+    for sign in (1, -1):
+        via_angles = su2_from_angles(quaternion_to_angles(sign * q))
+        assert np.all(np.minimum(np.abs(us - via_angles).max(axis=(1, 2)),
+                                 np.abs(us + via_angles).max(axis=(1, 2))) <= 1e-12)
+    assert np.allclose(so3_from_quaternion(so3_to_quaternion(os)), os, atol=1e-12)
 
 
 def test_quaternion_step_beats_random_rotations(rng):
     for _ in range(5):
         g = rng.standard_normal((3, 3))
-        o = optimize._so3_from_quaternion(optimize._quaternion_step(g)[0])
+        o = so3_from_quaternion(optimize._quaternion_step(g)[0])
         assert np.allclose(o @ o.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-12)
         best = np.trace(o.T @ g)
@@ -1008,15 +1019,31 @@ def test_refused_per_qubit_overlap_search_never_screens(family, monkeypatch):
                              OptimisationOptions(mode="per_qubit", restarts=10**9))
 
 
-@pytest.mark.parametrize("source", ["pure", "dense"])
+def phased_x_state(n, rng):
+    """An X state whose anti-diagonal carries phases, so no GHZ overlap reaches its
+    top eigenvalue and the overlap search runs."""
+    p = rng.dirichlet(np.ones(2**n)).reshape(-1, 2)
+    mean = (p[:, 0] + p[:, 1]) / 2
+    cross = (p[:, 0] - p[:, 1]) / 2 * np.exp(1j * rng.uniform(0, 2 * np.pi, len(p)))
+    return qstate._x_state(n, np.concatenate([mean, mean[::-1]]).astype(complex),
+                           np.concatenate([cross, cross[::-1].conj()]))
+
+
+@pytest.mark.parametrize("source", ["pure", "x", "mix", "dense"])
 @pytest.mark.parametrize("n, restarts", [(3, 400), (3, 4000), (6, 400), (6, 4000)])
 def test_per_qubit_overlap_charge_bounds_the_traced_peak(n, restarts, source, rng, monkeypatch):
     # one sweep holds the whole working set: every run's angles, one chunk's
-    # rotations, lifts, kept products and a step's temporaries. The dense form's
-    # read holds the most a run; a charge of the start angles alone reads 0.29 MB
-    # at n = 3 and 4,000 restarts, where such a search peaked at 12.9 MB
+    # rotations, lifts, kept products and a step's temporaries. Each form has
+    # its own Gram read, and the dense form's, which builds the vectors, holds
+    # the most a run; a charge of the start angles alone reads 0.29 MB at n = 3
+    # and 4,000 restarts, where such a search peaked at 12.9 MB
     monkeypatch.setattr(optimize, "_MAX_SWEEPS", 1)
-    state = build_state(StateFamily.w(), n) if source == "pure" else random_density(n, rng)
+    state = {"pure": lambda: build_state(StateFamily.w(), n),
+             "x": lambda: phased_x_state(n, rng),
+             "mix": lambda: build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.7), n),
+             "dense": lambda: random_density(n, rng)}[source]()
+    assert state._form[0] == source
+    assert ghz_diagonalise(state).p_max + 1e-13 < state.top_eigenvalue()
     opts = OptimisationOptions(mode="per_qubit", restarts=restarts)
     peak = traced_peak(lambda: optimise_ghz_overlap(state, opts))
     assert peak <= optimize._overlap_search_bytes(n, restarts)
