@@ -40,7 +40,6 @@ from .measures import (
     EntanglementReport,
     SeparabilityLevel,
     classical_distance,
-    entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
     genuine_ghz_diag,

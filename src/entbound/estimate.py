@@ -30,7 +30,6 @@ from .measures import (
     _odd_branches,
     _odd_trace_gradient,
     _overlap_values,
-    excess_derivative,
     lower_bound_from_triple,
     octahedron_excess,
     overlap_derivative,
@@ -274,13 +273,17 @@ def bound_with_uncertainty(
         }
         return EntanglementReport(base.value, kind, level, "lower_bound", unc, meta)
 
-    h = octahedron_excess(est.c)
-    if h <= 0 or np.all(sig == 0):
+    c = est.c.as_array()
+    # even n reads the kernel's p = (1 + h)/2, which can round to 1/2 where h > 0
+    p = float((1 + np.abs(c).sum()) / 4)
+    live = p > 0.5 if n % 2 == 0 else octahedron_excess(est.c) > 0
+    if not live or np.all(sig == 0):
         unc = 0.0
     elif n % 2 == 0:
-        unc = excess_derivative(h, kind) * 0.5 * math.sqrt(float(np.sum(sig**2)))
+        # sigma_p = sigma_h / 2 = sqrt(sum sigma^2) / 4
+        unc = overlap_derivative(p, kind) * 0.25 * math.sqrt(float(np.sum(sig**2)))
     else:
-        grad = _odd_trace_gradient(est.c.as_array())
+        grad = _odd_trace_gradient(c)
         unc = math.sqrt(float(np.sum((grad * sig) ** 2)))
     return EntanglementReport(base.value, kind, level, "lower_bound", unc, {"method": "delta"})
 

@@ -6,10 +6,13 @@ Bures, squared Hellinger), the closed forms for triple-correlation states
 and the genuine-entanglement closed form for GHZ-diagonal states.
 
 This module is the only home of the closed forms. Each is written once as a
-private kernel that takes scalars or arrays (``_excess_values``,
-``_overlap_values``, ``_odd_trace_values`` and the ``_bound_values``
-dispatch); the public functions validate their input and call a kernel, and
-the bootstrap in ``estimate`` calls the same kernels on sample arrays.
+private kernel that takes scalars or arrays (``_overlap_values``,
+``_odd_trace_values`` and the ``_bound_values`` dispatch); the public
+functions validate their input and call a kernel, and the bootstrap in
+``estimate`` calls the same kernels on sample arrays. The two families share
+one kernel: an even-n triple-correlation state's largest class eigenvalue is
+p = (1 + |c1| + |c2| + |c3|)/4 and its separable set maps onto the
+biseparable GHZ-diagonal spectra, so its value is the genuine closed form at p.
 
 Logarithms are base 2 throughout, with 0*log(0) = 0.
 """
@@ -170,30 +173,13 @@ def octahedron_excess(c: CorrelationTriple) -> float:
     return float(_excess(c.as_array()))
 
 
-def _excess_values(h, kind: DistanceKind) -> np.ndarray:
-    """Even-n entanglement as a function of the excess h; 0 where h <= 0."""
-    x = np.clip(h, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is DistanceKind.RELATIVE_ENTROPY:
-            lo = np.where(x < 1, (1 - x) * np.log2(np.maximum(1 - x, 1e-300)), 0.0)
-            vals = 0.5 * (lo + (1 + x) * np.log2(1 + x))
-        elif kind is DistanceKind.TRACE:
-            vals = 0.5 * x
-        elif kind is DistanceKind.INFIDELITY:
-            vals = 0.5 * (1 - np.sqrt(np.clip(1 - x * x, 0.0, None)))
-        else:  # squared Bures and squared Hellinger coincide here
-            vals = 2 - np.sqrt(np.clip(1 - x, 0.0, None)) - np.sqrt(1 + x)
-    return np.where(h > 0, np.maximum(vals, 0.0), 0.0)
-
-
 def _overlap_values(p, kind: DistanceKind) -> np.ndarray:
     """Genuine entanglement as a function of the largest GHZ overlap; 0 where p <= 1/2."""
     p = np.clip(p, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind is DistanceKind.RELATIVE_ENTROPY:
-            t1 = np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-            t2 = np.where(p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0)
-            vals = 1 + t1 + t2
+            # only p > 1/2 is kept, where p log p is finite; (1 - p) log(1 - p) is 0 at p = 1
+            vals = 1 + p * np.log2(p) + (1 - p) * np.log2(np.maximum(1 - p, 1e-300))
         elif kind is DistanceKind.TRACE:
             vals = p - 0.5
         elif kind is DistanceKind.INFIDELITY:
@@ -236,32 +222,7 @@ def _bound_values(c, n: int, level: SeparabilityLevel, kind: DistanceKind) -> np
         return np.zeros(c.shape[:-1])
     if n % 2:
         return _odd_trace_values(c)
-    return _excess_values(_excess(c), kind)
-
-
-def entanglement_from_excess(h: float, kind: DistanceKind) -> float:
-    """Even-n entanglement of a triple-correlation state as a function of the excess.
-
-    Defined for h in (0, 1]; callers short-circuit h <= 0 to zero.
-    """
-    if h <= 0:
-        raise ParameterError(f"the closed form needs h > 0, got {h}")
-    if h > 1 + 1e-12:
-        raise ParameterError(f"h cannot exceed 1, got {h}")
-    return float(_excess_values(h, kind))
-
-
-def excess_derivative(h: float, kind: DistanceKind) -> float:
-    """d/dh of entanglement_from_excess, for first-order error propagation."""
-    if not 0 < h < 1:
-        raise ParameterError(f"the derivative needs h in (0, 1), got {h}")
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        return 0.5 * math.log2((1 + h) / (1 - h))
-    if kind is DistanceKind.TRACE:
-        return 0.5
-    if kind is DistanceKind.INFIDELITY:
-        return 0.5 * h / math.sqrt(1 - h * h)
-    return 0.5 / math.sqrt(1 - h) - 0.5 / math.sqrt(1 + h)
+    return _overlap_values((1 + np.abs(c).sum(axis=-1)) / 4, kind)
 
 
 def genuine_from_overlap(p_max: float, kind: DistanceKind) -> float:
@@ -310,9 +271,10 @@ def entanglement_m3n(
 ) -> EntanglementReport:
     """Exact entanglement of a triple-correlation state at a separability level.
 
-    Even n: zero at trivial levels or nonpositive excess, else the closed form
-    for the chosen distance. Odd n: only trace distance is supported (the
-    closest state is distance-dependent otherwise); three-branch formula.
+    Even n: zero at trivial levels or nonpositive excess, else the genuine
+    GHZ-diagonal closed form at p = (1 + |c1| + |c2| + |c3|)/4 for the chosen
+    distance. Odd n: only trace distance is supported (the closest state is
+    distance-dependent otherwise); three-branch formula.
     """
     level.check_for(state.n)
     if state.n % 2 and kind is not DistanceKind.TRACE:
@@ -359,11 +321,13 @@ def classical_distance(p, q, kind: DistanceKind):
     shape, a float for one vector. On commuting density matrices these are
     the quantum distances of their spectra; for relative entropy, entries of
     q at most 1e-12 count as zero eigenvalues, and p's weight on them above
-    1e-9 gives inf. Bulk callers pass q with the entry axis slowest in memory
-    (the ``.T`` of an (m, ...) buffer), so each sum over the few entries adds
-    whole contiguous rows instead of running a 4-step inner loop per point:
-    over 3,721 points of 4 entries, trace distance takes 66 instead of 216 us
-    and relative entropy 230 instead of 465 us (2-vCPU VM), with the same bits.
+    1e-9 gives inf. A caller scoring many points, such as the reference
+    octahedron grid in ``tests/oracle_reference.py``, passes q with the entry
+    axis slowest in memory (the ``.T`` of an (m, ...) buffer), so each sum over
+    the few entries adds whole contiguous rows instead of running a 4-step
+    inner loop per point: over 3,721 points of 4 entries, trace distance takes
+    66 instead of 216 us and relative entropy 230 instead of 465 us (2-vCPU
+    VM), with the same bits.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -400,9 +364,7 @@ __all__ = [
     "EntanglementReport",
     "SeparabilityLevel",
     "classical_distance",
-    "entanglement_from_excess",
     "entanglement_m3n",
-    "excess_derivative",
     "genuine_from_overlap",
     "genuine_ghz_diag",
     "lower_bound_from_triple",

@@ -141,13 +141,20 @@ def test_genuine_rejects_malformed_spectrum(spectrum, tmp_path, capsys):
     _assert_input_error(["genuine", "--spectrum-file", str(path)], capsys, '"p"')
 
 
-def test_bound_just_outside_the_octahedron_is_zero(capsys):
+@pytest.mark.parametrize("argv", [
     # |c1|+|c2|+|c3| rounds to 1 + 2^-52; the relative-entropy formula rounds below zero there
-    argv = ["bound", "--n", "2", "--c=-0.1438715798030627,0.7900866967754145,-0.06604172342152287",
-            "--distance", "re"]
-    rc, out, _ = _run(argv, capsys)
+    ["--n", "2", "--c=-0.1438715798030627,0.7900866967754145,-0.06604172342152287",
+     "--distance", "re"],
+    # h = 1.1e-16 > 0, but p = (1 + |c1|+|c2|+|c3|)/4 rounds to 1/2, where the overlap
+    # derivative is undefined: the delta error bar reads p, not h
+    ["--n", "4", "--c=0.5,0.5,2.220446049250313e-16", "--sigma", "1e-20,1e-20,0"],
+])
+def test_bound_just_outside_the_octahedron_is_zero(argv, capsys):
+    rc, out, _ = _run(["bound", *argv, "--full-precision"], capsys)
     assert rc == 0
-    assert '"value":0.0' in out
+    report = json.loads(out)
+    assert report["value"] == 0.0
+    assert report["meta"] == {"method": "delta"}
 
 
 def test_shared_optimise_rejects_asymmetric_state(capsys):

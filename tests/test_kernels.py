@@ -4,7 +4,9 @@ Every closed form has one array kernel. These tests check that a kernel on an
 array agrees element by element with the public scalar function, that both
 agree with a plain ``math`` transcription of the formulas, and that the
 derivatives used by the delta method match central finite differences of the
-kernels away from kinks and endpoints.
+kernels away from kinks and endpoints. Even-n triple-correlation values go
+through the GHZ-overlap kernel at p = (1 + |c1| + |c2| + |c3|)/4; ``_ref_excess``
+keeps their independent transcription in the excess h = 2p - 1.
 """
 
 import math
@@ -19,17 +21,16 @@ from entbound.measures import (
     DistanceKind,
     SeparabilityLevel,
     _bound_values,
-    _excess_values,
     _odd_branches,
     _odd_trace_gradient,
     _odd_trace_values,
     _overlap_values,
-    entanglement_from_excess,
     entanglement_m3n,
-    excess_derivative,
     genuine_from_overlap,
+    lower_bound_from_triple,
     overlap_derivative,
 )
+from entbound.estimate import TripleEstimate, bound_with_uncertainty
 from entbound.qstate import CorrelationTriple, M3NState
 
 #: two ulps at 1.0: numpy and math may round a log2 or sqrt differently
@@ -109,14 +110,21 @@ excess_inputs = st.lists(st.one_of(st.sampled_from([-0.5, 0.0, 1.0]), st.floats(
 overlap_inputs = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit), min_size=1)
 
 
+def _diagonal_triples(hs):
+    """Triples (x, x, x) of excess h, x = (1 + 2h)/3, in the n=4 tetrahedron for h in [-1/2, 1]."""
+    return np.repeat((1 + 2 * np.array(hs, dtype=float))[:, None] / 3, 3, axis=1)
+
+
 @SETTINGS
 @given(excess_inputs, distances)
-def test_excess_kernel_matches_scalar(hs, kind):
-    values = _excess_values(np.array(hs), kind)
-    for h, v in zip(hs, values):
-        scalar = entanglement_from_excess(h, kind) if h > 0 else 0.0
+def test_even_bound_kernel_matches_scalar_over_the_excess(hs, kind):
+    triples = _diagonal_triples(hs)
+    level = SeparabilityLevel(m=4)
+    values = _bound_values(triples, 4, level, kind)
+    for c, v in zip(triples, values):
+        scalar = lower_bound_from_triple(CorrelationTriple(*c), 4, level, kind).value
         assert abs(v - scalar) <= ULP_TOL
-        assert abs(scalar - _ref_excess(h, kind)) <= ULP_TOL
+        assert abs(scalar - _ref_excess(0.5 * (np.abs(c).sum() - 1), kind)) <= ULP_TOL
 
 
 @SETTINGS
@@ -160,11 +168,28 @@ def _central_difference(f, x):
     return (float(f(x + FD_STEP)) - float(f(x - FD_STEP))) / (2 * FD_STEP)
 
 
+def _away_from_even_kinks(c, margin=0.01):
+    h = 0.5 * (sum(map(abs, c)) - 1)
+    return margin <= h <= 1 - margin and min(map(abs, c)) >= margin
+
+
 @SETTINGS
-@given(st.floats(0.01, 0.99), distances)
-def test_excess_derivative_matches_finite_difference(h, kind):
-    fd = _central_difference(lambda x: _excess_values(x, kind), h)
-    assert excess_derivative(h, kind) == pytest.approx(fd, abs=1e-7)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(
+    lambda n: st.tuples(st.just(n), physical_triples(n).filter(_away_from_even_kinks))
+), distances)
+def test_even_delta_uncertainty_matches_finite_difference(case, kind):
+    # the delta error bar is the value's slope in h times sigma_h = sqrt(sum sigma^2) / 2
+    n, c = case
+    c = np.array(c)
+    sigma = (1e-3, 2e-3, 1.5e-3)
+    level = SeparabilityLevel(m=n)
+    report = bound_with_uncertainty(TripleEstimate(CorrelationTriple(*c), sigma), n, level, kind)
+    assert report.meta == {"method": "delta"}
+    # moving every |c_j| by 2t/3 moves h by t
+    signs = np.sign(c)
+    fd = _central_difference(lambda t: _bound_values(c + signs * (2 * t / 3), n, level, kind), 0.0)
+    sigma_h = 0.5 * math.sqrt(sum(s * s for s in sigma))
+    assert report.uncertainty == pytest.approx(fd * sigma_h, abs=1e-10)
 
 
 @SETTINGS
@@ -195,8 +220,12 @@ def test_odd_trace_gradient_matches_finite_difference(c):
 
 
 def test_kernels_are_not_negative_just_above_the_threshold():
-    # the formulas themselves round to about -1e-16 at a few hundred of these points
+    # the formulas themselves round to about -1e-16 at a few hundred of these points;
+    # |c|_1 = 1 + 4 tiny is exact, so the even-n p is exactly 1/2 + tiny
     tiny = np.arange(1, 3000) * 2.0**-53
+    triples = np.stack([np.full_like(tiny, 0.25), np.full_like(tiny, -0.75), 4 * tiny], axis=-1)
+    assert np.array_equal((1 + np.abs(triples).sum(axis=-1)) / 4, 0.5 + tiny)
     for kind in ALL_DISTANCES:
-        assert np.all(_excess_values(tiny, kind) >= 0)
+        assert np.all(_bound_values(triples, 4, SeparabilityLevel(m=4), kind) >= 0)
         assert np.all(_overlap_values(0.5 + tiny, kind) >= 0)
+    assert np.all(_bound_values(triples, 3, SeparabilityLevel(m=3), DistanceKind.TRACE) >= 0)

@@ -14,7 +14,6 @@ from entbound.measures import (
     DistanceKind,
     SeparabilityLevel,
     classical_distance,
-    entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
     genuine_ghz_diag,
@@ -50,15 +49,21 @@ def test_octahedron_excess_examples():
     assert octahedron_excess(CorrelationTriple(0, 0, 0)) == pytest.approx(-0.5)
 
 
+def _even_value(c, kind, n=4):
+    """The even-n value of a triple at level M = n, through the public route."""
+    return lower_bound_from_triple(CorrelationTriple(*c), n, SeparabilityLevel(m=n), kind).value
+
+
 def test_excess_closed_form_examples():
-    assert entanglement_from_excess(0.08, TR) == pytest.approx(0.040)
-    assert entanglement_from_excess(1.0, FID) == pytest.approx(0.5)
+    # h = 0.08, 1 and 0.5; the even-n value is the genuine closed form at p = (1 + h)/2
+    assert _even_value((0.401, 0.362, 0.397), TR) == pytest.approx(0.040)
+    assert _even_value((1, 1, 1), FID) == pytest.approx(0.5)
     # 0.5*(0.5*log2(0.5) + 1.5*log2(1.5))
-    assert entanglement_from_excess(0.5, RE) == pytest.approx(0.18872187554086717, abs=1e-12)
-    with pytest.raises(ParameterError):
-        entanglement_from_excess(0.0, TR)
-    with pytest.raises(ParameterError):
-        entanglement_from_excess(-0.1, RE)
+    assert _even_value((1, 0.5, 0.5), RE) == pytest.approx(0.18872187554086717, abs=1e-12)
+    assert genuine_from_overlap(0.75, RE) == pytest.approx(0.18872187554086717, abs=1e-12)
+    # on the octahedron (h = 0) and inside it
+    assert _even_value((0.5, -0.5, 0.0), TR) == 0.0
+    assert _even_value((0.2, 0.3, -0.1), RE) == 0.0
 
 
 def test_overlap_closed_form_examples():
@@ -72,7 +77,7 @@ def test_overlap_closed_form_examples():
 @pytest.mark.parametrize("kind", ALL_DISTANCES)
 def test_closed_forms_monotone(kind):
     hs = np.linspace(1e-6, 1.0, 1000)
-    fv = [entanglement_from_excess(h, kind) for h in hs]
+    fv = [_even_value(np.full(3, (1 + 2 * h) / 3), kind) for h in hs]
     assert np.all(np.diff(fv) > 0)
     assert fv[0] < 1e-5
     ps = np.linspace(0.5 + 1e-6, 1.0, 1000)
@@ -83,7 +88,8 @@ def test_closed_forms_monotone(kind):
 
 def test_bures_hellinger_closed_forms_coincide():
     for h in np.linspace(0.01, 1.0, 100):
-        assert entanglement_from_excess(h, BU) == entanglement_from_excess(h, HE)
+        c = np.full(3, (1 + 2 * h) / 3)
+        assert _even_value(c, BU) == _even_value(c, HE)
     for p in np.linspace(0.51, 1.0, 100):
         assert genuine_from_overlap(p, BU) == genuine_from_overlap(p, HE)
 
@@ -170,7 +176,7 @@ def test_wei_bound_identity_expression():
     for x in np.linspace(0.5 + 1e-6, 1.0, 100):
         h = octahedron_excess(CorrelationTriple(x, x, 2 * x - 1))
         assert h == pytest.approx(2 * x - 1, abs=1e-12)
-        lhs = entanglement_from_excess(h, RE)
+        lhs = _even_value((x, x, 2 * x - 1), RE)
         if x < 1:
             rhs = math.log2(2 - 2 * x) + x * (math.log2(x) - math.log2(1 - x))
         else:
@@ -241,7 +247,7 @@ def test_closest_even_distance_equals_closed_form(kind, n, rng):
         state = random_m3n_outside_octahedron(n, rng)
         out = closest_separable_even(state, SeparabilityLevel(m=n))
         d = matrix_distance(m3n_density(state), m3n_density(out), kind)
-        f = entanglement_from_excess(octahedron_excess(state.c), kind)
+        f = entanglement_m3n(state, SeparabilityLevel(m=n), kind).value
         assert d == pytest.approx(f, abs=1e-10)
 
 
@@ -386,7 +392,7 @@ def test_classical_distance_on_corner_spectra():
         q = np.concatenate([[l.value] * l.multiplicity for l in m3n_spectrum(lo)])
         for kind in ALL_DISTANCES:
             assert classical_distance(p, q, kind) == pytest.approx(
-                entanglement_from_excess(h, kind), abs=1e-12
+                genuine_from_overlap((1 + h) / 2, kind), abs=1e-12
             )
 
 

@@ -29,7 +29,6 @@ from entbound.measures import (
     DistanceKind,
     SeparabilityLevel,
     _odd_trace_values,
-    entanglement_from_excess,
     entanglement_m3n,
     genuine_from_overlap,
     genuine_ghz_diag,
@@ -251,7 +250,7 @@ def test_octahedron_oracle_inside_zero():
 def test_octahedron_oracle_matches_formula_even(kind, rng):
     for n in (2, 4):
         state = random_m3n_outside_octahedron(n, rng)
-        formula = entanglement_from_excess(octahedron_excess(state.c), kind)
+        formula = entanglement_m3n(state, SeparabilityLevel(m=state.n), kind).value
         oracle = brute_min_over_octahedron(state, kind, FAST)
         assert abs(formula - oracle) < 1e-12
 
@@ -617,7 +616,7 @@ def test_octahedron_oracle_squared_bures_across_an_edge():
     # with every face refined 2.6e-6 off
     state = M3NState(4, CorrelationTriple(-0.511822, 0.935388, -0.447535))
     kind = DistanceKind.SQUARED_BURES
-    formula = entanglement_from_excess(octahedron_excess(state.c), kind)
+    formula = entanglement_m3n(state, SeparabilityLevel(m=state.n), kind).value
     oracle_value = brute_min_over_octahedron(state, kind, OracleConfig(40, 3))
     assert abs(oracle_value - formula) < 1e-12
 
@@ -645,7 +644,7 @@ def test_formula_matches_full_separable_set_two_qubits(rng):
     for _ in range(4):
         state = random_m3n_outside_octahedron(2, rng, min_excess=0.05)
         sdp = _ppt_trace_distance(cvxpy, np.array(m3n_density(state).rho))
-        formula = entanglement_from_excess(octahedron_excess(state.c), DistanceKind.TRACE)
+        formula = entanglement_m3n(state, SeparabilityLevel(m=2), DistanceKind.TRACE).value
         assert sdp == pytest.approx(formula, abs=2e-5)
 
 

@@ -14,7 +14,7 @@ EXPORTS = {
     "SchemaError", "SeparabilityLevel", "StateFamily", "StateValidityError", "TripleEstimate",
     "UnsupportedDistanceError", "bound_with_uncertainty", "brute_min_biseparable_ghz",
     "brute_min_over_octahedron", "build_state", "classical_distance", "correlation_tensor",
-    "correlation_triple", "counts_to_triple", "entanglement_from_excess", "entanglement_m3n",
+    "correlation_triple", "counts_to_triple", "entanglement_m3n",
     "genuine_bound_with_uncertainty", "genuine_from_overlap", "genuine_ghz_diag",
     "ghz_diagonalise", "ingest_correlation_file", "lower_bound_from_triple", "m3n_density",
     "octahedron_excess", "optimise_ghz_overlap", "optimise_triple", "rotated_triple",
