@@ -46,15 +46,22 @@ it meets the bound, the identity is returned with no screen, no
 - Shared mode, either objective: a coarse angle-grid screen, then
   :func:`minimize`, an in-package Nelder-Mead that runs every start
   together. The correlation sum is a degree-n polynomial in the rows of the
-  shared SO(3) matrix, read through a table of their powers. Neither builds
-  a rotated state.
+  shared SO(3) matrix, read through a table of their powers. The overlap
+  with one GHZ vector is A + Re(C exp(-i m phi)), m = n - 2|x|, with A and C
+  functions of (theta, psi) alone, so its refinement runs over (theta, psi)
+  on A + |C| and solves for phi. A and C are read through a table of the
+  powers of cos(theta/2) and sin(theta/2), from the state compressed once
+  per index to the (n0 + 1)(n1 + 1) weight classes of the qubits where x is
+  0 and where it is 1. Neither builds a rotated state.
 - The overlap search reads the state only through its form. The screen of
   both modes takes the diagonal and anti-diagonal of u^{xn} rho u^{dag xn}
   from ``DenseState.lines_under``: with u = Rz(phi) Rx(theta) Rz(psi), the
   last Rz(phi)^{xn} keeps the diagonal and only turns each anti-diagonal
   entry by a phase, so the grid's phis share one read per (theta, psi). The
-  refinements read rho against product vectors through
-  ``DenseState.sandwich``, and the overlap ascent's steps through
+  shared refinement compresses the state through ``DenseState.sandwich`` of
+  the d class columns (O(d 2^n) on a pure form, O(d^2 2^n) on an X or mixed
+  one), the per-qubit ascent's start and end values read it against product
+  vectors through the same read, and its steps through
   ``DenseState.qubit_gram``. A built state never builds rho here.
 
 The shared grid is density theta planes of density^2 (psi, phi) rows, the
@@ -70,12 +77,13 @@ starts in chunks of at most ``_linalg.CHUNK_ENTRIES`` matrix entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SIGMA_STACK, check_budget, chunk_rows, chunks, hamming_weights
+from ._linalg import SIGMA_STACK, _frozen, check_budget, chunk_rows, chunks, hamming_weights
 from .errors import ParameterError
 from .locc import GHZBasisIndex, ghz_diagonalise, ghz_overlaps
 from .pauli import (
@@ -122,8 +130,9 @@ _TIE_TOL = 1e-12
 #: largest grid_density, the CLI's documented 2..29 range. A screen holds one
 #: plane or one read of whole planes, not its grid, so the cap bounds time: the
 #: grid has density^3 points, and at density 29 one CLI run (imports
-#: included, 2-core Xeon VM) takes 1.3 s for the GHZ-overlap search at n = 12
-#: and 0.4 s for the W correlation-sum search at n = 10.
+#: included, 2-core Xeon VM) takes 0.9-1.1 s for the W GHZ-overlap search at
+#: n = 12, nearly all of it the screen, and 0.4 s for the W correlation-sum
+#: search at n = 10.
 MAX_GRID_DENSITY = 29
 
 #: sign classes for the per-qubit closed-form update; -s duplicates s under |.|
@@ -504,8 +513,8 @@ def _product_factors(bits: np.ndarray, us: np.ndarray) -> np.ndarray:
     """factors[r, k]: rows U_k^dag|x_k> and U_k^dag|~x_k>, qubit k's factors of a and b.
 
     U_k^dag|y> is row y of conj(U_k), so the factors are conj(U_k) with its
-    rows swapped where x_k = 1. bits (R, n) and unitaries us (R, n, 2, 2), or
-    (R, 1, 2, 2) for one unitary on every qubit of a row, give (R, n, 2, 2).
+    rows swapped where x_k = 1. bits (R, n) and unitaries us (R, n, 2, 2)
+    give (R, n, 2, 2).
     """
     conj = np.conj(us)
     return np.where(bits[:, :, None, None] == 1, conj[:, :, ::-1], conj)
@@ -514,9 +523,9 @@ def _product_factors(bits: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _rotated_betas(bits: np.ndarray, signs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """U^dag beta per row, for beta = (|x> + sign |~x>)/sqrt(2) and U = (x)_k us[r, k].
 
-    bits (R, n), signs (R,) and unitaries us (R, n, 2, 2) give (R, 2^n);
-    us (R, 1, 2, 2) puts one unitary on every qubit of a row. The two product
-    vectors grow together from :func:`_product_factors`, qubit 0 leftmost.
+    bits (R, n), signs (R,) and unitaries us (R, n, 2, 2) give (R, 2^n). The
+    two product vectors grow together from :func:`_product_factors`, qubit 0
+    leftmost.
     """
     factors = _product_factors(bits, us)
     ab = factors[:, 0]
@@ -685,15 +694,130 @@ def _screen_tops(state: DenseState, grid: np.ndarray):
     return np.concatenate(tops), np.concatenate(pos)
 
 
+# -- shared GHZ-overlap refinement ------------------------------------------------
+#
+# One u = Rz(phi) v, v = Rx(theta) Rz(psi), on every qubit. Row y of u is row y of
+# v times exp(-i phi/2) (y = 0) or exp(i phi/2) (y = 1), so a = exp(i m phi/2) a_v
+# and b = exp(-i m phi/2) b_v, with m = n - 2|x| and a_v, b_v the product vectors
+# of v. The overlap is A + Re(C exp(-i m phi)), with A = (<a_v|rho|a_v> +
+# <b_v|rho|b_v>)/2 and C = sign <a_v|rho|b_v> functions of (theta, psi) alone: its
+# largest value over phi is A + |C|, at phi = arg(C)/m, or A + Re C at m = 0,
+# where phi has no effect. a_v puts one row of conj(v) on every qubit where x is 0
+# and the other on every qubit where x is 1, and b_v the reverse, so both lie in
+# the product of those two sets' symmetric subspaces (Toth and Guhne, PRL 102,
+# 170503 (2009)): the span of the index's weight-class indicators.
+
+def _class_columns(bits: np.ndarray) -> np.ndarray:
+    """P (2^n, d): the normalised indicators of the weight classes of the index ``bits`` (n,).
+
+    The index splits the qubits into the n0 where x is 0 and the n1 where x is
+    1; class (w0, w1), column w0 (n1 + 1) + w1, holds the strings of weight w0
+    on the first set and w1 on the second, so d = (n0 + 1)(n1 + 1).
+    """
+    n = len(bits)
+    ones = int(bits.sum())
+    weights = hamming_weights(n)
+    w1 = weights[np.arange(2**n) & int(bits @ (1 << np.arange(n - 1, -1, -1)))]
+    label = (weights - w1) * (ones + 1) + w1
+    sizes = np.bincount(label)
+    cols = np.zeros((2**n, len(sizes)))
+    cols[np.arange(2**n), label] = 1 / np.sqrt(sizes[label])
+    return cols
+
+
+@functools.cache
+def _class_coefficients(zeros: int, ones: int):
+    """Per weight class (w0, w1): the constant factors of a_v's and b_v's coordinates,
+    the power q of s in a_v's, and n - 2(w0 + w1), the power of e in both.
+
+    With c = cos(theta/2), s = sin(theta/2) and e = exp(i psi/2), the rows of conj(v)
+    are (c e, i s conj(e)) and (i s e, c conj(e)). k qubits that all take the row r
+    have the coordinate sqrt(C(k, w)) r_0^(k-w) r_1^w on their Dicke vector of weight
+    w. a_v takes row 0 on the n0 zeros and row 1 on the n1 ones, so its coordinate is
+    sqrt(C(n0, w0) C(n1, w1)) i^q c^(n-q) s^q e^(n-2w0-2w1), q = w0 + n1 - w1; b_v
+    takes the other rows, which turns q into n - q.
+    """
+    w0, w1 = np.divmod(np.arange((zeros + 1) * (ones + 1)), ones + 1)
+    roots = np.sqrt([math.comb(zeros, a) * math.comb(ones, b) for a, b in zip(w0, w1)])
+    n, sines = zeros + ones, w0 + ones - w1
+    return tuple(_frozen(a) for a in (roots * 1j**sines, roots * 1j ** (n - sines), sines,
+                                      n - 2 * (w0 + w1)))
+
+
+def _class_terms(block: np.ndarray, bits: np.ndarray, sign: int, angles: np.ndarray):
+    """A and C of the overlap at each (theta, psi), read from the compressed state P^dag rho P.
+
+    ``block`` is rho compressed to the :func:`_class_columns` of ``bits``;
+    angles (R, 2) give A (R,) and C (R,). a_v's and b_v's coordinates
+    (:func:`_class_coefficients`) are read from a table of the powers
+    c^(n-q) s^q, q = 0..n, and take one phase e^(n-2w0-2w1).
+    """
+    n, ones = len(bits), int(bits.sum())
+    const_a, const_b, sines, turns = _class_coefficients(n - ones, ones)
+    half = 0.5 * angles
+    q = np.arange(n + 1)
+    table = np.cos(half[:, :1]) ** (n - q) * np.sin(half[:, :1]) ** q
+    ab = np.stack([const_a * table[:, sines], const_b * table[:, n - sines]], axis=1)
+    ab *= np.exp(1j * half[:, 1:] * turns)[:, None, :]
+    gram = ab.conj() @ block @ np.swapaxes(ab, 1, 2)
+    return 0.5 * (gram[:, 0, 0] + gram[:, 1, 1]).real, sign * gram[:, 0, 1]
+
+
+def _shared_refinement(state: DenseState, idxs, starts: np.ndarray):
+    """Nelder-Mead over (theta, psi) on the overlap maximised over phi, every run in lockstep.
+
+    Run r refines the overlap with idxs[r] from starts[r] (R, 2). Each distinct
+    index compresses the state once, through one ``DenseState.sandwich`` of its
+    class columns. Returns each run's angles (R, 3), phi = arg(C)/m, and the
+    overlap there, A + |C| (R,).
+    """
+    n = state.n
+    distinct = list(dict.fromkeys(idxs))
+    which = np.array([distinct.index(idx) for idx in idxs])
+    reads = []
+    for idx in distinct:
+        bits = _ghz_bits(idx)
+        ones = int(bits.sum())
+        # the columns and the read's temporaries: tracemalloc reads at most 73 bytes
+        # a column entry on an X form at n = 8 and 10, 42 dense and 25 pure
+        check_budget(80 * (n - ones + 1) * (ones + 1) * 2**n,
+                     f"the weight-class columns of {idx.key}")
+        reads.append((state.sandwich(_class_columns(bits)), bits, idx.sign))
+    turns = [n - 2 * int(bits.sum()) for _, bits, _ in reads]
+
+    def profile(k, angles):  # the overlap maximised over phi, and C
+        a, c = _class_terms(*reads[k], angles)
+        return a + (np.abs(c) if turns[k] else c.real), c
+
+    def fun(ids, points):
+        values = np.empty(len(ids))
+        for k in range(len(reads)):
+            rows = which[ids] == k
+            if rows.any():
+                values[rows] = -profile(k, points[rows])[0]
+        return values
+
+    res = minimize(fun, starts)
+    angles = np.pad(res.x, ((0, 0), (0, 1)))
+    for k, m in enumerate(turns):
+        if m:
+            rows = which == k
+            angles[rows, 2] = np.angle(profile(k, res.x[rows])[1]) / m
+    return angles, -res.fun
+
+
 def optimise_ghz_overlap(
     state: DenseState, opts: OptimisationOptions | None = None
 ) -> tuple[LocalRotation, GHZBasisIndex, float]:
     """Maximise the overlap with a GHZ basis vector over local rotations.
 
     Scans all 2^n basis indices against a shared-angle grid, then refines the
-    rotation for the best few candidate indices: Nelder-Mead on one shared
-    angle triple in shared mode, closed-form coordinate ascent over qubits in
-    per-qubit mode. The result is never below the unrotated maximum overlap.
+    rotation for the best few candidate indices. Shared mode runs Nelder-Mead
+    over (theta, psi), from the identity and from each candidate's grid row,
+    on the overlap already maximised over phi in closed form, A + |C| (module
+    docstring); each candidate compresses the state once, to its weight
+    classes. Per-qubit mode runs closed-form coordinate ascent over qubits.
+    The result is never below the unrotated maximum overlap.
     When that overlap meets ``state.top_eigenvalue()`` (see the module
     docstring), as on GHZ-diagonal states, the identity and the unrotated
     best index return at once, in either mode.
@@ -736,24 +860,20 @@ def optimise_ghz_overlap(
 
     candidates = [GHZBasisIndex(n, pos // 2, +1 if pos % 2 == 0 else -1) for _, pos in picked]
     if shared:
-        # two runs per candidate, from the identity and from its grid point; a
-        # run repeating an earlier (index, start) would end where it does and,
-        # coming later, never win, so it is not run
+        # two runs per candidate, from the identity's and its grid point's
+        # (theta, psi), as phi is solved for; a run repeating an earlier (index,
+        # start) would end where it does and, coming later, never win, so it is
+        # not run
         runs = {}
         for (g, pos), idx in zip(picked, candidates):
-            for x in (np.zeros(3), grid[g]):
+            for x in (np.zeros(2), grid[g, :2]):
                 runs.setdefault((pos, *x), (idx, x))
         idxs, starts = zip(*runs.values())
-        bits = np.array([_ghz_bits(idx) for idx in idxs])
-        signs = np.array([idx.sign for idx in idxs])
-        res = minimize(
-            lambda ids, x: -_overlaps(state, bits[ids], signs[ids], su2_from_angles(x)[:, None]),
-            starts,
-        )
-        for idx, x, neg in zip(idxs, res.x, res.fun):
-            if -neg > best[2] + 1e-13:
+        angles, vals = _shared_refinement(state, idxs, np.array(starts))
+        for idx, x, val in zip(idxs, angles, vals):
+            if val > best[2] + 1e-13:
                 canonical = so3_to_angles(so3_from_angles(x))
-                best = (LocalRotation.from_shared(canonical), idx, float(-neg))
+                best = (LocalRotation.from_shared(canonical), idx, float(val))
         return best
     # every candidate's runs in one lockstep ascent: the identity, its grid
     # point tiled over the qubits, and restarts // 4 random starts each

@@ -201,7 +201,8 @@ def quaternion_to_angles(q: np.ndarray) -> np.ndarray:
     """Angles (theta, psi, phi) of the lift U = w I - i (x s1 + y s2 + z s3).
 
     su2_from_angles of the angles gives U up to a sign, for either sign of the
-    unit quaternion q = (w, x, y, z). Stacks (..., 4) give (..., 3).
+    unit quaternion q = (w, x, y, z). Stacks (..., 4) give (..., 3), psi and
+    phi in [0, 2pi).
     """
     q = np.asarray(q, dtype=float)
     # U matched against the angle template through math's atan2 and hypot,
@@ -211,8 +212,10 @@ def quaternion_to_angles(q: np.ndarray) -> np.ndarray:
     theta = 2 * np.array(list(map(math.atan2, xy, wz)))
     half_sum = np.where(np.array(wz) > 1e-15, list(map(math.atan2, z, w)), 0.0)
     half_diff = np.where(np.array(xy) > 1e-15, list(map(math.atan2, y, x)), 0.0)
-    angles = np.stack([theta, (half_sum - half_diff) % _TWO_PI,
-                       (half_sum + half_diff) % _TWO_PI], axis=1)
+    turns = np.stack([half_sum - half_diff, half_sum + half_diff], axis=1) % _TWO_PI
+    # an angle just below 0 rounds up to 2pi; folding it to 0 flips only the sign of U
+    turns[turns == _TWO_PI] = 0.0
+    angles = np.concatenate([theta[:, None], turns], axis=1)
     return angles.reshape(q.shape[:-1] + (3,))
 
 

@@ -407,9 +407,14 @@ def _qubit_gram(form: tuple, heads: np.ndarray, tails: np.ndarray) -> np.ndarray
             part = (part.reshape(part.shape[:-1] + (2, cols)) @ t[..., None])[..., 0]
             gram = gram + np.einsum("...efc,cd->...ecfd", part, turn)
         return gram
-    vecs = np.einsum("...ei,...ej,cd->...icjed", heads, tails, np.eye(2))
-    return _sandwich(form, vecs.reshape(vecs.shape[:-5] + (-1, 2 * m))).reshape(
-        vecs.shape[:-5] + (m, 2, m, 2))
+    batch = heads.shape[:-2]
+    vecs = np.zeros(batch + (rows, 2, cols, m, 2), dtype=np.result_type(heads, tails, float))
+    # h_e[i] t_e[j] in the c = d slots, zero elsewhere: the einsum of h, t and the
+    # identity bit for bit, as einsum's complex product may round unlike np.multiply's
+    products = np.einsum("...ei,...ej->...ije", heads, tails)
+    for c in range(2):
+        vecs[..., :, c, :, :, c] = products
+    return _sandwich(form, vecs.reshape(batch + (-1, 2 * m))).reshape(batch + (m, 2, m, 2))
 
 
 def _bloch_from_form(form: tuple, n: int) -> np.ndarray:

@@ -17,6 +17,8 @@ from entbound.optimize import (
     MAX_GRID_DENSITY,
     OptimisationOptions,
     _best_rotation_for_matrix,
+    _class_columns,
+    _class_terms,
     _ghz_bits,
     _overlap_ascent,
     _overlaps,
@@ -27,6 +29,7 @@ from entbound.optimize import (
     _screen_overlaps,
     _screen_tops,
     _shared_grid,
+    _shared_refinement,
     _shared_objective,
     _shared_polynomial,
     optimise_ghz_overlap,
@@ -479,21 +482,29 @@ def rosenbrock_rows(run_ids, x):
     return (1 - x0) ** 2 + 100 * (x1 - x0**2) ** 2 + (1 - x1) ** 2 + 100 * (x2 - x1**2) ** 2
 
 
+def rosenbrock_rows_2d(run_ids, x):
+    """A 2-d Rosenbrock valley per row, shifted by the run id, as the shared overlap
+    search minimises over (theta, psi)."""
+    x0, x1 = x[..., 0] - 0.1 * np.asarray(run_ids), x[..., 1]
+    return (1 - x0) ** 2 + 100 * (x1 - x0**2) ** 2
+
+
 @pytest.mark.parametrize("maxiter", [NELDER_MEAD["maxiter"], 40])
 def test_lockstep_minimize_matches_scipy_nelder_mead(maxiter, rng, monkeypatch):
-    starts = np.vstack([np.zeros(3), [1.0, 0.0, -2.0], rng.uniform(-2, 2, size=(10, 3))])
     options = dict(NELDER_MEAD, maxiter=maxiter)
     monkeypatch.setattr(optimize, "_NM_MAXITER", maxiter)
-    res = optimize.minimize(rosenbrock_rows, starts)
-    nfev = nit = 0
-    for run, start in enumerate(starts):
-        ref = minimize(lambda x: rosenbrock_rows(run, x), start, method="Nelder-Mead",
-                       options=options)
-        assert np.array_equal(res.x[run], ref.x)
-        assert res.fun[run] == ref.fun
-        nfev, nit = nfev + ref.nfev, nit + ref.nit
-    assert (res.nfev, res.nit) == (nfev, nit)
-    assert type(res.nfev) is int and type(res.nit) is int
+    for fun, dim in ((rosenbrock_rows, 3), (rosenbrock_rows_2d, 2)):
+        starts = np.vstack([np.zeros(dim), [1.0, 0.0, -2.0][:dim],
+                            rng.uniform(-2, 2, size=(10, dim))])
+        res = optimize.minimize(fun, starts)
+        nfev = nit = 0
+        for run, start in enumerate(starts):
+            ref = minimize(lambda x: fun(run, x), start, method="Nelder-Mead", options=options)
+            assert np.array_equal(res.x[run], ref.x)
+            assert res.fun[run] == ref.fun
+            nfev, nit = nfev + ref.nfev, nit + ref.nit
+        assert (res.nfev, res.nit) == (nfev, nit)
+        assert type(res.nfev) is int and type(res.nit) is int
 
 
 SHARED_STATES = [
@@ -675,15 +686,15 @@ def test_shared_overlaps_match_per_qubit_product_vectors(n, rng):
     bits = rng.integers(0, 2, size=(12, n))
     signs = rng.choice([1, -1], size=12)
     angles = random_angles(rng, 12)
-    # one unitary per row, broadcast over the qubits
-    got = _overlaps(state, bits, signs, su2_from_angles(angles)[:, None])
+    # one unitary per row, on every qubit
+    us = np.broadcast_to(su2_from_angles(angles)[:, None], (12, n, 2, 2))
+    got = _overlaps(state, bits, signs, us)
     # U^dag beta built qubit by qubit with np.kron, read by the dense quadratic form
     def product(rows):
         return kron_all([r.reshape(1, 2) for r in rows])[0]
 
     v = np.array([product([u[x] for x in row]) + s * product([u[1 - x] for x in row])
                   for row, s, u in zip(bits, signs, su2_from_angles(angles).conj())]) / np.sqrt(2)
-    us = np.broadcast_to(su2_from_angles(angles)[:, None], (12, n, 2, 2))
     assert np.allclose(_rotated_betas(bits, signs, us), v, rtol=0, atol=1e-15)
     assert np.allclose(got, np.einsum("ri,ri->r", v.conj(), v @ rho.T).real, rtol=0, atol=1e-15)
 
@@ -1070,9 +1081,8 @@ def test_over_budget_overlap_restarts_exit_2_before_the_search(monkeypatch, caps
 
 
 def test_shared_overlap_search_runs_each_index_and_start_once(monkeypatch, capsys):
-    # rotation-search's overlap-shared-n6 picks 000000- from four grid rows, so its
-    # four identity starts are one run: 8 runs become 5, and the output holds to
-    # the last bit, as the first of equal runs wins
+    # rotation-search's overlap-shared-n6 picks 000000- from four grid rows that
+    # share one (theta, psi), and phi is solved for, so its 8 starts are 2 runs
     counts = []
     real = optimize.minimize
 
@@ -1084,10 +1094,10 @@ def test_shared_overlap_search_runs_each_index_and_start_once(monkeypatch, capsy
     rc = main(["optimise", "--family", "white_noise_mix", "--n", "6", "--params",
                '{"inner":{"family":"dicke","params":{"k":2}},"q":0.535069}',
                "--objective", "overlap", "--seed", "841229", "--full-precision"])
-    assert rc == 0 and counts == [5]
+    assert rc == 0 and counts == [2]
     assert capsys.readouterr().out == (
-        '{"angles":[[1.570796319348914,0.17170208103614487,5.235987763206955]],'
-        '"index":"000000-","n":6,"objective":"ghz_overlap","p_max":0.2580781406250001,'
+        '{"angles":[[1.5707963243282161,5.22854202681876,0.0]],'
+        '"index":"000000-","n":6,"objective":"ghz_overlap","p_max":0.25807814062500023,'
         '"shared":true}\n')
 
 
@@ -1127,3 +1137,123 @@ def test_overlap_candidates_ignore_the_last_bits_of_the_screen(family, n, mode, 
     exact = _candidates(state, opts, monkeypatch)
     for seed in range(3):
         assert _candidates(state, opts, monkeypatch, noise_seed=seed) == exact
+
+
+def random_state_of_form(form, n, rng):
+    """A random state held in the given form; the mix holds a random pure state."""
+    if form in ("pure", "mix"):
+        pure = DenseState.from_vector(rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
+        if form == "pure":
+            return pure
+        return DenseState(n, None, qstate._CERTIFIED, ("mix", 0.7, pure._form))
+    return phased_x_state(n, rng) if form == "x" else random_density(n, rng)
+
+
+def shared_overlaps(state, idx, angles):
+    """<beta|u^{xn} rho u^{dag xn}|beta> per angle row, from the product vectors."""
+    rows = len(angles)
+    us = np.broadcast_to(su2_from_angles(angles)[:, None], (rows, state.n, 2, 2))
+    return _overlaps(state, np.tile(_ghz_bits(idx), (rows, 1)), np.full(rows, idx.sign), us)
+
+
+@pytest.mark.parametrize("form", ["pure", "x", "mix", "dense"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_compressed_terms_match_product_vector_overlaps(n, form, rng):
+    # at every GHZ index, A + Re(C exp(-i m phi)) read from the state compressed to
+    # the index's weight classes is the overlap of the 2^n-entry product vectors
+    state = random_state_of_form(form, n, rng)
+    assert state._form[0] == form
+    angles = random_angles(rng, 4)
+    for i in range(2 ** (n - 1)):
+        bits = _ghz_bits(GHZBasisIndex(n, i, 1))
+        cols = _class_columns(bits)
+        assert cols.shape[1] == (n - bits.sum() + 1) * (bits.sum() + 1)
+        assert np.allclose(cols.T @ cols, np.eye(cols.shape[1]), rtol=0, atol=1e-14)
+        block = state.sandwich(cols)
+        for sign in (1, -1):
+            a, c = _class_terms(block, bits, sign, angles[:, :2])
+            turn = np.exp(-1j * (n - 2 * bits.sum()) * angles[:, 2])
+            want = shared_overlaps(state, GHZBasisIndex(n, i, sign), angles)
+            assert np.allclose(a + (c * turn).real, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family, n", [
+    (StateFamily.w(), 4), (StateFamily.cluster_linear(), 4), (StateFamily.dicke(2), 5),
+    (StateFamily.white_noise_mix(StateFamily.dicke(2), 0.535069), 6),
+    (StateFamily.m3n((0.3, -0.2, 0.4)), 5),
+])
+def test_closed_form_phi_reaches_the_profile(family, n, rng):
+    # at phi = arg(C)/m the overlap is the profile A + |C|, and no phi of a 720-point
+    # grid beats it; at m = 0 (even n, |x| = n/2) phi has no effect and the profile
+    # is A + Re C
+    state = build_state(family, n)
+    idxs = [GHZBasisIndex(n, i, sign) for i in range(2 ** (n - 1)) for sign in (1, -1)]
+    assert any(n == 2 * _ghz_bits(idx).sum() for idx in idxs) == (n % 2 == 0)
+    phis = np.linspace(0, 2 * np.pi, 720, endpoint=False)
+    for idx in idxs:
+        bits = _ghz_bits(idx)
+        turns = n - 2 * bits.sum()
+        block = state.sandwich(_class_columns(bits))
+        for theta, psi, _ in random_angles(rng, 2):
+            a, c = _class_terms(block, bits, idx.sign, np.array([[theta, psi]]))
+            profile = a[0] + (abs(c[0]) if turns else c[0].real)
+            phi = np.angle(c[0]) / turns % (2 * np.pi) if turns else 0.0
+            grid = np.column_stack([np.full(721, theta), np.full(721, psi), np.append(phis, phi)])
+            values = shared_overlaps(state, idx, grid)
+            assert values[-1] == pytest.approx(profile, abs=1e-14)
+            assert values.max() <= profile + 1e-14
+            if not turns:
+                assert np.ptp(values) <= 1e-14
+    # the refinement reports phi the same way: its angles reproduce its values
+    starts = random_angles(rng, len(idxs))[:, :2]
+    angles, values = _shared_refinement(state, idxs, starts)
+    for idx, x, value in zip(idxs, angles, values):
+        assert shared_overlaps(state, idx, x[None])[0] == pytest.approx(value, abs=1e-14)
+
+
+#: p_max of the shared search when phi was refined by Nelder-Mead with theta and
+#: psi (default options); the search with phi solved for may not end below them
+SHARED_OVERLAP_PINS = [
+    (StateFamily.w(), 3, 0.7500000000000004), (StateFamily.w(), 4, 0.5000000000000001),
+    (StateFamily.dicke(2), 4, 0.7500000000000007), (StateFamily.w(), 5, 0.3125000000000002),
+    (StateFamily.dicke(2), 6, 0.46875000000000067), (StateFamily.w(), 8, 0.19753086419753113),
+    (StateFamily.dicke(2), 5, 0.6250000000000007), (StateFamily.w(), 6, 0.22222222222222254),
+    (StateFamily.white_noise_mix(StateFamily.dicke(2), 0.535069), 4, 0.4303599375000002),
+    (StateFamily.white_noise_mix(StateFamily.dicke(2), 0.535069), 5, 0.3489472187500001),
+    (StateFamily.white_noise_mix(StateFamily.dicke(2), 0.535069), 6, 0.2580781406250001),
+    (StateFamily.white_noise_mix(StateFamily.w(), 0.7), 4, 0.36875000000000013),
+    (StateFamily.white_noise_mix(StateFamily.w(), 0.7), 5, 0.22812500000000013),
+    (StateFamily.white_noise_mix(StateFamily.w(), 0.7), 6, 0.16024305555555574),
+]
+
+
+@pytest.mark.parametrize("family, n, pinned", SHARED_OVERLAP_PINS)
+def test_shared_overlap_search_holds_its_pinned_values(family, n, pinned):
+    state = build_state(family, n)
+    rot, idx, p = optimise_ghz_overlap(state)
+    assert p >= pinned - 1e-12
+    assert dense_overlap(state.rho, idx, rot.unitaries(n)) == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("form", ["pure", "x", "mix", "dense"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_class_column_charge_bounds_the_traced_peak(n, form, rng):
+    # 80 bytes a column entry covers the columns and the read's temporaries; the X
+    # form's read, which holds three products of the columns, takes the most
+    state = random_state_of_form(form, n, rng)
+    for ones in (0, n // 2):
+        bits = np.array([0] * (n - ones) + [1] * ones)
+        peak = traced_peak(lambda: state.sandwich(_class_columns(bits)))
+        assert peak <= 80 * (n - ones + 1) * (ones + 1) * 2**n
+
+
+def test_class_columns_are_charged_before_they_are_built(monkeypatch):
+    def refuse(bits):
+        raise AssertionError("built before the charge")
+
+    monkeypatch.setattr(optimize, "_class_columns", refuse)
+    monkeypatch.setattr(_linalg, "GRID_BUDGET", 80 * 12 * 2**5 - 1)
+    state = build_state(StateFamily.w(), 5)
+    idx = GHZBasisIndex(5, 0b00011, 1)
+    with pytest.raises(CapacityError, match="weight-class columns of 00011\\+"):
+        _shared_refinement(state, [idx], np.zeros((1, 2)))

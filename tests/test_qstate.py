@@ -585,6 +585,23 @@ def test_qubit_gram_of_ghz_diagonal_and_outside_matrices(n, rng):
         _assert_qubit_gram_matches_rho(DenseState(n, np.array(mix.rho)), rng)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dense_qubit_gram_equals_the_three_operand_einsum_bit_for_bit(n, rng):
+    # the dense read puts h_e[i] t_e[j] into the c = d slots of a zero array; the
+    # per-qubit overlap ascent's values stay as the einsum with the identity left them
+    from conftest import random_density
+
+    state = random_density(n, rng)
+    for k in range(n):
+        for batch, m in [((), 1), ((4,), 2), ((2, 3), 3)]:
+            heads = rng.standard_normal(batch + (m, 2**k)) + 1j * rng.standard_normal(batch + (m, 2**k))
+            shape = batch + (m, 2 ** (n - k - 1))
+            tails = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            vecs = np.einsum("...ei,...ej,cd->...icjed", heads, tails, np.eye(2))
+            want = state.sandwich(vecs.reshape(batch + (-1, 2 * m))).reshape(batch + (m, 2, m, 2))
+            assert np.array_equal(state.qubit_gram(heads, tails), want)
+
+
 def _assert_bloch_matches_rho(state, exact=True):
     """``bloch`` reads the form and equals the contraction of ``rho`` it replaces: bit
     for bit, or within 1e-15 where the form sums in another order."""
