@@ -35,6 +35,7 @@ from .errors import (
 )
 from .estimate import (
     TripleEstimate,
+    _genuine_reports,
     bound_with_uncertainty,
     counts_to_triple,
     genuine_bound_with_uncertainty,
@@ -350,10 +351,10 @@ def _cmd_reproduce(args) -> None:
         p = pct / 100.0
         sig = (err or 0.0) / 100.0
         entry = {"state": row["state"], "n": row["n"], "p_max": p}
-        for kind in columns:
-            report = genuine_bound_with_uncertainty(p, sig, kind, seed=args.seed)
-            entry[kind.value] = report.value
-            entry[kind.value + "_unc"] = report.uncertainty
+        # one bootstrap draw per row serves all four columns
+        for report in _genuine_reports(p, sig, columns, args.seed):
+            entry[report.distance.value] = report.value
+            entry[report.distance.value + "_unc"] = report.uncertainty
         rows.append(entry)
     _emit(rows, args)
 

@@ -300,27 +300,35 @@ def genuine_bound_with_uncertainty(
     Delta method away from the threshold; bootstrap near p_max = 1/2 (kink)
     and near p_max = 1 (diverging derivative for the non-trace distances).
     """
+    return _genuine_reports(p_max, sigma, (kind,), seed)[0]
+
+
+def _genuine_reports(p_max: float, sigma: float, kinds, seed: int) -> list:
+    """:func:`genuine_bound_with_uncertainty` under each distance of ``kinds``; a
+    bootstrap draws its samples once and reads every distance from them."""
     if not 0 <= p_max <= 1:
         raise ParameterError(f"p_max must lie in [0, 1], got {p_max}")
     if not math.isfinite(sigma) or sigma < 0:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     level = SeparabilityLevel.genuine()
-    value = float(_overlap_values(p_max, kind))
-
     near_kink = abs(p_max - 0.5) <= 2 * sigma or p_max >= 1 - 2 * sigma
+    samples = None
     if sigma > 0 and near_kink:
         rng = np.random.default_rng(seed)
         samples = np.clip(rng.normal(p_max, sigma, size=_BOOTSTRAP_SAMPLES), 0.0, 1.0)
-        values = _overlap_values(samples, kind)
-        unc = float(np.std(values, ddof=1))
-        meta = {"method": "bootstrap", "seed": seed, "samples": _BOOTSTRAP_SAMPLES}
-        return EntanglementReport(value, kind, level, "lower_bound", unc, meta)
-
-    if sigma == 0 or p_max <= 0.5:
-        unc = 0.0
-    else:
-        unc = overlap_derivative(min(p_max, 1 - 1e-12), kind) * sigma
-    return EntanglementReport(value, kind, level, "lower_bound", unc, {"method": "delta"})
+    reports = []
+    for kind in kinds:
+        value = float(_overlap_values(p_max, kind))
+        if samples is not None:
+            unc = float(np.std(_overlap_values(samples, kind), ddof=1))
+            meta = {"method": "bootstrap", "seed": seed, "samples": _BOOTSTRAP_SAMPLES}
+        elif sigma == 0 or p_max <= 0.5:
+            unc, meta = 0.0, {"method": "delta"}
+        else:
+            unc = overlap_derivative(min(p_max, 1 - 1e-12), kind) * sigma
+            meta = {"method": "delta"}
+        reports.append(EntanglementReport(value, kind, level, "lower_bound", unc, meta))
+    return reports
 
 
 # -- file ingestion ----------------------------------------------------------------

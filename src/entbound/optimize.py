@@ -45,11 +45,15 @@ it meets the bound, the identity is returned with no screen, no
   sweep).
 - Shared mode, either objective: a coarse angle-grid screen, then
   :func:`minimize`, an in-package Nelder-Mead that runs every start
-  together. The correlation sum is a degree-n polynomial in the rows of the
-  shared SO(3) matrix, read through a table of their powers. The overlap
-  with one GHZ vector is A + Re(C exp(-i m phi)), m = n - 2|x|, with A and C
-  functions of (theta, psi) alone, so its refinement runs over (theta, psi)
-  on A + |C| and solves for phi. A and C are read through a table of the
+  together, scipy's path run by run. Its one batched objective call per
+  step holds all four candidate points of every run still going, so both
+  objectives compute each row on its own: a row's value does not depend on
+  the other rows of its call. The correlation sum is a degree-n polynomial
+  in the rows of the shared SO(3) matrix, read through a table of their
+  powers; its zero coefficients are dropped. The overlap with one GHZ
+  vector is A + Re(C exp(-i m phi)), m = n - 2|x|, with A and C functions
+  of (theta, psi) alone, so its refinement runs over (theta, psi) on
+  A + |C| and solves for phi. A and C are read through a table of the
   powers of cos(theta/2) and sin(theta/2), from the state compressed once
   per index to the (n0 + 1)(n1 + 1) weight classes of the qubits where x is
   0 and where it is 1. Neither builds a rotated state.
@@ -189,12 +193,25 @@ _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 
 
+#: a step's four candidate points a * xbar - b * worst, rows (a, b) in scipy's
+#: coefficients: reflection, expansion, outside and inside contraction. scipy
+#: forms the inside one as (1 - psi) xbar + psi worst, the same bits as b = -psi
+_NM_STEPS = np.array([
+    [1 + _NM_RHO, _NM_RHO],
+    [1 + _NM_RHO * _NM_CHI, _NM_RHO * _NM_CHI],
+    [1 + _NM_PSI * _NM_RHO, _NM_PSI * _NM_RHO],
+    [1 - _NM_PSI, -_NM_PSI],
+])[:, :, None, None]
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     """Best vertex ``x`` (S, dim) and value ``fun`` (S,) of every run.
 
-    ``nfev`` counts every point evaluated and ``nit`` every iteration, summed
-    over the runs.
+    ``nfev`` counts the points scipy's Nelder-Mead evaluates on the same path
+    and ``nit`` its iterations, summed over the runs. :func:`minimize` also
+    evaluates each step's candidates that a run does not take, which ``nfev``
+    leaves out.
     """
 
     x: np.ndarray
@@ -203,93 +220,92 @@ class MinimizeResult:
     nit: int
 
 
+def _ordered(sim, fsim, rows):
+    """Each run's simplex (S, dim + 1, dim) and values (S, dim + 1) in np.argsort
+    order; ``rows`` is np.arange(S)."""
+    order = np.argsort(fsim, axis=1)
+    return sim[rows[:, None], order], fsim[rows[:, None], order]
+
+
 def minimize(fun, starts) -> MinimizeResult:
     """Minimise from every start at once; ``fun(run_ids, points)`` gives one value per row.
 
     Row by row this is scipy's non-adaptive Nelder-Mead: the same initial
     simplex, steps and np.argsort ordering. A run stops once its simplex
     and its values each span at most _REFINE_TOL (scipy's xatol and fatol),
-    or at _NM_MAXITER iterations, and is then frozen. Each iteration calls
-    ``fun`` at most three times, on the reflections, on the expansions and
-    contractions, and on the shrinks of the runs still going.
+    or at _NM_MAXITER iterations. Each iteration calls ``fun`` once on all
+    four candidate points of every run still going (reflection, expansion,
+    outside and inside contraction) and picks scipy's branch from the
+    reflection's value; a shrink takes one more call. So a row's value must
+    not depend on the other rows of its call. The runs still going keep
+    their simplices in arrays of their own, and a run's result is written
+    when it stops.
     """
     x0 = np.array(starts, dtype=float)
     runs, dim = x0.shape
-    nfev = 0
-
-    def evaluate(ids, points):
-        nonlocal nfev
-        nfev += len(ids)
-        return np.asarray(fun(ids, points), dtype=float)
-
-    def ordered(sim, fsim):
-        rows = np.arange(len(fsim))[:, None]
-        order = np.argsort(fsim, axis=1)
-        return sim[rows, order], fsim[rows, order]
-
     sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
     for k in range(dim):
         sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + _NM_NONZDELT) * x0[:, k], _NM_ZDELT)
-    fsim = evaluate(np.repeat(np.arange(runs), dim + 1), sim.reshape(-1, dim))
-    fsim = fsim.reshape(runs, dim + 1)
+    fsim = np.asarray(fun(np.repeat(np.arange(runs), dim + 1), sim.reshape(-1, dim)), dtype=float)
+    live = rows = np.arange(runs)
     # scipy sorts the first simplex twice; with ties the second sort may reorder
-    sim, fsim = ordered(*ordered(sim, fsim))
-
-    iters = np.ones(runs, dtype=int)
-    live = np.flatnonzero(iters < _NM_MAXITER)
-    while live.size:
-        s, f = sim[live], fsim[live]
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _REFINE_TOL) & (
-            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _REFINE_TOL
-        )
-        live, s, f = live[~done], s[~done], f[~done]
-        if not live.size:
-            break
-        xbar = np.add.reduce(s[:, :-1], 1) / dim
-        worst = s[:, -1]
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = evaluate(live, xr)
-        expand = fxr < f[:, 0]
-        contract = ~expand & ~(fxr < f[:, -2])
-        outside = contract & (fxr < f[:, -1])
-        xe = (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst
-        xc = (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst
-        xcc = (1 - _NM_PSI) * xbar + _NM_PSI * worst
-        trial = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
-        ftrial = np.full(live.size, np.inf)
-        probe = np.flatnonzero(expand | contract)
-        if probe.size:
-            ftrial[probe] = evaluate(live[probe], trial[probe])
-        take = (
-            (expand & (ftrial < fxr))
-            | (outside & (ftrial <= fxr))
-            | (contract & ~outside & (ftrial < f[:, -1]))
-        )
-        shrink = contract & ~take
-        keep = ~shrink
-        s[keep, -1] = np.where(take[keep, None], trial[keep], xr[keep])
-        f[keep, -1] = np.where(take[keep], ftrial[keep], fxr[keep])
+    sim, fsim = _ordered(*_ordered(sim, fsim.reshape(runs, dim + 1), rows), rows)
+    x, best = np.empty((runs, dim)), np.empty(runs)
+    ids = np.tile(live, 4)
+    nfev, nit = runs * (dim + 1), 0
+    for it in range(1, _NM_MAXITER + 1):
+        # the values are sorted, so their largest spread |f_0 - f_j| is f_dim - f_0
+        done = fsim[:, -1] - fsim[:, 0] <= _REFINE_TOL
+        if it == _NM_MAXITER or np.count_nonzero(done):
+            if it < _NM_MAXITER:
+                done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _REFINE_TOL
+            else:
+                done[:] = True
+            x[live[done]], best[live[done]] = sim[done, 0], fsim[done].min(axis=1)
+            nit += it * int(np.count_nonzero(done))
+            going = ~done
+            live, sim, fsim = live[going], sim[going], fsim[going]
+            if not live.size:
+                break
+            ids, rows = np.tile(live, 4), np.arange(len(live))
+        worst = sim[:, -1].copy()
+        points = _NM_STEPS[:, 0] * (np.add.reduce(sim[:, :-1], 1) / dim) - _NM_STEPS[:, 1] * worst
+        values = np.asarray(fun(ids, points.reshape(-1, dim)), dtype=float).reshape(4, -1)
+        fxr, fxe = values[:2]
+        expand = fxr < fsim[:, 0]
+        reflect = expand | (fxr < fsim[:, -2])
+        outside = fxr < fsim[:, -1]
+        # scipy's branch: 0 reflect, 1 expand, 2 outside and 3 inside contraction
+        step = np.where(reflect, expand & (fxe < fxr), np.where(outside, 2, 3))
+        fnew = values[step, rows]
+        shrink = ~(reflect | np.where(outside, fnew <= fxr, fnew < fsim[:, -1]))
+        nfev += 2 * len(live) + int(np.count_nonzero(expand)) - int(np.count_nonzero(reflect))
+        sim[:, -1], fsim[:, -1] = points[step, rows], fnew
         shrunk = np.flatnonzero(shrink)
         if shrunk.size:
-            best = s[shrunk, :1]
-            s[shrunk, 1:] = best + _NM_SIGMA * (s[shrunk, 1:] - best)
-            f[shrunk, 1:] = evaluate(
-                np.repeat(live[shrunk], dim), s[shrunk, 1:].reshape(-1, dim)
+            # a shrink keeps the worst vertex, and every value it moves is evaluated again
+            sim[shrunk, -1] = worst[shrunk]
+            top = sim[shrunk, :1]
+            sim[shrunk, 1:] = top + _NM_SIGMA * (sim[shrunk, 1:] - top)
+            fsim[shrunk, 1:] = np.asarray(fun(
+                np.repeat(live[shrunk], dim), sim[shrunk, 1:].reshape(-1, dim)), dtype=float
             ).reshape(-1, dim)
-        iters[live] += 1
-        sim[live], fsim[live] = ordered(s, f)
-        live = live[iters[live] < _NM_MAXITER]
-    return MinimizeResult(sim[:, 0].copy(), fsim.min(axis=1), nfev, int(iters.sum()))
+            nfev += dim * len(shrunk)
+        sim, fsim = _ordered(sim, fsim, rows)
+    return MinimizeResult(x, best, nfev, nit)
 
 
 # -- correlation-sum objective ----------------------------------------------------
 
 def _shared_polynomial(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T(o, ..., o) = sum_alpha c_alpha o_1^a1 o_2^a2 o_3^a3 as (c, exponents).
+    """T(o, ..., o) = sum_alpha c_alpha o_1^a1 o_2^a2 o_3^a3 as (c, positions).
 
     c_alpha sums the bloch entries whose indices hold a1 ones, a2 twos and a3
     threes; there are C(n+2, 2) of them. No symmetry of the tensor is assumed.
-    Returns c of shape (K,) and the exponents of shape (3, K).
+    Those that are 0 are dropped: their terms would add only zeros, which no
+    |c~_i| sees (W at n = 8 keeps 3 of 45). Returns the K kept c_alpha and,
+    shape (3, K), where o_j^aj sits in a table of powers whose rows are
+    (power, j) flattened: 3 aj + j.
     """
     n = bloch.ndim
     digits = np.arange(bloch.size)
@@ -301,25 +317,34 @@ def _shared_polynomial(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         digits //= 3
     coef = np.bincount(ones * (n + 1) + twos, weights=bloch.ravel(), minlength=(n + 1) ** 2)
     a2, a3 = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    keep = a2 + a3 <= n
-    return coef[keep], np.stack([n - a2 - a3, a2, a3])[:, keep]
+    keep = (a2 + a3 <= n) & (coef != 0)
+    exps = np.stack([n - a2 - a3, a2, a3])[:, keep]
+    return coef[keep], 3 * exps + np.arange(3)[:, None]
 
 
 def _shared_objective(poly: tuple[np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
     """|c~1|+|c~2|+|c~3| with one (theta, psi, phi) triple on every qubit.
 
     c~_i is the polynomial at row i of the shared SO(3) matrix. Angles of
-    shape (..., 3) give values of shape (...).
+    shape (..., 3) give values of shape (...). Every step runs entry by entry
+    along the angle rows, and c~_i sums its terms in order, so a row's value
+    does not depend on the other rows of the call.
     """
-    coef, exps = poly
-    rows = so3_from_angles(angles)  # rows[..., i, :] is row i of O
-    # powers[..., d] = rows ** d, by repeated products rather than a float pow per entry
-    powers = np.empty(rows.shape + (exps.max() + 1,))
-    powers[..., 0] = 1.0
-    for d in range(1, powers.shape[-1]):
-        powers[..., d] = powers[..., d - 1] * rows
-    terms = powers[..., 0, exps[0]] * powers[..., 1, exps[1]] * powers[..., 2, exps[2]]
-    return np.abs(terms @ coef).sum(axis=-1)
+    coef, positions = poly
+    angles = np.asarray(angles, dtype=float)
+    lead = angles.shape[:-1]
+    # entries[j, i, r] = O[i, j] of angle row r
+    entries = so3_from_angles(angles.reshape(-1, 3)).T
+    # powers[d, j] = entries[j] ** d up to the largest power a term takes, by
+    # repeated products rather than a float pow per entry
+    powers = np.empty((positions.max(initial=0) // 3 + 1,) + entries.shape)
+    powers[0] = 1.0
+    powers[1:2] = entries
+    for d in range(2, len(powers)):
+        np.multiply(powers[d - 1], powers[1], out=powers[d])
+    terms = np.multiply.reduce(powers.reshape(-1, entries[0].size)[positions], axis=0)
+    sums = np.add.reduce(terms * coef[:, None], axis=0).reshape(3, -1)
+    return np.abs(sums).sum(axis=0).reshape(lead)
 
 
 def _proper_polar(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -744,23 +769,33 @@ def _class_coefficients(zeros: int, ones: int):
                                       n - 2 * (w0 + w1)))
 
 
-def _class_terms(block: np.ndarray, bits: np.ndarray, sign: int, angles: np.ndarray):
-    """A and C of the overlap at each (theta, psi), read from the compressed state P^dag rho P.
+def _class_terms(block: np.ndarray, bits: np.ndarray, sign: int):
+    """The function of (theta, psi) giving A and C of the overlap, read from the compressed
+    state P^dag rho P.
 
     ``block`` is rho compressed to the :func:`_class_columns` of ``bits``;
-    angles (R, 2) give A (R,) and C (R,). a_v's and b_v's coordinates
-    (:func:`_class_coefficients`) are read from a table of the powers
-    c^(n-q) s^q, q = 0..n, and take one phase e^(n-2w0-2w1).
+    the function takes angles (R, 2) to A (R,) and C (R,). a_v's and b_v's
+    coordinates (:func:`_class_coefficients`) are read from a table of the
+    powers c^(n-q) s^q, q = 0..n, and take one phase e^(n-2w0-2w1). What does
+    not depend on the angles is formed here, once per index, and every step
+    runs row by row, so a row's A and C do not depend on the other rows.
     """
     n, ones = len(bits), int(bits.sum())
     const_a, const_b, sines, turns = _class_coefficients(n - ones, ones)
-    half = 0.5 * angles
+    # a_v's coordinates then b_v's, as one gather from the table
+    consts, columns = np.concatenate([const_a, const_b]), np.concatenate([sines, n - sines])
     q = np.arange(n + 1)
-    table = np.cos(half[:, :1]) ** (n - q) * np.sin(half[:, :1]) ** q
-    ab = np.stack([const_a * table[:, sines], const_b * table[:, n - sines]], axis=1)
-    ab *= np.exp(1j * half[:, 1:] * turns)[:, None, :]
-    gram = ab.conj() @ block @ np.swapaxes(ab, 1, 2)
-    return 0.5 * (gram[:, 0, 0] + gram[:, 1, 1]).real, sign * gram[:, 0, 1]
+    cosines = n - q
+
+    def terms(angles):
+        half = 0.5 * angles
+        table = np.cos(half[:, :1]) ** cosines * np.sin(half[:, :1]) ** q
+        ab = (consts * table[:, columns]).reshape(len(angles), 2, -1)
+        ab *= np.exp(1j * half[:, 1:] * turns)[:, None, :]
+        gram = ab.conj() @ block @ np.swapaxes(ab, 1, 2)
+        return 0.5 * (gram[:, 0, 0] + gram[:, 1, 1]).real, sign * gram[:, 0, 1]
+
+    return terms
 
 
 def _shared_refinement(state: DenseState, idxs, starts: np.ndarray):
@@ -774,7 +809,7 @@ def _shared_refinement(state: DenseState, idxs, starts: np.ndarray):
     n = state.n
     distinct = list(dict.fromkeys(idxs))
     which = np.array([distinct.index(idx) for idx in idxs])
-    reads = []
+    readers, turns = [], []
     for idx in distinct:
         bits = _ghz_bits(idx)
         ones = int(bits.sum())
@@ -782,17 +817,18 @@ def _shared_refinement(state: DenseState, idxs, starts: np.ndarray):
         # a column entry on an X form at n = 8 and 10, 42 dense and 25 pure
         check_budget(80 * (n - ones + 1) * (ones + 1) * 2**n,
                      f"the weight-class columns of {idx.key}")
-        reads.append((state.sandwich(_class_columns(bits)), bits, idx.sign))
-    turns = [n - 2 * int(bits.sum()) for _, bits, _ in reads]
+        readers.append(_class_terms(state.sandwich(_class_columns(bits)), bits, idx.sign))
+        turns.append(n - 2 * ones)
 
     def profile(k, angles):  # the overlap maximised over phi, and C
-        a, c = _class_terms(*reads[k], angles)
+        a, c = readers[k](angles)
         return a + (np.abs(c) if turns[k] else c.real), c
 
     def fun(ids, points):
         values = np.empty(len(ids))
-        for k in range(len(reads)):
-            rows = which[ids] == k
+        runs_of = which[ids]
+        for k in range(len(readers)):
+            rows = runs_of == k
             if rows.any():
                 values[rows] = -profile(k, points[rows])[0]
         return values

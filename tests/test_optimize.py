@@ -178,6 +178,18 @@ def test_tied_screen_values_seed_in_grid_row_order(monkeypatch):
     assert np.array_equal(seen[0], grid[[0, 7, 33, 64, 90, 3, 41, 120, 0, 1, 2]])
 
 
+def test_shared_search_of_a_zero_tensor_reads_zero():
+    # at n = 1 the ceiling is 3, so a zero Bloch vector is searched; its polynomial
+    # keeps no coefficient once zeros are dropped, and every rotation reads 0
+    mixed = StateFamily.white_noise_mix(StateFamily.dicke(1), 0.0)
+    tensor = correlation_tensor(build_state(mixed, 1))
+    poly = _shared_polynomial(tensor.bloch)
+    assert len(poly[0]) == 0
+    assert np.array_equal(_shared_objective(poly, np.ones((4, 3))), np.zeros(4))
+    _, triple, value = optimise_triple(tensor)
+    assert value == 0.0 and triple.abs_sum == 0.0
+
+
 def test_shared_mode_rejects_asymmetric_tensor():
     for n in (4, 6):
         with pytest.raises(ParameterError):
@@ -513,8 +525,22 @@ SHARED_STATES = [
 ]
 
 
+def assert_runs_match_scipy(res, fun, starts):
+    """Every run of the lockstep result equals scipy's Nelder-Mead from its start, bit for
+    bit, on the run's own objective ``fun(run, x)``; so do the summed counts."""
+    nfev = nit = 0
+    for run, start in enumerate(starts):
+        ref = minimize(lambda x: fun(run, x), start, method="Nelder-Mead", options=NELDER_MEAD)
+        assert np.array_equal(res.x[run], ref.x)
+        assert res.fun[run] == ref.fun
+        nfev, nit = nfev + ref.nfev, nit + ref.nit
+    assert (res.nfev, res.nit) == (nfev, nit)
+
+
 @pytest.mark.parametrize("case", range(len(SHARED_STATES) + 6))
 def test_lockstep_minimize_matches_scipy_on_shared_objective(case, rng):
+    # each iteration evaluates all four candidates of every run in one call, so
+    # a run's path is scipy's only while no row's value depends on its batch
     if case < len(SHARED_STATES):
         family, n = SHARED_STATES[case]
         bloch = correlation_tensor(build_state(family, n)).bloch
@@ -525,13 +551,77 @@ def test_lockstep_minimize_matches_scipy_on_shared_objective(case, rng):
     grid = _shared_grid(6).reshape(-1, 3)
     starts = np.vstack([grid[:1], grid[np.argsort(_shared_objective(poly, grid))[::-1][:8]]])
     res = optimize.minimize(lambda _, x: -_shared_objective(poly, x), starts)
-    serial = np.array([
-        minimize(lambda x: -_shared_objective(poly, x), s, method="Nelder-Mead",
-                 options=NELDER_MEAD).fun
-        for s in starts
-    ])
-    assert np.allclose(res.fun, serial, rtol=0, atol=1e-12)
-    assert res.fun.min() == pytest.approx(serial.min(), abs=1e-14)
+    assert_runs_match_scipy(res, lambda _, x: -_shared_objective(poly, x), starts)
+
+
+def refinement_objective(state, idxs, starts, monkeypatch):
+    """The objective ``fun(run_ids, points)`` that :func:`_shared_refinement` hands to
+    minimize for these runs, and minimize's result."""
+    seen = []
+    real = optimize.minimize
+
+    def recording(fun, starts):
+        seen.append((fun, real(fun, starts)))
+        return seen[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "minimize", recording)
+        _shared_refinement(state, idxs, starts)
+    return seen[0]
+
+
+#: states of the overlap-profile checks: W, Dicke(2) and white-noise mixes
+PROFILE_STATES = [
+    (StateFamily.w(), 4), (StateFamily.dicke(2), 5), (StateFamily.w(), 5),
+    (StateFamily.white_noise_mix(StateFamily.dicke(2), 0.535069), 6),
+    (StateFamily.white_noise_mix(StateFamily.w(), 0.7), 6), (StateFamily.dicke(2), 8),
+]
+
+
+@pytest.mark.parametrize("family, n", PROFILE_STATES)
+def test_lockstep_minimize_matches_scipy_on_overlap_profile(family, n, rng, monkeypatch):
+    # the (theta, psi) refinement of several GHZ indices, two runs each, against
+    # scipy run by run on each run's own profile
+    state = build_state(family, n)
+    idxs = [GHZBasisIndex(n, i, sign) for i, sign in ((0, -1), (1, 1), (2 ** (n // 2) - 1, 1))]
+    idxs = [idx for idx in idxs for _ in range(2)]
+    starts = random_angles(rng, len(idxs))[:, :2]
+    starts[::2] = 0.0
+    fun, res = refinement_objective(state, idxs, starts, monkeypatch)
+    assert_runs_match_scipy(res, lambda run, x: fun(np.array([run]), x[None])[0], starts)
+
+
+def assert_rows_ignore_their_batch(values_of, count, rng):
+    """values_of(rows) gives one value per row index; each row's value alone must equal
+    its value inside shuffled batches of 2 to 200 rows, bit for bit."""
+    alone = np.array([values_of(np.array([r]))[0] for r in range(count)])
+    for size in (2, 3, 4, 7, 8, 9, 31, 33, 64, 132, 200):
+        order = rng.permutation(count)
+        for start in range(0, count, size):
+            rows = order[start:start + size]
+            assert np.array_equal(values_of(rows), alone[rows]), size
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("family", [
+    StateFamily.w(), StateFamily.dicke(2), StateFamily.white_noise_mix(StateFamily.w(), 0.6),
+    StateFamily.white_noise_mix(StateFamily.dicke(2), 0.535069),
+])
+def test_objective_rows_do_not_depend_on_their_batch(family, n, rng, monkeypatch):
+    # minimize evaluates its candidates in batches whose make-up is not scipy's, so
+    # each row must take the same bits alone, as scipy evaluates it, and in any batch
+    state = build_state(family, n)
+    poly = _shared_polynomial(correlation_tensor(state).bloch)
+    angles = random_angles(rng, 200)
+    assert all(_shared_objective(poly, a) == _shared_objective(poly, a[None])[0]
+               for a in angles[:20])
+    assert_rows_ignore_their_batch(lambda rows: _shared_objective(poly, angles[rows]), 200, rng)
+    # the overlap profile, over several indices at once as the refinement runs it
+    idxs = [GHZBasisIndex(n, i, sign) for i, sign in ((0, 1), (1, -1), (2 ** (n // 2) - 1, 1))]
+    fun, _ = refinement_objective(state, idxs, np.zeros((len(idxs), 2)), monkeypatch)
+    runs = rng.integers(len(idxs), size=200)
+    points = angles[:, :2]
+    assert_rows_ignore_their_batch(lambda rows: fun(runs[rows], points[rows]), 200, rng)
 
 
 def serial_best_rotation(b):
@@ -1171,7 +1261,7 @@ def test_compressed_terms_match_product_vector_overlaps(n, form, rng):
         assert np.allclose(cols.T @ cols, np.eye(cols.shape[1]), rtol=0, atol=1e-14)
         block = state.sandwich(cols)
         for sign in (1, -1):
-            a, c = _class_terms(block, bits, sign, angles[:, :2])
+            a, c = _class_terms(block, bits, sign)(angles[:, :2])
             turn = np.exp(-1j * (n - 2 * bits.sum()) * angles[:, 2])
             want = shared_overlaps(state, GHZBasisIndex(n, i, sign), angles)
             assert np.allclose(a + (c * turn).real, want, rtol=0, atol=1e-14)
@@ -1195,7 +1285,7 @@ def test_closed_form_phi_reaches_the_profile(family, n, rng):
         turns = n - 2 * bits.sum()
         block = state.sandwich(_class_columns(bits))
         for theta, psi, _ in random_angles(rng, 2):
-            a, c = _class_terms(block, bits, idx.sign, np.array([[theta, psi]]))
+            a, c = _class_terms(block, bits, idx.sign)(np.array([[theta, psi]]))
             profile = a[0] + (abs(c[0]) if turns else c[0].real)
             phi = np.angle(c[0]) / turns % (2 * np.pi) if turns else 0.0
             grid = np.column_stack([np.full(721, theta), np.full(721, psi), np.append(phis, phi)])

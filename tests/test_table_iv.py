@@ -104,6 +104,23 @@ def test_table_iv_b_values(capsys):
             assert row[distance + "_unc"] == pytest.approx(unc, rel=REL)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_table_iv_b_equals_one_call_per_column(seed, capsys):
+    # the table draws a bootstrapped row's samples once for all four columns; each
+    # column's own call draws the same samples from the same seed
+    rows = []
+    for row in _load_table_data()["genuine"]:
+        pct, err = row["fidelity_pct"]
+        entry = {"state": row["state"], "n": row["n"], "p_max": pct / 100.0}
+        for distance in TABLE_IV_B[row["state"]][2]:
+            report = genuine_bound_with_uncertainty(
+                pct / 100.0, (err or 0.0) / 100.0, DistanceKind(distance), seed=seed)
+            entry[distance], entry[distance + "_unc"] = report.value, report.uncertainty
+        rows.append(entry)
+    assert main(["reproduce", "table-iv-b", "--full-precision", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_table_iv_methods():
     data = _load_table_data()
     for row in data["global_partial"]:
