@@ -115,10 +115,21 @@ def contract_qubit_pairs(rho: np.ndarray, mats, n: int) -> np.ndarray:
 def kron_apply(mats, v: np.ndarray) -> np.ndarray:
     """(mats[0] x ... x mats[n-1]) @ v for a 2^n vector, one 2x2 factor at a time: O(n 2^n).
 
-    Factors of shape (..., 2, 2), the same leading axes for every k, give (..., 2^n)."""
+    Factors of shape (..., 2, 2), the same leading axes for every k, give (..., 2^n).
+    Each qubit is one product over the whole line: the line, read as (2, 2^(n-1)) with
+    that qubit leading, is multiplied by its factor, and the product is written
+    transposed, (2^(n-1), 2), so the next qubit leads and after n steps the qubits are
+    back in order. Two lines per batch row, allocated once, take the steps in turn (a
+    step reads one and writes the other), so a step holds one more 2^n line per batch
+    row than its input: the whole call, two such lines beside v.
+    """
     out = np.asarray(v)
+    mats = [np.asarray(m) for m in mats]
+    shape = np.broadcast_shapes(out.shape[:-1], *(m.shape[:-2] for m in mats)) + out.shape[-1:]
+    lines = [np.empty(shape, np.result_type(out, *mats)) for _ in range(2)]
     for k, m in enumerate(mats):
-        out = np.asarray(m)[..., None, :, :] @ out.reshape(out.shape[:-1] + (2**k, 2, -1))
-        out = out.reshape(out.shape[:-3] + (-1,))
+        line = lines[k % 2]
+        np.matmul(m, out.reshape(out.shape[:-1] + (2, -1)),
+                  out=line.reshape(shape[:-1] + (-1, 2)).swapaxes(-1, -2))
+        out = line
     return out
-

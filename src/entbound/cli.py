@@ -308,7 +308,9 @@ def _cmd_simulate(args) -> None:
     _emit(out, args)
 
 
+@functools.cache
 def _load_table_data() -> dict:
+    """The published Table IV rows, parsed once per process; callers only read them."""
     with resources.files("entbound.data").joinpath("table_iv.json").open() as fh:
         return json.load(fh)
 

@@ -164,8 +164,11 @@ def simulate_measurements(
     diagonal of W rho W^dag, W = (B_j u_1) x ... x (B_j u_n) with B_j the
     basis change of sigma_j. One ``DenseState.lines_under`` call reads all
     three settings from the state's form, the three B_j u_k stacked on a
-    leading axis: O(n 2^n) for a built state, O(4^n) for a matrix from
-    outside, and never a rotated matrix. Each setting's outcomes stay the
+    leading axis: O(n 2^n) for a built state (n products over the whole
+    line per setting), O(4^n) for a matrix from outside, and never a rotated
+    matrix. An outcome of probability zero may read as a rounding residue of
+    the products (below 1e-36 on GHZ's lines at n = 10 and 16), far too small
+    for any shot count to draw. Each setting's outcomes stay the
     integer counts of the multinomial draw, indexed by basis state, until
     the record turns them into its outcome strings and products.
     """

@@ -61,12 +61,16 @@ it meets the bound, the identity is returned with no screen, no
   both modes takes the diagonal and anti-diagonal of u^{xn} rho u^{dag xn}
   from ``DenseState.lines_under``: with u = Rz(phi) Rx(theta) Rz(psi), the
   last Rz(phi)^{xn} keeps the diagonal and only turns each anti-diagonal
-  entry by a phase, so the grid's phis share one read per (theta, psi). The
-  shared refinement compresses the state through ``DenseState.sandwich`` of
-  the d class columns (O(d 2^n) on a pure form, O(d^2 2^n) on an X or mixed
-  one), the per-qubit ascent's start and end values read it against product
-  vectors through the same read, and its steps through
-  ``DenseState.qubit_gram``. A built state never builds rho here.
+  entry by a phase, so the grid's phis share one read per (theta, psi). A
+  read applies u^{xn} with ``_linalg.kron_apply``, one 2x2 product over the
+  whole line per qubit and row: O(n 2^n) a row. The phases take n values
+  per phi on the half of the anti-diagonal that is read, so each is computed
+  once. The shared refinement compresses the state through
+  ``DenseState.sandwich`` of the d class columns (O(d 2^n) on a pure form,
+  O(d^2 2^n) on an X or mixed one), the per-qubit ascent's start and end
+  values read it against product vectors through the same read, and its
+  steps through ``DenseState.qubit_gram``. A built state never builds rho
+  here.
 
 The shared grid is density theta planes of density^2 (psi, phi) rows, the
 identity first; seeds and starts index its rows in that order. Both screens
@@ -691,10 +695,12 @@ def _screen_overlaps(state: DenseState, planes: np.ndarray) -> np.ndarray:
     n, d = state.n, math.isqrt(planes.shape[1])
     diag, anti = state.lines_under([su2_from_angles(planes[:, ::d])] * n)
     half = 2 ** (n - 1)
-    turns = n - 2 * hamming_weights(n)[:half]
     phis = planes[..., 2:].reshape(len(planes), d, d, 1)
-    # ghz_overlaps reads only the anti-diagonal's first half
-    anti = anti[:, :, None, :half] * np.exp(-1j * phis * turns)
+    # a turn n - 2|i| takes only n values on the first half (|i| < n), so each phi's
+    # n phases are computed once and gathered; ghz_overlaps reads only that half
+    phases = np.take(np.exp(-1j * phis * np.arange(n, -n, -2)), hamming_weights(n)[:half],
+                     axis=-1)
+    anti = np.multiply(anti[:, :, None, :half], phases, out=phases)
     return ghz_overlaps(diag[:, :, None], anti).reshape(-1, 2**n)
 
 

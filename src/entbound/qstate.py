@@ -311,10 +311,12 @@ def _lines_under(form: tuple, us: list, anti: bool) -> tuple[np.ndarray, np.ndar
     """``DenseState.lines_under`` of a form; u^ is u with its rows swapped, u~ its columns.
 
     Pure: phi = U psi gives |phi|^2 and phi conj(phi reversed). X, with (x m)
-    one entrywise product m of each qubit's u applied to a line by
-    ``kron_apply``: Re[(x |u|^2) diag + (x u~ conj(u)) anti] and
-    (x u conj(u^)) diag + (x u~ conj(u^)) anti. Mix: q times the inner lines,
-    plus (1 - q)/2^n on the diagonal as U is unitary. Dense: each qubit's row
+    one entrywise product m of each qubit's u applied to a line:
+    Re[(x |u|^2) diag + (x u~ conj(u)) anti] and
+    (x u conj(u^)) diag + (x u~ conj(u^)) anti. Both apply their products with
+    ``kron_apply``, one 2x2 product over the whole line per qubit: O(n 2^n) a
+    line and batch row, holding two 2^n lines per row. Mix: q times the inner
+    lines, plus (1 - q)/2^n on the diagonal as U is unitary. Dense: each qubit's row
     and column axes of rho contracted with u[i, r] conj(u[i, c]), or
     conj(u^[i, c]) for the anti-diagonal.
     """

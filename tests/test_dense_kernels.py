@@ -125,6 +125,25 @@ def test_batched_kron_apply_matches_each_batch_entry(n, rng):
         assert np.allclose(single, kron_all([m[b] for m in mats]) @ v, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["none", "3", "2x3"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kron_apply_is_exact_on_gaussian_integers(n, batch, rng):
+    # entries in {0, +-1, +-i} and small Gaussian-integer vectors keep every partial
+    # sum an exact integer, so any summation order must give the Kronecker product's
+    # values exactly; the X-form bloch block applies such factors to its lines
+    units = np.array([0, 1, -1, 1j, -1j])
+    mats = [units[rng.integers(5, size=batch + (2, 2))] for _ in range(n)]
+    lines = {"one line": rng.integers(-3, 4, 2**n) + 1j * rng.integers(-3, 4, 2**n),
+             "a line per row": rng.integers(-3, 4, batch + (2**n,))
+             + 1j * rng.integers(-3, 4, batch + (2**n,))}
+    for name, v in lines.items():
+        out = kron_apply(mats, v)
+        assert out.shape == batch + (2**n,), name
+        for b in np.ndindex(*batch):
+            want = kron_all([m[b] for m in mats]) @ v[b if v.ndim > 1 else ()]
+            assert np.array_equal(out[b], want), (name, b)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pauli_entries_are_cached_and_read_only(n):
     weights = hamming_weights(n)

@@ -333,6 +333,24 @@ def test_simulate_matches_the_per_setting_reference(rng):
     assert calls >= 300
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_simulate_never_draws_an_outcome_of_zero_probability(n):
+    # the Born lines may hold rounding residues (below 1e-36) where exact arithmetic
+    # cancels to 0; no such outcome may show up in the counts
+    ghz = build_state(StateFamily.ghz(), n)
+    for seed in (1, 2, 3):
+        x, y, z = simulate_measurements(ghz, None, 100_000, seed)
+        assert all(key.count("-") % 2 == 0 for key in x.counts), seed
+        assert set(z.counts) <= {"+" * n, "-" * n}, seed
+        est = counts_to_triple((x, y, z))
+        assert (est.c.c1, est.sigma[0]) == (1.0, 0.0)
+        # all '-' has an even product only at even n
+        assert n % 2 or (est.c.c3, est.sigma[2]) == (1.0, 0.0)
+    if n == 6:
+        z = simulate_measurements(build_state(StateFamily.w(), n), None, 100_000, seed=1)[2]
+        assert all(key.count("-") == 1 for key in z.counts)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_simulated_record_equals_its_dict_record(n, rng):
     state = build_state(StateFamily.white_noise_mix(StateFamily.ghz(), 0.6), n) if n > 1 else \

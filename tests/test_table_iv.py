@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from entbound import cli
 from entbound.cli import _load_table_data, main
 from entbound.estimate import (
     TripleEstimate,
@@ -135,3 +136,16 @@ def test_table_iv_methods():
             kind = DistanceKind(distance)
             report = genuine_bound_with_uncertainty(pct / 100, (err or 0.0) / 100, kind)
             assert report.meta["method"] == method, (row["state"], distance)
+
+
+def test_table_data_is_parsed_once_per_process(monkeypatch, capsys):
+    data = _load_table_data()
+
+    def refuse(*args):
+        raise AssertionError("table_iv.json opened again")
+
+    monkeypatch.setattr(cli.resources, "files", refuse)
+    for table in ("table-iv-a", "table-iv-b"):
+        assert main(["reproduce", table]) == 0
+    capsys.readouterr()
+    assert _load_table_data() is data
