@@ -32,6 +32,7 @@ from .errors import (
     ParameterError,
     SchemaError,
     StateValidityError,
+    _parse_json,
 )
 from .estimate import (
     TripleEstimate,
@@ -147,10 +148,7 @@ def _state_from_args(args):
     else:
         if not args.family or args.n is None:
             raise SchemaError("give --family and --n, or --state-file")
-        try:
-            params = json.loads(args.params) if args.params else {}
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--params is not valid JSON ({exc})") from exc
+        params = _parse_json(args.params, "--params") if args.params else {}
         family = StateFamily.from_json_dict({"family": args.family, "params": params})
         n = args.n
     return build_state(family, n), family, n

@@ -39,10 +39,21 @@ def reading(path):
         raise SchemaError(f"{path}: cannot decode the file ({exc})") from exc
 
 
+def _parse_json(text: str, name: str):
+    """The JSON value of ``text``; text that cannot be parsed is a ``SchemaError``.
+
+    Nesting past the interpreter's recursion limit, and an integer past its digit limit
+    (a ``ValueError``), count as unparseable. ``name`` starts the message.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError(f"{name}: nested too deeply to parse") from None
+    except ValueError as exc:
+        raise SchemaError(f"{name}: not valid JSON ({exc})") from exc
+
+
 def read_json(path):
     """The JSON value in an input file; one that cannot be read or parsed is a ``SchemaError``."""
     with reading(path), open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        return _parse_json(fh.read(), path)

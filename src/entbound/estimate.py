@@ -351,12 +351,12 @@ def _parse_correlation_json(path) -> TripleEstimate:
     if not isinstance(c, list) or len(c) != 3:
         raise SchemaError(f'{path}: field "c" must be a list of 3 numbers, got {c!r}')
     sigma = spec.get("sigma", [0.0, 0.0, 0.0])
-    if not isinstance(sigma, list) or len(sigma) != 3:
+    if not isinstance(sigma, list) or len(sigma) != 3 or any(isinstance(s, bool) for s in sigma):
         raise SchemaError(f'{path}: field "sigma" must be a list of 3 numbers, got {sigma!r}')
     try:
         triple = CorrelationTriple.from_sequence(c)
         return TripleEstimate(triple, tuple(float(s) for s in sigma), n=n)
-    except (ParameterError, TypeError, ValueError) as exc:
+    except (ParameterError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_budget
-from .errors import ParameterError, SchemaError, StateValidityError, read_json
+from ._linalg import GRID_BUDGET, check_budget
+from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
 from .qstate import DenseState
 
 _SUM_TOL = 1e-12
@@ -123,16 +123,22 @@ class GHZDiagonalState:
             raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
         # the (2^(n-1), 2) float spectrum takes 8 * 2^n bytes, and a command holds
         # up to about 6.4 copies of it (the oracle, tracemalloc at n = 12..18):
-        # eight copies are charged to the budget, so n >= 24 is refused
-        check_budget(8 * 8 * 2**n, f"a GHZ spectrum at n={n}")
+        # eight copies are charged to the budget, so n >= 24 is refused; from n = 64
+        # on without forming 2^n, which for an n like 10^12 would not finish
+        what = f"a GHZ spectrum at n={n}"
+        if n >= 64:
+            raise CapacityError(f"{what} takes over 2^70 bytes, above the {GRID_BUDGET >> 20} MiB budget")
+        check_budget(8 * 8 * 2**n, what)
         p = np.zeros((2 ** (n - 1), 2))
         for key, value in entries.items():
             idx = GHZBasisIndex.from_key(str(key))
             if idx.n != n:
                 raise SchemaError(f"key {key!r} has length {idx.n}, expected n={n}")
             try:
+                if isinstance(value, bool):
+                    raise TypeError(f"must be a number, got {value!r}")
                 p[idx.i, 0 if idx.sign > 0 else 1] = float(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f'GHZ spectrum field "p" entry {key!r}: {exc}') from exc
         total = float(p.sum())
         if _SUM_TOL < abs(total - 1) <= _ROUNDED_SUM_TOL:

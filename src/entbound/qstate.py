@@ -4,29 +4,19 @@ Density matrices for the reference families (GHZ, W, Dicke, cluster,
 Wei, Smolin, four-qubit singlet), triple-correlation states built from a
 correlation triple, and white-noise mixtures.
 
-A ``DenseState`` is its form, a private tuple that only this module unpacks:
-``("pure", psi)`` for GHZ, W, Dicke, both clusters and the singlet
-(``from_vector``), ``("x", diag, anti)`` for the triple-correlation, Smolin
-and Wei states (``_x_state``), ``("mix", q, inner)`` for
-q inner + (1 - q) I/2^n, inner being any form, and ``("dense", rho)`` for a
-matrix from outside the package, which gets the full dense check. A built
-state is valid by construction and carries an O(2^n) certificate instead: a
-pure state is the projector of a vector whose squared norm is 1, an X matrix
-is checked block by block, and a white-noise mix of a built state with q in
-[0, 1] is a convex combination.
-
-Every read answers from the form. ``DenseState.lines``,
-``DenseState.purity`` and ``DenseState.top_eigenvalue`` cost O(2^n) on a
-built state; ``DenseState.lines_under`` reads the diagonal or both lines of
-U rho U^dag for a product unitary U in O(n 2^n), or O(4^n) on a dense form;
-``sandwich`` gives V^dag rho V for m vectors in O(m 2^n), and ``qubit_gram``
-the same for the 2m vectors h x |c> x t around one qubit, from the h and t
-alone; ``bloch`` gives the (3,)^n correlation block. Of the commands only
-``state --dense`` reads a built state's ``rho`` (made on the first read, then
-cached); the tests' dense references read it too.
-States go up to ``_linalg.QUBIT_CAP`` qubits. ``rho``, ``bloch`` and the dense
-export charge their working sets to ``_linalg.GRID_BUDGET`` (``check_budget``),
-which admits them up to n = 12, 13 and 10.
+A ``DenseState`` holds one form and hands every read to it. Each form is a
+private class with the same eight reads (``matrix``, ``lines``, ``lines_under``,
+``sandwich``, ``qubit_gram``, ``bloch``, ``purity``, ``top_eigenvalue``):
+``_PureForm`` holds a state vector (GHZ, W, Dicke, both clusters, the singlet),
+``_XForm`` the two lines of an X matrix (triple-correlation, Smolin, Wei),
+``_MixForm`` q inner + (1 - q) I/2^n of any form, and ``_DenseForm`` a matrix
+from outside the package, which gets the full dense check. A built state
+carries an O(2^n) certificate instead and answers every read but ``rho``
+without its 2^n x 2^n matrix. Of the commands only ``state --dense`` reads
+``rho`` (made on the first read, then cached); the tests' dense references
+read it too. States go up to ``_linalg.QUBIT_CAP`` qubits. ``rho``, ``bloch``
+and the dense export charge their working sets to ``_linalg.GRID_BUDGET``
+(``check_budget``), which admits them up to n = 12, 13 and 10.
 """
 
 from __future__ import annotations
@@ -62,10 +52,12 @@ _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-9
 _TRIPLE_TOL = 1e-12
 
-#: Passed to ``DenseState`` only by ``from_vector``, ``_x_state`` and the
-#: white-noise mix, whose forms are valid by construction; it skips the dense
-#: checks, and the matrix waits for its first read.
+#: Passed to ``DenseState`` only with a form the package's builders certified;
+#: it skips the dense checks, and the matrix waits for its first read.
 _CERTIFIED = object()
+
+#: sigma_1..3 transposed: Tr(rho sigma) pairs row r of rho with column r of sigma
+_PAULIS_T = SIGMA_STACK[1:].transpose(0, 2, 1)
 
 
 def _check_qubits(n: int) -> None:
@@ -103,7 +95,12 @@ class CorrelationTriple:
         c = list(c)
         if len(c) != 3:
             raise ParameterError(f"a correlation triple needs 3 entries, got {len(c)}")
-        return cls(float(c[0]), float(c[1]), float(c[2]))
+        if any(isinstance(value, bool) for value in c):
+            raise ParameterError(f"a correlation triple needs numbers, got {c!r}")
+        try:
+            return cls(*map(float, c))
+        except OverflowError as exc:  # an integer past the float range
+            raise ParameterError(f"a correlation triple needs finite entries ({exc})") from None
 
 
 def _clears_psd_screen(rho: np.ndarray) -> bool:
@@ -128,14 +125,13 @@ class DenseState:
     Qubit 0 is the leftmost tensor factor and the computational basis is
     binary ordered. ``DenseState(n, rho)`` checks shape, finiteness,
     hermiticity, trace and (up to ``_PSD_CHECK_MAX_DIM``) positivity, then
-    keeps ``rho`` read-only as a dense form. The package's own builders prove
-    their states valid in O(2^n), skip those checks and pass the state's form
-    (see the module docstring) as ``_form``; ``rho`` is then built on its
-    first read (of the commands, only ``state --dense`` reads it), frozen and
-    cached.
+    keeps ``rho`` read-only in a ``_DenseForm``. The package's builders pass a
+    form they certified, with ``_CERTIFIED``, and no matrix; ``rho`` is then
+    built on its first read, frozen and cached. Every other read delegates to
+    the form (see the module docstring).
     """
 
-    def __init__(self, n: int, rho, _certificate=None, _form: tuple | None = None):
+    def __init__(self, n: int, rho, _certificate=None, _form=None):
         if n < 1:
             raise ParameterError(f"qubit count must be positive, got {n}")
         object.__setattr__(self, "n", n)
@@ -162,7 +158,7 @@ class DenseState:
                 raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
         rho.flags.writeable = False
         object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "_form", ("dense", rho))
+        object.__setattr__(self, "_form", _DenseForm(rho))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DenseState is immutable; cannot set {name!r}")
@@ -176,17 +172,14 @@ class DenseState:
         """The read-only 2^n x 2^n matrix; a built state makes it here, once."""
         if self._rho is None:
             check_budget(16 * self.dim**2, f"the dense matrix at n={self.n}")
-            rho = _matrix_from_form(self._form, self.dim)
+            rho = self._form.matrix()
             rho.flags.writeable = False
             object.__setattr__(self, "_rho", rho)
         return self._rho
 
     def lines(self) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal rho[i, i] and the anti-diagonal rho[i, 2^n - 1 - i].
-
-        Bit for bit the entries of ``rho``, read from the form in O(2^n).
-        """
-        return _lines_from_form(self._form, self.dim)
+        """The diagonal rho[i, i] and the anti-diagonal rho[i, 2^n - 1 - i], bit for bit."""
+        return self._form.lines()
 
     def lines_under(self, us, anti: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """The real diagonal and the anti-diagonal (None unless ``anti``) of U rho U^dag.
@@ -195,44 +188,37 @@ class DenseState:
         leading axes on every qubit, give lines of shape (..., 2^n), so one
         call serves several settings: ``simulate_measurements`` stacks its
         three basis changes on a leading axis of length 3."""
-        return _lines_under(self._form, list(us), anti)
+        return self._form.lines_under(list(us), anti)
 
     def sandwich(self, vs) -> np.ndarray:
-        """V^dag rho V for the columns of V: vs of shape (..., 2^n, m) gives (..., m, m).
-
-        A Gram matrix of the vectors under rho, read from the form: O(m 2^n)
-        on a built state, one matrix product on a dense form."""
-        return _sandwich(self._form, np.asarray(vs))
+        """V^dag rho V for the columns of V: vs of shape (..., 2^n, m) gives (..., m, m)."""
+        return self._form.sandwich(np.asarray(vs))
 
     def qubit_gram(self, heads, tails) -> np.ndarray:
         """The Gram matrix under rho of the 2m vectors h_e x |c> x t_e, c on qubit k.
 
         heads (..., m, 2^k) and tails (..., m, 2^(n-k-1)) give (..., m, 2, m, 2),
         entry [e, c, f, d] = <h_e c t_e| rho |h_f d t_f>: ``sandwich`` of those
-        vectors, read without building them on a built state, in O(m 2^n) on a
-        pure or mixed form and O(m^2 2^n) on an X form; one matrix product on a
-        dense form."""
-        return _qubit_gram(self._form, np.asarray(heads), np.asarray(tails))
+        vectors, which a built state reads without building them."""
+        return self._form.qubit_gram(np.asarray(heads), np.asarray(tails))
 
     def bloch(self) -> np.ndarray:
-        """The complex (3,)^n block Tr(rho sigma_{i_1} x ... x sigma_{i_n}), read from the form."""
+        """The complex (3,)^n block Tr(rho sigma_{i_1} x ... x sigma_{i_n})."""
         check_budget(_BLOCK_ENTRY_BYTES * 3**self.n + _BLOCK_FIXED_BYTES,
                      f"the correlation block at n={self.n}")
-        return _bloch_from_form(self._form, self.n)
+        return self._form.bloch(self.n)
 
     def purity(self) -> float:
-        """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho; O(2^n) on a built state."""
-        return float(_purity_from_form(self._form, self.dim))
+        """tr rho^2, the sum of |rho_ij|^2 for Hermitian rho."""
+        return float(self._form.purity())
 
     def top_eigenvalue(self) -> float:
-        """An upper bound on rho's largest eigenvalue, read from the form without an eigensolve.
+        """An upper bound on rho's largest eigenvalue, without an eigensolve.
 
-        Exact on a built state, in O(2^n): the squared norm of a pure form's
-        vector, the largest eigenvalue of an X matrix's 2x2 blocks, or
-        q lambda + (1 - q)/2^n for a white-noise mix. On a dense form it is 1,
-        the trace, which bounds every eigenvalue of a density matrix.
+        Exact on a built state; on a dense form it is 1, the trace, which
+        bounds every eigenvalue of a density matrix.
         """
-        return float(_top_eigenvalue_from_form(self._form, self.dim))
+        return float(self._form.top_eigenvalue())
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DenseState":
@@ -249,7 +235,7 @@ class DenseState:
         unit = psi / np.linalg.norm(psi)
         if abs(np.vdot(unit, unit) - 1) <= _TRACE_TOL:
             unit.flags.writeable = False
-            return cls(n, None, _CERTIFIED, ("pure", unit))
+            return cls(n, None, _CERTIFIED, _PureForm(unit))
         return cls(n, np.outer(unit, unit.conj()))
 
     def export_row_major(self) -> list:
@@ -264,224 +250,261 @@ class DenseState:
         return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _matrix_from_form(form: tuple, dim: int) -> np.ndarray:
-    """The dense matrix of a built state's form, with the operations that define it.
+# -- forms: one class each, with the same eight reads -------------------------------
+# ~r = 2^n - 1 - r; u^ is u with its rows swapped, u~ with its columns swapped.
 
-    Pure: the projector ``np.outer(psi, psi.conj())``. X matrix: zeros with
-    ``diag`` on the diagonal and ``anti[i]`` at (dim-1-i, i). Mix: q inner plus
-    (1 - q)/dim on the diagonal, with ``+= 0.0`` turning -0.0 into 0.0 as adding
-    the identity's zeros would.
-    """
-    kind, *parts = form
-    if kind == "pure":
-        return np.outer(parts[0], parts[0].conj())
-    if kind == "x":
-        idx = np.arange(dim)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[idx, idx] = parts[0]
-        rho[dim - 1 - idx, idx] = parts[1]
-        return rho
-    q, inner = parts
-    rho = _matrix_from_form(inner, dim)
-    rho *= q
-    rho += 0.0
-    rho.reshape(-1)[:: dim + 1] += (1 - q) / dim
-    return rho
+class _PureForm:
+    """The projector onto ``psi``; a squared norm of 1 certifies it (``from_vector``)."""
 
+    def __init__(self, psi: np.ndarray):
+        self.psi, self.dim = psi, psi.size
 
-def _lines_from_form(form: tuple, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and anti-diagonal of ``_matrix_from_form(form, dim)``, same operations."""
-    kind, *parts = form
-    if kind == "pure":
-        conj = parts[0].conj()
-        return parts[0] * conj, parts[0] * conj[::-1]
-    if kind == "x":
-        return parts[0], parts[1][::-1]
-    if kind == "dense":
-        return np.diagonal(parts[0]), np.diagonal(parts[0][:, ::-1])
-    q, inner = parts
-    diag, anti = (q * line for line in _lines_from_form(inner, dim))
-    diag += 0.0
-    anti += 0.0
-    diag += (1 - q) / dim
-    return diag, anti
+    def matrix(self) -> np.ndarray:
+        return np.outer(self.psi, self.psi.conj())
 
+    def lines(self):
+        conj = self.psi.conj()
+        return self.psi * conj, self.psi * conj[::-1]
 
-def _lines_under(form: tuple, us: list, anti: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``DenseState.lines_under`` of a form; u^ is u with its rows swapped, u~ its columns.
-
-    Pure: phi = U psi gives |phi|^2 and phi conj(phi reversed). X, with (x m)
-    one entrywise product m of each qubit's u applied to a line:
-    Re[(x |u|^2) diag + (x u~ conj(u)) anti] and
-    (x u conj(u^)) diag + (x u~ conj(u^)) anti. Both apply their products with
-    ``kron_apply``, one 2x2 product over the whole line per qubit: O(n 2^n) a
-    line and batch row, holding two 2^n lines per row. Mix: q times the inner
-    lines, plus (1 - q)/2^n on the diagonal as U is unitary. Dense: each qubit's row
-    and column axes of rho contracted with u[i, r] conj(u[i, c]), or
-    conj(u^[i, c]) for the anti-diagonal.
-    """
-    kind, *parts = form
-    if kind == "pure":
-        phi = kron_apply(us, parts[0])
+    def lines_under(self, us: list, anti: bool):
+        phi = kron_apply(us, self.psi)
         return phi.real**2 + phi.imag**2, phi * phi[..., ::-1].conj() if anti else None
-    swapped = [u[..., ::-1, :] for u in us]
-    if kind == "x":
-        diag, off = parts
+
+    def sandwich(self, vs: np.ndarray) -> np.ndarray:
+        a = self.psi.conj() @ vs
+        return a.conj()[..., :, None] * a[..., None, :]
+
+    def qubit_gram(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """a_ec = <psi|h_e c t_e>: conj(psi) as (2^k, 2, J) with h_e, then with t_e."""
+        rows, cols = heads.shape[-1], tails.shape[-1]
+        a = heads @ self.psi.conj().reshape(rows, -1)
+        a = (a.reshape(a.shape[:-1] + (2, cols)) @ tails[..., None])[..., 0]
+        return a.conj()[..., :, :, None, None] * a[..., None, None, :, :]
+
+    def bloch(self, n: int) -> np.ndarray:
+        """psi as a 2^k x 2^(n-k) matrix P, k the fewest leading qubits keeping
+        N_a = P^T sigma_a^T conj(P) within CHUNK_ENTRIES; each string a leaves N_a,
+        contracted as rho is (summed over outer products, N is rho at k = 0, bit for bit)."""
+        k = max(0, n - (CHUNK_ENTRIES.bit_length() - 1) // 2)
+        p, rows = self.psi.reshape(2**k, -1), []
+        for string in itertools.product(_PAULIS_T, repeat=k):
+            y = kron_all(string) @ p.conj()
+            n_a = np.multiply.outer(p[0], y[0])
+            for pr, yr in zip(p[1:], y[1:]):
+                n_a += np.multiply.outer(pr, yr)
+            rows.append(contract_qubit_pairs(n_a, [_PAULIS_T] * (n - k), n - k))
+        return np.reshape(rows, (3,) * n)
+
+    def purity(self) -> float:
+        norm2 = np.vdot(self.psi, self.psi).real
+        return norm2 * norm2
+
+    def top_eigenvalue(self) -> float:
+        return np.vdot(self.psi, self.psi).real
+
+
+def _x_blocks(diag: np.ndarray, anti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius of each 2x2 block (i, 2^n-1-i), i in the first half.
+
+    A Hermitian block [[d_i, conj(a_i)], [a_i, d_~i]] has the eigenvalues
+    (d_i + d_~i)/2 -/+ hypot((d_i - d_~i)/2, |a_i|).
+    """
+    half = diag.size // 2
+    top, bottom = diag.real[:half], diag.real[::-1][:half]
+    return (top + bottom) / 2, np.hypot((top - bottom) / 2, np.abs(anti[:half]))
+
+
+def _check_x_matrix(diag: np.ndarray, anti: np.ndarray) -> None:
+    """Validity of the X matrix with diagonal ``diag`` and ``anti[i]`` at (2^n-1-i, i).
+
+    The matrix splits into 2x2 blocks on the index pairs (i, 2^n-1-i), so it
+    is Hermitian when diag is real and anti[~i] = conj(anti[i]), and PSD when
+    every block's smaller eigenvalue is; each check costs O(2^n). Raises
+    ``StateValidityError`` with the messages of the dense checks.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf
+        herm = max(np.max(np.abs(diag - diag.conj())), np.max(np.abs(anti - anti[::-1].conj())))
+    if not np.isfinite(herm):
+        raise StateValidityError("matrix entries must be finite")
+    if herm > _HERMITICITY_TOL:
+        raise StateValidityError(f"matrix is not Hermitian: residue {herm:.3e}")
+    tr = np.sum(diag)
+    if abs(tr - 1) > _TRACE_TOL:
+        raise StateValidityError(f"trace is {tr}, expected 1")
+    centre, radius = _x_blocks(diag, anti)
+    lo = float(np.min(centre - radius))
+    if lo < _EIGENVALUE_FLOOR:
+        raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
+
+
+class _XForm:
+    """The X matrix with ``diag`` on its diagonal and ``anti[i]`` at (~i, i).
+
+    Constructing one certifies it with ``_check_x_matrix`` and freezes both lines.
+    """
+
+    def __init__(self, diag: np.ndarray, anti: np.ndarray):
+        _check_x_matrix(diag, anti)
+        diag.flags.writeable = False
+        anti.flags.writeable = False
+        self.diag, self.anti, self.dim = diag, anti, diag.size
+
+    def matrix(self) -> np.ndarray:
+        idx = np.arange(self.dim)
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho[idx, idx] = self.diag
+        rho[self.dim - 1 - idx, idx] = self.anti
+        return rho
+
+    def lines(self):
+        return self.diag, self.anti[::-1]
+
+    def lines_under(self, us: list, anti: bool):
+        """With (x m) each qubit's entrywise product m applied to a line by ``kron_apply``:
+        Re[(x |u|^2) diag + (x u~ conj(u)) anti] and (x u conj(u^)) diag + (x u~ conj(u^)) anti."""
+        diag, off = self.diag, self.anti
+        swapped = [u[..., ::-1, :] for u in us]
         flips = [u[..., ::-1] * u.conj() for u in us]
         born = np.real(kron_apply([np.abs(u) ** 2 for u in us], diag) + kron_apply(flips, off))
         return born, (kron_apply([u * s.conj() for u, s in zip(us, swapped)], diag)
                       + kron_apply([u[..., ::-1] * s.conj() for u, s in zip(us, swapped)], off)
                       ) if anti else None
-    if kind == "dense":
-        n, lines = len(us), []
-        for rows in [us, swapped][: 1 + anti]:
-            mats = [np.reshape(u[..., None] * r.conj()[..., None, :], (-1, 2, 2, 2))
-                    for u, r in zip(us, rows)]
-            # per unitary: 4^n entries after the first step, and a transposed copy
-            line = np.empty((len(mats[0]), 2**n), dtype=complex)
-            for chunk in chunks(len(line), 4 ** (n + 1)):
-                line[chunk] = contract_qubit_pairs(parts[0], [m[chunk] for m in mats], n).reshape(
-                    -1, 2**n)
-            lines.append(line.reshape(np.shape(us[0])[:-2] + (-1,)))
-        return np.real(lines[0]), lines[1] if anti else None
-    q, inner = parts
-    born, line = _lines_under(inner, us, anti)
-    return q * born + (1 - q) / 2 ** len(us), q * line if anti else None
 
+    def sandwich(self, vs: np.ndarray) -> np.ndarray:
+        rho_v = self.diag[:, None] * vs + self.anti[::-1, None] * vs[..., ::-1, :]
+        return np.swapaxes(vs.conj(), -1, -2) @ rho_v
 
-def _sandwich(form: tuple, vs: np.ndarray) -> np.ndarray:
-    """``DenseState.sandwich`` of a form.
-
-    Pure: a = psi^dag V gives conj(a)^T a. X: (rho v)[r] = diag[r] v[r] +
-    anti[~r] v[~r], ~r = 2^n - 1 - r. Mix: q times the inner Gram matrix plus
-    (1 - q)/2^n V^dag V. Dense: rho times every column of the batch in one
-    matrix product. X and dense then take V^dag (rho V).
-    """
-    kind, *parts = form
-    if kind == "pure":
-        a = parts[0].conj() @ vs
-        return a.conj()[..., :, None] * a[..., None, :]
-    adjoint = np.swapaxes(vs.conj(), -1, -2)
-    if kind == "mix":
-        q, inner = parts
-        return q * _sandwich(inner, vs) + (1 - q) / vs.shape[-2] * (adjoint @ vs)
-    if kind == "x":
-        diag, anti = parts
-        rho_v = diag[:, None] * vs + anti[::-1, None] * vs[..., ::-1, :]
-    else:
-        cols = np.moveaxis(vs, -2, 0)
-        rho_v = np.moveaxis((parts[0] @ cols.reshape(len(cols), -1)).reshape(cols.shape), 0, -2)
-    return adjoint @ rho_v
-
-
-def _qubit_gram(form: tuple, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """``DenseState.qubit_gram`` of a form; v_ec = h_e x |c> x t_e, J = 2^(n-k-1).
-
-    Pure: a_ec = <psi|v_ec> contracts conj(psi) as (2^k, 2, J) with h_e, then
-    with t_e, one stacked product per run, and gives conj(a_ec) a_fd. Mix: q
-    times the inner block plus (1 - q)/2^n <v_ec|v_fd> = (h_e^dag h_f)
-    delta_cd (t_e^dag t_f). X: rho[r, r] = diag[r] keeps c = d and
-    rho[r, ~r] = anti[~r] flips c, so each line is contracted with
-    conj(h_e) h_f and conj(t_e) t_f, read straight for the diagonal and
-    reversed (h_f[~i], t_f[~j]) for the anti-diagonal. Dense: ``_sandwich`` of
-    the 2m vectors.
-    """
-    kind, *parts = form
-    m, rows, cols = heads.shape[-2], heads.shape[-1], tails.shape[-1]
-    if kind == "pure":
-        a = heads @ parts[0].conj().reshape(rows, -1)
-        a = (a.reshape(a.shape[:-1] + (2, cols)) @ tails[..., None])[..., 0]
-        return a.conj()[..., :, :, None, None] * a[..., None, None, :, :]
-    if kind == "mix":
-        q, inner = parts
-        overlap = (heads.conj() @ np.swapaxes(heads, -1, -2)) * (
-            tails.conj() @ np.swapaxes(tails, -1, -2))
-        return (q * _qubit_gram(inner, heads, tails)
-                + (1 - q) / (2 * rows * cols) * np.einsum("...ef,cd->...ecfd", overlap, np.eye(2)))
-    if kind == "x":
-        diag, anti = parts
+    def qubit_gram(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """rho[r, r] = diag[r] keeps c = d and rho[r, ~r] = anti[~r] flips c: each line is
+        contracted with conj(h_e) h_f and conj(t_e) t_f, reversing h_f and t_f for anti."""
+        rows, cols = heads.shape[-1], tails.shape[-1]
         gram = 0
-        for line, turn, flip in ((diag, np.eye(2), slice(None)),
-                                 (anti[::-1], np.eye(2)[::-1], slice(None, None, -1))):
+        for line, turn, flip in ((self.diag, np.eye(2), slice(None)),
+                                 (self.anti[::-1], np.eye(2)[::-1], slice(None, None, -1))):
             h = heads.conj()[..., :, None, :] * heads[..., None, :, flip]
             t = tails.conj()[..., :, None, :] * tails[..., None, :, flip]
             part = h @ line.reshape(rows, -1)  # (..., m, m, 2 J)
             part = (part.reshape(part.shape[:-1] + (2, cols)) @ t[..., None])[..., 0]
             gram = gram + np.einsum("...efc,cd->...ecfd", part, turn)
         return gram
-    batch = heads.shape[:-2]
-    vecs = np.zeros(batch + (rows, 2, cols, m, 2), dtype=np.result_type(heads, tails, float))
-    # h_e[i] t_e[j] in the c = d slots, zero elsewhere: the einsum of h, t and the
-    # identity bit for bit, as einsum's complex product may round unlike np.multiply's
-    products = np.einsum("...ei,...ej->...ije", heads, tails)
-    for c in range(2):
-        vecs[..., :, c, :, :, c] = products
-    return _sandwich(form, vecs.reshape(batch + (-1, 2 * m))).reshape(batch + (m, 2, m, 2))
 
-
-def _bloch_from_form(form: tuple, n: int) -> np.ndarray:
-    """``DenseState.bloch`` of a form; Tr(rho sigma) pairs row r of rho with column r of sigma.
-
-    Dense: rho's qubit axes contracted with sigma^T. Pure: psi as a 2^k x 2^(n-k) matrix
-    P, k the fewest leading qubits keeping N_a = P^T sigma_a^T conj(P) within CHUNK_ENTRIES;
-    each string a leaves N_a, contracted as rho is (summed over outer products, N is rho
-    at k = 0, bit for bit). X: sigma_3^{xn} from row (1, -1) on the diagonal, {sigma_1,
-    sigma_2}^{xn} from rows (1, 1) and (i, -i) on rho[r, ~r], all else 0, summed as the
-    dense contraction sums. Mix: q times the inner block (white noise has none).
-    """
-    kind, *parts = form
-    paulis = SIGMA_STACK[1:].transpose(0, 2, 1)
-    if kind == "dense":
-        return contract_qubit_pairs(parts[0], [paulis] * n, n)
-    if kind == "mix":
-        return parts[0] * _bloch_from_form(parts[1], n)
-    if kind == "x":
-        diag, anti = _lines_from_form(form, 2**n)
+    def bloch(self, n: int) -> np.ndarray:
+        """sigma_3^{xn} from row (1, -1) on the diagonal, {sigma_1, sigma_2}^{xn} from rows
+        (1, 1) and (i, -i) on rho[r, ~r], all else 0, summed as the dense contraction sums."""
+        diag, anti = self.lines()
         block = np.zeros((3,) * n, dtype=complex)
         block[(slice(2),) * n] = kron_apply([[[1, 1], [1j, -1j]]] * n, anti).reshape((2,) * n)
         block[(2,) * n] = kron_apply([[[1, 1], [1, -1]]] * n, diag)[-1]
         return block
-    k = max(0, n - (CHUNK_ENTRIES.bit_length() - 1) // 2)
-    p, rows = parts[0].reshape(2**k, -1), []
-    for string in itertools.product(paulis, repeat=k):
-        y = kron_all(string) @ p.conj()
-        n_a = np.multiply.outer(p[0], y[0])
-        for pr, yr in zip(p[1:], y[1:]):
-            n_a += np.multiply.outer(pr, yr)
-        rows.append(contract_qubit_pairs(n_a, [paulis] * (n - k), n - k))
-    return np.reshape(rows, (3,) * n)
 
+    def purity(self) -> float:
+        return np.vdot(self.diag, self.diag).real + np.vdot(self.anti, self.anti).real
 
-def _purity_from_form(form: tuple, dim: int) -> float:
-    """tr rho^2: |psi|^4, |diag|^2 + |anti|^2, the sum of |rho_ij|^2 of a dense
-    matrix, or for a mix q^2 P + 2q(1 - q)/dim + (1 - q)^2/dim = q^2 P + (1 - q^2)/dim
-    (tr inner = 1)."""
-    kind, *parts = form
-    if kind == "pure":
-        norm2 = np.vdot(parts[0], parts[0]).real
-        return norm2 * norm2
-    if kind == "x":
-        return np.vdot(parts[0], parts[0]).real + np.vdot(parts[1], parts[1]).real
-    if kind == "dense":
-        return np.vdot(parts[0], parts[0]).real
-    q, inner = parts
-    return q * q * _purity_from_form(inner, dim) + (1 - q * q) / dim
-
-
-def _top_eigenvalue_from_form(form: tuple, dim: int) -> float:
-    """``DenseState.top_eigenvalue`` of a form: |psi|^2, the top of the X blocks'
-    centre + radius (``_x_blocks``), 1 for a dense matrix, or for a mix
-    q lambda_inner + (1 - q)/dim, white noise shifting every eigenvalue alike."""
-    kind, *parts = form
-    if kind == "pure":
-        return np.vdot(parts[0], parts[0]).real
-    if kind == "x":
-        centre, radius = _x_blocks(*parts)
+    def top_eigenvalue(self) -> float:
+        centre, radius = _x_blocks(self.diag, self.anti)
         return np.max(centre + radius)
-    if kind == "dense":
-        return 1.0
-    q, inner = parts
-    return q * _top_eigenvalue_from_form(inner, dim) + (1 - q) / dim
+
+
+class _MixForm:
+    """q inner + (1 - q) I/2^n, a convex combination for q in [0, 1]: each read is q
+    times the inner form's plus the white noise's."""
+
+    def __init__(self, q: float, inner):
+        self.q, self.inner, self.dim = q, inner, inner.dim
+
+    def matrix(self) -> np.ndarray:
+        """``+= 0.0`` turns -0.0 into 0.0 as adding the identity's zeros would."""
+        rho = self.inner.matrix()
+        rho *= self.q
+        rho += 0.0
+        rho.reshape(-1)[:: self.dim + 1] += (1 - self.q) / self.dim
+        return rho
+
+    def lines(self):
+        diag, anti = (self.q * line for line in self.inner.lines())
+        diag += 0.0
+        anti += 0.0
+        diag += (1 - self.q) / self.dim
+        return diag, anti
+
+    def lines_under(self, us: list, anti: bool):
+        born, line = self.inner.lines_under(us, anti)
+        return self.q * born + (1 - self.q) / self.dim, self.q * line if anti else None
+
+    def sandwich(self, vs: np.ndarray) -> np.ndarray:
+        noise = np.swapaxes(vs.conj(), -1, -2) @ vs
+        return self.q * self.inner.sandwich(vs) + (1 - self.q) / self.dim * noise
+
+    def qubit_gram(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        # the noise's <v_ec|v_fd> = (h_e^dag h_f) delta_cd (t_e^dag t_f)
+        overlap = (heads.conj() @ np.swapaxes(heads, -1, -2)) * (
+            tails.conj() @ np.swapaxes(tails, -1, -2))
+        return (self.q * self.inner.qubit_gram(heads, tails)
+                + (1 - self.q) / self.dim * np.einsum("...ef,cd->...ecfd", overlap, np.eye(2)))
+
+    def bloch(self, n: int) -> np.ndarray:
+        return self.q * self.inner.bloch(n)
+
+    def purity(self) -> float:  # q^2 P + 2q(1 - q)/2^n + (1 - q)^2/2^n
+        return self.q * self.q * self.inner.purity() + (1 - self.q * self.q) / self.dim
+
+    def top_eigenvalue(self) -> float:
+        return self.q * self.inner.top_eigenvalue() + (1 - self.q) / self.dim
+
+
+class _DenseForm:
+    """A checked matrix ``rho`` from outside the package, read by dense contractions."""
+
+    def __init__(self, rho: np.ndarray):
+        self.rho, self.dim = rho, len(rho)
+
+    def matrix(self) -> np.ndarray:
+        return self.rho.copy()
+
+    def lines(self):
+        return np.diagonal(self.rho), np.diagonal(self.rho[:, ::-1])
+
+    def lines_under(self, us: list, anti: bool):
+        """Each qubit's axes of rho contracted with u[i, r] conj(u[i, c]), or conj(u^[i, c])."""
+        n, lines = len(us), []
+        swapped = [u[..., ::-1, :] for u in us]
+        for rows in [us, swapped][: 1 + anti]:
+            mats = [np.reshape(u[..., None] * r.conj()[..., None, :], (-1, 2, 2, 2))
+                    for u, r in zip(us, rows)]
+            # per unitary: 4^n entries after the first step, and a transposed copy
+            line = np.empty((len(mats[0]), 2**n), dtype=complex)
+            for chunk in chunks(len(line), 4 ** (n + 1)):
+                line[chunk] = contract_qubit_pairs(self.rho, [m[chunk] for m in mats], n).reshape(
+                    -1, 2**n)
+            lines.append(line.reshape(np.shape(us[0])[:-2] + (-1,)))
+        return np.real(lines[0]), lines[1] if anti else None
+
+    def sandwich(self, vs: np.ndarray) -> np.ndarray:
+        cols = np.moveaxis(vs, -2, 0)
+        rho_v = np.moveaxis((self.rho @ cols.reshape(len(cols), -1)).reshape(cols.shape), 0, -2)
+        return np.swapaxes(vs.conj(), -1, -2) @ rho_v
+
+    def qubit_gram(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        batch, m = heads.shape[:-2], heads.shape[-2]
+        vecs = np.zeros(batch + (heads.shape[-1], 2, tails.shape[-1], m, 2),
+                        dtype=np.result_type(heads, tails, float))
+        # h_e[i] t_e[j] in the c = d slots, zero elsewhere: the einsum of h, t and the
+        # identity bit for bit, as einsum's complex product may round unlike np.multiply's
+        products = np.einsum("...ei,...ej->...ije", heads, tails)
+        for c in range(2):
+            vecs[..., :, c, :, :, c] = products
+        return self.sandwich(vecs.reshape(batch + (-1, 2 * m))).reshape(batch + (m, 2, m, 2))
+
+    def bloch(self, n: int) -> np.ndarray:
+        return contract_qubit_pairs(self.rho, [_PAULIS_T] * n, n)
+
+    def purity(self) -> float:
+        return np.vdot(self.rho, self.rho).real
+
+    def top_eigenvalue(self) -> float:
+        return 1.0  # the trace, which bounds every eigenvalue
+
+
 
 
 @functools.cache
@@ -736,52 +759,7 @@ def _wei_density(n: int, x: float) -> DenseState:
     anti = np.zeros(dim, dtype=complex)
     diag[[0, -1]] = np.diagonal(corners)
     anti[[0, -1]] = corners[1, 0], corners[0, 1]
-    return _x_state(n, diag, anti)
-
-
-def _x_blocks(diag: np.ndarray, anti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and radius of each 2x2 block (i, 2^n-1-i), i in the first half.
-
-    A Hermitian block [[d_i, conj(a_i)], [a_i, d_~i]] has the eigenvalues
-    (d_i + d_~i)/2 -/+ hypot((d_i - d_~i)/2, |a_i|).
-    """
-    half = diag.size // 2
-    top, bottom = diag.real[:half], diag.real[::-1][:half]
-    return (top + bottom) / 2, np.hypot((top - bottom) / 2, np.abs(anti[:half]))
-
-
-def _check_x_matrix(diag: np.ndarray, anti: np.ndarray) -> None:
-    """Validity of the X matrix with diagonal ``diag`` and ``anti[i]`` at (2^n-1-i, i).
-
-    The matrix splits into 2x2 blocks on the index pairs (i, 2^n-1-i), so it
-    is Hermitian when diag is real and anti[~i] = conj(anti[i]), and PSD when
-    every block's smaller eigenvalue is; each check costs O(2^n). Raises
-    ``StateValidityError`` with the messages of the dense checks.
-    """
-    with np.errstate(invalid="ignore"):  # inf - inf
-        herm = max(np.max(np.abs(diag - diag.conj())), np.max(np.abs(anti - anti[::-1].conj())))
-    if not np.isfinite(herm):
-        raise StateValidityError("matrix entries must be finite")
-    if herm > _HERMITICITY_TOL:
-        raise StateValidityError(f"matrix is not Hermitian: residue {herm:.3e}")
-    tr = np.sum(diag)
-    if abs(tr - 1) > _TRACE_TOL:
-        raise StateValidityError(f"trace is {tr}, expected 1")
-    centre, radius = _x_blocks(diag, anti)
-    lo = float(np.min(centre - radius))
-    if lo < _EIGENVALUE_FLOOR:
-        raise StateValidityError(f"smallest eigenvalue {lo:.3e} below {_EIGENVALUE_FLOOR}")
-
-
-def _x_state(n: int, diag: np.ndarray, anti: np.ndarray) -> DenseState:
-    """The X matrix of ``diag`` and ``anti``, certified by ``_check_x_matrix``.
-
-    The two vectors become the state's form and are frozen.
-    """
-    _check_x_matrix(diag, anti)
-    diag.flags.writeable = False
-    anti.flags.writeable = False
-    return DenseState(n, None, _CERTIFIED, ("x", diag, anti))
+    return DenseState(n, None, _CERTIFIED, _XForm(diag, anti))
 
 
 def build_state(family: StateFamily, n: int) -> DenseState:
@@ -834,7 +812,7 @@ def build_state(family: StateFamily, n: int) -> DenseState:
             raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
         # a convex combination of two density matrices is one
         inner = build_state(params["inner"], n)
-        return DenseState(n, None, _CERTIFIED, ("mix", q, inner._form))
+        return DenseState(n, None, _CERTIFIED, _MixForm(q, inner._form))
     raise ParameterError(f"unknown family {tag!r}")
 
 
@@ -842,8 +820,7 @@ def m3n_density(state: M3NState) -> DenseState:
     """Dense matrix (1/2^n)(I + sum_j c_j sigma_j^{xn}) of a valid triple.
 
     Only the diagonal (I and sigma_3^{xn}) and the anti-diagonal (sigma_1^{xn}
-    and sigma_2^{xn}) are nonzero; they are summed as vectors and written in
-    by ``_x_state``.
+    and sigma_2^{xn}) are nonzero; they are summed as vectors into an ``_XForm``.
     """
     _check_qubits(state.n)
     n = state.n
@@ -854,7 +831,7 @@ def m3n_density(state: M3NState) -> DenseState:
         if cj != 0:
             line = diag if j == 3 else anti
             line += cj * pauli_power_entries(j, n)
-    return _x_state(n, diag / dim, anti / dim)
+    return DenseState(n, None, _CERTIFIED, _XForm(diag / dim, anti / dim))
 
 
 __all__ = [

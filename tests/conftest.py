@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
+from entbound import qstate
 from entbound._linalg import pauli_power_entries
 from entbound.qstate import CorrelationTriple, DenseState, M3NState
+
+#: the class of each form a state may hold, by the names the tests give the forms
+FORMS = {"pure": qstate._PureForm, "x": qstate._XForm, "mix": qstate._MixForm,
+         "dense": qstate._DenseForm}
+
+
+def refuse_matrix(monkeypatch):
+    """Make building any form's dense matrix fail the test."""
+    def refuse(form):
+        raise AssertionError(f"a {form.dim} x {form.dim} matrix was built")
+
+    for form in FORMS.values():
+        monkeypatch.setattr(form, "matrix", refuse)
 
 
 def pauli_power(j: int, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from entbound._linalg import SIGMA
 from entbound.errors import ParameterError
 from entbound.locc import GHZBasisIndex, GHZDiagonalState
 from entbound.pauli import _real_trace
-from entbound.qstate import DenseState, _x_state
+from entbound.qstate import _CERTIFIED, DenseState, _XForm
 
 
 def expectation(state: DenseState, pauli_string: Sequence[int]) -> float:
@@ -80,4 +80,4 @@ def ghz_dense(spec: GHZDiagonalState) -> DenseState:
     cross = (spec.p[:, 0] - spec.p[:, 1]) / 2
     diag = np.concatenate([mean, mean[::-1]]).astype(complex)
     anti = np.concatenate([cross, cross[::-1]]).astype(complex)
-    return _x_state(spec.n, diag, anti)
+    return DenseState(spec.n, None, _CERTIFIED, _XForm(diag, anti))

@@ -575,6 +575,81 @@ def test_unreadable_input_file_exits_2(argv, name, kind, tmp_path, capsys):
     assert err.startswith(f"error: {path}: {start}")  # the message names the file
 
 
+def _nested_mix(levels):
+    """A state file of GHZ inside ``levels`` white-noise mixes."""
+    text = '{"family": "ghz"}'
+    for _ in range(levels):
+        text = '{"family": "white_noise_mix", "params": {"q": 0.5, "inner": ' + text + "}}"
+    return '{"n": 3, ' + text[1:]
+
+
+@pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000, '{"n": 3, "p": ' * 5000 + "0" + "}" * 5000,
+                                  _nested_mix(496)], ids=["list", "object", "mix"])
+@pytest.mark.parametrize("argv, name", [v for k, v in FILE_FLAGS.items() if k != "bound-csv"],
+                         ids=[k for k in FILE_FLAGS if k != "bound-csv"])
+def test_deeply_nested_input_file_exits_2(argv, name, text, tmp_path, capsys):
+    # nesting past the recursion limit is an input error, not a traceback
+    path = tmp_path / name
+    path.write_text(text)
+    err = _assert_input_error(argv + [str(path)], capsys, "nested too deeply to parse")
+    assert err == f"error: {path}: nested too deeply to parse\n"
+
+
+def test_deeply_nested_params_exit_2(capsys):
+    params = '{"inner": ' * 5000 + "0" + "}" * 5000
+    err = _assert_input_error(["state", "--family", "white_noise_mix", "--n", "3", "--params", params],
+                              capsys, "nested too deeply to parse")
+    assert err == "error: --params: nested too deeply to parse\n"
+
+
+def test_nested_mix_below_the_recursion_limit_still_builds(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(_nested_mix(200))
+    rc, out, _ = _run(["state", "--state-file", str(path)], capsys)
+    assert rc == 0 and json.loads(out)["n"] == 3
+
+
+HUGE = "1" + "0" * 400  # an integer past the float range
+NOT_A_NUMBER = {
+    "bound-c-bool": (["bound", "--file"], '{"n": 4, "c": [true, false, false]}',
+                     "a correlation triple needs numbers, got [True, False, False]"),
+    "bound-c-huge": (["bound", "--file"], f'{{"n": 4, "c": [{HUGE}, 0, 0]}}',
+                     "a correlation triple needs finite entries"),
+    "bound-sigma-bool": (["bound", "--file"], '{"n": 4, "c": [0.5, 0.2, 0.1], "sigma": [true, 0, 0]}',
+                         'field "sigma" must be a list of 3 numbers'),
+    "bound-sigma-huge": (["bound", "--file"], f'{{"n": 4, "c": [0.5, 0, 0], "sigma": [{HUGE}, 0, 0]}}',
+                         "int too large to convert to float"),
+    "state-c-bool": (["state", "--state-file"],
+                     '{"n": 4, "family": "m3n", "params": {"c": [false, true, false]}}',
+                     "family parameter 'c': a correlation triple needs numbers"),
+    "state-c-huge": (["state", "--state-file"],
+                     f'{{"n": 4, "family": "m3n", "params": {{"c": [0, 0, -{HUGE}]}}}}',
+                     "family parameter 'c': a correlation triple needs finite entries"),
+    "genuine-p-bool": (["genuine", "--spectrum-file"], '{"n": 3, "p": {"000+": true}}',
+                       "entry '000+': must be a number, got True"),
+    "oracle-p-bool": (["oracle", "--spectrum-file"], '{"n": 3, "p": {"000+": 0.5, "000-": true}}',
+                      "entry '000-': must be a number, got True"),
+    "genuine-p-huge": (["genuine", "--spectrum-file"], f'{{"n": 3, "p": {{"000+": {HUGE}}}}}',
+                       "entry '000+': int too large to convert to float"),
+    # 2^n alone would not finish for an n of 10^400; n = 10^5 fails fast where it is formed
+    "genuine-n-huge": (["genuine", "--spectrum-file"], '{"n": 100000, "p": {}}',
+                       "a GHZ spectrum at n=100000 takes over 2^70 bytes"),
+}
+
+
+@pytest.mark.parametrize("argv, text, fragment", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_file_numbers_refuse_booleans_and_integers_past_the_float_range(
+        argv, text, fragment, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    _assert_input_error(argv + [str(path)], capsys, fragment)
+
+
+def test_params_triple_refuses_booleans(capsys):
+    argv = ["state", "--family", "m3n", "--n", "4", "--params", '{"c": [true, false, false]}']
+    _assert_input_error(argv, capsys, "family parameter 'c': a correlation triple needs numbers")
+
+
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_bound_names_the_qubit_count_below_two(n, capsys):
     # no --M was given, so the message is about n, not about the level it defaults to

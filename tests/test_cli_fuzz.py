@@ -1,8 +1,10 @@
-"""Hypothesis fuzz of the CLI contract over ``bound``, ``genuine`` and ``oracle``.
+"""Hypothesis fuzz of the CLI contract over flag values and input file contents.
 
-Whatever the flag values, no exception escapes ``main``, the exit code is 0, 1
-or 2, exit 0 prints one line of strict JSON, and a nonzero exit prints nothing
-on stdout.
+Whatever the flag values of ``bound``, ``genuine`` and ``oracle``, and whatever
+the JSON in a ``--state-file`` (``state``, ``triple``), a ``bound --file`` or a
+``--spectrum-file`` (``genuine``, ``oracle``), no exception escapes ``main``,
+the exit code is 0, 1 or 2, exit 0 prints one line of strict JSON, and a
+nonzero exit prints nothing on stdout.
 """
 
 import contextlib
@@ -117,9 +119,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.one_of(BOUND_ARGV, GENUINE_ARGV, ORACLE_ARGV))
-def test_cli_contract_holds_for_any_flag_values(argv):
+def _assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -131,3 +131,115 @@ def test_cli_contract_holds_for_any_flag_values(argv):
         json.loads(text, parse_constant=_reject_constant)
     else:
         assert out.getvalue() == ""
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(BOUND_ARGV, GENUINE_ARGV, ORACLE_ARGV))
+def test_cli_contract_holds_for_any_flag_values(argv):
+    _assert_contract(argv)
+
+
+# -- file contents, written as JSON text: its NaN and Infinity literals, integers past
+# the float range and nesting past the recursion limit have no Python value to dump
+
+def _json_list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _object_text(fields):
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+def _json_object(required, optional=None):
+    """A JSON object of the given fields' texts; each optional field may be left out."""
+    return st.fixed_dictionaries(required, optional=optional or {}).map(_object_text)
+
+
+DEEP_JSON = st.sampled_from([3, 600, 5000]).flatmap(lambda depth: st.sampled_from(
+    ["[" * depth + "]" * depth, '{"a": ' * depth + "0" + "}" * depth]))
+ODD_JSON = st.one_of(
+    st.floats().map(json.dumps),  # NaN, Infinity, -Infinity and any finite float
+    st.sampled_from(["true", "false", "null", '"0.5"', "[]", "{}", "1e400", "-1e400"]
+                    + HUGE_INTS + ["-" + text for text in HUGE_INTS]),
+    DEEP_JSON,
+)
+NUMBER_JSON = _text(st.floats(-0.5, 0.5).map(json.dumps), ODD_JSON)
+PROBABILITY_JSON = _text(st.floats(0, 1).map(json.dumps), ODD_JSON)
+QUBITS_JSON = _text(st.integers(-1, 8).map(str), ODD_JSON, st.just("4.0"))
+TRIPLE_JSON = _text(
+    st.lists(NUMBER_JSON, min_size=3, max_size=3).map(_json_list),
+    st.lists(NUMBER_JSON, max_size=4).map(_json_list),
+    ODD_JSON,
+)
+SIGMA_JSON = _text(
+    st.lists(_text(st.floats(0, 0.2).map(json.dumps), ODD_JSON), min_size=3, max_size=3)
+    .map(_json_list),
+    ODD_JSON,
+)
+CORRELATION_FILE = _text(
+    _json_object({"n": QUBITS_JSON, "c": TRIPLE_JSON}, {"sigma": SIGMA_JSON}),
+    _json_object({}, {"n": QUBITS_JSON, "c": TRIPLE_JSON, "sigma": SIGMA_JSON}),
+    ODD_JSON,
+)
+
+
+def _spectrum(n):
+    """A GHZ spectrum at n: normalised weights on valid keys (leading bit 0), or odd
+    keys and values."""
+    key = st.tuples(st.integers(0, 2 ** (n - 1) - 1), st.sampled_from("+-")).map(
+        lambda bits_sign: format(bits_sign[0], f"0{n}b") + bits_sign[1])
+    weights = st.dictionaries(key, st.floats(0.01, 1), min_size=1, max_size=6).map(
+        lambda p: json.dumps({k: v / sum(p.values()) for k, v in p.items()}))
+    odd = st.dictionaries(_text(key, st.sampled_from(["", "0", "01x+", "0+", "0" * 9 + "+"])),
+                          _text(st.floats(0, 1).map(json.dumps), ODD_JSON), max_size=6)
+    entries = _text(weights, odd.map(_object_text), ODD_JSON)
+    return _json_object({"n": _text(st.just(str(n)), QUBITS_JSON), "p": entries})
+
+
+SPECTRUM_FILE = _text(st.integers(2, 8).flatmap(_spectrum), ODD_JSON)
+
+
+def _family_spec(tag, inner):
+    params = {"dicke": {"k": QUBITS_JSON}, "cluster_rect": {"rows": QUBITS_JSON, "cols": QUBITS_JSON},
+              "wei": {"x": PROBABILITY_JSON}, "m3n": {"c": TRIPLE_JSON},
+              "white_noise_mix": {"q": PROBABILITY_JSON, "inner": inner}}.get(tag, {})
+    return _json_object({"family": st.just(json.dumps(tag))},
+                        {"params": _json_object({}, params)} if params else {})
+
+
+def _nested_mix(levels):
+    text = '{"family": "w"}'
+    for _ in range(levels):
+        text = '{"family": "white_noise_mix", "params": {"q": 0.5, "inner": ' + text + "}}"
+    return text
+
+
+FAMILIES = ["ghz", "w", "dicke", "cluster_linear", "cluster_rect", "wei", "smolin", "singlet4",
+            "m3n", "white_noise_mix"]
+STATE_SPEC = st.deferred(lambda: _text(
+    st.sampled_from(FAMILIES).flatmap(lambda tag: _family_spec(tag, STATE_SPEC)),
+    st.sampled_from([3, 600]).map(_nested_mix),
+    _json_object({"family": _text(st.sampled_from(FAMILIES).map(json.dumps), ODD_JSON)}),
+    ODD_JSON,
+))
+STATE_FILE = _text(
+    st.tuples(QUBITS_JSON, STATE_SPEC).map(
+        lambda n_spec: n_spec[1].replace("{", '{"n": ' + n_spec[0] + ", ", 1)
+        if n_spec[1].startswith("{") else n_spec[1]),
+    ODD_JSON,
+)
+FILE_ARGV = st.one_of(
+    st.tuples(st.sampled_from([["state", "--state-file"], ["triple", "--state-file"]]), STATE_FILE),
+    st.tuples(st.just(["bound", "--file"]), CORRELATION_FILE),
+    st.tuples(st.sampled_from([["genuine", "--spectrum-file"], ["oracle", "--spectrum-file"]]),
+              SPECTRUM_FILE),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv_text=FILE_ARGV)
+def test_cli_contract_holds_for_any_file_contents(argv_text, tmp_path_factory):
+    argv, text = argv_text
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(text)
+    _assert_contract(argv + [str(path)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import random_density
+from conftest import FORMS, random_density
 from dense_reference import ghz_basis_vector, permutation_conjugate
 from dense_rotation import apply_product_unitary
 from entbound._linalg import hamming_weights, kron_all
@@ -1126,8 +1126,9 @@ def phased_x_state(n, rng):
     p = rng.dirichlet(np.ones(2**n)).reshape(-1, 2)
     mean = (p[:, 0] + p[:, 1]) / 2
     cross = (p[:, 0] - p[:, 1]) / 2 * np.exp(1j * rng.uniform(0, 2 * np.pi, len(p)))
-    return qstate._x_state(n, np.concatenate([mean, mean[::-1]]).astype(complex),
-                           np.concatenate([cross, cross[::-1].conj()]))
+    return DenseState(n, None, qstate._CERTIFIED, qstate._XForm(
+        np.concatenate([mean, mean[::-1]]).astype(complex),
+        np.concatenate([cross, cross[::-1].conj()])))
 
 
 @pytest.mark.parametrize("source", ["pure", "x", "mix", "dense"])
@@ -1143,7 +1144,7 @@ def test_per_qubit_overlap_charge_bounds_the_traced_peak(n, restarts, source, rn
              "x": lambda: phased_x_state(n, rng),
              "mix": lambda: build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.7), n),
              "dense": lambda: random_density(n, rng)}[source]()
-    assert state._form[0] == source
+    assert isinstance(state._form, FORMS[source])
     assert ghz_diagonalise(state).p_max + 1e-13 < state.top_eigenvalue()
     opts = OptimisationOptions(mode="per_qubit", restarts=restarts)
     peak = traced_peak(lambda: optimise_ghz_overlap(state, opts))
@@ -1235,7 +1236,7 @@ def random_state_of_form(form, n, rng):
         pure = DenseState.from_vector(rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
         if form == "pure":
             return pure
-        return DenseState(n, None, qstate._CERTIFIED, ("mix", 0.7, pure._form))
+        return DenseState(n, None, qstate._CERTIFIED, qstate._MixForm(0.7, pure._form))
     return phased_x_state(n, rng) if form == "x" else random_density(n, rng)
 
 
@@ -1252,7 +1253,7 @@ def test_compressed_terms_match_product_vector_overlaps(n, form, rng):
     # at every GHZ index, A + Re(C exp(-i m phi)) read from the state compressed to
     # the index's weight classes is the overlap of the 2^n-entry product vectors
     state = random_state_of_form(form, n, rng)
-    assert state._form[0] == form
+    assert isinstance(state._form, FORMS[form])
     angles = random_angles(rng, 4)
     for i in range(2 ** (n - 1)):
         bits = _ghz_bits(GHZBasisIndex(n, i, 1))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -457,92 +458,98 @@ def test_built_state_is_bit_identical_and_passes_the_dense_check(family, n):
     DenseState(n, np.array(state.rho))  # the full check a matrix from outside gets
 
 
-def _assert_reads_match_rho(state):
-    """``lines()`` and ``purity()`` read the form, build no matrix, and agree with it."""
+# -- form conformance: every read of every form against the dense reference -------
+# Each state below holds one form; every read answers from it, never builds rho on
+# a built state, and agrees with the same read of ``state.rho``, made afterwards.
+
+def _is_dense(state):
+    return isinstance(state._form, qstate._DenseForm)
+
+
+def _assert_no_matrix(state):
+    """A built state answered without its dense matrix; a dense form holds it from the start."""
+    assert state._rho is None or _is_dense(state)
+
+
+def _random_unitaries(rng, shape):
+    z = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+    return np.linalg.qr(z)[0]
+
+
+def _check_lines(state, rng):
     diag, anti = state.lines()
-    purity = state.purity()
-    assert state._rho is None
+    _assert_no_matrix(state)
     rho = state.rho
     assert not rho.flags.writeable and state.rho is rho  # built once, frozen, cached
     idx = np.arange(state.dim)
     assert diag.dtype == anti.dtype == rho.dtype
     assert diag.tobytes() == np.diagonal(rho).tobytes()
     assert anti.tobytes() == rho[idx, state.dim - 1 - idx].tobytes()
-    # the sum of |rho_ij|^2, correctly rounded: np.vdot(rho, rho) itself rounds
-    # by up to 2e-13 at n = 10, where the form's sum of 2^n terms does not
-    exact = math.fsum((rho.real**2 + rho.imag**2).ravel().tolist())
-    assert abs(purity - exact) <= 1e-15
-    outside = DenseState(state.n, np.array(rho))
-    assert [line.tobytes() for line in outside.lines()] == [diag.tobytes(), anti.tobytes()]
-    assert outside.purity() == np.vdot(rho, rho).real
+    # the dense form's read of the same matrix
+    outside = qstate._DenseForm(rho).lines()
+    assert [line.tobytes() for line in outside] == [diag.tobytes(), anti.tobytes()]
 
 
-@pytest.mark.parametrize("family, n", _family_cases())
-def test_lines_and_purity_read_the_form(family, n):
-    _assert_reads_match_rho(build_state(family, n))
+def _check_purity(state, rng):
+    purity = state.purity()
+    _assert_no_matrix(state)
+    rho = state.rho
+    assert qstate._DenseForm(rho).purity() == np.vdot(rho, rho).real
+    if not _is_dense(state):
+        # the sum of |rho_ij|^2, correctly rounded: np.vdot(rho, rho) itself rounds
+        # by up to 2e-13 at n = 10, where the form's sum of 2^n terms does not
+        exact = math.fsum((rho.real**2 + rho.imag**2).ravel().tolist())
+        assert abs(purity - exact) <= 1e-15
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_ghz_diagonal_lines_and_purity_read_the_form(n, rng):
-    from conftest import random_ghz_spectrum
-
-    _assert_reads_match_rho(ghz_dense(random_ghz_spectrum(n, rng)))
-
-
-@pytest.mark.parametrize("family, n", [c for c in _family_cases() if c.values[1] <= 7])
-def test_top_eigenvalue_reads_the_form(family, n):
-    # pure, X (m3n at both parities, Wei, Smolin) and nested white-noise forms;
-    # eigvalsh itself is off by up to 1.3e-15 here (the linear cluster at n = 7)
-    state = build_state(family, n)
+def _check_top_eigenvalue(state, rng):
     top = state.top_eigenvalue()
-    assert state._rho is None
-    assert top == pytest.approx(np.linalg.eigvalsh(state.rho)[-1], abs=2e-15)
+    _assert_no_matrix(state)
+    # eigvalsh itself is off by up to 1.3e-15 here (the linear cluster at n = 7)
+    largest = np.linalg.eigvalsh(state.rho)[-1]
+    if _is_dense(state):
+        assert top == 1.0 and largest <= 1 + 2e-15  # the trace bounds every eigenvalue
+    else:
+        assert top == pytest.approx(largest, abs=2e-15)
 
 
-def test_top_eigenvalue_of_a_dense_form_is_the_trace(rng):
-    from conftest import random_density
+def _check_lines_under(state, rng):
+    """Shared, per-qubit and batched (3, 2) unitaries against U rho U^dag made densely."""
+    n = state.n
+    sets = [[_random_unitaries(rng, ())] * n, list(_random_unitaries(rng, (n,))),
+            list(_random_unitaries(rng, (n, 3, 2)))]
+    reads = [(us, state.lines_under(us)) for us in sets]
+    born_only = state.lines_under(sets[1], anti=False)
+    _assert_no_matrix(state)
+    assert born_only[1] is None and np.array_equal(born_only[0], reads[1][1][0])
+    for us, (born, anti) in reads:
+        batch = us[0].shape[:-2]
+        assert born.shape == anti.shape == batch + (state.dim,) and np.isrealobj(born)
+        for b in np.ndindex(batch):
+            u = kron_chain([x[b] for x in us])
+            rotated = u @ state.rho @ u.conj().T
+            assert np.max(np.abs(born[b] - np.diagonal(rotated))) <= 1e-14
+            assert np.max(np.abs(anti[b] - np.diagonal(rotated[:, ::-1]))) <= 1e-14
 
-    pure = DenseState(5, np.array(build_state(StateFamily.w(), 5).rho))
-    mixed = random_density(5, rng)
-    assert pure.top_eigenvalue() == mixed.top_eigenvalue() == 1.0
-    assert np.linalg.eigvalsh(pure.rho)[-1] == pytest.approx(1.0, abs=1e-15)
-    assert np.linalg.eigvalsh(mixed.rho)[-1] < 0.5
 
-
-def _assert_sandwich_matches_rho(state, rng):
-    """``sandwich`` reads the form and agrees with the dense V^dag rho V, m = 1 and 4, batched."""
+def _check_sandwich(state, rng):
+    """V^dag rho V, m = 1 and 4, batched."""
     dim = state.dim
     reads = []
     for shape in [(dim, 1), (dim, 4), (3, dim, 1), (2, 3, dim, 4)]:
         vs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         vs /= np.linalg.norm(vs, axis=-2, keepdims=True)
         reads.append((vs, state.sandwich(vs)))
-    built = state._form[0] != "dense"
-    assert state._rho is None or not built
+    _assert_no_matrix(state)
     for vs, got in reads:
         want = np.swapaxes(vs.conj(), -1, -2) @ state.rho @ vs
         assert got.shape == want.shape == vs.shape[:-2] + (vs.shape[-1],) * 2
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("family, n", [c for c in _family_cases() if c.values[1] <= 8])
-def test_sandwich_reads_the_form(family, n, rng):
-    _assert_sandwich_matches_rho(build_state(family, n), rng)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_sandwich_of_ghz_diagonal_and_outside_matrices(n, rng):
-    from conftest import random_density, random_ghz_spectrum
-
-    _assert_sandwich_matches_rho(ghz_dense(random_ghz_spectrum(n, rng)), rng)
-    _assert_sandwich_matches_rho(random_density(n, rng), rng)
-    mix = build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.6), n)
-    _assert_sandwich_matches_rho(DenseState(n, np.array(mix.rho)), rng)
-
-
-def _assert_qubit_gram_matches_rho(state, rng):
-    """``qubit_gram`` reads the form and agrees with the dense Gram matrix of the vectors
-    h_e x |c> x t_e, at every qubit, for m = 1, 2 and 3, batched."""
+def _check_qubit_gram(state, rng):
+    """The Gram matrix of the vectors h_e x |c> x t_e, at every qubit, for m = 1, 2 and
+    3, batched."""
     n = state.n
     reads = []
     for k in range(n):
@@ -551,7 +558,7 @@ def _assert_qubit_gram_matches_rho(state, rng):
             shape = batch + (m, 2 ** (n - k - 1))
             tails = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             reads.append((heads, tails, state.qubit_gram(heads, tails)))
-    assert state._rho is None or state._form[0] == "dense"
+    _assert_no_matrix(state)
     for heads, tails, got in reads:
         m = heads.shape[-2]
         vecs = np.empty(heads.shape[:-2] + (state.dim, m, 2), dtype=complex)
@@ -566,23 +573,69 @@ def _assert_qubit_gram_matches_rho(state, rng):
         assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("family, n", [c for c in _family_cases() if c.values[1] <= 8])
-def test_qubit_gram_reads_the_form(family, n, rng):
-    _assert_qubit_gram_matches_rho(build_state(family, n), rng)
+def _check_bloch(state, rng, exact=None):
+    """The contraction of ``rho`` that ``bloch`` replaces: bit for bit, or within 1e-15
+    where the form sums in another order (a white-noise mix scales the inner block
+    instead of contracting the noise)."""
+    got = state.bloch()
+    _assert_no_matrix(state)
+    n = state.n
+    want = contract_qubit_pairs(state.rho, [SIGMA_STACK[1:].transpose(0, 2, 1)] * n, n)
+    assert got.shape == want.shape == (3,) * n
+    if exact is None:
+        exact = not isinstance(state._form, qstate._MixForm)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_qubit_gram_of_ghz_diagonal_and_outside_matrices(n, rng):
+#: each read, with the largest n it is checked at
+_READS = {"lines": (_check_lines, 10), "purity": (_check_purity, 10),
+          "top_eigenvalue": (_check_top_eigenvalue, 7), "lines_under": (_check_lines_under, 8),
+          "sandwich": (_check_sandwich, 8), "qubit_gram": (_check_qubit_gram, 8),
+          "bloch": (_check_bloch, 10)}
+
+
+def _conformance_states():
+    """(id, n, build) of a state in every form: the catalog families (pure, X and nested
+    white-noise mixes), random vectors, GHZ-diagonal and random X matrices, and
+    matrices from outside (dense forms), random and of a white-noise mix."""
     from conftest import random_density, random_ghz_spectrum
 
-    _assert_qubit_gram_matches_rho(ghz_dense(random_ghz_spectrum(n, rng)), rng)
-    _assert_qubit_gram_matches_rho(random_density(n, rng), rng)
-    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    _assert_qubit_gram_matches_rho(DenseState.from_vector(psi), rng)
-    if n >= 2:
-        mix = build_state(StateFamily.white_noise_mix(StateFamily.w(), 0.6), n)
-        _assert_qubit_gram_matches_rho(mix, rng)
-        _assert_qubit_gram_matches_rho(DenseState(n, np.array(mix.rho)), rng)
+    def vector(n):
+        rng = np.random.default_rng(n)
+        return DenseState.from_vector(rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
+
+    mix = StateFamily.white_noise_mix(StateFamily.w(), 0.6)
+    builders = {  # name: (smallest n, largest n, build at n)
+        "vector": (1, 10, vector),
+        "ghz-diagonal": (2, 10, lambda n: ghz_dense(random_ghz_spectrum(n, np.random.default_rng(n)))),
+        "x": (2, 10, lambda n: DenseState(n, None, qstate._CERTIFIED, qstate._XForm(*_x_vectors(n)))),
+        "dense": (1, 8, lambda n: random_density(n, np.random.default_rng(n))),
+        "dense-mix": (2, 8, lambda n: DenseState(n, np.array(build_state(mix, n).rho))),
+    }
+    cases = [(case.id, case.values[1], functools.partial(build_state, *case.values))
+             for case in _family_cases()]
+    cases += [(f"n{n}-{name}", n, functools.partial(build, n))
+              for name, (lo, hi, build) in builders.items() for n in range(lo, hi + 1)]
+    return [pytest.param(build, read, id=f"{case_id}-{read}")
+            for case_id, n, build in cases for read, (_, top_n) in _READS.items() if n <= top_n]
+
+
+@pytest.mark.parametrize("build, read", _conformance_states())
+def test_form_read_matches_the_dense_reference(build, read, rng):
+    _READS[read][0](build(), rng)
+
+
+def test_top_eigenvalue_of_a_dense_form_is_the_trace(rng):
+    from conftest import random_density
+
+    pure = DenseState(5, np.array(build_state(StateFamily.w(), 5).rho))
+    mixed = random_density(5, rng)
+    assert pure.top_eigenvalue() == mixed.top_eigenvalue() == 1.0
+    assert np.linalg.eigvalsh(pure.rho)[-1] == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.eigvalsh(mixed.rho)[-1] < 0.5
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -602,52 +655,20 @@ def test_dense_qubit_gram_equals_the_three_operand_einsum_bit_for_bit(n, rng):
             assert np.array_equal(state.qubit_gram(heads, tails), want)
 
 
-def _assert_bloch_matches_rho(state, exact=True):
-    """``bloch`` reads the form and equals the contraction of ``rho`` it replaces: bit
-    for bit, or within 1e-15 where the form sums in another order."""
-    got = state.bloch()
-    assert state._rho is None or state._form[0] == "dense"
-    n = state.n
-    want = contract_qubit_pairs(state.rho, [SIGMA_STACK[1:].transpose(0, 2, 1)] * n, n)
-    assert got.shape == want.shape == (3,) * n
-    if exact:
-        assert np.array_equal(got, want)
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-15
-
-
-@pytest.mark.parametrize("family, n", _family_cases())
-def test_bloch_reads_the_form(family, n):
-    # a white-noise mix scales the inner block instead of contracting the noise
-    _assert_bloch_matches_rho(build_state(family, n), exact=family.tag != "white_noise_mix")
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_bloch_of_vectors_x_matrices_and_outside_matrices(n, rng):
-    from conftest import random_density
-
-    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    _assert_bloch_matches_rho(DenseState.from_vector(psi))
-    if n >= 2:
-        _assert_bloch_matches_rho(qstate._x_state(n, *_x_vectors(n)))
-    if n <= 6:
-        _assert_bloch_matches_rho(random_density(n, rng))
-
-
 @pytest.mark.parametrize("chunk", [4, 64])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_bloch_of_vectors_in_chunks(n, chunk, rng, monkeypatch):
     # N_a of 4 or 64 entries splits off n - 1 or n - 3 leading qubits
     monkeypatch.setattr(qstate, "CHUNK_ENTRIES", chunk)
     psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    _assert_bloch_matches_rho(DenseState.from_vector(psi), exact=False)
+    _check_bloch(DenseState.from_vector(psi), None, exact=False)
 
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_bloch_of_vectors_past_one_chunk(n, rng):
     # from n = 11 on, N_a of the default CHUNK_ENTRIES splits off n - 10 qubits
     psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    _assert_bloch_matches_rho(DenseState.from_vector(psi), exact=False)
+    _check_bloch(DenseState.from_vector(psi), None, exact=False)
 
 
 def test_built_state_is_immutable():

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ghz_spectrum
+from conftest import FORMS, random_ghz_spectrum, refuse_matrix
 from dense_reference import ghz_dense
 from dense_rotation import apply_product_unitary
 from entbound import _linalg, qstate
@@ -167,7 +167,7 @@ def _rotations(n, rng):
 def _assert_form_matches_dense(state, rotations):
     n = state.n
     outside = DenseState(n, np.array(state.rho))
-    assert state._form[0] != "dense"
+    assert not isinstance(state._form, FORMS["dense"])
     for rot in rotations:
         us = rot.unitaries(n) if rot is not None else [np.eye(2)] * n
         for axis in (1, 2, 3):
@@ -190,10 +190,11 @@ def test_born_from_ghz_diagonal_form_matches_dense(n, rng):
 def test_outside_matrix_becomes_a_dense_form():
     state = build_state(StateFamily.ghz(), 3)
     outside = DenseState(3, np.array(state.rho))
-    assert outside._form[0] == "dense" and outside._form[1].tobytes() == state.rho.tobytes()
-    assert not outside._form[1].flags.writeable
+    assert isinstance(outside._form, FORMS["dense"])
+    assert outside._form.rho.tobytes() == state.rho.tobytes()
+    assert not outside._form.rho.flags.writeable
     # a form passed without the builders' certificate is ignored: the matrix is checked
-    assert DenseState(3, np.array(state.rho), None, state._form)._form[0] == "dense"
+    assert isinstance(DenseState(3, np.array(state.rho), None, state._form)._form, FORMS["dense"])
 
 
 # -- lines of a locally rotated state, from the form ------------------------------
@@ -254,12 +255,9 @@ def no_dense_contraction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense contraction called")
 
-    def no_matrix(form, dim):
-        raise AssertionError(f"a {dim} x {dim} matrix was built")
-
     monkeypatch.setattr(qstate, "contract_qubit_pairs", refuse)
     monkeypatch.setattr(_linalg, "contract_qubit_pairs", refuse)
-    monkeypatch.setattr(qstate, "_matrix_from_form", no_matrix)
+    refuse_matrix(monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -308,7 +306,7 @@ def _simulate_states(n, rng):
     outside = DenseState(n, np.array(build_state(StateFamily.white_noise_mix(
         StateFamily.dicke(n // 2), rng.uniform(0.2, 0.9)), n).rho))
     states = {"pure": pure, "x": x, "mix": mix, "dense": outside}
-    assert [s._form[0] for s in states.values()] == list(states)
+    assert [type(s._form) for s in states.values()] == [FORMS[form] for form in states]
     return states
 
 
@@ -391,10 +389,6 @@ _N12_SOURCES = {
 }
 
 
-def _refuse_matrix(form, dim):
-    raise AssertionError(f"a {dim} x {dim} matrix was built")
-
-
 @pytest.mark.parametrize(
     "command",
     [["state"], ["triple"], ["triple", "--angles", "0.3,0.2,0.1"], ["simulate", "--shots", "1000"],
@@ -405,14 +399,14 @@ def _refuse_matrix(form, dim):
 )
 @pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
 def test_form_commands_build_no_dense_matrix_at_n12(command, source, monkeypatch, capsys):
-    monkeypatch.setattr(qstate, "_matrix_from_form", _refuse_matrix)
+    refuse_matrix(monkeypatch)
     assert main(command + source + ["--n", "12"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 12
 
 
 @pytest.mark.parametrize("source", list(_N12_SOURCES.values()), ids=list(_N12_SOURCES))
 def test_per_qubit_overlap_search_builds_no_dense_matrix(source, monkeypatch, capsys):
-    monkeypatch.setattr(qstate, "_matrix_from_form", _refuse_matrix)
+    refuse_matrix(monkeypatch)
     argv = ["optimise", "--objective", "overlap", "--mode", "per-qubit", "--restarts", "1"]
     assert main(argv + source + ["--n", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 8
@@ -421,13 +415,13 @@ def test_per_qubit_overlap_search_builds_no_dense_matrix(source, monkeypatch, ca
 @pytest.mark.parametrize("argv", [["state", "--dense"]], ids=["state-dense"])
 def test_dense_commands_build_the_matrix_once(argv, monkeypatch, capsys):
     built = []
-    materialise = qstate._matrix_from_form
+    materialise = FORMS["pure"].matrix
 
-    def counting(form, dim):
-        built.append(dim)
-        return materialise(form, dim)
+    def counting(form):
+        built.append(form.dim)
+        return materialise(form)
 
-    monkeypatch.setattr(qstate, "_matrix_from_form", counting)
+    monkeypatch.setattr(FORMS["pure"], "matrix", counting)
     assert main(argv + ["--family", "w", "--n", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 4
     assert built == [16]
