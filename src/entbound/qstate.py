@@ -5,18 +5,23 @@ Wei, Smolin, four-qubit singlet), triple-correlation states built from a
 correlation triple, and white-noise mixtures.
 
 A ``DenseState`` holds one form and hands every read to it. Each form is a
-private class with the same eight reads (``matrix``, ``lines``, ``lines_under``,
-``sandwich``, ``qubit_gram``, ``bloch``, ``purity``, ``top_eigenvalue``):
+private class with the same reads (``lines``, ``lines_under``, ``sandwich``,
+``qubit_gram``, ``bloch``, ``purity``, ``top_eigenvalue``):
 ``_PureForm`` holds a state vector (GHZ, W, Dicke, both clusters, the singlet),
 ``_XForm`` the two lines of an X matrix (triple-correlation, Smolin, Wei),
-``_MixForm`` q inner + (1 - q) I/2^n of any form, and ``_DenseForm`` a matrix
-from outside the package, which gets the full dense check. A built state
-carries an O(2^n) certificate instead and answers every read but ``rho``
-without its 2^n x 2^n matrix. Of the commands only ``state --dense`` reads
-``rho`` (made on the first read, then cached); the tests' dense references
-read it too. States go up to ``_linalg.QUBIT_CAP`` qubits. ``rho``, ``bloch``
-and the dense export charge their working sets to ``_linalg.GRID_BUDGET``
-(``check_budget``), which admits them up to n = 12, 13 and 10.
+``_MixForm`` q inner + (1 - q) I/2^n of a built form, and ``_DenseForm`` a matrix
+from outside the package, which gets the full dense check. A built form also
+makes its 2^n x 2^n matrix (``matrix``); it carries an O(2^n) certificate and
+answers every other read without that matrix: ``lines``, ``purity`` and
+``top_eigenvalue`` in O(2^n), ``lines_under`` in O(n 2^n), ``sandwich`` of m
+vectors in O(m 2^n), and ``qubit_gram`` in O(m 2^n), or O(m^2 2^n) on an X form.
+A dense form's ``lines_under`` costs O(4^n), and its ``sandwich`` and
+``qubit_gram`` one matrix product. Of the commands only ``state --dense`` reads
+a built state's ``rho`` (made on the first read, then cached); the tests' dense
+references read it too. States go up to ``_linalg.QUBIT_CAP`` qubits.
+``rho``, ``bloch`` and the dense export charge their working sets to
+``_linalg.GRID_BUDGET`` (``check_budget``), which admits them up to n = 12, 13
+and 10.
 """
 
 from __future__ import annotations
@@ -250,7 +255,7 @@ class DenseState:
         return [[float(z.real), float(z.imag)] for z in flat]
 
 
-# -- forms: one class each, with the same eight reads -------------------------------
+# -- forms: one class each, with the same reads ------------------------------------
 # ~r = 2^n - 1 - r; u^ is u with its rows swapped, u~ with its columns swapped.
 
 class _PureForm:
@@ -458,9 +463,6 @@ class _DenseForm:
     def __init__(self, rho: np.ndarray):
         self.rho, self.dim = rho, len(rho)
 
-    def matrix(self) -> np.ndarray:
-        return self.rho.copy()
-
     def lines(self):
         return np.diagonal(self.rho), np.diagonal(self.rho[:, ::-1])
 
@@ -503,8 +505,6 @@ class _DenseForm:
 
     def top_eigenvalue(self) -> float:
         return 1.0  # the trace, which bounds every eigenvalue
-
-
 
 
 @functools.cache

@@ -485,16 +485,16 @@ def _check_lines(state, rng):
     assert diag.dtype == anti.dtype == rho.dtype
     assert diag.tobytes() == np.diagonal(rho).tobytes()
     assert anti.tobytes() == rho[idx, state.dim - 1 - idx].tobytes()
-    # the dense form's read of the same matrix
-    outside = qstate._DenseForm(rho).lines()
-    assert [line.tobytes() for line in outside] == [diag.tobytes(), anti.tobytes()]
+    # the same matrix from outside passes the dense check, and its dense form reads it alike
+    outside = DenseState(state.n, np.array(rho))
+    assert [line.tobytes() for line in outside.lines()] == [diag.tobytes(), anti.tobytes()]
 
 
 def _check_purity(state, rng):
     purity = state.purity()
     _assert_no_matrix(state)
     rho = state.rho
-    assert qstate._DenseForm(rho).purity() == np.vdot(rho, rho).real
+    assert qstate._DenseForm(rho).purity() == np.vdot(rho, rho).real  # checked under lines
     if not _is_dense(state):
         # the sum of |rho_ij|^2, correctly rounded: np.vdot(rho, rho) itself rounds
         # by up to 2e-13 at n = 10, where the form's sum of 2^n terms does not
@@ -610,8 +610,8 @@ def _conformance_states():
     mix = StateFamily.white_noise_mix(StateFamily.w(), 0.6)
     builders = {  # name: (smallest n, largest n, build at n)
         "vector": (1, 10, vector),
-        "ghz-diagonal": (2, 10, lambda n: ghz_dense(random_ghz_spectrum(n, np.random.default_rng(n)))),
-        "x": (2, 10, lambda n: DenseState(n, None, qstate._CERTIFIED, qstate._XForm(*_x_vectors(n)))),
+        "ghz-diagonal": (1, 10, lambda n: ghz_dense(random_ghz_spectrum(n, np.random.default_rng(n)))),
+        "x": (1, 10, lambda n: DenseState(n, None, qstate._CERTIFIED, qstate._XForm(*_x_vectors(n)))),
         "dense": (1, 8, lambda n: random_density(n, np.random.default_rng(n))),
         "dense-mix": (2, 8, lambda n: DenseState(n, np.array(build_state(mix, n).rho))),
     }
