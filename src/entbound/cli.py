@@ -2,7 +2,8 @@
 
 Every subcommand prints machine-readable JSON on stdout (a human-readable
 table with ``--pretty``) and exits 0. Input problems exit 2 with nothing on
-stdout: usage and schema errors, unreadable input files, malformed
+stdout: usage and schema errors, unreadable input files, a JSON value of the
+wrong type (a string, boolean or null where a number belongs), malformed
 parameters, unphysical states or spectra, and sizes above a cap: the qubit
 cap of a state, or the memory budget of a working set. The budget bounds a
 state's correlation block (a correlation-sum ``optimise``: n >= 14 exits 2),

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all entbound modules, and the JSON input reader."""
+"""Exception hierarchy shared by all entbound modules, and the JSON input readers."""
 
 import contextlib
 import json
@@ -57,3 +57,53 @@ def read_json(path):
     """The JSON value in an input file; one that cannot be read or parsed is a ``SchemaError``."""
     with reading(path), open(path) as fh:
         return _parse_json(fh.read(), path)
+
+
+# -- readers of parsed JSON values: ``what`` names the value and starts each message
+
+def _shown(value) -> str:
+    """A JSON value as a message shows it: a container by its kind, anything else as JSON text."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return f"a list of {len(value)}"
+    return json.dumps(value)
+
+
+def _json_object(value, what) -> dict:
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {_shown(value)}")
+    return value
+
+
+def _json_field(spec: dict, name: str, what):
+    """The value of field ``name`` of the JSON object ``spec``, which must have it."""
+    if name not in spec:
+        raise SchemaError(f'{what}: missing field "{name}"')
+    return spec[name]
+
+
+def _json_number(value, what: str, integer: bool = False):
+    """A JSON number as a float, or, if ``integer`` is set, a JSON integer as an int.
+
+    A boolean, a string, null or a container is refused, and so is a float
+    where an integer is wanted and an integer past the float range where a
+    float is; a NaN or infinite float passes, for the reader's own checks.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                          f"got {_shown(value)}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} must be a number, got an integer past the float range") from None
+
+
+def _json_numbers(value, count: int, what: str) -> list:
+    """A JSON list of ``count`` numbers, as floats."""
+    if not isinstance(value, list) or len(value) != count:
+        raise SchemaError(f"{what} must be a list of {count} numbers, got {_shown(value)}")
+    return [_json_number(x, f"{what} entry {i}") for i, x in enumerate(value)]

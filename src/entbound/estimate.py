@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import _frozen, hamming_weights
-from .errors import ParameterError, SchemaError, read_json, reading
+from .errors import (ParameterError, SchemaError, _json_field, _json_number, _json_numbers,
+                     _json_object, read_json, reading)
 from .measures import (
     DistanceKind,
     EntanglementReport,
@@ -74,19 +75,11 @@ class MeasurementRecord:
         if self.shots < 1:
             raise ParameterError(f"shots must be >= 1, got {self.shots}")
         counts = self.counts
-        # checked in bulk: every key n characters long, only '+' and '-' in all
-        # of them, no negative count; only a failure walks the keys, so that the
-        # message names the first bad one in dict order
-        if (
-            set(map(len, counts)) - {self.n}
-            or "".join(counts).strip("+-")
-            or min(counts.values(), default=0) < 0
-        ):
-            for key, cnt in counts.items():
-                if len(key) != self.n or key.strip("+-"):
-                    raise ParameterError(f"malformed outcome string {key!r} for n={self.n}")
-                if cnt < 0:
-                    raise ParameterError(f"negative count for outcome {key!r}")
+        for key, cnt in counts.items():
+            if len(key) != self.n or key.strip("+-"):
+                raise ParameterError(f"malformed outcome string {key!r} for n={self.n}")
+            if cnt < 0:
+                raise ParameterError(f"negative count for outcome {key!r}")
         total = sum(counts.values())
         if total != self.shots:
             raise ParameterError(f"counts sum to {total}, expected shots={self.shots}")
@@ -337,26 +330,13 @@ def _genuine_reports(p_max: float, sigma: float, kinds, seed: int) -> list:
 # -- file ingestion ----------------------------------------------------------------
 
 def _parse_correlation_json(path) -> TripleEstimate:
-    spec = read_json(path)
-    if not isinstance(spec, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    if "n" not in spec:
-        raise SchemaError(f'{path}: missing field "n"')
-    if "c" not in spec:
-        raise SchemaError(f'{path}: missing field "c"')
-    n = spec["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SchemaError(f'{path}: field "n" must be an integer, got {n!r}')
-    c = spec["c"]
-    if not isinstance(c, list) or len(c) != 3:
-        raise SchemaError(f'{path}: field "c" must be a list of 3 numbers, got {c!r}')
-    sigma = spec.get("sigma", [0.0, 0.0, 0.0])
-    if not isinstance(sigma, list) or len(sigma) != 3 or any(isinstance(s, bool) for s in sigma):
-        raise SchemaError(f'{path}: field "sigma" must be a list of 3 numbers, got {sigma!r}')
+    spec = _json_object(read_json(path), path)
+    n = _json_number(_json_field(spec, "n", path), f'{path}: field "n"', integer=True)
+    c = _json_numbers(_json_field(spec, "c", path), 3, f'{path}: field "c"')
+    sigma = _json_numbers(spec.get("sigma", [0.0, 0.0, 0.0]), 3, f'{path}: field "sigma"')
     try:
-        triple = CorrelationTriple.from_sequence(c)
-        return TripleEstimate(triple, tuple(float(s) for s in sigma), n=n)
-    except (ParameterError, TypeError, ValueError, OverflowError) as exc:
+        return TripleEstimate(CorrelationTriple(*c), tuple(sigma), n=n)
+    except ParameterError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

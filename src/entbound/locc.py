@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import GRID_BUDGET, check_budget
-from .errors import CapacityError, ParameterError, SchemaError, StateValidityError, read_json
+from .errors import (CapacityError, ParameterError, SchemaError, StateValidityError, _json_field,
+                     _json_number, _json_object, read_json)
 from .qstate import DenseState
 
 _SUM_TOL = 1e-12
@@ -112,15 +113,12 @@ class GHZDiagonalState:
 
     @classmethod
     def from_json_dict(cls, spec: dict) -> "GHZDiagonalState":
-        try:
-            n = spec["n"]
-            entries = spec["p"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f'GHZ spectrum needs integer "n" and mapping "p": {exc}')
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise SchemaError(f'GHZ spectrum field "n" must be an integer >= 2, got {n!r}')
-        if not isinstance(entries, dict):
-            raise SchemaError(f'GHZ spectrum field "p" must be a mapping, got {entries!r}')
+        spec = _json_object(spec, "GHZ spectrum")
+        n = _json_number(_json_field(spec, "n", "GHZ spectrum"), 'GHZ spectrum field "n"',
+                         integer=True)
+        if n < 2:
+            raise SchemaError(f'GHZ spectrum field "n" must be an integer >= 2, got {n}')
+        entries = _json_object(_json_field(spec, "p", "GHZ spectrum"), 'GHZ spectrum field "p"')
         # the (2^(n-1), 2) float spectrum takes 8 * 2^n bytes, and a command holds
         # up to about 6.4 copies of it (the oracle, tracemalloc at n = 12..18):
         # eight copies are charged to the budget, so n >= 24 is refused; from n = 64
@@ -134,12 +132,8 @@ class GHZDiagonalState:
             idx = GHZBasisIndex.from_key(str(key))
             if idx.n != n:
                 raise SchemaError(f"key {key!r} has length {idx.n}, expected n={n}")
-            try:
-                if isinstance(value, bool):
-                    raise TypeError(f"must be a number, got {value!r}")
-                p[idx.i, 0 if idx.sign > 0 else 1] = float(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f'GHZ spectrum field "p" entry {key!r}: {exc}') from exc
+            p[idx.i, 0 if idx.sign > 0 else 1] = _json_number(
+                value, f'GHZ spectrum field "p" entry {key!r}')
         total = float(p.sum())
         if _SUM_TOL < abs(total - 1) <= _ROUNDED_SUM_TOL:
             p /= total

@@ -199,27 +199,6 @@ def brute_min_over_octahedron(
 
 # -- the certified capped-simplex step, and the GHZ-diagonal oracle ---------------
 
-def _distance_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """(Sub)gradient in q of ``classical_distance(p, q, kind)``, for each row of q.
-
-    ``q`` has shape (..., m), and every kind is convex in it. Trace distance
-    takes the subgradient (1/2) sign(q - p), with +1/2 at a tie, where any
-    value in [-1/2, 1/2] is one; relative entropy -p / (q ln 2); infidelity
-    -F sqrt(p / q) with F = sum sqrt(p q); squared Bures and squared Hellinger
-    -sqrt(p / q). Entries where p is 0 are 0, and where q is 0 and p is not,
-    -inf.
-    """
-    if kind is DistanceKind.TRACE:
-        return np.where(q >= p, 0.5, -0.5)
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        g = -p / (q * math.log(2))
-    else:
-        g = -np.sqrt(p / q)
-        if kind is DistanceKind.INFIDELITY:
-            g = g * np.sum(np.sqrt(p * q), axis=-1, keepdims=True)
-    return np.where(p > 0, g, 0.0)
-
-
 def _analytic_candidate(p: np.ndarray) -> np.ndarray:
     """The KKT point min(1/2, t p): 1/2 at the largest entry, the rest scaled to sum 1/2.
 
@@ -249,17 +228,19 @@ def _fw_gap(q: np.ndarray, g: np.ndarray) -> float:
 def _surrogate_gradient(p: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """(Sub)gradient at q of the convex function of q that a distance minimises.
 
-    Trace and relative entropy are minimised directly. Infidelity, squared
-    Bures and squared Hellinger all decrease with the affinity sum sqrt(p q),
-    so they minimise its negative, half the squared-Bures gradient. Entries of
-    q are floored at 1e-14, except for trace distance.
+    Trace distance is minimised directly, with the subgradient (1/2) sign(q - p),
+    +1/2 at a tie, where any value in [-1/2, 1/2] is one; relative entropy
+    directly too, with gradient -p / (q ln 2). Infidelity, squared Bures and
+    squared Hellinger all decrease with the affinity sum sqrt(p q), so they
+    minimise its negative, with gradient -sqrt(p / q) / 2. Entries of q are
+    floored at 1e-14, except for trace distance, and entries where p is 0 are 0.
     """
     if kind is DistanceKind.TRACE:
-        return _distance_gradient(p, q, kind)
+        return np.where(q >= p, 0.5, -0.5)
     qs = np.maximum(q, 1e-14)
     if kind is DistanceKind.RELATIVE_ENTROPY:
-        return _distance_gradient(p, qs, kind)
-    return 0.5 * _distance_gradient(p, qs, DistanceKind.SQUARED_BURES)
+        return np.where(p > 0, -p / (qs * math.log(2)), 0.0)
+    return 0.5 * np.where(p > 0, -np.sqrt(p / qs), 0.0)
 
 
 def _capped_simplex_min(p: np.ndarray, kind: DistanceKind) -> float:

@@ -435,7 +435,8 @@ def test_cli_contract(argv, capsys):
 def test_spectrum_n_must_be_an_integer_of_at_least_2(spectrum, tmp_path, capsys):
     path = tmp_path / "spectrum.json"
     path.write_text(spectrum)
-    _assert_input_error(["genuine", "--spectrum-file", str(path)], capsys, "integer >= 2")
+    _assert_input_error(["genuine", "--spectrum-file", str(path)], capsys,
+                        'field "n" must be an integer')
 
 
 @pytest.mark.parametrize(
@@ -610,27 +611,45 @@ def test_nested_mix_below_the_recursion_limit_still_builds(tmp_path, capsys):
 
 
 HUGE = "1" + "0" * 400  # an integer past the float range
+PAST_RANGE = "must be a number, got an integer past the float range"
+M3N_PARAMS = ["state", "--family", "m3n", "--n", "4", "--params"]
 NOT_A_NUMBER = {
     "bound-c-bool": (["bound", "--file"], '{"n": 4, "c": [true, false, false]}',
-                     "a correlation triple needs numbers, got [True, False, False]"),
+                     'field "c" entry 0 must be a number, got true'),
     "bound-c-huge": (["bound", "--file"], f'{{"n": 4, "c": [{HUGE}, 0, 0]}}',
-                     "a correlation triple needs finite entries"),
+                     f'field "c" entry 0 {PAST_RANGE}'),
+    "bound-c-string": (["bound", "--file"], '{"n": 4, "c": [0.5, "0.2", 0.1]}',
+                       'field "c" entry 1 must be a number, got "0.2"'),
     "bound-sigma-bool": (["bound", "--file"], '{"n": 4, "c": [0.5, 0.2, 0.1], "sigma": [true, 0, 0]}',
-                         'field "sigma" must be a list of 3 numbers'),
+                         'field "sigma" entry 0 must be a number, got true'),
     "bound-sigma-huge": (["bound", "--file"], f'{{"n": 4, "c": [0.5, 0, 0], "sigma": [{HUGE}, 0, 0]}}',
-                         "int too large to convert to float"),
+                         f'field "sigma" entry 0 {PAST_RANGE}'),
+    "bound-sigma-string": (["bound", "--file"],
+                           '{"n": 4, "c": [0.5, 0.2, 0.1], "sigma": [0.01, 0.01, "0.01"]}',
+                           'field "sigma" entry 2 must be a number, got "0.01"'),
     "state-c-bool": (["state", "--state-file"],
                      '{"n": 4, "family": "m3n", "params": {"c": [false, true, false]}}',
-                     "family parameter 'c': a correlation triple needs numbers"),
+                     "family parameter 'c' entry 0 must be a number, got false"),
     "state-c-huge": (["state", "--state-file"],
                      f'{{"n": 4, "family": "m3n", "params": {{"c": [0, 0, -{HUGE}]}}}}',
-                     "family parameter 'c': a correlation triple needs finite entries"),
+                     f"family parameter 'c' entry 2 {PAST_RANGE}"),
+    "state-c-string": (["state", "--state-file"],
+                       '{"n": 4, "family": "m3n", "params": {"c": ["0.5", "0.2", "0.1"]}}',
+                       "family parameter 'c' entry 0 must be a number, got \"0.5\""),
+    "params-c-bool": (M3N_PARAMS, '{"c": [true, false, false]}',
+                      "family parameter 'c' entry 0 must be a number, got true"),
+    "params-c-string": (M3N_PARAMS, '{"c": [0.5, 0.2, "0.1"]}',
+                        "family parameter 'c' entry 2 must be a number, got \"0.1\""),
     "genuine-p-bool": (["genuine", "--spectrum-file"], '{"n": 3, "p": {"000+": true}}',
-                       "entry '000+': must be a number, got True"),
+                       "entry '000+' must be a number, got true"),
     "oracle-p-bool": (["oracle", "--spectrum-file"], '{"n": 3, "p": {"000+": 0.5, "000-": true}}',
-                      "entry '000-': must be a number, got True"),
+                      "entry '000-' must be a number, got true"),
     "genuine-p-huge": (["genuine", "--spectrum-file"], f'{{"n": 3, "p": {{"000+": {HUGE}}}}}',
-                       "entry '000+': int too large to convert to float"),
+                       f"entry '000+' {PAST_RANGE}"),
+    "genuine-p-string": (["genuine", "--spectrum-file"], '{"n": 3, "p": {"000+": "0.8", "001-": 0.2}}',
+                         "entry '000+' must be a number, got \"0.8\""),
+    "oracle-p-string": (["oracle", "--spectrum-file"], '{"n": 3, "p": {"000+": 0.8, "001-": "0.2"}}',
+                        "entry '001-' must be a number, got \"0.2\""),
     # 2^n alone would not finish for an n of 10^400; n = 10^5 fails fast where it is formed
     "genuine-n-huge": (["genuine", "--spectrum-file"], '{"n": 100000, "p": {}}',
                        "a GHZ spectrum at n=100000 takes over 2^70 bytes"),
@@ -640,14 +659,10 @@ NOT_A_NUMBER = {
 @pytest.mark.parametrize("argv, text, fragment", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
 def test_file_numbers_refuse_booleans_and_integers_past_the_float_range(
         argv, text, fragment, tmp_path, capsys):
+    # and strings; the text goes to a file, or straight to --params
     path = tmp_path / "input.json"
     path.write_text(text)
-    _assert_input_error(argv + [str(path)], capsys, fragment)
-
-
-def test_params_triple_refuses_booleans(capsys):
-    argv = ["state", "--family", "m3n", "--n", "4", "--params", '{"c": [true, false, false]}']
-    _assert_input_error(argv, capsys, "family parameter 'c': a correlation triple needs numbers")
+    _assert_input_error(argv + [text if argv == M3N_PARAMS else str(path)], capsys, fragment)
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])

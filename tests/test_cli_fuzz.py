@@ -4,7 +4,8 @@ Whatever the flag values of ``bound``, ``genuine`` and ``oracle``, and whatever
 the JSON in a ``--state-file`` (``state``, ``triple``), a ``bound --file`` or a
 ``--spectrum-file`` (``genuine``, ``oracle``), no exception escapes ``main``,
 the exit code is 0, 1 or 2, exit 0 prints one line of strict JSON, and a
-nonzero exit prints nothing on stdout.
+nonzero exit prints nothing on stdout. A valid file, or ``--params``, with a
+string, boolean or null in one number position exits 2.
 """
 
 import contextlib
@@ -243,3 +244,56 @@ def test_cli_contract_holds_for_any_file_contents(argv_text, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(text)
     _assert_contract(argv + [str(path)])
+
+
+# -- a valid input with a JSON string, boolean or null in one number position: the
+# readers refuse it (exit 2), where float() once parsed a string as a number
+
+NON_NUMBER_JSON = st.sampled_from(['"0.5"', '"1"', '"0"', '""', '"x"', "true", "false", "null"])
+SMALL_JSON = st.floats(-0.3, 0.3).map(json.dumps)
+PROBABILITY_NUMBER_JSON = st.floats(0, 1).map(json.dumps)
+M3N_PARAMS_ARGV = ["state", "--family", "m3n", "--n", "4", "--params"]
+
+
+def _one_non_number(template, *slots):
+    """``template`` with its ``@`` slots filled from ``slots``, valid numbers, but for
+    one slot, which holds a non-number."""
+    def fill(drawn):
+        values, bad, at = drawn
+        values = list(values)
+        values[at] = bad
+        parts = template.split("@")
+        return parts[0] + "".join(value + part for value, part in zip(values, parts[1:]))
+    return st.tuples(st.tuples(*slots), NON_NUMBER_JSON, st.integers(0, len(slots) - 1)).map(fill)
+
+
+NON_NUMBER_ARGV = st.one_of(
+    st.tuples(st.just(["bound", "--file"]), _one_non_number(
+        '{"n": 4, "c": [@, @, @], "sigma": [@, @, @]}',
+        *[SMALL_JSON] * 3, *[st.floats(0, 0.05).map(json.dumps)] * 3)),
+    st.tuples(st.sampled_from([["genuine", "--spectrum-file"], ["oracle", "--spectrum-file"]]),
+              _one_non_number('{"n": 3, "p": {"000+": @, "011-": @}}', st.just("0.5"), st.just("0.5"))),
+    st.tuples(st.sampled_from([["state", "--state-file"], ["triple", "--state-file"]]), st.one_of(
+        _one_non_number('{"n": 4, "family": "m3n", "params": {"c": [@, @, @]}}', *[SMALL_JSON] * 3),
+        _one_non_number('{"n": 4, "family": "wei", "params": {"x": @}}', PROBABILITY_NUMBER_JSON),
+        _one_non_number('{"n": 3, "family": "white_noise_mix", "params": {"q": @, '
+                        '"inner": {"family": "dicke", "params": {"k": @}}}}',
+                        PROBABILITY_NUMBER_JSON, st.integers(0, 3).map(str)),
+    )),
+    st.tuples(st.just(M3N_PARAMS_ARGV), _one_non_number('{"c": [@, @, @]}', *[SMALL_JSON] * 3)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv_text=NON_NUMBER_ARGV)
+def test_a_non_number_in_a_number_position_exits_2(argv_text, tmp_path_factory):
+    argv, text = argv_text
+    given_text = text
+    if argv != M3N_PARAMS_ARGV:
+        given_text = tmp_path_factory.mktemp("non-number") / "input.json"
+        given_text.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + [str(given_text)])
+    assert (rc, out.getvalue()) == (2, ""), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
